@@ -1,6 +1,7 @@
 #include "src/engine/database.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "src/storage/format.h"
@@ -16,13 +17,24 @@ Database::DbState::~DbState() = default;
 
 namespace {
 
-/// True iff (rel, t) is *visible* in the stack: the newest segment
-/// holding it decides — a fact segment means present, a tombstone means
-/// retracted (the per-fact flip invariant, see the header comment).
+/// A segment-count fold keeps the base segment and folds only the tail
+/// above it while the tail's net change (retracted base facts plus
+/// visible facts outside the base) stays below this fraction of the
+/// base. Each such fold costs O(tail) instead of O(base + tail) and
+/// keeps the base's indexes, statistics and sealed file. Since the net
+/// tail grows by at most one fact per changed fact, the full fold that
+/// rebuilds the base runs at most once per base/4 changed facts, so its
+/// amortized cost stays at most 5 facts folded per changed fact.
+constexpr double kTailFoldFraction = 0.25;
+
+/// True iff (rel, t) is *visible* in the bottom `end` segments of the
+/// stack: the newest segment holding it decides — a fact segment means
+/// present, a tombstone means retracted (the per-fact flip invariant,
+/// see the header comment).
 bool StackVisible(const std::vector<std::shared_ptr<const BaseStore>>& segs,
-                  const std::vector<SegmentKind>& kinds, RelId rel,
-                  const Tuple& t) {
-  for (size_t i = segs.size(); i-- > 0;) {
+                  const std::vector<SegmentKind>& kinds, size_t end,
+                  RelId rel, const Tuple& t) {
+  for (size_t i = end; i-- > 0;) {
     if (segs[i]->Contains(rel, t)) {
       return kinds[i] == SegmentKind::kFacts;
     }
@@ -30,13 +42,14 @@ bool StackVisible(const std::vector<std::shared_ptr<const BaseStore>>& segs,
   return false;
 }
 
-/// Materializes the visible facts of a stack: fact segments union in,
-/// tombstone segments remove (forward walk — a later fact re-appends).
+/// Materializes the visible facts of the bottom `end` segments of a
+/// stack: fact segments union in, tombstone segments remove (forward
+/// walk — a later fact re-appends).
 Instance MaterializeVisible(
     const std::vector<std::shared_ptr<const BaseStore>>& segs,
-    const std::vector<SegmentKind>& kinds) {
+    const std::vector<SegmentKind>& kinds, size_t end) {
   Instance out;
-  for (size_t i = 0; i < segs.size(); ++i) {
+  for (size_t i = 0; i < end; ++i) {
     const Instance& inst = segs[i]->instance();
     if (kinds[i] == SegmentKind::kFacts) {
       out.UnionWith(inst);
@@ -127,7 +140,7 @@ Result<Database> Database::Open(Universe& u, Instance edb,
       std::lock_guard<std::mutex> writer(db.state_->writer_mu);
       if (db.state_->storage->WantsCheckpoint()) {
         (void)CheckpointLocked(*db.state_, *db.state_->Current(),
-                               /*rewrite=*/false);
+                               storage::kKeepAllSealed);
       }
     }
     return db;
@@ -149,7 +162,7 @@ Result<Database> Database::Open(Universe& u, Instance edb,
     // Initial checkpoint: seal the seed segment and create the WAL so
     // the first commit has a log to land in. Publishes generation 1.
     SEQDL_RETURN_IF_ERROR(
-        CheckpointLocked(*state, *state->current, /*rewrite=*/true));
+        CheckpointLocked(*state, *state->current, /*keep=*/0));
   }
   return Database(std::move(state));
 }
@@ -199,7 +212,8 @@ Result<uint64_t> Database::AppendTo(DbState& state, Instance delta,
   Instance fresh;
   for (RelId rel : delta.Relations()) {
     for (const Tuple& t : delta.Tuples(rel)) {
-      if (!StackVisible(cur->segments, cur->segment_kinds, rel, t)) {
+      if (!StackVisible(cur->segments, cur->segment_kinds,
+                        cur->segments.size(), rel, t)) {
         fresh.Add(rel, t);
       }
     }
@@ -240,18 +254,7 @@ Result<uint64_t> Database::AppendTo(DbState& state, Instance delta,
   // appends is not fresh evidence that the derived shape drifted).
   state.accum.NoteEpoch();
 
-  // Post-publish housekeeping, deferred during replay (a checkpoint
-  // would rotate the WAL out from under the records still replaying).
-  // Failures are swallowed: the append above is already durable and
-  // published, the stack just stays deep until a caller-visible
-  // Compact() surfaces the error.
-  if (!state.replaying) {
-    if (PolicyWantsCompaction(state, *state.Current())) {
-      (void)CompactLocked(state);
-    } else if (state.storage != nullptr && state.storage->WantsCheckpoint()) {
-      (void)CheckpointLocked(state, *state.Current(), /*rewrite=*/false);
-    }
-  }
+  AfterCommitLocked(state);
   return epoch;
 }
 
@@ -276,7 +279,8 @@ Result<uint64_t> Database::RetractFrom(DbState& state, Instance victims,
   Instance hits;
   for (RelId rel : victims.Relations()) {
     for (const Tuple& t : victims.Tuples(rel)) {
-      if (StackVisible(cur->segments, cur->segment_kinds, rel, t)) {
+      if (StackVisible(cur->segments, cur->segment_kinds,
+                       cur->segments.size(), rel, t)) {
         hits.Add(rel, t);
       }
     }
@@ -314,13 +318,7 @@ Result<uint64_t> Database::RetractFrom(DbState& state, Instance victims,
   // discounts tombstones directly).
   state.accum.NoteEpoch();
 
-  if (!state.replaying) {
-    if (PolicyWantsCompaction(state, *state.Current())) {
-      (void)CompactLocked(state);
-    } else if (state.storage != nullptr && state.storage->WantsCheckpoint()) {
-      (void)CheckpointLocked(state, *state.Current(), /*rewrite=*/false);
-    }
-  }
+  AfterCommitLocked(state);
   return epoch;
 }
 
@@ -328,26 +326,41 @@ Result<uint64_t> Database::Retract(Instance victims, size_t* retracted) {
   return RetractFrom(*state_, std::move(victims), retracted);
 }
 
-bool Database::PolicyWantsCompaction(const DbState& state,
-                                     const SegmentSet& set) {
-  if (set.segments.size() <= 1) return false;
+Database::Fold Database::PolicyWantsCompaction(const DbState& state,
+                                               const SegmentSet& set) {
+  if (set.segments.size() <= 1) return Fold::kNone;
   const OpenOptions& opts = state.opts;
-  if (opts.auto_compact_segments != 0 &&
-      set.segments.size() > opts.auto_compact_segments) {
-    return true;
-  }
   if (opts.auto_compact_tail_ratio < 1.0 && set.total_facts > 0) {
     size_t head = set.segments.front()->instance().NumFacts();
     double tail_ratio =
         static_cast<double>(set.total_facts - head) /
         static_cast<double>(set.total_facts);
-    if (tail_ratio > opts.auto_compact_tail_ratio) return true;
+    if (tail_ratio > opts.auto_compact_tail_ratio) return Fold::kFull;
   }
-  return false;
+  if (opts.auto_compact_segments != 0 &&
+      set.segments.size() > opts.auto_compact_segments) {
+    return Fold::kTiered;
+  }
+  return Fold::kNone;
+}
+
+void Database::AfterCommitLocked(DbState& state) {
+  // Post-publish housekeeping, deferred during replay (a checkpoint
+  // would rotate the WAL out from under the records still replaying).
+  // Failures are swallowed: the commit is already durable and
+  // published, the stack just stays deep until a caller-visible
+  // Compact() surfaces the error.
+  if (state.replaying) return;
+  Fold fold = PolicyWantsCompaction(state, *state.Current());
+  if (fold != Fold::kNone) {
+    (void)CompactLocked(state, fold);
+  } else if (state.storage != nullptr && state.storage->WantsCheckpoint()) {
+    (void)CheckpointLocked(state, *state.Current(), storage::kKeepAllSealed);
+  }
 }
 
 Status Database::CheckpointLocked(DbState& state, const SegmentSet& set,
-                                  bool rewrite) {
+                                  size_t keep) {
   if (state.storage == nullptr) return Status::OK();
   std::vector<storage::CheckpointSegment> stack;
   stack.reserve(set.segments.size());
@@ -359,50 +372,113 @@ Status Database::CheckpointLocked(DbState& state, const SegmentSet& set,
     stack.push_back(seg);
   }
   return state.storage->Checkpoint(*state.universe, set.epoch,
-                                   set.shrink_floor, stack, rewrite);
+                                   set.shrink_floor, stack, keep);
 }
 
-Result<bool> Database::CompactLocked(DbState& state) {
+Result<bool> Database::CompactLocked(DbState& state, Fold fold) {
   std::shared_ptr<const SegmentSet> cur = state.Current();
-  if (cur->segments.size() <= 1) return false;
+  const std::vector<std::shared_ptr<const BaseStore>>& segs = cur->segments;
+  const std::vector<SegmentKind>& kinds = cur->segment_kinds;
+  const size_t n = segs.size();
+  if (n <= 1) return false;
+  const size_t limit = state.opts.auto_compact_segments;
 
-  // Apply the stack in order, copying (not moving) the segment instances:
-  // open sessions still pin them. Tombstones apply and vanish — the
-  // merged segment holds exactly the visible facts.
-  Instance merged =
-      MaterializeVisible(cur->segments, cur->segment_kinds);
-  auto segment =
-      std::make_shared<BaseStore>(*state.universe, std::move(merged));
-  if (state.opts.eager_indexes) segment->BuildAllIndexes();
+  // The fold covers the bottom segments [0, end). A tiered fold stops
+  // below the first segment some stored view has not seen, so no view
+  // meets a folded segment as delta; under eager refresh that leaves
+  // out only the segment the current write published. A view lagging
+  // so far that the segments above would keep the stack over the limit
+  // does not hold the fold back: everything folds and it re-runs cold.
+  size_t end = n;
+  if (fold == Fold::kTiered) {
+    if (std::optional<uint64_t> oldest = state.views->OldestEpoch()) {
+      size_t seen = 0;
+      while (seen < n && cur->segment_epochs[seen] <= *oldest) ++seen;
+      if (1 + (n - seen) <= limit) end = seen;
+    }
+  }
+  const uint64_t stamp = cur->segment_epochs[end - 1];  // newest folded
 
   auto next = std::make_shared<SegmentSet>();
   next->epoch = cur->epoch;  // same facts, same epoch: semantics unchanged
-  next->total_facts = segment->instance().NumFacts();
-  next->segments.push_back(std::move(segment));
-  // The merged segment keeps the newest folded publish stamp: views at
-  // least that fresh still see it as covered base, older views see one
-  // (over-approximate but sound) delta segment.
-  next->segment_epochs.push_back(*std::max_element(
-      cur->segment_epochs.begin(), cur->segment_epochs.end()));
-  next->segment_kinds.push_back(SegmentKind::kFacts);
-  // Folding a tombstone destroys the evidence a stale view would need
-  // for delta maintenance (a "new" merged fact segment can only grow a
-  // view, never shrink it): raise the shrink floor so Refresh falls back
-  // to a cold run for views older than the newest folded tombstone.
-  next->shrink_floor = cur->shrink_floor;
-  for (size_t i = 0; i < cur->segments.size(); ++i) {
-    if (cur->segment_kinds[i] == SegmentKind::kTombstones) {
-      next->shrink_floor =
-          std::max(next->shrink_floor, cur->segment_epochs[i]);
+  next->total_facts = cur->total_facts;
+  // A folded segment mixes facts a view older than `stamp` has seen with
+  // facts it has not, and tombstones it never observed are gone:
+  // delta-evaluating it would count the seen facts' support twice. Raise
+  // the floor so Refresh runs such views cold.
+  next->shrink_floor = std::max(cur->shrink_floor, stamp);
+  auto push = [&next](std::shared_ptr<const BaseStore> seg, uint64_t at,
+                      SegmentKind kind) {
+    next->segments.push_back(std::move(seg));
+    next->segment_epochs.push_back(at);
+    next->segment_kinds.push_back(kind);
+  };
+  auto build = [&state](Instance facts) {
+    auto seg = std::make_shared<BaseStore>(*state.universe, std::move(facts));
+    if (state.opts.eager_indexes) seg->BuildAllIndexes();
+    return seg;
+  };
+
+  // Tail fold: diff the folded tail against the base (segment 0, always
+  // a fact segment: Open and every fold put one there). Base facts the
+  // range no longer shows go into one tombstone segment, visible facts
+  // outside the base into one fact segment; the base segment itself is
+  // kept with its indexes, statistics and sealed file. Taken only while
+  // that net tail is small next to the base and the result fits under
+  // the limit; otherwise the range merges into a new base.
+  size_t keep = 0;
+  if (fold == Fold::kTiered) {
+    const BaseStore& base = *segs[0];
+    const double max_net =
+        kTailFoldFraction * static_cast<double>(base.instance().NumFacts());
+    Instance dropped, added;
+    bool small = true;
+    // Stops diffing once the net tail is too big (checked per segment).
+    for (size_t i = 1; i < end && small; ++i) {
+      const Instance& inst = segs[i]->instance();
+      for (RelId rel : inst.Relations()) {
+        for (const Tuple& t : inst.Tuples(rel)) {
+          bool visible = StackVisible(segs, kinds, end, rel, t);
+          if (base.Contains(rel, t)) {
+            if (!visible) dropped.Add(rel, t);
+          } else if (visible) {
+            added.Add(rel, t);
+          }
+        }
+      }
+      small = static_cast<double>(dropped.NumFacts() + added.NumFacts()) <
+              max_net;
+    }
+    size_t folded = 1 + (dropped.Empty() ? 0 : 1) + (added.Empty() ? 0 : 1);
+    if (small && folded + (n - end) <= limit) {
+      keep = 1;
+      push(segs[0], cur->segment_epochs[0], SegmentKind::kFacts);
+      if (!dropped.Empty()) {
+        push(build(std::move(dropped)), stamp, SegmentKind::kTombstones);
+      }
+      if (!added.Empty()) {
+        push(build(std::move(added)), stamp, SegmentKind::kFacts);
+      }
     }
   }
-  // Copy-forward-then-swap: in durable mode the merged segment seals to
-  // disk and the new manifest generation publishes *first*. A failure —
-  // or a crash anywhere inside — leaves CURRENT naming the old
-  // generation and the in-memory stack untouched; open sessions keep
-  // their pins either way (segments are shared_ptr-owned in memory, not
-  // read through the deleted files).
-  SEQDL_RETURN_IF_ERROR(CheckpointLocked(state, *next, /*rewrite=*/true));
+  if (keep == 0) {
+    // Full fold: apply the range in order, copying (not moving) the
+    // segment instances — open sessions still pin them. Tombstones apply
+    // and vanish; the merged segment holds exactly the visible facts.
+    push(build(MaterializeVisible(segs, kinds, end)), stamp,
+         SegmentKind::kFacts);
+  }
+  for (size_t i = end; i < n; ++i) {
+    push(segs[i], cur->segment_epochs[i], kinds[i]);
+  }
+
+  // Copy-forward-then-swap: in durable mode the folded stack seals to
+  // disk and the new manifest generation publishes *first* (a tail fold
+  // reuses the base's file). A failure — or a crash anywhere inside —
+  // leaves CURRENT naming the old generation and the in-memory stack
+  // untouched; open sessions keep their pins either way (segments are
+  // shared_ptr-owned in memory, not read through the deleted files).
+  SEQDL_RETURN_IF_ERROR(CheckpointLocked(state, *next, keep));
   state.Publish(std::move(next));
   return true;
 }
@@ -410,14 +486,15 @@ Result<bool> Database::CompactLocked(DbState& state) {
 Result<bool> Database::Compact() {
   std::lock_guard<std::mutex> writer(state_->writer_mu);
   if (state_->closed.load(std::memory_order_relaxed)) return false;
-  return CompactLocked(*state_);
+  return CompactLocked(*state_, Fold::kFull);
 }
 
 Result<bool> Database::MaybeCompact() {
   std::lock_guard<std::mutex> writer(state_->writer_mu);
   if (state_->closed.load(std::memory_order_relaxed)) return false;
-  if (!PolicyWantsCompaction(*state_, *state_->Current())) return false;
-  return CompactLocked(*state_);
+  Fold fold = PolicyWantsCompaction(*state_, *state_->Current());
+  if (fold == Fold::kNone) return false;
+  return CompactLocked(*state_, fold);
 }
 
 void Database::Close() {
@@ -429,7 +506,8 @@ void Database::Close() {
       state_->storage->info().wal_bytes > 0) {
     // Seal the WAL tail so the next Open skips replay. Best effort —
     // on failure the WAL itself still recovers everything.
-    (void)CheckpointLocked(*state_, *state_->Current(), /*rewrite=*/false);
+    (void)CheckpointLocked(*state_, *state_->Current(),
+                           storage::kKeepAllSealed);
   }
   state_->closed.store(true, std::memory_order_relaxed);
 }
@@ -499,7 +577,8 @@ storage::StorageInfo Database::storage_info() const {
 
 Instance Database::edb() const {
   std::shared_ptr<const SegmentSet> cur = state_->Current();
-  return MaterializeVisible(cur->segments, cur->segment_kinds);
+  return MaterializeVisible(cur->segments, cur->segment_kinds,
+                            cur->segments.size());
 }
 
 const BaseStore& Database::base() const {
@@ -554,7 +633,8 @@ Result<Instance> Session::RunQuery(const PreparedProgram& prog, RelId output,
 }
 
 Instance Session::edb() const {
-  return MaterializeVisible(pinned_->segments, pinned_->segment_kinds);
+  return MaterializeVisible(pinned_->segments, pinned_->segment_kinds,
+                            pinned_->segments.size());
 }
 
 Result<uint64_t> Writer::Commit() {

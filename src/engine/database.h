@@ -28,7 +28,10 @@
 // under open sessions is a semantic no-op for them and the retired
 // segments are freed when the last pinned session goes away.
 // OpenOptions::auto_compact_segments makes Append fold the stack
-// automatically once it grows past a threshold, LSM-style.
+// automatically once it grows past a threshold, LSM-style. That fold is
+// tiered: while the segments above the base stay small next to it, it
+// folds only them (into one tombstone and one fact segment) and keeps
+// the base segment — indexes, statistics and sealed file — as it is.
 //
 // Retract() publishes the inverse of Append as the same kind of immutable
 // segment: a *tombstone* segment whose tuples shadow matching facts in
@@ -40,8 +43,9 @@
 // newest occurrence. Sessions pinned before a retraction keep seeing the
 // fact (MVCC as usual); Compact() applies and folds tombstones away — the
 // merged stack holds exactly the visible facts and zero tombstone
-// segments, and SegmentSet::shrink_floor records that views older than
-// the folded tombstones can no longer be delta-maintained.
+// segments. Every fold raises SegmentSet::shrink_floor to its newest
+// folded stamp: views older than that never saw every folded segment and
+// can no longer be delta-maintained.
 //
 // Thread-safety contract: one writer at a time (Append/Commit/Compact
 // serialize on an internal writer mutex), any number of concurrent
@@ -90,14 +94,21 @@ class Database {
     /// indexes build on the first query that probes them (still exactly
     /// once per segment across all sessions and threads).
     bool eager_indexes = false;
-    /// Append folds the segment stack into one merged segment once it
-    /// holds more than this many segments (0 = compact manually via
-    /// Compact()). Keeps read amplification bounded under sustained
-    /// ingest, LSM-style.
+    /// Append/Retract fold the segment stack once it holds more than
+    /// this many segments (0 = compact manually via Compact()). Keeps
+    /// read amplification bounded under sustained ingest, LSM-style. The
+    /// fold covers the bottom segments every stored view has already
+    /// seen (all of them when no view is stored, or when a view lags so
+    /// far that the rest would stay over the limit). While the net
+    /// change above the base stays under a quarter of the base, it folds
+    /// only that tail into one tombstone and one fact segment and keeps
+    /// the base segment as it is; otherwise it merges the covered range
+    /// into a new base. Either way the stack may keep tombstone segments.
     size_t auto_compact_segments = 0;
     /// Append also compacts once the facts outside the first (largest)
     /// segment exceed this fraction of all facts — the size-ratio
-    /// trigger. >= 1.0 disables the ratio trigger.
+    /// trigger, which folds the whole stack like Compact(). >= 1.0
+    /// disables the ratio trigger.
     double auto_compact_tail_ratio = 1.0;
     /// Durability. Empty (the default) keeps the database purely in
     /// memory. Non-empty names a data directory (created if absent):
@@ -181,7 +192,9 @@ class Database {
   /// facts and no tombstone segments, so post-compaction queries pay no
   /// shadow probes at all. The visible fact set and the epoch are
   /// unchanged — compaction is invisible to semantics; it trades one
-  /// rebuild for O(1) segment probes afterwards. Open sessions keep their
+  /// rebuild for O(1) segment probes afterwards. Stored views older than
+  /// the newest folded segment re-materialize cold at their next Refresh
+  /// (the fold raises shrink_floor). Open sessions keep their
   /// pinned pre-compaction segments (freed when the last such session
   /// closes). Returns false if there was nothing to fold (one segment or
   /// none). In durable mode the merged segment seals to disk and a new
@@ -191,9 +204,10 @@ class Database {
   /// (DiagnosticFromStatus renders it). Serializes with other writers.
   Result<bool> Compact();
 
-  /// Runs Compact() iff the OpenOptions policy says the stack is too
-  /// deep (auto_compact_segments / auto_compact_tail_ratio). Append calls
-  /// this after every publish; it is also callable directly.
+  /// Folds iff the OpenOptions policy says the stack is too deep:
+  /// auto_compact_segments runs the tiered fold described there,
+  /// auto_compact_tail_ratio a full Compact(). Append and Retract apply
+  /// the same policy after every publish; it is also callable directly.
   Result<bool> MaybeCompact();
 
   /// Retires the database from ingest: every later Append or
@@ -212,8 +226,10 @@ class Database {
   /// Total *visible* facts across the current stack (appended minus
   /// retracted).
   size_t NumFacts() const;
-  /// Number of tombstone segments in the current stack (0 right after
-  /// Open or Compact — compaction folds every tombstone away).
+  /// Number of tombstone segments in the current stack: 0 right after
+  /// Open, Compact() or a size-ratio fold, which fold every tombstone
+  /// away. A segment-count fold may keep some: the one holding the base
+  /// facts the folded tail retracted, and any above the folded range.
   size_t NumTombstones() const;
 
   /// Measured per-(relation, column, index-family) statistics of the
@@ -268,26 +284,26 @@ class Database {
   struct SegmentSet {
     uint64_t epoch = 0;
     std::vector<std::shared_ptr<const BaseStore>> segments;
-    /// Parallel to `segments`: the epoch each segment was published at
-    /// (0 for the Open segment; compaction stamps the merged segment
-    /// with the newest folded stamp). How ViewManager tells the
-    /// delta segments apart from the base a view of epoch e already
-    /// covers: everything stamped > e is new. Over-approximate across
-    /// compaction — a merged segment counts as entirely new for views
-    /// older than its stamp — which is sound (delta evaluation of facts
-    /// already reflected in the view just re-derives known tuples).
+    /// Parallel to `segments`, non-decreasing: the epoch each segment
+    /// was published at (0 for the Open segment; a fold stamps the
+    /// segments it writes with the newest folded stamp, and a tail fold
+    /// keeps the base's stamp). How ViewManager tells the delta segments
+    /// apart from the base a view of epoch e already covers: everything
+    /// stamped > e is new. A folded segment mixes facts the view has
+    /// seen with facts it has not, so delta-evaluating it would count
+    /// support twice; `shrink_floor` sends such views to a cold run.
     std::vector<uint64_t> segment_epochs;
     /// Parallel to `segments`: what each segment's tuples mean — facts
     /// add, tombstones retract (shadowing all older segments). Filled by
     /// every constructor of a SegmentSet; append-only stacks are all
     /// kFacts.
     std::vector<SegmentKind> segment_kinds;
-    /// Delta-maintenance horizon for retractions: a view pinned at an
-    /// epoch < shrink_floor cannot be delta-maintained, because Compact()
-    /// folded away tombstone evidence the view has not seen — Refresh
-    /// must fall back to a cold run. Raised by compaction to the newest
-    /// folded tombstone's publish stamp; 0 while no retraction was ever
-    /// compacted away.
+    /// Delta-maintenance horizon: a view pinned at an epoch <
+    /// shrink_floor cannot be delta-maintained, because a fold merged
+    /// segments the view has not seen with ones it has (and may have
+    /// folded away tombstones it never observed) — Refresh must fall
+    /// back to a cold run. Every fold, automatic or explicit, raises it
+    /// to the fold's newest stamp; 0 while nothing was ever folded.
     uint64_t shrink_floor = 0;
     /// Visible facts (appended minus retracted).
     size_t total_facts = 0;
@@ -347,16 +363,25 @@ class Database {
   /// actually tombstoned.
   static Result<uint64_t> RetractFrom(DbState& state, Instance victims,
                                       size_t* retracted);
+  /// Which fold a stack needs: none, the tiered fold of the
+  /// segment-count trigger, or the full fold of Compact() and the
+  /// size-ratio trigger.
+  enum class Fold { kNone, kTiered, kFull };
   /// Compact step with writer_mu already held. In durable mode seals
-  /// the merged stack before the in-memory swap.
-  static Result<bool> CompactLocked(DbState& state);
-  static bool PolicyWantsCompaction(const DbState& state,
+  /// the folded stack before the in-memory swap.
+  static Result<bool> CompactLocked(DbState& state, Fold fold);
+  static Fold PolicyWantsCompaction(const DbState& state,
                                     const SegmentSet& set);
+  /// Runs the fold the policy asks for after a commit, else seals the
+  /// stack if the WAL outgrew its threshold. Best effort; writer_mu
+  /// must be held.
+  static void AfterCommitLocked(DbState& state);
   /// Seals the *given* (about-to-publish or current) stack under a new
-  /// manifest generation; writer_mu must be held. No-op in memory-only
-  /// mode.
+  /// manifest generation, reusing the files of its bottom `keep`
+  /// segments (StorageEngine::Checkpoint); writer_mu must be held.
+  /// No-op in memory-only mode.
   static Status CheckpointLocked(DbState& state, const SegmentSet& set,
-                                 bool rewrite);
+                                 size_t keep);
 
   std::unique_ptr<DbState> state_;
 };

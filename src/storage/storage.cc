@@ -1,5 +1,6 @@
 #include "src/storage/storage.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <set>
@@ -132,14 +133,11 @@ bool StorageEngine::WantsCheckpoint() const {
 Status StorageEngine::Checkpoint(const Universe& u, uint64_t epoch,
                                  uint64_t shrink_floor,
                                  const std::vector<CheckpointSegment>& stack,
-                                 bool rewrite) {
-  // A shrinking stack only happens via compaction; treat it as a full
-  // rewrite even if the caller forgot to say so.
-  size_t reuse = rewrite ? 0 : manifest_.segments.size();
-  if (reuse > stack.size()) {
-    reuse = 0;
-    rewrite = true;
-  }
+                                 size_t keep) {
+  // A stack shorter than the reused prefix can only come from a fold
+  // the caller did not describe; rewrite it all.
+  size_t reuse = std::min(keep, manifest_.segments.size());
+  if (reuse > stack.size()) reuse = 0;
 
   Manifest next;
   next.generation = manifest_.generation + 1;

@@ -65,6 +65,10 @@ struct SealedSegment {
   uint64_t stamp = 0;
 };
 
+/// Checkpoint's `keep` when the whole sealed prefix is unchanged (a
+/// checkpoint that only seals the segments committed since).
+inline constexpr size_t kKeepAllSealed = SIZE_MAX;
+
 /// One in-memory segment as handed to Checkpoint.
 struct CheckpointSegment {
   const Instance* facts = nullptr;
@@ -107,13 +111,15 @@ class StorageEngine {
   bool WantsCheckpoint() const;
 
   /// Seals the given stack under a new manifest generation and rotates
-  /// the WAL. With `rewrite` false, the first `sealed_segments` of
-  /// `stack` are assumed unchanged and their files are reused; with
-  /// `rewrite` true (compaction) every segment is written anew and all
-  /// previous files become obsolete. On error nothing is published:
+  /// the WAL. The bottom `keep` segments of `stack` (capped at the
+  /// sealed prefix) are the ones the current manifest already names:
+  /// their files are reused, every segment above is written anew, and
+  /// files the new manifest no longer names are deleted. A WAL-threshold
+  /// or Close checkpoint passes kKeepAllSealed, a tail fold 1 (the base
+  /// is unchanged), a full fold 0. On error nothing is published:
   /// CURRENT still names the old generation.
   Status Checkpoint(const Universe& u, uint64_t epoch, uint64_t shrink_floor,
-                    const std::vector<CheckpointSegment>& stack, bool rewrite);
+                    const std::vector<CheckpointSegment>& stack, size_t keep);
 
   /// Thread-safe snapshot of the durability counters.
   StorageInfo info() const;

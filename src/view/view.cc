@@ -163,10 +163,11 @@ Result<std::shared_ptr<const ViewSnapshot>> ViewManager::Refresh(
     }
   }
 
-  // A view pinned below the compaction shrink floor cannot be
-  // delta-advanced: compaction folded tombstones it has never observed
-  // into the base, so the stack no longer says which of its facts died.
-  // Fall back to a cold materialization.
+  // A view pinned below the shrink floor cannot be delta-advanced: a
+  // fold merged segments it has seen with ones it has not (counting the
+  // seen facts' support again if evaluated as delta) and may have folded
+  // away tombstones it never observed. Fall back to a cold
+  // materialization.
   if (old != nullptr && old->epoch_ < cur->shrink_floor) old = nullptr;
 
   // Partition the stack by publish stamp: the first `base_prefix`
@@ -290,6 +291,15 @@ size_t ViewManager::NumViews() const {
 ViewManager::Counters ViewManager::counters() const {
   std::lock_guard<std::mutex> lock(mu_);
   return counters_;
+}
+
+std::optional<uint64_t> ViewManager::OldestEpoch() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::optional<uint64_t> oldest;
+  for (const auto& [key, snap] : views_) {
+    if (!oldest || snap->epoch_ < *oldest) oldest = snap->epoch_;
+  }
+  return oldest;
 }
 
 }  // namespace seqdl

@@ -15,8 +15,8 @@
 // fixpoint. Strata the delta pass cannot maintain soundly (negation over
 // a changed input) are recomputed wholesale; everything else is adopted
 // and patched in place, shrink epochs included. A snapshot pinned below
-// SegmentSet::shrink_floor (compaction folded tombstones it never saw)
-// falls back to a cold materialization. The refreshed snapshot is
+// SegmentSet::shrink_floor (a fold covered segments it never saw) falls
+// back to a cold materialization. The refreshed snapshot is
 // byte-identical to a cold fixpoint at the new epoch
 // (tests/differential_test.cc enforces this at every epoch, across
 // retraction and compaction).
@@ -32,9 +32,17 @@
 // Each vk is immutable once published; a reader holding v1 keeps reading
 // v1 while the manager publishes v3 (exactly like epoch-pinned Sessions).
 // Compaction folds segments under an unchanged epoch: a view at that
-// epoch is still a hit, while an older view sees the merged segment as
-// one over-approximate delta — sound, because delta-evaluating facts the
-// view already reflects only re-derives known tuples.
+// epoch is still a hit. A view older than the newest folded segment must
+// not delta-evaluate the merged result — it mixes facts the view already
+// counted with new ones, so their support would be counted twice and a
+// later retraction would keep a dead tuple alive — so every fold raises
+// shrink_floor and such a view re-materializes cold. Automatic folds
+// avoid that cost by folding only segments every stored view has seen
+// (OldestEpoch below; Database::OpenOptions::auto_compact_segments):
+//
+//   epoch   4 (eager refresh: views at 3)   after the fold
+//   EDB     [s0 s1 s2 s3 s4]                [s0 T F s4]   (T, F @3)
+//   view    v@3: base = s0..s3, delta = s4  v@3: base = s0 T F, delta = s4
 //
 // Every snapshot also records counting-based *support*: per derived
 // tuple, how many rule firings produced it (RunOptions::support). The
@@ -67,6 +75,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -159,6 +168,13 @@ class ViewManager {
 
   size_t NumViews() const;
   Counters counters() const;
+
+  /// The oldest epoch among the stored snapshots, or nullopt when none is
+  /// stored. Automatic compaction folds only segments stamped at or below
+  /// it, so no stored view sees a folded segment as delta. Takes only the
+  /// map mutex (the compacting writer calls it under its writer mutex;
+  /// no ViewManager path takes that mutex while holding this one).
+  std::optional<uint64_t> OldestEpoch() const;
 
  private:
   friend class Database;

@@ -752,6 +752,125 @@ TEST(DifferentialTest, RetractionMaintainedViewMatchesColdFixpointPerEpoch) {
   EXPECT_GT(strata_recomputed, 0u);
 }
 
+/// One fact of `from`, chosen by `sched` (empty when `from` is).
+Instance PickOne(std::mt19937& sched, const Instance& from) {
+  Instance one;
+  size_t n = from.NumFacts();
+  if (n == 0) return one;
+  size_t k = sched() % n;
+  for (RelId rel : from.Relations()) {
+    for (const Tuple& t : from.Tuples(rel)) {
+      if (k-- == 0) {
+        one.Add(rel, t);
+        return one;
+      }
+    }
+  }
+  return one;
+}
+
+// The retraction differential under automatic compaction: the database
+// starts from the case's EDB with a small segment limit, and every write
+// is one or two facts — a retraction of visible facts or a re-append of
+// retracted ones — followed by a refresh of the view, the way the
+// server refreshes eagerly. Every fold therefore happens inside a write
+// while the view is one epoch behind. The view must stay byte-identical
+// to a cold fixpoint at every epoch without ever re-materializing, and
+// the suite must see both kinds of fold: tail folds (the base segment
+// survives) and full folds (a new base).
+TEST(DifferentialTest, RetractionAutoCompactViewMatchesColdFixpointPerEpoch) {
+  constexpr int kWrites = 14;
+  size_t iterations = Iterations();
+  size_t compared = 0, skipped = 0;
+  uint64_t tail_folds = 0, full_folds = 0, dred_refreshes = 0;
+  for (uint64_t seed = 1; seed <= iterations; ++seed) {
+    Universe u;
+    RandomCase c = CaseGenerator(u, seed).Generate();
+    SCOPED_TRACE("seed " + std::to_string(seed) + "\n" +
+                 FormatProgram(u, c.program) + c.input.ToString(u));
+    std::mt19937 sched(seed * 104729 + 7);
+
+    Result<PreparedProgram> prog = Engine::CompileBorrowed(u, c.program);
+    ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+    RunOptions ropts;
+    ropts.max_facts = kMaxFacts;
+    ropts.max_iterations = kMaxIterations;
+
+    Database::OpenOptions opts;
+    opts.auto_compact_segments = 3 + seed % 2;
+    Result<Database> live = Database::Open(u, c.input, opts);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    bool budget_hit = false;
+
+    auto check = [&](const std::string& phase) {
+      Result<Database> cold = Database::Open(u, live->edb());
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      Result<Instance> want = cold->Snapshot().Run(*prog, ropts);
+      if (!want.ok()) {
+        ASSERT_EQ(want.status().code(), StatusCode::kResourceExhausted)
+            << want.status().ToString();
+        budget_hit = true;
+        return;
+      }
+      auto view = live->views().Refresh("view", *prog, ropts);
+      if (!view.ok()) {
+        ASSERT_EQ(view.status().code(), StatusCode::kResourceExhausted)
+            << phase << ": " << view.status().ToString();
+        budget_hit = true;
+        return;
+      }
+      EXPECT_EQ((*view)->epoch(), live->epoch()) << phase;
+      EXPECT_EQ(want->ToString(u), (*view)->idb().ToString(u)) << phase;
+    };
+
+    check("epoch 0 (cold)");
+    Instance retracted;
+    uint64_t seed_tail = 0, seed_full = 0;
+    for (int w = 0; w < kWrites && !budget_hit; ++w) {
+      // Pin the stack so a new base cannot reuse the old one's address.
+      Session before = live->Snapshot();
+      const BaseStore* base = &live->base();
+      Instance visible = live->edb();
+      bool reappend = !retracted.Empty() &&
+                      (visible.Empty() || sched() % 3 == 0);
+      Instance batch = PickOne(sched, reappend ? retracted : visible);
+      batch.UnionWith(PickOne(sched, reappend ? retracted : visible));
+      if (reappend) {
+        ASSERT_TRUE(live->Append(batch).ok());
+        for (RelId rel : batch.Relations()) {
+          for (const Tuple& t : batch.Tuples(rel)) retracted.Remove(rel, t);
+        }
+      } else {
+        ASSERT_TRUE(live->Retract(batch).ok());
+        retracted.UnionWith(batch);
+      }
+      // An effective write adds one segment; a fold leaves fewer.
+      if (live->epoch() > before.epoch() &&
+          live->NumSegments() <= before.NumSegments()) {
+        ++(&live->base() == base ? seed_tail : seed_full);
+      }
+      check("write " + std::to_string(w) +
+            (reappend ? " (re-append)" : " (retract)"));
+    }
+    if (budget_hit) {
+      ++skipped;
+      continue;
+    }
+    ViewManager::Counters counters = live->views().counters();
+    EXPECT_EQ(counters.cold_runs, 1u) << "a fold sent the view cold";
+    tail_folds += seed_tail;
+    full_folds += seed_full;
+    dred_refreshes += counters.dred_refreshes;
+    ++compared;
+  }
+  EXPECT_GE(compared * 5, iterations * 4)
+      << compared << " of " << iterations << " seeds compared (" << skipped
+      << " skipped)";
+  EXPECT_GT(tail_folds, 0u);
+  EXPECT_GT(full_folds, 0u);
+  EXPECT_GT(dred_refreshes, 0u);
+}
+
 // The server differential: running a random program through a loopback
 // TCP server (text in, rendered text out — a *separate Universe*, so
 // every symbol is re-interned from the shipped source) must produce

@@ -16,6 +16,7 @@
 #include "src/queries/queries.h"
 #include "src/syntax/parser.h"
 #include "src/term/universe.h"
+#include "src/view/view.h"
 #include "src/workload/generators.h"
 
 namespace seqdl {
@@ -823,6 +824,145 @@ TEST(EpochTest, AutoCompactionFoldsByTailRatio) {
   ASSERT_TRUE(db->Append(MustInstance(u, "R(f). R(g). R(h). R(i).")).ok());
   EXPECT_EQ(db->NumSegments(), 1u);
   EXPECT_EQ(db->NumFacts(), 9u);
+}
+
+/// `n` facts R(b0) ... R(b<n-1>): a base big enough that small writes
+/// stay below the tail-fold fraction.
+Instance BaseFacts(Universe& u, int n) {
+  std::string text;
+  for (int i = 0; i < n; ++i) text += "R(b" + std::to_string(i) + "). ";
+  return MustInstance(u, text);
+}
+
+TEST(EpochTest, TailFoldKeepsTheBaseSegment) {
+  Universe u;
+  Database::OpenOptions opts;
+  opts.auto_compact_segments = 4;
+  Result<Database> db = Database::Open(u, BaseFacts(u, 40), opts);
+  ASSERT_TRUE(db.ok());
+  const BaseStore* base = &db->base();
+  base->BuildAllIndexes();
+  size_t indexed = db->NumIndexedColumns();
+  ASSERT_GT(indexed, 0u);
+
+  ASSERT_TRUE(db->Append(MustInstance(u, "R(n1).")).ok());
+  ASSERT_TRUE(db->Retract(MustInstance(u, "R(b0).")).ok());
+  ASSERT_TRUE(db->Append(MustInstance(u, "R(n2). R(n3).")).ok());
+  ASSERT_TRUE(db->Retract(MustInstance(u, "R(n1).")).ok());
+  // Five segments > 4: the tail folds into one tombstone segment (R(b0))
+  // and one fact segment (R(n2), R(n3)); R(n1) came and went. The base
+  // keeps its object, its indexes and its statistics.
+  EXPECT_EQ(&db->base(), base);
+  EXPECT_GE(db->NumIndexedColumns(), indexed);
+  EXPECT_EQ(db->NumSegments(), 3u);
+  EXPECT_EQ(db->NumTombstones(), 1u);
+  EXPECT_EQ(db->epoch(), 4u);
+  EXPECT_EQ(db->NumFacts(), 41u);
+  std::string want_text = "R(n2). R(n3). ";
+  for (int i = 1; i < 40; ++i) want_text += "R(b" + std::to_string(i) + "). ";
+  Instance want = MustInstance(u, want_text);
+  EXPECT_EQ(db->edb().ToString(u), want.ToString(u));
+
+  // Explicit Compact() still folds everything.
+  ASSERT_TRUE(*db->Compact());
+  EXPECT_EQ(db->NumSegments(), 1u);
+  EXPECT_EQ(db->NumTombstones(), 0u);
+  EXPECT_EQ(db->edb().ToString(u), want.ToString(u));
+}
+
+TEST(EpochTest, TailReachingTheFractionFoldsFully) {
+  Universe u;
+  Database::OpenOptions opts;
+  opts.auto_compact_segments = 4;
+  // A quarter of 28 is 7: the first fold carries 4 net tail facts, the
+  // second 7.
+  Result<Database> db = Database::Open(u, BaseFacts(u, 28), opts);
+  ASSERT_TRUE(db.ok());
+  const BaseStore* base = &db->base();
+  // Pins the first base so a new one cannot reuse its address.
+  Session pin = db->Snapshot();
+  for (int i = 1; i <= 4; ++i) {
+    std::string fact = "R(n" + std::to_string(i) + ").";
+    ASSERT_TRUE(db->Append(MustInstance(u, fact)).ok());
+  }
+  EXPECT_EQ(&db->base(), base);
+  EXPECT_EQ(db->NumSegments(), 2u);  // base + one fact segment
+  for (int i = 5; i <= 7; ++i) {
+    std::string fact = "R(n" + std::to_string(i) + ").";
+    ASSERT_TRUE(db->Append(MustInstance(u, fact)).ok());
+  }
+  EXPECT_NE(&db->base(), base);
+  EXPECT_EQ(db->NumSegments(), 1u);
+  EXPECT_EQ(db->base().instance().NumFacts(), 35u);
+  EXPECT_EQ(db->NumFacts(), 35u);
+}
+
+TEST(EpochTest, AutoFoldLeavesTheUnseenSegmentToTheView) {
+  Universe u;
+  Database::OpenOptions opts;
+  opts.auto_compact_segments = 4;
+  Result<Database> db = Database::Open(u, BaseFacts(u, 40), opts);
+  ASSERT_TRUE(db.ok());
+  Program p = MustParse(u, "S($x) <- R($x).");
+  Result<PreparedProgram> prog = Engine::Compile(u, std::move(p));
+  ASSERT_TRUE(prog.ok());
+  ASSERT_TRUE(db->views().Refresh("s", *prog).ok());
+  // Refresh after every write, like the server's eager refresh: each
+  // fold then happens while the view is one epoch behind.
+  const BaseStore* base = &db->base();
+  for (int i = 1; i <= 4; ++i) {
+    std::string fact = "R(n" + std::to_string(i) + ").";
+    ASSERT_TRUE(db->Append(MustInstance(u, fact)).ok());
+    if (i < 4) {
+      ASSERT_TRUE(db->views().Refresh("s", *prog).ok());
+    }
+  }
+  // The fold covered the base and the three segments the view had seen;
+  // the fourth (unseen) segment stays above the folded tail.
+  EXPECT_EQ(&db->base(), base);
+  EXPECT_EQ(db->NumSegments(), 3u);
+  auto v = db->views().Refresh("s", *prog);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  ViewManager::Counters c = db->views().counters();
+  EXPECT_EQ(c.cold_runs, 1u);
+  EXPECT_EQ(c.delta_refreshes, 4u);
+  Result<Instance> cold = db->Snapshot().Run(*prog);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ((*v)->idb().ToString(u), cold->ToString(u));
+}
+
+TEST(EpochTest, AutoFoldRangeFollowsTheOldestView) {
+  for (bool lag_past_limit : {false, true}) {
+    SCOPED_TRACE(lag_past_limit ? "view lags past the limit"
+                                : "view lags two epochs");
+    Universe u;
+    Database::OpenOptions opts;
+    opts.auto_compact_segments = 4;
+    Result<Database> db = Database::Open(u, BaseFacts(u, 40), opts);
+    ASSERT_TRUE(db.ok());
+    Result<PreparedProgram> prog =
+        Engine::Compile(u, MustParse(u, "S($x) <- R($x)."));
+    ASSERT_TRUE(prog.ok());
+    ASSERT_TRUE(db->views().Refresh("s", *prog).ok());
+    for (int i = 1; i <= 4; ++i) {
+      std::string fact = "R(n" + std::to_string(i) + ").";
+      ASSERT_TRUE(db->Append(MustInstance(u, fact)).ok());
+      if (i == 2 && !lag_past_limit) {
+        ASSERT_TRUE(db->views().Refresh("s", *prog).ok());
+      }
+    }
+    // The fourth append folds. A view at epoch 2 has seen the base and
+    // two segments: they fold, the two unseen ones stay. A view still at
+    // epoch 0 would keep all four appends unfolded, over the limit, so
+    // everything folds and the view re-materializes.
+    EXPECT_EQ(db->NumSegments(), lag_past_limit ? 2u : 4u);
+    auto v = db->views().Refresh("s", *prog);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    EXPECT_EQ(db->views().counters().cold_runs, lag_past_limit ? 2u : 1u);
+    Result<Instance> cold = db->Snapshot().Run(*prog);
+    ASSERT_TRUE(cold.ok());
+    EXPECT_EQ((*v)->idb().ToString(u), cold->ToString(u));
+  }
 }
 
 TEST(EpochTest, StatsAreEpochAware) {

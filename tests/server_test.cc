@@ -865,5 +865,46 @@ TEST(ServiceCacheTest, RetractRefreshesViewsThroughDRed) {
   EXPECT_EQ(service.db().views().counters().dred_refreshes, 1u);
 }
 
+
+// An automatic fold lands inside the write, before the eager refresh, so
+// the cached view is one epoch behind it. Folding the segment that view
+// has not seen together with the ones it has, and delta-evaluating the
+// merged result, would count P(a)'s support twice (2 -> 4): retracting
+// both R(a, _) facts would leave it at 2 and P(a) would still be served.
+TEST(ServiceCacheTest, AutoCompactionKeepsEagerViewsExact) {
+  Universe u;
+  Result<Instance> edb = ParseInstance(u, "R(a, x).");
+  ASSERT_TRUE(edb.ok());
+  Database::OpenOptions opts;
+  opts.auto_compact_segments = 2;
+  Result<Database> db = Database::Open(u, std::move(*edb), opts);
+  ASSERT_TRUE(db.ok());
+  DatabaseService service(u, std::move(*db), ServiceOptions());
+  constexpr char kProg[] = "P($k) <- R($k, $v).";
+
+  Result<protocol::RunReply> run = service.Run(ReqFor(kProg));
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->rendered, "P(a).\n");
+  protocol::AppendRequest append;
+  append.facts = "R(a, y).";
+  ASSERT_TRUE(service.Append(append).ok());
+  // The third segment trips the limit: this append folds.
+  append.facts = "R(b, x).";
+  Result<protocol::AppendReply> folded = service.Append(append);
+  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+  EXPECT_LE(folded->db.segments, 2u);
+  protocol::RetractRequest retract;
+  retract.facts = "R(a, x). R(a, y).";
+  Result<protocol::RetractReply> rr = service.Retract(retract);
+  ASSERT_TRUE(rr.ok()) << rr.status().ToString();
+  EXPECT_EQ(rr->retracted, 2u);
+
+  run = service.Run(ReqFor(kProg));
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->rendered, "P(b).\n");
+  // The view was maintained throughout: one cold run, the first.
+  EXPECT_EQ(service.db().views().counters().cold_runs, 1u);
+}
+
 }  // namespace
 }  // namespace seqdl

@@ -17,6 +17,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
@@ -462,6 +463,76 @@ TEST(StorageDatabaseTest, DurableCompactSurvivesReopen) {
   EXPECT_EQ(db->edb().ToString(u2), rendered);
 }
 
+/// The data directory's file names, sorted.
+std::vector<std::string> DataFiles(const std::string& dir) {
+  Result<std::vector<std::string>> names = storage::ListDir(dir);
+  EXPECT_TRUE(names.ok()) << names.status().ToString();
+  std::vector<std::string> out = names.ok() ? *names : std::vector<std::string>{};
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<std::string> SegmentFiles(const std::string& dir) {
+  std::vector<std::string> segs;
+  for (const std::string& name : DataFiles(dir)) {
+    if (name.rfind("seg-", 0) == 0) segs.push_back(name);
+  }
+  return segs;
+}
+
+TEST(StorageDatabaseTest, TailFoldReusesTheBaseFile) {
+  ScratchDir dir("tailfold");
+  Database::OpenOptions opts = DurableOpts(dir.path);
+  opts.auto_compact_segments = 4;
+  std::string seed;
+  for (int i = 0; i < 40; ++i) {
+    seed += "E(b" + std::to_string(i) + ", c). ";
+  }
+  std::string rendered;
+  size_t segments = 0, tombstones = 0;
+  std::string base_file;
+  {
+    Universe u;
+    Result<Database> db = Database::Open(u, MustInstance(u, seed), opts);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    std::vector<std::string> sealed = SegmentFiles(dir.path);
+    ASSERT_EQ(sealed.size(), 1u);
+    base_file = sealed[0];
+    ASSERT_TRUE(db->Append(MustInstance(u, "E(n1, c).")).ok());
+    ASSERT_TRUE(db->Retract(MustInstance(u, "E(b0, c).")).ok());
+    ASSERT_TRUE(db->Append(MustInstance(u, "E(n2, c).")).ok());
+    ASSERT_TRUE(db->Append(MustInstance(u, "E(n3, c).")).ok());
+    // Five segments: the tail folds into [base, tombstones, facts],
+    // sealed under a checkpoint that keeps the base's file.
+    ASSERT_EQ(db->NumSegments(), 3u);
+    ASSERT_EQ(db->NumTombstones(), 1u);
+    std::vector<std::string> files = DataFiles(dir.path);
+    sealed = SegmentFiles(dir.path);
+    ASSERT_EQ(sealed.size(), 3u);
+    EXPECT_EQ(sealed[0], base_file);
+    // No orphans: CURRENT, one manifest, one WAL and the three segments.
+    EXPECT_EQ(files.size(), 6u) << ::testing::PrintToString(files);
+    // One more commit stays in the WAL (4 segments: at the limit).
+    ASSERT_TRUE(db->Append(MustInstance(u, "E(n4, c).")).ok());
+    rendered = db->edb().ToString(u);
+    segments = db->NumSegments();
+    tombstones = db->NumTombstones();
+    EXPECT_EQ(segments, 4u);
+    // No Close(): the last commit exists only as a WAL record.
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass == 0 ? "reopen after a crash" : "reopen after Close");
+    Universe u;
+    Result<Database> db = Database::Open(u, opts);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ(db->edb().ToString(u), rendered);
+    EXPECT_EQ(db->NumSegments(), segments);
+    EXPECT_EQ(db->NumTombstones(), tombstones);
+    EXPECT_EQ(SegmentFiles(dir.path).front(), base_file);
+    db->Close();
+  }
+}
+
 TEST(StorageDatabaseTest, SeedingAnInitializedDirFails) {
   ScratchDir dir("conflict");
   {
@@ -638,6 +709,25 @@ bool ApplyCrashOp(Universe& u, Database& db, const CrashOp& op) {
   return false;
 }
 
+/// Even seeds open child and oracle with the same non-empty seed EDB —
+/// E facts over the script's atom pool, so retractions hit base facts —
+/// and a small segment limit: most automatic folds are then tail folds,
+/// so kills can land inside checkpoints that keep the base's file. Odd
+/// seeds start empty and fold only when the script compacts.
+std::string CrashSeedText(uint64_t seed) {
+  std::string text;
+  if (seed % 2 != 0) return text;
+  for (int i = 0; i < 12; ++i) {
+    for (int j = 0; j < 12; ++j) {
+      if ((i + j) % 2 != 0) continue;
+      text += "E(a" + std::to_string(i) + ", a" + std::to_string(j) + "). ";
+    }
+  }
+  return text;
+}
+
+size_t CrashAutoCompact(uint64_t seed) { return seed % 2 == 0 ? 3 : 0; }
+
 /// Child body: commit the script against `dir`, acking each durable
 /// epoch into `ack_path` (pwrite + fsync, so the parent's read after
 /// SIGKILL only ever sees epochs the WAL already holds).
@@ -648,7 +738,10 @@ void CrashChild(const std::string& dir, const std::string& ack_path,
   // Small rotation threshold so kills land on every side of a
   // checkpoint, not only in the WAL-tail window.
   opts.checkpoint_wal_bytes = (seed % 3 == 0) ? 256 : (64ull << 20);
-  Result<Database> db = Database::Open(u, Instance(), opts);
+  opts.auto_compact_segments = CrashAutoCompact(seed);
+  Result<Instance> edb = ParseInstance(u, CrashSeedText(seed));
+  if (!edb.ok()) _exit(2);
+  Result<Database> db = Database::Open(u, std::move(*edb), opts);
   if (!db.ok()) _exit(2);
   int ack_fd = ::open(ack_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (ack_fd < 0) _exit(3);
@@ -715,8 +808,9 @@ TEST(StorageCrashRecoveryTest, KillAndReopenMatchesOracle) {
     }
 
     Universe u;
-    Result<Database> recovered =
-        Database::Open(u, DurableOpts(dir.path));
+    Database::OpenOptions ropts = DurableOpts(dir.path);
+    ropts.auto_compact_segments = CrashAutoCompact(seed);
+    Result<Database> recovered = Database::Open(u, ropts);
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     // Durability: every acked epoch was WAL-fsynced pre-publish.
     EXPECT_GE(recovered->epoch(), acked);
@@ -725,7 +819,10 @@ TEST(StorageCrashRecoveryTest, KillAndReopenMatchesOracle) {
     // epoch. No-op commits don't move the epoch, so "epoch caught up"
     // identifies the committed prefix exactly (modulo trailing no-ops,
     // which don't change the fact set either).
-    Result<Database> oracle = Database::Open(u, Instance());
+    Database::OpenOptions oopts;
+    oopts.auto_compact_segments = CrashAutoCompact(seed);
+    Result<Database> oracle =
+        Database::Open(u, MustInstance(u, CrashSeedText(seed)), oopts);
     ASSERT_TRUE(oracle.ok());
     size_t next_op = 0;
     while (oracle->epoch() < recovered->epoch() && next_op < ops.size()) {

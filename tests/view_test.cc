@@ -103,7 +103,7 @@ TEST(ViewTest, DeltaRefreshMatchesColdRun) {
   EXPECT_EQ(c.strata_recomputed, 0u);
 }
 
-TEST(ViewTest, DeltaRefreshAcrossCompaction) {
+TEST(ViewTest, RefreshAcrossCompaction) {
   Universe u;
   Result<Database> db = Database::Open(u, MustInstance(u, "E(a, b)."));
   ASSERT_TRUE(db.ok());
@@ -111,13 +111,15 @@ TEST(ViewTest, DeltaRefreshAcrossCompaction) {
   ASSERT_TRUE(db->views().Refresh("reach", prog).ok());
 
   // Compaction folds the stack under an unchanged epoch; the merged
-  // segment keeps the newest folded publish stamp, so a view older than
-  // that stamp sees it as one (over-approximate but sound) delta.
+  // segment keeps the newest folded publish stamp. A view older than
+  // that stamp would see already-counted facts again as delta, so the
+  // fold raises the shrink floor and the view re-materializes cold.
   ASSERT_TRUE(db->Append(MustInstance(u, "E(b, c).")).ok());
   ASSERT_TRUE(*db->Compact());
   auto v = db->views().Refresh("reach", prog);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ((*v)->idb().ToString(u), ColdRendered(u, *db, prog));
+  EXPECT_EQ(db->views().counters().cold_runs, 2u);
 
   // A view refreshed at the compacted epoch is a plain hit afterwards.
   auto again = db->views().Refresh("reach", prog);
@@ -232,6 +234,45 @@ TEST(ViewTest, SupportCountsCoverEveryViewTuple) {
   rel_it = (*v)->support().find(r);
   ASSERT_NE(rel_it, (*v)->support().end());
   EXPECT_EQ(rel_it->second.get(), before.get());
+}
+
+/// Support counts must match a cold run's exactly — an overcount keeps a
+/// dead tuple alive through a later retraction.
+void ExpectSameSupport(const SharedSupport& got, const SharedSupport& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [rel, counts] : want) {
+    auto it = got.find(rel);
+    ASSERT_NE(it, got.end());
+    EXPECT_EQ(*it->second, *counts);
+  }
+}
+
+TEST(ViewTest, AutoFoldUnderLaggingViewKeepsSupportExact) {
+  Universe u;
+  Database::OpenOptions opts;
+  opts.auto_compact_segments = 2;
+  Result<Database> db = Database::Open(u, MustInstance(u, "R(a, x)."), opts);
+  ASSERT_TRUE(db.ok());
+  PreparedProgram prog = MustCompile(u, "P($k) <- R($k, $v).");
+  ASSERT_TRUE(db->views().Refresh("p", prog).ok());
+  ASSERT_TRUE(db->Append(MustInstance(u, "R(a, y).")).ok());
+  ASSERT_TRUE(db->views().Refresh("p", prog).ok());
+
+  // The third segment folds while the view is one epoch behind.
+  ASSERT_TRUE(db->Append(MustInstance(u, "R(b, x).")).ok());
+  EXPECT_EQ(db->NumSegments(), 2u);  // the newest segment stayed out
+  auto v = db->views().Refresh("p", prog);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(db->views().counters().cold_runs, 1u);
+
+  Result<Database> cold = Database::Open(u, db->edb());
+  ASSERT_TRUE(cold.ok());
+  auto want = cold->views().Refresh("p", prog);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ((*v)->idb().ToString(u), (*want)->idb().ToString(u));
+  ExpectSameSupport((*v)->support(), (*want)->support());
+  RelId p = *u.FindRel("P");
+  EXPECT_EQ((*v)->support().at(p)->at({u.PathOfChars("a")}), 2u);
 }
 
 TEST(ViewTest, InvalidateForcesColdRun) {
