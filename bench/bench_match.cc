@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
 
 #include "src/engine/match.h"
 #include "src/syntax/parser.h"
@@ -12,31 +13,51 @@
 namespace seqdl {
 namespace {
 
+// A keyed lookup's shape: key atom k, then 39 DNA values.
+std::string KeyedPathText() {
+  std::string text = "k";
+  for (size_t i = 0; i < 39; ++i) {
+    text += " ++ ";
+    text += "acgt"[(i * i + i / 3) % 4];
+  }
+  return text;
+}
+
 void PrintMatchCounts() {
-  std::printf("=== Matching: valuation counts per pattern shape ===\n");
+  std::printf("=== Matching: valuation counts and paths interned per pattern "
+              "shape ===\n");
   Universe u;
   struct Row {
     const char* pattern;
-    const char* path;
+    std::string path;
   };
+  std::printf("%-22s %-22s %8s %15s\n", "pattern", "path", "matches",
+              "paths interned");
   for (const Row& row : {
            Row{"$x ++ $y", "a ++ b ++ a ++ b"},
            Row{"$x ++ $y ++ $z", "a ++ b ++ a ++ b"},
            Row{"$x ++ $x", "a ++ b ++ a ++ b"},
            Row{"$u ++ a ++ $v", "a ++ b ++ a ++ b"},
            Row{"$u ++ <$s> ++ $v", "a ++ <b ++ a> ++ b"},
+           Row{"k ++ $s", KeyedPathText()},
        }) {
     Result<PathExpr> e = ParsePathExpr(u, row.pattern);
     Result<PathExpr> pe = ParsePathExpr(u, row.path);
     Result<PathId> p = EvalGroundExpr(u, *pe);
+    // The Universe's path store never shrinks: count what the first
+    // match of each row adds to it.
+    size_t before = u.num_paths();
     size_t count = 0;
     Valuation v;
     MatchExpr(u, *e, *p, v, [&count](Valuation&) {
       ++count;
       return true;
     });
-    std::printf("%-22s against %-22s -> %zu matches\n", row.pattern,
-                row.path, count);
+    std::string path = u.PathLength(*p) > 16
+                           ? std::to_string(u.PathLength(*p)) + " values"
+                           : row.path;
+    std::printf("%-22s %-22s %8zu %15zu\n", row.pattern, path.c_str(), count,
+                u.num_paths() - before);
   }
   std::printf("\n");
 }

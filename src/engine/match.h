@@ -2,6 +2,12 @@
 // ν extending a partial valuation such that ν(e) = p. This is the engine's
 // core pattern-matching primitive (one side ground — unlike the general
 // associative unification of unify/, which handles two symbolic sides).
+//
+// Interning contract: while it enumerates, the matcher binds variables to
+// spans of the ground path and interns nothing; only the bindings of a
+// completed match reach the Universe, right before the callback runs. The
+// Universe's path store never shrinks, so a candidate split that fails
+// must not leave a path behind.
 #ifndef SEQDL_ENGINE_MATCH_H_
 #define SEQDL_ENGINE_MATCH_H_
 
@@ -38,13 +44,16 @@ Result<PathId> EvalExpr(Universe& u, const PathExpr& e, const Valuation& v);
 /// True iff all variables of `e` are bound in `v`.
 bool AllVarsBound(const PathExpr& e, const Valuation& v);
 
-/// Enumerates every extension ν of `base` with ν(e) = p. Calls `cb` for
-/// each; if cb returns false, enumeration stops. Returns false if stopped.
+/// Enumerates every extension ν of `base` with ν(e) = p, splits shortest
+/// first. Calls `cb` for each; if cb returns false, enumeration stops.
+/// Returns false if stopped. `base` is as it was on return.
 bool MatchExpr(Universe& u, const PathExpr& e, PathId p, Valuation& base,
                const std::function<bool(Valuation&)>& cb);
 
 /// Matches a sequence of expressions against a tuple of paths
-/// (componentwise); used for predicate-vs-fact matching.
+/// (componentwise, in argument order); used for predicate-vs-fact
+/// matching. A match is complete, and interned, only once every argument
+/// has matched.
 bool MatchArgs(Universe& u, const std::vector<PathExpr>& args,
                const std::vector<PathId>& tuple, Valuation& base,
                const std::function<bool(Valuation&)>& cb);

@@ -392,6 +392,10 @@ Result<protocol::CompactReply> DatabaseService::Compact() {
 protocol::StatsReply DatabaseService::Stats() const {
   protocol::StatsReply reply;
   reply.rendered = db_.Stats().ToString(*u_);
+  // The Universe's path store never shrinks: its size is how a long-lived
+  // server shows that serving programs does not grow it.
+  reply.rendered += "universe  paths=" + std::to_string(u_->num_paths()) +
+                    " atoms=" + std::to_string(u_->num_atoms()) + "\n";
   CacheCounters cache = CacheStats();
   reply.cache_hits = cache.hits;
   reply.cache_misses = cache.misses;

@@ -172,8 +172,9 @@ class DatabaseService {
   /// Status carries an SD4xx diagnostic code.
   Result<protocol::CompactReply> Compact();
 
-  /// Rendered measured statistics (Database::Stats) plus cache and view
-  /// counters.
+  /// Rendered measured statistics (Database::Stats), closed by a
+  /// `universe  paths=N atoms=M` line (the size of the Universe's symbol
+  /// stores), plus cache and view counters.
   protocol::StatsReply Stats() const;
 
   /// Result/view cache occupancy and traffic.

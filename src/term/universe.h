@@ -11,6 +11,11 @@
 // tables are guarded by one shared_mutex each (lookups take shared locks,
 // interning exclusive ones) and hand out references into std::deque
 // storage, which never relocates elements.
+//
+// The path store never shrinks: an interned path stays for the Universe's
+// lifetime. That is why the engine interns only what escapes a match (the
+// bindings of completed matches, evaluated head and key values) and never
+// a candidate split it is still testing (see src/engine/match.h).
 #ifndef SEQDL_TERM_UNIVERSE_H_
 #define SEQDL_TERM_UNIVERSE_H_
 

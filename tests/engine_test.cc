@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <functional>
+#include <random>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "src/engine/eval.h"
 #include "src/engine/instance.h"
 #include "src/engine/match.h"
@@ -171,6 +179,338 @@ TEST(MatchTest, EvalExprBuildsPacks) {
   Result<PathId> p = EvalExpr(u, MustExpr(u, "c ++ <$x>"), v);
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(u.FormatPath(*p), "c·<a·b>");
+}
+
+// Paths one MatchExpr call adds to the Universe; *matches counts the
+// valuations it yielded.
+size_t PathsInternedByMatch(Universe& u, const std::string& expr, PathId p,
+                            size_t* matches) {
+  PathExpr e = MustExpr(u, expr);
+  size_t before = u.num_paths();
+  Valuation v;
+  *matches = 0;
+  MatchExpr(u, e, p, v, [matches](Valuation&) {
+    ++*matches;
+    return true;
+  });
+  return u.num_paths() - before;
+}
+
+// Only the bindings of a completed match reach the Universe, whose path
+// store never shrinks. An eager matcher interned every candidate split
+// before testing it: 7, 12 and 8 paths for the three matches below.
+TEST(MatchTest, FailedSplitsInternNoPaths) {
+  size_t matches = 0;
+  {
+    // $s binds the matched path itself, which is interned already.
+    Universe u;
+    PathId p = u.PathOfChars("acgtacca");
+    EXPECT_EQ(PathsInternedByMatch(u, "$s", p, &matches), 0u);
+    EXPECT_EQ(matches, 1u);
+  }
+  {
+    // $u = a·c and $v = t·a·c·c·a are new; no failed split is kept.
+    Universe u;
+    PathId p = u.PathOfChars("acgtacca");
+    EXPECT_EQ(PathsInternedByMatch(u, "$u ++ g ++ $v", p, &matches), 2u);
+    EXPECT_EQ(matches, 1u);
+  }
+  {
+    // A keyed lookup: $s = a·c·g·t·a·c·c·a is the one new path.
+    Universe u;
+    PathId p = u.PathOfChars("kacgtacca");
+    EXPECT_EQ(PathsInternedByMatch(u, "k ++ $s", p, &matches), 1u);
+    EXPECT_EQ(matches, 1u);
+  }
+}
+
+// The matcher before span bindings, kept as the oracle of
+// SpanBindingsMatchReferenceMatcher: it interns every candidate split and
+// binds it in the valuation before matching the items after it.
+class EagerMatcher {
+ public:
+  explicit EagerMatcher(Universe& u) : u_(u) {}
+
+  bool Match(const std::vector<ExprItem>& items, size_t item_idx,
+             std::span<const Value> path, size_t pos, Valuation& v,
+             const std::function<bool(Valuation&)>& next) {
+    if (item_idx == items.size()) {
+      if (pos != path.size()) return true;
+      return next(v);
+    }
+    const ExprItem& it = items[item_idx];
+    switch (it.kind) {
+      case ExprItem::Kind::kConst: {
+        if (pos < path.size() && path[pos] == it.atom) {
+          return Match(items, item_idx + 1, path, pos + 1, v, next);
+        }
+        return true;
+      }
+      case ExprItem::Kind::kAtomVar: {
+        if (pos >= path.size()) return true;
+        Value val = path[pos];
+        if (!val.is_atom()) return true;
+        if (v.IsBound(it.var)) {
+          if (v.Get(it.var) != u_.SingletonPath(val)) return true;
+          return Match(items, item_idx + 1, path, pos + 1, v, next);
+        }
+        v.Bind(it.var, u_.SingletonPath(val));
+        bool cont = Match(items, item_idx + 1, path, pos + 1, v, next);
+        v.Unbind(it.var);
+        return cont;
+      }
+      case ExprItem::Kind::kPathVar: {
+        if (v.IsBound(it.var)) {
+          std::span<const Value> bound = u_.GetPath(v.Get(it.var));
+          if (pos + bound.size() > path.size()) return true;
+          for (size_t i = 0; i < bound.size(); ++i) {
+            if (path[pos + i] != bound[i]) return true;
+          }
+          return Match(items, item_idx + 1, path, pos + bound.size(), v, next);
+        }
+        size_t remaining = path.size() - pos;
+        size_t reserve = MinRemainingLength(items, item_idx + 1, v);
+        if (reserve > remaining) return true;
+        for (size_t len = 0; len <= remaining - reserve; ++len) {
+          PathId sub = u_.InternPath(path.subspan(pos, len));
+          v.Bind(it.var, sub);
+          bool cont = Match(items, item_idx + 1, path, pos + len, v, next);
+          v.Unbind(it.var);
+          if (!cont) return false;
+        }
+        return true;
+      }
+      case ExprItem::Kind::kPack: {
+        if (pos >= path.size() || !path[pos].is_packed()) return true;
+        std::span<const Value> inner = u_.GetPath(path[pos].packed_path());
+        auto continue_outer = [&](Valuation& v2) {
+          return Match(items, item_idx + 1, path, pos + 1, v2, next);
+        };
+        return Match(it.pack->items, 0, inner, 0, v, continue_outer);
+      }
+    }
+    return true;
+  }
+
+ private:
+  size_t MinRemainingLength(const std::vector<ExprItem>& items, size_t idx,
+                            const Valuation& v) const {
+    size_t n = 0;
+    for (size_t i = idx; i < items.size(); ++i) {
+      const ExprItem& it = items[i];
+      switch (it.kind) {
+        case ExprItem::Kind::kConst:
+        case ExprItem::Kind::kAtomVar:
+        case ExprItem::Kind::kPack:
+          ++n;
+          break;
+        case ExprItem::Kind::kPathVar:
+          if (v.IsBound(it.var)) n += u_.PathLength(v.Get(it.var));
+          break;
+      }
+    }
+    return n;
+  }
+
+  Universe& u_;
+};
+
+// Componentwise eager matching of args against tuple, from argument idx.
+bool EagerMatchArgs(Universe& u, const std::vector<PathExpr>& args,
+                    const std::vector<PathId>& tuple, size_t idx,
+                    Valuation& v, const std::function<bool(Valuation&)>& cb) {
+  if (idx == args.size()) return cb(v);
+  auto next = [&](Valuation& v2) {
+    return EagerMatchArgs(u, args, tuple, idx + 1, v2, cb);
+  };
+  EagerMatcher m(u);
+  return m.Match(args[idx].items, 0, u.GetPath(tuple[idx]), 0, v, next);
+}
+
+using Bindings = std::vector<std::pair<VarId, PathId>>;
+
+Bindings SortedBindings(const Valuation& v) {
+  Bindings b(v.bindings().begin(), v.bindings().end());
+  std::sort(b.begin(), b.end());
+  return b;
+}
+
+size_t DiffIterations() {
+  if (const char* env = std::getenv("SEQDL_DIFFTEST_ITERS")) {
+    size_t n = std::strtoull(env, nullptr, 10);
+    if (n > 0) return n;
+  }
+  return 200;
+}
+
+// Random matching problems: patterns over a two-letter alphabet, three
+// path and two atomic variables (repeats are common) and packs nested up
+// to two deep; tuples are the patterns instantiated under a random
+// valuation, so matches are likely, and sometimes perturbed; the base
+// valuation pre-binds some variables, mostly to their instantiated value.
+class MatchCaseGenerator {
+ public:
+  MatchCaseGenerator(Universe& u, uint64_t seed) : u_(u), rng_(seed) {
+    atoms_ = {Value::Atom(u.InternAtom("a")), Value::Atom(u.InternAtom("b"))};
+    path_vars_ = {u.InternVar(VarKind::kPath, "x"),
+                  u.InternVar(VarKind::kPath, "y"),
+                  u.InternVar(VarKind::kPath, "z")};
+    atom_vars_ = {u.InternVar(VarKind::kAtomic, "p"),
+                  u.InternVar(VarKind::kAtomic, "q")};
+  }
+
+  struct Case {
+    std::vector<PathExpr> args;
+    std::vector<PathId> tuple;
+    Valuation base;
+  };
+
+  Case Generate() {
+    Case c;
+    size_t nargs = Coin(2) ? 1 : 1 + Uniform(2);
+    for (size_t i = 0; i < nargs; ++i) c.args.push_back(Pattern(0));
+    Valuation full;
+    for (VarId var : path_vars_) full.Bind(var, RandomPath(3, 1));
+    for (VarId var : atom_vars_) full.Bind(var, u_.SingletonPath(Atom()));
+    for (VarId var : path_vars_) {
+      if (Coin(4)) c.base.Bind(var, Coin(4) ? RandomPath(3, 1) : full.Get(var));
+    }
+    for (VarId var : atom_vars_) {
+      if (Coin(4)) {
+        c.base.Bind(var, Coin(4) ? u_.SingletonPath(Atom()) : full.Get(var));
+      }
+    }
+    for (const PathExpr& e : c.args) {
+      Result<PathId> p = EvalExpr(u_, e, full);
+      EXPECT_TRUE(p.ok()) << p.status().ToString();
+      c.tuple.push_back(Coin(4) ? Perturb(*p) : *p);
+    }
+    return c;
+  }
+
+ private:
+  PathExpr Pattern(int depth) {
+    PathExpr e;
+    size_t n = Uniform(5);
+    for (size_t i = 0; i < n; ++i) {
+      size_t pick = Uniform(10);
+      if (pick < 2) {
+        e.items.push_back(ExprItem::Const(Atom()));
+      } else if (pick < 4) {
+        e.items.push_back(ExprItem::AtomVar(atom_vars_[Uniform(2)]));
+      } else if (pick < 8 || depth == 2) {
+        e.items.push_back(ExprItem::PathVar(path_vars_[Uniform(3)]));
+      } else {
+        e.items.push_back(ExprItem::Pack(Pattern(depth + 1)));
+      }
+    }
+    return e;
+  }
+
+  // Up to max_len values; packed values (up to `depth` deep) are rare.
+  PathId RandomPath(size_t max_len, int depth) {
+    std::vector<Value> values;
+    size_t n = Uniform(max_len + 1);
+    for (size_t i = 0; i < n; ++i) {
+      if (depth > 0 && Coin(6)) {
+        values.push_back(Value::Packed(RandomPath(2, depth - 1)));
+      } else {
+        values.push_back(Atom());
+      }
+    }
+    return u_.InternPath(values);
+  }
+
+  // Replaces, drops or inserts one value.
+  PathId Perturb(PathId p) {
+    std::span<const Value> src = u_.GetPath(p);
+    std::vector<Value> values(src.begin(), src.end());
+    size_t at = Uniform(values.size() + 1);
+    size_t op = Uniform(3);
+    if (op == 0 && at < values.size()) {
+      values[at] = Atom();
+    } else if (op == 1 && at < values.size()) {
+      values.erase(values.begin() + static_cast<std::ptrdiff_t>(at));
+    } else {
+      values.insert(values.begin() + static_cast<std::ptrdiff_t>(at), Atom());
+    }
+    return u_.InternPath(values);
+  }
+
+  Value Atom() { return atoms_[Uniform(2)]; }
+  size_t Uniform(size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(rng_);
+  }
+  bool Coin(size_t one_in) { return Uniform(one_in) == 0; }
+
+  Universe& u_;
+  std::mt19937_64 rng_;
+  std::vector<Value> atoms_;
+  std::vector<VarId> path_vars_;
+  std::vector<VarId> atom_vars_;
+};
+
+bool HasPack(const std::vector<PathExpr>& args) {
+  for (const PathExpr& e : args) {
+    for (const ExprItem& it : e.items) {
+      if (it.kind == ExprItem::Kind::kPack) return true;
+    }
+  }
+  return false;
+}
+
+// The span-binding matcher against the eager oracle on random problems:
+// the same valuations in the same order, the same prefix when the callback
+// stops early, and the base valuation untouched on return.
+TEST(MatchTest, SpanBindingsMatchReferenceMatcher) {
+  size_t cases = 10 * DiffIterations();
+  size_t matched = 0, multi = 0, packed = 0, prebound = 0, multi_arg = 0;
+  for (uint64_t seed = 1; seed <= cases; ++seed) {
+    Universe u;
+    MatchCaseGenerator gen(u, seed);
+    MatchCaseGenerator::Case c = gen.Generate();
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Bindings base = SortedBindings(c.base);
+    // Runs the span-binding matcher, stopping after `stop_after` matches
+    // (0 = never); returns whether enumeration completed.
+    auto run = [&](size_t stop_after, std::vector<Bindings>* out) {
+      auto cb = [&](Valuation& v) {
+        out->push_back(SortedBindings(v));
+        return out->size() != stop_after;
+      };
+      bool completed = c.args.size() == 1
+                           ? MatchExpr(u, c.args[0], c.tuple[0], c.base, cb)
+                           : MatchArgs(u, c.args, c.tuple, c.base, cb);
+      EXPECT_EQ(SortedBindings(c.base), base);
+      return completed;
+    };
+    std::vector<Bindings> got;
+    EXPECT_TRUE(run(0, &got));
+    std::vector<Bindings> want;
+    Valuation ref_base = c.base;
+    EagerMatchArgs(u, c.args, c.tuple, 0, ref_base, [&](Valuation& v) {
+      want.push_back(SortedBindings(v));
+      return true;
+    });
+    ASSERT_EQ(got, want);
+    if (!want.empty()) {
+      size_t k = 1 + seed % want.size();
+      std::vector<Bindings> prefix;
+      EXPECT_FALSE(run(k, &prefix));
+      EXPECT_EQ(prefix, std::vector<Bindings>(want.begin(), want.begin() + k));
+    }
+    matched += !want.empty();
+    multi += want.size() > 1;
+    packed += HasPack(c.args) && !want.empty();
+    prebound += c.base.size() > 0 && !want.empty();
+    multi_arg += c.args.size() > 1 && !want.empty();
+  }
+  // The generator must keep reaching every shape it is meant to cover.
+  EXPECT_GT(matched, cases / 2) << "cases with a match";
+  EXPECT_GT(multi, cases / 40) << "cases with several matches";
+  EXPECT_GT(packed, cases / 10) << "matched cases with a pack";
+  EXPECT_GT(prebound, cases / 4) << "matched cases with a pre-bound variable";
+  EXPECT_GT(multi_arg, cases / 20) << "matched cases with several arguments";
 }
 
 // --- Evaluation of the paper's examples ---------------------------------------

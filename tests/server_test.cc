@@ -794,6 +794,13 @@ TEST(ServiceCacheTest, CountersTravelInStatsReplies) {
   EXPECT_EQ(stats.cache_entries, 1u);
   EXPECT_GT(stats.cache_bytes, 0u);
   EXPECT_EQ(stats.view_cold_runs, 1u);
+  // The rendered text closes with the size of the Universe's stores.
+  std::string universe_line = "universe  paths=" +
+                              std::to_string(u.num_paths()) + " atoms=" +
+                              std::to_string(u.num_atoms()) + "\n";
+  ASSERT_GE(stats.rendered.size(), universe_line.size());
+  EXPECT_EQ(stats.rendered.substr(stats.rendered.size() - universe_line.size()),
+            universe_line);
 
   // And they survive the wire: encode → decode is lossless.
   Result<protocol::Reply> decoded = protocol::DecodeReply(
@@ -813,6 +820,42 @@ TEST(ServiceCacheTest, CountersTravelInStatsReplies) {
             stats.view_dred_refreshes);
   EXPECT_EQ(decoded->stats.view_strata_recomputed,
             stats.view_strata_recomputed);
+}
+
+// Serving a stream of never-seen keyed programs over a fixed EDB must not
+// grow the Universe: the path store never shrinks, so every path a fresh
+// program's evaluation interned would stay for the server's lifetime. The
+// answers are paths the EDB already holds, and a candidate split of `$s`
+// that fails is never interned.
+TEST(ServiceCacheTest, FreshProgramsDoNotGrowTheUniverse) {
+  constexpr size_t kKeys = 100;
+  Universe u;
+  std::string edb;
+  for (size_t k = 0; k < kKeys; ++k) {
+    for (size_t f = 0; f < 2; ++f) {
+      edb += "R(k" + std::to_string(k) + ", ";
+      for (size_t i = 0; i < 24; ++i) {
+        if (i > 0) edb += " ++ ";
+        edb += "acgt"[(k * 7 + f * 5 + i * i) % 4];
+      }
+      edb += ").\n";
+    }
+  }
+  Result<Instance> inst = ParseInstance(u, edb);
+  ASSERT_TRUE(inst.ok()) << inst.status().ToString();
+  Result<Database> db = Database::Open(u, std::move(*inst));
+  ASSERT_TRUE(db.ok());
+  DatabaseService service(u, std::move(*db), ServiceOptions());
+
+  size_t paths = u.num_paths();
+  for (size_t k = 0; k < kKeys; ++k) {
+    std::string program = "Q($s) <- R(k" + std::to_string(k) + ", $s).";
+    Result<protocol::RunReply> run = service.Run(ReqFor(program.c_str()));
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_FALSE(run->result_cached);
+    EXPECT_NE(run->rendered.find("Q("), std::string::npos);
+  }
+  EXPECT_EQ(u.num_paths(), paths);
 }
 
 TEST(ServiceCacheTest, RetractRefreshesViewsThroughDRed) {
