@@ -16,12 +16,16 @@
 //   * incremental view maintenance: re-serving a query after a small
 //     append via ViewManager's semi-naive delta refresh vs re-running
 //     the full fixpoint (the ISSUE acceptance bar: >= 5x at the larger
-//     size).
+//     size);
+//   * rendering one relation of a derived instance, in the shapes of the
+//     repo benchmark's serve_reads and durable_ingest answers.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <optional>
+#include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +33,7 @@
 #include "src/engine/database.h"
 #include "src/engine/engine.h"
 #include "src/engine/eval.h"
+#include "src/engine/instance.h"
 #include "src/queries/queries.h"
 #include "src/syntax/parser.h"
 #include "src/view/view.h"
@@ -746,6 +751,64 @@ void BM_StratifiedNegationPipeline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StratifiedNegationPipeline)->Arg(8)->Arg(32)->Arg(128);
+
+// Rendering one derived relation of a view's IDB through the restricted
+// ToString, in the two shapes the repo benchmark's answers take. /8 is a
+// serve_reads answer: Q over 4 DNA reads of 24-48 bases and 4 event logs
+// of 8-20 activities. /300 is durable_ingest's Mark: a fixed-width key
+// plus a 24-40-base read holding one packed a·c·g motif, about 36 KB of
+// text, beside the 300 Marked facts of the same IDB.
+void BM_RenderRelation(benchmark::State& state) {
+  size_t facts = static_cast<size_t>(state.range(0));
+  Universe u;
+  std::mt19937_64 rng(facts);
+  auto atom = [&u](const char* name) {
+    return Value::Atom(u.InternAtom(name));
+  };
+  const Value bases[] = {atom("a"), atom("c"), atom("g"), atom("t")};
+  const Value activities[] = {atom("co"), atom("rp"), atom("pk"), atom("sh"),
+                              atom("iv"), atom("ap"), atom("rt"), atom("cn")};
+  auto random_path = [&rng](std::span<const Value> alphabet, size_t min_len,
+                            size_t max_len) {
+    std::vector<Value> path(min_len + rng() % (max_len - min_len + 1));
+    for (Value& v : path) v = alphabet[rng() % alphabet.size()];
+    return path;
+  };
+  Instance idb;
+  RelId rel;
+  if (facts == 8) {
+    rel = *u.InternRel("Q", 1);
+    for (size_t i = 0; i < 4; ++i) {
+      idb.Add(rel, {u.InternPath(random_path(bases, 24, 48))});
+      idb.Add(rel, {u.InternPath(random_path(activities, 8, 20))});
+    }
+  } else {
+    rel = *u.InternRel("Mark", 2);
+    RelId marked = *u.InternRel("Marked", 1);
+    PathId motif =
+        u.InternPath(std::vector<Value>{bases[0], bases[1], bases[2]});
+    for (size_t i = 0; i < facts; ++i) {
+      char key[32];
+      std::snprintf(key, sizeof(key), "r%07zu", i);
+      PathId k = u.SingletonPath(atom(key));
+      std::vector<Value> read = random_path(bases, 23, 39);
+      read.insert(read.begin() + static_cast<ptrdiff_t>(rng() % read.size()),
+                  Value::Packed(motif));
+      idb.Add(rel, {k, u.InternPath(read)});
+      idb.Add(marked, {k});
+    }
+  }
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string text = idb.ToString(u, {&rel, 1});
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+    bytes = text.size();
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * facts));
+}
+BENCHMARK(BM_RenderRelation)->Arg(8)->Arg(300);
 
 }  // namespace
 }  // namespace seqdl

@@ -1,5 +1,8 @@
 #include "src/algebra/algebra.h"
 
+#include <string>
+#include <string_view>
+
 #include "src/engine/match.h"
 #include "src/syntax/printer.h"
 
@@ -236,15 +239,51 @@ Result<EvaluatedRel> EvalAlgebra(Universe& u, const AlgebraExpr& e,
   return Status::Internal("unknown algebra op");
 }
 
+namespace {
+// "(left op right)". Built by appending to a named string: GCC 12 at -O3
+// reports a false -Wrestrict on `"literal" + <temporary std::string>`.
+std::string FormatInfix(const Universe& u, const AlgebraExpr& e,
+                        std::string_view op) {
+  std::string out = "(";
+  out += FormatAlgebra(u, *e.left);
+  out += op;
+  out += FormatAlgebra(u, *e.right);
+  out += ")";
+  return out;
+}
+
+// "NAME_column(left)", built the same way.
+std::string FormatColumnOp(const Universe& u, const AlgebraExpr& e,
+                           std::string_view name) {
+  std::string out(name);
+  out += std::to_string(e.column);
+  out += "(";
+  out += FormatAlgebra(u, *e.left);
+  out += ")";
+  return out;
+}
+}  // namespace
+
 std::string FormatAlgebra(const Universe& u, const AlgebraExpr& e) {
   switch (e.op) {
     case AlgebraExpr::Op::kRel:
       return u.RelName(e.rel);
-    case AlgebraExpr::Op::kConst:
-      return "{" + std::to_string(e.const_tuples.size()) + " tuples}";
-    case AlgebraExpr::Op::kSelect:
-      return "σ_{" + FormatExpr(u, e.alpha) + "=" + FormatExpr(u, e.beta) +
-             "}(" + FormatAlgebra(u, *e.left) + ")";
+    case AlgebraExpr::Op::kConst: {
+      std::string out = "{";
+      out += std::to_string(e.const_tuples.size());
+      out += " tuples}";
+      return out;
+    }
+    case AlgebraExpr::Op::kSelect: {
+      std::string out = "σ_{";
+      out += FormatExpr(u, e.alpha);
+      out += "=";
+      out += FormatExpr(u, e.beta);
+      out += "}(";
+      out += FormatAlgebra(u, *e.left);
+      out += ")";
+      return out;
+    }
     case AlgebraExpr::Op::kProject: {
       std::string cols;
       for (size_t i = 0; i < e.projections.size(); ++i) {
@@ -254,20 +293,15 @@ std::string FormatAlgebra(const Universe& u, const AlgebraExpr& e) {
       return "π_{" + cols + "}(" + FormatAlgebra(u, *e.left) + ")";
     }
     case AlgebraExpr::Op::kUnion:
-      return "(" + FormatAlgebra(u, *e.left) + " ∪ " +
-             FormatAlgebra(u, *e.right) + ")";
+      return FormatInfix(u, e, " ∪ ");
     case AlgebraExpr::Op::kDiff:
-      return "(" + FormatAlgebra(u, *e.left) + " − " +
-             FormatAlgebra(u, *e.right) + ")";
+      return FormatInfix(u, e, " − ");
     case AlgebraExpr::Op::kProduct:
-      return "(" + FormatAlgebra(u, *e.left) + " × " +
-             FormatAlgebra(u, *e.right) + ")";
+      return FormatInfix(u, e, " × ");
     case AlgebraExpr::Op::kUnpack:
-      return "UNPACK_" + std::to_string(e.column) + "(" +
-             FormatAlgebra(u, *e.left) + ")";
+      return FormatColumnOp(u, e, "UNPACK_");
     case AlgebraExpr::Op::kSub:
-      return "SUB_" + std::to_string(e.column) + "(" +
-             FormatAlgebra(u, *e.left) + ")";
+      return FormatColumnOp(u, e, "SUB_");
   }
   return "?";
 }

@@ -7,6 +7,7 @@
 
 #include "src/analysis/locality.h"
 #include "src/engine/database.h"
+#include "src/engine/instance.h"
 #include "src/syntax/ast.h"
 #include "src/syntax/parser.h"
 #include "src/syntax/printer.h"
@@ -107,7 +108,9 @@ Result<Program> BuildDumpProgram(
     Predicate body;
     body.rel = rel;
     for (uint32_t i = 0; i < arity; ++i) {
-      VarId v = u.InternVar(VarKind::kPath, "d" + std::to_string(i));
+      std::string var = "d";
+      var += std::to_string(i);
+      VarId v = u.InternVar(VarKind::kPath, var);
       PathExpr e = VarExpr(u, v);
       r.head.args.push_back(e);
       body.args.push_back(e);
@@ -426,18 +429,10 @@ Result<protocol::RunReply> Coordinator::RunResidual(
   EvalStats stats;
   SEQDL_ASSIGN_OR_RETURN(Instance derived, session.Run(prepared, ropts,
                                                        &stats));
-  SEQDL_ASSIGN_OR_RETURN(out.rendered, Render(derived, req.output_rel));
+  SEQDL_ASSIGN_OR_RETURN(out.rendered,
+                         RenderOutput(*u_, derived, req.output_rel));
   out.stats = ToWire(stats);
   return out;
-}
-
-Result<std::string> Coordinator::Render(const Instance& derived,
-                                        const std::string& output_rel) const {
-  // Mirrors DatabaseService::Render, including the error for an unknown
-  // output relation.
-  if (output_rel.empty()) return derived.ToString(*u_);
-  SEQDL_ASSIGN_OR_RETURN(RelId rel, u_->FindRel(output_rel));
-  return derived.Project({rel}).ToString(*u_);
 }
 
 Result<protocol::AppendReply> Coordinator::Append(

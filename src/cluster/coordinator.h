@@ -196,8 +196,6 @@ class Coordinator {
                                          Program program,
                                          const std::function<bool()>& cancel,
                                          std::vector<uint64_t>* pinned_epochs);
-  Result<std::string> Render(const Instance& derived,
-                             const std::string& output_rel) const;
 
   void CacheStore(const std::string& key, std::vector<uint64_t> epochs,
                   const protocol::RunReply& reply);

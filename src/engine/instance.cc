@@ -121,29 +121,61 @@ bool Instance::IsFlat(const Universe& u) const {
 }
 
 std::string Instance::ToString(const Universe& u) const {
-  std::vector<std::string> lines;
+  return ToString(u, Relations());
+}
+
+std::string Instance::ToString(const Universe& u,
+                               std::span<const RelId> rels) const {
+  // Names are looked up before rendering: AppendPaths holds the atom
+  // table's lock across a fact, and RelName takes another lock.
+  std::vector<std::pair<std::string_view, const TupleSet*>> picked;
+  size_t facts = 0;
   for (const auto& [rel, tuples] : relations_) {
-    for (const Tuple& t : tuples) {
-      std::string line = u.RelName(rel);
+    if (std::find(rels.begin(), rels.end(), rel) == rels.end()) continue;
+    picked.emplace_back(u.RelName(rel), &tuples);
+    facts += tuples.size();
+  }
+  // Every fact goes straight into one buffer; the lines are sorted as
+  // (offset, length) views of it and joined once.
+  using Line = std::pair<size_t, size_t>;  // (offset, length) in buf
+  std::string buf;
+  std::vector<Line> lines;
+  lines.reserve(facts);
+  for (const auto& [name, tuples] : picked) {
+    for (const Tuple& t : *tuples) {
+      size_t start = buf.size();
+      buf.append(name);
       if (!t.empty()) {
-        line += "(";
-        for (size_t i = 0; i < t.size(); ++i) {
-          if (i > 0) line += ", ";
-          line += u.FormatPath(t[i]);
-        }
-        line += ")";
+        buf.push_back('(');
+        u.AppendPaths(t, ", ", &buf);
+        buf.push_back(')');
       }
-      line += ".";
-      lines.push_back(std::move(line));
+      buf.push_back('.');
+      lines.emplace_back(start, buf.size() - start);
     }
   }
-  std::sort(lines.begin(), lines.end());
+  const char* text = buf.data();
+  auto view = [text](Line l) {
+    return std::string_view(text + l.first, l.second);
+  };
+  // string_view compares through char_traits<char>, i.e. as unsigned
+  // bytes, exactly as the std::string comparison of whole lines does.
+  std::sort(lines.begin(), lines.end(),
+            [&view](Line a, Line b) { return view(a) < view(b); });
   std::string out;
-  for (const std::string& l : lines) {
-    out += l;
-    out += "\n";
+  out.reserve(buf.size() + lines.size());
+  for (Line l : lines) {
+    out.append(view(l));
+    out.push_back('\n');
   }
   return out;
+}
+
+Result<std::string> RenderOutput(const Universe& u, const Instance& inst,
+                                 std::string_view output_rel) {
+  if (output_rel.empty()) return inst.ToString(u);
+  SEQDL_ASSIGN_OR_RETURN(RelId rel, u.FindRel(output_rel));
+  return inst.ToString(u, {&rel, 1});
 }
 
 Result<Instance> ParseInstance(Universe& u, std::string_view source) {

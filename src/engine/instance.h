@@ -5,7 +5,9 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -74,8 +76,13 @@ class Instance {
   /// True iff every path of every fact is flat (no packed values).
   bool IsFlat(const Universe& u) const;
 
-  /// Deterministic multi-line rendering ("R(a·b)." per line, sorted).
+  /// Deterministic multi-line rendering: one "R(a·b, c)." line per fact
+  /// ("R." for arity 0), whole lines sorted as unsigned bytes, each ended
+  /// by a newline.
   std::string ToString(const Universe& u) const;
+  /// The rendering of Project(rels), made in place without copying a
+  /// tuple.
+  std::string ToString(const Universe& u, std::span<const RelId> rels) const;
 
   friend bool operator==(const Instance& a, const Instance& b) {
     return a.relations_ == b.relations_;
@@ -87,6 +94,12 @@ class Instance {
  private:
   std::map<RelId, TupleSet> relations_;
 };
+
+/// The rendering a query answer carries: `inst` restricted to the relation
+/// named `output_rel`, or all of it when `output_rel` is empty. NotFound
+/// for a relation name the Universe does not know.
+Result<std::string> RenderOutput(const Universe& u, const Instance& inst,
+                                 std::string_view output_rel);
 
 /// Parses an instance given as a list of ground facts, e.g.
 /// "R(a·b·c). R(eps). S(<a·b>·c)." Non-ground or non-fact input is an error.

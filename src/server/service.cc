@@ -161,7 +161,8 @@ Result<protocol::RunReply> DatabaseService::Run(
         view, db_.views().Refresh(req.program, *prog, ropts, &stats));
     reply.epoch = view->epoch();
     reply.segments = view->segments();
-    SEQDL_ASSIGN_OR_RETURN(reply.rendered, Render(view->idb(), req.output_rel));
+    SEQDL_ASSIGN_OR_RETURN(reply.rendered,
+                           RenderOutput(*u_, view->idb(), req.output_rel));
     reply.stats = ToWire(stats);
   } else {
     // Views off: epoch-pinned session run, rendered output cached only.
@@ -171,7 +172,8 @@ Result<protocol::RunReply> DatabaseService::Run(
                            session.Run(*prog, ropts, &stats));
     reply.epoch = session.epoch();
     reply.segments = session.NumSegments();
-    SEQDL_ASSIGN_OR_RETURN(reply.rendered, Render(derived, req.output_rel));
+    SEQDL_ASSIGN_OR_RETURN(reply.rendered,
+                           RenderOutput(*u_, derived, req.output_rel));
     reply.stats = ToWire(stats);
   }
 
@@ -197,16 +199,10 @@ Result<protocol::RunReply> DatabaseService::RunUncached(
   protocol::RunReply reply;
   reply.epoch = session.epoch();
   reply.segments = session.NumSegments();
-  SEQDL_ASSIGN_OR_RETURN(reply.rendered, Render(derived, req.output_rel));
+  SEQDL_ASSIGN_OR_RETURN(reply.rendered,
+                         RenderOutput(*u_, derived, req.output_rel));
   reply.stats = ToWire(stats);
   return reply;
-}
-
-Result<std::string> DatabaseService::Render(
-    const Instance& derived, const std::string& output_rel) const {
-  if (output_rel.empty()) return derived.ToString(*u_);
-  SEQDL_ASSIGN_OR_RETURN(RelId rel, u_->FindRel(output_rel));
-  return derived.Project({rel}).ToString(*u_);
 }
 
 void DatabaseService::TouchLocked(

@@ -247,11 +247,6 @@ class DatabaseService {
       const protocol::RunRequest& req, const PreparedProgram& prog,
       const RunOptions& ropts);
 
-  /// Renders `derived` projected onto `output_rel` (all facts when
-  /// empty).
-  Result<std::string> Render(const Instance& derived,
-                             const std::string& output_rel) const;
-
   /// Eagerly advances every cached view to the current epoch after a
   /// write (Append or Retract), honoring the admission policy per
   /// program. Refresh itself picks delta vs DRed vs recompute from the

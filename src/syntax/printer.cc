@@ -3,18 +3,26 @@
 namespace seqdl {
 
 namespace {
-std::string FormatItem(const Universe& u, const ExprItem& it) {
+void AppendItem(const Universe& u, const ExprItem& it, std::string* out) {
   switch (it.kind) {
     case ExprItem::Kind::kConst:
-      return u.AtomName(it.atom.atom());
+      *out += u.AtomName(it.atom.atom());
+      return;
     case ExprItem::Kind::kAtomVar:
-      return "@" + u.VarName(it.var);
+      *out += "@";
+      *out += u.VarName(it.var);
+      return;
     case ExprItem::Kind::kPathVar:
-      return "$" + u.VarName(it.var);
+      *out += "$";
+      *out += u.VarName(it.var);
+      return;
     case ExprItem::Kind::kPack:
-      return "<" + FormatExpr(u, *it.pack) + ">";
+      *out += "<";
+      *out += FormatExpr(u, *it.pack);
+      *out += ">";
+      return;
   }
-  return "?";
+  *out += "?";
 }
 }  // namespace
 
@@ -23,7 +31,7 @@ std::string FormatExpr(const Universe& u, const PathExpr& e) {
   std::string out;
   for (size_t i = 0; i < e.items.size(); ++i) {
     if (i > 0) out += "·";
-    out += FormatItem(u, e.items[i]);
+    AppendItem(u, e.items[i], &out);
   }
   return out;
 }

@@ -204,24 +204,46 @@ std::vector<PathId> Universe::AllSubPaths(PathId p) {
   return out;
 }
 
-std::string Universe::FormatValue(Value v) const {
-  if (v.is_atom()) return AtomName(v.atom());
-  return "<" + FormatPath(v.packed_path()) + ">";
+void Universe::AppendPathLocked(PathId p, std::string* out) const {
+  std::span<const Value> a = GetPath(p);
+  if (a.empty()) {
+    out->append("()");
+    return;
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (i > 0) out->append("·");  // interpunct, as in the paper
+    if (a[i].is_atom()) {
+      out->append(atom_names_[a[i].atom()]);
+    } else {
+      out->push_back('<');
+      AppendPathLocked(a[i].packed_path(), out);
+      out->push_back('>');
+    }
+  }
+}
+
+void Universe::AppendPath(PathId p, std::string* out) const {
+  AppendPaths(std::span<const PathId>(&p, 1), {}, out);
+}
+
+void Universe::AppendPaths(std::span<const PathId> paths, std::string_view sep,
+                           std::string* out) const {
+  std::shared_lock<std::shared_mutex> lock(atom_mu_);
+  for (size_t i = 0; i < paths.size(); ++i) {
+    if (i > 0) out->append(sep);
+    AppendPathLocked(paths[i], out);
+  }
 }
 
 std::string Universe::FormatPath(PathId p) const {
-  std::span<const Value> a = GetPath(p);
-  if (a.empty()) return "()";
   std::string out;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (i > 0) out += "·";  // interpunct, as in the paper
-    out += FormatValue(a[i]);
-  }
+  AppendPath(p, &out);
   return out;
 }
 
 VarId Universe::InternVarLocked(VarKind kind, std::string_view name) {
-  std::string key = (kind == VarKind::kAtomic ? "@" : "$") + std::string(name);
+  std::string key(kind == VarKind::kAtomic ? "@" : "$");
+  key += name;
   auto it = var_ids_.find(key);
   if (it != var_ids_.end()) return it->second;
   VarId id = static_cast<VarId>(var_names_.size());

@@ -10,7 +10,10 @@
 // GetPath never takes a lock. The (much colder) atom/variable/relation
 // tables are guarded by one shared_mutex each (lookups take shared locks,
 // interning exclusive ones) and hand out references into std::deque
-// storage, which never relocates elements.
+// storage, which never relocates elements. Formatting takes the atom
+// table's shared lock once per AppendPath/AppendPaths call and calls no
+// locking accessor while it holds it: a second shared lock on the same
+// thread can block behind a waiting writer.
 //
 // The path store never shrinks: an interned path stays for the Universe's
 // lifetime. That is why the engine interns only what escapes a match (the
@@ -104,9 +107,16 @@ class Universe {
 
   // --- Formatting ---------------------------------------------------------
 
-  /// Formats a value: atom name, or "<p>" for packed values.
-  std::string FormatValue(Value v) const;
-  /// Formats a path with interpunct separators; "()" for the empty path.
+  /// Appends a path's canonical text to `*out`: atom names separated by
+  /// interpuncts, "()" for the empty path, "<...>" around packed values
+  /// at any depth. Takes the atom table's shared lock once.
+  void AppendPath(PathId p, std::string* out) const;
+  /// Appends the canonical text of each of `paths`, separated by `sep`,
+  /// under one shared lock of the atom table (a renderer's lock per
+  /// fact, however many columns it has).
+  void AppendPaths(std::span<const PathId> paths, std::string_view sep,
+                   std::string* out) const;
+  /// The canonical text of a path (see AppendPath).
   std::string FormatPath(PathId p) const;
 
   // --- Variables ----------------------------------------------------------
@@ -183,6 +193,7 @@ class Universe {
 
   // Unlocked variants; the caller holds the corresponding mutex.
   AtomId InternAtomLocked(std::string_view name);
+  void AppendPathLocked(PathId p, std::string* out) const;
   VarId InternVarLocked(VarKind kind, std::string_view name);
   Result<RelId> InternRelLocked(std::string_view name, uint32_t arity);
 

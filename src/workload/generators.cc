@@ -75,7 +75,9 @@ Result<Instance> NfaToInstance(Universe& u, const Nfa& nfa) {
   SEQDL_ASSIGN_OR_RETURN(RelId f_rel, u.InternRel("F", 1));
   Instance out;
   auto state = [&u](size_t q) {
-    return Value::Atom(u.InternAtom("q" + std::to_string(q)));
+    std::string name = "q";
+    name += std::to_string(q);
+    return Value::Atom(u.InternAtom(name));
   };
   for (size_t q = 0; q < nfa.num_states; ++q) {
     if (nfa.initial[q]) out.Add(n_rel, {u.SingletonPath(state(q))});
@@ -112,7 +114,9 @@ Result<Instance> GraphToInstance(Universe& u, const Graph& g,
     // reachability query of Section 5.1.1.
     if (n == 0) return Value::Atom(u.InternAtom("a"));
     if (n == 1 && g.nodes > 1) return Value::Atom(u.InternAtom("b"));
-    return Value::Atom(u.InternAtom("n" + std::to_string(n)));
+    std::string node = "n";
+    node += std::to_string(n);
+    return Value::Atom(u.InternAtom(node));
   };
   for (const auto& [from, to] : g.edges) {
     Value vs[2] = {name(from), name(to)};

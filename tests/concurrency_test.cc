@@ -6,6 +6,7 @@
 // worker threads only record what they saw.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -147,6 +148,63 @@ TEST(UniverseConcurrencyTest, AtomVarRelInterningStress) {
   EXPECT_EQ(u.num_atoms(), 50u);
   EXPECT_EQ(u.num_vars(), 20u);
   EXPECT_EQ(u.num_rels(), 10u);
+}
+
+// The renderer holds the atom table's shared lock across a whole fact;
+// writers that intern atoms (exclusive lock), paths and relations meanwhile
+// must neither deadlock with it nor change what it renders.
+TEST(UniverseConcurrencyTest, RenderWhileInterning) {
+  Universe u;
+  Result<Instance> inst = ParseInstance(
+      u, "Mark(k1, a ++ <a ++ c ++ g> ++ t). Mark(k2, <<a> ++ eps> ++ c)."
+         "Mark(k3, eps). Marked(k1). Marked(k2). Done.");
+  ASSERT_TRUE(inst.ok()) << inst.status().ToString();
+  RelId mark = *u.FindRel("Mark");
+  Value omega = Value::Atom(u.InternAtom("ω"));
+  for (int i = 0; i < 200; ++i) {
+    Value key = Value::Atom(u.InternAtom("key" + std::to_string(i)));
+    Value packed = Value::Packed(u.InternPath(std::vector<Value>{omega, key}));
+    inst->Add(mark, {u.SingletonPath(key),
+                     u.InternPath(std::vector<Value>{key, packed, omega})});
+  }
+  const std::string full = inst->ToString(u);
+  const std::string marks = inst->ToString(u, {&mark, 1});
+
+  constexpr size_t kRenderers = 4, kInterners = 4, kRenders = 50;
+  std::atomic<size_t> interning{0};
+  std::atomic<bool> done{false};
+  std::vector<size_t> mismatches(kRenderers, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kRenderers; ++t) {
+    threads.emplace_back([&, t] {
+      // Start only once every writer runs, so the renders overlap them.
+      while (interning.load() < kInterners) std::this_thread::yield();
+      for (size_t i = 0; i < kRenders; ++i) {
+        mismatches[t] += inst->ToString(u) != full;
+        mismatches[t] += inst->ToString(u, {&mark, 1}) != marks;
+      }
+    });
+  }
+  for (size_t t = 0; t < kInterners; ++t) {
+    threads.emplace_back([&, t] {
+      ++interning;
+      for (size_t i = 0; i < 20000 && !done.load(); ++i) {
+        std::string name = "fresh" + std::to_string(t) + "_";
+        name += std::to_string(i);
+        Value a = Value::Atom(u.InternAtom(name));
+        u.InternPath(std::vector<Value>{a, omega, a});
+        u.FreshAtom("f");
+        (void)u.InternRel("F" + name, 1);
+      }
+    });
+  }
+  for (size_t t = 0; t < kRenderers; ++t) threads[t].join();
+  done = true;
+  for (size_t t = kRenderers; t < threads.size(); ++t) threads[t].join();
+  for (size_t t = 0; t < kRenderers; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "renderer " << t;
+  }
+  EXPECT_EQ(inst->ToString(u), full);
 }
 
 // --- Database/Session --------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <functional>
 #include <random>
+#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -35,6 +36,15 @@ PathExpr MustExpr(Universe& u, const std::string& text) {
   Result<PathExpr> e = ParsePathExpr(u, text);
   EXPECT_TRUE(e.ok()) << e.status().ToString();
   return std::move(e).value();
+}
+
+// Seeded differential cases per test: SEQDL_DIFFTEST_ITERS, default 200.
+size_t DiffIterations() {
+  if (const char* env = std::getenv("SEQDL_DIFFTEST_ITERS")) {
+    size_t n = std::strtoull(env, nullptr, 10);
+    if (n > 0) return n;
+  }
+  return 200;
 }
 
 // --- Instance ---------------------------------------------------------------
@@ -86,6 +96,183 @@ TEST(InstanceTest, Project) {
   Instance p = i.Project({*u.FindRel("S")});
   EXPECT_EQ(p.NumFacts(), 1u);
   EXPECT_TRUE(p.Contains(*u.FindRel("S"), {u.PathOfChars("b")}));
+}
+
+// The line-per-string renderer Instance::ToString used before it wrote
+// every fact into one buffer: a std::string per value, path and line,
+// lines sorted as std::strings. The oracle of the rendering tests below.
+std::string ReferencePath(const Universe& u, PathId p) {
+  std::span<const Value> a = u.GetPath(p);
+  if (a.empty()) return "()";
+  std::string out;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (i > 0) out += "·";
+    if (a[i].is_atom()) {
+      out += u.AtomName(a[i].atom());
+    } else {
+      out += "<";
+      out += ReferencePath(u, a[i].packed_path());
+      out += ">";
+    }
+  }
+  return out;
+}
+
+std::string ReferenceRender(const Universe& u, const Instance& inst) {
+  std::vector<std::string> lines;
+  for (RelId rel : inst.Relations()) {
+    for (const Tuple& t : inst.Tuples(rel)) {
+      std::string line = u.RelName(rel);
+      if (!t.empty()) {
+        line += "(";
+        for (size_t i = 0; i < t.size(); ++i) {
+          if (i > 0) line += ", ";
+          line += ReferencePath(u, t[i]);
+        }
+        line += ")";
+      }
+      line += ".";
+      lines.push_back(std::move(line));
+    }
+  }
+  std::sort(lines.begin(), lines.end());
+  std::string out;
+  for (const std::string& l : lines) {
+    out += l;
+    out += "\n";
+  }
+  return out;
+}
+
+// Random instances over relations whose names prefix each other (R, RS,
+// S, SR, interned in a seeded order so RelId order is not name order)
+// with arities 0-3, and paths of 0-4 values over ASCII and multi-byte
+// UTF-8 atoms (also interned in a seeded order), packs nested two deep.
+class RenderCaseGenerator {
+ public:
+  RenderCaseGenerator(Universe& u, uint64_t seed) : u_(u), rng_(seed) {}
+
+  struct Case {
+    Instance inst;
+    std::vector<RelId> rels;  // every relation of the case, even if empty
+  };
+
+  Case Generate() {
+    std::vector<std::string> atoms = {"a",  "b",  "ab", "z",
+                                      "A",  "é",  "ω",  "日本"};
+    std::shuffle(atoms.begin(), atoms.end(), rng_);
+    for (const std::string& a : atoms) {
+      atoms_.push_back(Value::Atom(u_.InternAtom(a)));
+    }
+    std::vector<std::string> names = {"R", "RS", "S", "SR"};
+    std::shuffle(names.begin(), names.end(), rng_);
+    Case c;
+    size_t num_rels = 1 + Below(4);
+    for (size_t i = 0; i < num_rels; ++i) {
+      uint32_t arity = static_cast<uint32_t>(Below(4));
+      RelId rel = *u_.InternRel(names[i], arity);
+      c.rels.push_back(rel);
+      size_t facts = arity == 0 ? Below(2) : Below(7);
+      for (size_t f = 0; f < facts; ++f) {
+        Tuple t;
+        for (uint32_t col = 0; col < arity; ++col) t.push_back(Path(2));
+        c.inst.Add(rel, std::move(t));
+      }
+    }
+    return c;
+  }
+
+ private:
+  size_t Below(size_t n) { return rng_() % n; }
+
+  // A path of 0-4 values; each is packed with probability 1/4 while
+  // `depth` allows it.
+  PathId Path(int depth) {
+    std::vector<Value> values(Below(5));
+    for (Value& v : values) {
+      v = depth > 0 && Below(4) == 0 ? Value::Packed(Path(depth - 1))
+                                     : atoms_[Below(atoms_.size())];
+    }
+    return u_.InternPath(values);
+  }
+
+  Universe& u_;
+  std::mt19937_64 rng_;
+  std::vector<Value> atoms_;
+};
+
+TEST(InstanceTest, RenderMatchesReferenceRenderer) {
+  size_t cases = 10 * DiffIterations();
+  size_t arity0 = 0, nested = 0, multibyte = 0, prefixed = 0;
+  for (uint64_t seed = 1; seed <= cases; ++seed) {
+    Universe u;
+    RenderCaseGenerator gen(u, seed);
+    RenderCaseGenerator::Case c = gen.Generate();
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::string want = ReferenceRender(u, c.inst);
+    ASSERT_EQ(c.inst.ToString(u), want);
+    for (RelId rel : c.rels) {
+      EXPECT_EQ(c.inst.ToString(u, {&rel, 1}),
+                ReferenceRender(u, c.inst.Project({rel})));
+      for (const Tuple& t : c.inst.Tuples(rel)) {
+        for (PathId p : t) EXPECT_EQ(u.FormatPath(p), ReferencePath(u, p));
+      }
+    }
+    // Several relations at once, in a seeded order, sometimes repeated.
+    std::vector<RelId> some;
+    for (RelId rel : c.rels) {
+      if ((seed >> rel) & 1) some.insert(some.begin(), rel);
+    }
+    if (!some.empty() && seed % 3 == 0) some.push_back(some.front());
+    EXPECT_EQ(c.inst.ToString(u, some),
+              ReferenceRender(u, c.inst.Project(some)));
+    EXPECT_EQ(c.inst.ToString(u, c.rels), want);
+
+    arity0 += want.find("R.\n") != std::string::npos ||
+              want.find("S.\n") != std::string::npos;
+    nested += want.find("<<") != std::string::npos;
+    multibyte += want.find("日本") != std::string::npos;
+    std::set<std::string> rendered;
+    for (RelId rel : c.inst.Relations()) rendered.insert(u.RelName(rel));
+    prefixed += rendered.count("R") && rendered.count("RS");
+  }
+  // The generator must keep reaching every shape it is meant to cover.
+  EXPECT_GT(arity0, cases / 10) << "cases with an arity-0 fact";
+  EXPECT_GT(nested, cases / 10) << "cases with a pack inside a pack";
+  EXPECT_GT(multibyte, cases / 4) << "cases with a multi-byte atom";
+  EXPECT_GT(prefixed, cases / 20) << "cases with both R and RS facts";
+}
+
+TEST(InstanceTest, RenderSortsWholeLinesAsUnsignedBytes) {
+  Universe u;
+  // RS and é are interned first, so relation-id or atom-id order would
+  // put them first.
+  RelId rs = *u.InternRel("RS", 1);
+  Value e_acute = Value::Atom(u.InternAtom("é"));
+  Instance i = MustInstance(
+      u, "R(a ++ b, c). R(a, b). RS(a). R(b, c). R(z, a). Q. QS(a).");
+  RelId r = *u.FindRel("R");
+  i.Add(r, {u.SingletonPath(e_acute), u.PathOfChars("a")});
+  // ',' (0x2C) sorts before the interpunct's first byte (0xC2), the
+  // arity-0 line's '.' (0x2E) before any name character, '(' (0x28)
+  // before 'S', and ASCII 'z' before 'é' (0xC3 0xA9). A comparator on
+  // signed char would move both lines with a multi-byte character ahead
+  // of the other R lines. (`R(a).` and `R.` cannot meet in one instance:
+  // a relation has one arity.)
+  const char* want =
+      "Q.\n"
+      "QS(a).\n"
+      "R(a, b).\n"
+      "R(a·b, c).\n"
+      "R(b, c).\n"
+      "R(z, a).\n"
+      "R(é, a).\n"
+      "RS(a).\n";
+  EXPECT_EQ(i.ToString(u), want);
+  EXPECT_EQ(ReferenceRender(u, i), want);
+  std::vector<RelId> both = {rs, r};
+  EXPECT_EQ(i.ToString(u, both),
+            "R(a, b).\nR(a·b, c).\nR(b, c).\nR(z, a).\nR(é, a).\nRS(a).\n");
 }
 
 // --- Matching ----------------------------------------------------------------
@@ -333,14 +520,6 @@ Bindings SortedBindings(const Valuation& v) {
   Bindings b(v.bindings().begin(), v.bindings().end());
   std::sort(b.begin(), b.end());
   return b;
-}
-
-size_t DiffIterations() {
-  if (const char* env = std::getenv("SEQDL_DIFFTEST_ITERS")) {
-    size_t n = std::strtoull(env, nullptr, 10);
-    if (n > 0) return n;
-  }
-  return 200;
 }
 
 // Random matching problems: patterns over a two-letter alphabet, three

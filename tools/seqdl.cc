@@ -357,11 +357,11 @@ int RunDurable(const std::vector<std::string>& args,
   if (!output_rel.empty()) {
     auto rel = u.FindRel(output_rel);
     if (!rel.ok()) return Fail(rel.status());
-    std::printf("%s", out->Project({*rel}).ToString(u).c_str());
+    std::printf("%s", out->ToString(u, {&*rel, 1}).c_str());
   } else {
     std::set<seqdl::RelId> idb = seqdl::IdbRels(prepared->program());
-    std::printf("%s",
-                out->Project({idb.begin(), idb.end()}).ToString(u).c_str());
+    std::vector<seqdl::RelId> rels(idb.begin(), idb.end());
+    std::printf("%s", out->ToString(u, rels).c_str());
   }
   seqdl::storage::StorageInfo sinfo = db->storage_info();
   std::fprintf(stderr,
@@ -436,11 +436,11 @@ int CmdRun(const std::vector<std::string>& args) {
   if (!output_rel.empty()) {
     auto rel = u.FindRel(output_rel);
     if (!rel.ok()) return Fail(rel.status());
-    std::printf("%s", out->Project({*rel}).ToString(u).c_str());
+    std::printf("%s", out->ToString(u, {&*rel, 1}).c_str());
   } else {
     std::set<seqdl::RelId> idb = seqdl::IdbRels(prepared->program());
-    std::printf("%s",
-                out->Project({idb.begin(), idb.end()}).ToString(u).c_str());
+    std::vector<seqdl::RelId> rels(idb.begin(), idb.end());
+    std::printf("%s", out->ToString(u, rels).c_str());
   }
   std::fprintf(stderr, "-- %zu facts derived in %zu rounds (%zu firings)\n",
                stats.derived_facts, stats.rounds, stats.rule_firings);
