@@ -11,9 +11,9 @@
 //     program x epoch), so this measures what a production point-query
 //     workload pays per round trip. The acceptance target is >= 100k
 //     aggregate round-trips/s at 8 client threads.
-//   * BM_SmallQueryUncached   — the same query with the result cache
-//     disabled: every round trip pays the full snapshot pin + fixpoint
-//     + render, the cold/analytical cost.
+//   * BM_SmallQueryUncached   — the same query with the cache disabled:
+//     every round trip pays parse + compile + snapshot pin + fixpoint +
+//     render, the cold/analytical cost.
 //   * BM_RunVsInProcess       — the same query through DatabaseService
 //     without sockets, to separate engine cost from wire cost.
 //   * BM_AppendRoundTrip      — small ingest batches: epoch publishes

@@ -125,8 +125,8 @@ class Client {
   size_t max_frame_bytes_ = protocol::kDefaultMaxFrameBytes;
   uint32_t io_timeout_ms_ = 0;
   /// Buffered reply reader, created on first round trip. Do not mix the
-  /// typed methods with raw ReadFrame(fd()) on one connection — buffered
-  /// bytes would be lost (raw byte-level tests use only raw IO).
+  /// typed methods with another reader of fd() on one connection —
+  /// buffered bytes would be lost (raw byte-level tests use only raw IO).
   std::unique_ptr<protocol::FrameReader> reader_;
 };
 

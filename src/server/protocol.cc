@@ -520,56 +520,6 @@ Status WriteFrame(int fd, std::string_view frame) {
   return Status::OK();
 }
 
-namespace {
-
-/// Reads exactly `len` bytes; *eof_at_start distinguishes a clean close
-/// before the first byte from a mid-read truncation.
-Status ReadExact(int fd, char* buf, size_t len, bool* eof_at_start) {
-  size_t off = 0;
-  while (off < len) {
-    ssize_t n = ::recv(fd, buf + off, len - off, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::InvalidArgument(std::string("recv failed: ") +
-                                     std::strerror(errno));
-    }
-    if (n == 0) {
-      if (off == 0 && eof_at_start != nullptr) {
-        *eof_at_start = true;
-        return Status::OK();
-      }
-      return Status::InvalidArgument(
-          "truncated frame: connection closed after " + std::to_string(off) +
-          " of " + std::to_string(len) + " bytes");
-    }
-    off += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<std::string> ReadFrame(int fd, size_t max_frame_bytes) {
-  char head[4];
-  bool eof = false;
-  SEQDL_RETURN_IF_ERROR(ReadExact(fd, head, sizeof(head), &eof));
-  if (eof) return Status::NotFound("connection closed");
-  uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(static_cast<uint8_t>(head[i])) << (8 * i);
-  }
-  if (len > max_frame_bytes) {
-    return Status::ResourceExhausted(
-        "oversized frame: declared " + std::to_string(len) +
-        " bytes, limit " + std::to_string(max_frame_bytes));
-  }
-  std::string payload(len, '\0');
-  if (len > 0) {
-    SEQDL_RETURN_IF_ERROR(ReadExact(fd, payload.data(), len, nullptr));
-  }
-  return payload;
-}
-
 Result<std::string> FrameReader::Next(bool* timed_out) {
   if (timed_out != nullptr) *timed_out = false;
   while (true) {

@@ -18,7 +18,7 @@
 // frame*: the server answers with an error reply and closes the
 // connection. A connection that ends mid-frame is a *truncated frame*
 // (kInvalidArgument); a connection that ends cleanly between frames is
-// reported as kNotFound by ReadFrame so callers can tell orderly
+// reported as kNotFound by FrameReader so callers can tell orderly
 // disconnect from corruption.
 //
 // Requests (client -> server)
@@ -318,15 +318,6 @@ Result<Reply> DecodeReply(std::string_view payload);
 /// mid-write yields a Status, never SIGPIPE.
 Status WriteFrame(int fd, std::string_view frame);
 
-/// Reads one frame's payload from `fd` (blocking). Returns:
-///   * the payload bytes on success;
-///   * kNotFound "connection closed" on clean EOF at a frame boundary;
-///   * kInvalidArgument "truncated frame ..." on EOF mid-frame;
-///   * kResourceExhausted "oversized frame ..." when the declared length
-///     exceeds `max_frame_bytes` (the frame is NOT consumed — close the
-///     connection after reporting).
-Result<std::string> ReadFrame(int fd, size_t max_frame_bytes);
-
 /// Buffered frame reader over a connected socket: each recv pulls
 /// whatever is available, so a small frame typically costs one syscall
 /// instead of two (header, then payload) — on a loopback serving path
@@ -334,15 +325,21 @@ Result<std::string> ReadFrame(int fd, size_t max_frame_bytes);
 /// state across calls: with an SO_RCVTIMEO set on the socket, a timeout
 /// surfaces via *timed_out (call Next again to resume exactly where the
 /// stream left off), which is how the server polls its stop flag between
-/// and *during* frames without a separate poll(2). Error returns match
-/// ReadFrame.
+/// and *during* frames without a separate poll(2).
 class FrameReader {
  public:
   FrameReader(int fd, size_t max_frame_bytes)
       : fd_(fd), max_frame_bytes_(max_frame_bytes) {}
 
-  /// Next frame payload. `timed_out` (may be null when the socket has no
-  /// receive timeout) is set instead of an error when recv timed out.
+  /// Next frame payload (blocking). Returns:
+  ///   * the payload bytes on success;
+  ///   * kNotFound "connection closed" on clean EOF at a frame boundary;
+  ///   * kInvalidArgument "truncated frame ..." on EOF mid-frame;
+  ///   * kResourceExhausted "oversized frame ..." when the declared
+  ///     length exceeds `max_frame_bytes` (the frame is NOT consumed —
+  ///     close the connection after reporting).
+  /// `timed_out` (may be null when the socket has no receive timeout) is
+  /// set instead of an error when recv timed out.
   Result<std::string> Next(bool* timed_out);
 
  private:

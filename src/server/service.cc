@@ -43,6 +43,21 @@ protocol::WireDiagnostic ToWire(const Diagnostic& d) {
   return w;
 }
 
+/// `all` restricted to the relations `p`'s rule bodies read: the
+/// statistics a plan of `p` is ranked by, so the only ones whose drift
+/// can make it stale.
+StoreStats ReadStats(const Program& p, const StoreStats& all) {
+  StoreStats out;
+  for (const Rule* r : p.AllRules()) {
+    for (const Literal& l : r->body) {
+      if (!l.is_predicate()) continue;
+      auto it = all.relations.find(l.pred.rel);
+      if (it != all.relations.end()) out.relations.insert(*it);
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 DatabaseService::DatabaseService(Universe& u, Database db, ServiceOptions opts)
@@ -50,43 +65,34 @@ DatabaseService::DatabaseService(Universe& u, Database db, ServiceOptions opts)
 
 Result<protocol::CompileReply> DatabaseService::Compile(
     const std::string& program_text, const std::string& source_name) {
-  bool cache_hit = false;
-  std::shared_ptr<const AdmissionReport> admission;
-  std::shared_ptr<const DiagnosticList> lints;
-  SEQDL_ASSIGN_OR_RETURN(
-      std::shared_ptr<PreparedProgram> prog,
-      Prepare(program_text, source_name, &cache_hit, &admission, &lints));
+  SEQDL_ASSIGN_OR_RETURN(Prepared prepared,
+                         Prepare(program_text, source_name));
+  const CompiledProgram& c = *prepared.compiled;
   protocol::CompileReply reply;
-  reply.cache_hit = cache_hit;
-  reply.rules = prog->program().NumRules();
-  reply.strata = prog->program().strata.size();
-  reply.compile_seconds = prog->compile_seconds();
-  if (admission != nullptr) {
-    reply.features = admission->features.ToString();
-    reply.fragment_class = admission->fragment_class;
-    reply.admission =
-        static_cast<uint8_t>(admission->Verdict(opts_.admission));
-    DiagnosticList policy = PolicyDiagnostics(*admission, opts_.admission);
-    for (const Diagnostic& d : policy.all()) {
-      reply.diagnostics.push_back(ToWire(d));
-    }
+  reply.cache_hit = prepared.cache_hit;
+  reply.rules = c.prog.program().NumRules();
+  reply.strata = c.prog.program().strata.size();
+  reply.compile_seconds = c.prog.compile_seconds();
+  reply.features = c.admission.features.ToString();
+  reply.fragment_class = c.admission.fragment_class;
+  reply.admission = static_cast<uint8_t>(c.admission.Verdict(opts_.admission));
+  DiagnosticList policy = PolicyDiagnostics(c.admission, opts_.admission);
+  for (const Diagnostic& d : policy.all()) {
+    reply.diagnostics.push_back(ToWire(d));
   }
-  if (lints != nullptr) {
-    for (const Diagnostic& d : lints->all()) {
-      reply.diagnostics.push_back(ToWire(d));
-    }
+  for (const Diagnostic& d : c.lints.all()) {
+    reply.diagnostics.push_back(ToWire(d));
   }
   return reply;
 }
 
-Status DatabaseService::ApplyAdmission(const AdmissionReport* admission,
+Status DatabaseService::ApplyAdmission(const AdmissionReport& admission,
                                        RunOptions* ropts) const {
-  if (opts_.admission == AdmissionPolicy::kOff || admission == nullptr ||
-      !admission->generative) {
+  if (opts_.admission == AdmissionPolicy::kOff || !admission.generative) {
     return Status::OK();
   }
   if (opts_.admission == AdmissionPolicy::kStrict) {
-    const Diagnostic& d = admission->diagnostics[0];
+    const Diagnostic& d = admission.diagnostics[0];
     return Status::FailedPrecondition(
         "admission denied (policy strict): potentially non-terminating "
         "program: " +
@@ -104,19 +110,20 @@ Status DatabaseService::ApplyAdmission(const AdmissionReport* admission,
 Result<protocol::RunReply> DatabaseService::Run(
     const protocol::RunRequest& req, const std::function<bool()>& cancel) {
   // Cache first: a hit answers without compiling, refreshing, or
-  // rendering. Valid iff the entry is at the current epoch — Append
+  // rendering. Valid iff the entry is at the current epoch — a write
   // refreshes entries (eagerly or at the next miss), Compact keeps the
   // epoch (same facts, hits stay correct).
-  if (opts_.result_cache_entries > 0) {
-    std::lock_guard<std::mutex> lock(results_mu_);
-    auto it = results_.find(req.program);
-    if (it != results_.end() && it->second.epoch == db_.epoch()) {
+  const bool caching = opts_.result_cache_entries > 0;
+  if (caching) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = entries_.find(req.program);
+    if (it != entries_.end() && it->second.epoch == db_.epoch()) {
       auto r = it->second.rendered.find(req.output_rel);
       if (r != it->second.rendered.end()) {
         ++counters_.hits;
         TouchLocked(it);
         protocol::RunReply reply;
-        reply.epoch = it->second.epoch;
+        reply.epoch = *it->second.epoch;
         reply.segments = it->second.segments;
         reply.rendered = r->second;
         reply.stats = it->second.stats;
@@ -127,14 +134,11 @@ Result<protocol::RunReply> DatabaseService::Run(
     ++counters_.misses;
   }
 
-  bool cache_hit = false;
-  std::shared_ptr<const AdmissionReport> admission;
-  SEQDL_ASSIGN_OR_RETURN(
-      std::shared_ptr<PreparedProgram> prog,
-      Prepare(req.program, req.source_name, &cache_hit, &admission));
-
+  SEQDL_ASSIGN_OR_RETURN(Prepared prepared,
+                         Prepare(req.program, req.source_name));
+  const CompiledProgram& c = *prepared.compiled;
   RunOptions ropts = opts_.run_options;
-  SEQDL_RETURN_IF_ERROR(ApplyAdmission(admission.get(), &ropts));
+  SEQDL_RETURN_IF_ERROR(ApplyAdmission(c.admission, &ropts));
   ropts.collect_derived_stats = req.collect_derived_stats;
   if (cancel) {
     if (ropts.cancel) {
@@ -145,129 +149,118 @@ Result<protocol::RunReply> DatabaseService::Run(
     }
   }
 
-  if (opts_.result_cache_entries == 0) {
-    return RunUncached(req, *prog, ropts);
-  }
-
   protocol::RunReply reply;
   std::shared_ptr<const ViewSnapshot> view;
-  if (opts_.maintain_views) {
+  EvalStats stats;
+  if (caching && opts_.maintain_views) {
     // The maintained-view path: Refresh returns the stored snapshot when
-    // it is already current (an Append's eager refresh usually got here
+    // it is already current (a write's eager refresh usually got here
     // first), cold-materializes on the first request, and otherwise
-    // advances the view by delta evaluation of the appended segments.
-    EvalStats stats;
+    // advances the view by delta evaluation of the new segments.
     SEQDL_ASSIGN_OR_RETURN(
-        view, db_.views().Refresh(req.program, *prog, ropts, &stats));
+        view, db_.views().Refresh(req.program, c.prog, ropts, &stats));
     reply.epoch = view->epoch();
     reply.segments = view->segments();
     SEQDL_ASSIGN_OR_RETURN(reply.rendered,
                            RenderOutput(*u_, view->idb(), req.output_rel));
-    reply.stats = ToWire(stats);
   } else {
-    // Views off: epoch-pinned session run, rendered output cached only.
+    // No view kept: evaluate on a session pinned at the current epoch;
+    // appends committed while the run executes do not affect it.
     Session session = db_.Snapshot();
-    EvalStats stats;
     SEQDL_ASSIGN_OR_RETURN(Instance derived,
-                           session.Run(*prog, ropts, &stats));
+                           session.Run(c.prog, ropts, &stats));
     reply.epoch = session.epoch();
     reply.segments = session.NumSegments();
     SEQDL_ASSIGN_OR_RETURN(reply.rendered,
                            RenderOutput(*u_, derived, req.output_rel));
-    reply.stats = ToWire(stats);
   }
+  reply.stats = ToWire(stats);
+  if (!caching) return reply;
 
-  std::lock_guard<std::mutex> lock(results_mu_);
-  UpsertLocked(req.program, view, reply, req.output_rel);
+  std::lock_guard<std::mutex> lock(mu_);
+  // Re-inserts the entry if it was evicted while this run evaluated.
+  Entry& e = TouchOrInsertLocked(req.program, prepared.compiled);
+  if (e.epoch != reply.epoch || e.view != view) {
+    SetViewLocked(req.program, e, view, reply.epoch, reply.segments,
+                  reply.stats);
+  }
+  auto [rit, fresh_render] = e.rendered.emplace(req.output_rel, reply.rendered);
+  if (fresh_render) {
+    size_t bytes = rit->second.size() + req.output_rel.size();
+    e.bytes += bytes;
+    cache_bytes_used_ += bytes;
+  }
   // A Refresh hit carries no run counters (nothing ran); answer with the
   // stats of the run that actually produced this epoch's view.
-  auto it = results_.find(req.program);
-  if (it != results_.end() && it->second.epoch == reply.epoch) {
-    reply.stats = it->second.stats;
-  }
-  return reply;
-}
-
-Result<protocol::RunReply> DatabaseService::RunUncached(
-    const protocol::RunRequest& req, const PreparedProgram& prog,
-    const RunOptions& ropts) {
-  // Pin the current epoch for exactly this run: appends committed while
-  // the run executes do not affect it.
-  Session session = db_.Snapshot();
-  EvalStats stats;
-  SEQDL_ASSIGN_OR_RETURN(Instance derived, session.Run(prog, ropts, &stats));
-  protocol::RunReply reply;
-  reply.epoch = session.epoch();
-  reply.segments = session.NumSegments();
-  SEQDL_ASSIGN_OR_RETURN(reply.rendered,
-                         RenderOutput(*u_, derived, req.output_rel));
-  reply.stats = ToWire(stats);
+  reply.stats = e.stats;
+  EvictLocked(req.program);
   return reply;
 }
 
 void DatabaseService::TouchLocked(
-    std::unordered_map<std::string, CachedView>::iterator it) {
+    std::unordered_map<std::string, Entry>::iterator it) {
   lru_.splice(lru_.begin(), lru_, it->second.lru);
 }
 
-void DatabaseService::UpsertLocked(
-    const std::string& key, const std::shared_ptr<const ViewSnapshot>& view,
-    const protocol::RunReply& reply, const std::string& output_rel) {
-  auto [it, inserted] = results_.try_emplace(key);
-  CachedView& e = it->second;
-  if (inserted) {
-    lru_.push_front(key);
-    e.lru = lru_.begin();
-  } else {
+DatabaseService::Entry& DatabaseService::TouchOrInsertLocked(
+    const std::string& key,
+    const std::shared_ptr<const CompiledProgram>& compiled) {
+  auto [it, inserted] = entries_.try_emplace(key);
+  if (!inserted) {
     TouchLocked(it);
+    return it->second;
   }
-  if (inserted || e.epoch != reply.epoch || e.view != view) {
-    // New epoch (or first sight): renderings of the old epoch are stale.
-    cache_bytes_used_ -= e.bytes;
-    e.rendered.clear();
-    e.view = view;
-    e.epoch = reply.epoch;
-    e.segments = reply.segments;
-    e.stats = reply.stats;
-    e.bytes = view != nullptr ? view->ApproxBytes() : 0;
-    cache_bytes_used_ += e.bytes;
-  }
-  auto [rit, fresh_render] = e.rendered.emplace(output_rel, reply.rendered);
-  if (fresh_render) {
-    e.bytes += rit->second.size() + output_rel.size();
-    cache_bytes_used_ += rit->second.size() + output_rel.size();
-  }
-  EvictLocked(key);
+  Entry& e = it->second;
+  e.compiled = compiled;
+  lru_.push_front(key);
+  e.lru = lru_.begin();
+  e.bytes = key.size();
+  cache_bytes_used_ += e.bytes;
+  return e;
+}
+
+void DatabaseService::SetViewLocked(const std::string& key, Entry& e,
+                                    std::shared_ptr<const ViewSnapshot> view,
+                                    uint64_t epoch, uint64_t segments,
+                                    const protocol::WireEvalStats& stats) {
+  cache_bytes_used_ -= e.bytes;
+  e.rendered.clear();
+  e.view = std::move(view);
+  e.epoch = epoch;
+  e.segments = segments;
+  e.stats = stats;
+  e.bytes = key.size() + (e.view != nullptr ? e.view->ApproxBytes() : 0);
+  cache_bytes_used_ += e.bytes;
 }
 
 void DatabaseService::EvictLocked(const std::string& keep) {
   while (!lru_.empty() &&
-         (results_.size() > opts_.result_cache_entries ||
+         (entries_.size() > opts_.result_cache_entries ||
           (opts_.cache_bytes > 0 && cache_bytes_used_ > opts_.cache_bytes))) {
     const std::string& victim = lru_.back();
     if (victim == keep) break;  // the hottest entry always survives
-    auto it = results_.find(victim);
+    auto it = entries_.find(victim);
     cache_bytes_used_ -= it->second.bytes;
     // Drop the manager's snapshot too, or the evicted bytes would live
     // on there (the next request for this program runs cold).
     db_.views().Invalidate(victim);
-    results_.erase(it);
+    entries_.erase(it);
     lru_.pop_back();
     ++counters_.evictions;
   }
 }
 
 size_t DatabaseService::NumCachedResults() const {
-  std::lock_guard<std::mutex> lock(results_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   size_t n = 0;
-  for (const auto& [key, e] : results_) n += e.rendered.size();
+  for (const auto& [key, e] : entries_) n += e.rendered.size();
   return n;
 }
 
 CacheCounters DatabaseService::CacheStats() const {
-  std::lock_guard<std::mutex> lock(results_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   CacheCounters c = counters_;
-  c.entries = results_.size();
+  c.entries = entries_.size();
   c.bytes = cache_bytes_used_;
   return c;
 }
@@ -330,37 +323,39 @@ void DatabaseService::RefreshCachedViews() {
   // A refresh failure (e.g. budget exhausted mid-delta) leaves that entry
   // stale, which the next Run recovers from — never an error for the
   // write that triggered the refresh.
-  std::vector<std::string> keys;
+  std::vector<std::pair<std::string, std::shared_ptr<const CompiledProgram>>>
+      work;
   {
-    std::lock_guard<std::mutex> lock(results_mu_);
-    keys.reserve(results_.size());
-    for (const auto& [key, e] : results_) keys.push_back(key);
+    std::lock_guard<std::mutex> lock(mu_);
+    work.reserve(entries_.size());
+    for (const auto& [key, e] : entries_) {
+      // An entry made only by Compile has no view to keep current.
+      if (e.view != nullptr) work.emplace_back(key, e.compiled);
+    }
   }
-  for (const std::string& key : keys) {
-    bool cache_hit = false;
-    std::shared_ptr<const AdmissionReport> admission;
-    Result<std::shared_ptr<PreparedProgram>> prog =
-        Prepare(key, /*source_name=*/"", &cache_hit, &admission);
-    if (!prog.ok()) continue;
+  for (const auto& [key, cached] : work) {
+    // Revalidate the plan here rather than at the next query, so that
+    // query pays only rendering.
+    Result<Prepared> prepared = Revalidate(key, /*source_name=*/"", cached);
+    if (!prepared.ok()) continue;
+    const CompiledProgram& c = *prepared->compiled;
     RunOptions ropts = opts_.run_options;
-    if (!ApplyAdmission(admission.get(), &ropts).ok()) continue;
+    if (!ApplyAdmission(c.admission, &ropts).ok()) continue;
     EvalStats stats;
     Result<std::shared_ptr<const ViewSnapshot>> view =
-        db_.views().Refresh(key, **prog, ropts, &stats);
+        db_.views().Refresh(key, c.prog, ropts, &stats);
     if (!view.ok()) continue;
-    std::lock_guard<std::mutex> lock(results_mu_);
-    auto it = results_.find(key);
-    if (it == results_.end()) continue;  // evicted while we refreshed
-    CachedView& e = it->second;
-    if (e.epoch >= (*view)->epoch()) continue;  // a run got there first
-    cache_bytes_used_ -= e.bytes;
-    e.rendered.clear();  // renderings of the old epoch are stale
-    e.view = *view;
-    e.epoch = (*view)->epoch();
-    e.segments = (*view)->segments();
-    e.stats = ToWire(stats);
-    e.bytes = (*view)->ApproxBytes();
-    cache_bytes_used_ += e.bytes;
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      // Evicted while we refreshed: drop the view Refresh just stored.
+      db_.views().Invalidate(key);
+      continue;
+    }
+    // A run may have got there first.
+    if (it->second.epoch >= (*view)->epoch()) continue;
+    SetViewLocked(key, it->second, *view, (*view)->epoch(),
+                  (*view)->segments(), ToWire(stats));
     EvictLocked(key);
   }
 }
@@ -408,52 +403,42 @@ protocol::StatsReply DatabaseService::Stats() const {
 }
 
 size_t DatabaseService::NumCachedPrograms() const {
-  std::lock_guard<std::mutex> lock(programs_mu_);
-  return programs_.size();
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
 }
 
-Result<std::shared_ptr<PreparedProgram>> DatabaseService::Prepare(
-    const std::string& program_text, const std::string& source_name,
-    bool* cache_hit, std::shared_ptr<const AdmissionReport>* admission,
-    std::shared_ptr<const DiagnosticList>* lints) {
-  *cache_hit = false;
-  std::shared_ptr<PreparedProgram> cached;
-  std::shared_ptr<const AdmissionReport> cached_admission;
-  std::shared_ptr<const DiagnosticList> cached_lints;
-  uint64_t stale_epoch = 0;
-  double drift = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(programs_mu_);
-    auto it = programs_.find(program_text);
-    if (it != programs_.end()) {
-      cached = it->second.prog;
-      cached_admission = it->second.admission;
-      cached_lints = it->second.lints;
-      if (admission != nullptr) *admission = cached_admission;
-      if (lints != nullptr) *lints = cached_lints;
-      if (db_.epoch() == it->second.epoch) {
-        *cache_hit = true;
-        return cached;
-      }
-      drift = StatsDrift(it->second.stats, db_.Stats());
-      if (drift < opts_.recompile_drift) {
-        *cache_hit = true;
-        return cached;
-      }
-      stale_epoch = it->second.epoch;
+Result<DatabaseService::Prepared> DatabaseService::Prepare(
+    const std::string& program_text, const std::string& source_name) {
+  std::shared_ptr<const CompiledProgram> cached;
+  if (opts_.result_cache_entries > 0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = entries_.find(program_text);
+    if (it != entries_.end()) {
+      TouchLocked(it);
+      cached = it->second.compiled;
     }
   }
-  Result<std::shared_ptr<PreparedProgram>> fresh =
-      CompileFresh(program_text, source_name, admission, lints);
+  return Revalidate(program_text, source_name, std::move(cached));
+}
+
+Result<DatabaseService::Prepared> DatabaseService::Revalidate(
+    const std::string& program_text, const std::string& source_name,
+    std::shared_ptr<const CompiledProgram> cached) {
+  double drift = 0.0;
+  if (cached != nullptr) {
+    if (cached->epoch == db_.epoch()) return Prepared{cached, true};
+    // Outside the lock: Stats() measures every segment.
+    drift = StatsDrift(cached->stats,
+                       ReadStats(cached->prog.program(), db_.Stats()));
+    if (drift < opts_.recompile_drift) return Prepared{cached, true};
+  }
+  Result<std::shared_ptr<const CompiledProgram>> fresh =
+      CompileFresh(program_text, source_name);
   if (!fresh.ok()) {
     // A program that compiled before the statistics drifted is still
     // valid — keep serving the stale plan rather than failing the
     // request. (Compile errors on a never-cached text do fail.)
-    if (cached != nullptr) {
-      if (admission != nullptr) *admission = cached_admission;
-      if (lints != nullptr) *lints = cached_lints;
-      return cached;
-    }
+    if (cached != nullptr) return Prepared{cached, false};
     return fresh.status();
   }
   if (cached != nullptr && opts_.log) {
@@ -462,16 +447,21 @@ Result<std::shared_ptr<PreparedProgram>> DatabaseService::Prepare(
                   "recompiled %s (stats drift %.2f >= %.2f since epoch %llu)",
                   source_name.empty() ? "<program>" : source_name.c_str(),
                   drift, opts_.recompile_drift,
-                  static_cast<unsigned long long>(stale_epoch));
+                  static_cast<unsigned long long>(cached->epoch));
     opts_.log(buf);
   }
-  return *fresh;
+  if (opts_.result_cache_entries > 0) {
+    // Last writer wins when two threads race on one text.
+    std::lock_guard<std::mutex> lock(mu_);
+    TouchOrInsertLocked(program_text, *fresh).compiled = *fresh;
+    EvictLocked(program_text);
+  }
+  return Prepared{*std::move(fresh), false};
 }
 
-Result<std::shared_ptr<PreparedProgram>> DatabaseService::CompileFresh(
-    const std::string& program_text, const std::string& source_name,
-    std::shared_ptr<const AdmissionReport>* admission,
-    std::shared_ptr<const DiagnosticList>* lints) {
+Result<std::shared_ptr<const DatabaseService::CompiledProgram>>
+DatabaseService::CompileFresh(const std::string& program_text,
+                              const std::string& source_name) const {
   Result<Program> program = ParseProgram(*u_, program_text);
   if (!program.ok()) {
     return protocol::AnnotateParseError(source_name, program.status());
@@ -484,12 +474,11 @@ Result<std::shared_ptr<PreparedProgram>> DatabaseService::CompileFresh(
   // Classify and lint before the program is consumed by the compiler:
   // the admission report drives Run's policy enforcement, the lints ride
   // along in compile replies.
-  auto report =
-      std::make_shared<AdmissionReport>(AnalyzeAdmission(*u_, *program));
-  auto lint_list = std::make_shared<DiagnosticList>();
+  AdmissionReport admission = AnalyzeAdmission(*u_, *program);
+  DiagnosticList lints;
   LintOptions lopts;
   lopts.stats = &stats;
-  LintProgram(*u_, *program, lopts, lint_list.get());
+  LintProgram(*u_, *program, lopts, &lints);
   CompileOptions copts;
   copts.stats = &stats;
   Result<PreparedProgram> prepared =
@@ -497,18 +486,10 @@ Result<std::shared_ptr<PreparedProgram>> DatabaseService::CompileFresh(
   if (!prepared.ok()) {
     return protocol::AnnotateParseError(source_name, prepared.status());
   }
-  CachedProgram entry;
-  entry.prog = std::make_shared<PreparedProgram>(std::move(*prepared));
-  entry.epoch = epoch;
-  entry.stats = std::move(stats);
-  entry.admission = report;
-  entry.lints = lint_list;
-  if (admission != nullptr) *admission = report;
-  if (lints != nullptr) *lints = lint_list;
-  std::shared_ptr<PreparedProgram> prog = entry.prog;
-  std::lock_guard<std::mutex> lock(programs_mu_);
-  programs_[program_text] = std::move(entry);
-  return prog;
+  StoreStats read = ReadStats(prepared->program(), stats);
+  return std::make_shared<const CompiledProgram>(
+      CompiledProgram{std::move(*prepared), epoch, std::move(read),
+                      std::move(admission), std::move(lints)});
 }
 
 }  // namespace seqdl

@@ -2,36 +2,31 @@
 // the TCP front end (server.h), the CLI's stdin serve loop, and tests
 // that want to exercise request handling without sockets.
 //
-// A service owns a versioned Database (database.h) plus a compiled-
-// program cache keyed by *program text* — clients ship small program
-// sources to the large, long-lived, indexed EDB, and two clients sending
-// byte-identical programs share one plan. Cached plans are ranked by the
-// database's measured statistics at compile time and recompiled when the
-// statistics drift past ServiceOptions::recompile_drift (relative
-// tuple-count change, StatsDrift), exactly the PR 4 serve-loop policy —
-// generalized here out of the CLI so every front end gets it.
-//
-// Result serving is a *maintained-view* cache (view/view.h): per program
-// text the service keeps the materialized derived IDB (a ViewSnapshot
-// held current by the database's ViewManager) plus the renderings already
-// produced from it, one per requested output relation. An Append no
-// longer invalidates this state — it *refreshes* it, semi-naive
-// delta-evaluating just the appended facts against each stored view
-// (PreparedProgram::RunDelta) so re-serving after ingest costs O(delta)
-// instead of a full fixpoint. A Retract refreshes the same way, except
-// the ViewManager routes the tombstone epoch through counting DRed
-// (delete/re-derive) or a stratum recompute — the cache never assumes
-// epochs only grow. Entries are byte-accounted (rendered output
-// + materialized IDB, ServiceOptions::cache_bytes) and evicted least-
-// recently-used past the budget; hit/miss/evict counters travel in
-// Stats() replies.
+// A service owns a versioned Database (database.h) and one serving cache
+// keyed by *program text*: clients ship small program sources to the
+// large, long-lived, indexed EDB, and clients sending byte-identical
+// programs share one entry. An entry holds
+//   * the compiled record: plan, admission report, lints, compile epoch,
+//     and the statistics of the relations the rule bodies read, which
+//     ranked the plan. Once they drift past recompile_drift (StatsDrift),
+//     a write's eager refresh or the next request recompiles it;
+//   * the maintained view (view/view.h), which a write refreshes instead
+//     of dropping: delta evaluation of appended facts (RunDelta), DRed or
+//     a stratum recompute for retracted ones, so re-serving after ingest
+//     costs O(delta) instead of a full fixpoint;
+//   * the renderings produced from the view, one per output relation.
+// ServiceOptions::result_cache_entries and cache_bytes bound the entries;
+// past either, the least recently used go, compiled record and view
+// together. Hit/miss/evict counters travel in Stats() replies.
 //
 // Thread-safety: all methods may be called concurrently from any number
 // of threads. Run pins an epoch snapshot per call (Database::Snapshot or
-// an immutable ViewSnapshot); Append/Compact serialize on the database's
-// writer mutex; the program and result caches take their own mutexes for
-// lookups/inserts only (parse, compile, and evaluation run outside them,
-// so a slow compile or refresh never stalls cached runs).
+// an immutable ViewSnapshot); writes serialize on the database's writer
+// mutex. One mutex guards the cache, for lookups, inserts and evictions
+// only: parse, compile, the drift check's Database::Stats(), evaluation
+// and rendering run outside it, so a slow compile or refresh never
+// stalls a cache hit. A run holds its compiled record by shared_ptr, so
+// an eviction never pulls the plan out from under it.
 #ifndef SEQDL_SERVER_SERVICE_H_
 #define SEQDL_SERVER_SERVICE_H_
 
@@ -41,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -79,26 +75,28 @@ struct ServiceOptions {
   /// Diagnostic sink for recompilation notices ("recompiled <name>
   /// (stats drift 0.31 >= 0.25 since epoch 3)"); null = silent.
   std::function<void(const std::string&)> log;
-  /// Capacity of the result/view cache in *programs* (0 disables caching
-  /// and view maintenance entirely: every Run evaluates from scratch on
-  /// an epoch-pinned session — the differential harness's mode). At a
-  /// pinned epoch the EDB is immutable and evaluation is deterministic,
-  /// so a run's rendered output is a pure function of (program text,
-  /// output relation, epoch): repeated point queries are answered
-  /// straight from the cache — a hit costs a hash lookup instead of a
-  /// fixpoint (>= 100k small queries/s on loopback) — and an Append
-  /// delta-refreshes the entries instead of dropping them. Compaction
-  /// (same facts, same epoch) leaves hits valid.
+  /// Capacity of the cache in *program texts*; an entry holds the
+  /// compiled program, its maintained view and its renderings. 0 keeps
+  /// nothing, compiled programs included: every Compile and Run parses
+  /// and compiles fresh, and every Run evaluates from scratch on an
+  /// epoch-pinned session — the differential harness's mode. At a pinned
+  /// epoch the EDB is immutable and evaluation is deterministic, so a
+  /// run's rendered output is a pure function of (program text, output
+  /// relation, epoch): repeated point queries are answered straight from
+  /// the cache — a hit costs a hash lookup instead of a fixpoint (>= 100k
+  /// small queries/s on loopback) — and a write refreshes the entries'
+  /// views instead of dropping them. Compaction (same facts, same epoch)
+  /// leaves hits valid.
   size_t result_cache_entries = 4096;
-  /// Byte budget for the cache: rendered output bytes plus materialized-
-  /// IDB bytes (ViewSnapshot::ApproxBytes), summed over entries. When the
-  /// total runs past it, least-recently-used entries are evicted (their
-  /// views too) until it fits — the hottest entry always survives. 0 =
-  /// unbounded.
+  /// Byte budget for the cache, summed over entries: each is charged its
+  /// program text, its rendered output bytes and its materialized-IDB
+  /// bytes (ViewSnapshot::ApproxBytes). When the total runs past it,
+  /// least-recently-used entries are evicted (their views too) until it
+  /// fits — the hottest entry always survives. 0 = unbounded.
   size_t cache_bytes = 64u << 20;
-  /// Keep materialized views and refresh them across appends (the
-  /// default). False reverts to PR 5 behavior: epoch-keyed rendered-
-  /// result caching only, every post-append run a full fixpoint.
+  /// Keep materialized views and refresh them across writes (the
+  /// default). False caches renderings per epoch only, and the first run
+  /// of a program after a write evaluates a full fixpoint.
   bool maintain_views = true;
   /// Delta-refresh every cached view eagerly inside Append (the `seqdl
   /// serve` append path), so the next query pays only rendering. False
@@ -117,8 +115,8 @@ struct ServiceOptions {
   RunOptions generative_budget = DefaultGenerativeBudget();
 };
 
-/// Occupancy and lifetime traffic counters of the result/view cache,
-/// rendered into Stats() replies.
+/// Occupancy and lifetime traffic counters of the serving cache, rendered
+/// into Stats() replies.
 struct CacheCounters {
   uint64_t hits = 0;        ///< runs answered from a cached rendering
   uint64_t misses = 0;      ///< runs that had to evaluate or render
@@ -138,8 +136,9 @@ class DatabaseService {
   DatabaseService& operator=(const DatabaseService&) = delete;
 
   /// Parses + plans `program_text` and caches the plan keyed by the text;
-  /// a later identical text is a cache hit (no parse, no plan). Parse
-  /// errors come back annotated "<source_name>:line:col: ...".
+  /// a later identical text is a cache hit (no parse, no plan) while the
+  /// entry lasts. Parse errors come back annotated
+  /// "<source_name>:line:col: ...".
   Result<protocol::CompileReply> Compile(const std::string& program_text,
                                          const std::string& source_name);
 
@@ -177,14 +176,13 @@ class DatabaseService {
   /// stores), plus cache and view counters.
   protocol::StatsReply Stats() const;
 
-  /// Result/view cache occupancy and traffic.
+  /// Cache occupancy and traffic.
   CacheCounters CacheStats() const;
 
-  /// Number of distinct program texts currently cached.
+  /// Distinct program texts currently cached (= CacheStats().entries).
   size_t NumCachedPrograms() const;
-  /// Renderings currently in the result cache, summed over programs (one
-  /// per (program, output relation) pair served at the current entry's
-  /// epoch).
+  /// Renderings currently in the cache: one per (program, output
+  /// relation) pair served at its entry's epoch.
   size_t NumCachedResults() const;
 
   Database& db() { return db_; }
@@ -192,46 +190,24 @@ class DatabaseService {
   Universe& universe() { return *u_; }
 
  private:
-  struct CachedProgram {
-    std::shared_ptr<PreparedProgram> prog;
-    uint64_t epoch = 0;       ///< db epoch at compile time
-    StoreStats stats;         ///< Stats() snapshot the plan was ranked by
-    /// Admission classification of the program (analysis/admission.h),
-    /// computed once per compile; Run consults it to enforce the policy.
-    std::shared_ptr<const AdmissionReport> admission;
-    /// Lint findings (SD1xx warnings), shipped in compile replies.
-    std::shared_ptr<const DiagnosticList> lints;
+  /// What one compile of a program text produced. Immutable, shared by
+  /// the cache entry and the runs using it.
+  struct CompiledProgram {
+    PreparedProgram prog;
+    uint64_t epoch = 0;         ///< db epoch at compile time
+    StoreStats stats;           ///< Stats() of the relations bodies read
+    AdmissionReport admission;  ///< Run enforces the policy from it
+    DiagnosticList lints;       ///< SD1xx warnings, for compile replies
   };
 
-  /// Cache lookup honoring the drift policy; compiles on miss/drift.
-  /// Never returns null on OK. `admission`/`lints` (optional) receive
-  /// the entry's analysis results.
-  Result<std::shared_ptr<PreparedProgram>> Prepare(
-      const std::string& program_text, const std::string& source_name,
-      bool* cache_hit,
-      std::shared_ptr<const AdmissionReport>* admission = nullptr,
-      std::shared_ptr<const DiagnosticList>* lints = nullptr);
-
-  /// Parse + compile against a fresh statistics snapshot; inserts the
-  /// cache entry (last writer wins when two threads race on one text).
-  Result<std::shared_ptr<PreparedProgram>> CompileFresh(
-      const std::string& program_text, const std::string& source_name,
-      std::shared_ptr<const AdmissionReport>* admission = nullptr,
-      std::shared_ptr<const DiagnosticList>* lints = nullptr);
-
-  /// Enforces the service's admission policy on one prepared run:
-  /// returns kFailedPrecondition for a generative program under kStrict,
-  /// clamps `ropts` to `generative_budget` under kBudget, and passes
-  /// tame programs through untouched.
-  Status ApplyAdmission(const AdmissionReport* admission,
-                        RunOptions* ropts) const;
-
-  /// One program's cached serving state: the maintained view (null with
-  /// maintain_views off) and every rendering produced from it at `epoch`,
-  /// keyed by output relation ("" = all derived facts). `bytes` accounts
-  /// the view's materialized IDB plus the rendering strings.
-  struct CachedView {
-    uint64_t epoch = 0;
+  /// One program text's cache entry: its compiled record and, once it
+  /// has run, its maintained view (null with maintain_views off) and
+  /// every rendering produced from it at `epoch`, keyed by output
+  /// relation ("" = all derived facts). `bytes` accounts the program
+  /// text, the view's materialized IDB and the rendering strings.
+  struct Entry {
+    std::shared_ptr<const CompiledProgram> compiled;
+    std::optional<uint64_t> epoch;  ///< unset until the program runs
     uint64_t segments = 0;
     std::shared_ptr<const ViewSnapshot> view;
     std::map<std::string, std::string> rendered;
@@ -242,41 +218,62 @@ class DatabaseService {
     std::list<std::string>::iterator lru;  ///< position in lru_
   };
 
-  /// The legacy no-cache path: epoch-pinned session run, nothing stored.
-  Result<protocol::RunReply> RunUncached(
-      const protocol::RunRequest& req, const PreparedProgram& prog,
-      const RunOptions& ropts);
+  struct Prepared {
+    std::shared_ptr<const CompiledProgram> compiled;
+    bool cache_hit = false;  ///< served from the cache: no parse, no plan
+  };
 
-  /// Eagerly advances every cached view to the current epoch after a
-  /// write (Append or Retract), honoring the admission policy per
-  /// program. Refresh itself picks delta vs DRed vs recompute from the
-  /// segment kinds, so the same helper is correct for growth and shrink
-  /// epochs. Failures leave the entry stale — the next Run recovers.
+  /// The cached record of `program_text`, through Revalidate.
+  Result<Prepared> Prepare(const std::string& program_text,
+                           const std::string& source_name);
+  /// `cached` (may be null) unless the statistics its bodies read drifted
+  /// past recompile_drift; otherwise a fresh compile, cached.
+  Result<Prepared> Revalidate(const std::string& program_text,
+                              const std::string& source_name,
+                              std::shared_ptr<const CompiledProgram> cached);
+
+  /// Parse, analyze and compile against a fresh statistics snapshot.
+  Result<std::shared_ptr<const CompiledProgram>> CompileFresh(
+      const std::string& program_text, const std::string& source_name) const;
+
+  /// Enforces the service's admission policy on one prepared run:
+  /// returns kFailedPrecondition for a generative program under kStrict,
+  /// clamps `ropts` to `generative_budget` under kBudget, and passes
+  /// tame programs through untouched.
+  Status ApplyAdmission(const AdmissionReport& admission,
+                        RunOptions* ropts) const;
+
+  /// After a write (Append or Retract), revalidates the plan of every
+  /// entry with a view and advances the view to the current epoch under
+  /// the program's admission policy; Refresh picks delta vs DRed vs
+  /// recompute. Failures leave the entry stale — the next Run recovers.
   void RefreshCachedViews();
 
-  /// Moves `it`'s entry to the LRU front. Caller holds results_mu_.
-  void TouchLocked(std::unordered_map<std::string, CachedView>::iterator it);
-  /// Installs/refreshes the entry for `key` from an evaluated reply and
-  /// evicts past the caps. Caller holds results_mu_.
-  void UpsertLocked(const std::string& key,
-                    const std::shared_ptr<const ViewSnapshot>& view,
-                    const protocol::RunReply& reply,
-                    const std::string& output_rel);
+  /// Moves `it`'s entry to the LRU front. Caller holds mu_.
+  void TouchLocked(std::unordered_map<std::string, Entry>::iterator it);
+  /// The entry for `key`, moved to the LRU front; inserted holding
+  /// `compiled` when missing. Caller holds mu_.
+  Entry& TouchOrInsertLocked(
+      const std::string& key,
+      const std::shared_ptr<const CompiledProgram>& compiled);
+  /// Points `e` (the entry for `key`) at `view` at `epoch`, dropping the
+  /// renderings of its previous state. Caller holds mu_.
+  void SetViewLocked(const std::string& key, Entry& e,
+                     std::shared_ptr<const ViewSnapshot> view,
+                     uint64_t epoch, uint64_t segments,
+                     const protocol::WireEvalStats& stats);
   /// Evicts LRU entries until entry and byte caps hold, never touching
-  /// `keep`. Caller holds results_mu_.
+  /// `keep`. Caller holds mu_.
   void EvictLocked(const std::string& keep);
 
   Universe* u_;
   Database db_;
   ServiceOptions opts_;
 
-  mutable std::mutex programs_mu_;
-  std::map<std::string, CachedProgram> programs_;
-
-  /// The maintained-view/result cache, keyed by program text, with an
-  /// LRU list for byte-budget eviction (front = most recently served).
-  mutable std::mutex results_mu_;
-  std::unordered_map<std::string, CachedView> results_;
+  /// The cache, keyed by program text, with an LRU list for eviction
+  /// (front = most recently used).
+  mutable std::mutex mu_;
+  std::unordered_map<std::string, Entry> entries_;
   std::list<std::string> lru_;
   size_t cache_bytes_used_ = 0;
   CacheCounters counters_;

@@ -407,8 +407,8 @@ TEST(ServerTest, OversizedFrameIsRejectedWithErrorReply) {
   // server must reject on the declared length without reading further.
   std::string header = {'\0', '\0', '\x10', '\0'};  // u32le 0x100000
   ASSERT_TRUE(protocol::WriteFrame(client->fd(), header).ok());
-  Result<std::string> payload =
-      protocol::ReadFrame(client->fd(), protocol::kDefaultMaxFrameBytes);
+  protocol::FrameReader reader(client->fd(), protocol::kDefaultMaxFrameBytes);
+  Result<std::string> payload = reader.Next(nullptr);
   ASSERT_TRUE(payload.ok()) << payload.status().ToString();
   Result<protocol::Reply> reply = protocol::DecodeReply(*payload);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
@@ -416,8 +416,7 @@ TEST(ServerTest, OversizedFrameIsRejectedWithErrorReply) {
   EXPECT_NE(reply->status.message().find("oversized frame"),
             std::string::npos);
   // ... and the connection is closed behind the reply.
-  Result<std::string> next =
-      protocol::ReadFrame(client->fd(), protocol::kDefaultMaxFrameBytes);
+  Result<std::string> next = reader.Next(nullptr);
   EXPECT_FALSE(next.ok());
 
   // The server itself is unharmed.
@@ -491,7 +490,8 @@ TEST(ServerTest, ShutdownCancelsInFlightRuns) {
   // finished — Shutdown() joined every thread without waiting out the
   // full fixpoint.
   Result<std::string> payload =
-      protocol::ReadFrame(client->fd(), protocol::kDefaultMaxFrameBytes);
+      protocol::FrameReader(client->fd(), protocol::kDefaultMaxFrameBytes)
+          .Next(nullptr);
   if (payload.ok()) {
     Result<protocol::Reply> reply = protocol::DecodeReply(*payload);
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
@@ -519,7 +519,8 @@ TEST(ServerTest, QueuedConnectionsAreDroppedOnShutdown) {
   t.server->Shutdown();
   // The queued connection was closed without a reply.
   Result<std::string> payload =
-      protocol::ReadFrame(queued->fd(), protocol::kDefaultMaxFrameBytes);
+      protocol::FrameReader(queued->fd(), protocol::kDefaultMaxFrameBytes)
+          .Next(nullptr);
   EXPECT_FALSE(payload.ok());
 }
 
@@ -947,6 +948,212 @@ TEST(ServiceCacheTest, AutoCompactionKeepsEagerViewsExact) {
   EXPECT_EQ(run->rendered, "P(b).\n");
   // The view was maintained throughout: one cold run, the first.
   EXPECT_EQ(service.db().views().counters().cold_runs, 1u);
+}
+
+// Compiled programs live in the entries of the one serving cache, so its
+// entry cap bounds them too: a stream of never-seen programs keeps at
+// most result_cache_entries plans, views and statistics snapshots, not
+// one per text ever sent.
+TEST(ServiceCacheTest, ProgramsShareTheResultCap) {
+  Universe u;
+  Result<Instance> edb = ParseInstance(u, "E(a, b). E(b, c).");
+  ASSERT_TRUE(edb.ok());
+  Result<Database> db = Database::Open(u, std::move(*edb));
+  ASSERT_TRUE(db.ok());
+  ServiceOptions sopts;
+  sopts.result_cache_entries = 64;
+  DatabaseService service(u, std::move(*db), sopts);
+  size_t sent = 0;
+  auto run_fresh = [&](size_t n) {
+    for (size_t i = 0; i < n; ++i, ++sent) {
+      std::string program = "H" + std::to_string(sent) + "($x, c" +
+                            std::to_string(sent) + ") <- E($x, $y).";
+      Result<protocol::RunReply> run = service.Run(ReqFor(program.c_str()));
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+    }
+  };
+
+  run_fresh(1000);
+  EXPECT_EQ(service.NumCachedPrograms(), service.CacheStats().entries);
+  EXPECT_LE(service.NumCachedPrograms(), 64u);
+  EXPECT_LE(service.db().views().NumViews(), 64u);
+
+  // A text sent only through Compile takes a slot and ages like any
+  // other entry: a Compile hit makes it the most recently used, and 64
+  // newer texts evict it.
+  auto compile_hits = [&service] {
+    Result<protocol::CompileReply> compiled =
+        service.Compile(kProgA, "a.sdl");
+    EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+    return compiled.ok() && compiled->cache_hit;
+  };
+  EXPECT_FALSE(compile_hits());
+  EXPECT_EQ(service.NumCachedPrograms(), 64u);
+  run_fresh(63);
+  EXPECT_TRUE(compile_hits());
+  run_fresh(64);
+  EXPECT_FALSE(compile_hits());
+  EXPECT_EQ(service.NumCachedPrograms(), 64u);
+  EXPECT_EQ(service.CacheStats().entries, 64u);
+}
+
+// A plan is ranked by the statistics of the relations its rule bodies
+// read, so only their drift recompiles it. Facts of relations the
+// program never reads leave its plan alone.
+TEST(ServiceCacheTest, RecompileFollowsOnlyReadRelations) {
+  Universe u;
+  Result<Instance> edb =
+      ParseInstance(u, "E(a, b). E(b, c). E(c, d). E(d, e).");
+  ASSERT_TRUE(edb.ok());
+  Result<Database> db = Database::Open(u, std::move(*edb));
+  ASSERT_TRUE(db.ok());
+  ServiceOptions sopts;
+  size_t recompiles = 0;
+  sopts.log = [&recompiles](const std::string&) { ++recompiles; };
+  DatabaseService service(u, std::move(*db), sopts);
+  ASSERT_TRUE(service.Run(ReqFor(kProgA)).ok());
+
+  protocol::AppendRequest append;
+  for (int i = 0; i < 3; ++i) {
+    append.facts = "F" + std::to_string(i) + "(a).";
+    ASSERT_TRUE(service.Append(append).ok());
+    ASSERT_TRUE(service.Run(ReqFor(kProgA)).ok());
+  }
+  EXPECT_EQ(recompiles, 0u);
+
+  // E grows from 4 facts to 6: drift 2/6 >= the default 0.25.
+  append.facts = "E(e, f). E(f, g).";
+  ASSERT_TRUE(service.Append(append).ok());
+  Result<protocol::RunReply> run = service.Run(ReqFor(kProgA));
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_NE(run->rendered.find("A(f, g)."), std::string::npos);
+  EXPECT_EQ(recompiles, 1u);
+}
+
+// --- Serving cache under contention (TSan *Concurrency* filter) --------------
+
+// Far more distinct programs than cache slots, so eviction (of compiled
+// records and views alike) races runs, eager refreshes and writes. Every
+// reply must still be the cold answer at its epoch, and the cap must
+// hold for the entries and for the view manager's stored views.
+TEST(ServiceCacheConcurrencyTest, EvictionRacesRunsAndWrites) {
+  constexpr size_t kPrograms = 200;
+  constexpr size_t kThreads = 8;
+  constexpr size_t kWrites = 12;
+  std::vector<std::string> programs;
+  for (size_t i = 0; i < kPrograms; ++i) {
+    std::string h = (i % 2 == 0 ? "H" : "R") + std::to_string(i);
+    programs.push_back(
+        i % 2 == 0 ? h + "($x, c" + std::to_string(i) + ") <- E($x, $y)."
+                   : h + "($x, $y) <- E($x, $y).\n" + h + "($x, $z) <- " +
+                         h + "($x, $y), E($y, $z).");
+  }
+  // The writes: each appends a new edge or retracts the oldest live one,
+  // so every write moves the epoch by exactly one.
+  std::vector<std::string> live;
+  for (size_t i = 0; i < 5; ++i) {
+    live.push_back("E(n" + std::to_string(i) + ", n" +
+                   std::to_string(i + 1) + ").");
+  }
+  std::vector<std::pair<bool, std::string>> writes;  // (append?, fact)
+  std::vector<std::vector<std::string>> edbs = {live};
+  for (size_t w = 0; w < kWrites; ++w) {
+    if (w % 2 == 0) {
+      writes.emplace_back(true, "E(n" + std::to_string(5 + w) + ", n" +
+                                    std::to_string(6 + w) + ").");
+      live.push_back(writes.back().second);
+    } else {
+      writes.emplace_back(false, live.front());
+      live.erase(live.begin());
+    }
+    edbs.push_back(live);
+  }
+  auto join = [](const std::vector<std::string>& facts) {
+    std::string out;
+    for (const std::string& f : facts) out += f + "\n";
+    return out;
+  };
+  // expected[epoch][program]: a cold Session::Run in its own Universe.
+  std::vector<std::vector<std::string>> expected;
+  {
+    Universe ref;
+    for (const std::vector<std::string>& facts : edbs) {
+      Result<Instance> inst = ParseInstance(ref, join(facts));
+      ASSERT_TRUE(inst.ok());
+      Result<Database> db = Database::Open(ref, std::move(*inst));
+      ASSERT_TRUE(db.ok());
+      expected.emplace_back();
+      for (const std::string& text : programs) {
+        Result<Program> p = ParseProgram(ref, text);
+        ASSERT_TRUE(p.ok()) << p.status().ToString();
+        Result<PreparedProgram> prog = Engine::Compile(ref, std::move(*p));
+        ASSERT_TRUE(prog.ok());
+        Result<Instance> derived = db->Snapshot().Run(*prog);
+        ASSERT_TRUE(derived.ok());
+        expected.back().push_back(derived->ToString(ref));
+      }
+    }
+  }
+
+  Universe u;
+  Result<Instance> edb = ParseInstance(u, join(edbs[0]));
+  ASSERT_TRUE(edb.ok());
+  Result<Database> db = Database::Open(u, std::move(*edb));
+  ASSERT_TRUE(db.ok());
+  ServiceOptions sopts;
+  sopts.result_cache_entries = 16;
+  DatabaseService service(u, std::move(*db), sopts);
+
+  std::vector<std::string> failures(kThreads);
+  std::vector<std::thread> readers;
+  readers.reserve(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      // Each thread walks every program twice from its own offset, so
+      // the second pass finds some entries still cached.
+      for (size_t k = 0; k < 2 * kPrograms; ++k) {
+        size_t i = (t * kPrograms / kThreads + k) % kPrograms;
+        Result<protocol::RunReply> run =
+            service.Run(ReqFor(programs[i].c_str()));
+        if (!run.ok()) {
+          failures[t] = run.status().ToString();
+          return;
+        }
+        if (run->epoch >= expected.size() ||
+            run->rendered != expected[run->epoch][i]) {
+          failures[t] = "program " + std::to_string(i) + " at epoch " +
+                        std::to_string(run->epoch) + " rendered:\n" +
+                        run->rendered;
+          return;
+        }
+      }
+    });
+  }
+  std::thread writer([&] {
+    for (const auto& [is_append, fact] : writes) {
+      if (is_append) {
+        protocol::AppendRequest req;
+        req.facts = fact;
+        ASSERT_TRUE(service.Append(req).ok());
+      } else {
+        protocol::RetractRequest req;
+        req.facts = fact;
+        ASSERT_TRUE(service.Retract(req).ok());
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  });
+  for (std::thread& r : readers) r.join();
+  writer.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], "") << "reader thread " << t;
+  }
+  EXPECT_EQ(service.db().epoch(), kWrites);
+  CacheCounters c = service.CacheStats();
+  EXPECT_LE(c.entries, 16u);
+  EXPECT_EQ(service.NumCachedPrograms(), c.entries);
+  EXPECT_GT(c.evictions, 0u);
+  EXPECT_LE(service.db().views().NumViews(), 16u);
 }
 
 }  // namespace

@@ -60,8 +60,9 @@
 //       moves the database's measured statistics past --recompile-drift
 //       (default 0.25, relative tuple-count change), the cached plan is
 //       recompiled against the fresh statistics. --threads=N answers
-//       `run` commands on a worker pool of N threads (snapshot runs are
-//       safe to race with each other and with appends); --auto-compact=N
+//       consecutive `run` commands on a worker pool of N threads; every
+//       other command first waits for the runs queued before it, so each
+//       answer reflects exactly the commands above it; --auto-compact=N
 //       folds the segment stack whenever it grows past N segments
 //       (default 8, 0 = manual `compact` only). Malformed `append` files
 //       are reported as structured "<file>:line:col: ..." errors.
@@ -463,9 +464,10 @@ int CmdRun(const std::vector<std::string>& args) {
 // front end): the EDB is loaded once and then grows by `append`
 // (epoch-bumping segment publishes); `run` commands execute against an
 // epoch-pinned snapshot, on the calling thread or on a --threads=N
-// worker pool. Compiled programs are cached by source text in the
-// service and recompiled when the database's measured statistics drift
-// past --recompile-drift since compile time.
+// worker pool, and every other command waits for the queued runs first,
+// so commands take effect in input order. Compiled programs are cached
+// by source text in the service and recompiled when the database's
+// measured statistics drift past --recompile-drift since compile time.
 class ServeLoop {
  public:
   ServeLoop(seqdl::DatabaseService& service, bool stats_on)
@@ -610,7 +612,7 @@ class ServeLoop {
     std::fflush(stdout);
   }
 
-  // Waits until every queued `run` has finished (quit/EOF path).
+  // Waits until every queued `run` has finished.
   void Drain() {
     std::unique_lock<std::mutex> lock(queue_mu_);
     drained_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
@@ -842,6 +844,9 @@ int CmdServe(const std::vector<std::string>& args) {
     std::string cmd;
     words >> cmd;
     if (cmd.empty()) continue;
+    // Queued runs answer the state the commands above them left, so a
+    // write or a report must not overtake them.
+    if (cmd != "run") loop.Drain();
     if (cmd == "quit" || cmd == "exit") break;
     if (cmd == "stats") {
       loop.Stats();
