@@ -810,6 +810,85 @@ void BM_RenderRelation(benchmark::State& state) {
 }
 BENCHMARK(BM_RenderRelation)->Arg(8)->Arg(300);
 
+// ParseInstance into a fresh Universe. /0 is serve_reads' EDB: 24,000
+// keyed DNA reads of 24-48 bases and 12,000 keyed event logs of 8-20
+// activities, written with '++' (36k facts, about 5.7 MB). /1 is
+// durable_ingest's Mark shape as a node renders it: 13,000 facts of a
+// fixed-width key and a 23-39-base read holding one packed a·c·g motif.
+void BM_ParseInstance(benchmark::State& state) {
+  std::mt19937_64 rng(9);
+  const char* const bases[] = {"a", "c", "g", "t"};
+  const char* const activities[] = {"co", "rp", "pk", "sh",
+                                    "iv", "ap", "rt", "cn"};
+  auto append_path = [&rng](std::span<const char* const> alphabet,
+                            size_t min_len, size_t max_len,
+                            const char* sep, std::string* out) {
+    size_t len = min_len + rng() % (max_len - min_len + 1);
+    for (size_t i = 0; i < len; ++i) {
+      if (i > 0) out->append(sep);
+      out->append(alphabet[rng() % alphabet.size()]);
+    }
+  };
+  std::string text;
+  size_t facts = 0;
+  if (state.range(0) == 0) {
+    for (size_t i = 0; i < 24000; ++i, ++facts) {
+      text += "Read(s";
+      text += std::to_string(i % 6000);
+      text += ", ";
+      append_path(bases, 24, 48, " ++ ", &text);
+      text += ").\n";
+    }
+    for (size_t i = 0; i < 12000; ++i, ++facts) {
+      text += "Log(k";
+      text += std::to_string(i % 3000);
+      text += ", ";
+      append_path(activities, 8, 20, " ++ ", &text);
+      text += ").\n";
+    }
+  } else {
+    for (size_t i = 0; i < 13000; ++i, ++facts) {
+      char key[32];
+      std::snprintf(key, sizeof(key), "r%07zu", i);
+      text += "Mark(";
+      text += key;
+      text += ", ";
+      append_path(bases, 10, 18, "·", &text);
+      text += "·<a·c·g>·";
+      append_path(bases, 10, 18, "·", &text);
+      text += ").\n";
+    }
+  }
+  for (auto _ : state) {
+    Universe u;
+    Result<Instance> inst = ParseInstance(u, text);
+    if (!inst.ok() || inst->NumFacts() != facts) {
+      state.SkipWithError("parse failed");
+      break;
+    }
+  }
+  state.counters["bytes"] = static_cast<double>(text.size());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * facts));
+}
+BENCHMARK(BM_ParseInstance)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// A fresh serve_reads program: two rules, parsed into a Universe that
+// already knows every symbol, as in a long-running server.
+void BM_ParseProgram(benchmark::State& state) {
+  Universe u;
+  const std::string program =
+      "Q($s) <- Read(s417, $s).\nQ($s) <- Log(k1093, $s).\n";
+  for (auto _ : state) {
+    Result<Program> p = ParseProgram(u, program);
+    if (!p.ok()) {
+      state.SkipWithError("parse failed");
+      break;
+    }
+    benchmark::DoNotOptimize(p->strata.data());
+  }
+}
+BENCHMARK(BM_ParseProgram);
+
 }  // namespace
 }  // namespace seqdl
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "src/syntax/ast.h"
 #include "src/syntax/parser.h"
-#include "src/syntax/printer.h"
 
 namespace seqdl {
 
@@ -179,20 +177,11 @@ Result<std::string> RenderOutput(const Universe& u, const Instance& inst,
 }
 
 Result<Instance> ParseInstance(Universe& u, std::string_view source) {
-  SEQDL_ASSIGN_OR_RETURN(Program p, ParseProgram(u, source));
   Instance inst;
-  for (const Rule* r : p.AllRules()) {
-    if (!r->body.empty()) {
-      return Status::InvalidArgument("instance contains a non-fact rule: " +
-                                     FormatRule(u, *r));
-    }
-    Tuple t;
-    for (const PathExpr& e : r->head.args) {
-      SEQDL_ASSIGN_OR_RETURN(PathId path, EvalGroundExpr(u, e));
-      t.push_back(path);
-    }
-    inst.Add(r->head.rel, std::move(t));
-  }
+  SEQDL_RETURN_IF_ERROR(
+      ParseFacts(u, source, [&inst](RelId rel, std::span<const PathId> t) {
+        inst.Add(rel, Tuple(t.begin(), t.end()));
+      }));
   return inst;
 }
 

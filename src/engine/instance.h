@@ -102,7 +102,8 @@ Result<std::string> RenderOutput(const Universe& u, const Instance& inst,
                                  std::string_view output_rel);
 
 /// Parses an instance given as a list of ground facts, e.g.
-/// "R(a·b·c). R(eps). S(<a·b>·c)." Non-ground or non-fact input is an error.
+/// "R(a·b·c). R(eps). S(<a·b>·c)." Non-ground or non-fact input is an error
+/// (the first in text order; see ParseFacts in src/syntax/parser.h).
 Result<Instance> ParseInstance(Universe& u, std::string_view source);
 
 }  // namespace seqdl

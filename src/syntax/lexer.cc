@@ -1,6 +1,8 @@
 #include "src/syntax/lexer.h"
 
-#include <cctype>
+#include <cstring>
+
+#include "src/term/universe.h"
 
 namespace seqdl {
 
@@ -24,181 +26,133 @@ const char* TokenKindToString(TokenKind kind) {
     case TokenKind::kArrow: return "'<-'";
     case TokenKind::kStratumSep: return "'---'";
     case TokenKind::kEnd: return "end of input";
+    case TokenKind::kError: return "invalid token";
   }
   return "?";
 }
 
-namespace {
-
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
-
-class Scanner {
- public:
-  Scanner(std::string_view src, DiagnosticList* diags)
-      : src_(src), diags_(diags) {}
-
-  Result<std::vector<Token>> Run() {
-    std::vector<Token> out;
-    while (true) {
-      SkipWhitespaceAndComments();
-      if (AtEnd()) break;
-      int line = line_, col = col_;
-      SEQDL_ASSIGN_OR_RETURN(Token tok, Next());
-      tok.line = line;
-      tok.col = col;
-      out.push_back(std::move(tok));
-    }
-    out.push_back(Token{TokenKind::kEnd, "", line_, col_});
-    return out;
-  }
-
- private:
-  bool AtEnd() const { return pos_ >= src_.size(); }
-  char Peek(size_t ahead = 0) const {
-    return pos_ + ahead < src_.size() ? src_[pos_ + ahead] : '\0';
-  }
-  char Advance() {
-    char c = src_[pos_++];
+void Lexer::SkipSpaceAndComments() {
+  while (pos_ < src_.size()) {
+    char c = src_[pos_];
     if (c == '\n') {
+      line_start_ = ++pos_;
       ++line_;
-      col_ = 1;
+    } else if (c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f') {
+      ++pos_;
+    } else if (c == '%' || c == '#' || (c == '/' && ByteAt(pos_ + 1) == '/')) {
+      const void* nl =
+          std::memchr(src_.data() + pos_, '\n', src_.size() - pos_);
+      pos_ = nl == nullptr ? src_.size()
+                           : static_cast<const char*>(nl) - src_.data();
     } else {
-      ++col_;
+      break;
     }
-    return c;
   }
-  bool Match(char c) {
-    if (Peek() == c) {
-      Advance();
-      return true;
-    }
-    return false;
-  }
+}
 
-  void SkipWhitespaceAndComments() {
-    while (!AtEnd()) {
-      char c = Peek();
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        Advance();
-      } else if (c == '%' || c == '#' ||
-                 (c == '/' && Peek(1) == '/')) {
-        while (!AtEnd() && Peek() != '\n') Advance();
-      } else {
-        break;
-      }
-    }
+size_t Lexer::IdentEnd(size_t from) const {
+  while (from < src_.size() &&
+         IsIdentByte(static_cast<unsigned char>(src_[from]),
+                     ByteAt(from + 1))) {
+    ++from;
   }
+  return from;
+}
 
-  Status Error(const std::string& msg) const {
-    if (diags_ != nullptr) {
-      diags_->Add(Diagnostic::Error("SD001", SourceSpan::At(line_, col_), msg));
-    }
-    return Status::InvalidArgument("lex error at " + std::to_string(line_) +
-                                   ":" + std::to_string(col_) + ": " + msg);
+Token Lexer::Fail(std::string msg) {
+  error_ = std::move(msg);
+  failed_ = Token{TokenKind::kError, {}, line_, Col(), pos_};
+  return failed_;
+}
+
+Token Lexer::Next() {
+  if (!error_.empty()) return failed_;
+  SkipSpaceAndComments();
+  Token t{TokenKind::kEnd, {}, line_, Col(), pos_};
+  if (pos_ == src_.size()) return t;
+  auto take = [&](TokenKind kind, size_t len) {
+    t.kind = kind;
+    t.text = src_.substr(pos_, len);
+    pos_ += len;
+    return t;
+  };
+  unsigned char c = static_cast<unsigned char>(src_[pos_]);
+  unsigned char next = ByteAt(pos_ + 1);
+  if (c == 0xC2 && next == 0xB7) return take(TokenKind::kConcat, 2);
+  if (IsIdentByte(c, next)) {
+    take(TokenKind::kIdent, IdentEnd(pos_) - pos_);
+    if (t.text == "not") t.kind = TokenKind::kNot;
+    if (t.text == "eps") t.kind = TokenKind::kEps;
+    return t;
   }
-
-  Result<Token> Next() {
-    char c = Peek();
-    // Interpunct '·' is UTF-8 0xC2 0xB7.
-    if (static_cast<unsigned char>(c) == 0xC2 &&
-        static_cast<unsigned char>(Peek(1)) == 0xB7) {
-      Advance();
-      Advance();
-      return Token{TokenKind::kConcat, "·"};
-    }
-    if (IsIdentStart(c) || IsDigit(c)) {
-      std::string name;
-      while (!AtEnd() && IsIdentChar(Peek())) name += Advance();
-      if (name == "not") return Token{TokenKind::kNot, name};
-      if (name == "eps") return Token{TokenKind::kEps, name};
-      return Token{TokenKind::kIdent, name};
-    }
-    switch (c) {
-      case '"': {
-        Advance();
-        std::string name;
-        while (!AtEnd() && Peek() != '"') name += Advance();
-        if (AtEnd()) return Error("unterminated string");
-        Advance();  // closing quote
-        return Token{TokenKind::kIdent, name};
-      }
-      case '@':
-      case '$': {
-        char sigil = Advance();
-        if (!IsIdentStart(Peek()) && !IsDigit(Peek())) {
-          return Error(std::string("expected variable name after '") + sigil +
-                       "'");
+  switch (c) {
+    case '"': {
+      size_t end = pos_ + 1;
+      while (end < src_.size() && src_[end] != '"') {
+        if (src_[end] == '\n') {
+          ++line_;
+          line_start_ = end + 1;
         }
-        std::string name;
-        while (!AtEnd() && IsIdentChar(Peek())) name += Advance();
-        return Token{sigil == '@' ? TokenKind::kAtomVar : TokenKind::kPathVar,
-                     name};
+        ++end;
       }
-      case '(':
-        Advance();
-        return Token{TokenKind::kLParen, "("};
-      case ')':
-        Advance();
-        return Token{TokenKind::kRParen, ")"};
-      case '<':
-        Advance();
-        if (Match('-')) return Token{TokenKind::kArrow, "<-"};
-        return Token{TokenKind::kLAngle, "<"};
-      case '>':
-        Advance();
-        return Token{TokenKind::kRAngle, ">"};
-      case ',':
-        Advance();
-        return Token{TokenKind::kComma, ","};
-      case '.':
-        Advance();
-        return Token{TokenKind::kPeriod, "."};
-      case '=':
-        Advance();
-        return Token{TokenKind::kEq, "="};
-      case '!':
-        Advance();
-        if (Match('=')) return Token{TokenKind::kNeq, "!="};
-        return Token{TokenKind::kBang, "!"};
-      case ':':
-        Advance();
-        if (Match('-')) return Token{TokenKind::kArrow, ":-"};
-        return Error("expected '-' after ':'");
-      case '+':
-        Advance();
-        if (Match('+')) return Token{TokenKind::kConcat, "++"};
-        return Error("expected '+' after '+'");
-      case '-':
-        if (Peek(1) == '-' && Peek(2) == '-') {
-          Advance();
-          Advance();
-          Advance();
-          return Token{TokenKind::kStratumSep, "---"};
-        }
-        return Error("unexpected '-'");
-      default:
-        return Error(std::string("unexpected character '") + c + "'");
+      if (end == src_.size()) {
+        pos_ = end;
+        return Fail("unterminated string");
+      }
+      t.kind = TokenKind::kIdent;
+      t.text = src_.substr(pos_ + 1, end - pos_ - 1);
+      pos_ = end + 1;
+      return t;
     }
+    case '@':
+    case '$': {
+      ++pos_;
+      if (!IsIdentByte(ByteAt(pos_), ByteAt(pos_ + 1))) {
+        return Fail(std::string("expected variable name after '") +
+                    static_cast<char>(c) + "'");
+      }
+      t.kind = c == '@' ? TokenKind::kAtomVar : TokenKind::kPathVar;
+      size_t end = IdentEnd(pos_);
+      t.text = src_.substr(pos_, end - pos_);
+      pos_ = end;
+      return t;
+    }
+    case '(': return take(TokenKind::kLParen, 1);
+    case ')': return take(TokenKind::kRParen, 1);
+    case '<':
+      if (next == '-') return take(TokenKind::kArrow, 2);
+      return take(TokenKind::kLAngle, 1);
+    case '>': return take(TokenKind::kRAngle, 1);
+    case ',': return take(TokenKind::kComma, 1);
+    case '.': return take(TokenKind::kPeriod, 1);
+    case '=': return take(TokenKind::kEq, 1);
+    case '!':
+      if (next == '=') return take(TokenKind::kNeq, 2);
+      return take(TokenKind::kBang, 1);
+    case ':':
+      if (next == '-') return take(TokenKind::kArrow, 2);
+      ++pos_;
+      return Fail("expected '-' after ':'");
+    case '+':
+      if (next == '+') return take(TokenKind::kConcat, 2);
+      ++pos_;
+      return Fail("expected '+' after '+'");
+    case '-':
+      if (next == '-' && ByteAt(pos_ + 2) == '-') {
+        return take(TokenKind::kStratumSep, 3);
+      }
+      return Fail("unexpected '-'");
+    default:
+      return Fail(std::string("unexpected character '") +
+                  static_cast<char>(c) + "'");
   }
+}
 
-  std::string_view src_;
-  DiagnosticList* diags_;
-  size_t pos_ = 0;
-  int line_ = 1;
-  int col_ = 1;
-};
-
-}  // namespace
-
-Result<std::vector<Token>> Tokenize(std::string_view source,
-                                    DiagnosticList* diags) {
-  return Scanner(source, diags).Run();
+void Lexer::Rewind(const Token& t) {
+  pos_ = t.offset;
+  line_ = t.line;
+  line_start_ = t.offset - static_cast<size_t>(t.col - 1);
+  error_.clear();
 }
 
 }  // namespace seqdl

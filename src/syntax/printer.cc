@@ -6,7 +6,7 @@ namespace {
 void AppendItem(const Universe& u, const ExprItem& it, std::string* out) {
   switch (it.kind) {
     case ExprItem::Kind::kConst:
-      *out += u.AtomName(it.atom.atom());
+      u.AppendAtom(it.atom.atom(), out);
       return;
     case ExprItem::Kind::kAtomVar:
       *out += "@";

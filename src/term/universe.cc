@@ -14,6 +14,16 @@ namespace {
 size_t HashCombine(size_t seed, size_t v) {
   return seed ^ (v + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
 }
+
+// True iff `name` would not lex back as one identifier token.
+bool NeedsQuotes(std::string_view name) {
+  if (name.empty() || name == "not" || name == "eps") return true;
+  for (size_t i = 0; i < name.size(); ++i) {
+    unsigned char next = i + 1 < name.size() ? name[i + 1] : 0;
+    if (!IsIdentByte(name[i], next)) return true;
+  }
+  return false;
+}
 }  // namespace
 
 size_t Universe::PathKeyHash::operator()(const std::vector<Value>& p) const {
@@ -59,7 +69,13 @@ AtomId Universe::InternAtomLocked(std::string_view name) {
   auto it = atom_ids_.find(std::string(name));
   if (it != atom_ids_.end()) return it->second;
   AtomId id = static_cast<AtomId>(atom_names_.size());
-  atom_names_.emplace_back(name);
+  std::string_view text = atom_names_.emplace_back(name);
+  if (NeedsQuotes(name)) {
+    std::string& quoted = quoted_atom_texts_.emplace_back(1, '"');
+    quoted.append(name).push_back('"');
+    text = quoted;
+  }
+  atom_texts_.push_back(text);
   atom_ids_.emplace(std::string(name), id);
   return id;
 }
@@ -204,6 +220,15 @@ std::vector<PathId> Universe::AllSubPaths(PathId p) {
   return out;
 }
 
+void Universe::AppendAtomLocked(AtomId id, std::string* out) const {
+  out->append(atom_texts_[id]);
+}
+
+void Universe::AppendAtom(AtomId id, std::string* out) const {
+  std::shared_lock<std::shared_mutex> lock(atom_mu_);
+  AppendAtomLocked(id, out);
+}
+
 void Universe::AppendPathLocked(PathId p, std::string* out) const {
   std::span<const Value> a = GetPath(p);
   if (a.empty()) {
@@ -213,7 +238,7 @@ void Universe::AppendPathLocked(PathId p, std::string* out) const {
   for (size_t i = 0; i < a.size(); ++i) {
     if (i > 0) out->append("·");  // interpunct, as in the paper
     if (a[i].is_atom()) {
-      out->append(atom_names_[a[i].atom()]);
+      AppendAtomLocked(a[i].atom(), out);
     } else {
       out->push_back('<');
       AppendPathLocked(a[i].packed_path(), out);

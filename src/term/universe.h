@@ -11,9 +11,9 @@
 // tables are guarded by one shared_mutex each (lookups take shared locks,
 // interning exclusive ones) and hand out references into std::deque
 // storage, which never relocates elements. Formatting takes the atom
-// table's shared lock once per AppendPath/AppendPaths call and calls no
-// locking accessor while it holds it: a second shared lock on the same
-// thread can block behind a waiting writer.
+// table's shared lock once per AppendAtom/AppendPath/AppendPaths call and
+// calls no locking accessor while it holds it: a second shared lock on the
+// same thread can block behind a waiting writer.
 //
 // The path store never shrinks: an interned path stays for the Universe's
 // lifetime. That is why the engine interns only what escapes a match (the
@@ -50,6 +50,17 @@ using RelId = uint32_t;
 /// The two kinds of variables of Sequence Datalog (paper §2.2): atomic
 /// variables range over atomic values, path variables over paths.
 enum class VarKind : uint8_t { kAtomic, kPath };
+
+/// True iff byte `c`, followed by byte `next`, belongs to an identifier of
+/// the surface syntax (src/syntax/lexer.h): an ASCII letter, digit or '_',
+/// or any byte >= 0x80 except the interpunct's lead byte (0xC2 followed by
+/// 0xB7). The lexer scans identifiers with it, and AppendAtom decides from
+/// it which atom names need quotes.
+constexpr bool IsIdentByte(unsigned char c, unsigned char next) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9') || c == '_' ||
+         (c >= 0x80 && !(c == 0xC2 && next == 0xB7));
+}
 
 /// Owning symbol context. Interns atoms, paths, variables and relation
 /// names, and generates fresh names for program transformations. Safe for
@@ -107,9 +118,15 @@ class Universe {
 
   // --- Formatting ---------------------------------------------------------
 
-  /// Appends a path's canonical text to `*out`: atom names separated by
-  /// interpuncts, "()" for the empty path, "<...>" around packed values
-  /// at any depth. Takes the atom table's shared lock once.
+  /// Appends an atom's text to `*out`: its name, in double quotes when the
+  /// name would not lex back as one identifier token (it is empty, holds a
+  /// byte IsIdentByte rejects or an interpunct, or is the keyword 'not' or
+  /// 'eps'). That is decided once, when the atom is interned. A name
+  /// holding '"' has no text that parses back; the parser never makes one.
+  void AppendAtom(AtomId id, std::string* out) const;
+  /// Appends a path's canonical text to `*out`: atom texts (AppendAtom)
+  /// separated by interpuncts, "()" for the empty path, "<...>" around
+  /// packed values at any depth. Takes the atom table's shared lock once.
   void AppendPath(PathId p, std::string* out) const;
   /// Appends the canonical text of each of `paths`, separated by `sep`,
   /// under one shared lock of the atom table (a renderer's lock per
@@ -193,6 +210,7 @@ class Universe {
 
   // Unlocked variants; the caller holds the corresponding mutex.
   AtomId InternAtomLocked(std::string_view name);
+  void AppendAtomLocked(AtomId id, std::string* out) const;
   void AppendPathLocked(PathId p, std::string* out) const;
   VarId InternVarLocked(VarKind kind, std::string_view name);
   Result<RelId> InternRelLocked(std::string_view name, uint32_t arity);
@@ -205,6 +223,12 @@ class Universe {
 
   mutable std::shared_mutex atom_mu_;
   std::deque<std::string> atom_names_;
+  /// The text of each atom that renders in quotes: "name".
+  std::deque<std::string> quoted_atom_texts_;
+  /// Per atom: its text (see AppendAtom), a view of its name or of its
+  /// quoted text. Read only under atom_mu_, so unlike the names it may
+  /// relocate.
+  std::vector<std::string_view> atom_texts_;
   std::unordered_map<std::string, AtomId> atom_ids_;
   uint32_t fresh_atom_counter_ = 0;
 

@@ -462,6 +462,40 @@ TEST(ClusterTest, ResidualReachabilityMatchesSingleNode) {
   EXPECT_EQ(bad.status().code(), StatusCode::kNotFound);
 }
 
+TEST(ClusterTest, QuotedAtomsRouteAndMergeLikeASingleNode) {
+  // Routed batches and shard answers travel as renderings, so atoms that
+  // are no bare identifier must come back as the same facts: an unquoted
+  // "x,y" would parse as two arguments, "p q" not at all.
+  const std::string edb =
+      "F(a, \"x,y\"). F(b, \"p q\"). F(c, \"\"). F(\"p q\", <\"a·b\">).\n"
+      "F(\"x,y\", \"not\"). F(\"\", eps). F(é, 日本). F(\"<a>\", \"eps\"·é).\n"
+      "E(a, \"p q\"). E(\"p q\", \"x,y\"). E(\"x,y\", \"\"). E(\"\", é).\n"
+      "E(é, \"<a>\").\n";
+  TestCluster t = TestCluster::Start(2);
+  Result<protocol::AppendReply> appended = t.Append(edb);
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  EXPECT_EQ(appended->appended, 13u);
+  // Both shards got a share.
+  for (TestShard& shard : t.shards) {
+    EXPECT_GT(shard.service->Info().facts, 0u);
+  }
+
+  const std::string copy = "C($x, $y) <- F($x, $y).\n";
+  Result<protocol::RunReply> run = t.Run(copy);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->rendered, SingleNodeRendered(edb, copy));
+  EXPECT_NE(run->rendered.find("C(a, \"x,y\")."), std::string::npos);
+
+  run = t.Run(kKeyedJoin);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->rendered, SingleNodeRendered(edb, kKeyedJoin));
+
+  run = t.Run(kReachProgram, "R");
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->rendered, SingleNodeRendered(edb, kReachProgram, "R"));
+  EXPECT_NE(run->rendered.find("R(a, é)."), std::string::npos);
+}
+
 TEST(ClusterTest, BroadcastJoinMatchesSingleNode) {
   const std::string edb =
       "E(a, b). E(b, c). E(c, d). D(b, u). D(c, v). D(d, w).";

@@ -146,11 +146,16 @@ std::string ReferenceRender(const Universe& u, const Instance& inst) {
 
 // Random instances over relations whose names prefix each other (R, RS,
 // S, SR, interned in a seeded order so RelId order is not name order)
-// with arities 0-3, and paths of 0-4 values over ASCII and multi-byte
-// UTF-8 atoms (also interned in a seeded order), packs nested two deep.
+// with arities 0-3, and paths of 0-4 values over `atoms` (by default
+// ASCII and multi-byte UTF-8 names; also interned in a seeded order),
+// packs nested two deep.
 class RenderCaseGenerator {
  public:
-  RenderCaseGenerator(Universe& u, uint64_t seed) : u_(u), rng_(seed) {}
+  RenderCaseGenerator(Universe& u, uint64_t seed,
+                      std::vector<std::string> atoms = {"a", "b", "ab", "z",
+                                                        "A", "é", "ω",
+                                                        "日本"})
+      : u_(u), rng_(seed), atom_names_(std::move(atoms)) {}
 
   struct Case {
     Instance inst;
@@ -158,8 +163,7 @@ class RenderCaseGenerator {
   };
 
   Case Generate() {
-    std::vector<std::string> atoms = {"a",  "b",  "ab", "z",
-                                      "A",  "é",  "ω",  "日本"};
+    std::vector<std::string> atoms = atom_names_;
     std::shuffle(atoms.begin(), atoms.end(), rng_);
     for (const std::string& a : atoms) {
       atoms_.push_back(Value::Atom(u_.InternAtom(a)));
@@ -198,6 +202,7 @@ class RenderCaseGenerator {
 
   Universe& u_;
   std::mt19937_64 rng_;
+  std::vector<std::string> atom_names_;
   std::vector<Value> atoms_;
 };
 
@@ -241,6 +246,46 @@ TEST(InstanceTest, RenderMatchesReferenceRenderer) {
   EXPECT_GT(nested, cases / 10) << "cases with a pack inside a pack";
   EXPECT_GT(multibyte, cases / 4) << "cases with a multi-byte atom";
   EXPECT_GT(prefixed, cases / 20) << "cases with both R and RS facts";
+}
+
+// Renderings are wire data: a coordinator parses shard answers and routed
+// batches back. Atoms that are no bare identifier render quoted, so every
+// rendering parses back to the same facts.
+TEST(InstanceTest, RenderParsesBack) {
+  const std::vector<std::string> atoms = {"",    "p q", "x,y", "a·b", "<a>",
+                                          "not", "eps", "é",   "日本"};
+  size_t cases = DiffIterations();
+  size_t quoted = 0, bare = 0, nested = 0, empty_name = 0;
+  for (uint64_t seed = 1; seed <= cases; ++seed) {
+    Universe u;
+    RenderCaseGenerator gen(u, seed, atoms);
+    RenderCaseGenerator::Case c = gen.Generate();
+    std::string text = c.inst.ToString(u);
+    SCOPED_TRACE("seed " + std::to_string(seed) + ":\n" + text);
+    // Into a fresh Universe, as a coordinator parses a shard's answer.
+    Universe fresh;
+    Result<Instance> back = ParseInstance(fresh, text);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back->ToString(fresh), text);
+    for (RelId rel : c.inst.Relations()) {
+      Result<RelId> same = fresh.FindRel(u.RelName(rel));
+      ASSERT_TRUE(same.ok());
+      EXPECT_EQ(back->Tuples(*same).size(), c.inst.Tuples(rel).size());
+    }
+    // Into the same Universe: the very same facts.
+    Result<Instance> again = ParseInstance(u, text);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_TRUE(*again == c.inst);
+
+    quoted += text.find("\"p q\"") != std::string::npos;
+    bare += text.find("日本") != std::string::npos;
+    nested += text.find("<<") != std::string::npos;
+    empty_name += text.find("\"\"") != std::string::npos;
+  }
+  EXPECT_GT(quoted, cases / 4) << "cases with a quoted atom";
+  EXPECT_GT(bare, cases / 4) << "cases with a bare multi-byte atom";
+  EXPECT_GT(nested, cases / 10) << "cases with a pack inside a pack";
+  EXPECT_GT(empty_name, cases / 4) << "cases with an empty atom name";
 }
 
 TEST(InstanceTest, RenderSortsWholeLinesAsUnsignedBytes) {

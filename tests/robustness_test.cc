@@ -55,6 +55,43 @@ INSTANTIATE_TEST_SUITE_P(
         "- S($x) <- R($x)."            // stray dash
         ));
 
+// --- Pack nesting is capped ------------------------------------------------------
+
+// `depth` packs around the atom a: <<...<a>...>>.
+std::string NestedPacks(int depth) {
+  return std::string(depth, '<') + "a" + std::string(depth, '>');
+}
+
+TEST(RobustnessTest, DeepPackNestingIsRejected) {
+  // 100,000 nested packs used to overflow the stack of the recursive item
+  // grammar; they are a parse error naming the limit now, as programs and
+  // as facts.
+  Universe u;
+  const std::string deep = NestedPacks(100000);
+  Result<Program> p = ParseProgram(u, "S(" + deep + ") <- R($x).");
+  ASSERT_FALSE(p.ok());
+  EXPECT_EQ(p.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(p.status().message(),
+            "parse error at 1:1003: packs nested deeper than the limit of "
+            "1000");
+  Result<Instance> i = ParseInstance(u, "R(" + deep + ").");
+  ASSERT_FALSE(i.ok());
+  EXPECT_EQ(i.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(i.status().message(), p.status().message());
+  EXPECT_FALSE(ParsePathExpr(u, deep).ok());
+
+  // Exactly at the limit parses; one more does not.
+  const std::string at = NestedPacks(kMaxPackNesting);
+  EXPECT_TRUE(ParseProgram(u, "S(" + at + ") <- R($x).").ok());
+  EXPECT_TRUE(ParsePathExpr(u, at).ok());
+  Result<Instance> ok = ParseInstance(u, "R(" + at + ").");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->NumFacts(), 1u);
+  EXPECT_EQ(ok->ToString(u), "R(" + at + ").\n");
+  EXPECT_FALSE(
+      ParseInstance(u, "R(" + NestedPacks(kMaxPackNesting + 1) + ").").ok());
+}
+
 // --- Validation failures ------------------------------------------------------
 
 class UnsafeRuleTest : public ::testing::TestWithParam<const char*> {};

@@ -396,6 +396,36 @@ TEST(ServerTest, ServerSideErrorsComeBackStructured) {
   EXPECT_TRUE(info.ok()) << info.status().ToString();
 }
 
+TEST(ServerTest, DeeplyNestedPacksGetErrorReplies) {
+  // Nesting this deep used to overflow a worker's stack and kill the
+  // server; the parser caps it, so each request gets an error reply.
+  TestServer t = TestServer::Start("E(a, b).");
+  Result<Client> client = t.Connect();
+  ASSERT_TRUE(client.ok());
+  auto nested = [](size_t depth) {
+    return std::string(depth, '<') + "a" + std::string(depth, '>');
+  };
+  Result<protocol::AppendReply> appended =
+      client->Append("R(" + nested(20000) + ").", "deep.sdl");
+  ASSERT_FALSE(appended.ok());
+  EXPECT_EQ(appended.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(appended.status().message().find("limit of 1000"),
+            std::string::npos)
+      << appended.status().message();
+
+  Result<protocol::RunReply> run =
+      client->Run("S(" + nested(100000) + ") <- E($x, $y).", "", "deep.sdl");
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(run.status().message().find("limit of 1000"), std::string::npos)
+      << run.status().message();
+
+  // The server is still serving, on the same connection.
+  run = client->Run(kReachProgram, "R");
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->rendered, "R(a, b).\n");
+}
+
 TEST(ServerTest, OversizedFrameIsRejectedWithErrorReply) {
   ServerOptions opts;
   opts.max_frame_bytes = 1024;
