@@ -752,51 +752,65 @@ void BM_StratifiedNegationPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_StratifiedNegationPipeline)->Arg(8)->Arg(32)->Arg(128);
 
+// A random path of `min_len` to `max_len` values drawn from `alphabet`.
+std::vector<Value> RandomPath(std::mt19937_64& rng,
+                              std::span<const Value> alphabet, size_t min_len,
+                              size_t max_len) {
+  std::vector<Value> path(min_len + rng() % (max_len - min_len + 1));
+  for (Value& v : path) v = alphabet[rng() % alphabet.size()];
+  return path;
+}
+
+// durable_ingest's Mark shape: for keys first..first+n-1, Mark(key, read)
+// with a fixed-width key and a 24-40-base read holding one packed a·c·g
+// motif (about 120 bytes of text), and Marked(key).
+void AddMarks(Universe& u, std::mt19937_64& rng, size_t first, size_t n,
+              Instance* idb) {
+  RelId mark = *u.InternRel("Mark", 2);
+  RelId marked = *u.InternRel("Marked", 1);
+  const Value bases[] = {
+      Value::Atom(u.InternAtom("a")), Value::Atom(u.InternAtom("c")),
+      Value::Atom(u.InternAtom("g")), Value::Atom(u.InternAtom("t"))};
+  PathId motif = u.InternPath(std::vector<Value>{bases[0], bases[1], bases[2]});
+  for (size_t i = first; i < first + n; ++i) {
+    char key[32];
+    std::snprintf(key, sizeof(key), "r%07zu", i);
+    PathId k = u.SingletonPath(Value::Atom(u.InternAtom(key)));
+    std::vector<Value> read = RandomPath(rng, bases, 23, 39);
+    read.insert(read.begin() + static_cast<ptrdiff_t>(rng() % read.size()),
+                Value::Packed(motif));
+    idb->Add(mark, {k, u.InternPath(read)});
+    idb->Add(marked, {k});
+  }
+}
+
 // Rendering one derived relation of a view's IDB through the restricted
 // ToString, in the two shapes the repo benchmark's answers take. /8 is a
 // serve_reads answer: Q over 4 DNA reads of 24-48 bases and 4 event logs
-// of 8-20 activities. /300 is durable_ingest's Mark: a fixed-width key
-// plus a 24-40-base read holding one packed a·c·g motif, about 36 KB of
-// text, beside the 300 Marked facts of the same IDB.
+// of 8-20 activities. /300 is durable_ingest's Mark (AddMarks), about
+// 36 KB of text, beside the 300 Marked facts of the same IDB.
 void BM_RenderRelation(benchmark::State& state) {
   size_t facts = static_cast<size_t>(state.range(0));
   Universe u;
   std::mt19937_64 rng(facts);
-  auto atom = [&u](const char* name) {
-    return Value::Atom(u.InternAtom(name));
-  };
-  const Value bases[] = {atom("a"), atom("c"), atom("g"), atom("t")};
-  const Value activities[] = {atom("co"), atom("rp"), atom("pk"), atom("sh"),
-                              atom("iv"), atom("ap"), atom("rt"), atom("cn")};
-  auto random_path = [&rng](std::span<const Value> alphabet, size_t min_len,
-                            size_t max_len) {
-    std::vector<Value> path(min_len + rng() % (max_len - min_len + 1));
-    for (Value& v : path) v = alphabet[rng() % alphabet.size()];
-    return path;
-  };
   Instance idb;
   RelId rel;
   if (facts == 8) {
+    auto atom = [&u](const char* name) {
+      return Value::Atom(u.InternAtom(name));
+    };
+    const Value bases[] = {atom("a"), atom("c"), atom("g"), atom("t")};
+    const Value activities[] = {atom("co"), atom("rp"), atom("pk"),
+                                atom("sh"), atom("iv"), atom("ap"),
+                                atom("rt"), atom("cn")};
     rel = *u.InternRel("Q", 1);
     for (size_t i = 0; i < 4; ++i) {
-      idb.Add(rel, {u.InternPath(random_path(bases, 24, 48))});
-      idb.Add(rel, {u.InternPath(random_path(activities, 8, 20))});
+      idb.Add(rel, {u.InternPath(RandomPath(rng, bases, 24, 48))});
+      idb.Add(rel, {u.InternPath(RandomPath(rng, activities, 8, 20))});
     }
   } else {
-    rel = *u.InternRel("Mark", 2);
-    RelId marked = *u.InternRel("Marked", 1);
-    PathId motif =
-        u.InternPath(std::vector<Value>{bases[0], bases[1], bases[2]});
-    for (size_t i = 0; i < facts; ++i) {
-      char key[32];
-      std::snprintf(key, sizeof(key), "r%07zu", i);
-      PathId k = u.SingletonPath(atom(key));
-      std::vector<Value> read = random_path(bases, 23, 39);
-      read.insert(read.begin() + static_cast<ptrdiff_t>(rng() % read.size()),
-                  Value::Packed(motif));
-      idb.Add(rel, {k, u.InternPath(read)});
-      idb.Add(marked, {k});
-    }
+    AddMarks(u, rng, 0, facts, &idb);
+    rel = *u.FindRel("Mark");
   }
   size_t bytes = 0;
   for (auto _ : state) {
@@ -809,6 +823,41 @@ void BM_RenderRelation(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * facts));
 }
 BENCHMARK(BM_RenderRelation)->Arg(8)->Arg(300);
+
+// What a write costs a cached Mark answer instead of BM_RenderRelation/300's
+// full render: PatchOutput of the 300-fact relation from one view to the
+// next, where 4 Mark facts left and 4 arrived.
+void BM_PatchRelation(benchmark::State& state) {
+  size_t facts = static_cast<size_t>(state.range(0));
+  Universe u;
+  std::mt19937_64 rng(facts);
+  Instance before;
+  AddMarks(u, rng, 0, facts, &before);
+  RelId mark = *u.FindRel("Mark");
+  Instance after = before;
+  std::vector<Tuple> gone;
+  for (const Tuple& t : before.Tuples(mark)) {
+    if (gone.size() == 4) break;
+    gone.push_back(t);
+  }
+  for (const Tuple& t : gone) after.Remove(mark, t);
+  AddMarks(u, rng, facts, 4, &after);
+  std::string old_text = *RenderOutput(u, before, "Mark");
+  size_t bytes = 0;
+  for (auto _ : state) {
+    Result<std::string> text = PatchOutput(u, old_text, before, after, "Mark");
+    if (!text.ok()) {
+      state.SkipWithError(text.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(text->data());
+    benchmark::ClobberMemory();
+    bytes = text->size();
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * facts));
+}
+BENCHMARK(BM_PatchRelation)->Arg(300);
 
 // ParseInstance into a fresh Universe. /0 is serve_reads' EDB: 24,000
 // keyed DNA reads of 24-48 bases and 12,000 keyed event logs of 8-20

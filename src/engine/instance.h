@@ -78,7 +78,8 @@ class Instance {
 
   /// Deterministic multi-line rendering: one "R(a·b, c)." line per fact
   /// ("R." for arity 0), whole lines sorted as unsigned bytes, each ended
-  /// by a newline.
+  /// by a newline. Relation names and atoms render as Universe::RelText
+  /// and AppendAtom write them, so the text parses back to the facts.
   std::string ToString(const Universe& u) const;
   /// The rendering of Project(rels), made in place without copying a
   /// tuple.
@@ -100,6 +101,17 @@ class Instance {
 /// for a relation name the Universe does not know.
 Result<std::string> RenderOutput(const Universe& u, const Instance& inst,
                                  std::string_view output_rel);
+
+/// RenderOutput(u, after, output_rel), computed from `old_text` ==
+/// RenderOutput(u, before, output_rel): only the lines of the facts that
+/// left or arrived are rendered, then spliced into `old_text` in one
+/// merge pass, O(|before| + |after|) tuple probes plus O(|old_text|)
+/// bytes. kFailedPrecondition when `old_text` is detectably not that
+/// rendering, and when an old line holds a quoted newline (the splice
+/// splits lines at newlines); NotFound as RenderOutput.
+Result<std::string> PatchOutput(const Universe& u, std::string_view old_text,
+                                const Instance& before, const Instance& after,
+                                std::string_view output_rel);
 
 /// Parses an instance given as a list of ground facts, e.g.
 /// "R(a·b·c). R(eps). S(<a·b>·c)." Non-ground or non-fact input is an error

@@ -121,22 +121,36 @@ class WireReader {
   size_t pos_ = 0;
 };
 
-/// Prepends the u32 length to a finished payload.
-std::string Frame(std::string payload) {
+// Frames are encoded in place: one buffer, reserved once, starts with a
+// placeholder for the u32 length that EndFrame fills in. The reserve is
+// `variable_bytes`, the sizes of the message's strings, plus room for
+// every message's fixed-width fields and string lengths.
+std::string BeginFrame(size_t variable_bytes) {
+  constexpr size_t kFixedBytes = 160;
   std::string frame;
-  frame.reserve(4 + payload.size());
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  frame += payload;
+  frame.reserve(4 + kFixedBytes + variable_bytes);
+  frame.resize(4);
   return frame;
 }
 
-std::string ReplyHead(MsgType orig_type, const Status& status) {
-  std::string payload;
-  PutU8(&payload, static_cast<uint8_t>(MsgType::kReply));
-  PutU8(&payload, static_cast<uint8_t>(orig_type));
-  PutU32(&payload, static_cast<uint32_t>(status.code()));
-  PutString(&payload, status.message());
-  return payload;
+std::string EndFrame(std::string frame) {
+  uint32_t len = static_cast<uint32_t>(frame.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    frame[i] = static_cast<char>((len >> (8 * i)) & 0xff);
+  }
+  return frame;
+}
+
+/// A reply frame begun with its head: type tag, original type, status.
+/// `variable_bytes` sizes the strings of the body that follows.
+std::string BeginReply(MsgType orig_type, const Status& status,
+                       size_t variable_bytes) {
+  std::string frame = BeginFrame(status.message().size() + variable_bytes);
+  PutU8(&frame, static_cast<uint8_t>(MsgType::kReply));
+  PutU8(&frame, static_cast<uint8_t>(orig_type));
+  PutU32(&frame, static_cast<uint32_t>(status.code()));
+  PutString(&frame, status.message());
+  return frame;
 }
 
 void PutDbInfo(std::string* out, const DbInfo& info) {
@@ -249,132 +263,138 @@ const char* MsgTypeToString(MsgType type) {
 // --- Request encoding --------------------------------------------------------
 
 std::string EncodeCompileRequest(const CompileRequest& req) {
-  std::string payload;
-  PutU8(&payload, static_cast<uint8_t>(MsgType::kCompile));
-  PutString(&payload, req.program);
-  PutString(&payload, req.source_name);
-  return Frame(std::move(payload));
+  std::string frame = BeginFrame(req.program.size() + req.source_name.size());
+  PutU8(&frame, static_cast<uint8_t>(MsgType::kCompile));
+  PutString(&frame, req.program);
+  PutString(&frame, req.source_name);
+  return EndFrame(std::move(frame));
 }
 
 std::string EncodeRunRequest(const RunRequest& req) {
-  std::string payload;
-  PutU8(&payload, static_cast<uint8_t>(MsgType::kRun));
-  PutString(&payload, req.program);
-  PutString(&payload, req.source_name);
-  PutString(&payload, req.output_rel);
-  PutU8(&payload, req.collect_derived_stats ? 1 : 0);
-  return Frame(std::move(payload));
+  std::string frame = BeginFrame(req.program.size() + req.source_name.size() +
+                                 req.output_rel.size());
+  PutU8(&frame, static_cast<uint8_t>(MsgType::kRun));
+  PutString(&frame, req.program);
+  PutString(&frame, req.source_name);
+  PutString(&frame, req.output_rel);
+  PutU8(&frame, req.collect_derived_stats ? 1 : 0);
+  return EndFrame(std::move(frame));
 }
 
 std::string EncodeAppendRequest(const AppendRequest& req) {
-  std::string payload;
-  PutU8(&payload, static_cast<uint8_t>(MsgType::kAppend));
-  PutString(&payload, req.facts);
-  PutString(&payload, req.source_name);
-  return Frame(std::move(payload));
+  std::string frame = BeginFrame(req.facts.size() + req.source_name.size());
+  PutU8(&frame, static_cast<uint8_t>(MsgType::kAppend));
+  PutString(&frame, req.facts);
+  PutString(&frame, req.source_name);
+  return EndFrame(std::move(frame));
 }
 
 std::string EncodeRetractRequest(const RetractRequest& req) {
-  std::string payload;
-  PutU8(&payload, static_cast<uint8_t>(MsgType::kRetract));
-  PutString(&payload, req.facts);
-  PutString(&payload, req.source_name);
-  return Frame(std::move(payload));
+  std::string frame = BeginFrame(req.facts.size() + req.source_name.size());
+  PutU8(&frame, static_cast<uint8_t>(MsgType::kRetract));
+  PutString(&frame, req.facts);
+  PutString(&frame, req.source_name);
+  return EndFrame(std::move(frame));
 }
 
 std::string EncodeHelloRequest(const HelloRequest& req) {
-  std::string payload;
-  PutU8(&payload, static_cast<uint8_t>(MsgType::kHello));
-  PutU32(&payload, req.wire_version);
-  return Frame(std::move(payload));
+  std::string frame = BeginFrame(0);
+  PutU8(&frame, static_cast<uint8_t>(MsgType::kHello));
+  PutU32(&frame, req.wire_version);
+  return EndFrame(std::move(frame));
 }
 
 std::string EncodeBareRequest(MsgType type) {
-  std::string payload;
-  PutU8(&payload, static_cast<uint8_t>(type));
-  return Frame(std::move(payload));
+  std::string frame = BeginFrame(0);
+  PutU8(&frame, static_cast<uint8_t>(type));
+  return EndFrame(std::move(frame));
 }
 
 // --- Reply encoding ----------------------------------------------------------
 
 std::string EncodeErrorReply(MsgType orig_type, const Status& status) {
-  return Frame(ReplyHead(orig_type, status));
+  return EndFrame(BeginReply(orig_type, status, 0));
 }
 
 std::string EncodeCompileReply(const CompileReply& reply) {
-  std::string payload = ReplyHead(MsgType::kCompile, Status::OK());
-  PutU8(&payload, reply.cache_hit ? 1 : 0);
-  PutU64(&payload, reply.rules);
-  PutU64(&payload, reply.strata);
-  PutF64(&payload, reply.compile_seconds);
-  PutString(&payload, reply.features);
-  PutString(&payload, reply.fragment_class);
-  PutU8(&payload, reply.admission);
-  PutDiagnostics(&payload, reply.diagnostics);
-  return Frame(std::move(payload));
+  // Diagnostics are not sized: a compile reply is cold and small.
+  std::string frame =
+      BeginReply(MsgType::kCompile, Status::OK(),
+                 reply.features.size() + reply.fragment_class.size());
+  PutU8(&frame, reply.cache_hit ? 1 : 0);
+  PutU64(&frame, reply.rules);
+  PutU64(&frame, reply.strata);
+  PutF64(&frame, reply.compile_seconds);
+  PutString(&frame, reply.features);
+  PutString(&frame, reply.fragment_class);
+  PutU8(&frame, reply.admission);
+  PutDiagnostics(&frame, reply.diagnostics);
+  return EndFrame(std::move(frame));
 }
 
 std::string EncodeRunReply(const RunReply& reply) {
-  std::string payload = ReplyHead(MsgType::kRun, Status::OK());
-  PutU64(&payload, reply.epoch);
-  PutU64(&payload, reply.segments);
-  PutU8(&payload, reply.result_cached ? 1 : 0);
-  PutString(&payload, reply.rendered);
-  PutEvalStats(&payload, reply.stats);
-  return Frame(std::move(payload));
+  std::string frame =
+      BeginReply(MsgType::kRun, Status::OK(), reply.rendered.size());
+  PutU64(&frame, reply.epoch);
+  PutU64(&frame, reply.segments);
+  PutU8(&frame, reply.result_cached ? 1 : 0);
+  PutString(&frame, reply.rendered);
+  PutEvalStats(&frame, reply.stats);
+  return EndFrame(std::move(frame));
 }
 
 std::string EncodeAppendReply(const AppendReply& reply) {
-  std::string payload = ReplyHead(MsgType::kAppend, Status::OK());
-  PutU64(&payload, reply.appended);
-  PutDbInfo(&payload, reply.db);
-  return Frame(std::move(payload));
+  std::string frame = BeginReply(MsgType::kAppend, Status::OK(), 0);
+  PutU64(&frame, reply.appended);
+  PutDbInfo(&frame, reply.db);
+  return EndFrame(std::move(frame));
 }
 
 std::string EncodeRetractReply(const RetractReply& reply) {
-  std::string payload = ReplyHead(MsgType::kRetract, Status::OK());
-  PutU64(&payload, reply.retracted);
-  PutDbInfo(&payload, reply.db);
-  return Frame(std::move(payload));
+  std::string frame = BeginReply(MsgType::kRetract, Status::OK(), 0);
+  PutU64(&frame, reply.retracted);
+  PutDbInfo(&frame, reply.db);
+  return EndFrame(std::move(frame));
 }
 
 std::string EncodeEpochReply(const DbInfo& info) {
-  std::string payload = ReplyHead(MsgType::kEpoch, Status::OK());
-  PutDbInfo(&payload, info);
-  return Frame(std::move(payload));
+  std::string frame = BeginReply(MsgType::kEpoch, Status::OK(), 0);
+  PutDbInfo(&frame, info);
+  return EndFrame(std::move(frame));
 }
 
 std::string EncodeCompactReply(const CompactReply& reply) {
-  std::string payload = ReplyHead(MsgType::kCompact, Status::OK());
-  PutU8(&payload, reply.folded ? 1 : 0);
-  PutDbInfo(&payload, reply.db);
-  return Frame(std::move(payload));
+  std::string frame = BeginReply(MsgType::kCompact, Status::OK(), 0);
+  PutU8(&frame, reply.folded ? 1 : 0);
+  PutDbInfo(&frame, reply.db);
+  return EndFrame(std::move(frame));
 }
 
 std::string EncodeStatsReply(const StatsReply& reply) {
-  std::string payload = ReplyHead(MsgType::kStats, Status::OK());
-  PutString(&payload, reply.rendered);
-  PutU64(&payload, reply.cache_hits);
-  PutU64(&payload, reply.cache_misses);
-  PutU64(&payload, reply.cache_evictions);
-  PutU64(&payload, reply.cache_entries);
-  PutU64(&payload, reply.cache_bytes);
-  PutU64(&payload, reply.view_hits);
-  PutU64(&payload, reply.view_cold_runs);
-  PutU64(&payload, reply.view_delta_refreshes);
-  PutU64(&payload, reply.view_dred_refreshes);
-  PutU64(&payload, reply.view_strata_recomputed);
-  return Frame(std::move(payload));
+  std::string frame =
+      BeginReply(MsgType::kStats, Status::OK(), reply.rendered.size());
+  PutString(&frame, reply.rendered);
+  PutU64(&frame, reply.cache_hits);
+  PutU64(&frame, reply.cache_misses);
+  PutU64(&frame, reply.cache_evictions);
+  PutU64(&frame, reply.cache_entries);
+  PutU64(&frame, reply.cache_bytes);
+  PutU64(&frame, reply.view_hits);
+  PutU64(&frame, reply.view_cold_runs);
+  PutU64(&frame, reply.view_delta_refreshes);
+  PutU64(&frame, reply.view_dred_refreshes);
+  PutU64(&frame, reply.view_strata_recomputed);
+  return EndFrame(std::move(frame));
 }
 
 std::string EncodeShutdownReply() {
-  return Frame(ReplyHead(MsgType::kShutdown, Status::OK()));
+  return EndFrame(BeginReply(MsgType::kShutdown, Status::OK(), 0));
 }
 
 std::string EncodeHelloReply(const HelloReply& reply) {
-  std::string payload = ReplyHead(MsgType::kHello, Status::OK());
-  PutU32(&payload, reply.wire_version);
-  return Frame(std::move(payload));
+  std::string frame = BeginReply(MsgType::kHello, Status::OK(), 0);
+  PutU32(&frame, reply.wire_version);
+  return EndFrame(std::move(frame));
 }
 
 // --- Decoding ----------------------------------------------------------------

@@ -281,7 +281,9 @@ struct Reply {
 
 // --- Encoding ---------------------------------------------------------------
 // Encoders produce a complete frame (length prefix included), ready for
-// WriteFrame / a single send.
+// WriteFrame / a single send. Each writes its fields straight into one
+// buffer reserved for the whole frame, so a large field (a run reply's
+// rendering) is copied once.
 
 std::string EncodeCompileRequest(const CompileRequest& req);
 std::string EncodeRunRequest(const RunRequest& req);

@@ -111,27 +111,34 @@ Result<protocol::RunReply> DatabaseService::Run(
     const protocol::RunRequest& req, const std::function<bool()>& cancel) {
   // Cache first: a hit answers without compiling, refreshing, or
   // rendering. Valid iff the entry is at the current epoch — a write
-  // refreshes entries (eagerly or at the next miss), Compact keeps the
-  // epoch (same facts, hits stay correct).
+  // refreshes entries and patches their renderings (eagerly, or the next
+  // miss renders), Compact keeps the epoch (same facts, hits stay
+  // correct).
   const bool caching = opts_.result_cache_entries > 0;
   if (caching) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(req.program);
-    if (it != entries_.end() && it->second.epoch == db_.epoch()) {
-      auto r = it->second.rendered.find(req.output_rel);
-      if (r != it->second.rendered.end()) {
-        ++counters_.hits;
-        TouchLocked(it);
-        protocol::RunReply reply;
-        reply.epoch = *it->second.epoch;
-        reply.segments = it->second.segments;
-        reply.rendered = r->second;
-        reply.stats = it->second.stats;
-        reply.result_cached = true;
-        return reply;
+    protocol::RunReply reply;
+    std::shared_ptr<const std::string> hit;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = entries_.find(req.program);
+      if (it != entries_.end() && it->second.epoch == db_.epoch()) {
+        auto r = it->second.rendered.find(req.output_rel);
+        if (r != it->second.rendered.end()) {
+          ++counters_.hits;
+          TouchLocked(it);
+          hit = r->second;
+          reply.epoch = *it->second.epoch;
+          reply.segments = it->second.segments;
+          reply.stats = it->second.stats;
+        }
       }
+      if (hit == nullptr) ++counters_.misses;
     }
-    ++counters_.misses;
+    if (hit != nullptr) {
+      reply.rendered = *hit;  // the copy, outside the lock
+      reply.result_cached = true;
+      return reply;
+    }
   }
 
   SEQDL_ASSIGN_OR_RETURN(Prepared prepared,
@@ -177,16 +184,17 @@ Result<protocol::RunReply> DatabaseService::Run(
   reply.stats = ToWire(stats);
   if (!caching) return reply;
 
+  auto text = std::make_shared<const std::string>(reply.rendered);
+  Replaced replaced;  // destroyed after the lock is released
   std::lock_guard<std::mutex> lock(mu_);
   // Re-inserts the entry if it was evicted while this run evaluated.
   Entry& e = TouchOrInsertLocked(req.program, prepared.compiled);
   if (e.epoch != reply.epoch || e.view != view) {
-    SetViewLocked(req.program, e, view, reply.epoch, reply.segments,
-                  reply.stats);
+    replaced = SetViewLocked(req.program, e, view, reply.epoch,
+                             reply.segments, reply.stats, {});
   }
-  auto [rit, fresh_render] = e.rendered.emplace(req.output_rel, reply.rendered);
-  if (fresh_render) {
-    size_t bytes = rit->second.size() + req.output_rel.size();
+  if (e.rendered.try_emplace(req.output_rel, std::move(text)).second) {
+    size_t bytes = reply.rendered.size() + req.output_rel.size();
     e.bytes += bytes;
     cache_bytes_used_ += bytes;
   }
@@ -219,18 +227,22 @@ DatabaseService::Entry& DatabaseService::TouchOrInsertLocked(
   return e;
 }
 
-void DatabaseService::SetViewLocked(const std::string& key, Entry& e,
-                                    std::shared_ptr<const ViewSnapshot> view,
-                                    uint64_t epoch, uint64_t segments,
-                                    const protocol::WireEvalStats& stats) {
+DatabaseService::Replaced DatabaseService::SetViewLocked(
+    const std::string& key, Entry& e, std::shared_ptr<const ViewSnapshot> view,
+    uint64_t epoch, uint64_t segments, const protocol::WireEvalStats& stats,
+    Renderings rendered) {
+  Replaced old{std::exchange(e.view, std::move(view)),
+               std::exchange(e.rendered, std::move(rendered))};
   cache_bytes_used_ -= e.bytes;
-  e.rendered.clear();
-  e.view = std::move(view);
   e.epoch = epoch;
   e.segments = segments;
   e.stats = stats;
   e.bytes = key.size() + (e.view != nullptr ? e.view->ApproxBytes() : 0);
+  for (const auto& [rel, text] : e.rendered) {
+    e.bytes += rel.size() + text->size();
+  }
   cache_bytes_used_ += e.bytes;
+  return old;
 }
 
 void DatabaseService::EvictLocked(const std::string& keep) {
@@ -278,8 +290,8 @@ Result<protocol::AppendReply> DatabaseService::Append(
   SEQDL_ASSIGN_OR_RETURN(uint64_t epoch,
                          db_.Append(std::move(*delta), &appended));
 
-  // Eagerly delta-refresh every cached view to the new epoch, so the next
-  // query per program pays only rendering.
+  // Eagerly delta-refresh every cached view to the new epoch and patch
+  // its renderings, so the next query per program is a cache hit.
   if (appended > 0 && opts_.result_cache_entries > 0 && opts_.maintain_views &&
       opts_.refresh_on_append) {
     RefreshCachedViews();
@@ -323,40 +335,62 @@ void DatabaseService::RefreshCachedViews() {
   // A refresh failure (e.g. budget exhausted mid-delta) leaves that entry
   // stale, which the next Run recovers from — never an error for the
   // write that triggered the refresh.
-  std::vector<std::pair<std::string, std::shared_ptr<const CompiledProgram>>>
-      work;
+  struct Work {
+    std::string key;
+    std::shared_ptr<const CompiledProgram> compiled;
+    Replaced before;  ///< the entry's view and its renderings of it
+  };
+  std::vector<Work> work;
   {
     std::lock_guard<std::mutex> lock(mu_);
     work.reserve(entries_.size());
     for (const auto& [key, e] : entries_) {
       // An entry made only by Compile has no view to keep current.
-      if (e.view != nullptr) work.emplace_back(key, e.compiled);
+      if (e.view != nullptr) {
+        work.push_back({key, e.compiled, {e.view, e.rendered}});
+      }
     }
   }
-  for (const auto& [key, cached] : work) {
+  for (Work& w : work) {
+    // Freed with this iteration, after the lock below is released.
+    Replaced before = std::move(w.before);
     // Revalidate the plan here rather than at the next query, so that
-    // query pays only rendering.
-    Result<Prepared> prepared = Revalidate(key, /*source_name=*/"", cached);
+    // query is a plain hit.
+    Result<Prepared> prepared =
+        Revalidate(w.key, /*source_name=*/"", w.compiled);
     if (!prepared.ok()) continue;
     const CompiledProgram& c = *prepared->compiled;
     RunOptions ropts = opts_.run_options;
     if (!ApplyAdmission(c.admission, &ropts).ok()) continue;
     EvalStats stats;
     Result<std::shared_ptr<const ViewSnapshot>> view =
-        db_.views().Refresh(key, c.prog, ropts, &stats);
+        db_.views().Refresh(w.key, c.prog, ropts, &stats);
     if (!view.ok()) continue;
+    // Carry each rendering over to the refreshed view. A patch that fails
+    // drops its rendering; the next Run of that output renders it.
+    Renderings patched;
+    for (const auto& [rel, text] : before.rendered) {
+      Result<std::string> next =
+          PatchOutput(*u_, *text, before.view->idb(), (*view)->idb(), rel);
+      if (next.ok()) {
+        patched.emplace(rel, std::make_shared<const std::string>(
+                                 *std::move(next)));
+      }
+    }
+    Replaced replaced;  // destroyed after the lock is released
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
+    auto it = entries_.find(w.key);
     if (it == entries_.end()) {
       // Evicted while we refreshed: drop the view Refresh just stored.
-      db_.views().Invalidate(key);
+      db_.views().Invalidate(w.key);
       continue;
     }
     // A run may have got there first.
     if (it->second.epoch >= (*view)->epoch()) continue;
-    SetViewLocked(key, it->second, *view, (*view)->epoch(),
-                  (*view)->segments(), ToWire(stats));
-    EvictLocked(key);
+    replaced = SetViewLocked(w.key, it->second, *view, (*view)->epoch(),
+                             (*view)->segments(), ToWire(stats),
+                             std::move(patched));
+    EvictLocked(w.key);
   }
 }
 

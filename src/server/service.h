@@ -14,7 +14,11 @@
 //     of dropping: delta evaluation of appended facts (RunDelta), DRed or
 //     a stratum recompute for retracted ones, so re-serving after ingest
 //     costs O(delta) instead of a full fixpoint;
-//   * the renderings produced from the view, one per output relation.
+//   * the renderings produced from the view, one per output relation,
+//     which the write patches along with the view (PatchOutput renders
+//     only the lines of the facts that left or arrived), so the next run
+//     of a standing query is a plain cache hit: no plan check, no view
+//     lookup, no render.
 // ServiceOptions::result_cache_entries and cache_bytes bound the entries;
 // past either, the least recently used go, compiled record and view
 // together. Hit/miss/evict counters travel in Stats() replies.
@@ -23,10 +27,13 @@
 // of threads. Run pins an epoch snapshot per call (Database::Snapshot or
 // an immutable ViewSnapshot); writes serialize on the database's writer
 // mutex. One mutex guards the cache, for lookups, inserts and evictions
-// only: parse, compile, the drift check's Database::Stats(), evaluation
-// and rendering run outside it, so a slow compile or refresh never
-// stalls a cache hit. A run holds its compiled record by shared_ptr, so
-// an eviction never pulls the plan out from under it.
+// only: parse, compile, the drift check's Database::Stats(), evaluation,
+// rendering and patching run outside it, so a slow compile or refresh
+// never stalls a cache hit. Renderings are shared and immutable: a hit
+// takes a reference under the mutex and copies the bytes after it, and
+// a write installs patched ones the same way. A run holds its compiled
+// record by shared_ptr, so an eviction never pulls the plan out from
+// under it.
 #ifndef SEQDL_SERVER_SERVICE_H_
 #define SEQDL_SERVER_SERVICE_H_
 
@@ -98,9 +105,10 @@ struct ServiceOptions {
   /// default). False caches renderings per epoch only, and the first run
   /// of a program after a write evaluates a full fixpoint.
   bool maintain_views = true;
-  /// Delta-refresh every cached view eagerly inside Append (the `seqdl
-  /// serve` append path), so the next query pays only rendering. False
-  /// defers the refresh to the next Run of each program.
+  /// Delta-refresh every cached view eagerly inside Append and Retract
+  /// (the `seqdl serve` write path) and patch its renderings to match, so
+  /// the next query of each is a cache hit. False defers the refresh to
+  /// the next Run of each program, which then renders in full.
   bool refresh_on_append = true;
   /// How programs flagged *generative* by admission analysis
   /// (analysis/admission.h: SD301-SD303, potentially non-terminating
@@ -152,7 +160,8 @@ class DatabaseService {
 
   /// Parses the request's facts and publishes them as a new segment,
   /// then (with maintain_views + refresh_on_append) delta-refreshes every
-  /// cached view to the new epoch so re-serving stays O(delta).
+  /// cached view to the new epoch and patches its renderings, so
+  /// re-serving stays O(delta) and the next run is a cache hit.
   Result<protocol::AppendReply> Append(const protocol::AppendRequest& req);
 
   /// Parses the request's facts and retracts the visible matches by
@@ -200,17 +209,22 @@ class DatabaseService {
     DiagnosticList lints;       ///< SD1xx warnings, for compile replies
   };
 
+  /// Renderings of one view, keyed by output relation ("" = all derived
+  /// facts). Immutable once made, so readers copy them outside mu_.
+  using Renderings =
+      std::map<std::string, std::shared_ptr<const std::string>>;
+
   /// One program text's cache entry: its compiled record and, once it
   /// has run, its maintained view (null with maintain_views off) and
-  /// every rendering produced from it at `epoch`, keyed by output
-  /// relation ("" = all derived facts). `bytes` accounts the program
-  /// text, the view's materialized IDB and the rendering strings.
+  /// every rendering of it at `epoch`, made by a run or patched by a
+  /// write. `bytes` accounts the program text, the view's materialized
+  /// IDB and the rendering strings.
   struct Entry {
     std::shared_ptr<const CompiledProgram> compiled;
     std::optional<uint64_t> epoch;  ///< unset until the program runs
     uint64_t segments = 0;
     std::shared_ptr<const ViewSnapshot> view;
-    std::map<std::string, std::string> rendered;
+    Renderings rendered;
     /// Stats of the run/refresh that brought the entry to `epoch`;
     /// replayed into replies answered from the cache.
     protocol::WireEvalStats stats;
@@ -244,9 +258,11 @@ class DatabaseService {
                         RunOptions* ropts) const;
 
   /// After a write (Append or Retract), revalidates the plan of every
-  /// entry with a view and advances the view to the current epoch under
-  /// the program's admission policy; Refresh picks delta vs DRed vs
-  /// recompute. Failures leave the entry stale — the next Run recovers.
+  /// entry with a view, advances the view to the current epoch under the
+  /// program's admission policy (Refresh picks delta vs DRed vs
+  /// recompute) and patches the entry's renderings from the old view to
+  /// the new one. A failed refresh leaves the entry stale and a failed
+  /// patch drops its rendering: the next Run recovers either.
   void RefreshCachedViews();
 
   /// Moves `it`'s entry to the LRU front. Caller holds mu_.
@@ -256,12 +272,21 @@ class DatabaseService {
   Entry& TouchOrInsertLocked(
       const std::string& key,
       const std::shared_ptr<const CompiledProgram>& compiled);
-  /// Points `e` (the entry for `key`) at `view` at `epoch`, dropping the
-  /// renderings of its previous state. Caller holds mu_.
-  void SetViewLocked(const std::string& key, Entry& e,
-                     std::shared_ptr<const ViewSnapshot> view,
-                     uint64_t epoch, uint64_t segments,
-                     const protocol::WireEvalStats& stats);
+  /// An entry's view and its renderings of it, as SetViewLocked replaces
+  /// them. Destroyed after releasing mu_, so no snapshot or rendering is
+  /// freed under the lock.
+  struct Replaced {
+    std::shared_ptr<const ViewSnapshot> view;
+    Renderings rendered;
+  };
+  /// Points `e` (the entry for `key`) at `view` at `epoch` with
+  /// `rendered`, renderings of `view`, and returns its previous view and
+  /// renderings. Caller holds mu_.
+  [[nodiscard]] Replaced SetViewLocked(
+      const std::string& key, Entry& e,
+      std::shared_ptr<const ViewSnapshot> view, uint64_t epoch,
+      uint64_t segments, const protocol::WireEvalStats& stats,
+      Renderings rendered);
   /// Evicts LRU entries until entry and byte caps hold, never touching
   /// `keep`. Caller holds mu_.
   void EvictLocked(const std::string& keep);

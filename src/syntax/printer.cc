@@ -37,7 +37,7 @@ std::string FormatExpr(const Universe& u, const PathExpr& e) {
 }
 
 std::string FormatPredicate(const Universe& u, const Predicate& p) {
-  std::string out = u.RelName(p.rel);
+  std::string out = u.RelText(p.rel);
   if (!p.args.empty()) {
     out += "(";
     for (size_t i = 0; i < p.args.size(); ++i) {

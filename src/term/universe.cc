@@ -24,6 +24,13 @@ bool NeedsQuotes(std::string_view name) {
   }
   return false;
 }
+
+// `name` as it renders: in double quotes when NeedsQuotes.
+std::string QuotedText(std::string_view name) {
+  std::string quoted(1, '"');
+  quoted.append(name).push_back('"');
+  return quoted;
+}
 }  // namespace
 
 size_t Universe::PathKeyHash::operator()(const std::vector<Value>& p) const {
@@ -71,9 +78,7 @@ AtomId Universe::InternAtomLocked(std::string_view name) {
   AtomId id = static_cast<AtomId>(atom_names_.size());
   std::string_view text = atom_names_.emplace_back(name);
   if (NeedsQuotes(name)) {
-    std::string& quoted = quoted_atom_texts_.emplace_back(1, '"');
-    quoted.append(name).push_back('"');
-    text = quoted;
+    text = quoted_atom_texts_.emplace_back(QuotedText(name));
   }
   atom_texts_.push_back(text);
   atom_ids_.emplace(std::string(name), id);
@@ -236,14 +241,57 @@ void Universe::AppendPathLocked(PathId p, std::string* out) const {
     return;
   }
   for (size_t i = 0; i < a.size(); ++i) {
-    if (i > 0) out->append("·");  // interpunct, as in the paper
-    if (a[i].is_atom()) {
-      AppendAtomLocked(a[i].atom(), out);
-    } else {
-      out->push_back('<');
-      AppendPathLocked(a[i].packed_path(), out);
-      out->push_back('>');
+    if (a[i].is_packed()) {
+      AppendPacksLocked(p, i, out);
+      return;
     }
+    if (i > 0) out->append("·");  // interpunct, as in the paper
+    AppendAtomLocked(a[i].atom(), out);
+  }
+}
+
+void Universe::AppendPacksLocked(PathId p, size_t i, std::string* out) const {
+  // A value can nest packs deeper than the call stack allows (one built
+  // through the API or read from a segment file), so the walk keeps its
+  // own stack: the paths enclosing the one being written, each with the
+  // index to resume at. The first levels live in `near`; deeper ones
+  // spill to `far`, which a shallow value never allocates.
+  struct Outer {
+    PathId path;
+    size_t next;
+  };
+  constexpr size_t kNear = 8;
+  Outer near[kNear]{};
+  std::vector<Outer> far;
+  size_t depth = 0;
+  std::span<const Value> a = GetPath(p);
+  for (;;) {
+    for (; i < a.size() && a[i].is_atom(); ++i) {
+      if (i > 0) out->append("·");
+      AppendAtomLocked(a[i].atom(), out);
+    }
+    if (i < a.size()) {  // a packed value: write its path, then resume
+      if (i > 0) out->append("·");
+      out->push_back('<');
+      if (depth < kNear) {
+        near[depth] = {p, i + 1};
+      } else {
+        far.push_back({p, i + 1});
+      }
+      ++depth;
+      p = a[i].packed_path();
+      a = GetPath(p);
+      i = 0;
+      if (a.empty()) out->append("()");
+      continue;
+    }
+    if (depth == 0) return;
+    out->push_back('>');
+    Outer up = --depth < kNear ? near[depth] : far.back();
+    if (depth >= kNear) far.pop_back();
+    p = up.path;
+    a = GetPath(p);
+    i = up.next;
   }
 }
 
@@ -327,6 +375,8 @@ Result<RelId> Universe::InternRelLocked(std::string_view name,
   }
   RelId id = static_cast<RelId>(rel_names_.size());
   rel_names_.emplace_back(name);
+  rel_texts_.push_back(NeedsQuotes(name) ? QuotedText(name)
+                                          : std::string(name));
   rel_arities_.push_back(arity);
   rel_ids_.emplace(std::string(name), id);
   return id;
@@ -349,6 +399,11 @@ Result<RelId> Universe::FindRel(std::string_view name) const {
 const std::string& Universe::RelName(RelId id) const {
   std::shared_lock<std::shared_mutex> lock(rel_mu_);
   return rel_names_[id];
+}
+
+const std::string& Universe::RelText(RelId id) const {
+  std::shared_lock<std::shared_mutex> lock(rel_mu_);
+  return rel_texts_[id];
 }
 
 uint32_t Universe::RelArity(RelId id) const {

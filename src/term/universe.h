@@ -126,7 +126,8 @@ class Universe {
   void AppendAtom(AtomId id, std::string* out) const;
   /// Appends a path's canonical text to `*out`: atom texts (AppendAtom)
   /// separated by interpuncts, "()" for the empty path, "<...>" around
-  /// packed values at any depth. Takes the atom table's shared lock once.
+  /// packed values at any depth (walked without recursion, so no nesting
+  /// depth overflows the stack). Takes the atom table's shared lock once.
   void AppendPath(PathId p, std::string* out) const;
   /// Appends the canonical text of each of `paths`, separated by `sep`,
   /// under one shared lock of the atom table (a renderer's lock per
@@ -154,6 +155,10 @@ class Universe {
   /// Looks up a relation by name.
   Result<RelId> FindRel(std::string_view name) const;
   const std::string& RelName(RelId id) const;
+  /// The text renderings write for a relation: its name, in double quotes
+  /// when the name would not lex back as one identifier (AppendAtom's
+  /// rule). Decided once, when the relation is interned.
+  const std::string& RelText(RelId id) const;
   uint32_t RelArity(RelId id) const;
   /// Fresh relation name with the given arity, derived from `hint`.
   RelId FreshRel(std::string_view hint, uint32_t arity);
@@ -212,6 +217,9 @@ class Universe {
   AtomId InternAtomLocked(std::string_view name);
   void AppendAtomLocked(AtomId id, std::string* out) const;
   void AppendPathLocked(PathId p, std::string* out) const;
+  /// AppendPathLocked from p's value i on, a packed one: the walk through
+  /// nested packs, kept apart so a flat path's loop stays minimal.
+  void AppendPacksLocked(PathId p, size_t i, std::string* out) const;
   VarId InternVarLocked(VarKind kind, std::string_view name);
   Result<RelId> InternRelLocked(std::string_view name, uint32_t arity);
 
@@ -240,6 +248,8 @@ class Universe {
 
   mutable std::shared_mutex rel_mu_;
   std::deque<std::string> rel_names_;
+  /// Per relation: its text (see RelText).
+  std::deque<std::string> rel_texts_;
   std::deque<uint32_t> rel_arities_;
   std::unordered_map<std::string, RelId> rel_ids_;
   uint32_t fresh_rel_counter_ = 0;

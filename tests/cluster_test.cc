@@ -494,6 +494,37 @@ TEST(ClusterTest, QuotedAtomsRouteAndMergeLikeASingleNode) {
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->rendered, SingleNodeRendered(edb, kReachProgram, "R"));
   EXPECT_NE(run->rendered.find("R(a, é)."), std::string::npos);
+
+  // Relation names quote by the same rule: a routed batch, a shard's
+  // answer and the residual path's dump program all carry them.
+  const std::string quoted_edb =
+      "\"my rel\"(a, \"p q\"). \"my rel\"(\"p q\", b). \"my rel\"(b, c).\n"
+      "\"not\"(b).\n";
+  appended = t.Append(quoted_edb);
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  EXPECT_EQ(appended->appended, 4u);
+  const std::string all = edb + quoted_edb;
+  const std::string quoted_copy = "\"out rel\"($x) <- \"my rel\"($x, $y).\n";
+  run = t.Run(quoted_copy);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->rendered, SingleNodeRendered(all, quoted_copy));
+  EXPECT_NE(run->rendered.find("\"out rel\"(\"p q\")."), std::string::npos);
+  const std::string quoted_reach =
+      "\"my reach\"($x, $y) <- \"my rel\"($x, $y).\n"
+      "\"my reach\"($x, $z) <- \"my reach\"($x, $y), \"my rel\"($y, $z).\n"
+      "---\n"
+      "\"x,y\"($x) <- \"my reach\"(a, $x), !\"not\"($x).\n";
+  run = t.Run(quoted_reach);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->rendered, SingleNodeRendered(all, quoted_reach));
+  EXPECT_NE(run->rendered.find("\"my reach\"(a, c)."), std::string::npos);
+  EXPECT_NE(run->rendered.find("\"x,y\"(c)."), std::string::npos);
+  // The residual path gathered "my rel" through a quoted alias.
+  for (TestShard& shard : t.shards) {
+    Result<RelId> alias = shard.u->FindRel("__gather_my rel");
+    ASSERT_TRUE(alias.ok()) << alias.status().ToString();
+    EXPECT_EQ(shard.u->RelText(*alias), "\"__gather_my rel\"");
+  }
 }
 
 TEST(ClusterTest, BroadcastJoinMatchesSingleNode) {

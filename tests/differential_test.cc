@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -869,6 +870,131 @@ TEST(DifferentialTest, RetractionAutoCompactViewMatchesColdFixpointPerEpoch) {
   EXPECT_GT(tail_folds, 0u);
   EXPECT_GT(full_folds, 0u);
   EXPECT_GT(dred_refreshes, 0u);
+}
+
+// The cached-answer differential: a DatabaseService with the default
+// cache (views refreshed and renderings patched by every write) over a
+// database with automatic compaction plays a seeded schedule of appends
+// of held-back facts, retractions and re-assertions. After every write
+// it answers "" and each derived relation. Every reply must be
+// byte-identical to a cold fixpoint at its epoch, and the replies after
+// a write must be cache hits, patched by that write, well above a floor.
+TEST(DifferentialTest, CachedAnswersMatchColdFixpointPerEpoch) {
+  constexpr int kWrites = 10;
+  size_t iterations = Iterations();
+  size_t compared = 0, skipped = 0;
+  uint64_t replies = 0, patched = 0, appends = 0, retractions = 0,
+           reassertions = 0;
+  for (uint64_t seed = 1; seed <= iterations; ++seed) {
+    Universe u;
+    RandomCase c = CaseGenerator(u, seed).Generate();
+    std::string program_text = FormatProgram(u, c.program);
+    SCOPED_TRACE("seed " + std::to_string(seed) + "\n" + program_text +
+                 c.input.ToString(u));
+    std::mt19937 sched(seed * 6151 + 3);
+
+    // About a third of the EDB is held back for later appends.
+    Instance initial, held, retracted;
+    for (RelId rel : c.input.Relations()) {
+      for (const Tuple& t : c.input.Tuples(rel)) {
+        (sched() % 3 == 0 ? held : initial).Add(rel, t);
+      }
+    }
+    RunOptions ropts;
+    ropts.max_facts = kMaxFacts;
+    ropts.max_iterations = kMaxIterations;
+    Result<PreparedProgram> prog = Engine::CompileBorrowed(u, c.program);
+    ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+    Database::OpenOptions opts;
+    opts.auto_compact_segments = 3 + seed % 2;
+    Result<Database> db = Database::Open(u, initial, opts);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ServiceOptions sopts;
+    sopts.run_options = ropts;
+    DatabaseService service(u, std::move(*db), sopts);
+
+    std::vector<std::string> outputs = {""};
+    std::set<RelId> heads;
+    for (const Rule* r : c.program.AllRules()) heads.insert(r->head.rel);
+    for (RelId rel : heads) outputs.push_back(u.RelName(rel));
+
+    bool budget_hit = false;
+    auto check = [&](const std::string& phase, bool after_write) {
+      Result<Database> cold = Database::Open(u, service.db().edb());
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      Result<Instance> want = cold->Snapshot().Run(*prog, ropts);
+      if (!want.ok()) {
+        ASSERT_EQ(want.status().code(), StatusCode::kResourceExhausted)
+            << want.status().ToString();
+        budget_hit = true;
+        return;
+      }
+      for (const std::string& out : outputs) {
+        protocol::RunRequest req;
+        req.program = program_text;
+        req.output_rel = out;
+        Result<protocol::RunReply> got = service.Run(req);
+        if (!got.ok()) {
+          ASSERT_EQ(got.status().code(), StatusCode::kResourceExhausted)
+              << phase << ": " << got.status().ToString();
+          budget_hit = true;
+          return;
+        }
+        Result<std::string> want_text = RenderOutput(u, *want, out);
+        ASSERT_TRUE(want_text.ok()) << want_text.status().ToString();
+        EXPECT_EQ(got->epoch, service.db().epoch()) << phase;
+        EXPECT_EQ(*want_text, got->rendered)
+            << phase << ", output \"" << out << "\"";
+        if (after_write) {
+          ++replies;
+          patched += got->result_cached;
+        }
+      }
+    };
+
+    check("epoch 0 (cold)", false);
+    for (int w = 0; w < kWrites && !budget_hit; ++w) {
+      uint64_t epoch = service.db().epoch();
+      Instance visible = service.db().edb();
+      // Append held-back facts, retract visible ones or re-assert
+      // retracted ones; an empty pool passes its turn to the next.
+      Instance* pools[] = {&held, &visible, &retracted};
+      size_t kind = sched() % 3;
+      for (int i = 0; i < 2 && pools[kind]->Empty(); ++i) kind = (kind + 1) % 3;
+      Instance& from = *pools[kind];
+      if (from.Empty()) break;
+      Instance batch = PickOne(sched, from);
+      batch.UnionWith(PickOne(sched, from));
+      std::string facts = batch.ToString(u);
+      if (kind == 1) {
+        ASSERT_TRUE(service.Retract({facts, ""}).ok());
+        retracted.UnionWith(batch);
+        ++retractions;
+      } else {
+        ASSERT_TRUE(service.Append({facts, ""}).ok());
+        for (RelId rel : batch.Relations()) {
+          for (const Tuple& t : batch.Tuples(rel)) from.Remove(rel, t);
+        }
+        ++(kind == 0 ? appends : reassertions);
+      }
+      check("write " + std::to_string(w), service.db().epoch() != epoch);
+    }
+    if (budget_hit) {
+      ++skipped;
+      continue;
+    }
+    ++compared;
+  }
+  EXPECT_GE(compared * 5, iterations * 4)
+      << compared << " of " << iterations << " seeds compared (" << skipped
+      << " skipped)";
+  EXPECT_GT(appends, 0u);
+  EXPECT_GT(retractions, 0u);
+  EXPECT_GT(reassertions, 0u);
+  // A write patches every cached rendering, so a reply after it misses
+  // only where a refresh ran out of budget.
+  EXPECT_GE(patched * 10, replies * 9)
+      << patched << " of " << replies << " replies after a write were hits";
 }
 
 // The server differential: running a random program through a loopback

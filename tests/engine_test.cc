@@ -144,18 +144,24 @@ std::string ReferenceRender(const Universe& u, const Instance& inst) {
   return out;
 }
 
-// Random instances over relations whose names prefix each other (R, RS,
-// S, SR, interned in a seeded order so RelId order is not name order)
-// with arities 0-3, and paths of 0-4 values over `atoms` (by default
-// ASCII and multi-byte UTF-8 names; also interned in a seeded order),
-// packs nested two deep.
+// Random instances over relations named from `rels` (by default R, RS,
+// S, SR, whose names prefix each other; interned in a seeded order so
+// RelId order is not name order) with arities 0 to `max_arity`, and
+// paths of 0-4 values over `atoms` (by default ASCII and multi-byte
+// UTF-8 names; also interned in a seeded order), packs nested two deep.
 class RenderCaseGenerator {
  public:
   RenderCaseGenerator(Universe& u, uint64_t seed,
                       std::vector<std::string> atoms = {"a", "b", "ab", "z",
                                                         "A", "é", "ω",
-                                                        "日本"})
-      : u_(u), rng_(seed), atom_names_(std::move(atoms)) {}
+                                                        "日本"},
+                      std::vector<std::string> rels = {"R", "RS", "S", "SR"},
+                      uint32_t max_arity = 3)
+      : u_(u),
+        rng_(seed),
+        atom_names_(std::move(atoms)),
+        rel_names_(std::move(rels)),
+        max_arity_(max_arity) {}
 
   struct Case {
     Instance inst;
@@ -168,26 +174,30 @@ class RenderCaseGenerator {
     for (const std::string& a : atoms) {
       atoms_.push_back(Value::Atom(u_.InternAtom(a)));
     }
-    std::vector<std::string> names = {"R", "RS", "S", "SR"};
+    std::vector<std::string> names = rel_names_;
     std::shuffle(names.begin(), names.end(), rng_);
     Case c;
-    size_t num_rels = 1 + Below(4);
+    size_t num_rels = 1 + Below(names.size());
     for (size_t i = 0; i < num_rels; ++i) {
-      uint32_t arity = static_cast<uint32_t>(Below(4));
+      uint32_t arity = static_cast<uint32_t>(Below(max_arity_ + 1));
       RelId rel = *u_.InternRel(names[i], arity);
       c.rels.push_back(rel);
       size_t facts = arity == 0 ? Below(2) : Below(7);
-      for (size_t f = 0; f < facts; ++f) {
-        Tuple t;
-        for (uint32_t col = 0; col < arity; ++col) t.push_back(Path(2));
-        c.inst.Add(rel, std::move(t));
-      }
+      for (size_t f = 0; f < facts; ++f) c.inst.Add(rel, Fact(rel));
     }
     return c;
   }
 
- private:
+  /// A random tuple of `rel`'s arity (after Generate).
+  Tuple Fact(RelId rel) {
+    Tuple t;
+    for (uint32_t col = 0; col < u_.RelArity(rel); ++col) t.push_back(Path(2));
+    return t;
+  }
+
   size_t Below(size_t n) { return rng_() % n; }
+
+ private:
 
   // A path of 0-4 values; each is packed with probability 1/4 while
   // `depth` allows it.
@@ -203,6 +213,8 @@ class RenderCaseGenerator {
   Universe& u_;
   std::mt19937_64 rng_;
   std::vector<std::string> atom_names_;
+  std::vector<std::string> rel_names_;
+  uint32_t max_arity_;
   std::vector<Value> atoms_;
 };
 
@@ -249,16 +261,17 @@ TEST(InstanceTest, RenderMatchesReferenceRenderer) {
 }
 
 // Renderings are wire data: a coordinator parses shard answers and routed
-// batches back. Atoms that are no bare identifier render quoted, so every
-// rendering parses back to the same facts.
+// batches back. Atoms and relation names that are no bare identifier
+// render quoted, so every rendering parses back to the same facts.
 TEST(InstanceTest, RenderParsesBack) {
   const std::vector<std::string> atoms = {"",    "p q", "x,y", "a·b", "<a>",
                                           "not", "eps", "é",   "日本"};
+  const std::vector<std::string> rels = {"R", "my rel", "x,y", "not", "日本"};
   size_t cases = DiffIterations();
-  size_t quoted = 0, bare = 0, nested = 0, empty_name = 0;
+  size_t quoted = 0, bare = 0, nested = 0, empty_name = 0, quoted_rel = 0;
   for (uint64_t seed = 1; seed <= cases; ++seed) {
     Universe u;
-    RenderCaseGenerator gen(u, seed, atoms);
+    RenderCaseGenerator gen(u, seed, atoms, rels);
     RenderCaseGenerator::Case c = gen.Generate();
     std::string text = c.inst.ToString(u);
     SCOPED_TRACE("seed " + std::to_string(seed) + ":\n" + text);
@@ -281,11 +294,119 @@ TEST(InstanceTest, RenderParsesBack) {
     bare += text.find("日本") != std::string::npos;
     nested += text.find("<<") != std::string::npos;
     empty_name += text.find("\"\"") != std::string::npos;
+    quoted_rel += text.find("\"my rel\"") != std::string::npos &&
+                  text.find("\"not\"(") != std::string::npos;
   }
   EXPECT_GT(quoted, cases / 4) << "cases with a quoted atom";
   EXPECT_GT(bare, cases / 4) << "cases with a bare multi-byte atom";
   EXPECT_GT(nested, cases / 10) << "cases with a pack inside a pack";
   EXPECT_GT(empty_name, cases / 4) << "cases with an empty atom name";
+  EXPECT_GT(quoted_rel, cases / 20) << "cases with two quoted relations";
+}
+
+// PatchOutput against RenderOutput: seeded (before, after) pairs where
+// `after` keeps each fact of `before` with probability 3/4, loses whole
+// relations, and gains 0-3 new facts per relation (so relations appear
+// and vanish), over quoted atoms and relation names, packs two deep and
+// eps, arities 0-2. The patch of every output ("" and each relation)
+// must be the rendering of `after`.
+TEST(InstanceTest, RenderPatchMatchesRender) {
+  const std::vector<std::string> atoms = {"a", "b", "p q", "", "not", "é"};
+  const std::vector<std::string> rels = {"R", "RS", "my rel", "not"};
+  size_t cases = 20 * DiffIterations();
+  size_t patches = 0, quoted_atom = 0, quoted_rel = 0, nested = 0, eps = 0,
+         arity0 = 0, appeared = 0, vanished = 0, both_ways = 0;
+  for (uint64_t seed = 1; seed <= cases; ++seed) {
+    Universe u;
+    RenderCaseGenerator gen(u, seed, atoms, rels, /*max_arity=*/2);
+    RenderCaseGenerator::Case c = gen.Generate();
+    const Instance& before = c.inst;
+    Instance after;
+    for (RelId rel : c.rels) {
+      if (gen.Below(6) != 0) {
+        for (const Tuple& t : before.Tuples(rel)) {
+          if (gen.Below(4) != 0) after.Add(rel, t);
+        }
+      }
+      for (size_t n = gen.Below(4); n > 0; --n) after.Add(rel, gen.Fact(rel));
+    }
+    std::vector<std::string> outputs = {""};
+    for (RelId rel : c.rels) outputs.push_back(u.RelName(rel));
+    for (const std::string& out : outputs) {
+      Result<std::string> old_text = RenderOutput(u, before, out);
+      Result<std::string> want = RenderOutput(u, after, out);
+      ASSERT_TRUE(old_text.ok() && want.ok());
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", output \"" + out +
+                   "\"\nbefore:\n" + *old_text + "after:\n" + *want);
+      Result<std::string> got = PatchOutput(u, *old_text, before, after, out);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ(*got, *want);
+      ++patches;
+    }
+    std::string diff;  // the lines that differ, for the coverage counts
+    for (RelId rel : c.rels) {
+      const TupleSet& was = before.Tuples(rel);
+      const TupleSet& is = after.Tuples(rel);
+      appeared += was.empty() && !is.empty();
+      vanished += !was.empty() && is.empty();
+      size_t gone = 0, added = 0;
+      Instance changed;
+      for (const Tuple& t : was) {
+        if (is.count(t) == 0) gone += changed.Add(rel, t);
+      }
+      for (const Tuple& t : is) {
+        if (was.count(t) == 0) added += changed.Add(rel, t);
+      }
+      both_ways += gone > 0 && added > 0;
+      diff += changed.ToString(u);
+    }
+    quoted_atom += diff.find("\"p q\"") != std::string::npos;
+    quoted_rel += diff.find("\"my rel\"") != std::string::npos;
+    nested += diff.find("<<") != std::string::npos;
+    eps += diff.find("()") != std::string::npos;
+    arity0 += diff.find("R.\n") != std::string::npos ||
+              diff.find("S.\n") != std::string::npos ||
+              diff.find("\".\n") != std::string::npos;
+  }
+  EXPECT_GE(patches, cases * 2);
+  EXPECT_GT(quoted_atom, cases / 4) << "cases changing a quoted-atom line";
+  EXPECT_GT(quoted_rel, cases / 10) << "cases changing a quoted relation";
+  EXPECT_GT(nested, cases / 20) << "cases changing a pack inside a pack";
+  EXPECT_GT(eps, cases / 4) << "cases changing a line with eps";
+  EXPECT_GT(arity0, cases / 20) << "cases changing an arity-0 fact";
+  EXPECT_GT(appeared, cases / 10) << "cases where a relation appears";
+  EXPECT_GT(vanished, cases / 20) << "cases where a relation vanishes";
+  EXPECT_GT(both_ways, cases / 10) << "relations losing and gaining facts";
+}
+
+// The splice finds lines by their newlines, and its gone lines must be
+// in the old text: a patch of any other text fails rather than guess.
+TEST(InstanceTest, RenderPatchRejectsTextItCannotSplice) {
+  Universe u;
+  Instance before = MustInstance(u, "R(a). R(\"x\ny\"). S(b).");
+  Instance after = MustInstance(u, "R(a). S(b). S(c).");
+  Result<std::string> old_text = RenderOutput(u, before, "");
+  ASSERT_TRUE(old_text.ok());
+  // A quoted newline splits a line.
+  EXPECT_EQ(PatchOutput(u, *old_text, before, after, "").status().code(),
+            StatusCode::kFailedPrecondition);
+  // A text missing the line of a fact that left, a line short, or
+  // without its last newline.
+  Instance small = MustInstance(u, "R(a). S(b).");
+  Instance only_s = MustInstance(u, "S(b).");
+  EXPECT_EQ(PatchOutput(u, "R(x).\nS(b).\n", small, only_s, "").status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(PatchOutput(u, "S(b).\n", small, after, "").ok());
+  EXPECT_FALSE(PatchOutput(u, "R(a).\nS(b).", small, after, "").ok());
+  // The same facts, patched from their true rendering, work; an added
+  // line may hold a newline, since lines are compared whole.
+  Instance grown = MustInstance(u, "R(a). R(\"x\ny\"). S(b).");
+  Result<std::string> got =
+      PatchOutput(u, "R(a).\nS(b).\n", small, grown, "");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, *RenderOutput(u, grown, ""));
+  EXPECT_EQ(PatchOutput(u, "", small, after, "Nope").status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(InstanceTest, RenderSortsWholeLinesAsUnsignedBytes) {

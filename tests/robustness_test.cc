@@ -3,6 +3,9 @@
 // engine must behave sanely on degenerate instances.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/algebra/from_datalog.h"
 #include "src/analysis/safety.h"
 #include "src/analysis/stratify.h"
@@ -90,6 +93,29 @@ TEST(RobustnessTest, DeepPackNestingIsRejected) {
   EXPECT_EQ(ok->ToString(u), "R(" + at + ").\n");
   EXPECT_FALSE(
       ParseInstance(u, "R(" + NestedPacks(kMaxPackNesting + 1) + ").").ok());
+}
+
+TEST(RobustnessTest, DeepPackValueRenders) {
+  // The parser caps nesting, but a value built through the API or read
+  // from a segment file never passes it. The renderer walks packs
+  // without recursion, so 200,000 levels render (they used to overflow
+  // the stack). Each level is <inner>·b around an empty innermost path,
+  // so the walk also resumes in every enclosing path after a pack.
+  constexpr size_t kDepth = 200000;
+  Universe u;
+  Value b = Value::Atom(u.InternAtom("b"));
+  PathId p = kEmptyPath;
+  for (size_t i = 0; i < kDepth; ++i) {
+    p = u.InternPath(std::vector<Value>{Value::Packed(p), b});
+  }
+  std::string want(kDepth, '<');
+  want += "()";
+  for (size_t i = 0; i < kDepth; ++i) want += ">·b";
+  EXPECT_EQ(u.FormatPath(p), want);
+  Instance inst;
+  RelId r = *u.InternRel("R", 1);
+  inst.Add(r, {p});
+  EXPECT_EQ(inst.ToString(u), "R(" + want + ").\n");
 }
 
 // --- Validation failures ------------------------------------------------------

@@ -96,6 +96,60 @@ TEST(ProtocolTest, RequestRoundTrips) {
   }
 }
 
+// Encoders write a frame in place and fill its length prefix in last: the
+// prefix must be the payload's length, and the bytes those of the wire
+// format.
+TEST(ProtocolTest, FramesCarryTheirPayloadLength) {
+  protocol::RunReply run;
+  run.epoch = 3;
+  run.rendered = std::string(70000, 'x');
+  protocol::CompileReply compile;
+  compile.features = "packing";
+  protocol::WireDiagnostic d;
+  d.code = "SD101";
+  d.message = "unused";
+  d.notes = {"a note", ""};
+  compile.diagnostics = {d, d};
+  protocol::StatsReply stats;
+  stats.rendered = "universe  paths=1 atoms=0\n";
+  protocol::RunRequest run_req;
+  run_req.program = "S($x) <- R($x).";
+  run_req.output_rel = "S";
+  const std::vector<std::string> frames = {
+      protocol::EncodeRunReply(run),
+      protocol::EncodeCompileReply(compile),
+      protocol::EncodeStatsReply(stats),
+      protocol::EncodeErrorReply(MsgType::kRun,
+                                 Status::NotFound("unknown relation Q")),
+      protocol::EncodeAppendReply({}),
+      protocol::EncodeRetractReply({}),
+      protocol::EncodeEpochReply({}),
+      protocol::EncodeCompactReply({}),
+      protocol::EncodeShutdownReply(),
+      protocol::EncodeHelloReply({}),
+      protocol::EncodeRunRequest(run_req),
+      protocol::EncodeCompileRequest({"T <- R(a).", "c.sdl"}),
+      protocol::EncodeAppendRequest({"R(b).", ""}),
+      protocol::EncodeRetractRequest({"R(b).", "v.sdl"}),
+      protocol::EncodeHelloRequest({}),
+      protocol::EncodeBareRequest(MsgType::kStats)};
+  for (const std::string& f : frames) {
+    ASSERT_GE(f.size(), 4u);
+    uint32_t len = 0;
+    for (int i = 0; i < 4; ++i) {
+      len |= static_cast<uint32_t>(static_cast<uint8_t>(f[i])) << (8 * i);
+    }
+    EXPECT_EQ(len, f.size() - 4);
+  }
+  EXPECT_EQ(protocol::EncodeBareRequest(MsgType::kEpoch),
+            std::string("\x01\x00\x00\x00\x04", 5));
+  // Reply, orig type kShutdown, status code 0, empty message.
+  EXPECT_EQ(protocol::EncodeShutdownReply(),
+            std::string("\x0a\x00\x00\x00\x80\x07\x00\x00\x00\x00"
+                        "\x00\x00\x00\x00",
+                        14));
+}
+
 TEST(ProtocolTest, ReplyRoundTrips) {
   protocol::RunReply run;
   run.epoch = 3;
@@ -322,8 +376,9 @@ TEST(ServerTest, FullRequestFlow) {
   EXPECT_EQ(run->rendered, "R(a, b).\nR(a, c).\nR(b, c).\n");
   EXPECT_EQ(t.service->NumCachedResults(), 2u);
 
-  // append: a new epoch, visible to later runs — and a cache miss, the
-  // epoch counter is the invalidation.
+  // append: a new epoch, visible to later runs. The append refreshed the
+  // cached view and patched its renderings, so the run at the new epoch
+  // is a result-cache hit.
   Result<protocol::AppendReply> appended = client->Append("E(c, d).");
   ASSERT_TRUE(appended.ok()) << appended.status().ToString();
   EXPECT_EQ(appended->appended, 1u);
@@ -332,7 +387,7 @@ TEST(ServerTest, FullRequestFlow) {
   run = client->Run(kReachProgram);
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->epoch, 1u);
-  EXPECT_FALSE(run->result_cached);
+  EXPECT_TRUE(run->result_cached);
   EXPECT_EQ(run->rendered,
             "R(a, b).\nR(a, c).\nR(a, d).\nR(b, c).\nR(b, d).\nR(c, d).\n");
   // The append delta-refreshed the maintained view instead of re-running
@@ -773,15 +828,17 @@ TEST(ServiceCacheTest, AppendRefreshesViewsEagerly) {
   EXPECT_EQ(v.cold_runs, 1u);
   EXPECT_EQ(v.delta_refreshes, 1u);
 
-  // The next run re-renders from the refreshed view (a view-level hit,
-  // no evaluation) and replays the delta refresh's stats.
+  // The append also patched the entry's rendering, so the next run is a
+  // result-cache hit: it never asks the ViewManager for the view, and it
+  // replays the delta refresh's stats.
   Result<protocol::RunReply> run = service.Run(ReqFor(kProgA));
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->epoch, 1u);
+  EXPECT_TRUE(run->result_cached);
   EXPECT_EQ(run->stats.derived_facts, 1u);  // only A(c, d) was new
-  EXPECT_GE(service.db().views().counters().hits, 1u);
+  EXPECT_EQ(service.db().views().counters().hits, 0u);
 
-  // And the rendering is cached from here on.
+  // And the rendering stays cached from here on.
   run = service.Run(ReqFor(kProgA));
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->result_cached);

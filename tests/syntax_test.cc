@@ -284,10 +284,17 @@ TEST(PrinterTest, RoundTripStrata) {
 TEST(PrinterTest, RoundTripQuotedAtoms) {
   ExpectRoundTrip(
       "S($x, \"p q\", \"\", \"not\") <- R($x, \"x,y\" ++ é ++ \"a·b\").\n");
+  // Relation names quote by the same rule, arity 0 and negated included.
+  ExpectRoundTrip(
+      "\"out rel\"($y) <- \"my rel\"($x, $y), !\"not\"($y).\n"
+      "\"x,y\" <- \"out rel\"(a), 日本(b).\n");
   Universe u;
   ProgramBuilder b(u);
   EXPECT_EQ(FormatExpr(u, b.Cat({b.A("p q"), b.A("eps"), b.A("日本")})),
             "\"p q\"·\"eps\"·日本");
+  Result<Program> p = ParseProgram(u, "\"out rel\"($y) <- \"my rel\"($x, $y).");
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  EXPECT_EQ(FormatProgram(u, *p), "\"out rel\"($y) <- \"my rel\"($x, $y).\n");
 }
 
 TEST(PrinterTest, FormatExprForms) {
