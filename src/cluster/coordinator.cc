@@ -32,35 +32,6 @@ bool LooksLikeTransportFailure(const Status& st) {
          has("oversized frame") || has("client is closed");
 }
 
-protocol::WireDiagnostic ToWire(const Diagnostic& d) {
-  protocol::WireDiagnostic w;
-  w.severity = static_cast<uint8_t>(d.severity);
-  w.code = d.code;
-  w.line = static_cast<uint32_t>(d.span.line);
-  w.col = static_cast<uint32_t>(d.span.col);
-  w.end_line = static_cast<uint32_t>(d.span.end_line);
-  w.end_col = static_cast<uint32_t>(d.span.end_col);
-  w.message = d.message;
-  w.notes = d.notes;
-  return w;
-}
-
-protocol::WireEvalStats ToWire(const EvalStats& s) {
-  protocol::WireEvalStats w;
-  w.derived_facts = s.derived_facts;
-  w.rounds = s.rounds;
-  w.rule_firings = s.rule_firings;
-  w.index_probes = s.index_probes;
-  w.prefix_probes = s.prefix_probes;
-  w.suffix_probes = s.suffix_probes;
-  w.full_scans = s.full_scans;
-  w.delta_scans = s.delta_scans;
-  w.delta_index_probes = s.delta_index_probes;
-  w.compile_seconds = s.compile_seconds;
-  w.run_seconds = s.run_seconds;
-  return w;
-}
-
 /// Shard counters sum; wall times take the max — the shards ran in
 /// parallel, so the slowest one is the cluster's wall time.
 void Accumulate(protocol::WireEvalStats* into,
@@ -303,7 +274,7 @@ Result<protocol::CompileReply> Coordinator::Compile(
   DiagnosticList diags;
   AnalyzeLocality(*u_, *program, lopts, &diags);
   for (const Diagnostic& d : diags.all()) {
-    reply.diagnostics.push_back(ToWire(d));
+    reply.diagnostics.push_back(protocol::ToWire(d));
   }
   return reply;
 }
@@ -431,7 +402,7 @@ Result<protocol::RunReply> Coordinator::RunResidual(
                                                        &stats));
   SEQDL_ASSIGN_OR_RETURN(out.rendered,
                          RenderOutput(*u_, derived, req.output_rel));
-  out.stats = ToWire(stats);
+  out.stats = protocol::ToWire(stats);
   return out;
 }
 

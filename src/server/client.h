@@ -110,16 +110,18 @@ class Client {
   /// (oversized frames, truncated frames, mid-run disconnects).
   int fd() const { return fd_; }
 
+  /// Sends one encoded request frame (protocol.h encoders) and decodes the
+  /// reply; checks the reply answers `expect` and propagates an error
+  /// Status from the server. The typed methods above wrap it; `seqdl
+  /// query` calls it with the frame its command table built.
+  Result<protocol::Reply> RoundTrip(const std::string& frame,
+                                    protocol::MsgType expect);
+
  private:
   Client(int fd, const ClientOptions& options)
       : fd_(fd),
         max_frame_bytes_(options.max_frame_bytes),
         io_timeout_ms_(options.io_timeout_ms) {}
-
-  /// Sends one encoded frame and decodes the reply; checks the reply
-  /// answers `expect` and propagates an error Status from the server.
-  Result<protocol::Reply> RoundTrip(const std::string& frame,
-                                    protocol::MsgType expect);
 
   int fd_ = -1;
   size_t max_frame_bytes_ = protocol::kDefaultMaxFrameBytes;

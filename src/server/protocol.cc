@@ -9,116 +9,53 @@
 #include <cerrno>
 #include <cstring>
 
+#include "src/analysis/diagnostics.h"
+#include "src/base/bytes.h"
+#include "src/engine/engine.h"
+
 namespace seqdl {
 namespace protocol {
 
 namespace {
-
-// --- Primitive encoding (little-endian, fixed width) -------------------------
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
 
 void PutString(std::string* out, std::string_view s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   out->append(s.data(), s.size());
 }
 
-/// Bounds-checked little-endian reader over a frame payload.
-class WireReader {
+/// The byte reader (base/bytes.h) over a frame payload: a read past the
+/// end is a kInvalidArgument "truncated frame".
+class PayloadReader final : public ByteReader {
  public:
-  explicit WireReader(std::string_view data) : data_(data) {}
+  using ByteReader::ByteReader;
 
-  Status ReadU8(uint8_t* v) {
-    if (pos_ + 1 > data_.size()) return Truncated("u8");
-    *v = static_cast<uint8_t>(data_[pos_++]);
-    return Status::OK();
+  Result<std::string> String() {
+    SEQDL_ASSIGN_OR_RETURN(uint32_t len, U32());
+    SEQDL_ASSIGN_OR_RETURN(std::string_view body, Bytes(len, "string body"));
+    return std::string(body);
   }
 
-  Status ReadU32(uint32_t* v) {
-    if (pos_ + 4 > data_.size()) return Truncated("u32");
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 4;
-    return Status::OK();
-  }
-
-  Status ReadU64(uint64_t* v) {
-    if (pos_ + 8 > data_.size()) return Truncated("u64");
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 8;
-    return Status::OK();
-  }
-
-  Status ReadF64(double* v) {
-    uint64_t bits = 0;
-    SEQDL_RETURN_IF_ERROR(ReadU64(&bits));
-    std::memcpy(v, &bits, sizeof(*v));
-    return Status::OK();
-  }
-
-  Status ReadString(std::string* s) {
-    uint32_t len = 0;
-    SEQDL_RETURN_IF_ERROR(ReadU32(&len));
-    if (pos_ + len > data_.size()) return Truncated("string body");
-    s->assign(data_.data() + pos_, len);
-    pos_ += len;
-    return Status::OK();
-  }
-
-  Status ReadBool(bool* v) {
-    uint8_t b = 0;
-    SEQDL_RETURN_IF_ERROR(ReadU8(&b));
-    *v = b != 0;
-    return Status::OK();
+  Result<bool> Bool() {
+    SEQDL_ASSIGN_OR_RETURN(uint8_t b, U8());
+    return b != 0;
   }
 
   /// A payload with unread trailing bytes is malformed (forward
   /// compatibility is handled by the type tag, not by padding).
   Status ExpectEnd() const {
-    if (pos_ != data_.size()) {
+    if (!AtEnd()) {
       return Status::InvalidArgument("malformed frame: " +
-                                     std::to_string(data_.size() - pos_) +
+                                     std::to_string(remaining()) +
                                      " trailing bytes");
     }
     return Status::OK();
   }
 
  private:
-  Status Truncated(const char* what) const {
+  Status Truncated(const char* what) const override {
     return Status::InvalidArgument(
         std::string("truncated frame: ran out of bytes reading ") + what);
   }
-
-  std::string_view data_;
-  size_t pos_ = 0;
 };
 
 // Frames are encoded in place: one buffer, reserved once, starts with a
@@ -162,13 +99,13 @@ void PutDbInfo(std::string* out, const DbInfo& info) {
   PutU64(out, info.manifest_generation);
 }
 
-Status ReadDbInfo(WireReader* r, DbInfo* info) {
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&info->epoch));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&info->segments));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&info->facts));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&info->on_disk_bytes));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&info->wal_bytes));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&info->manifest_generation));
+Status ReadDbInfo(PayloadReader* r, DbInfo* info) {
+  SEQDL_ASSIGN_OR_RETURN(info->epoch, r->U64());
+  SEQDL_ASSIGN_OR_RETURN(info->segments, r->U64());
+  SEQDL_ASSIGN_OR_RETURN(info->facts, r->U64());
+  SEQDL_ASSIGN_OR_RETURN(info->on_disk_bytes, r->U64());
+  SEQDL_ASSIGN_OR_RETURN(info->wal_bytes, r->U64());
+  SEQDL_ASSIGN_OR_RETURN(info->manifest_generation, r->U64());
   return Status::OK();
 }
 
@@ -186,18 +123,18 @@ void PutEvalStats(std::string* out, const WireEvalStats& s) {
   PutF64(out, s.run_seconds);
 }
 
-Status ReadEvalStats(WireReader* r, WireEvalStats* s) {
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&s->derived_facts));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&s->rounds));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&s->rule_firings));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&s->index_probes));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&s->prefix_probes));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&s->suffix_probes));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&s->full_scans));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&s->delta_scans));
-  SEQDL_RETURN_IF_ERROR(r->ReadU64(&s->delta_index_probes));
-  SEQDL_RETURN_IF_ERROR(r->ReadF64(&s->compile_seconds));
-  SEQDL_RETURN_IF_ERROR(r->ReadF64(&s->run_seconds));
+Status ReadEvalStats(PayloadReader* r, WireEvalStats* s) {
+  SEQDL_ASSIGN_OR_RETURN(s->derived_facts, r->U64());
+  SEQDL_ASSIGN_OR_RETURN(s->rounds, r->U64());
+  SEQDL_ASSIGN_OR_RETURN(s->rule_firings, r->U64());
+  SEQDL_ASSIGN_OR_RETURN(s->index_probes, r->U64());
+  SEQDL_ASSIGN_OR_RETURN(s->prefix_probes, r->U64());
+  SEQDL_ASSIGN_OR_RETURN(s->suffix_probes, r->U64());
+  SEQDL_ASSIGN_OR_RETURN(s->full_scans, r->U64());
+  SEQDL_ASSIGN_OR_RETURN(s->delta_scans, r->U64());
+  SEQDL_ASSIGN_OR_RETURN(s->delta_index_probes, r->U64());
+  SEQDL_ASSIGN_OR_RETURN(s->compile_seconds, r->F64());
+  SEQDL_ASSIGN_OR_RETURN(s->run_seconds, r->F64());
   return Status::OK();
 }
 
@@ -217,24 +154,21 @@ void PutDiagnostics(std::string* out,
   }
 }
 
-Status ReadDiagnostics(WireReader* r, std::vector<WireDiagnostic>* diags) {
-  uint32_t count = 0;
-  SEQDL_RETURN_IF_ERROR(r->ReadU32(&count));
+Status ReadDiagnostics(PayloadReader* r, std::vector<WireDiagnostic>* diags) {
+  SEQDL_ASSIGN_OR_RETURN(uint32_t count, r->U32());
   diags->clear();
   for (uint32_t i = 0; i < count; ++i) {
     WireDiagnostic d;
-    SEQDL_RETURN_IF_ERROR(r->ReadU8(&d.severity));
-    SEQDL_RETURN_IF_ERROR(r->ReadString(&d.code));
-    SEQDL_RETURN_IF_ERROR(r->ReadU32(&d.line));
-    SEQDL_RETURN_IF_ERROR(r->ReadU32(&d.col));
-    SEQDL_RETURN_IF_ERROR(r->ReadU32(&d.end_line));
-    SEQDL_RETURN_IF_ERROR(r->ReadU32(&d.end_col));
-    SEQDL_RETURN_IF_ERROR(r->ReadString(&d.message));
-    uint32_t notes = 0;
-    SEQDL_RETURN_IF_ERROR(r->ReadU32(&notes));
+    SEQDL_ASSIGN_OR_RETURN(d.severity, r->U8());
+    SEQDL_ASSIGN_OR_RETURN(d.code, r->String());
+    SEQDL_ASSIGN_OR_RETURN(d.line, r->U32());
+    SEQDL_ASSIGN_OR_RETURN(d.col, r->U32());
+    SEQDL_ASSIGN_OR_RETURN(d.end_line, r->U32());
+    SEQDL_ASSIGN_OR_RETURN(d.end_col, r->U32());
+    SEQDL_ASSIGN_OR_RETURN(d.message, r->String());
+    SEQDL_ASSIGN_OR_RETURN(uint32_t notes, r->U32());
     for (uint32_t j = 0; j < notes; ++j) {
-      std::string n;
-      SEQDL_RETURN_IF_ERROR(r->ReadString(&n));
+      SEQDL_ASSIGN_OR_RETURN(std::string n, r->String());
       d.notes.push_back(std::move(n));
     }
     diags->push_back(std::move(d));
@@ -243,6 +177,48 @@ Status ReadDiagnostics(WireReader* r, std::vector<WireDiagnostic>* diags) {
 }
 
 }  // namespace
+
+WireEvalStats ToWire(const EvalStats& s) {
+  WireEvalStats w;
+  w.derived_facts = s.derived_facts;
+  w.rounds = s.rounds;
+  w.rule_firings = s.rule_firings;
+  w.index_probes = s.index_probes;
+  w.prefix_probes = s.prefix_probes;
+  w.suffix_probes = s.suffix_probes;
+  w.full_scans = s.full_scans;
+  w.delta_scans = s.delta_scans;
+  w.delta_index_probes = s.delta_index_probes;
+  w.compile_seconds = s.compile_seconds;
+  w.run_seconds = s.run_seconds;
+  return w;
+}
+
+WireDiagnostic ToWire(const Diagnostic& d) {
+  WireDiagnostic w;
+  w.severity = static_cast<uint8_t>(d.severity);
+  w.code = d.code;
+  w.line = static_cast<uint32_t>(d.span.line);
+  w.col = static_cast<uint32_t>(d.span.col);
+  w.end_line = static_cast<uint32_t>(d.span.end_line);
+  w.end_col = static_cast<uint32_t>(d.span.end_col);
+  w.message = d.message;
+  w.notes = d.notes;
+  return w;
+}
+
+Diagnostic FromWire(const WireDiagnostic& w) {
+  Diagnostic d;
+  d.severity = static_cast<Severity>(w.severity);
+  d.code = w.code;
+  d.span.line = static_cast<int>(w.line);
+  d.span.col = static_cast<int>(w.col);
+  d.span.end_line = static_cast<int>(w.end_line);
+  d.span.end_col = static_cast<int>(w.end_col);
+  d.message = w.message;
+  d.notes = w.notes;
+  return d;
+}
 
 const char* MsgTypeToString(MsgType type) {
   switch (type) {
@@ -400,33 +376,37 @@ std::string EncodeHelloReply(const HelloReply& reply) {
 // --- Decoding ----------------------------------------------------------------
 
 Result<Request> DecodeRequest(std::string_view payload) {
-  WireReader r(payload);
-  uint8_t type_byte = 0;
-  SEQDL_RETURN_IF_ERROR(r.ReadU8(&type_byte));
+  PayloadReader r(payload);
+  SEQDL_ASSIGN_OR_RETURN(uint8_t type_byte, r.U8());
   Request req;
   req.type = static_cast<MsgType>(type_byte);
   switch (req.type) {
-    case MsgType::kCompile:
-      SEQDL_RETURN_IF_ERROR(r.ReadString(&req.compile.program));
-      SEQDL_RETURN_IF_ERROR(r.ReadString(&req.compile.source_name));
+    case MsgType::kCompile: {
+      SEQDL_ASSIGN_OR_RETURN(req.compile.program, r.String());
+      SEQDL_ASSIGN_OR_RETURN(req.compile.source_name, r.String());
       break;
-    case MsgType::kRun:
-      SEQDL_RETURN_IF_ERROR(r.ReadString(&req.run.program));
-      SEQDL_RETURN_IF_ERROR(r.ReadString(&req.run.source_name));
-      SEQDL_RETURN_IF_ERROR(r.ReadString(&req.run.output_rel));
-      SEQDL_RETURN_IF_ERROR(r.ReadBool(&req.run.collect_derived_stats));
+    }
+    case MsgType::kRun: {
+      SEQDL_ASSIGN_OR_RETURN(req.run.program, r.String());
+      SEQDL_ASSIGN_OR_RETURN(req.run.source_name, r.String());
+      SEQDL_ASSIGN_OR_RETURN(req.run.output_rel, r.String());
+      SEQDL_ASSIGN_OR_RETURN(req.run.collect_derived_stats, r.Bool());
       break;
-    case MsgType::kAppend:
-      SEQDL_RETURN_IF_ERROR(r.ReadString(&req.append.facts));
-      SEQDL_RETURN_IF_ERROR(r.ReadString(&req.append.source_name));
+    }
+    case MsgType::kAppend: {
+      SEQDL_ASSIGN_OR_RETURN(req.append.facts, r.String());
+      SEQDL_ASSIGN_OR_RETURN(req.append.source_name, r.String());
       break;
-    case MsgType::kRetract:
-      SEQDL_RETURN_IF_ERROR(r.ReadString(&req.retract.facts));
-      SEQDL_RETURN_IF_ERROR(r.ReadString(&req.retract.source_name));
+    }
+    case MsgType::kRetract: {
+      SEQDL_ASSIGN_OR_RETURN(req.retract.facts, r.String());
+      SEQDL_ASSIGN_OR_RETURN(req.retract.source_name, r.String());
       break;
-    case MsgType::kHello:
-      SEQDL_RETURN_IF_ERROR(r.ReadU32(&req.hello.wire_version));
+    }
+    case MsgType::kHello: {
+      SEQDL_ASSIGN_OR_RETURN(req.hello.wire_version, r.U32());
       break;
+    }
     case MsgType::kEpoch:
     case MsgType::kCompact:
     case MsgType::kStats:
@@ -442,76 +422,79 @@ Result<Request> DecodeRequest(std::string_view payload) {
 }
 
 Result<Reply> DecodeReply(std::string_view payload) {
-  WireReader r(payload);
-  uint8_t type_byte = 0;
-  SEQDL_RETURN_IF_ERROR(r.ReadU8(&type_byte));
+  PayloadReader r(payload);
+  SEQDL_ASSIGN_OR_RETURN(uint8_t type_byte, r.U8());
   if (static_cast<MsgType>(type_byte) != MsgType::kReply) {
     return Status::InvalidArgument(
         "malformed frame: expected a reply, got type " +
         std::to_string(static_cast<int>(type_byte)));
   }
   Reply reply;
-  uint8_t orig = 0;
-  SEQDL_RETURN_IF_ERROR(r.ReadU8(&orig));
+  SEQDL_ASSIGN_OR_RETURN(uint8_t orig, r.U8());
   reply.orig_type = static_cast<MsgType>(orig);
-  uint32_t code = 0;
-  std::string message;
-  SEQDL_RETURN_IF_ERROR(r.ReadU32(&code));
-  SEQDL_RETURN_IF_ERROR(r.ReadString(&message));
+  SEQDL_ASSIGN_OR_RETURN(uint32_t code, r.U32());
+  SEQDL_ASSIGN_OR_RETURN(std::string message, r.String());
   reply.status = Status(static_cast<StatusCode>(code), std::move(message));
   if (!reply.status.ok()) {
     SEQDL_RETURN_IF_ERROR(r.ExpectEnd());
     return reply;
   }
   switch (reply.orig_type) {
-    case MsgType::kCompile:
-      SEQDL_RETURN_IF_ERROR(r.ReadBool(&reply.compile.cache_hit));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.compile.rules));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.compile.strata));
-      SEQDL_RETURN_IF_ERROR(r.ReadF64(&reply.compile.compile_seconds));
-      SEQDL_RETURN_IF_ERROR(r.ReadString(&reply.compile.features));
-      SEQDL_RETURN_IF_ERROR(r.ReadString(&reply.compile.fragment_class));
-      SEQDL_RETURN_IF_ERROR(r.ReadU8(&reply.compile.admission));
+    case MsgType::kCompile: {
+      SEQDL_ASSIGN_OR_RETURN(reply.compile.cache_hit, r.Bool());
+      SEQDL_ASSIGN_OR_RETURN(reply.compile.rules, r.U64());
+      SEQDL_ASSIGN_OR_RETURN(reply.compile.strata, r.U64());
+      SEQDL_ASSIGN_OR_RETURN(reply.compile.compile_seconds, r.F64());
+      SEQDL_ASSIGN_OR_RETURN(reply.compile.features, r.String());
+      SEQDL_ASSIGN_OR_RETURN(reply.compile.fragment_class, r.String());
+      SEQDL_ASSIGN_OR_RETURN(reply.compile.admission, r.U8());
       SEQDL_RETURN_IF_ERROR(ReadDiagnostics(&r, &reply.compile.diagnostics));
       break;
-    case MsgType::kRun:
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.run.epoch));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.run.segments));
-      SEQDL_RETURN_IF_ERROR(r.ReadBool(&reply.run.result_cached));
-      SEQDL_RETURN_IF_ERROR(r.ReadString(&reply.run.rendered));
+    }
+    case MsgType::kRun: {
+      SEQDL_ASSIGN_OR_RETURN(reply.run.epoch, r.U64());
+      SEQDL_ASSIGN_OR_RETURN(reply.run.segments, r.U64());
+      SEQDL_ASSIGN_OR_RETURN(reply.run.result_cached, r.Bool());
+      SEQDL_ASSIGN_OR_RETURN(reply.run.rendered, r.String());
       SEQDL_RETURN_IF_ERROR(ReadEvalStats(&r, &reply.run.stats));
       break;
-    case MsgType::kAppend:
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.append.appended));
+    }
+    case MsgType::kAppend: {
+      SEQDL_ASSIGN_OR_RETURN(reply.append.appended, r.U64());
       SEQDL_RETURN_IF_ERROR(ReadDbInfo(&r, &reply.append.db));
       break;
-    case MsgType::kRetract:
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.retract.retracted));
+    }
+    case MsgType::kRetract: {
+      SEQDL_ASSIGN_OR_RETURN(reply.retract.retracted, r.U64());
       SEQDL_RETURN_IF_ERROR(ReadDbInfo(&r, &reply.retract.db));
       break;
+    }
     case MsgType::kEpoch:
       SEQDL_RETURN_IF_ERROR(ReadDbInfo(&r, &reply.info));
       break;
-    case MsgType::kCompact:
-      SEQDL_RETURN_IF_ERROR(r.ReadBool(&reply.compact.folded));
+    case MsgType::kCompact: {
+      SEQDL_ASSIGN_OR_RETURN(reply.compact.folded, r.Bool());
       SEQDL_RETURN_IF_ERROR(ReadDbInfo(&r, &reply.compact.db));
       break;
-    case MsgType::kStats:
-      SEQDL_RETURN_IF_ERROR(r.ReadString(&reply.stats.rendered));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.cache_hits));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.cache_misses));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.cache_evictions));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.cache_entries));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.cache_bytes));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.view_hits));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.view_cold_runs));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.view_delta_refreshes));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.view_dred_refreshes));
-      SEQDL_RETURN_IF_ERROR(r.ReadU64(&reply.stats.view_strata_recomputed));
+    }
+    case MsgType::kStats: {
+      SEQDL_ASSIGN_OR_RETURN(reply.stats.rendered, r.String());
+      SEQDL_ASSIGN_OR_RETURN(reply.stats.cache_hits, r.U64());
+      SEQDL_ASSIGN_OR_RETURN(reply.stats.cache_misses, r.U64());
+      SEQDL_ASSIGN_OR_RETURN(reply.stats.cache_evictions, r.U64());
+      SEQDL_ASSIGN_OR_RETURN(reply.stats.cache_entries, r.U64());
+      SEQDL_ASSIGN_OR_RETURN(reply.stats.cache_bytes, r.U64());
+      SEQDL_ASSIGN_OR_RETURN(reply.stats.view_hits, r.U64());
+      SEQDL_ASSIGN_OR_RETURN(reply.stats.view_cold_runs, r.U64());
+      SEQDL_ASSIGN_OR_RETURN(reply.stats.view_delta_refreshes, r.U64());
+      SEQDL_ASSIGN_OR_RETURN(reply.stats.view_dred_refreshes, r.U64());
+      SEQDL_ASSIGN_OR_RETURN(reply.stats.view_strata_recomputed, r.U64());
       break;
-    case MsgType::kHello:
-      SEQDL_RETURN_IF_ERROR(r.ReadU32(&reply.hello.wire_version));
+    }
+    case MsgType::kHello: {
+      SEQDL_ASSIGN_OR_RETURN(reply.hello.wire_version, r.U32());
       break;
+    }
     case MsgType::kShutdown:
       break;
     default:

@@ -11,12 +11,13 @@
 //   frame   := u32le payload_length | payload
 //   payload := u8 msg_type | body
 //
-// All integers are little-endian and fixed width; strings are a u32
-// length followed by raw bytes; doubles travel as the IEEE-754 bit
-// pattern in a u64. A frame whose declared length exceeds the receiver's
-// limit (kDefaultMaxFrameBytes unless configured) is an *oversized
-// frame*: the server answers with an error reply and closes the
-// connection. A connection that ends mid-frame is a *truncated frame*
+// All integers are little-endian and fixed width (the byte codec of
+// base/bytes.h, shared with storage); strings are a u32 length followed
+// by raw bytes; doubles travel as the IEEE-754 bit pattern in a u64. A
+// frame whose declared length exceeds the receiver's limit
+// (kDefaultMaxFrameBytes unless configured) is an *oversized frame*: the
+// server answers with an error reply and closes the connection. A
+// connection that ends mid-frame is a *truncated frame*
 // (kInvalidArgument); a connection that ends cleanly between frames is
 // reported as kNotFound by FrameReader so callers can tell orderly
 // disconnect from corruption.
@@ -49,7 +50,7 @@
 // with per-request bodies documented on the structs below. `source_name`
 // names the text in error messages ("prog.sdl:3:7: expected ..."), which
 // is how a client sees server-side parse errors pointing at *its* file —
-// see AnnotateParseError, shared with the CLI's stdin serve mode.
+// see AnnotateParseError.
 #ifndef SEQDL_SERVER_PROTOCOL_H_
 #define SEQDL_SERVER_PROTOCOL_H_
 
@@ -63,6 +64,10 @@
 struct sockaddr_in;
 
 namespace seqdl {
+
+struct Diagnostic;  // analysis/diagnostics.h
+struct EvalStats;   // engine/engine.h
+
 namespace protocol {
 
 /// Frames larger than this are rejected by default on both sides (a
@@ -179,6 +184,11 @@ struct WireDiagnostic {
   std::string message;
   std::vector<std::string> notes;
 };
+
+/// Engine and analyzer structs to and from their wire forms.
+WireEvalStats ToWire(const EvalStats& s);
+WireDiagnostic ToWire(const Diagnostic& d);
+Diagnostic FromWire(const WireDiagnostic& w);
 
 struct CompileReply {
   bool cache_hit = false;
@@ -366,9 +376,8 @@ void SetNoDelay(int fd);
 
 /// Rewrites a parser Status of the shape "parse error at L:C: msg" into
 /// the structured "<source_name>:L:C: msg" (compiler-style file:line),
-/// and prefixes "<source_name>: " otherwise. Shared by the server (so
-/// clients see errors pointing at the text *they* named) and by the CLI
-/// stdin serve mode's `append`/`run` reporting.
+/// and prefixes "<source_name>: " otherwise, so clients see errors
+/// pointing at the text *they* named.
 Status AnnotateParseError(std::string_view source_name, Status status);
 
 }  // namespace protocol

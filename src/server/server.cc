@@ -226,66 +226,6 @@ void Server::ServeConnection(int fd) {
   ::close(fd);
 }
 
-std::string ServiceRequestHandler::Handle(const std::string& payload,
-                                          const std::function<bool()>& cancel,
-                                          bool* shutdown) {
-  using protocol::MsgType;
-  *shutdown = false;
-  // Best-effort original type for error replies to undecodable frames.
-  MsgType orig = payload.empty() ? MsgType::kReply
-                                 : static_cast<MsgType>(
-                                       static_cast<uint8_t>(payload[0]));
-  Result<protocol::Request> req = protocol::DecodeRequest(payload);
-  if (!req.ok()) return protocol::EncodeErrorReply(orig, req.status());
-
-  switch (req->type) {
-    case MsgType::kCompile: {
-      Result<protocol::CompileReply> r =
-          service_.Compile(req->compile.program, req->compile.source_name);
-      if (!r.ok()) return protocol::EncodeErrorReply(req->type, r.status());
-      return protocol::EncodeCompileReply(*r);
-    }
-    case MsgType::kRun: {
-      // The cancel hook ties every in-flight run to the server's stop
-      // flag: Shutdown() makes the engine bail at the next fixpoint
-      // round with kCancelled, which goes out as this run's error reply.
-      Result<protocol::RunReply> r = service_.Run(req->run, cancel);
-      if (!r.ok()) return protocol::EncodeErrorReply(req->type, r.status());
-      return protocol::EncodeRunReply(*r);
-    }
-    case MsgType::kAppend: {
-      Result<protocol::AppendReply> r = service_.Append(req->append);
-      if (!r.ok()) return protocol::EncodeErrorReply(req->type, r.status());
-      return protocol::EncodeAppendReply(*r);
-    }
-    case MsgType::kRetract: {
-      Result<protocol::RetractReply> r = service_.Retract(req->retract);
-      if (!r.ok()) return protocol::EncodeErrorReply(req->type, r.status());
-      return protocol::EncodeRetractReply(*r);
-    }
-    case MsgType::kEpoch:
-      return protocol::EncodeEpochReply(service_.Info());
-    case MsgType::kCompact: {
-      Result<protocol::CompactReply> r = service_.Compact();
-      if (!r.ok()) return protocol::EncodeErrorReply(req->type, r.status());
-      return protocol::EncodeCompactReply(*r);
-    }
-    case MsgType::kStats:
-      return protocol::EncodeStatsReply(service_.Stats());
-    case MsgType::kHello:
-      // The handshake always succeeds at the frame level: the *client*
-      // decides whether the versions are compatible (it may be newer or
-      // older), so the reply just reports ours.
-      return protocol::EncodeHelloReply({protocol::kWireVersion});
-    case MsgType::kShutdown:
-      *shutdown = true;
-      return protocol::EncodeShutdownReply();
-    default:
-      return protocol::EncodeErrorReply(
-          req->type, Status::Unimplemented("request type not handled"));
-  }
-}
-
 void Server::SignalShutdown() {
   bool was_stopped = stop_.exchange(true, std::memory_order_relaxed);
   if (!was_stopped && wake_wr_ >= 0) {

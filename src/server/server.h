@@ -49,10 +49,8 @@
 namespace seqdl {
 
 /// What a Server serves: one request payload in, one encoded reply frame
-/// out. The default implementation fronts a DatabaseService
-/// (ServiceRequestHandler below); the cluster coordinator provides its
-/// own (cluster/frontend.h) — same accept loop, same drain semantics,
-/// different brain.
+/// out. BackendHandler below is the protocol's one request switch; the
+/// `seqdl serve` stdin loop answers each line through it too.
 class RequestHandler {
  public:
   virtual ~RequestHandler() = default;
@@ -66,20 +64,99 @@ class RequestHandler {
                              bool* shutdown) = 0;
 };
 
-/// The standard handler: dispatches the wire protocol onto a
-/// DatabaseService.
-class ServiceRequestHandler : public RequestHandler {
+/// The wire protocol's request switch over a backend whose methods carry
+/// the request verbs' names: a DatabaseService (ServiceRequestHandler, a
+/// single node) or a cluster Coordinator (cluster/coordinator.h) — same
+/// accept loop, same drain semantics, different brain. A method may
+/// return its reply or a Result of it.
+template <typename Backend>
+class BackendHandler : public RequestHandler {
  public:
-  explicit ServiceRequestHandler(DatabaseService& service)
-      : service_(service) {}
+  /// `forward_shutdown` concerns a coordinator only: when set, a client's
+  /// kShutdown is broadcast to the shards (best-effort) before the
+  /// coordinator itself drains, so one `shutdown` takes the whole cluster
+  /// down.
+  explicit BackendHandler(Backend& backend, bool forward_shutdown = true)
+      : backend_(backend), forward_shutdown_(forward_shutdown) {}
 
   std::string Handle(const std::string& payload,
                      const std::function<bool()>& cancel,
-                     bool* shutdown) override;
+                     bool* shutdown) override {
+    using protocol::MsgType;
+    *shutdown = false;
+    // Best-effort original type for error replies to undecodable frames.
+    MsgType orig = payload.empty() ? MsgType::kReply
+                                   : static_cast<MsgType>(
+                                         static_cast<uint8_t>(payload[0]));
+    Result<protocol::Request> req = protocol::DecodeRequest(payload);
+    if (!req.ok()) return protocol::EncodeErrorReply(orig, req.status());
+
+    switch (req->type) {
+      case MsgType::kCompile:
+        return Answer<protocol::CompileReply>(
+            req->type, backend_.Compile(req->compile),
+            protocol::EncodeCompileReply);
+      case MsgType::kRun:
+        // The cancel hook ties every in-flight run to the server's stop
+        // flag: Shutdown() makes the engine bail at the next fixpoint
+        // round with kCancelled, which goes out as this run's error reply.
+        return Answer<protocol::RunReply>(
+            req->type, backend_.Run(req->run, cancel),
+            protocol::EncodeRunReply);
+      case MsgType::kAppend:
+        return Answer<protocol::AppendReply>(
+            req->type, backend_.Append(req->append),
+            protocol::EncodeAppendReply);
+      case MsgType::kRetract:
+        return Answer<protocol::RetractReply>(
+            req->type, backend_.Retract(req->retract),
+            protocol::EncodeRetractReply);
+      case MsgType::kEpoch:
+        return Answer<protocol::DbInfo>(req->type, backend_.Info(),
+                                        protocol::EncodeEpochReply);
+      case MsgType::kCompact:
+        return Answer<protocol::CompactReply>(
+            req->type, backend_.Compact(), protocol::EncodeCompactReply);
+      case MsgType::kStats:
+        return Answer<protocol::StatsReply>(req->type, backend_.Stats(),
+                                            protocol::EncodeStatsReply);
+      case MsgType::kHello:
+        // The handshake always succeeds at the frame level: the *client*
+        // decides whether the versions are compatible (it may be newer or
+        // older), so the reply just reports ours. A coordinator answers
+        // for itself, whatever its shards speak.
+        return protocol::EncodeHelloReply({protocol::kWireVersion});
+      case MsgType::kShutdown:
+        if constexpr (requires { backend_.ShutdownShards(); }) {
+          // Best-effort: an unreachable shard must not keep the
+          // coordinator up; its error is reported nowhere because the
+          // client asked the cluster to die either way.
+          if (forward_shutdown_) (void)backend_.ShutdownShards();
+        }
+        *shutdown = true;
+        return protocol::EncodeShutdownReply();
+      default:
+        return protocol::EncodeErrorReply(
+            req->type, Status::Unimplemented("request type not handled"));
+    }
+  }
 
  private:
-  DatabaseService& service_;
+  /// The reply frame of `r`: its encoding, or an error reply.
+  template <typename Reply>
+  static std::string Answer(protocol::MsgType type, const Result<Reply>& r,
+                            std::string (*encode)(const Reply&)) {
+    if (!r.ok()) return protocol::EncodeErrorReply(type, r.status());
+    return encode(*r);
+  }
+
+  Backend& backend_;
+  bool forward_shutdown_;
 };
+
+/// The standard handler: dispatches the wire protocol onto a
+/// DatabaseService.
+using ServiceRequestHandler = BackendHandler<DatabaseService>;
 
 struct ServerOptions {
   /// Address to bind; the default serves loopback only.

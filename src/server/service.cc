@@ -14,35 +14,6 @@ namespace seqdl {
 
 namespace {
 
-protocol::WireEvalStats ToWire(const EvalStats& s) {
-  protocol::WireEvalStats w;
-  w.derived_facts = s.derived_facts;
-  w.rounds = s.rounds;
-  w.rule_firings = s.rule_firings;
-  w.index_probes = s.index_probes;
-  w.prefix_probes = s.prefix_probes;
-  w.suffix_probes = s.suffix_probes;
-  w.full_scans = s.full_scans;
-  w.delta_scans = s.delta_scans;
-  w.delta_index_probes = s.delta_index_probes;
-  w.compile_seconds = s.compile_seconds;
-  w.run_seconds = s.run_seconds;
-  return w;
-}
-
-protocol::WireDiagnostic ToWire(const Diagnostic& d) {
-  protocol::WireDiagnostic w;
-  w.severity = static_cast<uint8_t>(d.severity);
-  w.code = d.code;
-  w.line = static_cast<uint32_t>(d.span.line);
-  w.col = static_cast<uint32_t>(d.span.col);
-  w.end_line = static_cast<uint32_t>(d.span.end_line);
-  w.end_col = static_cast<uint32_t>(d.span.end_col);
-  w.message = d.message;
-  w.notes = d.notes;
-  return w;
-}
-
 /// `all` restricted to the relations `p`'s rule bodies read: the
 /// statistics a plan of `p` is ranked by, so the only ones whose drift
 /// can make it stale.
@@ -64,9 +35,9 @@ DatabaseService::DatabaseService(Universe& u, Database db, ServiceOptions opts)
     : u_(&u), db_(std::move(db)), opts_(std::move(opts)) {}
 
 Result<protocol::CompileReply> DatabaseService::Compile(
-    const std::string& program_text, const std::string& source_name) {
+    const protocol::CompileRequest& req) {
   SEQDL_ASSIGN_OR_RETURN(Prepared prepared,
-                         Prepare(program_text, source_name));
+                         Prepare(req.program, req.source_name));
   const CompiledProgram& c = *prepared.compiled;
   protocol::CompileReply reply;
   reply.cache_hit = prepared.cache_hit;
@@ -78,10 +49,10 @@ Result<protocol::CompileReply> DatabaseService::Compile(
   reply.admission = static_cast<uint8_t>(c.admission.Verdict(opts_.admission));
   DiagnosticList policy = PolicyDiagnostics(c.admission, opts_.admission);
   for (const Diagnostic& d : policy.all()) {
-    reply.diagnostics.push_back(ToWire(d));
+    reply.diagnostics.push_back(protocol::ToWire(d));
   }
   for (const Diagnostic& d : c.lints.all()) {
-    reply.diagnostics.push_back(ToWire(d));
+    reply.diagnostics.push_back(protocol::ToWire(d));
   }
   return reply;
 }
@@ -181,7 +152,7 @@ Result<protocol::RunReply> DatabaseService::Run(
     SEQDL_ASSIGN_OR_RETURN(reply.rendered,
                            RenderOutput(*u_, derived, req.output_rel));
   }
-  reply.stats = ToWire(stats);
+  reply.stats = protocol::ToWire(stats);
   if (!caching) return reply;
 
   auto text = std::make_shared<const std::string>(reply.rendered);
@@ -282,8 +253,7 @@ Result<protocol::AppendReply> DatabaseService::Append(
   Result<Instance> delta = ParseInstance(*u_, req.facts);
   if (!delta.ok()) {
     // Structured "<name>:line:col: ..." instead of a bare parse error —
-    // the client (or the stdin serve loop) sees where in *its* file the
-    // malformed fact sits.
+    // the client sees where in *its* file the malformed fact sits.
     return protocol::AnnotateParseError(req.source_name, delta.status());
   }
   size_t appended = 0;
@@ -388,7 +358,7 @@ void DatabaseService::RefreshCachedViews() {
     // A run may have got there first.
     if (it->second.epoch >= (*view)->epoch()) continue;
     replaced = SetViewLocked(w.key, it->second, *view, (*view)->epoch(),
-                             (*view)->segments(), ToWire(stats),
+                             (*view)->segments(), protocol::ToWire(stats),
                              std::move(patched));
     EvictLocked(w.key);
   }

@@ -1,6 +1,7 @@
-// DatabaseService: the engine-facing half of a seqdl server, shared by
-// the TCP front end (server.h), the CLI's stdin serve loop, and tests
-// that want to exercise request handling without sockets.
+// DatabaseService: the engine-facing half of a seqdl server. Every front
+// end reaches it through the request switch of server.h
+// (ServiceRequestHandler): the TCP server and the CLI's stdin loop alike.
+// Tests call it directly to exercise request handling without sockets.
 //
 // A service owns a versioned Database (database.h) and one serving cache
 // keyed by *program text*: clients ship small program sources to the
@@ -143,12 +144,11 @@ class DatabaseService {
   DatabaseService(const DatabaseService&) = delete;
   DatabaseService& operator=(const DatabaseService&) = delete;
 
-  /// Parses + plans `program_text` and caches the plan keyed by the text;
-  /// a later identical text is a cache hit (no parse, no plan) while the
-  /// entry lasts. Parse errors come back annotated
+  /// Parses + plans the request's program and caches the plan keyed by
+  /// its text; a later identical text is a cache hit (no parse, no plan)
+  /// while the entry lasts. Parse errors come back annotated
   /// "<source_name>:line:col: ...".
-  Result<protocol::CompileReply> Compile(const std::string& program_text,
-                                         const std::string& source_name);
+  Result<protocol::CompileReply> Compile(const protocol::CompileRequest& req);
 
   /// Evaluates the request's program on an epoch-pinned snapshot and
   /// renders the derived facts (projected onto output_rel when set).

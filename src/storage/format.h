@@ -1,7 +1,7 @@
-// On-disk encoding primitives for the storage engine: CRC32 framing,
-// little-endian scalar codecs, the *instance block* (a symbolic,
-// Universe-independent serialization of an Instance), and the sealed
-// segment file format.
+// On-disk encoding primitives for the storage engine: CRC32 framing, the
+// record reader over base/bytes.h's codec, the *instance block* (a
+// symbolic, Universe-independent serialization of an Instance), and the
+// sealed segment file format.
 //
 // Everything on disk is symbolic. PathIds, AtomIds and RelIds are
 // Universe-relative — two processes interning the same data in different
@@ -50,6 +50,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/base/bytes.h"
 #include "src/base/status.h"
 #include "src/engine/index.h"
 #include "src/engine/instance.h"
@@ -75,44 +76,23 @@ Status StorageError(const char* sd_code, std::string msg);
 /// failing syscall).
 Status StorageErrnoError(const char* sd_code, std::string msg);
 
-// --- Scalar codecs ----------------------------------------------------------
+// --- Records -----------------------------------------------------------------
 
 uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 
-void PutU8(std::string* out, uint8_t v);
-void PutU32(std::string* out, uint32_t v);
-void PutU64(std::string* out, uint64_t v);
-void PutVarint(std::string* out, uint64_t v);
-/// Varint length + raw bytes.
-void PutLenBytes(std::string* out, std::string_view s);
-
-/// Bounds-checked sequential reader over an in-memory byte range (a
-/// mapped file or a loaded WAL record). Every accessor fails with a
-/// kIoError [SD404]-style status on truncation instead of reading past
-/// the end.
-class ByteReader {
+/// The byte reader (base/bytes.h) over a storage record: a mapped file or
+/// a loaded WAL record. A truncated or malformed record fails with a
+/// kIoError carrying `sd_code` (StorageError).
+class RecordReader final : public ByteReader {
  public:
-  ByteReader(std::string_view data, const char* sd_code)
-      : data_(data), sd_code_(sd_code) {}
-
-  Result<uint8_t> U8();
-  Result<uint32_t> U32();
-  Result<uint64_t> U64();
-  Result<uint64_t> Varint();
-  Result<std::string_view> LenBytes();
-  /// Raw `n` bytes.
-  Result<std::string_view> Bytes(size_t n);
-
-  size_t pos() const { return pos_; }
-  size_t remaining() const { return data_.size() - pos_; }
-  bool AtEnd() const { return pos_ == data_.size(); }
+  RecordReader(std::string_view data, const char* sd_code)
+      : ByteReader(data), sd_code_(sd_code) {}
 
  private:
-  Status Truncated(const char* what) const;
+  Status Truncated(const char* what) const override;
+  Status Overlong() const override;
 
-  std::string_view data_;
   const char* sd_code_;
-  size_t pos_ = 0;
 };
 
 // --- Instance blocks --------------------------------------------------------

@@ -75,18 +75,18 @@ Result<Manifest> ReadManifest(const std::string& path) {
     return StorageError(kSdManifestCorrupt, path + ": not a seqdl manifest");
   }
   {
-    ByteReader crc_reader(std::string_view(data).substr(data.size() - 4),
-                          kSdManifestCorrupt);
+    RecordReader crc_reader(std::string_view(data).substr(data.size() - 4),
+                            kSdManifestCorrupt);
     SEQDL_ASSIGN_OR_RETURN(uint32_t stored, crc_reader.U32());
     if (stored != Crc32(data.data(), data.size() - 4)) {
       return StorageError(kSdManifestCorrupt, path + ": CRC mismatch");
     }
   }
 
-  ByteReader r(std::string_view(data).substr(sizeof(kManifestMagic),
-                                             data.size() -
-                                                 sizeof(kManifestMagic) - 4),
-               kSdManifestCorrupt);
+  RecordReader r(std::string_view(data).substr(sizeof(kManifestMagic),
+                                               data.size() -
+                                                   sizeof(kManifestMagic) - 4),
+                 kSdManifestCorrupt);
   Manifest m;
   SEQDL_ASSIGN_OR_RETURN(m.generation, r.Varint());
   SEQDL_ASSIGN_OR_RETURN(m.epoch, r.Varint());

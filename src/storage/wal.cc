@@ -158,7 +158,7 @@ Result<WalReplay> ReplayWal(
     // Frame header: a short or checksum-failing frame is the torn tail
     // of the write in flight at crash time — stop and truncate there.
     if (data.size() - pos < 8) break;
-    ByteReader header(std::string_view(data).substr(pos, 8), kSdWalCorrupt);
+    RecordReader header(std::string_view(data).substr(pos, 8), kSdWalCorrupt);
     uint32_t len = header.U32().value();
     uint32_t crc = header.U32().value();
     if (data.size() - pos - 8 < len) break;
@@ -167,7 +167,7 @@ Result<WalReplay> ReplayWal(
 
     // The frame is intact: a payload that does not decode is genuine
     // corruption, not a torn write.
-    ByteReader r(payload, kSdWalCorrupt);
+    RecordReader r(payload, kSdWalCorrupt);
     SEQDL_ASSIGN_OR_RETURN(uint8_t type_byte, r.U8());
     if (type_byte != static_cast<uint8_t>(WalRecordType::kAppend) &&
         type_byte != static_cast<uint8_t>(WalRecordType::kRetract)) {

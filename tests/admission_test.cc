@@ -194,7 +194,7 @@ TEST(AdmissionServiceTest, CompileReportsVerdictAndDiagnostics) {
   ServiceOptions sopts;
   sopts.admission = AdmissionPolicy::kBudget;
   std::unique_ptr<DatabaseService> service = MakeService(u, "seed(a).", sopts);
-  Result<protocol::CompileReply> reply = service->Compile(kDoubling, "d.sdl");
+  Result<protocol::CompileReply> reply = service->Compile({kDoubling, "d.sdl"});
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->admission,
             static_cast<uint8_t>(AdmissionVerdict::kGenerativeBudgeted));
@@ -214,7 +214,7 @@ TEST(AdmissionServiceTest, CompileOfTameProgramIsClean) {
   ServiceOptions sopts;
   sopts.admission = AdmissionPolicy::kStrict;
   std::unique_ptr<DatabaseService> service = MakeService(u, "E(a, b). E(b, c).", sopts);
-  Result<protocol::CompileReply> reply = service->Compile(kReach, "r.sdl");
+  Result<protocol::CompileReply> reply = service->Compile({kReach, "r.sdl"});
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->admission, static_cast<uint8_t>(AdmissionVerdict::kTame));
   EXPECT_TRUE(reply->diagnostics.empty());
@@ -241,7 +241,7 @@ TEST(AdmissionServiceTest, StrictRefusesGenerativeRunButCompiles) {
   sopts.admission = AdmissionPolicy::kStrict;
   std::unique_ptr<DatabaseService> service = MakeService(u, "seed(a).", sopts);
   // Compile succeeds and carries the full explanation...
-  Result<protocol::CompileReply> reply = service->Compile(kDoubling, "d.sdl");
+  Result<protocol::CompileReply> reply = service->Compile({kDoubling, "d.sdl"});
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->admission,
             static_cast<uint8_t>(AdmissionVerdict::kRejected));

@@ -1,0 +1,102 @@
+#!/usr/bin/env bash
+# Front-end agreement: one command script goes through `seqdl serve`'s
+# stdin loop and, command by command, through `seqdl query` against
+# `seqdl serve --listen=0`. Both front ends share one command table, one
+# reply printer and one error renderer, so their stdout must be
+# byte-identical and their `error:` lines identical. `compile` is left
+# out: its line carries a timing. Malformed numeric flags must be usage
+# errors (exit 2), not silently wrapped or truncated values.
+#
+#   tests/cli_front_ends.sh <path to the seqdl binary>
+set -euo pipefail
+
+SEQDL=$(realpath "${1:?usage: cli_front_ends.sh <seqdl binary>}")
+WORK=$(mktemp -d)
+SERVER_PID=
+cleanup() {
+  if [ -n "$SERVER_PID" ]; then kill "$SERVER_PID" 2> /dev/null || true; fi
+  rm -rf "$WORK"
+}
+trap cleanup EXIT
+cd "$WORK"
+
+printf 'E(a, b). E(b, c). E(c, d).\n' > edb.sdl
+printf 'E(d, e).\n' > more.sdl
+printf 'R($x, $y) <- E($x, $y).\nR($x, $z) <- R($x, $y), E($y, $z).\n' \
+  > reach.sdl
+printf 'Bad($x) <- E($x, $y)\n' > bad.sdl     # no closing '.'
+printf 'E(a, \n' > badfacts.sdl               # unterminated fact
+COMMANDS=(
+  "run reach.sdl R"
+  "append more.sdl"
+  "run reach.sdl R"
+  "retract more.sdl"
+  "run reach.sdl"
+  "epoch"
+  "compact"
+  "stats"
+  "run bad.sdl"
+  "append badfacts.sdl"
+)
+failed=0
+
+printf '%s\n' "${COMMANDS[@]}" \
+  | timeout 60 "$SEQDL" serve edb.sdl > stdin.out 2> stdin.err
+
+"$SEQDL" serve edb.sdl --listen=0 > server.out 2> server.err &
+SERVER_PID=$!
+PORT=
+for _ in $(seq 1 100); do
+  PORT=$(sed -n 's/^listening on 127.0.0.1:\([0-9]*\)$/\1/p' server.out)
+  [ -n "$PORT" ] && break
+  sleep 0.1
+done
+if [ -z "$PORT" ]; then
+  echo "FAIL: seqdl serve --listen=0 did not start"
+  cat server.err
+  exit 1
+fi
+: > query.out
+: > query.err
+for cmd in "${COMMANDS[@]}"; do
+  # Word splitting makes the command's operands separate arguments.
+  # shellcheck disable=SC2086
+  timeout 60 "$SEQDL" query --connect="127.0.0.1:$PORT" $cmd \
+    >> query.out 2>> query.err || true
+done
+timeout 60 "$SEQDL" query --connect="127.0.0.1:$PORT" shutdown > /dev/null
+wait "$SERVER_PID"
+SERVER_PID=
+
+if ! cmp -s stdin.out query.out; then
+  echo "FAIL: stdout differs (< stdin serve, > seqdl query)"
+  diff stdin.out query.out || true
+  failed=1
+fi
+grep 'error:' stdin.err > stdin.errors || true
+grep 'error:' query.err > query.errors || true
+if [ "$(wc -l < stdin.errors)" -ne 2 ] || ! cmp -s stdin.errors query.errors
+then
+  echo "FAIL: error lines differ or are not one per malformed file"
+  echo "-- stdin serve:"; cat stdin.errors
+  echo "-- seqdl query:"; cat query.errors
+  failed=1
+fi
+
+expect_usage_error() {
+  local rc=0
+  timeout 10 "$SEQDL" "$@" < /dev/null > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "FAIL: 'seqdl $*' exited $rc, expected 2"
+    failed=1
+  fi
+}
+expect_usage_error serve edb.sdl --listen=70000
+expect_usage_error serve edb.sdl --cache-bytes=64M
+expect_usage_error serve edb.sdl --threads=2x
+expect_usage_error query --connect=127.0.0.1:70000 epoch
+expect_usage_error coordinate --shards=127.0.0.1:1 --listen=70000
+expect_usage_error coordinate --shards=127.0.0.1:1 --io-timeout-ms=5s
+
+if [ "$failed" -ne 0 ]; then exit 1; fi
+echo "front ends agree: $(wc -l < stdin.out) stdout lines, 2 error lines"

@@ -31,7 +31,6 @@
 #include "src/analysis/diagnostics.h"
 #include "src/analysis/locality.h"
 #include "src/cluster/coordinator.h"
-#include "src/cluster/frontend.h"
 #include "src/cluster/partitioner.h"
 #include "src/engine/database.h"
 #include "src/engine/instance.h"
@@ -708,7 +707,7 @@ TEST(ClusterTest, CompileBroadcastsAndReportsLocality) {
 
 TEST(ClusterTest, CoordinatorLooksLikeAServerOnTheWire) {
   TestCluster t = TestCluster::Start(2);
-  CoordinatorHandler handler(*t.coord, /*forward_shutdown=*/true);
+  BackendHandler<Coordinator> handler(*t.coord, /*forward_shutdown=*/true);
   ServerOptions fopts;
   fopts.threads = 2;
   Result<std::unique_ptr<Server>> front = Server::Start(handler, fopts);
@@ -741,6 +740,21 @@ TEST(ClusterTest, CoordinatorLooksLikeAServerOnTheWire) {
     shard.server->Wait();
     EXPECT_TRUE(shard.server->ShuttingDown());
   }
+}
+
+TEST(ClusterTest, ShutdownWithoutForwardingLeavesShardsServing) {
+  TestCluster t = TestCluster::Start(2);
+  BackendHandler<Coordinator> handler(*t.coord, /*forward_shutdown=*/false);
+  Result<std::unique_ptr<Server>> front = Server::Start(handler);
+  ASSERT_TRUE(front.ok()) << front.status().ToString();
+  Result<Client> client = Client::Connect("127.0.0.1", (*front)->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(client->Shutdown().ok());
+  (*front)->Wait();
+  for (TestShard& shard : t.shards) {
+    EXPECT_FALSE(shard.server->ShuttingDown());
+  }
+  EXPECT_TRUE(t.coord->Info().ok());
 }
 
 // --- Misbehaving shards at the byte level -------------------------------------

@@ -257,6 +257,57 @@ TEST(ProtocolTest, TruncatedPayloadsAreRejectedAtEveryLength) {
   }
 }
 
+TEST(ProtocolTest, TruncatedRepliesAreRejectedAtEveryLength) {
+  protocol::CompileReply compile;
+  compile.rules = 2;
+  compile.features = "{A,R}";
+  compile.fragment_class = "{R}";
+  protocol::WireDiagnostic lint;
+  lint.severity = 1;
+  lint.code = "SD101";
+  lint.line = 2;
+  lint.col = 1;
+  lint.message = "duplicate rule";
+  lint.notes = {"first defined at 1:1"};
+  compile.diagnostics = {lint};
+  protocol::RunReply run;
+  run.epoch = 3;
+  run.rendered = "S(a).\n";
+  run.stats.derived_facts = 1;
+  protocol::CompactReply compact;
+  compact.folded = true;
+  compact.db = {7, 1, 42};
+  protocol::StatsReply stats;
+  stats.rendered = "R  tuples=1\n";
+  stats.cache_hits = 5;
+  const std::string frames[] = {
+      protocol::EncodeCompileReply(compile),
+      protocol::EncodeRunReply(run),
+      protocol::EncodeAppendReply({9, {4, 3, 100}}),
+      protocol::EncodeRetractReply({6, {5, 4, 94}}),
+      protocol::EncodeEpochReply({7, 2, 42, 1024, 64, 3}),
+      protocol::EncodeCompactReply(compact),
+      protocol::EncodeStatsReply(stats),
+      protocol::EncodeShutdownReply(),
+      protocol::EncodeHelloReply({protocol::kWireVersion}),
+      protocol::EncodeErrorReply(MsgType::kRun,
+                                 Status::InvalidArgument("q.sdl:1:1: bad")),
+  };
+  for (const std::string& frame : frames) {
+    std::string payload = Payload(frame);
+    ASSERT_TRUE(protocol::DecodeReply(payload).ok());
+    for (size_t len = 0; len < payload.size(); ++len) {
+      Result<protocol::Reply> decoded =
+          protocol::DecodeReply(payload.substr(0, len));
+      ASSERT_FALSE(decoded.ok()) << "prefix of length " << len << " decoded";
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(decoded.status().message().find("truncated frame"),
+                std::string::npos)
+          << decoded.status().message();
+    }
+  }
+}
+
 TEST(ProtocolTest, TrailingBytesAreMalformed) {
   std::string payload =
       Payload(protocol::EncodeBareRequest(MsgType::kEpoch)) + "x";
@@ -1070,7 +1121,7 @@ TEST(ServiceCacheTest, ProgramsShareTheResultCap) {
   // newer texts evict it.
   auto compile_hits = [&service] {
     Result<protocol::CompileReply> compiled =
-        service.Compile(kProgA, "a.sdl");
+        service.Compile({kProgA, "a.sdl"});
     EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
     return compiled.ok() && compiled->cache_hit;
   };

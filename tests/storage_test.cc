@@ -105,7 +105,7 @@ TEST(StorageFormatTest, InstanceBlockRoundTrip) {
   std::string block;
   storage::EncodeInstanceBlock(u, in, &block);
 
-  storage::ByteReader r(block, storage::kSdSegmentCorrupt);
+  storage::RecordReader r(block, storage::kSdSegmentCorrupt);
   Result<Instance> out =
       storage::DecodeInstanceBlock(u, r, storage::kSdSegmentCorrupt);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
@@ -123,7 +123,7 @@ TEST(StorageFormatTest, InstanceBlockDecodesIntoFreshUniverse) {
   // A fresh universe re-interns every symbol from the block's arena;
   // the rendered text (names, not ids) must survive the hop.
   Universe u2;
-  storage::ByteReader r(block, storage::kSdSegmentCorrupt);
+  storage::RecordReader r(block, storage::kSdSegmentCorrupt);
   Result<Instance> out =
       storage::DecodeInstanceBlock(u2, r, storage::kSdSegmentCorrupt);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
@@ -135,7 +135,7 @@ TEST(StorageFormatTest, EmptyInstanceRoundTrips) {
   Instance in;
   std::string block;
   storage::EncodeInstanceBlock(u, in, &block);
-  storage::ByteReader r(block, storage::kSdSegmentCorrupt);
+  storage::RecordReader r(block, storage::kSdSegmentCorrupt);
   Result<Instance> out =
       storage::DecodeInstanceBlock(u, r, storage::kSdSegmentCorrupt);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
@@ -257,8 +257,8 @@ TEST(StorageWalTest, TornTailIsTruncatedAndPrefixSurvives) {
     int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
     ASSERT_GE(fd, 0);
     std::string tear;
-    storage::PutU32(&tear, 1024);  // payload length never written
-    storage::PutU32(&tear, 0xdeadbeef);
+    PutU32(&tear, 1024);  // payload length never written
+    PutU32(&tear, 0xdeadbeef);
     tear += "torn";
     ASSERT_EQ(::write(fd, tear.data(), tear.size()),
               static_cast<ssize_t>(tear.size()));
@@ -296,8 +296,8 @@ TEST(StorageWalTest, CrcValidGarbageIsRealCorruption) {
   // that is corruption (SD402), not a torn tail to shrug off.
   std::string payload = "\x07not-a-record";
   std::string frame;
-  storage::PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  storage::PutU32(&frame, storage::Crc32(payload.data(), payload.size()));
+  PutU32(&frame, static_cast<uint32_t>(payload.size()));
+  PutU32(&frame, storage::Crc32(payload.data(), payload.size()));
   frame += payload;
   ASSERT_TRUE(storage::WriteFileDurable(path, frame).ok());
 

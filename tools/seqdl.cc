@@ -17,8 +17,8 @@
 //
 //   seqdl serve [<instance.sdl>] [--data-dir=DIR]
 //               [--sync=always|interval|never] [--stats] [--threads=N]
-//               [--recompile-drift=X] [--auto-compact=N] [--listen=PORT]
-//               [--admission=off|budget|strict]
+//               [--recompile-drift=X] [--auto-compact=N] [--cache-bytes=N]
+//               [--listen=PORT] [--admission=off|budget|strict]
 //       Load the instance into a versioned Database once, then serve it.
 //       With --data-dir the database is durable: commits are logged to a
 //       WAL before they publish (--sync picks the fsync policy), and a
@@ -34,38 +34,24 @@
 //       client (src/server/client.h) to talk to it; see docs/server.md.
 //
 //       Without --listen, answer commands from stdin until EOF, one per
-//       line:
-//
-//           run <program.sdl> [REL]    evaluate against the current-epoch
-//                                      EDB, print derived facts (or REL)
-//           append <instance.sdl>      ingest more facts: publishes a new
-//                                      immutable segment and bumps the
-//                                      epoch; in-flight runs keep their
-//                                      pinned snapshot
-//           retract <instance.sdl>     retract facts: visible matches are
-//                                      shadowed by a tombstone segment at
-//                                      a new epoch; maintained views are
-//                                      DRed-refreshed (delete/re-derive)
-//           epoch                      print epoch / segment / fact counts
-//           compact                    fold all segments into one store
-//                                      (tombstones fold away entirely)
-//           stats                      print the database's measured
-//                                      selectivity statistics (live
-//                                      segments plus everything runs
-//                                      derived, epoch-aged)
-//           quit                       exit
+//       line: the commands of `seqdl query` below (run, compile, append,
+//       retract, epoch, compact, stats, shutdown) plus `quit`. Each line
+//       becomes a request payload, answered by the same request handler
+//       the TCP server runs, and printed the way `seqdl query` prints it:
+//       results on stdout; the run trailer, the --stats scan line and
+//       errors on stderr. Errors in shipped files render as structured
+//       "<file>:line:col: error: ... [SDxxx]" lines.
 //
 //       Programs are compiled once per source text and cached (shared
-//       with TCP clients sending the same text); when a later append
+//       with TCP clients sending the same text); when a later write
 //       moves the database's measured statistics past --recompile-drift
 //       (default 0.25, relative tuple-count change), the cached plan is
-//       recompiled against the fresh statistics. --threads=N answers
-//       consecutive `run` commands on a worker pool of N threads; every
+//       recompiled against the fresh statistics. --threads=N queues
+//       consecutive `run` commands to a worker pool of N threads; every
 //       other command first waits for the runs queued before it, so each
 //       answer reflects exactly the commands above it; --auto-compact=N
 //       folds the segment stack whenever it grows past N segments
-//       (default 8, 0 = manual `compact` only). Malformed `append` files
-//       are reported as structured "<file>:line:col: ..." errors.
+//       (default 8, 0 = manual `compact` only).
 //       --admission=off|budget|strict (default off) screens every
 //       program through admission analysis before running it:
 //       potentially non-terminating programs (SD301-SD303) are capped
@@ -86,16 +72,34 @@
 //       relation's facts to one shard. A client's `shutdown` drains the
 //       shards too unless --no-forward-shutdown.
 //
-//   seqdl query --connect=HOST:PORT <command> [args]
-//       Blocking client for a `seqdl serve --listen` server. Commands:
-//           run <program.sdl> [REL]     ship the program text to the
-//                                       server, print the derived facts
-//           compile <program.sdl>       warm the server's program cache
-//           append <instance.sdl>       ship facts; bumps the epoch
-//           retract <instance.sdl>      retract facts; bumps the epoch
-//           epoch | compact | stats     as in serve's stdin mode
-//           shutdown                    drain and stop the server
-//       [--stats] prints the run's engine counters to stderr.
+//   seqdl query --connect=HOST:PORT <command> [args] [--stats]
+//       Blocking client for a `seqdl serve --listen` server or a `seqdl
+//       coordinate` front end. Commands:
+//           run <program.sdl> [REL]    ship the program text to the
+//                                      server, print the derived facts
+//                                      (or REL); --stats adds the run's
+//                                      scan counters on stderr
+//           compile <program.sdl>      warm the server's program cache
+//           append <instance.sdl>      ingest more facts: publishes a
+//                                      new immutable segment and bumps
+//                                      the epoch; in-flight runs keep
+//                                      their pinned snapshot
+//           retract <instance.sdl>     retract facts: visible matches are
+//                                      shadowed by a tombstone segment at
+//                                      a new epoch; maintained views are
+//                                      DRed-refreshed (delete/re-derive)
+//           epoch                      print epoch / segment / fact counts
+//           compact                    fold all segments into one store
+//                                      (tombstones fold away entirely)
+//           stats                      print the database's measured
+//                                      selectivity statistics and the
+//                                      cache and view counters
+//           shutdown                   drain and stop the server
+//
+//   Numeric flags of serve, coordinate and query are strict: a value
+//   with trailing bytes or out of range is a usage error (exit 2).
+//   HOST:PORT takes a dotted quad or "localhost" and a port from 1 to
+//   65535.
 //
 //   seqdl check <program.sdl> [--json] [--output=REL]
 //               [--admission=off|budget|strict] [--werror]
@@ -128,19 +132,19 @@
 //   seqdl regex <pattern>
 //       Compile a regular expression to a Sequence Datalog matcher and
 //       print the program.
-#include <chrono>
+#include <charconv>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <memory>
+#include <iterator>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -153,7 +157,6 @@
 #include "src/analysis/lint.h"
 #include "src/analysis/safety.h"
 #include "src/cluster/coordinator.h"
-#include "src/cluster/frontend.h"
 #include "src/engine/database.h"
 #include "src/engine/engine.h"
 #include "src/engine/instance.h"
@@ -174,34 +177,36 @@
 
 namespace {
 
-int Fail(const seqdl::Status& status) {
-  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-  return 1;
-}
-
-// Reports a failure through the structured diagnostics renderer when the
-// status carries a source location ("parse error at L:C: ...", or a
-// service error already annotated "<name>:L:C: ..."), so every front end
-// prints the same "name:L:C: error: msg [SDxxx]" line as `seqdl check`.
-// Falls back to the plain "error:" line for statuses without a location.
-int FailDiag(const std::string& source_name, const seqdl::Status& status) {
-  const std::string& msg = status.message();
-  seqdl::SourceSpan span = seqdl::SpanFromStatusMessage(msg);
-  if (status.code() != seqdl::StatusCode::kInvalidArgument || !span.valid()) {
-    return Fail(status);
+// The CLI's one error renderer. A status with a source location ("parse
+// error at L:C: ...", or a served error already annotated "<name>:L:C:
+// ...") prints as the "name:L:C: error: msg [SDxxx]" line `seqdl check`
+// prints; one carrying an SD code (the storage engine's SD4xx) as
+// "error: msg [SDxxx]"; any other as "error: <Code>: msg". Returns 1, the
+// exit code of a failed command.
+int ReportError(const seqdl::Status& status, const std::string& source = "") {
+  seqdl::Diagnostic d = seqdl::DiagnosticFromStatus(status);
+  seqdl::SourceSpan span = seqdl::SpanFromStatusMessage(d.message);
+  if (status.code() == seqdl::StatusCode::kInvalidArgument && span.valid()) {
+    // Strip everything through the "L:C: " location to recover the bare
+    // message the diagnostic re-renders with its own span prefix.
+    std::string needle =
+        std::to_string(span.line) + ":" + std::to_string(span.col) + ":";
+    size_t pos = d.message.find(needle);
+    if (pos != std::string::npos) d.message.erase(0, pos + needle.size());
+    while (!d.message.empty() && d.message.front() == ' ') {
+      d.message.erase(d.message.begin());
+    }
+    if (d.code.empty()) {
+      d.code = status.message().rfind("lex error at ", 0) == 0 ? "SD001"
+                                                               : "SD002";
+    }
+    d.span = span;
+    std::fprintf(stderr, "%s\n", d.ToString(source).c_str());
+  } else if (!d.code.empty()) {
+    std::fprintf(stderr, "%s\n", d.ToString().c_str());
+  } else {
+    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   }
-  // Strip everything through the "L:C: " location to recover the bare
-  // message the diagnostic re-renders with its own span prefix.
-  std::string needle =
-      std::to_string(span.line) + ":" + std::to_string(span.col) + ":";
-  size_t pos = msg.find(needle);
-  std::string bare =
-      pos == std::string::npos ? msg : msg.substr(pos + needle.size());
-  while (!bare.empty() && bare.front() == ' ') bare.erase(bare.begin());
-  const char* code =
-      msg.rfind("lex error at ", 0) == 0 ? "SD001" : "SD002";
-  seqdl::Diagnostic d = seqdl::Diagnostic::Error(code, span, bare);
-  std::fprintf(stderr, "%s\n", d.ToString(source_name).c_str());
   return 1;
 }
 
@@ -239,6 +244,46 @@ std::vector<std::string> PositionalArgs(const std::vector<std::string>& args) {
   return out;
 }
 
+/// Parses `text`, the value of `what`, into *out. The whole text must be
+/// a number from `lo` to `hi`: trailing bytes ("64M") or a value out of
+/// range (a port of 70000) print a usage error and return false, and the
+/// command then exits 2.
+template <typename T>
+bool ParseNumber(const std::string& what, const std::string& text, T lo, T hi,
+                 T* out) {
+  T v{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  // Written so that NaN fails the range test.
+  if (ec == std::errc() && ptr == end && lo <= v && v <= hi) {
+    *out = v;
+    return true;
+  }
+  std::ostringstream range;
+  range << lo << " to " << hi;
+  std::fprintf(stderr, "error: bad %s value '%s': expected a number from %s\n",
+               what.c_str(), text.c_str(), range.str().c_str());
+  return false;
+}
+
+/// ParseNumber on the value of flag `prefix` ("--threads="), which every
+/// numeric flag of `serve`, `coordinate` and `query` goes through. An
+/// absent flag leaves *out as it is.
+template <typename T>
+bool NumericFlag(const std::vector<std::string>& args,
+                 const std::string& prefix, T lo, T hi, T* out) {
+  for (const std::string& a : args) {
+    if (a.rfind(prefix, 0) == 0) {
+      return ParseNumber(prefix.substr(0, prefix.size() - 1),
+                         a.substr(prefix.size()), lo, hi, out);
+    }
+  }
+  return true;
+}
+
+/// A server's worker pool past this size only adds threads that wait.
+constexpr size_t kMaxThreads = 1024;
+
 /// Parses --sync= values (always | interval | never).
 seqdl::Result<seqdl::storage::SyncMode> ParseSyncMode(const std::string& v) {
   if (v == "always") return seqdl::storage::SyncMode::kAlways;
@@ -256,32 +301,12 @@ bool ApplyStorageFlags(const std::vector<std::string>& args,
   if (std::string v = FlagValue(args, "--sync="); !v.empty()) {
     auto mode = ParseSyncMode(v);
     if (!mode.ok()) {
-      Fail(mode.status());
+      ReportError(mode.status());
       return false;
     }
     dbopts->sync_mode = *mode;
   }
   return true;
-}
-
-/// One extra status line when the database is durable (generation 0
-/// means in-memory: print nothing, keeping legacy output stable).
-void PrintStorageLine(FILE* f, const seqdl::protocol::DbInfo& info) {
-  if (info.manifest_generation == 0) return;
-  std::fprintf(f,
-               "storage: generation %llu, %llu bytes on disk, "
-               "%llu wal bytes\n",
-               static_cast<unsigned long long>(info.manifest_generation),
-               static_cast<unsigned long long>(info.on_disk_bytes),
-               static_cast<unsigned long long>(info.wal_bytes));
-}
-
-/// Renders a storage-layer failure (kIoError with an SD4xx code) like
-/// an analyzer finding; other statuses fall back to Fail().
-int FailStorage(const seqdl::Status& status) {
-  seqdl::Diagnostic d = seqdl::DiagnosticFromStatus(status);
-  std::fprintf(stderr, "%s\n", d.ToString().c_str());
-  return 1;
 }
 
 // The per-index-family scan counters as one aligned table.
@@ -331,18 +356,18 @@ int RunDurable(const std::vector<std::string>& args,
       return 2;
     }
     auto instance_text = ReadFile(pos[1]);
-    if (!instance_text.ok()) return Fail(instance_text.status());
+    if (!instance_text.ok()) return ReportError(instance_text.status());
     auto instance = seqdl::ParseInstance(u, *instance_text);
-    if (!instance.ok()) return FailDiag(pos[1], instance.status());
+    if (!instance.ok()) return ReportError(instance.status(), pos[1]);
     seed = std::move(*instance);
   }
   auto db = seqdl::Database::Open(u, std::move(seed), dbopts);
-  if (!db.ok()) return FailStorage(db.status());
+  if (!db.ok()) return ReportError(db.status());
 
   // Database::Compile feeds the recovered stack's measured statistics
   // to the planner — the durable twin of ComputeInstanceStats below.
   auto prepared = db->Compile(std::move(program));
-  if (!prepared.ok()) return Fail(prepared.status());
+  if (!prepared.ok()) return ReportError(prepared.status());
   if (HasFlag(args, "--explain")) {
     std::fprintf(stderr, "%s", prepared->ExplainPlan().c_str());
   }
@@ -352,12 +377,12 @@ int RunDurable(const std::vector<std::string>& args,
   seqdl::EvalStats stats;
   seqdl::Session session = db->Snapshot();
   auto out = session.Run(*prepared, opts, &stats);
-  if (!out.ok()) return Fail(out.status());
+  if (!out.ok()) return ReportError(out.status());
 
   std::string output_rel = FlagValue(args, "--output=");
   if (!output_rel.empty()) {
     auto rel = u.FindRel(output_rel);
-    if (!rel.ok()) return Fail(rel.status());
+    if (!rel.ok()) return ReportError(rel.status());
     std::printf("%s", out->ToString(u, {&*rel, 1}).c_str());
   } else {
     std::set<seqdl::RelId> idb = seqdl::IdbRels(prepared->program());
@@ -394,7 +419,7 @@ int CmdRun(const std::vector<std::string>& args) {
   }
   seqdl::Universe u;
   auto program_text = ReadFile(pos[0]);
-  if (!program_text.ok()) return Fail(program_text.status());
+  if (!program_text.ok()) return ReportError(program_text.status());
   seqdl::DiagnosticList parse_diags;
   auto program = seqdl::ParseProgram(u, *program_text, &parse_diags);
   if (!program.ok()) {
@@ -407,9 +432,9 @@ int CmdRun(const std::vector<std::string>& args) {
   if (!data_dir.empty()) return RunDurable(args, pos, u, std::move(*program));
 
   auto instance_text = ReadFile(pos[1]);
-  if (!instance_text.ok()) return Fail(instance_text.status());
+  if (!instance_text.ok()) return ReportError(instance_text.status());
   auto instance = seqdl::ParseInstance(u, *instance_text);
-  if (!instance.ok()) return FailDiag(pos[1], instance.status());
+  if (!instance.ok()) return ReportError(instance.status(), pos[1]);
 
   // Measure the instance so the planner can rank access paths by
   // selectivity; --legacy-planner keeps the first-ground-argument
@@ -421,7 +446,7 @@ int CmdRun(const std::vector<std::string>& args) {
     copts.stats = &selectivity;
   }
   auto prepared = seqdl::Engine::Compile(u, std::move(*program), copts);
-  if (!prepared.ok()) return Fail(prepared.status());
+  if (!prepared.ok()) return ReportError(prepared.status());
   if (HasFlag(args, "--explain")) {
     std::fprintf(stderr, "%s", prepared->ExplainPlan().c_str());
   }
@@ -431,12 +456,12 @@ int CmdRun(const std::vector<std::string>& args) {
   opts.use_index = !HasFlag(args, "--no-index");
   seqdl::EvalStats stats;
   auto out = prepared->Run(*instance, opts, &stats);
-  if (!out.ok()) return Fail(out.status());
+  if (!out.ok()) return ReportError(out.status());
 
   std::string output_rel = FlagValue(args, "--output=");
   if (!output_rel.empty()) {
     auto rel = u.FindRel(output_rel);
-    if (!rel.ok()) return Fail(rel.status());
+    if (!rel.ok()) return ReportError(rel.status());
     std::printf("%s", out->ToString(u, {&*rel, 1}).c_str());
   } else {
     std::set<seqdl::RelId> idb = seqdl::IdbRels(prepared->program());
@@ -459,246 +484,302 @@ int CmdRun(const std::vector<std::string>& args) {
   return 0;
 }
 
-// Repeated-query serving loop over a DatabaseService (the same request
-// handlers the TCP server dispatches to — the stdin loop is just another
-// front end): the EDB is loaded once and then grows by `append`
-// (epoch-bumping segment publishes); `run` commands execute against an
-// epoch-pinned snapshot, on the calling thread or on a --threads=N
-// worker pool, and every other command waits for the queued runs first,
-// so commands take effect in input order. Compiled programs are cached
-// by source text in the service and recompiled when the database's
-// measured statistics drift past --recompile-drift since compile time.
-class ServeLoop {
+// --- One serve path ---------------------------------------------------------
+// `seqdl serve`'s stdin loop and `seqdl query` share the command table
+// (verb -> request frame), the reply printer and ReportError: a command
+// prints the same lines through either front end, and both send their
+// requests through the RequestHandler a TCP server runs.
+
+using U = unsigned long long;
+
+struct Command {
+  const char* verb;
+  seqdl::protocol::MsgType type;
+  const char* operands;  ///< "" when the request has no body
+};
+
+constexpr Command kCommands[] = {
+    {"run", seqdl::protocol::MsgType::kRun, "<program> [REL]"},
+    {"compile", seqdl::protocol::MsgType::kCompile, "<program>"},
+    {"append", seqdl::protocol::MsgType::kAppend, "<instance>"},
+    {"retract", seqdl::protocol::MsgType::kRetract, "<instance>"},
+    {"epoch", seqdl::protocol::MsgType::kEpoch, ""},
+    {"compact", seqdl::protocol::MsgType::kCompact, ""},
+    {"stats", seqdl::protocol::MsgType::kStats, ""},
+    {"shutdown", seqdl::protocol::MsgType::kShutdown, ""},
+};
+
+/// "run <program> [REL] | compile <program> | ... | shutdown".
+std::string CommandList() {
+  std::string out;
+  for (const Command& c : kCommands) {
+    if (!out.empty()) out += " | ";
+    out += c.verb;
+    if (*c.operands != '\0') {
+      out += " ";
+      out += c.operands;
+    }
+  }
+  return out;
+}
+
+/// The command `words` (a verb, then its operands) names, or null after
+/// printing why not: an unknown verb, or a missing file operand.
+const Command* FindCommand(const std::vector<std::string>& words,
+                           const char* usage_prefix) {
+  for (const Command& c : kCommands) {
+    if (words[0] != c.verb) continue;
+    if (*c.operands != '\0' && words.size() < 2) {
+      std::fprintf(stderr, "usage: %s%s %s\n", usage_prefix, c.verb,
+                   c.operands);
+      return nullptr;
+    }
+    return &c;
+  }
+  std::fprintf(stderr, "error: unknown command '%s'\n", words[0].c_str());
+  return nullptr;
+}
+
+/// The file a command ships, which names it in error locations.
+std::string SourceOf(const std::vector<std::string>& words) {
+  return words.size() > 1 ? words[1] : "";
+}
+
+/// The request frame of command `c` with operands `words`, carrying the
+/// text of the file the command ships.
+seqdl::Result<std::string> EncodeCommand(
+    const Command& c, const std::vector<std::string>& words) {
+  using seqdl::protocol::MsgType;
+  if (*c.operands == '\0') return seqdl::protocol::EncodeBareRequest(c.type);
+  SEQDL_ASSIGN_OR_RETURN(std::string text, ReadFile(words[1]));
+  switch (c.type) {
+    case MsgType::kRun: {
+      seqdl::protocol::RunRequest req;
+      req.program = std::move(text);
+      req.source_name = words[1];
+      if (words.size() > 2) req.output_rel = words[2];
+      return seqdl::protocol::EncodeRunRequest(req);
+    }
+    case MsgType::kCompile:
+      return seqdl::protocol::EncodeCompileRequest({std::move(text), words[1]});
+    case MsgType::kAppend:
+      return seqdl::protocol::EncodeAppendRequest({std::move(text), words[1]});
+    default:
+      return seqdl::protocol::EncodeRetractRequest({std::move(text), words[1]});
+  }
+}
+
+/// One extra status line when the database is durable (generation 0
+/// means in-memory: print nothing, keeping legacy output stable).
+void PrintStorageLine(const seqdl::protocol::DbInfo& info) {
+  if (info.manifest_generation == 0) return;
+  std::printf("storage: generation %llu, %llu bytes on disk, %llu wal bytes\n",
+              U(info.manifest_generation), U(info.on_disk_bytes),
+              U(info.wal_bytes));
+}
+
+/// Prints the reply to command `words`: results on stdout; the run
+/// trailer, the --stats line and a compile's findings on stderr.
+void PrintReply(const std::vector<std::string>& words,
+                const seqdl::protocol::Reply& reply, bool stats) {
+  using seqdl::protocol::MsgType;
+  switch (reply.orig_type) {
+    case MsgType::kRun: {
+      const seqdl::protocol::WireEvalStats& s = reply.run.stats;
+      std::fwrite(reply.run.rendered.data(), 1, reply.run.rendered.size(),
+                  stdout);
+      std::fflush(stdout);
+      std::fprintf(stderr, "-- %llu facts derived in %.3f ms (epoch %llu)\n",
+                   U(s.derived_facts), s.run_seconds * 1e3,
+                   U(reply.run.epoch));
+      if (stats) {
+        std::fprintf(stderr,
+                     "-- scans: %llu index, %llu prefix, %llu suffix, "
+                     "%llu full, %llu delta (%llu delta-indexed)\n",
+                     U(s.index_probes), U(s.prefix_probes),
+                     U(s.suffix_probes), U(s.full_scans), U(s.delta_scans),
+                     U(s.delta_index_probes));
+      }
+      break;
+    }
+    case MsgType::kCompile: {
+      const seqdl::protocol::CompileReply& c = reply.compile;
+      std::printf("%s: %llu rules in %llu strata (%s, compile %.3f ms)\n",
+                  words[1].c_str(), U(c.rules), U(c.strata),
+                  c.cache_hit ? "cache hit" : "compiled",
+                  c.compile_seconds * 1e3);
+      if (!c.features.empty()) {
+        std::printf("features %s, class %s, admission: %s\n",
+                    c.features.c_str(), c.fragment_class.c_str(),
+                    seqdl::AdmissionVerdictToString(
+                        static_cast<seqdl::AdmissionVerdict>(c.admission)));
+      }
+      // The server's analyzer findings (lint SD1xx, admission SD3xx),
+      // rendered like `seqdl check` renders its local ones.
+      for (const seqdl::protocol::WireDiagnostic& w : c.diagnostics) {
+        std::fprintf(stderr, "%s\n",
+                     seqdl::protocol::FromWire(w).ToString(words[1]).c_str());
+      }
+      break;
+    }
+    case MsgType::kAppend:
+      std::printf("appended %llu facts: epoch %llu, %llu segments, "
+                  "%llu facts total\n",
+                  U(reply.append.appended), U(reply.append.db.epoch),
+                  U(reply.append.db.segments), U(reply.append.db.facts));
+      break;
+    case MsgType::kRetract:
+      std::printf("retracted %llu facts: epoch %llu, %llu segments, "
+                  "%llu facts total\n",
+                  U(reply.retract.retracted), U(reply.retract.db.epoch),
+                  U(reply.retract.db.segments), U(reply.retract.db.facts));
+      break;
+    case MsgType::kEpoch:
+      std::printf("epoch %llu: %llu segments, %llu facts\n",
+                  U(reply.info.epoch), U(reply.info.segments),
+                  U(reply.info.facts));
+      PrintStorageLine(reply.info);
+      break;
+    case MsgType::kCompact:
+      std::printf("%s: epoch %llu, %llu segments, %llu facts\n",
+                  reply.compact.folded ? "compacted" : "nothing to compact",
+                  U(reply.compact.db.epoch), U(reply.compact.db.segments),
+                  U(reply.compact.db.facts));
+      PrintStorageLine(reply.compact.db);
+      break;
+    case MsgType::kStats: {
+      const seqdl::protocol::StatsReply& st = reply.stats;
+      // The planner's view: live-segment measurements merged with the
+      // derived-fact statistics of earlier runs, plus the cache traffic.
+      std::printf("%s", st.rendered.c_str());
+      std::printf("cache: %llu hits, %llu misses, %llu evictions; "
+                  "%llu entries, %llu bytes\n",
+                  U(st.cache_hits), U(st.cache_misses),
+                  U(st.cache_evictions), U(st.cache_entries),
+                  U(st.cache_bytes));
+      std::printf("views: %llu hits, %llu cold runs, %llu delta refreshes "
+                  "(%llu DRed, %llu strata recomputed)\n",
+                  U(st.view_hits), U(st.view_cold_runs),
+                  U(st.view_delta_refreshes), U(st.view_dred_refreshes),
+                  U(st.view_strata_recomputed));
+      break;
+    }
+    case MsgType::kShutdown:
+      std::printf("server shut down\n");
+      break;
+    default:
+      break;
+  }
+  std::fflush(stdout);
+}
+
+// `seqdl serve` without --listen: a transport that makes each stdin
+// command a request payload and answers it through the RequestHandler a
+// TCP server runs. With a pool (--threads=N > 1), `run` payloads queue to
+// the workers, and every other command first waits for the runs queued
+// before it, so each answer reflects exactly the commands above it.
+class StdinLoop {
  public:
-  ServeLoop(seqdl::DatabaseService& service, bool stats_on)
-      : service_(service), stats_on_(stats_on) {}
-
-  ~ServeLoop() { StopWorkers(); }
-
-  void StartWorkers(size_t threads) {
-    for (size_t t = 0; t < threads; ++t) {
+  StdinLoop(seqdl::RequestHandler& handler, bool stats, size_t threads)
+      : handler_(handler), stats_(stats) {
+    for (size_t t = 0; threads > 1 && t < threads; ++t) {
       workers_.emplace_back([this] { WorkerLoop(); });
     }
   }
 
-  void StopWorkers() {
+  /// Answers the runs still queued, then joins the workers.
+  ~StdinLoop() {
     {
-      std::unique_lock<std::mutex> lock(queue_mu_);
+      std::lock_guard<std::mutex> lock(queue_mu_);
       done_ = true;
     }
     queue_cv_.notify_all();
     for (std::thread& w : workers_) w.join();
-    workers_.clear();
   }
 
-  // `run <program> [REL]`: inline when there is no pool, else enqueued.
-  void Run(std::string path, std::string output_rel) {
-    if (workers_.empty()) {
-      RunOne(path, output_rel);
-      return;
-    }
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_.emplace_back(std::move(path), std::move(output_rel));
-    }
-    queue_cv_.notify_one();
-  }
+  StdinLoop(const StdinLoop&) = delete;
+  StdinLoop& operator=(const StdinLoop&) = delete;
 
-  void Append(const std::string& path) {
-    auto text = ReadFile(path);
-    if (!text.ok()) {
-      std::lock_guard<std::mutex> lock(io_mu_);
-      Fail(text.status());
-      return;
+  /// Answers command `words`, whose request payload is `payload`; false
+  /// once a `shutdown` request ends the loop.
+  bool Serve(seqdl::protocol::MsgType type, std::vector<std::string> words,
+             std::string payload) {
+    Job job{std::move(words), std::move(payload)};
+    if (type == seqdl::protocol::MsgType::kRun && !workers_.empty()) {
+      {
+        std::lock_guard<std::mutex> lock(queue_mu_);
+        queue_.push_back(std::move(job));
+      }
+      queue_cv_.notify_one();
+      return true;
     }
-    seqdl::protocol::AppendRequest req;
-    req.facts = std::move(*text);
-    // Naming the source turns a malformed fact into a structured
-    // "<path>:line:col: ..." error instead of a bare parse error.
-    req.source_name = path;
-    auto reply = service_.Append(req);
-    if (!reply.ok()) {
-      std::lock_guard<std::mutex> lock(io_mu_);
-      FailDiag(path, reply.status());
-      return;
-    }
-    std::lock_guard<std::mutex> lock(io_mu_);
-    std::fprintf(stderr,
-                 "-- appended %s (%llu new facts): epoch %llu, %llu "
-                 "segments, %llu facts total\n",
-                 path.c_str(),
-                 static_cast<unsigned long long>(reply->appended),
-                 static_cast<unsigned long long>(reply->db.epoch),
-                 static_cast<unsigned long long>(reply->db.segments),
-                 static_cast<unsigned long long>(reply->db.facts));
-  }
-
-  void Retract(const std::string& path) {
-    auto text = ReadFile(path);
-    if (!text.ok()) {
-      std::lock_guard<std::mutex> lock(io_mu_);
-      Fail(text.status());
-      return;
-    }
-    seqdl::protocol::RetractRequest req;
-    req.facts = std::move(*text);
-    req.source_name = path;
-    auto reply = service_.Retract(req);
-    if (!reply.ok()) {
-      std::lock_guard<std::mutex> lock(io_mu_);
-      FailDiag(path, reply.status());
-      return;
-    }
-    std::lock_guard<std::mutex> lock(io_mu_);
-    std::fprintf(stderr,
-                 "-- retracted %s (%llu facts): epoch %llu, %llu "
-                 "segments, %llu facts total\n",
-                 path.c_str(),
-                 static_cast<unsigned long long>(reply->retracted),
-                 static_cast<unsigned long long>(reply->db.epoch),
-                 static_cast<unsigned long long>(reply->db.segments),
-                 static_cast<unsigned long long>(reply->db.facts));
-  }
-
-  void Epoch() {
-    seqdl::protocol::DbInfo info = service_.Info();
-    std::lock_guard<std::mutex> lock(io_mu_);
-    std::printf("epoch %llu: %llu segments, %llu facts\n",
-                static_cast<unsigned long long>(info.epoch),
-                static_cast<unsigned long long>(info.segments),
-                static_cast<unsigned long long>(info.facts));
-    PrintStorageLine(stdout, info);
-    std::fflush(stdout);
-  }
-
-  void Compact() {
-    seqdl::Result<seqdl::protocol::CompactReply> reply = service_.Compact();
-    std::lock_guard<std::mutex> lock(io_mu_);
-    if (!reply.ok()) {
-      // Disk-full / permission failures during the seal render with
-      // their SD4xx code, like analyzer findings.
-      FailStorage(reply.status());
-      return;
-    }
-    std::fprintf(stderr, "-- %s: epoch %llu, %llu segments, %llu facts\n",
-                 reply->folded ? "compacted" : "nothing to compact",
-                 static_cast<unsigned long long>(reply->db.epoch),
-                 static_cast<unsigned long long>(reply->db.segments),
-                 static_cast<unsigned long long>(reply->db.facts));
-    PrintStorageLine(stderr, reply->db);
-  }
-
-  void Stats() {
-    // The planner's view: live-segment measurements merged with the
-    // derived-fact statistics reported back by earlier runs — plus the
-    // maintained-view cache's traffic.
-    seqdl::protocol::StatsReply reply = service_.Stats();
-    std::lock_guard<std::mutex> lock(io_mu_);
-    std::printf("%s", reply.rendered.c_str());
-    std::printf("cache: %llu hits, %llu misses, %llu evictions; "
-                "%llu entries, %llu bytes\n",
-                static_cast<unsigned long long>(reply.cache_hits),
-                static_cast<unsigned long long>(reply.cache_misses),
-                static_cast<unsigned long long>(reply.cache_evictions),
-                static_cast<unsigned long long>(reply.cache_entries),
-                static_cast<unsigned long long>(reply.cache_bytes));
-    std::printf("views: %llu hits, %llu cold runs, %llu delta refreshes "
-                "(%llu DRed, %llu strata recomputed)\n",
-                static_cast<unsigned long long>(reply.view_hits),
-                static_cast<unsigned long long>(reply.view_cold_runs),
-                static_cast<unsigned long long>(reply.view_delta_refreshes),
-                static_cast<unsigned long long>(reply.view_dred_refreshes),
-                static_cast<unsigned long long>(reply.view_strata_recomputed));
-    std::fflush(stdout);
-  }
-
-  // Waits until every queued `run` has finished.
-  void Drain() {
+    // Queued runs answer the state the commands above them left, so a
+    // write or a report must not overtake them.
     std::unique_lock<std::mutex> lock(queue_mu_);
-    drained_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
+    drained_cv_.wait(lock,
+                     [this] { return queue_.empty() && in_flight_ == 0; });
+    lock.unlock();
+    return Answer(job);
+  }
+
+  /// ReportError, serialized with the answers of the workers.
+  void Report(const seqdl::Status& status) {
+    std::lock_guard<std::mutex> lock(io_mu_);
+    ReportError(status);
   }
 
  private:
+  struct Job {
+    std::vector<std::string> words;
+    std::string payload;
+  };
+
+  bool Answer(const Job& job) {
+    bool shutdown = false;
+    std::string frame = handler_.Handle(job.payload, {}, &shutdown);
+    seqdl::Result<seqdl::protocol::Reply> reply =
+        seqdl::protocol::DecodeReply(std::string_view(frame).substr(4));
+    std::lock_guard<std::mutex> lock(io_mu_);
+    const seqdl::Status& status = reply.ok() ? reply->status : reply.status();
+    if (status.ok()) {
+      PrintReply(job.words, *reply, stats_);
+    } else {
+      ReportError(status, SourceOf(job.words));
+    }
+    return !shutdown;
+  }
+
   void WorkerLoop() {
     while (true) {
-      std::pair<std::string, std::string> job;
+      Job job;
       {
         std::unique_lock<std::mutex> lock(queue_mu_);
         queue_cv_.wait(lock, [this] { return done_ || !queue_.empty(); });
-        if (queue_.empty()) {
-          if (done_) return;
-          continue;
-        }
+        if (queue_.empty()) return;  // done_ and nothing left to answer
         job = std::move(queue_.front());
         queue_.pop_front();
         ++in_flight_;
       }
-      RunOne(job.first, job.second);
+      Answer(job);
       {
-        std::unique_lock<std::mutex> lock(queue_mu_);
+        std::lock_guard<std::mutex> lock(queue_mu_);
         --in_flight_;
       }
       drained_cv_.notify_all();
     }
   }
 
-  // Reads the program, ships it through the service (text-keyed program
-  // cache, drift-aware recompilation, epoch-pinned snapshot run), and
-  // prints the rendered derived facts.
-  void RunOne(const std::string& path, const std::string& output_rel) {
-    auto text = ReadFile(path);
-    if (!text.ok()) {
-      std::lock_guard<std::mutex> lock(io_mu_);
-      Fail(text.status());
-      return;
-    }
-    seqdl::protocol::RunRequest req;
-    req.program = std::move(*text);
-    req.source_name = path;
-    req.output_rel = output_rel;
-    // Feed each run's derived-fact statistics back into Database::Stats()
-    // so later-compiled programs plan from the observed workload.
-    req.collect_derived_stats = true;
-    auto reply = service_.Run(req);
-    std::lock_guard<std::mutex> lock(io_mu_);
-    if (!reply.ok()) {
-      FailDiag(path, reply.status());
-      return;
-    }
-    std::printf("%s", reply->rendered.c_str());
-    std::fflush(stdout);
-    const seqdl::protocol::WireEvalStats& stats = reply->stats;
-    std::fprintf(stderr, "-- %llu facts derived in %.3f ms (epoch %llu)\n",
-                 static_cast<unsigned long long>(stats.derived_facts),
-                 stats.run_seconds * 1e3,
-                 static_cast<unsigned long long>(reply->epoch));
-    if (stats_on_) {
-      std::fprintf(stderr,
-                   "-- scans: %llu index, %llu prefix, %llu suffix, %llu "
-                   "full, %llu delta (%llu delta-indexed); %zu base columns "
-                   "indexed over %llu segments\n",
-                   static_cast<unsigned long long>(stats.index_probes),
-                   static_cast<unsigned long long>(stats.prefix_probes),
-                   static_cast<unsigned long long>(stats.suffix_probes),
-                   static_cast<unsigned long long>(stats.full_scans),
-                   static_cast<unsigned long long>(stats.delta_scans),
-                   static_cast<unsigned long long>(stats.delta_index_probes),
-                   service_.db().NumIndexedColumns(),
-                   static_cast<unsigned long long>(reply->segments));
-    }
-  }
+  seqdl::RequestHandler& handler_;
+  bool stats_;
 
-  seqdl::DatabaseService& service_;
-  bool stats_on_;
-
-  std::mutex io_mu_;
+  std::mutex io_mu_;  ///< keeps each answer's lines together
 
   std::mutex queue_mu_;
   std::condition_variable queue_cv_, drained_cv_;
-  std::deque<std::pair<std::string, std::string>> queue_;
+  std::deque<Job> queue_;
   size_t in_flight_ = 0;
   bool done_ = false;
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> workers_;  ///< last: joined before the rest dies
 };
 
 int CmdServe(const std::vector<std::string>& args) {
@@ -716,28 +797,27 @@ int CmdServe(const std::vector<std::string>& args) {
     return 2;
   }
   bool stats_on = HasFlag(args, "--stats");
-  bool listen_mode = false;
+  // An empty --listen= fails NumericFlag below.
+  bool listen_mode = !FlagValue(args, "--listen=").empty();
   uint16_t listen_port = 0;
-  if (std::string v = FlagValue(args, "--listen="); !v.empty()) {
-    listen_mode = true;
-    listen_port = static_cast<uint16_t>(std::strtoul(v.c_str(), nullptr, 10));
-  }
   size_t threads = listen_mode ? 4 : 1;
-  if (std::string v = FlagValue(args, "--threads="); !v.empty()) {
-    threads = std::strtoull(v.c_str(), nullptr, 10);
-    if (threads == 0) threads = 1;
-  }
-  double recompile_drift = 0.25;
-  if (std::string v = FlagValue(args, "--recompile-drift="); !v.empty()) {
-    recompile_drift = std::strtod(v.c_str(), nullptr);
-  }
+  seqdl::ServiceOptions sopts;
   seqdl::Database::OpenOptions dbopts;
   dbopts.auto_compact_segments = 8;
-  if (std::string v = FlagValue(args, "--auto-compact="); !v.empty()) {
-    dbopts.auto_compact_segments = std::strtoull(v.c_str(), nullptr, 10);
+  if (!NumericFlag<uint16_t>(args, "--listen=", 0, 65535, &listen_port) ||
+      !NumericFlag<size_t>(args, "--threads=", 1, kMaxThreads, &threads) ||
+      !NumericFlag(args, "--recompile-drift=", 0.0,
+                   std::numeric_limits<double>::infinity(),
+                   &sopts.recompile_drift) ||
+      !NumericFlag<size_t>(args, "--auto-compact=", 0, SIZE_MAX,
+                           &dbopts.auto_compact_segments) ||
+      // Byte budget for the maintained-view/result cache (rendered output
+      // plus materialized IDBs); LRU entries are evicted past it.
+      !NumericFlag<size_t>(args, "--cache-bytes=", 0, SIZE_MAX,
+                           &sopts.cache_bytes) ||
+      !ApplyStorageFlags(args, &dbopts)) {
+    return 2;
   }
-  if (!ApplyStorageFlags(args, &dbopts)) return 2;
-
   seqdl::Universe u;
   // With --data-dir on an initialized directory the recovered EDB is
   // authoritative: a restart serves the pre-restart facts without
@@ -755,33 +835,26 @@ int CmdServe(const std::vector<std::string>& args) {
     }
   } else if (!pos.empty()) {
     auto instance_text = ReadFile(pos[0]);
-    if (!instance_text.ok()) return Fail(instance_text.status());
+    if (!instance_text.ok()) return ReportError(instance_text.status());
     auto instance = seqdl::ParseInstance(u, *instance_text);
-    if (!instance.ok()) return Fail(instance.status());
+    if (!instance.ok()) return ReportError(instance.status(), pos[0]);
     seed = std::move(*instance);
   }
   auto db = seqdl::Database::Open(u, std::move(seed), dbopts);
-  if (!db.ok()) return FailStorage(db.status());
+  if (!db.ok()) return ReportError(db.status());
   size_t edb_facts = db->NumFacts();
   const std::string source_desc = recovering || pos.empty()
                                       ? data_dir
                                       : pos[0];
 
   static std::mutex log_mu;
-  seqdl::ServiceOptions sopts;
-  sopts.recompile_drift = recompile_drift;
-  // Byte budget for the maintained-view/result cache (rendered output
-  // plus materialized IDBs); LRU entries are evicted past it.
-  if (std::string v = FlagValue(args, "--cache-bytes="); !v.empty()) {
-    sopts.cache_bytes = std::strtoull(v.c_str(), nullptr, 10);
-  }
   // Admission control for untrusted programs (docs/analysis.md): off
   // runs everything (trusted clients, the default), budget caps runs of
   // potentially non-terminating programs, strict refuses them.
   if (std::string v = FlagValue(args, "--admission="); !v.empty()) {
     auto policy = seqdl::ParseAdmissionPolicy(v);
     if (!policy.ok()) {
-      Fail(policy.status());
+      ReportError(policy.status());
       return 2;
     }
     sopts.admission = *policy;
@@ -803,7 +876,7 @@ int CmdServe(const std::vector<std::string>& args) {
     server_opts.port = listen_port;
     server_opts.threads = threads;
     auto server = seqdl::Server::Start(service, server_opts);
-    if (!server.ok()) return Fail(server.status());
+    if (!server.ok()) return ReportError(server.status());
     // The CI integration step and scripts parse this line; keep stdout.
     std::printf("listening on %s:%u\n", (*server)->host().c_str(),
                 (*server)->port());
@@ -821,79 +894,34 @@ int CmdServe(const std::vector<std::string>& args) {
     service.db().Close();
     std::fprintf(stderr,
                  "-- server drained: %llu connections, %llu requests\n",
-                 static_cast<unsigned long long>(
-                     (*server)->connections_accepted()),
-                 static_cast<unsigned long long>(
-                     (*server)->requests_served()));
+                 U((*server)->connections_accepted()),
+                 U((*server)->requests_served()));
     return 0;
   }
 
   std::fprintf(stderr,
                "-- serving %zu EDB facts from %s (%zu worker thread%s); "
-               "'run <program> [REL]', 'append <instance>', "
-               "'retract <instance>', 'epoch', 'compact', 'stats', or "
-               "'quit'\n",
-               edb_facts, source_desc.c_str(), threads, threads == 1 ? "" : "s");
-
-  ServeLoop loop(service, stats_on);
-  if (threads > 1) loop.StartWorkers(threads);
-
+               "commands: %s | quit\n",
+               edb_facts, source_desc.c_str(), threads,
+               threads == 1 ? "" : "s", CommandList().c_str());
+  seqdl::ServiceRequestHandler handler(service);
+  StdinLoop loop(handler, stats_on, threads);
   std::string line;
   while (std::getline(std::cin, line)) {
-    std::istringstream words(line);
-    std::string cmd;
-    words >> cmd;
-    if (cmd.empty()) continue;
-    // Queued runs answer the state the commands above them left, so a
-    // write or a report must not overtake them.
-    if (cmd != "run") loop.Drain();
-    if (cmd == "quit" || cmd == "exit") break;
-    if (cmd == "stats") {
-      loop.Stats();
+    std::istringstream in(line);
+    std::vector<std::string> words{std::istream_iterator<std::string>(in),
+                                   std::istream_iterator<std::string>()};
+    if (words.empty()) continue;
+    if (words[0] == "quit" || words[0] == "exit") break;
+    const Command* c = FindCommand(words, "");
+    if (c == nullptr) continue;
+    seqdl::Result<std::string> frame = EncodeCommand(*c, words);
+    if (!frame.ok()) {
+      loop.Report(frame.status());
       continue;
     }
-    if (cmd == "epoch") {
-      loop.Epoch();
-      continue;
-    }
-    if (cmd == "compact") {
-      loop.Compact();
-      continue;
-    }
-    if (cmd == "append") {
-      std::string path;
-      words >> path;
-      if (path.empty()) {
-        std::fprintf(stderr, "usage: append <instance>\n");
-        continue;
-      }
-      loop.Append(path);
-      continue;
-    }
-    if (cmd == "retract") {
-      std::string path;
-      words >> path;
-      if (path.empty()) {
-        std::fprintf(stderr, "usage: retract <instance>\n");
-        continue;
-      }
-      loop.Retract(path);
-      continue;
-    }
-    if (cmd != "run") {
-      std::fprintf(stderr, "error: unknown serve command '%s'\n", cmd.c_str());
-      continue;
-    }
-    std::string path, output_rel;
-    words >> path >> output_rel;
-    if (path.empty()) {
-      std::fprintf(stderr, "usage: run <program> [REL]\n");
-      continue;
-    }
-    loop.Run(std::move(path), std::move(output_rel));
+    if (!loop.Serve(c->type, std::move(words), frame->substr(4))) break;
   }
-  loop.Drain();
-  loop.StopWorkers();
   return 0;
 }
 
@@ -913,7 +941,10 @@ int CmdCoordinate(const std::vector<std::string>& args) {
     return 2;
   }
   auto shards = seqdl::ParseShardList(shards_spec);
-  if (!shards.ok()) return Fail(shards.status());
+  if (!shards.ok()) {
+    ReportError(shards.status());
+    return 2;
+  }
 
   seqdl::CoordinatorOptions copts;
   if (std::string v = FlagValue(args, "--broadcast="); !v.empty()) {
@@ -929,44 +960,42 @@ int CmdCoordinate(const std::vector<std::string>& args) {
     while (std::getline(pins, pin, ',')) {
       size_t eq = pin.find('=');
       if (eq == std::string::npos || eq == 0 || eq + 1 == pin.size()) {
-        return Fail(seqdl::Status::InvalidArgument(
+        ReportError(seqdl::Status::InvalidArgument(
             "bad --pin entry '" + pin + "': expected REL=SHARD"));
+        return 2;
       }
-      copts.partition.pinned[pin.substr(0, eq)] = static_cast<uint32_t>(
-          std::strtoul(pin.c_str() + eq + 1, nullptr, 10));
+      uint32_t shard = 0;
+      if (!ParseNumber<uint32_t>("--pin shard", pin.substr(eq + 1), 0,
+                                 static_cast<uint32_t>(shards->size() - 1),
+                                 &shard)) {
+        return 2;
+      }
+      copts.partition.pinned[pin.substr(0, eq)] = shard;
     }
   }
-  if (std::string v = FlagValue(args, "--connect-timeout-ms="); !v.empty()) {
-    copts.connect_timeout_ms =
-        static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
-  }
-  if (std::string v = FlagValue(args, "--io-timeout-ms="); !v.empty()) {
-    copts.io_timeout_ms =
-        static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
-  }
-  if (std::string v = FlagValue(args, "--cache-entries="); !v.empty()) {
-    copts.result_cache_entries = std::strtoull(v.c_str(), nullptr, 10);
-  }
   uint16_t listen_port = 0;
-  if (std::string v = FlagValue(args, "--listen="); !v.empty()) {
-    listen_port = static_cast<uint16_t>(std::strtoul(v.c_str(), nullptr, 10));
-  }
   size_t threads = 4;
-  if (std::string v = FlagValue(args, "--threads="); !v.empty()) {
-    threads = std::strtoull(v.c_str(), nullptr, 10);
-    if (threads == 0) threads = 1;
+  if (!NumericFlag<uint32_t>(args, "--connect-timeout-ms=", 0, UINT32_MAX,
+                             &copts.connect_timeout_ms) ||
+      !NumericFlag<uint32_t>(args, "--io-timeout-ms=", 0, UINT32_MAX,
+                             &copts.io_timeout_ms) ||
+      !NumericFlag<size_t>(args, "--cache-entries=", 0, SIZE_MAX,
+                           &copts.result_cache_entries) ||
+      !NumericFlag<uint16_t>(args, "--listen=", 0, 65535, &listen_port) ||
+      !NumericFlag<size_t>(args, "--threads=", 1, kMaxThreads, &threads)) {
+    return 2;
   }
 
   seqdl::Universe u;
   size_t num_shards = shards->size();
   seqdl::Coordinator coordinator(u, std::move(*shards), copts);
-  seqdl::CoordinatorHandler handler(
+  seqdl::BackendHandler<seqdl::Coordinator> handler(
       coordinator, !HasFlag(args, "--no-forward-shutdown"));
   seqdl::ServerOptions server_opts;
   server_opts.port = listen_port;
   server_opts.threads = threads;
   auto server = seqdl::Server::Start(handler, server_opts);
-  if (!server.ok()) return Fail(server.status());
+  if (!server.ok()) return ReportError(server.status());
   // Scripts parse this line, matching `seqdl serve --listen`'s contract.
   std::printf("listening on %s:%u\n", (*server)->host().c_str(),
               (*server)->port());
@@ -980,202 +1009,42 @@ int CmdCoordinate(const std::vector<std::string>& args) {
   (*server)->Wait();
   std::fprintf(stderr,
                "-- server drained: %llu connections, %llu requests\n",
-               static_cast<unsigned long long>(
-                   (*server)->connections_accepted()),
-               static_cast<unsigned long long>(
-                   (*server)->requests_served()));
+               U((*server)->connections_accepted()),
+               U((*server)->requests_served()));
   return 0;
 }
 
-// Client for a `seqdl serve --listen` server: ships program/fact texts
-// over the wire protocol and prints the replies.
+// Client for a `seqdl serve --listen` server or a `seqdl coordinate`
+// front end: sends one command's request and prints the reply.
 int CmdQuery(const std::vector<std::string>& args) {
-  const char* usage =
-      "usage: seqdl query --connect=HOST:PORT "
-      "<run <program> [REL] | compile <program> | append <instance> | "
-      "retract <instance> | epoch | compact | stats | shutdown> "
-      "[--stats]\n";
   std::string endpoint = FlagValue(args, "--connect=");
-  size_t colon = endpoint.rfind(':');
-  if (endpoint.empty() || colon == std::string::npos) {
-    std::fprintf(stderr, "%s", usage);
+  std::vector<std::string> words = PositionalArgs(args);
+  if (endpoint.empty() || words.empty()) {
+    std::fprintf(stderr,
+                 "usage: seqdl query --connect=HOST:PORT <%s> [--stats]\n",
+                 CommandList().c_str());
     return 2;
   }
-  std::string host = endpoint.substr(0, colon);
-  uint16_t port = static_cast<uint16_t>(
-      std::strtoul(endpoint.c_str() + colon + 1, nullptr, 10));
-
-  // The first non-flag argument is the command; the rest are operands.
-  std::vector<std::string> words;
-  for (const std::string& a : args) {
-    if (a.rfind("--", 0) != 0) words.push_back(a);
-  }
-  if (words.empty()) {
-    std::fprintf(stderr, "%s", usage);
+  // The --shards= rules: a dotted quad or "localhost", a port from 1 to
+  // 65535.
+  auto addr = seqdl::ParseShardList(endpoint);
+  if (!addr.ok() || addr->size() != 1) {
+    std::fprintf(stderr,
+                 "error: bad --connect value '%s': expected HOST:PORT with "
+                 "a port from 1 to 65535\n",
+                 endpoint.c_str());
     return 2;
   }
-  const std::string& cmd = words[0];
-
-  auto client = seqdl::Client::Connect(host, port);
-  if (!client.ok()) return Fail(client.status());
-
-  if (cmd == "run") {
-    if (words.size() < 2) {
-      std::fprintf(stderr, "usage: seqdl query --connect=... run "
-                           "<program> [REL]\n");
-      return 2;
-    }
-    auto text = ReadFile(words[1]);
-    if (!text.ok()) return Fail(text.status());
-    std::string output_rel = words.size() > 2 ? words[2] : "";
-    auto reply = client->Run(*text, output_rel, words[1]);
-    if (!reply.ok()) return Fail(reply.status());
-    std::printf("%s", reply->rendered.c_str());
-    std::fflush(stdout);
-    std::fprintf(stderr, "-- %llu facts derived in %.3f ms (epoch %llu)\n",
-                 static_cast<unsigned long long>(
-                     reply->stats.derived_facts),
-                 reply->stats.run_seconds * 1e3,
-                 static_cast<unsigned long long>(reply->epoch));
-    if (HasFlag(args, "--stats")) {
-      const seqdl::protocol::WireEvalStats& s = reply->stats;
-      std::fprintf(stderr,
-                   "-- scans: %llu index, %llu prefix, %llu suffix, "
-                   "%llu full, %llu delta (%llu delta-indexed)\n",
-                   static_cast<unsigned long long>(s.index_probes),
-                   static_cast<unsigned long long>(s.prefix_probes),
-                   static_cast<unsigned long long>(s.suffix_probes),
-                   static_cast<unsigned long long>(s.full_scans),
-                   static_cast<unsigned long long>(s.delta_scans),
-                   static_cast<unsigned long long>(s.delta_index_probes));
-    }
-    return 0;
-  }
-  if (cmd == "compile") {
-    if (words.size() < 2) {
-      std::fprintf(stderr,
-                   "usage: seqdl query --connect=... compile <program>\n");
-      return 2;
-    }
-    auto text = ReadFile(words[1]);
-    if (!text.ok()) return Fail(text.status());
-    auto reply = client->Compile(*text, words[1]);
-    if (!reply.ok()) return Fail(reply.status());
-    std::printf("%s: %llu rules in %llu strata (%s, compile %.3f ms)\n",
-                words[1].c_str(),
-                static_cast<unsigned long long>(reply->rules),
-                static_cast<unsigned long long>(reply->strata),
-                reply->cache_hit ? "cache hit" : "compiled",
-                reply->compile_seconds * 1e3);
-    if (!reply->features.empty()) {
-      std::printf("features %s, class %s, admission: %s\n",
-                  reply->features.c_str(), reply->fragment_class.c_str(),
-                  seqdl::AdmissionVerdictToString(
-                      static_cast<seqdl::AdmissionVerdict>(reply->admission)));
-    }
-    // The server's analyzer findings (lint SD1xx, admission SD3xx),
-    // rendered like `seqdl check` renders its local ones.
-    for (const seqdl::protocol::WireDiagnostic& w : reply->diagnostics) {
-      seqdl::Diagnostic d;
-      d.severity = static_cast<seqdl::Severity>(w.severity);
-      d.code = w.code;
-      d.span.line = static_cast<int>(w.line);
-      d.span.col = static_cast<int>(w.col);
-      d.span.end_line = static_cast<int>(w.end_line);
-      d.span.end_col = static_cast<int>(w.end_col);
-      d.message = w.message;
-      d.notes = w.notes;
-      std::fprintf(stderr, "%s\n", d.ToString(words[1]).c_str());
-    }
-    return 0;
-  }
-  if (cmd == "append") {
-    if (words.size() < 2) {
-      std::fprintf(stderr,
-                   "usage: seqdl query --connect=... append <instance>\n");
-      return 2;
-    }
-    auto text = ReadFile(words[1]);
-    if (!text.ok()) return Fail(text.status());
-    auto reply = client->Append(*text, words[1]);
-    if (!reply.ok()) return Fail(reply.status());
-    std::printf("appended %llu facts: epoch %llu, %llu segments, "
-                "%llu facts total\n",
-                static_cast<unsigned long long>(reply->appended),
-                static_cast<unsigned long long>(reply->db.epoch),
-                static_cast<unsigned long long>(reply->db.segments),
-                static_cast<unsigned long long>(reply->db.facts));
-    return 0;
-  }
-  if (cmd == "retract") {
-    if (words.size() < 2) {
-      std::fprintf(stderr,
-                   "usage: seqdl query --connect=... retract <instance>\n");
-      return 2;
-    }
-    auto text = ReadFile(words[1]);
-    if (!text.ok()) return Fail(text.status());
-    auto reply = client->Retract(*text, words[1]);
-    if (!reply.ok()) return Fail(reply.status());
-    std::printf("retracted %llu facts: epoch %llu, %llu segments, "
-                "%llu facts total\n",
-                static_cast<unsigned long long>(reply->retracted),
-                static_cast<unsigned long long>(reply->db.epoch),
-                static_cast<unsigned long long>(reply->db.segments),
-                static_cast<unsigned long long>(reply->db.facts));
-    return 0;
-  }
-  if (cmd == "epoch") {
-    auto reply = client->Epoch();
-    if (!reply.ok()) return Fail(reply.status());
-    std::printf("epoch %llu: %llu segments, %llu facts\n",
-                static_cast<unsigned long long>(reply->epoch),
-                static_cast<unsigned long long>(reply->segments),
-                static_cast<unsigned long long>(reply->facts));
-    PrintStorageLine(stdout, *reply);
-    return 0;
-  }
-  if (cmd == "compact") {
-    auto reply = client->Compact();
-    if (!reply.ok()) return FailStorage(reply.status());
-    std::printf("%s: epoch %llu, %llu segments, %llu facts\n",
-                reply->folded ? "compacted" : "nothing to compact",
-                static_cast<unsigned long long>(reply->db.epoch),
-                static_cast<unsigned long long>(reply->db.segments),
-                static_cast<unsigned long long>(reply->db.facts));
-    PrintStorageLine(stdout, reply->db);
-    return 0;
-  }
-  if (cmd == "stats") {
-    auto reply = client->Stats();
-    if (!reply.ok()) return Fail(reply.status());
-    std::printf("%s", reply->rendered.c_str());
-    std::printf("cache: %llu hits, %llu misses, %llu evictions; "
-                "%llu entries, %llu bytes\n",
-                static_cast<unsigned long long>(reply->cache_hits),
-                static_cast<unsigned long long>(reply->cache_misses),
-                static_cast<unsigned long long>(reply->cache_evictions),
-                static_cast<unsigned long long>(reply->cache_entries),
-                static_cast<unsigned long long>(reply->cache_bytes));
-    std::printf("views: %llu hits, %llu cold runs, %llu delta refreshes "
-                "(%llu DRed, %llu strata recomputed)\n",
-                static_cast<unsigned long long>(reply->view_hits),
-                static_cast<unsigned long long>(reply->view_cold_runs),
-                static_cast<unsigned long long>(reply->view_delta_refreshes),
-                static_cast<unsigned long long>(reply->view_dred_refreshes),
-                static_cast<unsigned long long>(
-                    reply->view_strata_recomputed));
-    return 0;
-  }
-  if (cmd == "shutdown") {
-    seqdl::Status st = client->Shutdown();
-    if (!st.ok()) return Fail(st);
-    std::printf("server shut down\n");
-    return 0;
-  }
-  std::fprintf(stderr, "error: unknown query command '%s'\n%s", cmd.c_str(),
-               usage);
-  return 2;
+  const Command* c = FindCommand(words, "seqdl query --connect=HOST:PORT ");
+  if (c == nullptr) return 2;
+  seqdl::Result<std::string> frame = EncodeCommand(*c, words);
+  if (!frame.ok()) return ReportError(frame.status());
+  auto client = seqdl::Client::Connect((*addr)[0].host, (*addr)[0].port);
+  if (!client.ok()) return ReportError(client.status());
+  auto reply = client->RoundTrip(*frame, c->type);
+  if (!reply.ok()) return ReportError(reply.status(), SourceOf(words));
+  PrintReply(words, *reply, HasFlag(args, "--stats"));
+  return 0;
 }
 
 // The full program analyzer: parse, validation (SD0xx), lints (SD1xx),
@@ -1196,7 +1065,7 @@ int CmdCheck(const std::vector<std::string>& args) {
   if (std::string v = FlagValue(args, "--admission="); !v.empty()) {
     auto parsed = seqdl::ParseAdmissionPolicy(v);
     if (!parsed.ok()) {
-      Fail(parsed.status());
+      ReportError(parsed.status());
       return 2;
     }
     policy = *parsed;
@@ -1205,7 +1074,7 @@ int CmdCheck(const std::vector<std::string>& args) {
   seqdl::Universe u;
   auto text = ReadFile(source);
   if (!text.ok()) {
-    Fail(text.status());
+    ReportError(text.status());
     return 2;
   }
   seqdl::DiagnosticList diags;
@@ -1219,8 +1088,8 @@ int CmdCheck(const std::vector<std::string>& args) {
     if (std::string v = FlagValue(args, "--output="); !v.empty()) {
       auto rel = u.FindRel(v);
       if (!rel.ok()) {
-        Fail(seqdl::Status::NotFound("--output=" + v +
-                                     ": relation not used by the program"));
+        ReportError(seqdl::Status::NotFound(
+            "--output=" + v + ": relation not used by the program"));
         return 2;
       }
       lopts.output = *rel;
@@ -1293,9 +1162,9 @@ int CmdTransform(const std::vector<std::string>& args) {
   }
   seqdl::Universe u;
   auto text = ReadFile(args[0]);
-  if (!text.ok()) return Fail(text.status());
+  if (!text.ok()) return ReportError(text.status());
   auto program = seqdl::ParseProgram(u, *text);
-  if (!program.ok()) return Fail(program.status());
+  if (!program.ok()) return ReportError(program.status(), args[0]);
   std::string what = FlagValue(args, "--eliminate=");
   if (what.empty()) what = "all";
 
@@ -1323,21 +1192,21 @@ int CmdTransform(const std::vector<std::string>& args) {
     seqdl::FeatureSet f = seqdl::DetectFeatures(current);
     if (f.Contains(seqdl::Feature::kPacking)) {
       seqdl::Status s = apply("packing");
-      if (!s.ok()) return Fail(s);
+      if (!s.ok()) return ReportError(s);
     }
     f = seqdl::DetectFeatures(current);
     if (f.Contains(seqdl::Feature::kEquations)) {
       seqdl::Status s = apply("equations");
-      if (!s.ok()) return Fail(s);
+      if (!s.ok()) return ReportError(s);
     }
     f = seqdl::DetectFeatures(current);
     if (f.Contains(seqdl::Feature::kArity)) {
       seqdl::Status s = apply("arity");
-      if (!s.ok()) return Fail(s);
+      if (!s.ok()) return ReportError(s);
     }
   } else {
     seqdl::Status s = apply(what);
-    if (!s.ok()) return Fail(s);
+    if (!s.ok()) return ReportError(s);
   }
   std::printf("%s", seqdl::FormatProgram(u, current).c_str());
   std::fprintf(stderr, "-- %zu rules, features %s\n", current.NumRules(),
@@ -1352,9 +1221,9 @@ int CmdNormalForm(const std::vector<std::string>& args) {
   }
   seqdl::Universe u;
   auto text = ReadFile(args[0]);
-  if (!text.ok()) return Fail(text.status());
+  if (!text.ok()) return ReportError(text.status());
   auto program = seqdl::ParseProgram(u, *text);
-  if (!program.ok()) return Fail(program.status());
+  if (!program.ok()) return ReportError(program.status(), args[0]);
   seqdl::Program staged = *program;
   bool has_equations = false;
   for (const seqdl::Rule* r : staged.AllRules()) {
@@ -1364,11 +1233,11 @@ int CmdNormalForm(const std::vector<std::string>& args) {
   }
   if (has_equations) {
     auto q = seqdl::EliminateEquations(u, staged);
-    if (!q.ok()) return Fail(q.status());
+    if (!q.ok()) return ReportError(q.status());
     staged = std::move(*q);
   }
   auto normal = seqdl::ToNormalForm(u, staged);
-  if (!normal.ok()) return Fail(normal.status());
+  if (!normal.ok()) return ReportError(normal.status());
   std::printf("%s", seqdl::FormatProgram(u, *normal).c_str());
   return 0;
 }
@@ -1380,13 +1249,13 @@ int CmdAlgebra(const std::vector<std::string>& args) {
   }
   seqdl::Universe u;
   auto text = ReadFile(args[0]);
-  if (!text.ok()) return Fail(text.status());
+  if (!text.ok()) return ReportError(text.status());
   auto program = seqdl::ParseProgram(u, *text);
-  if (!program.ok()) return Fail(program.status());
+  if (!program.ok()) return ReportError(program.status(), args[0]);
   auto rel = u.FindRel(args[1]);
-  if (!rel.ok()) return Fail(rel.status());
+  if (!rel.ok()) return ReportError(rel.status());
   auto alg = seqdl::DatalogToAlgebra(u, *program, *rel);
-  if (!alg.ok()) return Fail(alg.status());
+  if (!alg.ok()) return ReportError(alg.status());
   std::printf("%s\n", seqdl::FormatAlgebra(u, **alg).c_str());
   return 0;
 }
@@ -1408,7 +1277,7 @@ int CmdRegex(const std::vector<std::string>& args) {
   }
   seqdl::Universe u;
   auto q = seqdl::RegexToDatalog(u, args[0]);
-  if (!q.ok()) return Fail(q.status());
+  if (!q.ok()) return ReportError(q.status());
   std::printf("%% strings go into %s; matches appear in %s\n",
               u.RelName(q->input).c_str(), u.RelName(q->output).c_str());
   std::printf("%s", seqdl::FormatProgram(u, q->program).c_str());
