@@ -10,7 +10,7 @@
 #include "src/algebra/algebra.h"
 #include "src/algebra/from_datalog.h"
 #include "src/algebra/to_datalog.h"
-#include "src/engine/eval.h"
+#include "src/engine/engine.h"
 #include "src/syntax/parser.h"
 #include "src/workload/generators.h"
 
@@ -51,8 +51,10 @@ void PrintAgreement() {
       RelId s = *u.FindRel("S");
       Result<AlgebraPtr> alg = DatalogToAlgebra(u, *p, s);
       if (!alg.ok()) std::abort();
+      Result<PreparedProgram> prog = Engine::Compile(u, *p);
+      if (!prog.ok()) std::abort();
       Instance in = MakeData(u, count, len);
-      Result<Instance> engine = EvalQuery(u, *p, in, s);
+      Result<Instance> engine = prog->Run(in);
       Result<EvaluatedRel> direct = EvalAlgebra(u, **alg, in);
       if (!engine.ok() || !direct.ok()) continue;
       std::printf("%-8zu %-8zu %-12zu %-12zu %-8s\n", in.NumFacts(), len,
@@ -67,10 +69,14 @@ void BM_DatalogEval(benchmark::State& state) {
   size_t count = static_cast<size_t>(state.range(0));
   Universe u;
   Result<Program> p = ParseProgram(u, kProgram);
-  RelId s = *u.FindRel("S");
+  Result<PreparedProgram> prog = Engine::Compile(u, *p);
+  if (!prog.ok()) {
+    state.SkipWithError(prog.status().ToString().c_str());
+    return;
+  }
   Instance in = MakeData(u, count, 4);
   for (auto _ : state) {
-    Result<Instance> out = EvalQuery(u, *p, in, s);
+    Result<Instance> out = prog->Run(in);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }

@@ -5,7 +5,7 @@
 
 #include <cstdio>
 
-#include "src/engine/eval.h"
+#include "src/engine/engine.h"
 #include "src/queries/queries.h"
 #include "src/transform/arity_elim.h"
 #include "src/workload/generators.h"
@@ -35,10 +35,13 @@ void PrintComparison() {
     Result<ParsedQuery> q = ParsePaperQuery(u, "ex43_reverse");
     Result<Program> unary = EliminateArity(u, q->program);
     if (!unary.ok()) std::abort();
+    Result<PreparedProgram> binary_prog = Engine::Compile(u, q->program);
+    Result<PreparedProgram> unary_prog = Engine::Compile(u, *unary);
+    if (!binary_prog.ok() || !unary_prog.ok()) std::abort();
     Instance in = MakeStrings(u, 5, len);
     EvalStats s1, s2;
-    Result<Instance> o1 = Eval(u, q->program, in, {}, &s1);
-    Result<Instance> o2 = Eval(u, *unary, in, {}, &s2);
+    Result<Instance> o1 = binary_prog->Run(in, {}, &s1);
+    Result<Instance> o2 = unary_prog->Run(in, {}, &s2);
     if (!o1.ok() || !o2.ok()) continue;
     bool agree = o1->Tuples(q->output) == o2->Tuples(q->output);
     std::printf("%-8zu %-14zu %-14zu %-16s\n", len, s1.derived_facts,
@@ -52,8 +55,13 @@ void BM_ReversalBinary(benchmark::State& state) {
   Universe u;
   Result<ParsedQuery> q = ParsePaperQuery(u, "ex43_reverse");
   Instance in = MakeStrings(u, 5, len);
+  Result<PreparedProgram> prog = Engine::Compile(u, q->program);
+  if (!prog.ok()) {
+    state.SkipWithError(prog.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    Result<Instance> out = Eval(u, q->program, in);
+    Result<Instance> out = prog->Run(in);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }
@@ -66,8 +74,13 @@ void BM_ReversalUnaryEncoded(benchmark::State& state) {
   Result<ParsedQuery> q = ParsePaperQuery(u, "ex43_reverse");
   Result<Program> unary = EliminateArity(u, q->program);
   Instance in = MakeStrings(u, 5, len);
+  Result<PreparedProgram> prog = Engine::Compile(u, *unary);
+  if (!prog.ok()) {
+    state.SkipWithError(prog.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    Result<Instance> out = Eval(u, *unary, in);
+    Result<Instance> out = prog->Run(in);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }
@@ -79,8 +92,13 @@ void BM_ReversalPaperHandEncoding(benchmark::State& state) {
   Universe u;
   Result<ParsedQuery> q = ParsePaperQuery(u, "ex43_reverse_noarity");
   Instance in = MakeStrings(u, 5, len);
+  Result<PreparedProgram> prog = Engine::Compile(u, q->program);
+  if (!prog.ok()) {
+    state.SkipWithError(prog.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    Result<Instance> out = Eval(u, q->program, in);
+    Result<Instance> out = prog->Run(in);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }

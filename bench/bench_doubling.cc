@@ -5,7 +5,7 @@
 
 #include <cstdio>
 
-#include "src/engine/eval.h"
+#include "src/engine/engine.h"
 #include "src/queries/queries.h"
 #include "src/syntax/parser.h"
 #include "src/transform/doubling.h"
@@ -33,7 +33,9 @@ void PrintRoundTrip() {
     w.max_len = len;
     w.seed = 9;
     Result<Instance> in = RandomStrings(u, w);
-    Result<Instance> out = Eval(u, p, *in);
+    Result<PreparedProgram> prog = Engine::Compile(u, p);
+    if (!prog.ok()) std::abort();
+    Result<Instance> out = prog->Run(*in);
     if (!out.ok()) {
       std::printf("%-8zu error: %s\n", len, out.status().ToString().c_str());
       continue;
@@ -65,8 +67,13 @@ void BM_DoubleUndoubleRoundTrip(benchmark::State& state) {
   w.max_len = len;
   w.seed = 9;
   Result<Instance> in = RandomStrings(u, w);
+  Result<PreparedProgram> prog = Engine::Compile(u, p);
+  if (!prog.ok()) {
+    state.SkipWithError(prog.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    Result<Instance> out = Eval(u, p, *in);
+    Result<Instance> out = prog->Run(*in);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }
@@ -89,8 +96,13 @@ void BM_RecursivePackingSimulated(benchmark::State& state) {
   w.max_len = len;
   w.seed = 2;
   Result<Instance> in = RandomStrings(u, w);
+  Result<PreparedProgram> prog = Engine::Compile(u, *sim);
+  if (!prog.ok()) {
+    state.SkipWithError(prog.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    Result<Instance> out = Eval(u, *sim, *in);
+    Result<Instance> out = prog->Run(*in);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }
@@ -111,8 +123,13 @@ void BM_RecursivePackingOriginal(benchmark::State& state) {
   w.max_len = len;
   w.seed = 2;
   Result<Instance> in = RandomStrings(u, w);
+  Result<PreparedProgram> prog = Engine::Compile(u, *p);
+  if (!prog.ok()) {
+    state.SkipWithError(prog.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    Result<Instance> out = Eval(u, *p, *in);
+    Result<Instance> out = prog->Run(*in);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }

@@ -2,9 +2,9 @@
 // graphs, stratified-negation pipelines), sweeping instance size:
 //
 //   * naive vs semi-naive fixpoint iteration;
-//   * one-shot Eval (re-validate + re-plan per call) vs prepared
-//     Engine::Compile + PreparedProgram::Run vs Session runs over a
-//     long-lived Database (EDB indexed once, excluded from per-query time);
+//   * PreparedProgram::Run (a fresh indexed base per run) vs Session
+//     runs over a long-lived Database (EDB indexed once, excluded from
+//     per-query time);
 //   * indexed scans (per-(relation, column) hash probes) vs full scans;
 //   * selectivity-aware vs legacy first-ground-argument planning on a
 //     skewed join (one near-constant column, one high-cardinality key);
@@ -32,7 +32,6 @@
 
 #include "src/engine/database.h"
 #include "src/engine/engine.h"
-#include "src/engine/eval.h"
 #include "src/engine/instance.h"
 #include "src/queries/queries.h"
 #include "src/syntax/parser.h"
@@ -55,11 +54,13 @@ void PrintRoundCounts() {
     gw.edges = nodes * 2;
     gw.seed = nodes;
     Result<Instance> in = GraphToInstance(u, RandomGraph(gw), "R");
+    Result<PreparedProgram> prog = Engine::Compile(u, q->program);
+    if (!prog.ok()) std::abort();
     EvalStats semi, naive;
-    EvalOptions naive_opts;
+    RunOptions naive_opts;
     naive_opts.seminaive = false;
-    Result<Instance> o1 = Eval(u, q->program, *in, {}, &semi);
-    Result<Instance> o2 = Eval(u, q->program, *in, naive_opts, &naive);
+    Result<Instance> o1 = prog->Run(*in, {}, &semi);
+    Result<Instance> o2 = prog->Run(*in, naive_opts, &naive);
     if (!o1.ok() || !o2.ok()) continue;
     std::printf("%-8zu %-8zu %-16zu %-16zu  (firings %zu vs %zu)\n", nodes,
                 gw.edges, semi.rounds, naive.rounds, semi.rule_firings,
@@ -140,7 +141,7 @@ void PrintSelectivityPlanning() {
     Result<PreparedProgram> legacy = Engine::Compile(u, w.program);
     Result<PreparedProgram> selective = db->Compile(w.program);
     if (!legacy.ok() || !selective.ok()) std::abort();
-    Session session = db->OpenSession();
+    Session session = db->Snapshot();
     auto time_ms = [&](const PreparedProgram& prog, std::string* out) {
       Result<Instance> warm = session.Run(prog);  // index build excluded
       if (!warm.ok()) std::abort();
@@ -192,7 +193,7 @@ void PrintConcurrentThroughput() {
   if (!db.ok()) std::abort();
 
   // Warm-up builds the lazy base indexes once and fixes the reference.
-  Result<Instance> ref = db->OpenSession().Run(*prog);
+  Result<Instance> ref = db->Snapshot().Run(*prog);
   if (!ref.ok()) std::abort();
   std::string reference = ref->ToString(u);
 
@@ -204,7 +205,7 @@ void PrintConcurrentThroughput() {
     auto start = std::chrono::steady_clock::now();
     for (size_t t = 0; t < threads; ++t) {
       pool.emplace_back([&, t] {
-        Session session = db->OpenSession();
+        Session session = db->Snapshot();
         for (size_t r = 0; r < kQueriesPerThread; ++r) {
           Result<Instance> out = session.Run(*prog);
           outputs[t * kQueriesPerThread + r] =
@@ -550,31 +551,6 @@ void BM_ColdOpenMergedQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_ColdOpenMergedQuery)->Arg(32)->Arg(64);
 
-// One-shot legacy path: validation + stratification + planning on every
-// call, exactly what pre-Engine call sites paid.
-void BM_ReachEvalOneShot(benchmark::State& state) {
-  size_t nodes = static_cast<size_t>(state.range(0));
-  Universe u;
-  Result<ParsedQuery> q = ParsePaperQuery(u, "reach_ab");
-  GraphWorkload gw;
-  gw.nodes = nodes;
-  gw.edges = nodes * 2;
-  gw.seed = 21;
-  Result<Instance> in = GraphToInstance(u, RandomGraph(gw), "R");
-  if (!q.ok() || !in.ok()) {
-    state.SkipWithError("workload setup failed");
-    return;
-  }
-  EvalOptions opts;
-  opts.use_index = false;  // the seed engine had no indexes
-  for (auto _ : state) {
-    Result<Instance> out = Eval(u, q->program, *in, opts);
-    if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_ReachEvalOneShot)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
 void RunPrepared(benchmark::State& state, bool use_index) {
   size_t nodes = static_cast<size_t>(state.range(0));
   Universe u;
@@ -633,7 +609,7 @@ void BM_ReachSessionRun(benchmark::State& state) {
     state.SkipWithError(db.status().ToString().c_str());
     return;
   }
-  Session session = db->OpenSession();
+  Session session = db->Snapshot();
   // Build the lazy base indexes outside the timed loop.
   if (!session.Run(*prog).ok()) {
     state.SkipWithError("warm-up run failed");
@@ -665,10 +641,15 @@ void RunReachability(benchmark::State& state, bool seminaive) {
     state.SkipWithError("workload setup failed");
     return;
   }
-  EvalOptions opts;
+  Result<PreparedProgram> prog = Engine::Compile(u, q->program);
+  if (!prog.ok()) {
+    state.SkipWithError(prog.status().ToString().c_str());
+    return;
+  }
+  RunOptions opts;
   opts.seminaive = seminaive;
   for (auto _ : state) {
-    Result<Instance> out = Eval(u, q->program, *in, opts);
+    Result<Instance> out = prog->Run(*in, opts);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }
@@ -704,7 +685,7 @@ void RunSkewedJoin(benchmark::State& state, bool selectivity) {
     state.SkipWithError(prog.status().ToString().c_str());
     return;
   }
-  Session session = db->OpenSession();
+  Session session = db->Snapshot();
   if (!session.Run(*prog).ok()) {  // build the lazy base indexes once
     state.SkipWithError("warm-up run failed");
     return;

@@ -5,7 +5,7 @@
 
 #include <cstdio>
 
-#include "src/engine/eval.h"
+#include "src/engine/engine.h"
 #include "src/queries/queries.h"
 #include "src/workload/generators.h"
 
@@ -41,7 +41,9 @@ void PrintAgreementTable() {
       Result<Instance> in = NfaToInstance(u, nfa);
       if (!in.ok()) std::abort();
       in->UnionWith(MakeStrings(u, 20, len, len + states));
-      Result<Instance> out = Eval(u, q->program, *in);
+      Result<PreparedProgram> prog = Engine::Compile(u, q->program);
+      if (!prog.ok()) std::abort();
+      Result<Instance> out = prog->Run(*in);
       if (!out.ok()) {
         std::printf("eval error: %s\n", out.status().ToString().c_str());
         continue;
@@ -78,8 +80,13 @@ void BM_NfaDatalog(benchmark::State& state) {
   Nfa nfa = RandomNfa(nw);
   Result<Instance> in = NfaToInstance(u, nfa);
   in->UnionWith(MakeStrings(u, 10, len, 3));
+  Result<PreparedProgram> prog = Engine::Compile(u, q->program);
+  if (!prog.ok()) {
+    state.SkipWithError(prog.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    Result<Instance> out = Eval(u, q->program, *in);
+    Result<Instance> out = prog->Run(*in);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }

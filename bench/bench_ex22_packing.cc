@@ -5,7 +5,7 @@
 
 #include <cstdio>
 
-#include "src/engine/eval.h"
+#include "src/engine/engine.h"
 #include "src/queries/queries.h"
 #include "src/transform/packing_elim.h"
 #include "src/workload/baselines.h"
@@ -56,9 +56,12 @@ void PrintRewriteSummary() {
     Universe u2;
     Result<ParsedQuery> q2 = ParsePaperQuery(u2, "ex22_three_occurrences");
     Result<Program> r2 = EliminatePackingNonrecursive(u2, q2->program);
+    Result<PreparedProgram> original = Engine::Compile(u2, q2->program);
+    Result<PreparedProgram> packing_free = Engine::Compile(u2, *r2);
+    if (!original.ok() || !packing_free.ok()) std::abort();
     Instance in = MakeWorkload(u2, 3, len, len);
-    Result<Instance> o1 = Eval(u2, q2->program, in);
-    Result<Instance> o2 = Eval(u2, *r2, in);
+    Result<Instance> o1 = original->Run(in);
+    Result<Instance> o2 = packing_free->Run(in);
     if (!o1.ok() || !o2.ok()) continue;
     // Count marked occurrences with the baseline for context.
     std::set<std::string> hay, needles;
@@ -87,8 +90,13 @@ void BM_Example22WithPacking(benchmark::State& state) {
   Universe u;
   Result<ParsedQuery> q = ParsePaperQuery(u, "ex22_three_occurrences");
   Instance in = MakeWorkload(u, 3, len, 11);
+  Result<PreparedProgram> prog = Engine::Compile(u, q->program);
+  if (!prog.ok()) {
+    state.SkipWithError(prog.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    Result<Instance> out = Eval(u, q->program, in);
+    Result<Instance> out = prog->Run(in);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }
@@ -101,8 +109,13 @@ void BM_Example22PackingFree(benchmark::State& state) {
   Result<ParsedQuery> q = ParsePaperQuery(u, "ex22_three_occurrences");
   Result<Program> rewritten = EliminatePackingNonrecursive(u, q->program);
   Instance in = MakeWorkload(u, 3, len, 11);
+  Result<PreparedProgram> prog = Engine::Compile(u, *rewritten);
+  if (!prog.ok()) {
+    state.SkipWithError(prog.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    Result<Instance> out = Eval(u, *rewritten, in);
+    Result<Instance> out = prog->Run(in);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }

@@ -6,7 +6,7 @@
 
 #include <cstdio>
 
-#include "src/engine/eval.h"
+#include "src/engine/engine.h"
 #include "src/queries/queries.h"
 #include "src/term/universe.h"
 
@@ -36,7 +36,9 @@ void PrintSeries() {
       Instance in;
       std::string s(n, 'x');
       in.Add(*u.FindRel("R"), {u.PathOfChars(s)});
-      Result<Instance> out = EvalQuery(u, q->program, in, q->output);
+      Result<PreparedProgram> prog = Engine::Compile(u, q->program);
+      if (!prog.ok()) std::abort();
+      Result<Instance> out = prog->Run(in);
       if (out.ok()) nonrec_len = MaxOutputLength(u, *out, q->output);
     }
     // Recursive squaring on a^n.
@@ -47,7 +49,9 @@ void PrintSeries() {
       if (!q.ok()) std::abort();
       Instance in;
       in.Add(*u.FindRel("R"), {u.PathOfChars(std::string(n, 'a'))});
-      Result<Instance> out = EvalQuery(u, q->program, in, q->output);
+      Result<PreparedProgram> prog = Engine::Compile(u, q->program);
+      if (!prog.ok()) std::abort();
+      Result<Instance> out = prog->Run(in);
       if (out.ok()) rec_len = MaxOutputLength(u, *out, q->output);
     }
     std::printf("%-6zu %-26zu %-22zu\n", n, nonrec_len, rec_len);
@@ -62,8 +66,13 @@ void BM_SquaringGrowth(benchmark::State& state) {
   Result<ParsedQuery> q = ParsePaperQuery(u, "squaring");
   Instance in;
   in.Add(*u.FindRel("R"), {u.PathOfChars(std::string(n, 'a'))});
+  Result<PreparedProgram> prog = Engine::Compile(u, q->program);
+  if (!prog.ok()) {
+    state.SkipWithError(prog.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    Result<Instance> out = Eval(u, q->program, in);
+    Result<Instance> out = prog->Run(in);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }
@@ -77,8 +86,13 @@ void BM_NonrecursiveBounded(benchmark::State& state) {
   Result<ParsedQuery> q = ParsePaperQuery(u, "process_mining");
   Instance in;
   in.Add(*u.FindRel("R"), {u.PathOfChars(std::string(n, 'x'))});
+  Result<PreparedProgram> prog = Engine::Compile(u, q->program);
+  if (!prog.ok()) {
+    state.SkipWithError(prog.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    Result<Instance> out = Eval(u, q->program, in);
+    Result<Instance> out = prog->Run(in);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }

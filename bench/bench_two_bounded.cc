@@ -5,7 +5,7 @@
 
 #include <cstdio>
 
-#include "src/engine/eval.h"
+#include "src/engine/engine.h"
 #include "src/syntax/parser.h"
 #include "src/term/universe.h"
 #include "src/transform/two_bounded.h"
@@ -39,8 +39,11 @@ void PrintAgreement() {
     gw.seed = nodes;
     Result<Instance> i = GraphToInstance(u, RandomGraph(gw), "R");
     Result<Instance> ic = EncodeTwoBounded(u, *i, &enc);
-    Result<Instance> direct = Eval(u, *p, *i);
-    Result<Instance> classical = Eval(u, *pc, *ic);
+    Result<PreparedProgram> direct_prog = Engine::Compile(u, *p);
+    Result<PreparedProgram> classical_prog = Engine::Compile(u, *pc);
+    if (!direct_prog.ok() || !classical_prog.ok()) std::abort();
+    Result<Instance> direct = direct_prog->Run(*i);
+    Result<Instance> classical = classical_prog->Run(*ic);
     if (!direct.ok() || !classical.ok()) continue;
     RelId s = *u.FindRel("S");
     auto [s1, s2] = enc.rels.at(s);
@@ -63,8 +66,13 @@ void BM_DirectSequenceDatalog(benchmark::State& state) {
   gw.edges = nodes * 2;
   gw.seed = 5;
   Result<Instance> i = GraphToInstance(u, RandomGraph(gw), "R");
+  Result<PreparedProgram> prog = Engine::Compile(u, *p);
+  if (!prog.ok()) {
+    state.SkipWithError(prog.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    Result<Instance> out = Eval(u, *p, *i);
+    Result<Instance> out = prog->Run(*i);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }
@@ -85,8 +93,13 @@ void BM_ClassicalSimulation(benchmark::State& state) {
   Result<Instance> i = GraphToInstance(u, RandomGraph(gw), "R");
   Result<Instance> ic = EncodeTwoBounded(u, *i, &enc);
   if (!ic.ok()) std::abort();
+  Result<PreparedProgram> prog = Engine::Compile(u, *pc);
+  if (!prog.ok()) {
+    state.SkipWithError(prog.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    Result<Instance> out = Eval(u, *pc, *ic);
+    Result<Instance> out = prog->Run(*ic);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     benchmark::DoNotOptimize(out);
   }

@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "src/analysis/features.h"
-#include "src/engine/eval.h"
+#include "src/engine/engine.h"
 #include "src/engine/instance.h"
 #include "src/syntax/parser.h"
 #include "src/syntax/printer.h"
@@ -48,7 +48,13 @@ int main() {
     return 1;
   }
 
-  seqdl::Result<seqdl::Instance> out = seqdl::Eval(u, *program, *reads);
+  seqdl::Result<seqdl::PreparedProgram> marker =
+      seqdl::Engine::Compile(u, *program);
+  if (!marker.ok()) {
+    std::fprintf(stderr, "%s\n", marker.status().ToString().c_str());
+    return 1;
+  }
+  seqdl::Result<seqdl::Instance> out = marker->Run(*reads);
   if (!out.ok()) {
     std::fprintf(stderr, "%s\n", out.status().ToString().c_str());
     return 1;
@@ -72,7 +78,13 @@ int main() {
   std::printf("packing-free rewriting has %zu rules (features %s)\n",
               flat->NumRules(),
               seqdl::DetectFeatures(*flat).ToString().c_str());
-  seqdl::Result<seqdl::Instance> out2 = seqdl::Eval(u, *flat, *reads);
+  seqdl::Result<seqdl::PreparedProgram> flat_marker =
+      seqdl::Engine::Compile(u, *flat);
+  if (!flat_marker.ok()) {
+    std::fprintf(stderr, "%s\n", flat_marker.status().ToString().c_str());
+    return 1;
+  }
+  seqdl::Result<seqdl::Instance> out2 = flat_marker->Run(*reads);
   if (!out2.ok()) {
     std::fprintf(stderr, "%s\n", out2.status().ToString().c_str());
     return 1;

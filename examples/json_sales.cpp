@@ -5,8 +5,9 @@
 // used to build a nested (non-flat) grouped representation, and a
 // deep-equality check between two objects.
 #include <cstdio>
+#include <utility>
 
-#include "src/engine/eval.h"
+#include "src/engine/engine.h"
 #include "src/engine/instance.h"
 #include "src/syntax/parser.h"
 #include "src/syntax/printer.h"
@@ -55,7 +56,13 @@ int main() {
   )");
   sales->UnionWith(*reference);
 
-  seqdl::Result<seqdl::Instance> out = seqdl::Eval(u, *program, *sales);
+  seqdl::Result<seqdl::PreparedProgram> regroup =
+      seqdl::Engine::Compile(u, std::move(*program));
+  if (!regroup.ok()) {
+    std::fprintf(stderr, "%s\n", regroup.status().ToString().c_str());
+    return 1;
+  }
+  seqdl::Result<seqdl::Instance> out = regroup->Run(*sales);
   if (!out.ok()) {
     std::fprintf(stderr, "%s\n", out.status().ToString().c_str());
     return 1;

@@ -5,7 +5,7 @@
 // simulator.
 #include <cstdio>
 
-#include "src/engine/eval.h"
+#include "src/engine/engine.h"
 #include "src/queries/queries.h"
 #include "src/syntax/printer.h"
 #include "src/term/universe.h"
@@ -47,7 +47,13 @@ int main() {
   seqdl::Result<seqdl::Instance> strings = seqdl::RandomStrings(u, w);
   in->UnionWith(*strings);
 
-  seqdl::Result<seqdl::Instance> out = seqdl::Eval(u, query->program, *in);
+  seqdl::Result<seqdl::PreparedProgram> matcher =
+      seqdl::Engine::Compile(u, query->program);
+  if (!matcher.ok()) {
+    std::fprintf(stderr, "%s\n", matcher.status().ToString().c_str());
+    return 1;
+  }
+  seqdl::Result<seqdl::Instance> out = matcher->Run(*in);
   if (!out.ok()) {
     std::fprintf(stderr, "%s\n", out.status().ToString().c_str());
     return 1;

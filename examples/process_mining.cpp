@@ -7,7 +7,7 @@
 // workload generators.
 #include <cstdio>
 
-#include "src/engine/eval.h"
+#include "src/engine/engine.h"
 #include "src/queries/queries.h"
 #include "src/syntax/printer.h"
 #include "src/term/universe.h"
@@ -51,8 +51,13 @@ int main() {
   }
   logs->UnionWith(*random);
 
-  seqdl::Result<seqdl::Instance> out =
-      seqdl::Eval(u, query->program, *logs);
+  seqdl::Result<seqdl::PreparedProgram> compliance =
+      seqdl::Engine::Compile(u, query->program);
+  if (!compliance.ok()) {
+    std::fprintf(stderr, "%s\n", compliance.status().ToString().c_str());
+    return 1;
+  }
+  seqdl::Result<seqdl::Instance> out = compliance->Run(*logs);
   if (!out.ok()) {
     std::fprintf(stderr, "%s\n", out.status().ToString().c_str());
     return 1;

@@ -189,8 +189,6 @@ Session Database::Snapshot() const {
   return Session(*state_->universe, state_->Current(), &state_->accum);
 }
 
-Session Database::OpenSession() const { return Snapshot(); }
-
 Writer Database::MakeWriter() { return Writer(state_.get()); }
 
 Result<uint64_t> Database::AppendTo(DbState& state, Instance delta,
@@ -623,13 +621,6 @@ Result<Instance> Session::Run(const PreparedProgram& prog,
     }
   }
   return out;
-}
-
-Result<Instance> Session::RunQuery(const PreparedProgram& prog, RelId output,
-                                   const RunOptions& opts,
-                                   EvalStats* stats) const {
-  SEQDL_ASSIGN_OR_RETURN(Instance derived, Run(prog, opts, stats));
-  return derived.Project({output});
 }
 
 Instance Session::edb() const {

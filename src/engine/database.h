@@ -5,9 +5,9 @@
 // *epoch* counter (MVCC): Database::Append (or a batching Writer's
 // Commit) never mutates existing segments — it builds a new BaseStore
 // over the freshly ingested facts, dedupes them against the current
-// stack, and publishes segments+1 at epoch+1. Snapshot()/OpenSession()
-// pins the segment list of the current epoch by shared ownership, so a
-// session opened at epoch k keeps reading exactly epoch k's facts —
+// stack, and publishes segments+1 at epoch+1. Snapshot() pins the
+// segment list of the current epoch by shared ownership, so a session
+// opened at epoch k keeps reading exactly epoch k's facts —
 // byte-identical results before, during, and after any number of later
 // commits or compactions — while writers race ahead
 // (single-writer/multi-reader, TSan-enforced):
@@ -160,10 +160,8 @@ class Database {
   /// An epoch-pinned view of the database: the returned session reads
   /// exactly the facts committed as of now, forever, regardless of later
   /// Append/Commit/Compact calls. Any number may be open at once, from
-  /// any threads. OpenSession() is the same operation under its PR 2
-  /// name.
+  /// any threads.
   Session Snapshot() const;
-  Session OpenSession() const;
 
   /// Publishes `delta` as a new immutable segment and bumps the epoch.
   /// Facts already present in the current stack are dropped (segments
@@ -402,11 +400,6 @@ class Session {
   /// Database's Stats(), so later compiles plan from observed workloads.
   Result<Instance> Run(const PreparedProgram& prog, const RunOptions& opts = {},
                        EvalStats* stats = nullptr) const;
-
-  /// Runs and projects onto a single output relation.
-  Result<Instance> RunQuery(const PreparedProgram& prog, RelId output,
-                            const RunOptions& opts = {},
-                            EvalStats* stats = nullptr) const;
 
   /// The epoch this session is pinned to.
   uint64_t epoch() const { return pinned_->epoch; }

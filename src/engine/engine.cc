@@ -1088,25 +1088,9 @@ class Executor {
 
 Result<PreparedProgram> Engine::Compile(Universe& u, Program p,
                                         const CompileOptions& opts) {
-  return CompileShared(u, std::make_shared<Program>(std::move(p)), opts);
-}
-
-Result<PreparedProgram> Engine::CompileBorrowed(Universe& u,
-                                                const Program& p,
-                                                const CompileOptions& opts) {
-  // Aliasing constructor: shares no ownership; the caller keeps `p` alive.
-  return CompileShared(
-      u, std::shared_ptr<const Program>(std::shared_ptr<void>(), &p), opts);
-}
-
-Result<PreparedProgram> Engine::CompileShared(
-    Universe& u, std::shared_ptr<const Program> p,
-    const CompileOptions& opts) {
   auto start = std::chrono::steady_clock::now();
-  if (opts.validate) {
-    SEQDL_RETURN_IF_ERROR(ValidateProgram(u, *p));
-  }
-  PreparedProgram prep(u, std::move(p));
+  SEQDL_RETURN_IF_ERROR(ValidateProgram(u, p));
+  PreparedProgram prep(u, std::make_unique<const Program>(std::move(p)));
   PlannerOptions popts;
   popts.reorder_scans = opts.reorder_scans;
   popts.stats = opts.stats;
@@ -1202,12 +1186,6 @@ Result<Instance> PreparedProgram::RunOnStack(
   return out;
 }
 
-Result<Instance> PreparedProgram::RunOnSegments(
-    std::span<const BaseStore* const> segments, const RunOptions& opts,
-    EvalStats* stats) const {
-  return RunOnStack(segments, {}, opts, stats);
-}
-
 Result<PreparedProgram::DeltaRun> PreparedProgram::RunDelta(
     std::span<const BaseStore* const> segments,
     std::span<const SegmentKind> kinds, size_t base_prefix,
@@ -1229,32 +1207,19 @@ Result<PreparedProgram::DeltaRun> PreparedProgram::RunDelta(
   return out;
 }
 
-Result<Instance> PreparedProgram::RunOnBase(const BaseStore& base,
-                                            const RunOptions& opts,
-                                            EvalStats* stats) const {
-  const BaseStore* segment = &base;
-  return RunOnSegments({&segment, 1}, opts, stats);
-}
-
 Result<Instance> PreparedProgram::Run(const Instance& input,
                                       const RunOptions& opts,
                                       EvalStats* stats) const {
-  // Legacy semantics (input plus derived facts) over the layered engine:
-  // wrap the input in a throwaway base, run, and union the derived overlay
-  // back into the input copy the base holds.
+  // Input plus derived facts over the layered engine: wrap the input in a
+  // throwaway base, run, and union the derived overlay back into the
+  // input copy the base holds.
   BaseStore base(*universe_, input);
-  SEQDL_ASSIGN_OR_RETURN(Instance derived, RunOnBase(base, opts, stats));
+  const BaseStore* segment = &base;
+  SEQDL_ASSIGN_OR_RETURN(Instance derived,
+                         RunOnStack({&segment, 1}, {}, opts, stats));
   Instance out = base.TakeInstance();
   out.UnionWith(std::move(derived));
   return out;
-}
-
-Result<Instance> PreparedProgram::RunQuery(const Instance& input,
-                                           RelId output,
-                                           const RunOptions& opts,
-                                           EvalStats* stats) const {
-  SEQDL_ASSIGN_OR_RETURN(Instance full, Run(input, opts, stats));
-  return full.Project({output});
 }
 
 }  // namespace seqdl

@@ -22,8 +22,9 @@
 // shared BaseStore of input facts underneath, a private IDB overlay on
 // top. Run(input) builds a throwaway base per call; the Database/Session
 // API (database.h) shares one pre-indexed base across any number of
-// concurrent runs. The legacy one-shot Eval()/EvalQuery() entry points in
-// eval.h are thin wrappers over this API.
+// concurrent runs. These are the two ways to run a program: Run on an
+// instance, Session::Run on a database snapshot. To keep one relation
+// of the answer, Project it ("out->Project({rel})").
 #ifndef SEQDL_ENGINE_ENGINE_H_
 #define SEQDL_ENGINE_ENGINE_H_
 
@@ -81,8 +82,6 @@ using SupportLookup = std::function<uint32_t(RelId, const Tuple&)>;
 
 /// Options fixed at compilation time.
 struct CompileOptions {
-  /// Validate safety/stratification before planning.
-  bool validate = true;
   /// Greedily reorder positive body scans so each joins on already-bound
   /// variables where possible; false = scan in body order.
   bool reorder_scans = true;
@@ -141,8 +140,7 @@ struct StratumStats {
   size_t derived_facts = 0;
 };
 
-/// Execution statistics, filled by PreparedProgram::Run (and the legacy
-/// Eval wrapper).
+/// Execution statistics, filled by PreparedProgram::Run and Session::Run.
 struct EvalStats {
   size_t derived_facts = 0;
   size_t rounds = 0;
@@ -217,12 +215,6 @@ class PreparedProgram {
   /// runs, see Database/Session in database.h.
   Result<Instance> Run(const Instance& input, const RunOptions& opts = {},
                        EvalStats* stats = nullptr) const;
-
-  /// Runs and projects onto a single output relation (the paper's notion
-  /// of a program computing a query from Γ to S).
-  Result<Instance> RunQuery(const Instance& input, RelId output,
-                            const RunOptions& opts = {},
-                            EvalStats* stats = nullptr) const;
 
   /// Result of RunDelta: the complete derived IDB at the post-update
   /// epoch, which strata could not be maintained incrementally, and the
@@ -328,21 +320,14 @@ class PreparedProgram {
   Result<Instance> RunOnStack(std::span<const BaseStore* const> segments,
                               std::span<const SegmentKind> kinds,
                               const RunOptions& opts, EvalStats* stats) const;
-  /// All-fact-segments convenience.
-  Result<Instance> RunOnSegments(std::span<const BaseStore* const> segments,
-                                 const RunOptions& opts,
-                                 EvalStats* stats) const;
-  /// Single-segment convenience.
-  Result<Instance> RunOnBase(const BaseStore& base, const RunOptions& opts,
-                             EvalStats* stats) const;
 
-  PreparedProgram(Universe& u, std::shared_ptr<const Program> p)
+  PreparedProgram(Universe& u, std::unique_ptr<const Program> p)
       : universe_(&u), program_(std::move(p)) {}
 
   Universe* universe_;
-  /// Owned for Compile(); non-owning (aliasing, null deleter) for
-  /// CompileBorrowed(). Rule plans point into this program.
-  std::shared_ptr<const Program> program_;
+  /// Rule plans point into this program, so it lives on the heap and
+  /// stays put when the PreparedProgram moves.
+  std::unique_ptr<const Program> program_;
   std::vector<CompiledStratum> strata_;
   double compile_seconds_ = 0;
   /// One line per scan step, precomputed by Compile and copied into
@@ -353,23 +338,12 @@ class PreparedProgram {
 /// Stateless compiler front end.
 class Engine {
  public:
-  /// Validates and plans `p` against `u`. The returned PreparedProgram
-  /// keeps a reference to `u`, which must outlive it.
+  /// Validates (safety, stratification) and plans `p` against `u`. The
+  /// returned PreparedProgram keeps a reference to `u`, which must
+  /// outlive it. Database::Compile is this with the database's measured
+  /// statistics.
   static Result<PreparedProgram> Compile(Universe& u, Program p,
                                          const CompileOptions& opts = {});
-
-  /// As Compile, but borrows `p` instead of taking ownership: the caller
-  /// must keep `p` alive and unchanged for the PreparedProgram's
-  /// lifetime. Avoids copying the program AST when it already outlives
-  /// the prepared program (the one-shot Eval wrapper, long-lived program
-  /// registries).
-  static Result<PreparedProgram> CompileBorrowed(
-      Universe& u, const Program& p, const CompileOptions& opts = {});
-
- private:
-  static Result<PreparedProgram> CompileShared(
-      Universe& u, std::shared_ptr<const Program> p,
-      const CompileOptions& opts);
 };
 
 }  // namespace seqdl

@@ -24,8 +24,8 @@
 //   * BaseStore — an immutable, shared store over a fixed EDB. Indexes
 //     build at most once per (relation, column) under std::call_once and
 //     are read-only afterwards, so any number of threads can probe
-//     concurrently. Database (database.h) wraps one; the legacy one-shot
-//     entry points build a throwaway one per call.
+//     concurrently. Database (database.h) wraps one per segment;
+//     PreparedProgram::Run builds a throwaway one per call.
 //   * LayeredStore — the copy-on-read view the executor runs on: a stack
 //     of shared BaseStore segments underneath (one per committed epoch —
 //     see database.h), a private IndexedInstance overlay on top.
@@ -143,7 +143,7 @@ class BaseStore {
 
   const Instance& instance() const { return edb_; }
   /// Releases the underlying instance (the store becomes unusable). Only
-  /// for throwaway stores on the legacy one-shot path, after evaluation.
+  /// for the throwaway store of PreparedProgram::Run, after evaluation.
   Instance&& TakeInstance() { return std::move(edb_); }
 
   bool Contains(RelId rel, const Tuple& t) const {
@@ -242,14 +242,6 @@ class LayeredStore {
   /// fact segments (the append-only callers).
   LayeredStore(const Universe& u, std::span<const BaseStore* const> segments,
                std::span<const SegmentKind> kinds);
-  LayeredStore(const Universe& u, std::span<const BaseStore* const> segments)
-      : LayeredStore(u, segments, {}) {}
-  /// Single-segment convenience (the one-shot Run path).
-  LayeredStore(const Universe& u, const BaseStore& base)
-      : segments_(1, &base),
-        kinds_(1, SegmentKind::kFacts),
-        layers_(1, SegmentLayer{&base, {}}),
-        overlay_(u, Instance{}) {}
 
   /// The enumerable fact layers in stack order, each with its shadows.
   /// Tombstone segments never appear here — their contents are not facts.

@@ -325,9 +325,10 @@ void DatabaseService::RefreshCachedViews() {
     // Freed with this iteration, after the lock below is released.
     Replaced before = std::move(w.before);
     // Revalidate the plan here rather than at the next query, so that
-    // query is a plain hit.
+    // query is a plain hit. A recompile logs the name the program was
+    // last compiled under.
     Result<Prepared> prepared =
-        Revalidate(w.key, /*source_name=*/"", w.compiled);
+        Revalidate(w.key, w.compiled->source_name, w.compiled);
     if (!prepared.ok()) continue;
     const CompiledProgram& c = *prepared->compiled;
     RunOptions ropts = opts_.run_options;
@@ -493,7 +494,7 @@ DatabaseService::CompileFresh(const std::string& program_text,
   StoreStats read = ReadStats(prepared->program(), stats);
   return std::make_shared<const CompiledProgram>(
       CompiledProgram{std::move(*prepared), epoch, std::move(read),
-                      std::move(admission), std::move(lints)});
+                      std::move(admission), std::move(lints), source_name});
 }
 
 }  // namespace seqdl

@@ -207,6 +207,7 @@ class DatabaseService {
     StoreStats stats;           ///< Stats() of the relations bodies read
     AdmissionReport admission;  ///< Run enforces the policy from it
     DiagnosticList lints;       ///< SD1xx warnings, for compile replies
+    std::string source_name;    ///< the request's name, for recompile logs
   };
 
   /// Renderings of one view, keyed by output relation ("" = all derived

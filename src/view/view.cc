@@ -207,7 +207,7 @@ Result<std::shared_ptr<const ViewSnapshot>> ViewManager::Refresh(
     o.support = &support;
     // Cold runs must see the stack the way a Session would: tombstone
     // segments hide retracted facts, so pass the kinds alongside the
-    // segments (RunOnSegments would treat everything as facts).
+    // segments (empty kinds would treat everything as facts).
     SEQDL_ASSIGN_OR_RETURN(
         snap->idb_, prog.RunOnStack(all, cur->segment_kinds, o, sink));
     // A full recomputation happened: apply the epoch decays deferred by

@@ -3,7 +3,7 @@
 #include "src/algebra/algebra.h"
 #include "src/algebra/from_datalog.h"
 #include "src/algebra/to_datalog.h"
-#include "src/engine/eval.h"
+#include "src/engine/engine.h"
 #include "src/engine/instance.h"
 #include "src/syntax/parser.h"
 #include "src/term/universe.h"
@@ -147,9 +147,11 @@ void ExpectAgree(const std::string& program_text, const std::string& target,
   RelId out_rel = *u.FindRel(target);
   Result<AlgebraPtr> alg = DatalogToAlgebra(u, p, out_rel);
   ASSERT_TRUE(alg.ok()) << alg.status().ToString();
+  Result<PreparedProgram> prog = Engine::Compile(u, p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
   for (const std::string& text : instances) {
     Instance in = MustInstance(u, text);
-    Result<Instance> engine = EvalQuery(u, p, in, out_rel);
+    Result<Instance> engine = prog->Run(in);
     Result<EvaluatedRel> algebra = EvalAlgebra(u, **alg, in);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     ASSERT_TRUE(algebra.ok()) << algebra.status().ToString();
@@ -240,11 +242,12 @@ void ExpectAlgebraToDatalogAgree(Universe& u, AlgebraPtr alg,
                                  const std::vector<std::string>& instances) {
   Result<AlgebraToDatalogResult> compiled = AlgebraToDatalog(u, *alg);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  Result<PreparedProgram> prog = Engine::Compile(u, compiled->program);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
   for (const std::string& text : instances) {
     Instance in = MustInstance(u, text);
     Result<EvaluatedRel> direct = EvalAlgebra(u, *alg, in);
-    Result<Instance> datalog =
-        EvalQuery(u, compiled->program, in, compiled->output);
+    Result<Instance> datalog = prog->Run(in);
     ASSERT_TRUE(direct.ok()) << direct.status().ToString();
     ASSERT_TRUE(datalog.ok()) << datalog.status().ToString();
     EXPECT_EQ(direct->tuples, datalog->Tuples(compiled->output)) << text;
@@ -305,11 +308,15 @@ TEST(RoundTripTest, DatalogAlgebraDatalog) {
   ASSERT_TRUE(alg.ok());
   Result<AlgebraToDatalogResult> back = AlgebraToDatalog(u, **alg);
   ASSERT_TRUE(back.ok());
+  Result<PreparedProgram> prog1 = Engine::Compile(u, p);
+  Result<PreparedProgram> prog2 = Engine::Compile(u, back->program);
+  ASSERT_TRUE(prog1.ok()) << prog1.status().ToString();
+  ASSERT_TRUE(prog2.ok()) << prog2.status().ToString();
   for (const char* text :
        {"R(b ++ a). Q(b).", "R(b ++ a). R(c ++ a). Q(c). Q(d)."}) {
     Instance in = MustInstance(u, text);
-    Result<Instance> o1 = EvalQuery(u, p, in, s);
-    Result<Instance> o2 = EvalQuery(u, back->program, in, back->output);
+    Result<Instance> o1 = prog1->Run(in);
+    Result<Instance> o2 = prog2->Run(in);
     ASSERT_TRUE(o1.ok());
     ASSERT_TRUE(o2.ok());
     EXPECT_EQ(o1->Tuples(s), o2->Tuples(back->output)) << text;

@@ -4,8 +4,10 @@
 # `seqdl serve --listen=0`. Both front ends share one command table, one
 # reply printer and one error renderer, so their stdout must be
 # byte-identical and their `error:` lines identical. `compile` is left
-# out: its line carries a timing. Malformed numeric flags must be usage
-# errors (exit 2), not silently wrapped or truncated values.
+# out: its line carries a timing. `seqdl run` must print what `seqdl
+# query run` prints, in memory and over a seeded and a recovered data
+# directory. Malformed numeric flags must be usage errors (exit 2), not
+# silently wrapped or truncated values.
 #
 #   tests/cli_front_ends.sh <path to the seqdl binary>
 set -euo pipefail
@@ -40,22 +42,32 @@ COMMANDS=(
 )
 failed=0
 
+# Serves $1 on an ephemeral port; sets SERVER_PID and PORT.
+start_server() {
+  "$SEQDL" serve "$1" --listen=0 > server.out 2> server.err &
+  SERVER_PID=$!
+  PORT=
+  for _ in $(seq 1 100); do
+    PORT=$(sed -n 's/^listening on 127.0.0.1:\([0-9]*\)$/\1/p' server.out)
+    [ -n "$PORT" ] && break
+    sleep 0.1
+  done
+  if [ -z "$PORT" ]; then
+    echo "FAIL: seqdl serve --listen=0 did not start"
+    cat server.err
+    exit 1
+  fi
+}
+stop_server() {
+  timeout 60 "$SEQDL" query --connect="127.0.0.1:$PORT" shutdown > /dev/null
+  wait "$SERVER_PID"
+  SERVER_PID=
+}
+
 printf '%s\n' "${COMMANDS[@]}" \
   | timeout 60 "$SEQDL" serve edb.sdl > stdin.out 2> stdin.err
 
-"$SEQDL" serve edb.sdl --listen=0 > server.out 2> server.err &
-SERVER_PID=$!
-PORT=
-for _ in $(seq 1 100); do
-  PORT=$(sed -n 's/^listening on 127.0.0.1:\([0-9]*\)$/\1/p' server.out)
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-if [ -z "$PORT" ]; then
-  echo "FAIL: seqdl serve --listen=0 did not start"
-  cat server.err
-  exit 1
-fi
+start_server edb.sdl
 : > query.out
 : > query.err
 for cmd in "${COMMANDS[@]}"; do
@@ -64,9 +76,7 @@ for cmd in "${COMMANDS[@]}"; do
   timeout 60 "$SEQDL" query --connect="127.0.0.1:$PORT" $cmd \
     >> query.out 2>> query.err || true
 done
-timeout 60 "$SEQDL" query --connect="127.0.0.1:$PORT" shutdown > /dev/null
-wait "$SERVER_PID"
-SERVER_PID=
+stop_server
 
 if ! cmp -s stdin.out query.out; then
   echo "FAIL: stdout differs (< stdin serve, > seqdl query)"
@@ -82,6 +92,36 @@ then
   echo "-- seqdl query:"; cat query.errors
   failed=1
 fi
+
+# T has an input fact, T(z), that is no derived fact: no front end
+# prints it, with or without --output=T.
+printf 'T($x) <- E($x, $y).\n' > derive.sdl
+{ cat edb.sdl; printf 'T(z).\n'; } > runedb.sdl
+printf 'T(a).\nT(b).\nT(c).\n' > derived.want
+start_server runedb.sdl
+for rel in "" T; do
+  flag=${rel:+--output=$rel}
+  # shellcheck disable=SC2086
+  {
+    timeout 60 "$SEQDL" query --connect="127.0.0.1:$PORT" run derive.sdl \
+      $rel > "run$rel.query" 2> /dev/null || true
+    timeout 60 "$SEQDL" run derive.sdl runedb.sdl $flag \
+      > "run$rel.memory" 2> /dev/null || true
+    timeout 60 "$SEQDL" run derive.sdl runedb.sdl --data-dir="data$rel" $flag \
+      > "run$rel.seeded" 2> /dev/null || true
+    timeout 60 "$SEQDL" run derive.sdl --data-dir="data$rel" $flag \
+      > "run$rel.recovered" 2> /dev/null || true
+  }
+  for mode in query memory seeded recovered; do
+    if ! cmp -s derived.want "run$rel.$mode"; then
+      echo "FAIL: the $mode run (${flag:-all relations}) did not print" \
+        "exactly the derived facts"
+      diff derived.want "run$rel.$mode" || true
+      failed=1
+    fi
+  done
+done
+stop_server
 
 expect_usage_error() {
   local rc=0
@@ -99,4 +139,5 @@ expect_usage_error coordinate --shards=127.0.0.1:1 --listen=70000
 expect_usage_error coordinate --shards=127.0.0.1:1 --io-timeout-ms=5s
 
 if [ "$failed" -ne 0 ]; then exit 1; fi
-echo "front ends agree: $(wc -l < stdin.out) stdout lines, 2 error lines"
+echo "front ends agree: $(wc -l < stdin.out) stdout lines, 2 error lines;" \
+  "seqdl run agrees in 3 modes"

@@ -5,12 +5,12 @@
 // the same case), evaluates each through every execution path the engine
 // has, and asserts the rendered outputs are byte-identical:
 //
-//   * legacy one-shot Eval (compile + run per call);
-//   * PreparedProgram::Run (compile-once, throwaway indexed base);
+//   * the reference: PreparedProgram::Run with default options
+//     (compile-once, throwaway indexed base);
 //   * forced full scans (RunOptions::use_index = false) — no index family
 //     is ever probed;
 //   * naive iteration (seminaive = false) and unordered scans
-//     (reorder_scans = false);
+//     (CompileOptions::reorder_scans = false);
 //   * Session::Run over a Database (shared pre-indexed base, derived
 //     overlay only);
 //   * Database::Compile — the selectivity-aware planner fed by measured
@@ -34,7 +34,6 @@
 
 #include "src/engine/database.h"
 #include "src/engine/engine.h"
-#include "src/engine/eval.h"
 #include "src/engine/instance.h"
 #include "src/server/client.h"
 #include "src/server/server.h"
@@ -332,11 +331,14 @@ TEST(DifferentialTest, AllExecutionModesAgreeOnRandomPrograms) {
     SCOPED_TRACE("seed " + std::to_string(seed) + "\n" +
                  FormatProgram(u, c.program) + c.input.ToString(u));
 
-    // Reference: legacy one-shot Eval with default options.
-    EvalOptions base;
-    base.max_facts = kMaxFacts;
-    base.max_iterations = kMaxIterations;
-    Result<Instance> ref = Eval(u, c.program, c.input, base);
+    // Reference: the prepared run with default options (plus the shared
+    // budgets).
+    Result<PreparedProgram> prog = Engine::Compile(u, c.program);
+    ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+    RunOptions ropts;
+    ropts.max_facts = kMaxFacts;
+    ropts.max_iterations = kMaxIterations;
+    Result<Instance> ref = prog->Run(c.input, ropts);
     if (!ref.ok()) {
       // Budget exhaustion is order-dependent, so the seed cannot be
       // compared across modes; generated rules are safe by construction,
@@ -353,30 +355,27 @@ TEST(DifferentialTest, AllExecutionModesAgreeOnRandomPrograms) {
       EXPECT_EQ(expected, got->ToString(u)) << mode;
     };
 
-    // One-shot Eval variants: naive iteration, body-order scans.
-    EvalOptions naive = base;
+    // Naive iteration and forced full scans.
+    RunOptions naive = ropts;
     naive.seminaive = false;
-    check("naive", Eval(u, c.program, c.input, naive));
-    EvalOptions unordered = base;
-    unordered.reorder_scans = false;
-    check("no-reorder", Eval(u, c.program, c.input, unordered));
-
-    // Prepared program, with indexes and with forced full scans.
-    Result<PreparedProgram> prog = Engine::CompileBorrowed(u, c.program);
-    ASSERT_TRUE(prog.ok()) << prog.status().ToString();
-    RunOptions ropts;
-    ropts.max_facts = kMaxFacts;
-    ropts.max_iterations = kMaxIterations;
-    check("prepared", prog->Run(c.input, ropts));
+    check("naive", prog->Run(c.input, naive));
     RunOptions no_index = ropts;
     no_index.use_index = false;
     check("full-scan", prog->Run(c.input, no_index));
+
+    // Body-order scans: the program compiled without reordering.
+    CompileOptions in_body_order;
+    in_body_order.reorder_scans = false;
+    Result<PreparedProgram> unordered =
+        Engine::Compile(u, c.program, in_body_order);
+    ASSERT_TRUE(unordered.ok()) << unordered.status().ToString();
+    check("no-reorder", unordered->Run(c.input, ropts));
 
     // Database/Session: shared pre-indexed base; Run returns the derived
     // overlay only, so union the EDB back for comparison.
     Result<Database> db = Database::Open(u, c.input);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
-    Session session = db->OpenSession();
+    Session session = db->Snapshot();
     auto check_derived = [&](const char* mode, Result<Instance> derived) {
       ASSERT_TRUE(derived.ok()) << mode << ": "
                                 << derived.status().ToString();
@@ -427,7 +426,7 @@ TEST(DifferentialTest, IncrementalIngestMatchesColdOpenPerEpoch) {
     SCOPED_TRACE("seed " + std::to_string(seed) + "\n" +
                  FormatProgram(u, c.program) + c.input.ToString(u));
 
-    Result<PreparedProgram> prog = Engine::CompileBorrowed(u, c.program);
+    Result<PreparedProgram> prog = Engine::Compile(u, c.program);
     ASSERT_TRUE(prog.ok()) << prog.status().ToString();
     RunOptions ropts;
     ropts.max_facts = kMaxFacts;
@@ -531,7 +530,7 @@ TEST(DifferentialTest, MaintainedViewMatchesColdFixpointPerEpoch) {
     SCOPED_TRACE("seed " + std::to_string(seed) + "\n" +
                  FormatProgram(u, c.program) + c.input.ToString(u));
 
-    Result<PreparedProgram> prog = Engine::CompileBorrowed(u, c.program);
+    Result<PreparedProgram> prog = Engine::Compile(u, c.program);
     ASSERT_TRUE(prog.ok()) << prog.status().ToString();
     RunOptions ropts;
     ropts.max_facts = kMaxFacts;
@@ -668,7 +667,7 @@ TEST(DifferentialTest, RetractionMaintainedViewMatchesColdFixpointPerEpoch) {
                  FormatProgram(u, c.program) + c.input.ToString(u));
     std::mt19937 sched(seed * 7919 + 13);
 
-    Result<PreparedProgram> prog = Engine::CompileBorrowed(u, c.program);
+    Result<PreparedProgram> prog = Engine::Compile(u, c.program);
     ASSERT_TRUE(prog.ok()) << prog.status().ToString();
     RunOptions ropts;
     ropts.max_facts = kMaxFacts;
@@ -791,7 +790,7 @@ TEST(DifferentialTest, RetractionAutoCompactViewMatchesColdFixpointPerEpoch) {
                  FormatProgram(u, c.program) + c.input.ToString(u));
     std::mt19937 sched(seed * 104729 + 7);
 
-    Result<PreparedProgram> prog = Engine::CompileBorrowed(u, c.program);
+    Result<PreparedProgram> prog = Engine::Compile(u, c.program);
     ASSERT_TRUE(prog.ok()) << prog.status().ToString();
     RunOptions ropts;
     ropts.max_facts = kMaxFacts;
@@ -903,7 +902,7 @@ TEST(DifferentialTest, CachedAnswersMatchColdFixpointPerEpoch) {
     RunOptions ropts;
     ropts.max_facts = kMaxFacts;
     ropts.max_iterations = kMaxIterations;
-    Result<PreparedProgram> prog = Engine::CompileBorrowed(u, c.program);
+    Result<PreparedProgram> prog = Engine::Compile(u, c.program);
     ASSERT_TRUE(prog.ok()) << prog.status().ToString();
     Database::OpenOptions opts;
     opts.auto_compact_segments = 3 + seed % 2;
@@ -1029,7 +1028,7 @@ TEST(DifferentialTest, LoopbackServerMatchesInProcess) {
     ropts.max_iterations = kMaxIterations;
 
     // In-process expectations: derived-overlay renderings per epoch.
-    Result<PreparedProgram> prog = Engine::CompileBorrowed(u, c.program);
+    Result<PreparedProgram> prog = Engine::Compile(u, c.program);
     ASSERT_TRUE(prog.ok()) << prog.status().ToString();
     Result<Database> db = Database::Open(u, batches[0]);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
@@ -1122,7 +1121,7 @@ TEST(DifferentialTest, RetractionLoopbackServerMatchesInProcess) {
 
     // In-process expectations: derived-overlay renderings before and
     // after the retraction.
-    Result<PreparedProgram> prog = Engine::CompileBorrowed(u, c.program);
+    Result<PreparedProgram> prog = Engine::Compile(u, c.program);
     ASSERT_TRUE(prog.ok()) << prog.status().ToString();
     Result<Database> db = Database::Open(u, c.input);
     ASSERT_TRUE(db.ok()) << db.status().ToString();

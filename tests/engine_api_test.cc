@@ -1,7 +1,7 @@
-// Tests for the compile-once/run-many engine API (engine.h): equivalence
-// with the legacy one-shot Eval across the workload generators, index
-// ablations, stats reporting, cancellation, and the indexed instance
-// store itself.
+// Tests for the compile-once/run-many engine API (engine.h): index-on
+// and index-off runs agree under naive and semi-naive iteration across
+// the workload generators, plus stats reporting, cancellation, the
+// indexed instance store, and the Database/Session API (database.h).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -10,7 +10,6 @@
 
 #include "src/engine/database.h"
 #include "src/engine/engine.h"
-#include "src/engine/eval.h"
 #include "src/engine/index.h"
 #include "src/engine/instance.h"
 #include "src/queries/queries.h"
@@ -64,19 +63,6 @@ TEST(EngineTest, CompileOnceRunMany) {
   EXPECT_EQ(*out1, *out3);
 }
 
-TEST(EngineTest, RunQueryProjects) {
-  Universe u;
-  Program p = MustParse(u, "T($x) <- R($x). S($x) <- T($x).");
-  Result<PreparedProgram> prog = Engine::Compile(u, std::move(p));
-  ASSERT_TRUE(prog.ok());
-  Instance in = MustInstance(u, "R(a).");
-  RelId s = *u.FindRel("S");
-  Result<Instance> out = prog->RunQuery(in, s);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->NumFacts(), 1u);
-  EXPECT_TRUE(out->Contains(s, {u.PathOfChars("a")}));
-}
-
 TEST(EngineTest, CompileRejectsUnsafeRule) {
   Universe u;
   Program p = MustParse(u, "S($x, $y) <- R($x).");
@@ -93,7 +79,7 @@ TEST(EngineTest, CompileRejectsUnstratifiedNegation) {
   EXPECT_EQ(prog.status().code(), StatusCode::kInvalidArgument);
 }
 
-// --- Property: PreparedProgram::Run == legacy Eval on generator workloads -----
+// --- Property: index-on and index-off runs agree on generator workloads ------
 
 struct WorkloadCase {
   std::string name;
@@ -143,55 +129,29 @@ std::vector<WorkloadCase> GeneratorWorkloads() {
   return cases;
 }
 
-TEST(EnginePropertyTest, PreparedRunMatchesLegacyEvalOnWorkloads) {
-  for (const WorkloadCase& wc : GeneratorWorkloads()) {
-    for (uint64_t seed = 1; seed <= 4; ++seed) {
-      for (bool seminaive : {true, false}) {
-        Universe u;
-        Result<ParsedQuery> q = ParsePaperQuery(u, wc.query_id);
-        ASSERT_TRUE(q.ok()) << wc.name;
-        Result<Instance> in = wc.make_input(u, seed);
-        ASSERT_TRUE(in.ok()) << wc.name << " seed " << seed;
-
-        EvalOptions legacy_opts;
-        legacy_opts.seminaive = seminaive;
-        legacy_opts.use_index = false;  // the seed engine's scan path
-        Result<Instance> legacy = Eval(u, q->program, *in, legacy_opts);
-        ASSERT_TRUE(legacy.ok())
-            << wc.name << ": " << legacy.status().ToString();
-
-        Result<PreparedProgram> prog = Engine::Compile(u, q->program);
-        ASSERT_TRUE(prog.ok()) << wc.name;
-        RunOptions run_opts;
-        run_opts.seminaive = seminaive;
-        Result<Instance> prepared = prog->Run(*in, run_opts);
-        ASSERT_TRUE(prepared.ok())
-            << wc.name << ": " << prepared.status().ToString();
-
-        EXPECT_EQ(*legacy, *prepared)
-            << wc.name << " seed " << seed << " seminaive " << seminaive;
-      }
-    }
-  }
-}
-
+// Index-off runs (every scan a full scan) agree with index-on runs
+// under both semi-naive and naive iteration.
 TEST(EnginePropertyTest, IndexOnAndOffAgree) {
   for (const WorkloadCase& wc : GeneratorWorkloads()) {
-    for (uint64_t seed = 1; seed <= 3; ++seed) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
       Universe u;
       Result<ParsedQuery> q = ParsePaperQuery(u, wc.query_id);
       ASSERT_TRUE(q.ok()) << wc.name;
       Result<Instance> in = wc.make_input(u, seed);
-      ASSERT_TRUE(in.ok());
+      ASSERT_TRUE(in.ok()) << wc.name << " seed " << seed;
       Result<PreparedProgram> prog = Engine::Compile(u, q->program);
-      ASSERT_TRUE(prog.ok());
-      RunOptions with, without;
-      without.use_index = false;
-      Result<Instance> o1 = prog->Run(*in, with);
-      Result<Instance> o2 = prog->Run(*in, without);
-      ASSERT_TRUE(o1.ok()) << wc.name;
-      ASSERT_TRUE(o2.ok()) << wc.name;
-      EXPECT_EQ(*o1, *o2) << wc.name << " seed " << seed;
+      ASSERT_TRUE(prog.ok()) << wc.name;
+      for (bool seminaive : {true, false}) {
+        RunOptions with, without;
+        with.seminaive = without.seminaive = seminaive;
+        without.use_index = false;
+        Result<Instance> o1 = prog->Run(*in, with);
+        Result<Instance> o2 = prog->Run(*in, without);
+        ASSERT_TRUE(o1.ok()) << wc.name << ": " << o1.status().ToString();
+        ASSERT_TRUE(o2.ok()) << wc.name << ": " << o2.status().ToString();
+        EXPECT_EQ(*o1, *o2)
+            << wc.name << " seed " << seed << " seminaive " << seminaive;
+      }
     }
   }
 }
@@ -554,7 +514,7 @@ TEST(DatabaseTest, SessionRunReturnsDerivedOnly) {
   ASSERT_TRUE(db.ok());
   EXPECT_EQ(db->edb().NumFacts(), 2u);
 
-  Session session = db->OpenSession();
+  Session session = db->Snapshot();
   Result<Instance> derived = session.Run(*prog);
   ASSERT_TRUE(derived.ok());
   RelId r = *u.FindRel("R");
@@ -564,15 +524,10 @@ TEST(DatabaseTest, SessionRunReturnsDerivedOnly) {
   // `$x ++ $y` enumerates every split of every reachable path.
   EXPECT_GT(derived->Tuples(reach).size(), 0u);
 
-  // Same derived facts as the legacy input-plus-derived path.
+  // Same derived facts as the input-plus-derived Run on an instance.
   Result<Instance> full = prog->Run(in_copy);
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full->Project({reach}), derived->Project({reach}));
-
-  // RunQuery projects.
-  Result<Instance> projected = session.RunQuery(*prog, reach);
-  ASSERT_TRUE(projected.ok());
-  EXPECT_EQ(*projected, derived->Project({reach}));
 }
 
 TEST(DatabaseTest, BaseIndexesBuildOncePerColumn) {
@@ -587,7 +542,7 @@ TEST(DatabaseTest, BaseIndexesBuildOncePerColumn) {
   ASSERT_TRUE(db.ok());
   EXPECT_EQ(db->NumIndexedColumns(), 0u);  // lazy: nothing probed yet
 
-  Session session = db->OpenSession();
+  Session session = db->Snapshot();
   ASSERT_TRUE(session.Run(*prog).ok());
   size_t after_first = db->NumIndexedColumns();
   EXPECT_GT(after_first, 0u);
@@ -614,7 +569,7 @@ TEST(DatabaseTest, RunsDoNotMutateTheBase) {
   Instance in = MustInstance(u, "R(a). R(b).");
   Result<Database> db = Database::Open(u, std::move(in));
   ASSERT_TRUE(db.ok());
-  Session session = db->OpenSession();
+  Session session = db->Snapshot();
   for (int i = 0; i < 3; ++i) {
     Result<Instance> derived = session.Run(*prog);
     ASSERT_TRUE(derived.ok());

@@ -9,7 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/engine/eval.h"
+#include "src/engine/engine.h"
 #include "src/engine/instance.h"
 #include "src/engine/match.h"
 #include "src/syntax/parser.h"
@@ -863,7 +863,9 @@ TEST(MatchTest, SpanBindingsMatchReferenceMatcher) {
 TEST(EvalTest, FactsOnly) {
   Universe u;
   Program p = MustParse(u, "S(a ++ b). S(c).");
-  Result<Instance> out = Eval(u, p, Instance{});
+  Result<PreparedProgram> prog = Engine::Compile(u, p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(Instance{});
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->NumFacts(), 2u);
 }
@@ -872,7 +874,9 @@ TEST(EvalTest, OnlyAsWithEquation) {
   Universe u;
   Program p = MustParse(u, "S($x) <- R($x), a ++ $x = $x ++ a.");
   Instance in = MustInstance(u, "R(a ++ a ++ a). R(a ++ b). R(eps). R(a).");
-  Result<Instance> out = Eval(u, p, in);
+  Result<PreparedProgram> prog = Engine::Compile(u, p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(in);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   RelId s = *u.FindRel("S");
   EXPECT_EQ(out->Tuples(s).size(), 3u);  // aaa, eps, a
@@ -888,7 +892,9 @@ TEST(EvalTest, OnlyAsWithRecursionAgrees) {
                         "T($x, $y) <- T($x, $y ++ a).\n"
                         "S($x) <- T($x, eps).\n");
   Instance in = MustInstance(u, "R(a ++ a ++ a). R(a ++ b). R(eps). R(a).");
-  Result<Instance> out = Eval(u, p, in);
+  Result<PreparedProgram> prog = Engine::Compile(u, p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(in);
   ASSERT_TRUE(out.ok());
   RelId s = *u.FindRel("S");
   EXPECT_EQ(out->Tuples(s).size(), 3u);
@@ -901,7 +907,9 @@ TEST(EvalTest, ReversalExample43) {
                         "T($x, $y ++ @u) <- T($x ++ @u, $y).\n"
                         "S($x) <- T(eps, $x).\n");
   Instance in = MustInstance(u, "R(a ++ b ++ c). R(eps).");
-  Result<Instance> out = Eval(u, p, in);
+  Result<PreparedProgram> prog = Engine::Compile(u, p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(in);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   RelId s = *u.FindRel("S");
   EXPECT_EQ(out->Tuples(s).size(), 2u);
@@ -917,7 +925,9 @@ TEST(EvalTest, Example22PackingAndNonequalities) {
                         "$y != $z.\n");
   // "abab" contains "ab" twice and "ba" once: 3 distinct marked strings.
   Instance in3 = MustInstance(u, "R(a ++ b ++ a ++ b). S(a ++ b). S(b ++ a).");
-  Result<Instance> out3 = Eval(u, p, in3);
+  Result<PreparedProgram> prog3 = Engine::Compile(u, p);
+  ASSERT_TRUE(prog3.ok()) << prog3.status().ToString();
+  Result<Instance> out3 = prog3->Run(in3);
   ASSERT_TRUE(out3.ok()) << out3.status().ToString();
   EXPECT_TRUE(out3->Contains(*u.FindRel("A"), {}));
 
@@ -928,27 +938,33 @@ TEST(EvalTest, Example22PackingAndNonequalities) {
                          "$y != $z.\n");
   // Only two occurrences of "ab" in "abab" - not enough.
   Instance in2 = MustInstance(u2, "R(a ++ b ++ a ++ b). S(a ++ b).");
-  Result<Instance> out2 = Eval(u2, p2, in2);
+  Result<PreparedProgram> prog2 = Engine::Compile(u2, p2);
+  ASSERT_TRUE(prog2.ok()) << prog2.status().ToString();
+  Result<Instance> out2 = prog2->Run(in2);
   ASSERT_TRUE(out2.ok());
   EXPECT_FALSE(out2->Contains(*u2.FindRel("A"), {}));
 }
 
 TEST(EvalTest, Example23DoesNotTerminate) {
   Universe u;
-  Program p = MustParse(u, "T(a). T(a ++ $x) <- T($x).");
-  EvalOptions opts;
+  Result<PreparedProgram> prog =
+      Engine::Compile(u, MustParse(u, "T(a). T(a ++ $x) <- T($x)."));
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  RunOptions opts;
   opts.max_facts = 1000;
-  Result<Instance> out = Eval(u, p, Instance{}, opts);
+  Result<Instance> out = prog->Run(Instance{}, opts);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(EvalTest, NonterminationCaughtByIterationBudget) {
   Universe u;
-  Program p = MustParse(u, "T(a). T(a ++ $x) <- T($x).");
-  EvalOptions opts;
+  Result<PreparedProgram> prog =
+      Engine::Compile(u, MustParse(u, "T(a). T(a ++ $x) <- T($x)."));
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  RunOptions opts;
   opts.max_iterations = 50;
-  Result<Instance> out = Eval(u, p, Instance{}, opts);
+  Result<Instance> out = prog->Run(Instance{}, opts);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
 }
@@ -960,7 +976,9 @@ TEST(EvalTest, SquaringQuery) {
                         "T($y ++ $x, $x, $z) <- T($y, $x, a ++ $z).\n"
                         "S($y) <- T($y, $x, eps).\n");
   Instance in = MustInstance(u, "R(a ++ a ++ a).");
-  Result<Instance> out = Eval(u, p, in);
+  Result<PreparedProgram> prog = Engine::Compile(u, p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(in);
   ASSERT_TRUE(out.ok());
   RelId s = *u.FindRel("S");
   ASSERT_EQ(out->Tuples(s).size(), 1u);
@@ -976,7 +994,9 @@ TEST(EvalTest, StratifiedNegationBlackNodes) {
   // Edges: a->b, a->c, d->b. Black: {b}. W = nodes with an edge to a
   // non-black node = {a}. S = nodes with only-black successors = {d}.
   Instance in = MustInstance(u, "R(a ++ b). R(a ++ c). R(d ++ b). B(b).");
-  Result<Instance> out = Eval(u, p, in);
+  Result<PreparedProgram> prog = Engine::Compile(u, p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(in);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   RelId s = *u.FindRel("S");
   EXPECT_EQ(out->Tuples(s).size(), 1u);
@@ -986,9 +1006,9 @@ TEST(EvalTest, StratifiedNegationBlackNodes) {
 TEST(EvalTest, UnstratifiedProgramRejected) {
   Universe u;
   Program p = MustParse(u, "P0($x) <- R($x), !Q0($x). Q0($x) <- P0($x).");
-  Result<Instance> out = Eval(u, p, MustInstance(u, "R(a)."));
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  Result<PreparedProgram> prog = Engine::Compile(u, p);
+  ASSERT_FALSE(prog.ok());
+  EXPECT_EQ(prog.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EvalTest, NaiveAndSeminaiveAgree) {
@@ -998,10 +1018,12 @@ TEST(EvalTest, NaiveAndSeminaiveAgree) {
                         "T(@x ++ @z) <- T(@x ++ @y), R(@y ++ @z).\n"
                         "S <- T(a ++ b).\n");
   Instance in = MustInstance(u, "R(a ++ c). R(c ++ d). R(d ++ b). R(b ++ a).");
-  EvalOptions naive;
+  Result<PreparedProgram> prog = Engine::Compile(u, p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  RunOptions naive;
   naive.seminaive = false;
-  Result<Instance> o1 = Eval(u, p, in);
-  Result<Instance> o2 = Eval(u, p, in, naive);
+  Result<Instance> o1 = prog->Run(in);
+  Result<Instance> o2 = prog->Run(in, naive);
   ASSERT_TRUE(o1.ok());
   ASSERT_TRUE(o2.ok());
   EXPECT_EQ(*o1, *o2);
@@ -1011,7 +1033,9 @@ TEST(EvalTest, NaiveAndSeminaiveAgree) {
 TEST(EvalTest, EmptyBodyArityZeroRule) {
   Universe u;
   Program p = MustParse(u, "A <- .");
-  Result<Instance> out = Eval(u, p, Instance{});
+  Result<PreparedProgram> prog = Engine::Compile(u, p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(Instance{});
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->Contains(*u.FindRel("A"), {}));
 }
@@ -1021,7 +1045,9 @@ TEST(EvalTest, EquationBindingBothDirections) {
   // The equation binds $y from the ground lhs; head uses $y.
   Program p = MustParse(u, "S($y) <- R($x), $x = b ++ $y.");
   Instance in = MustInstance(u, "R(b ++ c ++ d). R(a ++ c).");
-  Result<Instance> out = Eval(u, p, in);
+  Result<PreparedProgram> prog = Engine::Compile(u, p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(in);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   RelId s = *u.FindRel("S");
   EXPECT_EQ(out->Tuples(s).size(), 1u);
@@ -1032,29 +1058,36 @@ TEST(EvalTest, NegatedGroundEquationFilters) {
   Universe u;
   Program p = MustParse(u, "S($x) <- R($x), $x != a ++ b.");
   Instance in = MustInstance(u, "R(a ++ b). R(a ++ c).");
-  Result<Instance> out = Eval(u, p, in);
+  Result<PreparedProgram> prog = Engine::Compile(u, p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(in);
   ASSERT_TRUE(out.ok());
   RelId s = *u.FindRel("S");
   EXPECT_EQ(out->Tuples(s).size(), 1u);
   EXPECT_TRUE(out->Contains(s, {u.PathOfChars("ac")}));
 }
 
-TEST(EvalTest, EvalQueryProjects) {
+TEST(EvalTest, ProjectKeepsTheOutputRelation) {
   Universe u;
   Program p = MustParse(u, "T($x) <- R($x). S($x) <- T($x).");
   Instance in = MustInstance(u, "R(a).");
-  Result<Instance> out = EvalQuery(u, p, in, *u.FindRel("S"));
+  Result<PreparedProgram> prog = Engine::Compile(u, p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(in);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->NumFacts(), 1u);
-  EXPECT_TRUE(out->Contains(*u.FindRel("S"), {u.PathOfChars("a")}));
+  Instance s = out->Project({*u.FindRel("S")});
+  EXPECT_EQ(s.NumFacts(), 1u);
+  EXPECT_TRUE(s.Contains(*u.FindRel("S"), {u.PathOfChars("a")}));
 }
 
 TEST(EvalTest, MaxPathLengthGuard) {
   Universe u;
-  Program p = MustParse(u, "T(a). T($x ++ $x) <- T($x).");
-  EvalOptions opts;
+  Result<PreparedProgram> prog =
+      Engine::Compile(u, MustParse(u, "T(a). T($x ++ $x) <- T($x)."));
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  RunOptions opts;
   opts.max_path_length = 64;
-  Result<Instance> out = Eval(u, p, Instance{}, opts);
+  Result<Instance> out = prog->Run(Instance{}, opts);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
 }
@@ -1084,7 +1117,9 @@ TEST(EvalDifferentialTest, NfaAcceptanceMatchesSimulator) {
     ASSERT_TRUE(strings.ok());
     in->UnionWith(*strings);
 
-    Result<Instance> out = Eval(u, p, *in);
+    Result<PreparedProgram> prog = Engine::Compile(u, p);
+    ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+    Result<Instance> out = prog->Run(*in);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     RelId a_rel = *u.FindRel("A");
     RelId r_rel = *u.FindRel("R");
@@ -1118,7 +1153,9 @@ TEST(EvalDifferentialTest, ReachabilityMatchesBfs) {
     Graph g = RandomGraph(gw);
     Result<Instance> in = GraphToInstance(u, g, "R");
     ASSERT_TRUE(in.ok());
-    Result<Instance> out = Eval(u, p, *in);
+    Result<PreparedProgram> prog = Engine::Compile(u, p);
+    ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+    Result<Instance> out = prog->Run(*in);
     ASSERT_TRUE(out.ok());
     EXPECT_EQ(out->Contains(*u.FindRel("S"), {}), Reachable(g, 0, 1))
         << "seed " << seed;
@@ -1138,7 +1175,9 @@ TEST(EvalDifferentialTest, MarkedPairsMatchBaseline) {
   sw.seed = 7;
   Result<Instance> in = RandomStrings(u, sw);
   ASSERT_TRUE(in.ok());
-  Result<Instance> out = Eval(u, p, *in);
+  Result<PreparedProgram> prog = Engine::Compile(u, p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(*in);
   ASSERT_TRUE(out.ok());
   RelId s = *u.FindRel("S");
   RelId r = *u.FindRel("R");
@@ -1164,7 +1203,9 @@ TEST(EvalDifferentialTest, ProcessMiningMatchesBaseline) {
   ew.seed = 3;
   Result<Instance> in = RandomEventLogs(u, ew);
   ASSERT_TRUE(in.ok());
-  Result<Instance> out = Eval(u, p, *in);
+  Result<PreparedProgram> prog = Engine::Compile(u, p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(*in);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   RelId good = *u.FindRel("Good");
   RelId r = *u.FindRel("R");
@@ -1189,7 +1230,9 @@ TEST(EvalTest, DoubleThenUndoubleIsIdentity) {
                            "V($x, @y ++ $z) <- V($x ++ @y ++ @y, $z).\n"
                            "Back($x) <- V(eps, $x).\n");
   Instance in = MustInstance(u2, "R(a ++ b ++ c). R(eps). R(a).");
-  Result<Instance> out = Eval(u2, both, in);
+  Result<PreparedProgram> prog = Engine::Compile(u2, both);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(in);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   RelId back = *u2.FindRel("Back");
   RelId r = *u2.FindRel("R");

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/analysis/features.h"
-#include "src/engine/eval.h"
+#include "src/engine/engine.h"
 #include "src/engine/instance.h"
 #include "src/syntax/parser.h"
 #include "src/syntax/printer.h"
@@ -42,12 +42,16 @@ Instance FlatFacts(Universe& u, const Instance& i) {
 void ExpectSameOutput(Universe& u, const Program& p1, const Program& p2,
                       const std::string& rel, const Instance& input) {
   RelId out_rel = *u.FindRel(rel);
-  Result<Instance> o1 = EvalQuery(u, p1, input, out_rel);
-  Result<Instance> o2 = EvalQuery(u, p2, input, out_rel);
+  Result<PreparedProgram> prog1 = Engine::Compile(u, p1);
+  Result<PreparedProgram> prog2 = Engine::Compile(u, p2);
+  ASSERT_TRUE(prog1.ok()) << prog1.status().ToString();
+  ASSERT_TRUE(prog2.ok()) << prog2.status().ToString();
+  Result<Instance> o1 = prog1->Run(input);
+  Result<Instance> o2 = prog2->Run(input);
   ASSERT_TRUE(o1.ok()) << o1.status().ToString();
   ASSERT_TRUE(o2.ok()) << o2.status().ToString();
-  Instance f1 = FlatFacts(u, *o1);
-  Instance f2 = FlatFacts(u, *o2);
+  Instance f1 = FlatFacts(u, o1->Project({out_rel}));
+  Instance f2 = FlatFacts(u, o2->Project({out_rel}));
   EXPECT_EQ(f1, f2) << "original (flat):\n"
                     << f1.ToString(u) << "transformed (flat):\n"
                     << f2.ToString(u);

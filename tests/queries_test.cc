@@ -2,7 +2,7 @@
 
 #include "src/analysis/features.h"
 #include "src/analysis/safety.h"
-#include "src/engine/eval.h"
+#include "src/engine/engine.h"
 #include "src/engine/instance.h"
 #include "src/queries/queries.h"
 #include "src/term/universe.h"
@@ -75,10 +75,12 @@ TEST(CorpusTest, TerminatingEntriesTerminateOnSamples) {
       for (uint32_t i = 0; i < arity; ++i) t.push_back(u.PathOfChars("ab"));
       in.Add(rel, t);
     }
-    EvalOptions opts;
+    Result<PreparedProgram> prog = Engine::Compile(u, parsed->program);
+    ASSERT_TRUE(prog.ok()) << q.id << ": " << prog.status().ToString();
+    RunOptions opts;
     opts.max_facts = 100000;
     opts.max_iterations = 10000;
-    Result<Instance> out = Eval(u, parsed->program, in, opts);
+    Result<Instance> out = prog->Run(in, opts);
     EXPECT_TRUE(out.ok()) << q.id << ": " << out.status().ToString();
   }
 }
@@ -87,9 +89,11 @@ TEST(CorpusTest, NonterminatingEntryExhaustsBudget) {
   Universe u;
   Result<ParsedQuery> parsed = ParsePaperQuery(u, "ex23_nonterminating");
   ASSERT_TRUE(parsed.ok());
-  EvalOptions opts;
+  Result<PreparedProgram> prog = Engine::Compile(u, parsed->program);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  RunOptions opts;
   opts.max_facts = 500;
-  Result<Instance> out = Eval(u, parsed->program, Instance{}, opts);
+  Result<Instance> out = prog->Run(Instance{}, opts);
   EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
 }
 
@@ -102,11 +106,16 @@ TEST(CorpusTest, OnlyAsVariantsAgree) {
   const char* data = "R(a ++ a). R(a ++ b). R(b). R(eps). R(a ++ a ++ a).";
   Instance in1 = MustInstance(u1, data);
   Instance in2 = MustInstance(u2, data);
-  Result<Instance> o1 = EvalQuery(u1, q1->program, in1, q1->output);
-  Result<Instance> o2 = EvalQuery(u2, q2->program, in2, q2->output);
+  Result<PreparedProgram> prog1 = Engine::Compile(u1, q1->program);
+  ASSERT_TRUE(prog1.ok()) << prog1.status().ToString();
+  Result<Instance> o1 = prog1->Run(in1);
+  Result<PreparedProgram> prog2 = Engine::Compile(u2, q2->program);
+  ASSERT_TRUE(prog2.ok()) << prog2.status().ToString();
+  Result<Instance> o2 = prog2->Run(in2);
   ASSERT_TRUE(o1.ok());
   ASSERT_TRUE(o2.ok());
-  EXPECT_EQ(o1->ToString(u1), o2->ToString(u2));
+  EXPECT_EQ(o1->Project({q1->output}).ToString(u1),
+            o2->Project({q2->output}).ToString(u2));
 }
 
 TEST(CorpusTest, OnlyAsNoeqVariantAgrees) {
@@ -118,11 +127,16 @@ TEST(CorpusTest, OnlyAsNoeqVariantAgrees) {
   const char* data = "R(a ++ a). R(a ++ b). R(eps). R(a).";
   Instance in1 = MustInstance(u1, data);
   Instance in2 = MustInstance(u2, data);
-  Result<Instance> o1 = EvalQuery(u1, q1->program, in1, q1->output);
-  Result<Instance> o2 = EvalQuery(u2, q2->program, in2, q2->output);
+  Result<PreparedProgram> prog1 = Engine::Compile(u1, q1->program);
+  ASSERT_TRUE(prog1.ok()) << prog1.status().ToString();
+  Result<Instance> o1 = prog1->Run(in1);
+  Result<PreparedProgram> prog2 = Engine::Compile(u2, q2->program);
+  ASSERT_TRUE(prog2.ok()) << prog2.status().ToString();
+  Result<Instance> o2 = prog2->Run(in2);
   ASSERT_TRUE(o1.ok());
   ASSERT_TRUE(o2.ok());
-  EXPECT_EQ(o1->ToString(u1), o2->ToString(u2));
+  EXPECT_EQ(o1->Project({q1->output}).ToString(u1),
+            o2->Project({q2->output}).ToString(u2));
 }
 
 TEST(CorpusTest, ReverseVariantsAgree) {
@@ -136,11 +150,16 @@ TEST(CorpusTest, ReverseVariantsAgree) {
   const char* data = "R(c ++ d). R(a ++ b ++ c). R(eps). R(a).";
   Instance in1 = MustInstance(u1, data);
   Instance in2 = MustInstance(u2, data);
-  Result<Instance> o1 = EvalQuery(u1, q1->program, in1, q1->output);
-  Result<Instance> o2 = EvalQuery(u2, q2->program, in2, q2->output);
+  Result<PreparedProgram> prog1 = Engine::Compile(u1, q1->program);
+  ASSERT_TRUE(prog1.ok()) << prog1.status().ToString();
+  Result<Instance> o1 = prog1->Run(in1);
+  Result<PreparedProgram> prog2 = Engine::Compile(u2, q2->program);
+  ASSERT_TRUE(prog2.ok()) << prog2.status().ToString();
+  Result<Instance> o2 = prog2->Run(in2);
   ASSERT_TRUE(o1.ok()) << o1.status().ToString();
   ASSERT_TRUE(o2.ok()) << o2.status().ToString();
-  EXPECT_EQ(o1->ToString(u1), o2->ToString(u2));
+  EXPECT_EQ(o1->Project({q1->output}).ToString(u1),
+            o2->Project({q2->output}).ToString(u2));
 }
 
 TEST(CorpusTest, JsonSalesSwapsItemAndYear) {
@@ -150,9 +169,11 @@ TEST(CorpusTest, JsonSalesSwapsItemAndYear) {
   Instance in = MustInstance(
       u, "Sales(widget ++ y2020 ++ n100). Sales(widget ++ y2021 ++ n120). "
          "Sales(gadget ++ y2020 ++ n7).");
-  Result<Instance> out = EvalQuery(u, q->program, in, q->output);
+  Result<PreparedProgram> prog = Engine::Compile(u, q->program);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(in);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->NumFacts(), 3u);
+  EXPECT_EQ(out->Tuples(q->output).size(), 3u);
   EXPECT_TRUE(
       out->Contains(q->output, {u.PathOfWords("y2020 widget n100")}));
   EXPECT_TRUE(out->Contains(q->output, {u.PathOfWords("y2020 gadget n7")}));
@@ -163,7 +184,9 @@ TEST(CorpusTest, DeepEqualDetectsEqualSets) {
   Result<ParsedQuery> q = ParsePaperQuery(u, "deep_equal");
   ASSERT_TRUE(q.ok());
   Instance eq = MustInstance(u, "A0(a ++ b). A0(c). B0(c). B0(a ++ b).");
-  Result<Instance> out = EvalQuery(u, q->program, eq, q->output);
+  Result<PreparedProgram> prog = Engine::Compile(u, q->program);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(eq);
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->Contains(q->output, {}));
 
@@ -171,7 +194,9 @@ TEST(CorpusTest, DeepEqualDetectsEqualSets) {
   Result<ParsedQuery> q2 = ParsePaperQuery(u2, "deep_equal");
   ASSERT_TRUE(q2.ok());
   Instance neq = MustInstance(u2, "A0(a ++ b). B0(a).");
-  Result<Instance> out2 = EvalQuery(u2, q2->program, neq, q2->output);
+  Result<PreparedProgram> prog2 = Engine::Compile(u2, q2->program);
+  ASSERT_TRUE(prog2.ok()) << prog2.status().ToString();
+  Result<Instance> out2 = prog2->Run(neq);
   ASSERT_TRUE(out2.ok());
   EXPECT_FALSE(out2->Contains(q2->output, {}));
 }
@@ -182,10 +207,12 @@ TEST(CorpusTest, GcoreCommonNodes) {
   ASSERT_TRUE(q.ok());
   Instance in = MustInstance(
       u, "P(n1 ++ n2 ++ n3). P(n2 ++ n3 ++ n4). P(n3 ++ n2).");
-  Result<Instance> out = EvalQuery(u, q->program, in, q->output);
+  Result<PreparedProgram> prog = Engine::Compile(u, q->program);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(in);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   // Nodes on all three paths: n2 and n3.
-  EXPECT_EQ(out->NumFacts(), 2u);
+  EXPECT_EQ(out->Tuples(q->output).size(), 2u);
   EXPECT_TRUE(out->Contains(q->output, {u.PathOfWords("n2")}));
   EXPECT_TRUE(out->Contains(q->output, {u.PathOfWords("n3")}));
 }
@@ -201,9 +228,11 @@ TEST(CorpusTest, ProcessMiningFiltersViolatingLogs) {
       "R(start ++ rp ++ end).\n"                  // good: no co at all
       "R(co ++ rp ++ co ++ rp).\n"                // good
       "R(co ++ rp ++ co).\n");                    // bad: second co
-  Result<Instance> out = EvalQuery(u, q->program, in, q->output);
+  Result<PreparedProgram> prog = Engine::Compile(u, q->program);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(in);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(out->NumFacts(), 3u);
+  EXPECT_EQ(out->Tuples(q->output).size(), 3u);
   EXPECT_TRUE(out->Contains(q->output,
                             {u.PathOfWords("start co pack rp end")}));
   EXPECT_TRUE(out->Contains(q->output, {u.PathOfWords("start rp end")}));
@@ -220,9 +249,11 @@ TEST(CorpusTest, SquaringProducesQuadraticOutput) {
     ASSERT_TRUE(qn.ok());
     Instance in;
     in.Add(*un.FindRel("R"), {un.PathOfChars(std::string(n, 'a'))});
-    Result<Instance> out = EvalQuery(un, qn->program, in, qn->output);
+    Result<PreparedProgram> prog = Engine::Compile(un, qn->program);
+    ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+    Result<Instance> out = prog->Run(in);
     ASSERT_TRUE(out.ok());
-    ASSERT_EQ(out->NumFacts(), 1u);
+    ASSERT_EQ(out->Tuples(qn->output).size(), 1u);
     EXPECT_TRUE(out->Contains(qn->output,
                               {un.PathOfChars(std::string(n * n, 'a'))}));
   }

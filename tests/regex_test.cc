@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "src/engine/eval.h"
+#include "src/engine/engine.h"
 #include "src/queries/regex.h"
 #include "src/term/universe.h"
 #include "src/workload/generators.h"
@@ -103,7 +103,9 @@ TEST(RegexToDatalogTest, MatcherAgreesWithNfaOnRandomStrings) {
     // Also include the empty string.
     in.Add(q->input, {kEmptyPath});
 
-    Result<Instance> out = Eval(u, q->program, in);
+    Result<PreparedProgram> prog = Engine::Compile(u, q->program);
+    ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+    Result<Instance> out = prog->Run(in);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     for (const Tuple& t : in.Tuples(q->input)) {
       std::vector<uint32_t> word;
@@ -133,7 +135,9 @@ TEST(RegexToDatalogTest, TwoMatchersCoexist) {
   in.Add(q2->input, {u.PathOfChars("aa")});
   Program combined = q1->program;
   for (const Stratum& s : q2->program.strata) combined.strata.push_back(s);
-  Result<Instance> out = Eval(u, combined, in);
+  Result<PreparedProgram> prog = Engine::Compile(u, combined);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(in);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_TRUE(out->Contains(q1->output, {u.PathOfChars("aa")}));
   EXPECT_FALSE(out->Contains(q2->output, {u.PathOfChars("aa")}));

@@ -9,7 +9,7 @@
 #include "src/algebra/from_datalog.h"
 #include "src/analysis/safety.h"
 #include "src/analysis/stratify.h"
-#include "src/engine/eval.h"
+#include "src/engine/engine.h"
 #include "src/engine/instance.h"
 #include "src/syntax/parser.h"
 #include "src/term/universe.h"
@@ -185,7 +185,9 @@ TEST(DegenerateTest, EmptyProgramOnEmptyInstance) {
   Universe u;
   Program p;
   p.strata.emplace_back();
-  Result<Instance> out = Eval(u, p, Instance{});
+  Result<PreparedProgram> prog = Engine::Compile(u, p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(Instance{});
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->Empty());
 }
@@ -194,7 +196,9 @@ TEST(DegenerateTest, ProgramOnEmptyInstance) {
   Universe u;
   Result<Program> p = ParseProgram(u, "S($x) <- R($x), a ++ $x = $x ++ a.");
   ASSERT_TRUE(p.ok());
-  Result<Instance> out = Eval(u, *p, Instance{});
+  Result<PreparedProgram> prog = Engine::Compile(u, *p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(Instance{});
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->Empty());
 }
@@ -205,7 +209,9 @@ TEST(DegenerateTest, PreexistingIdbFactsAreKept) {
   ASSERT_TRUE(p.ok());
   Result<Instance> in = ParseInstance(u, "R(a). S(z).");
   ASSERT_TRUE(in.ok());
-  Result<Instance> out = Eval(u, *p, *in);
+  Result<PreparedProgram> prog = Engine::Compile(u, *p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(*in);
   ASSERT_TRUE(out.ok());
   RelId s = *u.FindRel("S");
   EXPECT_EQ(out->Tuples(s).size(), 2u);
@@ -218,7 +224,9 @@ TEST(DegenerateTest, EmptyPathsEverywhere) {
   ASSERT_TRUE(p.ok());
   Result<Instance> in = ParseInstance(u, "R(eps).");
   ASSERT_TRUE(in.ok());
-  Result<Instance> out = Eval(u, *p, *in);
+  Result<PreparedProgram> prog = Engine::Compile(u, *p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(*in);
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->Contains(*u.FindRel("S"), {kEmptyPath}));
 }
@@ -229,9 +237,11 @@ TEST(DegenerateTest, ZeroBudgetsFailFast) {
   ASSERT_TRUE(p.ok());
   Result<Instance> in = ParseInstance(u, "R(a).");
   ASSERT_TRUE(in.ok());
-  EvalOptions opts;
+  Result<PreparedProgram> prog = Engine::Compile(u, *p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  RunOptions opts;
   opts.max_facts = 0;
-  Result<Instance> out = Eval(u, *p, *in, opts);
+  Result<Instance> out = prog->Run(*in, opts);
   EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
 }
 
@@ -241,7 +251,9 @@ TEST(DegenerateTest, SelfEquationTautology) {
   ASSERT_TRUE(p.ok());
   Result<Instance> in = ParseInstance(u, "R(a ++ b).");
   ASSERT_TRUE(in.ok());
-  Result<Instance> out = Eval(u, *p, *in);
+  Result<PreparedProgram> prog = Engine::Compile(u, *p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(*in);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->Tuples(*u.FindRel("S")).size(), 1u);
 }
@@ -320,7 +332,9 @@ TEST(StratifierRobustnessTest, DeepNegationChain) {
   // Alternating chain: P_i holds R's fact iff i is even.
   Result<Instance> in = ParseInstance(u, "R(a).");
   ASSERT_TRUE(in.ok());
-  Result<Instance> out = Eval(u, *p, *in);
+  Result<PreparedProgram> prog = Engine::Compile(u, *p);
+  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+  Result<Instance> out = prog->Run(*in);
   ASSERT_TRUE(out.ok());
   for (int i = 0; i <= 6; ++i) {
     RelId rel = *u.FindRel("P" + std::to_string(i));

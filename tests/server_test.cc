@@ -673,7 +673,7 @@ TEST(ServerConcurrencyTest, ClientsRaceRunsAppendsAndCompaction) {
     Universe u;
     Result<Program> p = ParseProgram(u, kReachProgram);
     ASSERT_TRUE(p.ok());
-    Result<PreparedProgram> prog = Engine::CompileBorrowed(u, *p);
+    Result<PreparedProgram> prog = Engine::Compile(u, std::move(*p));
     ASSERT_TRUE(prog.ok());
     Instance acc;
     for (const std::string& batch : {batch0, batch1, batch2}) {
@@ -1146,26 +1146,31 @@ TEST(ServiceCacheTest, RecompileFollowsOnlyReadRelations) {
   Result<Database> db = Database::Open(u, std::move(*edb));
   ASSERT_TRUE(db.ok());
   ServiceOptions sopts;
-  size_t recompiles = 0;
-  sopts.log = [&recompiles](const std::string&) { ++recompiles; };
+  std::vector<std::string> logged;
+  sopts.log = [&logged](const std::string& line) { logged.push_back(line); };
   DatabaseService service(u, std::move(*db), sopts);
-  ASSERT_TRUE(service.Run(ReqFor(kProgA)).ok());
+  protocol::RunRequest req = ReqFor(kProgA);
+  req.source_name = "reach.sdl";
+  ASSERT_TRUE(service.Run(req).ok());
 
   protocol::AppendRequest append;
   for (int i = 0; i < 3; ++i) {
     append.facts = "F" + std::to_string(i) + "(a).";
     ASSERT_TRUE(service.Append(append).ok());
-    ASSERT_TRUE(service.Run(ReqFor(kProgA)).ok());
+    ASSERT_TRUE(service.Run(req).ok());
   }
-  EXPECT_EQ(recompiles, 0u);
+  EXPECT_TRUE(logged.empty());
 
-  // E grows from 4 facts to 6: drift 2/6 >= the default 0.25.
+  // E grows from 4 facts to 6: drift 2/6 >= the default 0.25. The write's
+  // eager refresh recompiles, and its log line names the program.
   append.facts = "E(e, f). E(f, g).";
   ASSERT_TRUE(service.Append(append).ok());
-  Result<protocol::RunReply> run = service.Run(ReqFor(kProgA));
+  Result<protocol::RunReply> run = service.Run(req);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_NE(run->rendered.find("A(f, g)."), std::string::npos);
-  EXPECT_EQ(recompiles, 1u);
+  ASSERT_EQ(logged.size(), 1u);
+  EXPECT_EQ(logged[0].rfind("recompiled reach.sdl (stats drift ", 0), 0u)
+      << logged[0];
 }
 
 // --- Serving cache under contention (TSan *Concurrency* filter) --------------

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/analysis/features.h"
-#include "src/engine/eval.h"
+#include "src/engine/engine.h"
 #include "src/engine/instance.h"
 #include "src/syntax/parser.h"
 #include "src/syntax/printer.h"
@@ -60,8 +60,12 @@ void ExpectSimulationAgrees(const std::string& program_text,
   Result<Instance> ic = EncodeTwoBounded(u, i, &enc);
   ASSERT_TRUE(ic.ok()) << ic.status().ToString();
 
-  Result<Instance> direct = Eval(u, p, i);
-  Result<Instance> classical = Eval(u, *pc, *ic);
+  Result<PreparedProgram> direct_prog = Engine::Compile(u, p);
+  Result<PreparedProgram> classical_prog = Engine::Compile(u, *pc);
+  ASSERT_TRUE(direct_prog.ok()) << direct_prog.status().ToString();
+  ASSERT_TRUE(classical_prog.ok()) << classical_prog.status().ToString();
+  Result<Instance> direct = direct_prog->Run(i);
+  Result<Instance> classical = classical_prog->Run(*ic);
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
   ASSERT_TRUE(classical.ok()) << classical.status().ToString();
 
@@ -139,8 +143,12 @@ TEST(TwoBoundedTest, RandomizedGraphDifferential) {
     ASSERT_TRUE(i.ok());
     Result<Instance> ic = EncodeTwoBounded(u, *i, &enc);
     ASSERT_TRUE(ic.ok());
-    Result<Instance> direct = Eval(u, p, *i);
-    Result<Instance> classical = Eval(u, *pc, *ic);
+    Result<PreparedProgram> direct_prog = Engine::Compile(u, p);
+    Result<PreparedProgram> classical_prog = Engine::Compile(u, *pc);
+    ASSERT_TRUE(direct_prog.ok()) << direct_prog.status().ToString();
+    ASSERT_TRUE(classical_prog.ok()) << classical_prog.status().ToString();
+    Result<Instance> direct = direct_prog->Run(*i);
+    Result<Instance> classical = classical_prog->Run(*ic);
     ASSERT_TRUE(direct.ok());
     ASSERT_TRUE(classical.ok());
     RelId s = *u.FindRel("S");

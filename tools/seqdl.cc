@@ -3,17 +3,20 @@
 //   seqdl run <program.sdl> [<instance.sdl>] [--data-dir=DIR]
 //              [--sync=always|interval|never] [--output=REL] [--naive]
 //              [--no-index] [--stats] [--explain] [--legacy-planner]
-//       Evaluate a program on an instance and print the derived facts
-//       (all IDB relations, or just --output). The planner ranks access
-//       paths by selectivity statistics measured over the instance;
+//       Load the instance into a Database, run the program on it once
+//       and print the facts it derives (all of them, or just the --output
+//       relation) exactly as `serve` and `query` print them: facts the
+//       instance already holds are not printed. The planner ranks access
+//       paths by the database's measured selectivity statistics;
 //       --legacy-planner forces the first-ground-argument heuristic.
 //       --explain prints the chosen plan (key column and scan order per
-//       rule step); --stats reports the engine's extended counters
-//       (per-stratum rounds, a per-index-family probe table, compile/run
-//       wall times). With --data-dir the program runs against a durable
-//       database (docs/storage.md): an initialized directory is
-//       recovered without re-ingesting anything (the instance argument
-//       becomes optional), a fresh one is seeded from the instance.
+//       rule step); --stats reports the engine's extended counters (a
+//       per-index-family probe table, compile/run wall times, then the
+//       rounds, firings and facts of each stratum). With --data-dir the
+//       database is durable (docs/storage.md): an initialized directory
+//       is recovered without re-ingesting anything (the instance argument
+//       becomes optional), a fresh one is seeded from the instance, and
+//       the trailer adds the epoch and the storage generation.
 //
 //   seqdl serve [<instance.sdl>] [--data-dir=DIR]
 //               [--sync=always|interval|never] [--stats] [--threads=N]
@@ -160,7 +163,6 @@
 #include "src/engine/database.h"
 #include "src/engine/engine.h"
 #include "src/engine/instance.h"
-#include "src/engine/stats.h"
 #include "src/fragments/fragments.h"
 #include "src/queries/regex.h"
 #include "src/server/client.h"
@@ -329,18 +331,39 @@ void PrintScanTable(const seqdl::EvalStats& stats) {
   }
 }
 
-// `seqdl run --data-dir=DIR`: evaluate against a durable database —
-// recovering an initialized directory (the second positional instance,
-// if any, is ignored with a note), or seeding a fresh one from the
-// instance file first.
-int RunDurable(const std::vector<std::string>& args,
-               const std::vector<std::string>& pos, seqdl::Universe& u,
-               seqdl::Program program) {
+// `seqdl run`: open a Database over the instance (in memory, or seeding
+// or recovering --data-dir), compile through it, run one snapshot, and
+// print the derived facts the way `serve` and `query` print them.
+int CmdRun(const std::vector<std::string>& args) {
+  std::vector<std::string> pos = PositionalArgs(args);
   seqdl::Database::OpenOptions dbopts;
   if (!ApplyStorageFlags(args, &dbopts)) return 2;
-  bool recovering = seqdl::Database::DataDirInitialized(dbopts.data_dir);
+  const bool durable = !dbopts.data_dir.empty();
+  if (pos.empty() || (pos.size() < 2 && !durable)) {
+    std::fprintf(stderr,
+                 "usage: seqdl run <program> [<instance>] [--data-dir=DIR] "
+                 "[--sync=always|interval|never] [--output=REL] [--naive] "
+                 "[--no-index] [--stats] [--explain] [--legacy-planner]\n"
+                 "(the instance is required without --data-dir; with one, "
+                 "it seeds a fresh data directory)\n");
+    return 2;
+  }
+  seqdl::Universe u;
+  auto program_text = ReadFile(pos[0]);
+  if (!program_text.ok()) return ReportError(program_text.status());
+  seqdl::DiagnosticList parse_diags;
+  auto program = seqdl::ParseProgram(u, *program_text, &parse_diags);
+  if (!program.ok()) {
+    // The same structured rendering as `seqdl check`: file:line:col,
+    // severity, stable SD code.
+    std::fprintf(stderr, "%s", parse_diags.RenderText(pos[0]).c_str());
+    return 1;
+  }
+
+  // An initialized data directory is recovered without re-ingesting
+  // anything; otherwise the instance seeds the database.
   seqdl::Instance seed;
-  if (recovering) {
+  if (durable && seqdl::Database::DataDirInitialized(dbopts.data_dir)) {
     if (pos.size() > 1) {
       std::fprintf(stderr,
                    "-- note: %s is already initialized; ignoring %s "
@@ -364,9 +387,12 @@ int RunDurable(const std::vector<std::string>& args,
   auto db = seqdl::Database::Open(u, std::move(seed), dbopts);
   if (!db.ok()) return ReportError(db.status());
 
-  // Database::Compile feeds the recovered stack's measured statistics
-  // to the planner — the durable twin of ComputeInstanceStats below.
-  auto prepared = db->Compile(std::move(program));
+  // The planner ranks access paths by the database's measured
+  // statistics; --legacy-planner keeps the first-ground-argument
+  // heuristic (results are identical either way — only cost changes).
+  auto prepared = HasFlag(args, "--legacy-planner")
+                      ? seqdl::Engine::Compile(u, std::move(*program))
+                      : db->Compile(std::move(*program));
   if (!prepared.ok()) return ReportError(prepared.status());
   if (HasFlag(args, "--explain")) {
     std::fprintf(stderr, "%s", prepared->ExplainPlan().c_str());
@@ -378,98 +404,22 @@ int RunDurable(const std::vector<std::string>& args,
   seqdl::Session session = db->Snapshot();
   auto out = session.Run(*prepared, opts, &stats);
   if (!out.ok()) return ReportError(out.status());
+  auto rendered = seqdl::RenderOutput(u, *out, FlagValue(args, "--output="));
+  if (!rendered.ok()) return ReportError(rendered.status());
+  std::printf("%s", rendered->c_str());
 
-  std::string output_rel = FlagValue(args, "--output=");
-  if (!output_rel.empty()) {
-    auto rel = u.FindRel(output_rel);
-    if (!rel.ok()) return ReportError(rel.status());
-    std::printf("%s", out->ToString(u, {&*rel, 1}).c_str());
-  } else {
-    std::set<seqdl::RelId> idb = seqdl::IdbRels(prepared->program());
-    std::vector<seqdl::RelId> rels(idb.begin(), idb.end());
-    std::printf("%s", out->ToString(u, rels).c_str());
-  }
-  seqdl::storage::StorageInfo sinfo = db->storage_info();
-  std::fprintf(stderr,
-               "-- %zu facts derived in %zu rounds (%zu firings) at epoch "
-               "%llu; storage generation %llu, %llu bytes on disk\n",
-               stats.derived_facts, stats.rounds, stats.rule_firings,
-               static_cast<unsigned long long>(session.epoch()),
-               static_cast<unsigned long long>(sinfo.manifest_generation),
-               static_cast<unsigned long long>(sinfo.on_disk_bytes));
-  if (HasFlag(args, "--stats")) {
-    PrintScanTable(stats);
-    std::fprintf(stderr, "-- compile %.3f ms, run %.3f ms\n",
-                 stats.compile_seconds * 1e3, stats.run_seconds * 1e3);
-  }
-  return 0;
-}
-
-int CmdRun(const std::vector<std::string>& args) {
-  std::vector<std::string> pos = PositionalArgs(args);
-  std::string data_dir = FlagValue(args, "--data-dir=");
-  if (pos.empty() || (pos.size() < 2 && data_dir.empty())) {
-    std::fprintf(stderr,
-                 "usage: seqdl run <program> [<instance>] [--data-dir=DIR] "
-                 "[--sync=always|interval|never] [--output=REL] [--naive] "
-                 "[--no-index] [--stats] [--explain] [--legacy-planner]\n"
-                 "(the instance is required without --data-dir; with one, "
-                 "it seeds a fresh data directory)\n");
-    return 2;
-  }
-  seqdl::Universe u;
-  auto program_text = ReadFile(pos[0]);
-  if (!program_text.ok()) return ReportError(program_text.status());
-  seqdl::DiagnosticList parse_diags;
-  auto program = seqdl::ParseProgram(u, *program_text, &parse_diags);
-  if (!program.ok()) {
-    // The same structured rendering as `seqdl check`: file:line:col,
-    // severity, stable SD code.
-    std::fprintf(stderr, "%s", parse_diags.RenderText(pos[0]).c_str());
-    return 1;
-  }
-
-  if (!data_dir.empty()) return RunDurable(args, pos, u, std::move(*program));
-
-  auto instance_text = ReadFile(pos[1]);
-  if (!instance_text.ok()) return ReportError(instance_text.status());
-  auto instance = seqdl::ParseInstance(u, *instance_text);
-  if (!instance.ok()) return ReportError(instance.status(), pos[1]);
-
-  // Measure the instance so the planner can rank access paths by
-  // selectivity; --legacy-planner keeps the first-ground-argument
-  // heuristic (results are identical either way — only cost changes).
-  seqdl::CompileOptions copts;
-  seqdl::StoreStats selectivity;
-  if (!HasFlag(args, "--legacy-planner")) {
-    selectivity = seqdl::ComputeInstanceStats(u, *instance);
-    copts.stats = &selectivity;
-  }
-  auto prepared = seqdl::Engine::Compile(u, std::move(*program), copts);
-  if (!prepared.ok()) return ReportError(prepared.status());
-  if (HasFlag(args, "--explain")) {
-    std::fprintf(stderr, "%s", prepared->ExplainPlan().c_str());
-  }
-
-  seqdl::RunOptions opts;
-  opts.seminaive = !HasFlag(args, "--naive");
-  opts.use_index = !HasFlag(args, "--no-index");
-  seqdl::EvalStats stats;
-  auto out = prepared->Run(*instance, opts, &stats);
-  if (!out.ok()) return ReportError(out.status());
-
-  std::string output_rel = FlagValue(args, "--output=");
-  if (!output_rel.empty()) {
-    auto rel = u.FindRel(output_rel);
-    if (!rel.ok()) return ReportError(rel.status());
-    std::printf("%s", out->ToString(u, {&*rel, 1}).c_str());
-  } else {
-    std::set<seqdl::RelId> idb = seqdl::IdbRels(prepared->program());
-    std::vector<seqdl::RelId> rels(idb.begin(), idb.end());
-    std::printf("%s", out->ToString(u, rels).c_str());
-  }
-  std::fprintf(stderr, "-- %zu facts derived in %zu rounds (%zu firings)\n",
+  std::fprintf(stderr, "-- %zu facts derived in %zu rounds (%zu firings)",
                stats.derived_facts, stats.rounds, stats.rule_firings);
+  if (durable) {
+    seqdl::storage::StorageInfo sinfo = db->storage_info();
+    std::fprintf(stderr,
+                 " at epoch %llu; storage generation %llu, %llu bytes on "
+                 "disk",
+                 static_cast<unsigned long long>(session.epoch()),
+                 static_cast<unsigned long long>(sinfo.manifest_generation),
+                 static_cast<unsigned long long>(sinfo.on_disk_bytes));
+  }
+  std::fprintf(stderr, "\n");
   if (HasFlag(args, "--stats")) {
     PrintScanTable(stats);
     std::fprintf(stderr, "-- compile %.3f ms, run %.3f ms\n",
