@@ -56,20 +56,6 @@ AdmissionVerdict AdmissionReport::Verdict(AdmissionPolicy policy) const {
 
 namespace {
 
-/// Label of the core-fragment equivalence class (Figure 1) containing
-/// the program's features with A and P projected away (Theorem 6.1:
-/// arity and packing are redundant for expressiveness).
-std::string ClassLabel(FeatureSet features) {
-  FeatureSet core =
-      features.Without(Feature::kArity).Without(Feature::kPacking);
-  for (const FragmentClass& c : CoreEquivalenceClasses()) {
-    for (FeatureSet m : c.members) {
-      if (m == core) return c.Label();
-    }
-  }
-  return core.ToString();  // unreachable: the classes partition all 16
-}
-
 /// Variables limited *directly* by a positive body predicate (without
 /// the equation-propagation fixpoint of LimitedVars): these range over
 /// subpaths of facts that already exist, so they cannot be a source of
@@ -110,7 +96,7 @@ bool IsExpandingEquation(const Literal& l, const std::set<VarId>& limited) {
 AdmissionReport AnalyzeAdmission(const Universe& u, const Program& p) {
   AdmissionReport report;
   report.features = DetectFeatures(p);
-  report.fragment_class = ClassLabel(report.features);
+  report.fragment_class = CoreClassLabel(report.features);
 
   DependencyGraph g = BuildDependencyGraph(p);
   std::vector<std::set<RelId>> sccs = StronglyConnectedComponents(g);

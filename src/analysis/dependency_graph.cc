@@ -98,10 +98,4 @@ std::set<RelId> RecursiveRels(const DependencyGraph& g) {
 
 bool HasCycle(const DependencyGraph& g) { return !RecursiveRels(g).empty(); }
 
-bool RulesAreRecursive(const std::vector<Rule>& rules) {
-  Program p;
-  p.strata.push_back(Stratum{rules});
-  return HasCycle(BuildDependencyGraph(p));
-}
-
 }  // namespace seqdl

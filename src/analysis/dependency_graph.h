@@ -38,10 +38,6 @@ std::set<RelId> RecursiveRels(const DependencyGraph& g);
 std::vector<std::set<RelId>> StronglyConnectedComponents(
     const DependencyGraph& g);
 
-/// True iff the set of rules, taken as one stratum, is recursive (some head
-/// relation of the set reaches itself through bodies of the set).
-bool RulesAreRecursive(const std::vector<Rule>& rules);
-
 }  // namespace seqdl
 
 #endif  // SEQDL_ANALYSIS_DEPENDENCY_GRAPH_H_

@@ -134,21 +134,6 @@ std::string DiagnosticList::RenderJson() const {
   return out;
 }
 
-Status StatusFromDiagnostics(const DiagnosticList& list) {
-  for (const Diagnostic& d : list.all()) {
-    if (d.severity != Severity::kError) continue;
-    std::string msg;
-    if (d.span.valid()) {
-      msg += std::to_string(d.span.line) + ":" + std::to_string(d.span.col) +
-             ": ";
-    }
-    msg += d.message;
-    if (!d.code.empty()) msg += " [" + d.code + "]";
-    return Status::InvalidArgument(std::move(msg));
-  }
-  return Status::OK();
-}
-
 Diagnostic DiagnosticFromStatus(const Status& status) {
   std::string message = status.message();
   std::string code;

@@ -131,11 +131,6 @@ class DiagnosticList {
 /// RenderJson and `seqdl check --json`'s top-level document.
 void AppendJsonString(std::string* out, const std::string& s);
 
-/// The first error in `list` as a Status (kInvalidArgument, message
-/// "line:col: message [code]"), or OK when there are no errors — the
-/// bridge from diagnostic-collecting passes to Status-returning APIs.
-Status StatusFromDiagnostics(const DiagnosticList& list);
-
 /// Recovers a span from a legacy parser/lexer Status whose message has
 /// the shape "... at L:C: ..." or "name:L:C: ..." (AnnotateParseError's
 /// output). Returns an invalid span when the message has no location.

@@ -72,8 +72,4 @@ FeatureSet DetectFeatures(const Program& p) {
   return s;
 }
 
-bool BelongsToFragment(const Program& p, FeatureSet f) {
-  return DetectFeatures(p).SubsetOf(f);
-}
-
 }  // namespace seqdl

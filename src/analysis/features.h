@@ -92,9 +92,6 @@ class FeatureSet {
 /// Detects exactly which features `p` uses (paper §3).
 FeatureSet DetectFeatures(const Program& p);
 
-/// True iff `p` belongs to fragment `f` (uses only features from f).
-bool BelongsToFragment(const Program& p, FeatureSet f);
-
 }  // namespace seqdl
 
 #endif  // SEQDL_ANALYSIS_FEATURES_H_

@@ -65,14 +65,6 @@ void AddFinding(DiagnosticList* diags, const char* code, const Rule& r,
 
 }  // namespace
 
-const char* LocalityClassToString(LocalityClass c) {
-  switch (c) {
-    case LocalityClass::kTransparent: return "transparent";
-    case LocalityClass::kResidual:    return "residual";
-  }
-  return "unknown";
-}
-
 LocalityReport AnalyzeLocality(const Universe& u, const Program& p,
                                const LocalityOptions& opts,
                                DiagnosticList* diags) {

@@ -55,9 +55,6 @@ enum class LocalityClass : uint8_t {
   kResidual = 1,
 };
 
-/// "transparent" / "residual".
-const char* LocalityClassToString(LocalityClass c);
-
 struct LocalityReport {
   LocalityClass cls = LocalityClass::kTransparent;
   /// Relations proven co-partitioned (EDB relations by construction,

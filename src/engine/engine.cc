@@ -872,24 +872,34 @@ class Executor {
       return EvalTo(lit.pred.args[static_cast<size_t>(step.index_arg)], v,
                     &key->whole);
     }
-    if (step.prefix_arg >= 0) {
-      PathId prefix;
-      if (!EvalTo(step.prefix_expr, v, &prefix)) return false;
-      if (prefix != kEmptyPath) {
-        key->col = static_cast<uint32_t>(step.prefix_arg);
-        key->kind = StepKey::Kind::kFirst;
-        key->value = u_.GetPath(prefix).front();
+    bool last = step.prefix_arg < 0;
+    int arg = last ? step.suffix_arg : step.prefix_arg;
+    if (arg < 0) return true;
+    const PathExpr& e = last ? step.suffix_expr : step.prefix_expr;
+    // The end value is read off the items and the bound variables' paths,
+    // so the probe interns nothing but the inner path of a packed item.
+    size_t n = e.items.size();
+    for (size_t k = 0; k < n; ++k) {
+      const ExprItem& it = e.items[last ? n - 1 - k : k];
+      Value end;
+      if (it.kind == ExprItem::Kind::kConst) {
+        end = it.atom;
+      } else if (it.kind == ExprItem::Kind::kPack) {
+        PathId inner;
+        if (!EvalTo(*it.pack, v, &inner)) return false;
+        end = Value::Packed(inner);
+      } else if (!v.IsBound(it.var)) {
+        // Not ground after all: EvalTo reports the unbound variable.
+        PathId unused;
+        return EvalTo(e, v, &unused);
+      } else {
+        std::span<const Value> p = u_.GetPath(v.Get(it.var));
+        if (p.empty()) continue;
+        end = last ? p.back() : p.front();
       }
-      return true;
-    }
-    if (step.suffix_arg >= 0) {
-      PathId suffix;
-      if (!EvalTo(step.suffix_expr, v, &suffix)) return false;
-      if (suffix != kEmptyPath) {
-        key->col = static_cast<uint32_t>(step.suffix_arg);
-        key->kind = StepKey::Kind::kLast;
-        key->value = u_.GetPath(suffix).back();
-      }
+      key->col = static_cast<uint32_t>(arg);
+      key->kind = last ? StepKey::Kind::kLast : StepKey::Kind::kFirst;
+      key->value = end;
       return true;
     }
     return true;

@@ -226,9 +226,4 @@ void StatsAccumulator::AgeOnRecompute(double factor) {
   }
 }
 
-size_t StatsAccumulator::PendingEpochs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pending_epochs_;
-}
-
 }  // namespace seqdl

@@ -176,8 +176,6 @@ class StatsAccumulator {
   /// the current EDB — the moment decayed estimates can actually be
   /// replaced by fresh observations.
   void AgeOnRecompute(double factor);
-  /// Epoch bumps noted but not yet aged (tests/diagnostics).
-  size_t PendingEpochs() const;
 
  private:
   mutable std::mutex mu_;

@@ -1,6 +1,7 @@
 #include "src/fragments/fragments.h"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <map>
 
@@ -82,6 +83,19 @@ std::vector<FragmentClass> CoreEquivalenceClasses() {
     classes.push_back(std::move(cls));
   }
   return classes;
+}
+
+const std::string& CoreClassLabel(FeatureSet f) {
+  // Indexed by feature bits; only the 16 core sets get a label.
+  using Labels = std::array<std::string, 1u << kNumFeatures>;
+  static const Labels kLabels = [] {
+    Labels labels;
+    for (const FragmentClass& c : CoreEquivalenceClasses()) {
+      for (FeatureSet m : c.members) labels[m.bits()] = c.Label();
+    }
+    return labels;
+  }();
+  return kLabels[f.Without(Feature::kArity).Without(Feature::kPacking).bits()];
 }
 
 HasseDiagram BuildHasseDiagram() {

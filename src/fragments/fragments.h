@@ -42,6 +42,11 @@ struct FragmentClass {
 /// The equivalence classes of the 16 core fragments (11 classes; Figure 1).
 std::vector<FragmentClass> CoreEquivalenceClasses();
 
+/// The Label() of the core class (CoreEquivalenceClasses) holding `f` with
+/// A and P projected away (Theorem 6.1: arity and packing are redundant
+/// for expressiveness). The classes are computed once, on the first call.
+const std::string& CoreClassLabel(FeatureSet f);
+
 /// The Hasse diagram of the equivalence classes: edge (i, j) means class i
 /// is *strictly below* class j with nothing in between (transitive
 /// reduction of the subsumption order).

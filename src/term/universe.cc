@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <shared_mutex>
 
@@ -33,16 +34,54 @@ std::string QuotedText(std::string_view name) {
 }
 }  // namespace
 
-size_t Universe::PathKeyHash::operator()(const std::vector<Value>& p) const {
+size_t Universe::PathHash(std::span<const Value> values) {
   size_t h = 0x42d1a7u;
-  for (Value v : p) h = HashCombine(h, ValueHash()(v));
+  for (Value v : values) h = HashCombine(h, ValueHash()(v));
   return h;
 }
 
 Universe::PathShard::~PathShard() {
-  for (std::atomic<std::vector<Value>*>& b : blocks) {
+  for (std::atomic<PathRef*>& b : blocks) {
     delete[] b.load(std::memory_order_relaxed);
   }
+}
+
+const Universe::PathRef& Universe::PathShard::RefLocked(uint32_t local) const {
+  uint32_t block = PathBlockOf(local);
+  const PathRef* refs = blocks[block].load(std::memory_order_relaxed);
+  return refs[PathOffsetOf(local, block)];
+}
+
+const Value* Universe::PathShard::Store(std::span<const Value> values) {
+  auto allocate = [this](size_t n) {
+    return chunks.emplace_back(new Value[n]).get();
+  };
+  Value* dst;
+  if (values.size() > kPathChunkValues / 4) {
+    dst = allocate(values.size());
+  } else {
+    if (values.size() > chunk_room) {
+      chunk_next = allocate(kPathChunkValues);
+      chunk_room = kPathChunkValues;
+    }
+    dst = chunk_next;
+    chunk_next += values.size();
+    chunk_room -= values.size();
+  }
+  std::copy(values.begin(), values.end(), dst);
+  return dst;
+}
+
+void Universe::PathShard::GrowTable() {
+  std::vector<uint32_t> grown(table.size() * 2);
+  size_t mask = grown.size() - 1;
+  for (uint32_t entry : table) {
+    if (entry == 0) continue;
+    size_t j = RefLocked(entry - 1).hash & mask;
+    while (grown[j] != 0) j = (j + 1) & mask;
+    grown[j] = entry;
+  }
+  table.swap(grown);
 }
 
 uint32_t Universe::PathBlockOf(uint32_t local) {
@@ -60,12 +99,13 @@ uint32_t Universe::PathBlockCapacity(uint32_t block) {
 }
 
 Universe::Universe() : path_shards_(new PathShard[kPathShards]) {
-  // Reserve PathId 0 (shard 0, index 0) for the empty path: entry 0 of the
-  // first block is a default-constructed (empty) vector, which is exactly
-  // the empty path's contents.
+  // Reserve PathId 0 (shard 0, index 0) for the empty path: ref 0 of the
+  // first block holds no values. The table never holds it; InternPath
+  // answers the empty span before any lookup.
   PathShard& s0 = path_shards_[0];
-  s0.blocks[0].store(new std::vector<Value>[PathBlockCapacity(0)],
-                     std::memory_order_release);
+  PathRef* block = new PathRef[PathBlockCapacity(0)];
+  block[0] = PathRef{nullptr, 0, 0};
+  s0.blocks[0].store(block, std::memory_order_release);
   s0.size = 1;
   s0.published_size.store(1, std::memory_order_relaxed);
 }
@@ -73,19 +113,26 @@ Universe::Universe() : path_shards_(new PathShard[kPathShards]) {
 Universe::~Universe() = default;
 
 AtomId Universe::InternAtomLocked(std::string_view name) {
-  auto it = atom_ids_.find(std::string(name));
+  auto it = atom_ids_.find(name);
   if (it != atom_ids_.end()) return it->second;
   AtomId id = static_cast<AtomId>(atom_names_.size());
   std::string_view text = atom_names_.emplace_back(name);
+  atom_ids_.emplace(text, id);
   if (NeedsQuotes(name)) {
     text = quoted_atom_texts_.emplace_back(QuotedText(name));
   }
   atom_texts_.push_back(text);
-  atom_ids_.emplace(std::string(name), id);
   return id;
 }
 
 AtomId Universe::InternAtom(std::string_view name) {
+  {
+    std::shared_lock<std::shared_mutex> lock(atom_mu_);
+    auto it = atom_ids_.find(name);
+    if (it != atom_ids_.end()) return it->second;
+  }
+  // InternAtomLocked looks again: another thread may have inserted the
+  // name between the two locks.
   std::unique_lock<std::shared_mutex> lock(atom_mu_);
   return InternAtomLocked(name);
 }
@@ -108,13 +155,21 @@ size_t Universe::num_atoms() const {
 
 PathId Universe::InternPath(std::span<const Value> values) {
   if (values.empty()) return kEmptyPath;
-  std::vector<Value> key(values.begin(), values.end());
-  uint32_t shard =
-      static_cast<uint32_t>(PathKeyHash()(key)) & (kPathShards - 1);
+  size_t h = PathHash(values);
+  uint32_t shard = static_cast<uint32_t>(h) & (kPathShards - 1);
+  uint32_t hash = static_cast<uint32_t>(h >> 32);
   PathShard& s = path_shards_[shard];
   std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.ids.find(key);
-  if (it != s.ids.end()) return it->second;
+  size_t mask = s.table.size() - 1;
+  size_t slot = hash & mask;
+  for (; s.table[slot] != 0; slot = (slot + 1) & mask) {
+    uint32_t found = s.table[slot] - 1;
+    const PathRef& ref = s.RefLocked(found);
+    if (ref.hash == hash && ref.size == values.size() &&
+        std::equal(values.begin(), values.end(), ref.data)) {
+      return (found << kPathShardBits) | shard;
+    }
+  }
   uint32_t local = s.size;
   if (local >= kMaxPathsPerShard) {
     // Unconditional (not assert): past this point the id would overflow
@@ -126,30 +181,37 @@ PathId Universe::InternPath(std::span<const Value> values) {
     std::abort();
   }
   uint32_t block_idx = PathBlockOf(local);
-  std::vector<Value>* block = s.blocks[block_idx].load(std::memory_order_relaxed);
+  PathRef* block = s.blocks[block_idx].load(std::memory_order_relaxed);
   if (block == nullptr) {
-    block = new std::vector<Value>[PathBlockCapacity(block_idx)];
+    block = new PathRef[PathBlockCapacity(block_idx)];
     s.blocks[block_idx].store(block, std::memory_order_release);
   }
-  PathId id = (local << kPathShardBits) | shard;
-  // The entry is fully written before the id can escape: same-shard lookups
-  // synchronize on mu, and any other transfer of the id between threads
-  // carries its own happens-before edge.
-  block[PathOffsetOf(local, block_idx)] = key;
-  s.ids.emplace(std::move(key), id);
+  // The ref and its values are fully written before the id can escape:
+  // same-shard lookups synchronize on mu, and any other transfer of the
+  // id between threads carries its own happens-before edge.
+  block[PathOffsetOf(local, block_idx)] =
+      PathRef{s.Store(values), static_cast<uint32_t>(values.size()), hash};
+  if (2 * (local + 1) > s.table.size()) {
+    s.GrowTable();
+    mask = s.table.size() - 1;
+    slot = hash & mask;
+    while (s.table[slot] != 0) slot = (slot + 1) & mask;
+  }
+  s.table[slot] = local + 1;
   s.size = local + 1;
   s.published_size.store(s.size, std::memory_order_relaxed);
-  return id;
+  return (local << kPathShardBits) | shard;
 }
 
 std::span<const Value> Universe::GetPath(PathId id) const {
   uint32_t shard = id & (kPathShards - 1);
   uint32_t local = id >> kPathShardBits;
   uint32_t block_idx = PathBlockOf(local);
-  const std::vector<Value>* block =
+  const PathRef* block =
       path_shards_[shard].blocks[block_idx].load(std::memory_order_acquire);
   assert(block != nullptr && "unknown PathId");
-  return block[PathOffsetOf(local, block_idx)];
+  const PathRef& ref = block[PathOffsetOf(local, block_idx)];
+  return {ref.data, ref.size};
 }
 
 size_t Universe::num_paths() const {
@@ -187,8 +249,6 @@ PathId Universe::SubPath(PathId p, size_t start, size_t len) {
 PathId Universe::SingletonPath(Value v) {
   return InternPath(std::span<const Value>(&v, 1));
 }
-
-bool Universe::IsFlatValue(Value v) const { return v.is_atom(); }
 
 bool Universe::IsFlatPath(PathId p) const {
   for (Value v : GetPath(p)) {
@@ -363,7 +423,7 @@ size_t Universe::num_vars() const {
 
 Result<RelId> Universe::InternRelLocked(std::string_view name,
                                         uint32_t arity) {
-  auto it = rel_ids_.find(std::string(name));
+  auto it = rel_ids_.find(name);
   if (it != rel_ids_.end()) {
     if (rel_arities_[it->second] != arity) {
       return Status::InvalidArgument(
@@ -374,22 +434,29 @@ Result<RelId> Universe::InternRelLocked(std::string_view name,
     return it->second;
   }
   RelId id = static_cast<RelId>(rel_names_.size());
-  rel_names_.emplace_back(name);
+  rel_ids_.emplace(rel_names_.emplace_back(name), id);
   rel_texts_.push_back(NeedsQuotes(name) ? QuotedText(name)
                                           : std::string(name));
   rel_arities_.push_back(arity);
-  rel_ids_.emplace(std::string(name), id);
   return id;
 }
 
 Result<RelId> Universe::InternRel(std::string_view name, uint32_t arity) {
+  {
+    std::shared_lock<std::shared_mutex> lock(rel_mu_);
+    auto it = rel_ids_.find(name);
+    if (it != rel_ids_.end() && rel_arities_[it->second] == arity) {
+      return it->second;
+    }
+  }
+  // A new name, or an arity conflict whose error InternRelLocked builds.
   std::unique_lock<std::shared_mutex> lock(rel_mu_);
   return InternRelLocked(name, arity);
 }
 
 Result<RelId> Universe::FindRel(std::string_view name) const {
   std::shared_lock<std::shared_mutex> lock(rel_mu_);
-  auto it = rel_ids_.find(std::string(name));
+  auto it = rel_ids_.find(name);
   if (it == rel_ids_.end()) {
     return Status::NotFound("unknown relation " + std::string(name));
   }
@@ -446,9 +513,8 @@ PathId Universe::PathOfWords(std::string_view words) {
   return InternPath(values);
 }
 
-std::string Universe::UniqueName(
-    std::string_view hint,
-    const std::unordered_map<std::string, uint32_t>& used, uint32_t* counter) {
+std::string Universe::UniqueName(std::string_view hint, const NameIds& used,
+                                 uint32_t* counter) {
   for (uint32_t i = *counter;; ++i) {
     std::string name = std::string(hint) + "_" + std::to_string(i);
     if (!used.count(name)) {

@@ -4,16 +4,22 @@
 //
 // Thread safety: all interning and lookup methods may be called from any
 // number of threads concurrently (parallel PreparedProgram::Run / Session
-// runs intern paths while evaluating). The path store is sharded: each
-// shard's hash-cons table is guarded by its own mutex, while resolved paths
-// live in append-only block storage published with release stores, so
-// GetPath never takes a lock. The (much colder) atom/variable/relation
-// tables are guarded by one shared_mutex each (lookups take shared locks,
-// interning exclusive ones) and hand out references into std::deque
-// storage, which never relocates elements. Formatting takes the atom
-// table's shared lock once per AppendAtom/AppendPath/AppendPaths call and
-// calls no locking accessor while it holds it: a second shared lock on the
-// same thread can block behind a waiting writer.
+// runs intern paths while evaluating). The path store is sharded, and each
+// path is stored once: its values sit in its shard's append-only arena of
+// fixed-size chunks, which never move and are never freed before the
+// Universe. A per-id ref (data, size, hash) lives in append-only block
+// storage published with release stores, so GetPath never takes a lock and
+// its spans stay valid for the Universe's lifetime. Each shard's
+// open-addressing table of ids, whose hash and equality read the refs and
+// the arena, is guarded by the shard's mutex; a lookup hashes the caller's
+// span and allocates nothing. The (much colder) atom/variable/relation
+// tables are guarded by one shared_mutex each: lookups, and atom and
+// relation interning that finds the name, take the shared lock; only an
+// insertion takes the exclusive one. They hand out references into
+// std::deque storage, which never relocates elements. Formatting takes the
+// atom table's shared lock once per AppendAtom/AppendPath/AppendPaths call
+// and calls no locking accessor while it holds it: a second shared lock on
+// the same thread can block behind a waiting writer.
 //
 // The path store never shrinks: an interned path stays for the Universe's
 // lifetime. That is why the engine interns only what escapes a match (the
@@ -108,7 +114,6 @@ class Universe {
 
   /// True iff the path contains no packed value at any nesting depth.
   bool IsFlatPath(PathId p) const;
-  bool IsFlatValue(Value v) const;
 
   /// Inserts every atom occurring in `p` (at any depth) into `out`.
   void CollectAtoms(PathId p, std::unordered_set<AtomId>* out) const;
@@ -177,12 +182,12 @@ class Universe {
   // A PathId encodes (shard, per-shard index): the low kPathShardBits bits
   // select the shard (chosen by contents hash, so equal paths always land
   // in the same shard), the remaining bits are the append-only index into
-  // that shard's storage. Storage is a sequence of geometrically growing
-  // blocks (block b holds kPathFirstBlockSize << b entries); blocks are
-  // never moved or freed until destruction, and block pointers are
-  // published with release stores, so GetPath resolves ids with two loads
-  // and no lock. kEmptyPath (id 0 = shard 0, index 0) is pre-registered at
-  // construction.
+  // that shard's refs. Refs live in a sequence of geometrically growing
+  // blocks (block b holds 1024 << b refs); blocks are never moved or freed
+  // until destruction, and block pointers are published with release
+  // stores, so GetPath resolves ids with two loads and no lock. kEmptyPath
+  // (id 0 = shard 0, index 0) is pre-registered at construction and is in
+  // no table.
   static constexpr uint32_t kPathShardBits = 4;
   static constexpr uint32_t kPathShards = 1u << kPathShardBits;
   static constexpr uint32_t kPathFirstBlockBits = 10;
@@ -191,24 +196,51 @@ class Universe {
   static constexpr uint32_t kPathMaxBlocks = 18;
   /// PathIds must fit Value's 31-bit payload: per-shard index < 2^27.
   static constexpr uint32_t kMaxPathsPerShard = 1u << 27;
+  /// Values per arena chunk (16 KiB). A path longer than a quarter chunk
+  /// gets a chunk of its own, sized to it, so a chunk left behind by
+  /// one that did not fit wastes less than a quarter of its room.
+  static constexpr size_t kPathChunkValues = 4096;
+  /// Initial slots of a shard's id table; it doubles whenever an insert
+  /// would fill more than half of it.
+  static constexpr uint32_t kPathFirstTableSlots = 64;
 
-  struct PathKeyHash {
-    size_t operator()(const std::vector<Value>& p) const;
+  /// An interned path: its values in the arena, and the high 32 bits of
+  /// its contents hash (the low bits chose the shard), which the id table
+  /// probes with and rehashes from.
+  struct PathRef {
+    const Value* data;
+    uint32_t size;
+    uint32_t hash;
   };
   struct PathShard {
     std::mutex mu;
-    /// Contents -> full PathId (shard already encoded in the low bits).
-    std::unordered_map<std::vector<Value>, PathId, PathKeyHash> ids;
+    /// Open-addressing (linear probing) table of per-shard index + 1;
+    /// 0 marks an empty slot. Its size is a power of two. Guarded by mu.
+    std::vector<uint32_t> table = std::vector<uint32_t>(kPathFirstTableSlots);
+    /// The arena: every chunk ever allocated, and the room left in the
+    /// newest shared one. Guarded by mu.
+    std::vector<std::unique_ptr<Value[]>> chunks;
+    Value* chunk_next = nullptr;
+    size_t chunk_room = 0;
     /// Number of paths stored; guarded by mu.
     uint32_t size = 0;
     /// size, republished for lock-free num_paths().
     std::atomic<uint32_t> published_size{0};
-    /// blocks[b] holds kPathFirstBlockSize << b entries (release-published).
-    std::array<std::atomic<std::vector<Value>*>, kPathMaxBlocks> blocks{};
+    /// blocks[b] holds 1024 << b refs (release-published).
+    std::array<std::atomic<PathRef*>, kPathMaxBlocks> blocks{};
 
     ~PathShard();
+    /// The ref of an index below size; the caller holds mu.
+    const PathRef& RefLocked(uint32_t local) const;
+    /// Copies `values` into the arena; returns their stable address. The
+    /// caller holds mu.
+    const Value* Store(std::span<const Value> values);
+    /// Doubles the id table, re-placing every id by its stored hash. The
+    /// caller holds mu.
+    void GrowTable();
   };
 
+  static size_t PathHash(std::span<const Value> values);
   static uint32_t PathBlockOf(uint32_t local);
   static uint32_t PathOffsetOf(uint32_t local, uint32_t block);
   static uint32_t PathBlockCapacity(uint32_t block);
@@ -223,8 +255,11 @@ class Universe {
   VarId InternVarLocked(VarKind kind, std::string_view name);
   Result<RelId> InternRelLocked(std::string_view name, uint32_t arity);
 
-  std::string UniqueName(std::string_view hint,
-                         const std::unordered_map<std::string, uint32_t>& used,
+  /// Name -> id, keyed by views of the names in the deque storage, so a
+  /// lookup takes a std::string_view and copies no string.
+  using NameIds = std::unordered_map<std::string_view, uint32_t>;
+
+  std::string UniqueName(std::string_view hint, const NameIds& used,
                          uint32_t* counter);
 
   std::unique_ptr<PathShard[]> path_shards_;
@@ -237,7 +272,7 @@ class Universe {
   /// quoted text. Read only under atom_mu_, so unlike the names it may
   /// relocate.
   std::vector<std::string_view> atom_texts_;
-  std::unordered_map<std::string, AtomId> atom_ids_;
+  NameIds atom_ids_;
   uint32_t fresh_atom_counter_ = 0;
 
   mutable std::shared_mutex var_mu_;
@@ -251,7 +286,7 @@ class Universe {
   /// Per relation: its text (see RelText).
   std::deque<std::string> rel_texts_;
   std::deque<uint32_t> rel_arities_;
-  std::unordered_map<std::string, RelId> rel_ids_;
+  NameIds rel_ids_;
   uint32_t fresh_rel_counter_ = 0;
 };
 

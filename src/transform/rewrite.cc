@@ -15,12 +15,6 @@ Rule RenameRels(const Rule& r, const std::map<RelId, RelId>& mapping) {
   return out;
 }
 
-Stratum RenameRels(const Stratum& s, const std::map<RelId, RelId>& mapping) {
-  Stratum out;
-  for (const Rule& r : s.rules) out.rules.push_back(RenameRels(r, mapping));
-  return out;
-}
-
 Rule FreshenVars(Universe& u, const Rule& r) {
   std::vector<VarId> vars;
   CollectVars(r, &vars);
@@ -30,12 +24,6 @@ Rule FreshenVars(Universe& u, const Rule& r) {
     subst[v] = VarExpr(u, fresh);
   }
   return SubstituteRule(r, subst);
-}
-
-std::vector<VarId> BodyVars(const Rule& r) {
-  std::vector<VarId> vars;
-  for (const Literal& l : r.body) CollectVars(l, &vars);
-  return vars;
 }
 
 std::vector<PathExpr> VarExprs(const Universe& u,

@@ -14,14 +14,10 @@ namespace seqdl {
 /// Renames relation occurrences (heads and bodies) according to `mapping`;
 /// relations not in the map are unchanged.
 Rule RenameRels(const Rule& r, const std::map<RelId, RelId>& mapping);
-Stratum RenameRels(const Stratum& s, const std::map<RelId, RelId>& mapping);
 
 /// Renames every variable of `r` to a fresh one (alpha-renaming), so the
 /// rule can be inlined into another without capture.
 Rule FreshenVars(Universe& u, const Rule& r);
-
-/// The variables of the body of `r`, in order of first occurrence.
-std::vector<VarId> BodyVars(const Rule& r);
 
 /// Variable expressions for a list of variables.
 std::vector<PathExpr> VarExprs(const Universe& u,

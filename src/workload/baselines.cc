@@ -1,30 +1,9 @@
 #include "src/workload/baselines.h"
 
-#include <algorithm>
 #include <deque>
 #include <tuple>
 
 namespace seqdl {
-
-bool OnlyAs(const std::string& s) {
-  return std::all_of(s.begin(), s.end(), [](char c) { return c == 'a'; });
-}
-
-std::string ReverseString(const std::string& s) {
-  return std::string(s.rbegin(), s.rend());
-}
-
-std::vector<std::string> SquaringOutputs(const std::set<std::string>& input) {
-  std::vector<std::string> out;
-  for (const std::string& s : input) {
-    if (OnlyAs(s)) {
-      out.push_back(std::string(s.size() * s.size(), 'a'));
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
 
 size_t CountMarkedOccurrences(const std::set<std::string>& haystacks,
                               const std::set<std::string>& needles) {

@@ -12,16 +12,6 @@
 
 namespace seqdl {
 
-/// Example 3.1: does the string consist exclusively of 'a's?
-bool OnlyAs(const std::string& s);
-
-/// Example 4.3: reversal.
-std::string ReverseString(const std::string& s);
-
-/// Theorem 5.3: the squaring query on character strings — for input a^n
-/// returns a^(n^2); any other string has no output.
-std::vector<std::string> SquaringOutputs(const std::set<std::string>& input);
-
 /// Example 2.2: the number of distinct marked occurrences (u, s, v) with
 /// u·s·v in `haystacks` and s in `needles`; the query is true iff >= 3.
 size_t CountMarkedOccurrences(const std::set<std::string>& haystacks,

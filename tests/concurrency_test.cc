@@ -6,6 +6,7 @@
 // worker threads only record what they saw.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -205,6 +206,99 @@ TEST(UniverseConcurrencyTest, RenderWhileInterning) {
     EXPECT_EQ(mismatches[t], 0u) << "renderer " << t;
   }
   EXPECT_EQ(inst->ToString(u), full);
+}
+
+// Eight threads intern the same 6,000 paths in different orders: 1-300
+// values each, and every 50th 5,000 values, longer than one arena chunk
+// (4096 values). That grows every shard's id table (64 slots at first)
+// several times and rolls its arena over to new chunks, all while the
+// table is contended. Two readers meanwhile resolve ids the interning
+// threads hand over and compare the contents.
+TEST(UniverseConcurrencyTest, InternRacesTableGrowthAndChunkRollover) {
+  Universe u;
+  constexpr size_t kAtoms = 16;
+  std::vector<Value> atoms;
+  for (size_t i = 0; i < kAtoms; ++i) {
+    atoms.push_back(Value::Atom(u.InternAtom("a" + std::to_string(i))));
+  }
+  constexpr size_t kPaths = 6000;
+  auto contents = [&atoms](size_t i) {
+    Rng rng{i + 1};
+    size_t len = i % 50 == 49 ? 5000 : 1 + rng.Next() % 300;
+    std::vector<Value> values;
+    for (size_t k = 0; k < len; ++k) {
+      values.push_back(atoms[rng.Next() % kAtoms]);
+    }
+    return values;
+  };
+
+  constexpr PathId kUnset = ~PathId{0};
+  std::vector<std::atomic<PathId>> handed(kPaths);
+  for (std::atomic<PathId>& h : handed) h.store(kUnset);
+  std::vector<std::vector<PathId>> ids(kThreads,
+                                       std::vector<PathId>(kPaths, kUnset));
+  constexpr size_t kReaders = 2;
+  std::vector<size_t> checked(kReaders, 0), mismatches(kReaders, 0);
+  std::atomic<bool> done{false};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Thread t starts at its own offset and strides by its own step
+      // prime to kPaths, so every thread visits every path, and the
+      // threads race on different paths at first and on the same ones
+      // later.
+      static constexpr size_t kSteps[kThreads] = {1, 7, 11, 13, 17, 19, 23,
+                                                  29};
+      for (size_t k = 0; k < kPaths; ++k) {
+        size_t i = (t * 751 + k * kSteps[t]) % kPaths;
+        PathId id = u.InternPath(contents(i));
+        ids[t][i] = id;
+        handed[i].store(id, std::memory_order_release);
+      }
+    });
+  }
+  for (size_t r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      Rng rng{100 + r};
+      while (!done.load(std::memory_order_acquire)) {
+        size_t i = rng.Next() % kPaths;
+        PathId id = handed[i].load(std::memory_order_acquire);
+        if (id == kUnset) continue;
+        std::vector<Value> want = contents(i);
+        std::span<const Value> got = u.GetPath(id);
+        if (!std::equal(got.begin(), got.end(), want.begin(), want.end())) {
+          ++mismatches[r];
+        }
+        ++checked[r];
+      }
+    });
+  }
+  for (size_t t = 0; t < kThreads; ++t) threads[t].join();
+  done.store(true, std::memory_order_release);
+  for (size_t t = kThreads; t < threads.size(); ++t) threads[t].join();
+
+  for (size_t r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(mismatches[r], 0u) << "reader " << r;
+    EXPECT_GT(checked[r], 0u) << "reader " << r;
+  }
+  // Every thread got one id per path, and equal contents share it.
+  std::map<std::vector<Value>, PathId> by_contents;
+  for (size_t i = 0; i < kPaths; ++i) {
+    for (size_t t = 1; t < kThreads; ++t) {
+      ASSERT_EQ(ids[t][i], ids[0][i]) << "path " << i << ", thread " << t;
+    }
+    std::vector<Value> want = contents(i);
+    auto [it, inserted] = by_contents.emplace(want, ids[0][i]);
+    EXPECT_EQ(it->second, ids[0][i]) << "path " << i;
+    std::span<const Value> got = u.GetPath(ids[0][i]);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "path " << i;
+  }
+  // Distinct contents got distinct ids: the store holds each once.
+  std::set<PathId> distinct;
+  for (const auto& [values, id] : by_contents) distinct.insert(id);
+  EXPECT_EQ(distinct.size(), by_contents.size());
+  EXPECT_EQ(u.num_paths(), by_contents.size() + 1);  // + the empty path
 }
 
 // --- Database/Session --------------------------------------------------------

@@ -226,6 +226,50 @@ TEST(EngineTest, SuffixProbesFireOnSuffixGroundPattern) {
   EXPECT_EQ(scan_stats.suffix_probes, 0u);
 }
 
+// A prefix or suffix probe reads its key value off the bound variable and
+// the constant: it interns neither the ground prefix `$x ++ b` nor the
+// ground suffix `b ++ $x`, so the Universe, which never shrinks, grows by
+// the answers alone.
+TEST(EngineTest, PrefixAndSuffixProbeKeysInternNoPaths) {
+  struct Case {
+    const char* rule;
+    const char* fact;  // R's fact for key k<i>; <i> stands for i
+    bool suffix;
+  };
+  const Case cases[] = {
+      {"T($y) <- K($x), R($x ++ b ++ $y).", "R(k<i> ++ b ++ v<i> ++ w).",
+       false},
+      {"T($y) <- K($x), R($y ++ b ++ $x).", "R(w ++ v<i> ++ b ++ k<i>).",
+       true},
+  };
+  constexpr int kKeys = 50;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.rule);
+    Universe u;
+    Result<PreparedProgram> prog =
+        Engine::Compile(u, MustParse(u, c.rule));
+    ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+    std::string facts;
+    for (int i = 0; i < kKeys; ++i) {
+      std::string n = std::to_string(i);
+      std::string fact = c.fact;
+      for (size_t at; (at = fact.find("<i>")) != std::string::npos;) {
+        fact.replace(at, 3, n);
+      }
+      facts += "K(k" + n + "). " + fact + "\n";
+    }
+    Instance in = MustInstance(u, facts);
+    size_t before = u.num_paths();
+    EvalStats stats;
+    Result<Instance> out = prog->Run(in, {}, &stats);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    size_t answers = out->Tuples(*u.FindRel("T")).size();
+    EXPECT_EQ(answers, static_cast<size_t>(kKeys));
+    EXPECT_GT(c.suffix ? stats.suffix_probes : stats.prefix_probes, 0u);
+    EXPECT_EQ(u.num_paths() - before, answers);
+  }
+}
+
 TEST(EngineTest, DeltaIndexProbesFireAboveThreshold) {
   Universe u;
   Result<ParsedQuery> q = ParsePaperQuery(u, "reach_ab");

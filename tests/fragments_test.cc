@@ -215,6 +215,24 @@ TEST(Figure1Test, RenderingsMentionAllClasses) {
   EXPECT_NE(dot.find("digraph"), std::string::npos);
 }
 
+TEST(Figure1Test, CoreClassLabelNamesTheClassOfEachFragment) {
+  // For all 64 fragments: the label of the one core class that holds the
+  // fragment without A and P.
+  std::vector<FragmentClass> core = CoreEquivalenceClasses();
+  for (FeatureSet f : AllFragments()) {
+    FeatureSet stripped =
+        f.Without(Feature::kArity).Without(Feature::kPacking);
+    std::vector<std::string> holding;
+    for (const FragmentClass& c : core) {
+      for (FeatureSet m : c.members) {
+        if (m == stripped) holding.push_back(c.Label());
+      }
+    }
+    ASSERT_EQ(holding.size(), 1u) << f.ToString();
+    EXPECT_EQ(CoreClassLabel(f), holding[0]) << f.ToString();
+  }
+}
+
 TEST(Figure1Test, SixtyFourFragmentsCollapseToEleven) {
   // Including A and P, all 64 fragments still fall into the same 11
   // classes.

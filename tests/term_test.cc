@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "src/term/universe.h"
 #include "src/term/value.h"
 
@@ -163,6 +169,74 @@ TEST(UniverseTest, PathOfWords) {
   PathId p = u.PathOfWords("open  pay close");
   EXPECT_EQ(u.PathLength(p), 3u);
   EXPECT_EQ(u.FormatPath(p), "open·pay·close");
+}
+
+// The values of path i in the tests below: 1 + i % 7 base-3 digits of i,
+// then an atom naming i, so no two paths share their contents.
+std::vector<Value> NumberedPath(Universe& u, size_t i) {
+  std::vector<Value> values;
+  for (size_t k = 0, n = i; k <= i % 7; ++k, n /= 3) {
+    values.push_back(Value::Atom(u.InternAtom("d" + std::to_string(n % 3))));
+  }
+  values.push_back(Value::Atom(u.InternAtom("n" + std::to_string(i))));
+  return values;
+}
+
+// Far longer than one arena chunk (4096 values): such a path gets storage
+// of its own, and the short paths around it stay intact.
+TEST(UniverseTest, PathLongerThanAChunk) {
+  Universe u;
+  PathId before = u.PathOfChars("ab");
+  std::vector<Value> values;
+  for (size_t i = 0; i < 10000; ++i) {
+    values.push_back(Value::Atom(u.InternAtom("v" + std::to_string(i % 97))));
+  }
+  PathId p = u.InternPath(values);
+  PathId after = u.PathOfChars("cd");
+  std::span<const Value> got = u.GetPath(p);
+  ASSERT_EQ(got.size(), values.size());
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), values.begin()));
+  EXPECT_EQ(u.InternPath(values), p);
+  // The values repeat with period 97, so both subpaths have one id.
+  EXPECT_EQ(u.SubPath(p, 97, values.size() - 97),
+            u.SubPath(p, 0, values.size() - 97));
+  EXPECT_EQ(u.FormatPath(before), "a·b");
+  EXPECT_EQ(u.FormatPath(after), "c·d");
+}
+
+// Thousands of paths grow every shard's id table many times over; each id
+// keeps resolving to its contents, and interning the contents again finds
+// it.
+TEST(UniverseTest, IdsSurviveTableGrowth) {
+  Universe u;
+  constexpr size_t kPaths = 20000;
+  std::vector<PathId> ids;
+  for (size_t i = 0; i < kPaths; ++i) {
+    ids.push_back(u.InternPath(NumberedPath(u, i)));
+  }
+  EXPECT_EQ(u.num_paths(), kPaths + 1);  // + the empty path
+  for (size_t i = 0; i < kPaths; ++i) {
+    std::vector<Value> values = NumberedPath(u, i);
+    std::span<const Value> got = u.GetPath(ids[i]);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), values.begin(),
+                           values.end()))
+        << i;
+    ASSERT_EQ(u.InternPath(values), ids[i]) << i;
+  }
+  EXPECT_EQ(u.num_paths(), kPaths + 1);
+}
+
+// PathIds depend only on the contents hash (its low bits pick the shard)
+// and on the order of interning within a shard, so a sequence of
+// interning calls yields the same ids in every build. The expected sum
+// pins the ids of this sequence.
+TEST(UniverseTest, PathIdsFollowHashAndInterningOrder) {
+  Universe u;
+  uint64_t sum = 0;
+  for (size_t i = 0; i < 1000; ++i) {
+    sum = sum * 31 + u.InternPath(NumberedPath(u, i));
+  }
+  EXPECT_EQ(sum, 10516395972199924809ull);
 }
 
 }  // namespace
