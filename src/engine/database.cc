@@ -103,7 +103,6 @@ Result<Database> Database::Open(Universe& u, Instance edb,
       size_t facts = sealed.facts.NumFacts();
       auto segment =
           std::make_shared<BaseStore>(u, std::move(sealed.facts));
-      if (opts.eager_indexes) segment->BuildAllIndexes();
       set->segments.push_back(std::move(segment));
       set->segment_epochs.push_back(sealed.stamp);
       set->segment_kinds.push_back(sealed.kind);
@@ -148,7 +147,6 @@ Result<Database> Database::Open(Universe& u, Instance edb,
 
   // Fresh open (in-memory, or initializing a new data directory).
   auto segment = std::make_shared<BaseStore>(u, std::move(edb));
-  if (opts.eager_indexes) segment->BuildAllIndexes();
   auto set = std::make_shared<SegmentSet>();
   set->epoch = 0;
   set->total_facts = segment->instance().NumFacts();
@@ -231,7 +229,6 @@ Result<uint64_t> Database::AppendTo(DbState& state, Instance delta,
   if (appended != nullptr) *appended = fresh_facts;
   auto segment =
       std::make_shared<BaseStore>(*state.universe, std::move(fresh));
-  if (state.opts.eager_indexes) segment->BuildAllIndexes();
 
   auto next = std::make_shared<SegmentSet>();
   next->epoch = cur->epoch + 1;
@@ -295,7 +292,6 @@ Result<uint64_t> Database::RetractFrom(DbState& state, Instance victims,
   if (retracted != nullptr) *retracted = hit_facts;
   auto segment =
       std::make_shared<BaseStore>(*state.universe, std::move(hits));
-  if (state.opts.eager_indexes) segment->BuildAllIndexes();
 
   auto next = std::make_shared<SegmentSet>();
   next->epoch = cur->epoch + 1;
@@ -326,20 +322,9 @@ Result<uint64_t> Database::Retract(Instance victims, size_t* retracted) {
 
 Database::Fold Database::PolicyWantsCompaction(const DbState& state,
                                                const SegmentSet& set) {
-  if (set.segments.size() <= 1) return Fold::kNone;
-  const OpenOptions& opts = state.opts;
-  if (opts.auto_compact_tail_ratio < 1.0 && set.total_facts > 0) {
-    size_t head = set.segments.front()->instance().NumFacts();
-    double tail_ratio =
-        static_cast<double>(set.total_facts - head) /
-        static_cast<double>(set.total_facts);
-    if (tail_ratio > opts.auto_compact_tail_ratio) return Fold::kFull;
-  }
-  if (opts.auto_compact_segments != 0 &&
-      set.segments.size() > opts.auto_compact_segments) {
-    return Fold::kTiered;
-  }
-  return Fold::kNone;
+  size_t limit = state.opts.auto_compact_segments;
+  if (limit == 0 || set.segments.size() <= limit) return Fold::kNone;
+  return Fold::kTiered;
 }
 
 void Database::AfterCommitLocked(DbState& state) {
@@ -412,9 +397,7 @@ Result<bool> Database::CompactLocked(DbState& state, Fold fold) {
     next->segment_kinds.push_back(kind);
   };
   auto build = [&state](Instance facts) {
-    auto seg = std::make_shared<BaseStore>(*state.universe, std::move(facts));
-    if (state.opts.eager_indexes) seg->BuildAllIndexes();
-    return seg;
+    return std::make_shared<BaseStore>(*state.universe, std::move(facts));
   };
 
   // Tail fold: diff the folded tail against the base (segment 0, always

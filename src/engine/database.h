@@ -88,12 +88,6 @@ class Writer;
 class Database {
  public:
   struct OpenOptions {
-    /// Build every (relation, column) index of every segment at
-    /// Open/Append/Compact time instead of on first probe. Front-loads
-    /// the full indexing cost; with the default lazy build, each column's
-    /// indexes build on the first query that probes them (still exactly
-    /// once per segment across all sessions and threads).
-    bool eager_indexes = false;
     /// Append/Retract fold the segment stack once it holds more than
     /// this many segments (0 = compact manually via Compact()). Keeps
     /// read amplification bounded under sustained ingest, LSM-style. The
@@ -105,11 +99,6 @@ class Database {
     /// the base segment as it is; otherwise it merges the covered range
     /// into a new base. Either way the stack may keep tombstone segments.
     size_t auto_compact_segments = 0;
-    /// Append also compacts once the facts outside the first (largest)
-    /// segment exceed this fraction of all facts — the size-ratio
-    /// trigger, which folds the whole stack like Compact(). >= 1.0
-    /// disables the ratio trigger.
-    double auto_compact_tail_ratio = 1.0;
     /// Durability. Empty (the default) keeps the database purely in
     /// memory. Non-empty names a data directory (created if absent):
     /// commits write a CRC-framed WAL record *before* they publish,
@@ -202,10 +191,10 @@ class Database {
   /// (DiagnosticFromStatus renders it). Serializes with other writers.
   Result<bool> Compact();
 
-  /// Folds iff the OpenOptions policy says the stack is too deep:
-  /// auto_compact_segments runs the tiered fold described there,
-  /// auto_compact_tail_ratio a full Compact(). Append and Retract apply
-  /// the same policy after every publish; it is also callable directly.
+  /// Runs the tiered fold described at OpenOptions::auto_compact_segments
+  /// iff the stack holds more segments than that limit. Append and
+  /// Retract apply the same policy after every publish; it is also
+  /// callable directly.
   Result<bool> MaybeCompact();
 
   /// Retires the database from ingest: every later Append or
@@ -362,8 +351,7 @@ class Database {
   static Result<uint64_t> RetractFrom(DbState& state, Instance victims,
                                       size_t* retracted);
   /// Which fold a stack needs: none, the tiered fold of the
-  /// segment-count trigger, or the full fold of Compact() and the
-  /// size-ratio trigger.
+  /// segment-count trigger, or the full fold of Compact().
   enum class Fold { kNone, kTiered, kFull };
   /// Compact step with writer_mu already held. In durable mode seals
   /// the folded stack before the in-memory swap.

@@ -28,6 +28,17 @@ constexpr size_t kNoDeltaStep = static_cast<size_t>(-1);
 /// How many rule firings pass between cancellation polls.
 constexpr size_t kCancelPollInterval = 256;
 
+/// Each index family's name in explain lines, and the name of the ground
+/// run its key is read from (none for kWhole: the whole argument is).
+constexpr FamilyArray<const char*> kKeyNames{
+    {"whole-value", "first-value", "last-value"}};
+constexpr FamilyArray<const char*> kRunNames{{nullptr, "prefix", "suffix"}};
+
+/// The EvalStats counter of each index family's probes.
+constexpr FamilyArray<size_t EvalStats::*> kProbeCounters{
+    {&EvalStats::index_probes, &EvalStats::prefix_probes,
+     &EvalStats::suffix_probes}};
+
 /// One explain line for a plan step: the access path the executor will
 /// take, the planner's selectivity estimate (when compiled with
 /// statistics), and whether measured data — rather than a heuristic or an
@@ -40,16 +51,19 @@ std::string DescribeStep(const Universe& u, const RulePlan& plan,
   switch (step.kind) {
     case PlanStep::Kind::kScan: {
       out = "scan " + u.RelName(lit.pred.rel) + ": ";
-      if (step.index_arg >= 0) {
-        out += "whole-value key col " + std::to_string(step.index_arg);
-      } else if (step.prefix_arg >= 0) {
-        out += "first-value key col " + std::to_string(step.prefix_arg) +
-               " (prefix " + FormatExpr(u, step.prefix_expr) + ")";
-      } else if (step.suffix_arg >= 0) {
-        out += "last-value key col " + std::to_string(step.suffix_arg) +
-               " (suffix " + FormatExpr(u, step.suffix_expr) + ")";
-      } else {
+      if (step.family == IndexFamily::kNone) {
         out += "full scan";
+      } else {
+        out += kKeyNames[step.family];
+        out += " key col ";
+        out += std::to_string(step.key_arg);
+        if (const char* run = kRunNames[step.family]) {
+          out += " (";
+          out += run;
+          out += " ";
+          out += FormatExpr(u, step.key_expr);
+          out += ")";
+        }
       }
       if (step.est_cost >= 0) {
         char buf[32];
@@ -717,65 +731,34 @@ class Executor {
           if (opts_.use_index && !EvalStepKey(step, lit, v, &key)) {
             return false;
           }
-          switch (key.kind) {
-            case StepKey::Kind::kWhole:
-              // An arity-1 relation's whole-value key IS the tuple:
-              // answer with the layers' hash membership test instead of
-              // materializing the whole-value column index — check plans
-              // and ground-literal joins issue point lookups here, and
-              // the index would be rebuilt from scratch every refresh
-              // just to answer them.
-              if (lit.pred.args.size() == 1) {
-                if (stats_) ++stats_->index_probes;
-                Tuple probe{key.whole};
-                if (!store_.Contains(lit.pred.rel, probe)) return true;
-                return match_one(probe);
+          if (key.family != IndexFamily::kNone) {
+            if (stats_) ++(stats_->*kProbeCounters[key.family]);
+            // An arity-1 relation's whole-value key IS the tuple: answer
+            // with the layers' hash membership test instead of
+            // materializing the whole-value column index — check plans
+            // and ground-literal joins issue point lookups here, and the
+            // index would be rebuilt from scratch every refresh just to
+            // answer them.
+            if (key.family == IndexFamily::kWhole &&
+                lit.pred.args.size() == 1) {
+              Tuple probe{key.key};
+              if (!store_.Contains(lit.pred.rel, probe)) return true;
+              return match_one(probe);
+            }
+            // The planner proved the key's argument (or prefix/suffix
+            // run) ground under every valuation reaching the step: probe
+            // the family's index of every layer (shared fact segments in
+            // epoch order, then the private overlay). A first/last-value
+            // bucket overapproximates; MatchArgs filters it exactly.
+            for (const SegmentLayer& layer : store_.layers()) {
+              if (!match_layer(layer,
+                               layer.store->Probe(lit.pred.rel, key.col,
+                                                  key.family, key.key))) {
+                return false;
               }
-              // The planner proved this argument ground under every
-              // valuation reaching the step: probe the whole-value column
-              // index of every layer (shared fact segments in epoch
-              // order, then the private overlay).
-              if (stats_) ++stats_->index_probes;
-              for (const SegmentLayer& layer : store_.layers()) {
-                if (!match_layer(layer, layer.store->Probe(lit.pred.rel,
-                                                           key.col,
-                                                           key.whole))) {
-                  return false;
-                }
-              }
-              return match_all(store_.overlay().Probe(lit.pred.rel, key.col,
-                                                      key.whole));
-            case StepKey::Kind::kFirst:
-              // A leading prefix of this argument is ground: a matching
-              // tuple must start with the prefix's first value, so probe
-              // the first-value index (MatchArgs still filters exactly).
-              if (stats_) ++stats_->prefix_probes;
-              for (const SegmentLayer& layer : store_.layers()) {
-                if (!match_layer(layer,
-                                 layer.store->ProbeFirst(lit.pred.rel, key.col,
-                                                         key.value))) {
-                  return false;
-                }
-              }
-              return match_all(store_.overlay().ProbeFirst(lit.pred.rel,
-                                                           key.col,
-                                                           key.value));
-            case StepKey::Kind::kLast:
-              // Symmetric: a trailing suffix is ground (`$x ++ a`); a
-              // matching tuple must end with the suffix's last value, so
-              // probe the last-value index.
-              if (stats_) ++stats_->suffix_probes;
-              for (const SegmentLayer& layer : store_.layers()) {
-                if (!match_layer(layer,
-                                 layer.store->ProbeLast(lit.pred.rel, key.col,
-                                                        key.value))) {
-                  return false;
-                }
-              }
-              return match_all(store_.overlay().ProbeLast(lit.pred.rel,
-                                                          key.col, key.value));
-            case StepKey::Kind::kNone:
-              break;
+            }
+            return match_all(store_.overlay().Probe(lit.pred.rel, key.col,
+                                                    key.family, key.key));
           }
           if (stats_) ++stats_->full_scans;
           for (const SegmentLayer& layer : store_.layers()) {
@@ -847,15 +830,11 @@ class Executor {
 
   // The evaluated index key of a scan step under the current valuation —
   // the single probe-selection logic shared by the store path
-  // (ExecuteStep) and the delta path (ScanDelta), which used to mirror
-  // it separately.
+  // (ExecuteStep) and the delta path (ScanDelta).
   struct StepKey {
-    enum class Kind : uint8_t { kNone, kWhole, kFirst, kLast };
-
-    Kind kind = Kind::kNone;
+    IndexFamily family = IndexFamily::kNone;
     uint32_t col = 0;
-    PathId whole = kEmptyPath;  // kWhole: the ground argument's path.
-    Value value;                // kFirst/kLast: the prefix/suffix end value.
+    uint32_t key = 0;  // The FamilyKey a matching tuple files under.
   };
 
   // Evaluates the step's planned key: the fully ground argument
@@ -866,16 +845,15 @@ class Executor {
   // set).
   bool EvalStepKey(const PlanStep& step, const Literal& lit,
                    const Valuation& v, StepKey* key) {
-    if (step.index_arg >= 0) {
-      key->col = static_cast<uint32_t>(step.index_arg);
-      key->kind = StepKey::Kind::kWhole;
-      return EvalTo(lit.pred.args[static_cast<size_t>(step.index_arg)], v,
-                    &key->whole);
+    if (step.family == IndexFamily::kNone) return true;
+    if (step.family == IndexFamily::kWhole) {
+      PathId whole;
+      if (!EvalTo(lit.pred.args[step.key_arg], v, &whole)) return false;
+      *key = {IndexFamily::kWhole, step.key_arg, whole};
+      return true;
     }
-    bool last = step.prefix_arg < 0;
-    int arg = last ? step.suffix_arg : step.prefix_arg;
-    if (arg < 0) return true;
-    const PathExpr& e = last ? step.suffix_expr : step.prefix_expr;
+    bool last = step.family == IndexFamily::kLast;
+    const PathExpr& e = step.key_expr;
     // The end value is read off the items and the bound variables' paths,
     // so the probe interns nothing but the inner path of a packed item.
     size_t n = e.items.size();
@@ -897,9 +875,8 @@ class Executor {
         if (p.empty()) continue;
         end = last ? p.back() : p.front();
       }
-      key->col = static_cast<uint32_t>(arg);
-      key->kind = last ? StepKey::Kind::kLast : StepKey::Kind::kFirst;
-      key->value = end;
+      // A path with this end value files under its bits() (FamilyKey).
+      *key = {step.family, step.key_arg, end.bits()};
       return true;
     }
     return true;
@@ -921,22 +898,12 @@ class Executor {
     if (opts_.use_index && delta_idx != nullptr) {
       StepKey key;
       if (!EvalStepKey(step, lit, v, &key)) return false;
-      const std::vector<const Tuple*>* bucket = nullptr;
-      switch (key.kind) {
-        case StepKey::Kind::kWhole:
-          bucket = delta_idx->Probe(lit.pred.rel, key.col, key.whole);
-          break;
-        case StepKey::Kind::kFirst:
-          bucket = delta_idx->ProbeFirst(lit.pred.rel, key.col, key.value);
-          break;
-        case StepKey::Kind::kLast:
-          bucket = delta_idx->ProbeLast(lit.pred.rel, key.col, key.value);
-          break;
-        case StepKey::Kind::kNone:
-          break;
-      }
-      // nullptr = the delta is below the indexing threshold; fall back to
-      // the linear scan.
+      // nullptr = no key, or the delta is below the indexing threshold;
+      // fall back to the linear scan.
+      const std::vector<const Tuple*>* bucket =
+          key.family == IndexFamily::kNone
+              ? nullptr
+              : delta_idx->Probe(lit.pred.rel, key.col, key.family, key.key);
       if (bucket != nullptr) {
         if (stats_) ++stats_->delta_index_probes;
         return match_all(*bucket);

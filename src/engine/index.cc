@@ -1,6 +1,7 @@
 #include "src/engine/index.h"
 
 #include <cassert>
+#include <optional>
 #include <span>
 
 namespace seqdl {
@@ -12,31 +13,29 @@ const std::vector<const Tuple*>& EmptyBucket() {
 
 namespace {
 
-template <typename Key>
-const std::vector<const Tuple*>& FindBucket(
-    const std::unordered_map<Key, std::vector<const Tuple*>>& buckets,
-    Key key) {
+const std::vector<const Tuple*>& FindBucket(const BucketMap& buckets,
+                                            uint32_t key) {
   auto it = buckets.find(key);
   if (it == buckets.end()) return EmptyBucket();
   return it->second;
 }
 
-// Files one tuple's `col`-th component into all three index families at
-// once — the population step of BaseStore::Build, which builds all
-// families together in one amortized pass over the EDB. Empty paths have
-// no first/last value and land in the whole-value buckets only (they can
-// never match a non-empty prefix/suffix anyway).
-void IndexTupleColumn(
-    const Universe& u, const Tuple& t, uint32_t col,
-    std::unordered_map<PathId, std::vector<const Tuple*>>* whole,
-    std::unordered_map<Value, std::vector<const Tuple*>>* first,
-    std::unordered_map<Value, std::vector<const Tuple*>>* last) {
-  if (col >= t.size()) return;
-  (*whole)[t[col]].push_back(&t);
-  std::span<const Value> path = u.GetPath(t[col]);
-  if (!path.empty()) {
-    (*first)[path.front()].push_back(&t);
-    (*last)[path.back()].push_back(&t);
+/// The key `t` files under in the (col, family) index; nullopt when the
+/// tuple has no such column or the column no such key.
+std::optional<uint32_t> TupleKey(const Universe& u, const Tuple& t,
+                                 uint32_t col, IndexFamily family) {
+  if (col >= t.size()) return std::nullopt;
+  return FamilyKey(u, family, t[col]);
+}
+
+/// Builds the (col, family) index of `tuples` into `buckets`, in the
+/// tuple set's iteration order.
+void FileAll(const Universe& u, const TupleSet& tuples, uint32_t col,
+             IndexFamily family, BucketMap* buckets) {
+  for (const Tuple& t : tuples) {
+    if (std::optional<uint32_t> key = TupleKey(u, t, col, family)) {
+      (*buckets)[*key].push_back(&t);
+    }
   }
 }
 
@@ -48,43 +47,20 @@ bool IndexedInstance::Add(RelId rel, Tuple t) {
   auto [stored, is_new] = base_.Insert(rel, std::move(t));
   if (!is_new) return false;
   // Update every built index of this relation.
-  for (auto it = indexes_.lower_bound({rel, 0});
-       it != indexes_.end() && it->first.first == rel; ++it) {
-    uint32_t col = it->first.second;
-    if (col < stored->size()) {
-      it->second.buckets[(*stored)[col]].push_back(stored);
-    }
-  }
-  for (auto it = first_indexes_.lower_bound({rel, 0});
-       it != first_indexes_.end() && it->first.first == rel; ++it) {
-    uint32_t col = it->first.second;
-    if (col < stored->size()) {
-      std::span<const Value> path = universe_->GetPath((*stored)[col]);
-      if (!path.empty()) {
-        it->second.buckets[path.front()].push_back(stored);
-      }
-    }
-  }
-  for (auto it = last_indexes_.lower_bound({rel, 0});
-       it != last_indexes_.end() && it->first.first == rel; ++it) {
-    uint32_t col = it->first.second;
-    if (col < stored->size()) {
-      std::span<const Value> path = universe_->GetPath((*stored)[col]);
-      if (!path.empty()) {
-        it->second.buckets[path.back()].push_back(stored);
-      }
+  for (auto it = indexes_.lower_bound({rel, 0, IndexFamily::kWhole});
+       it != indexes_.end() && std::get<0>(it->first) == rel; ++it) {
+    auto [r, col, family] = it->first;
+    if (std::optional<uint32_t> key =
+            TupleKey(*universe_, *stored, col, family)) {
+      it->second[*key].push_back(stored);
     }
   }
   return true;
 }
 
 size_t IndexedInstance::BulkAdd(RelId rel, const TupleSet& tuples) {
-  auto has_index = [&](const auto& m) {
-    auto it = m.lower_bound({rel, 0});
-    return it != m.end() && it->first.first == rel;
-  };
-  if (has_index(indexes_) || has_index(first_indexes_) ||
-      has_index(last_indexes_)) {
+  auto it = indexes_.lower_bound({rel, 0, IndexFamily::kWhole});
+  if (it != indexes_.end() && std::get<0>(it->first) == rel) {
     size_t added = 0;
     for (const Tuple& t : tuples) {
       if (Add(rel, t)) ++added;
@@ -101,83 +77,35 @@ bool IndexedInstance::Remove(RelId rel, const Tuple& t) {
   // Bucket entries are pointers to the stored tuple; resolve the address
   // before the instance erases it.
   const Tuple* stored = &*stored_it;
-  auto erase_from = [](std::vector<const Tuple*>& bucket, const Tuple* p) {
+  for (auto it = indexes_.lower_bound({rel, 0, IndexFamily::kWhole});
+       it != indexes_.end() && std::get<0>(it->first) == rel; ++it) {
+    auto [r, col, family] = it->first;
+    std::optional<uint32_t> key = TupleKey(*universe_, *stored, col, family);
+    if (!key) continue;
+    auto b = it->second.find(*key);
+    if (b == it->second.end()) continue;
+    std::vector<const Tuple*>& bucket = b->second;
     for (size_t i = 0; i < bucket.size(); ++i) {
-      if (bucket[i] == p) {
+      if (bucket[i] == stored) {
         bucket[i] = bucket.back();
         bucket.pop_back();
-        return;
+        break;
       }
     }
-  };
-  for (auto it = indexes_.lower_bound({rel, 0});
-       it != indexes_.end() && it->first.first == rel; ++it) {
-    uint32_t col = it->first.second;
-    if (col >= stored->size()) continue;
-    auto b = it->second.buckets.find((*stored)[col]);
-    if (b != it->second.buckets.end()) erase_from(b->second, stored);
-  }
-  for (auto it = first_indexes_.lower_bound({rel, 0});
-       it != first_indexes_.end() && it->first.first == rel; ++it) {
-    uint32_t col = it->first.second;
-    if (col >= stored->size()) continue;
-    std::span<const Value> path = universe_->GetPath((*stored)[col]);
-    if (path.empty()) continue;
-    auto b = it->second.buckets.find(path.front());
-    if (b != it->second.buckets.end()) erase_from(b->second, stored);
-  }
-  for (auto it = last_indexes_.lower_bound({rel, 0});
-       it != last_indexes_.end() && it->first.first == rel; ++it) {
-    uint32_t col = it->first.second;
-    if (col >= stored->size()) continue;
-    std::span<const Value> path = universe_->GetPath((*stored)[col]);
-    if (path.empty()) continue;
-    auto b = it->second.buckets.find(path.back());
-    if (b != it->second.buckets.end()) erase_from(b->second, stored);
   }
   return base_.Remove(rel, t);
 }
 
 const std::vector<const Tuple*>& IndexedInstance::Probe(RelId rel,
                                                         uint32_t col,
-                                                        PathId key) {
-  auto [it, built_now] = indexes_.try_emplace({rel, col});
-  if (built_now) {
-    for (const Tuple& t : base_.Tuples(rel)) {
-      if (col < t.size()) it->second.buckets[t[col]].push_back(&t);
-    }
-  }
-  return FindBucket(it->second.buckets, key);
-}
-
-const std::vector<const Tuple*>& IndexedInstance::ProbeFirst(RelId rel,
-                                                             uint32_t col,
-                                                             Value first) {
+                                                        IndexFamily family,
+                                                        uint32_t key) {
   assert(universe_ != nullptr);
-  auto [it, built_now] = first_indexes_.try_emplace({rel, col});
+  auto [it, built_now] = indexes_.try_emplace({rel, col, family});
   if (built_now) {
-    for (const Tuple& t : base_.Tuples(rel)) {
-      if (col >= t.size()) continue;
-      std::span<const Value> path = universe_->GetPath(t[col]);
-      if (!path.empty()) it->second.buckets[path.front()].push_back(&t);
-    }
+    FileAll(*universe_, base_.Tuples(rel), col, family, &it->second);
   }
-  return FindBucket(it->second.buckets, first);
-}
-
-const std::vector<const Tuple*>& IndexedInstance::ProbeLast(RelId rel,
-                                                            uint32_t col,
-                                                            Value last) {
-  assert(universe_ != nullptr);
-  auto [it, built_now] = last_indexes_.try_emplace({rel, col});
-  if (built_now) {
-    for (const Tuple& t : base_.Tuples(rel)) {
-      if (col >= t.size()) continue;
-      std::span<const Value> path = universe_->GetPath(t[col]);
-      if (!path.empty()) it->second.buckets[path.back()].push_back(&t);
-    }
-  }
-  return FindBucket(it->second.buckets, last);
+  return FindBucket(it->second, key);
 }
 
 // --- BaseStore ---------------------------------------------------------------
@@ -193,56 +121,27 @@ BaseStore::BaseStore(const Universe& u, Instance edb)
   }
 }
 
-const BaseStore::ColSlot* BaseStore::Slot(RelId rel, uint32_t col) const {
+const std::vector<const Tuple*>& BaseStore::Probe(RelId rel, uint32_t col,
+                                                  IndexFamily family,
+                                                  uint32_t key) const {
   auto it = slots_.find(rel);
-  if (it == slots_.end() || col >= it->second.size()) return nullptr;
-  return &it->second[col];
-}
-
-void BaseStore::Build(RelId rel, const ColSlot& slot, uint32_t col) const {
+  if (it == slots_.end() || col >= it->second.size()) return EmptyBucket();
+  const ColSlot& slot = it->second[col];
   std::call_once(slot.once, [&] {
     // The slot table is logically mutable index state over the immutable
     // EDB; call_once makes the build exclusive and publishes the maps to
-    // every later prober.
+    // every later prober. All three families build in this one pass.
     ColSlot& s = const_cast<ColSlot&>(slot);
     for (const Tuple& t : edb_.Tuples(rel)) {
-      IndexTupleColumn(*universe_, t, col, &s.whole, &s.first, &s.last);
+      for (IndexFamily f : kIndexFamilies) {
+        if (std::optional<uint32_t> k = TupleKey(*universe_, t, col, f)) {
+          s.buckets[f][*k].push_back(&t);
+        }
+      }
     }
     s.built.store(true, std::memory_order_relaxed);
   });
-}
-
-const std::vector<const Tuple*>& BaseStore::Probe(RelId rel, uint32_t col,
-                                                  PathId key) const {
-  const ColSlot* slot = Slot(rel, col);
-  if (slot == nullptr) return EmptyBucket();
-  Build(rel, *slot, col);
-  return FindBucket(slot->whole, key);
-}
-
-const std::vector<const Tuple*>& BaseStore::ProbeFirst(RelId rel,
-                                                       uint32_t col,
-                                                       Value first) const {
-  const ColSlot* slot = Slot(rel, col);
-  if (slot == nullptr) return EmptyBucket();
-  Build(rel, *slot, col);
-  return FindBucket(slot->first, first);
-}
-
-const std::vector<const Tuple*>& BaseStore::ProbeLast(RelId rel, uint32_t col,
-                                                      Value last) const {
-  const ColSlot* slot = Slot(rel, col);
-  if (slot == nullptr) return EmptyBucket();
-  Build(rel, *slot, col);
-  return FindBucket(slot->last, last);
-}
-
-void BaseStore::BuildAllIndexes() const {
-  for (const auto& [rel, cols] : slots_) {
-    for (uint32_t col = 0; col < cols.size(); ++col) {
-      Build(rel, cols[col], col);
-    }
-  }
+  return FindBucket(slot.buckets[family], key);
 }
 
 const StoreStats& BaseStore::Stats() const {
@@ -328,62 +227,18 @@ size_t LayeredStore::Adopt(RelId rel, const TupleSet& tuples,
 
 // --- DeltaIndexer ------------------------------------------------------------
 
-DeltaIndexer::ColIndexes* DeltaIndexer::Slot(RelId rel, uint32_t col,
-                                             const TupleSet** tuples) {
+const std::vector<const Tuple*>* DeltaIndexer::Probe(RelId rel, uint32_t col,
+                                                     IndexFamily family,
+                                                     uint32_t key) {
   auto delta_it = delta_->find(rel);
   if (delta_it == delta_->end() || delta_it->second.size() < threshold_) {
     return nullptr;
   }
-  *tuples = &delta_it->second;
-  return &built_[{rel, col}];
-}
-
-const std::vector<const Tuple*>* DeltaIndexer::Probe(RelId rel, uint32_t col,
-                                                     PathId key) {
-  const TupleSet* tuples = nullptr;
-  ColIndexes* idx = Slot(rel, col, &tuples);
-  if (idx == nullptr) return nullptr;
-  if (!idx->whole_built) {
-    idx->whole_built = true;
-    for (const Tuple& t : *tuples) {
-      if (col < t.size()) idx->whole[t[col]].push_back(&t);
-    }
+  auto [it, built_now] = built_.try_emplace({rel, col, family});
+  if (built_now) {
+    FileAll(*universe_, delta_it->second, col, family, &it->second);
   }
-  return &FindBucket(idx->whole, key);
-}
-
-const std::vector<const Tuple*>* DeltaIndexer::ProbeFirst(RelId rel,
-                                                          uint32_t col,
-                                                          Value first) {
-  const TupleSet* tuples = nullptr;
-  ColIndexes* idx = Slot(rel, col, &tuples);
-  if (idx == nullptr) return nullptr;
-  if (!idx->first_built) {
-    idx->first_built = true;
-    for (const Tuple& t : *tuples) {
-      if (col >= t.size()) continue;
-      std::span<const Value> path = universe_->GetPath(t[col]);
-      if (!path.empty()) idx->first[path.front()].push_back(&t);
-    }
-  }
-  return &FindBucket(idx->first, first);
-}
-
-const std::vector<const Tuple*>* DeltaIndexer::ProbeLast(RelId rel,
-                                                         uint32_t col,
-                                                         Value last) {
-  const TupleSet* tuples = nullptr;
-  ColIndexes* idx = Slot(rel, col, &tuples);
-  if (idx == nullptr) return nullptr;
-  if (!idx->last_built) {
-    idx->last_built = true;
-    for (const Tuple& t : *tuples) {
-      if (col >= t.size()) continue;
-      std::span<const Value> path = universe_->GetPath(t[col]);
-      if (!path.empty()) idx->last[path.back()].push_back(&t);
-    }
-  }
-  return &FindBucket(idx->last, last);
+  return &FindBucket(it->second, key);
 }
 
 }  // namespace seqdl

@@ -1,20 +1,11 @@
 // Indexed relation storage for the evaluator.
 //
-// Three families of per-(relation, column) hash indexes appear throughout:
-//
-//   * whole-value indexes keyed on the column's PathId, probed when the
-//     planner proved an argument position fully ground under the current
-//     valuation (PlanStep::index_arg);
-//   * first-value indexes keyed on the first Value of the column's path,
-//     probed when only a leading prefix of the argument is ground
-//     (PlanStep::prefix_arg) — a matching tuple must start with the
-//     prefix's first value, so the bucket is a sound overapproximation
-//     that the usual MatchArgs pass then filters exactly;
-//   * last-value indexes keyed on the last Value of the column's path,
-//     probed when only a trailing suffix of the argument is ground
-//     (PlanStep::suffix_arg, e.g. `$x ++ a`) — symmetric to first-value.
-//
-// Either way a full relation scan becomes a bucket probe.
+// Every (relation, column) pair has one hash index per IndexFamily
+// (index_family.h): whole-value, first-value and last-value. A scan step
+// whose planned key (PlanStep::family, key_arg, key_expr) evaluates under
+// the current valuation probes the family's index instead of scanning
+// the relation; FamilyKey decides which bucket a stored tuple files under,
+// and every store answers the one Probe(rel, col, family, key).
 //
 // Storage classes:
 //
@@ -35,9 +26,9 @@
 //     delta set on first probe once it exceeds a size threshold (small
 //     deltas stay linear scans).
 //
-// Bucket entries are pointers into the underlying TupleSet; unordered_set
-// guarantees reference stability under insertion, so derivation never
-// invalidates them.
+// Bucket entries are pointers into the underlying TupleSet, in insertion
+// order; unordered_set guarantees reference stability under insertion, so
+// derivation never invalidates them.
 #ifndef SEQDL_ENGINE_INDEX_H_
 #define SEQDL_ENGINE_INDEX_H_
 
@@ -46,10 +37,12 @@
 #include <map>
 #include <mutex>
 #include <span>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/engine/index_family.h"
 #include "src/engine/instance.h"
 #include "src/engine/stats.h"
 #include "src/term/universe.h"
@@ -59,12 +52,16 @@ namespace seqdl {
 /// The shared empty bucket returned for missing keys.
 const std::vector<const Tuple*>& EmptyBucket();
 
+/// One (relation, column, family) index: FamilyKey -> the tuples filed
+/// under it.
+using BucketMap = std::unordered_map<uint32_t, std::vector<const Tuple*>>;
+
 class IndexedInstance {
  public:
   /// An empty store; usable only after move-assignment from a real one.
   IndexedInstance() = default;
-  /// Wraps `base`. `u` resolves paths to their first/last value for the
-  /// first/last-value indexes and must outlive the store.
+  /// Wraps `base`. `u` resolves paths to their keys (FamilyKey) and must
+  /// outlive the store.
   IndexedInstance(const Universe& u, Instance base)
       : universe_(&u), base_(std::move(base)) {}
 
@@ -89,45 +86,21 @@ class IndexedInstance {
   }
   const TupleSet& Tuples(RelId rel) const { return base_.Tuples(rel); }
 
-  /// The tuples of `rel` whose `col`-th component is `key`. Builds the
-  /// (rel, col) whole-value index on first use.
-  const std::vector<const Tuple*>& Probe(RelId rel, uint32_t col, PathId key);
-
-  /// The tuples of `rel` whose `col`-th component is a non-empty path
-  /// starting with `first`. Builds the (rel, col) first-value index on
+  /// The tuples of `rel` whose `col`-th component files under `key` in
+  /// `family`'s index (FamilyKey). Builds the (rel, col, family) index on
   /// first use.
-  const std::vector<const Tuple*>& ProbeFirst(RelId rel, uint32_t col,
-                                              Value first);
-
-  /// The tuples of `rel` whose `col`-th component is a non-empty path
-  /// ending with `last`. Builds the (rel, col) last-value index on first
-  /// use.
-  const std::vector<const Tuple*>& ProbeLast(RelId rel, uint32_t col,
-                                             Value last);
+  const std::vector<const Tuple*>& Probe(RelId rel, uint32_t col,
+                                         IndexFamily family, uint32_t key);
 
   /// Removes a fact, dropping it from every built index of its relation.
   /// Returns true if it was present. The DRed deletion path's overlay
   /// surgery; O(bucket) per built index family.
   bool Remove(RelId rel, const Tuple& t);
 
-  /// Number of distinct (relation, column) indexes built so far.
-  size_t NumIndexes() const {
-    return indexes_.size() + first_indexes_.size() + last_indexes_.size();
-  }
-
  private:
-  struct ColumnIndex {
-    std::unordered_map<PathId, std::vector<const Tuple*>> buckets;
-  };
-  struct ValueIndex {
-    std::unordered_map<Value, std::vector<const Tuple*>> buckets;
-  };
-
   const Universe* universe_ = nullptr;
   Instance base_;
-  std::map<std::pair<RelId, uint32_t>, ColumnIndex> indexes_;
-  std::map<std::pair<RelId, uint32_t>, ValueIndex> first_indexes_;
-  std::map<std::pair<RelId, uint32_t>, ValueIndex> last_indexes_;
+  std::map<std::tuple<RelId, uint32_t, IndexFamily>, BucketMap> indexes_;
 };
 
 /// An immutable, shareable indexed store over a fixed EDB instance.
@@ -152,15 +125,8 @@ class BaseStore {
   const TupleSet& Tuples(RelId rel) const { return edb_.Tuples(rel); }
 
   const std::vector<const Tuple*>& Probe(RelId rel, uint32_t col,
-                                         PathId key) const;
-  const std::vector<const Tuple*>& ProbeFirst(RelId rel, uint32_t col,
-                                              Value first) const;
-  const std::vector<const Tuple*>& ProbeLast(RelId rel, uint32_t col,
-                                             Value last) const;
-
-  /// Builds every (relation, column) index now instead of on first probe
-  /// (Database::OpenOptions::eager_indexes).
-  void BuildAllIndexes() const;
+                                         IndexFamily family,
+                                         uint32_t key) const;
 
   /// Number of (relation, column) columns whose indexes have been built.
   size_t NumIndexedColumns() const;
@@ -177,14 +143,9 @@ class BaseStore {
   /// one pass over the relation on first probe.
   struct ColSlot {
     mutable std::once_flag once;
-    std::unordered_map<PathId, std::vector<const Tuple*>> whole;
-    std::unordered_map<Value, std::vector<const Tuple*>> first;
-    std::unordered_map<Value, std::vector<const Tuple*>> last;
+    FamilyArray<BucketMap> buckets;
     std::atomic<bool> built{false};
   };
-
-  const ColSlot* Slot(RelId rel, uint32_t col) const;
-  void Build(RelId rel, const ColSlot& slot, uint32_t col) const;
 
   const Universe* universe_;
   Instance edb_;
@@ -306,8 +267,8 @@ class LayeredStore {
 
 /// Per-round index over semi-naive delta sets. Wraps one round's deltas
 /// (which are immutable for the duration of the round) and builds a
-/// per-(relation, column) index on first probe — but only when the delta
-/// set holds at least `threshold` tuples; below that, Probe* returns
+/// per-(relation, column, family) index on first probe — but only when the
+/// delta set holds at least `threshold` tuples; below that, Probe returns
 /// nullptr and the caller scans the delta linearly. Single-threaded, like
 /// the run that owns it.
 class DeltaIndexer {
@@ -317,33 +278,17 @@ class DeltaIndexer {
       : universe_(&u), delta_(&delta), threshold_(threshold) {}
 
   /// nullptr = delta below threshold; scan linearly.
-  const std::vector<const Tuple*>* Probe(RelId rel, uint32_t col, PathId key);
-  const std::vector<const Tuple*>* ProbeFirst(RelId rel, uint32_t col,
-                                              Value first);
-  const std::vector<const Tuple*>* ProbeLast(RelId rel, uint32_t col,
-                                             Value last);
+  const std::vector<const Tuple*>* Probe(RelId rel, uint32_t col,
+                                         IndexFamily family, uint32_t key);
 
  private:
-  /// Families build independently (per-family flags): a plan step probes
-  /// exactly one family, and this cost recurs every round — unlike
-  /// BaseStore, which builds all three in one amortized pass.
-  struct ColIndexes {
-    std::unordered_map<PathId, std::vector<const Tuple*>> whole;
-    std::unordered_map<Value, std::vector<const Tuple*>> first;
-    std::unordered_map<Value, std::vector<const Tuple*>> last;
-    bool whole_built = false;
-    bool first_built = false;
-    bool last_built = false;
-  };
-
-  /// The (rel, col) slot, or nullptr when the delta is below threshold or
-  /// absent. On success `*tuples` is the delta set to build from.
-  ColIndexes* Slot(RelId rel, uint32_t col, const TupleSet** tuples);
-
   const Universe* universe_;
   const std::map<RelId, TupleSet>* delta_;
   size_t threshold_;
-  std::map<std::pair<RelId, uint32_t>, ColIndexes> built_;
+  /// Families build independently: a plan step probes exactly one
+  /// family, and this cost recurs every round — unlike BaseStore, which
+  /// builds all three in one amortized pass.
+  std::map<std::tuple<RelId, uint32_t, IndexFamily>, BucketMap> built_;
 };
 
 }  // namespace seqdl

@@ -48,8 +48,11 @@ Result<PathId> EvalExpr(Universe& u, const PathExpr& e, const Valuation& v) {
 }
 
 bool AllVarsBound(const PathExpr& e, const Valuation& v) {
-  for (VarId var : VarSet(e)) {
-    if (!v.IsBound(var)) return false;
+  for (const ExprItem& it : e.items) {
+    if (it.is_var() && !v.IsBound(it.var)) return false;
+    if (it.kind == ExprItem::Kind::kPack && !AllVarsBound(*it.pack, v)) {
+      return false;
+    }
   }
   return true;
 }

@@ -1,6 +1,7 @@
 #include "src/engine/plan.h"
 
 #include <set>
+#include <utility>
 
 #include "src/syntax/printer.h"
 
@@ -25,164 +26,97 @@ bool ItemIsGround(const ExprItem& item, const std::set<VarId>& bound) {
   return false;
 }
 
-/// The access path chosen for one scan, before it is written into a
-/// PlanStep. Family ranks double as deterministic tie-break order: an
-/// exact whole-value probe beats the overapproximating first/last-value
-/// probes beats a full scan when estimates are equal.
-struct AccessChoice {
-  enum Family : uint8_t { kWhole = 0, kFirst = 1, kLast = 2, kFull = 3 };
+/// The number of leading and of trailing ground items of `arg`; both are
+/// the item count when the whole argument is ground.
+std::pair<size_t, size_t> GroundRuns(const PathExpr& arg,
+                                     const std::set<VarId>& bound) {
+  size_t n = arg.items.size(), leading = 0, trailing = 0;
+  while (leading < n && ItemIsGround(arg.items[leading], bound)) ++leading;
+  while (trailing < n && ItemIsGround(arg.items[n - 1 - trailing], bound)) {
+    ++trailing;
+  }
+  return {leading, trailing};
+}
 
-  Family family = kFull;
-  int arg = -1;
-  PathExpr key_expr;  // kFirst/kLast: the ground prefix/suffix items.
-  double est = 0.0;
-  bool from_stats = false;
-};
+/// Points `step` at `family`'s index on argument `arg`, whose key the
+/// executor reads off the argument's `run` leading (kFirst) or trailing
+/// (kLast) ground items.
+void SetKey(const Predicate& pred, IndexFamily family, size_t arg, size_t run,
+            PlanStep* step) {
+  step->family = family;
+  step->key_arg = static_cast<uint32_t>(arg);
+  const std::vector<ExprItem>& items = pred.args[arg].items;
+  auto len = static_cast<ptrdiff_t>(run);
+  if (family == IndexFamily::kFirst) {
+    step->key_expr = PathExpr(
+        std::vector<ExprItem>(items.begin(), items.begin() + len));
+  } else if (family == IndexFamily::kLast) {
+    step->key_expr =
+        PathExpr(std::vector<ExprItem>(items.end() - len, items.end()));
+  }
+}
 
 /// Legacy heuristic: the first fully ground argument wins (whole-value
 /// probe); failing that, the argument with the longest non-empty leading
 /// or trailing run of ground items (first/last-value probe), the longer
 /// run winning and prefix winning ties.
-AccessChoice ChooseAccessLegacy(const Predicate& pred,
-                                const std::set<VarId>& bound) {
-  size_t best_prefix_len = 0, best_suffix_len = 0;
-  AccessChoice prefix, suffix;
+void ChooseAccessLegacy(const Predicate& pred, const std::set<VarId>& bound,
+                        PlanStep* step) {
+  size_t first_arg = 0, first_len = 0, last_arg = 0, last_len = 0;
   for (size_t i = 0; i < pred.args.size(); ++i) {
-    const PathExpr& arg = pred.args[i];
-    size_t ground_items = 0;
-    while (ground_items < arg.items.size() &&
-           ItemIsGround(arg.items[ground_items], bound)) {
-      ++ground_items;
+    auto [leading, trailing] = GroundRuns(pred.args[i], bound);
+    if (leading == pred.args[i].items.size()) {
+      return SetKey(pred, IndexFamily::kWhole, i, leading, step);
     }
-    if (ground_items == arg.items.size()) {
-      AccessChoice whole;
-      whole.family = AccessChoice::kWhole;
-      whole.arg = static_cast<int>(i);
-      return whole;
+    if (leading > first_len) {
+      first_arg = i;
+      first_len = leading;
     }
-    if (ground_items > best_prefix_len) {
-      best_prefix_len = ground_items;
-      prefix.family = AccessChoice::kFirst;
-      prefix.arg = static_cast<int>(i);
-      prefix.key_expr = PathExpr(std::vector<ExprItem>(
-          arg.items.begin(),
-          arg.items.begin() + static_cast<ptrdiff_t>(ground_items)));
-    }
-    size_t trailing = 0;
-    while (trailing < arg.items.size() &&
-           ItemIsGround(arg.items[arg.items.size() - 1 - trailing], bound)) {
-      ++trailing;
-    }
-    if (trailing > best_suffix_len) {
-      best_suffix_len = trailing;
-      suffix.family = AccessChoice::kLast;
-      suffix.arg = static_cast<int>(i);
-      suffix.key_expr = PathExpr(std::vector<ExprItem>(
-          arg.items.end() - static_cast<ptrdiff_t>(trailing),
-          arg.items.end()));
+    if (trailing > last_len) {
+      last_arg = i;
+      last_len = trailing;
     }
   }
-  if (best_prefix_len == 0 && best_suffix_len == 0) return AccessChoice();
-  return best_prefix_len >= best_suffix_len ? prefix : suffix;
+  if (first_len == 0 && last_len == 0) return;
+  if (first_len >= last_len) {
+    SetKey(pred, IndexFamily::kFirst, first_arg, first_len, step);
+  } else {
+    SetKey(pred, IndexFamily::kLast, last_arg, last_len, step);
+  }
 }
 
 /// Selectivity-aware model: rank every candidate access path — a
 /// whole-value probe per fully ground argument, a first/last-value probe
 /// per argument with a non-empty ground prefix/suffix run, and the full
 /// scan — by its measured expected bucket size, smallest first. Ties go to
-/// the exacter family, then the lower argument position, keeping plans
-/// deterministic and pinned by tests/planner_test.cc.
-AccessChoice ChooseAccessStats(const Predicate& pred,
-                               const std::set<VarId>& bound,
-                               const StoreStats& stats) {
-  bool known = stats.Knows(pred.rel);
-  AccessChoice best;
-  best.family = AccessChoice::kFull;
-  best.est = stats.EstimateScan(pred.rel);
-  best.from_stats = known;
-  auto consider = [&](AccessChoice cand) {
-    if (cand.est < best.est ||
-        (cand.est == best.est &&
-         (cand.family < best.family ||
-          (cand.family == best.family && cand.arg < best.arg)))) {
-      best = std::move(cand);
+/// the exacter family (enum order), then the lower argument position,
+/// keeping plans deterministic and pinned by tests/planner_test.cc.
+void ChooseAccessStats(const Predicate& pred, const std::set<VarId>& bound,
+                       const StoreStats& stats, PlanStep* step) {
+  IndexFamily best = IndexFamily::kNone;
+  size_t best_arg = 0, best_run = 0;
+  double best_est = stats.EstimateScan(pred.rel);
+  auto consider = [&](IndexFamily family, size_t arg, size_t run) {
+    double est = stats.Estimate(pred.rel, static_cast<uint32_t>(arg), family);
+    if (est < best_est || (est == best_est && family < best)) {
+      best = family;
+      best_arg = arg;
+      best_run = run;
+      best_est = est;
     }
   };
   for (size_t i = 0; i < pred.args.size(); ++i) {
-    const PathExpr& arg = pred.args[i];
-    size_t leading = 0;
-    while (leading < arg.items.size() &&
-           ItemIsGround(arg.items[leading], bound)) {
-      ++leading;
-    }
-    uint32_t col = static_cast<uint32_t>(i);
-    if (leading == arg.items.size()) {
-      AccessChoice whole;
-      whole.family = AccessChoice::kWhole;
-      whole.arg = static_cast<int>(i);
-      whole.est = stats.EstimateWhole(pred.rel, col);
-      whole.from_stats = known;
-      consider(std::move(whole));
+    auto [leading, trailing] = GroundRuns(pred.args[i], bound);
+    if (leading == pred.args[i].items.size()) {
+      consider(IndexFamily::kWhole, i, leading);
       continue;
     }
-    if (leading > 0) {
-      AccessChoice first;
-      first.family = AccessChoice::kFirst;
-      first.arg = static_cast<int>(i);
-      first.key_expr = PathExpr(std::vector<ExprItem>(
-          arg.items.begin(),
-          arg.items.begin() + static_cast<ptrdiff_t>(leading)));
-      first.est = stats.EstimateFirst(pred.rel, col);
-      first.from_stats = known;
-      consider(std::move(first));
-    }
-    size_t trailing = 0;
-    while (trailing < arg.items.size() &&
-           ItemIsGround(arg.items[arg.items.size() - 1 - trailing], bound)) {
-      ++trailing;
-    }
-    if (trailing > 0) {
-      AccessChoice last;
-      last.family = AccessChoice::kLast;
-      last.arg = static_cast<int>(i);
-      last.key_expr = PathExpr(std::vector<ExprItem>(
-          arg.items.end() - static_cast<ptrdiff_t>(trailing),
-          arg.items.end()));
-      last.est = stats.EstimateLast(pred.rel, col);
-      last.from_stats = known;
-      consider(std::move(last));
-    }
+    if (leading > 0) consider(IndexFamily::kFirst, i, leading);
+    if (trailing > 0) consider(IndexFamily::kLast, i, trailing);
   }
-  return best;
-}
-
-AccessChoice ChooseAccess(const Predicate& pred, const std::set<VarId>& bound,
-                          const StoreStats* stats) {
-  return stats == nullptr ? ChooseAccessLegacy(pred, bound)
-                          : ChooseAccessStats(pred, bound, *stats);
-}
-
-/// Writes the chosen access path into the step's key fields.
-void ApplyAccess(AccessChoice choice, bool have_stats, PlanStep* step) {
-  switch (choice.family) {
-    case AccessChoice::kWhole:
-      step->index_arg = choice.arg;
-      break;
-    case AccessChoice::kFirst:
-      step->prefix_arg = choice.arg;
-      step->prefix_expr = std::move(choice.key_expr);
-      break;
-    case AccessChoice::kLast:
-      step->suffix_arg = choice.arg;
-      step->suffix_expr = std::move(choice.key_expr);
-      break;
-    case AccessChoice::kFull:
-      break;
-  }
-  if (have_stats) {
-    step->est_cost = choice.est;
-    step->stats_chosen = choice.from_stats;
-  }
+  if (best != IndexFamily::kNone) SetKey(pred, best, best_arg, best_run, step);
+  step->est_cost = best_est;
+  step->stats_chosen = stats.Knows(pred.rel);
 }
 
 }  // namespace
@@ -212,10 +146,10 @@ Result<RulePlan> PlanRule(const Universe& u, const Rule& r,
   bool forced_pending = opts.first_lit >= 0;
   while (!scans.empty()) {
     size_t pick = 0;
-    // Stats-mode ordering evaluates each candidate's access choice
-    // anyway; the winner's is kept and reused for its plan step.
-    AccessChoice picked;
-    bool have_picked = false;
+    // Stats-mode ordering chooses each candidate's access path anyway;
+    // the winner's step is kept.
+    PlanStep step;
+    bool have_step = false;
     if (forced_pending) {
       forced_pending = false;
       bool found = false;
@@ -254,28 +188,31 @@ Result<RulePlan> PlanRule(const Universe& u, const Rule& r,
         // so the first candidate wins all-equal ties).
         int best_shared = -1;
         for (size_t k = 0; k < scans.size(); ++k) {
-          AccessChoice cand =
-              ChooseAccessStats(r.body[scans[k]].pred, bound, *opts.stats);
+          PlanStep cand;
+          ChooseAccessStats(r.body[scans[k]].pred, bound, *opts.stats, &cand);
           int shared = shared_vars(scans[k]);
-          if (best_shared < 0 || cand.est < picked.est ||
-              (cand.est == picked.est && shared > best_shared)) {
+          if (best_shared < 0 || cand.est_cost < step.est_cost ||
+              (cand.est_cost == step.est_cost && shared > best_shared)) {
             best_shared = shared;
             pick = k;
-            picked = std::move(cand);
-            have_picked = true;
+            step = std::move(cand);
+            have_step = true;
           }
         }
       }
     }
     size_t lit = scans[pick];
     scans.erase(scans.begin() + static_cast<ptrdiff_t>(pick));
-    PlanStep step;
+    if (!have_step) {
+      const Predicate& pred = r.body[lit].pred;
+      if (opts.stats == nullptr) {
+        ChooseAccessLegacy(pred, bound, &step);
+      } else {
+        ChooseAccessStats(pred, bound, *opts.stats, &step);
+      }
+    }
     step.kind = PlanStep::Kind::kScan;
     step.lit_idx = lit;
-    if (!have_picked) {
-      picked = ChooseAccess(r.body[lit].pred, bound, opts.stats);
-    }
-    ApplyAccess(std::move(picked), opts.stats != nullptr, &step);
     plan.steps.push_back(std::move(step));
     std::vector<VarId> vars;
     CollectVars(r.body[lit], &vars);

@@ -5,9 +5,10 @@
 // positive equations in a safety-respecting order, then the negated
 // literals (whose variables are all bound by that point). Planning also
 // picks, per scan, the *access path* the executor uses instead of a full
-// relation scan (see index.h): a whole-value index probe on a fully ground
-// argument position, or a first/last-value probe on an argument with a
-// ground prefix/suffix run.
+// relation scan: an IndexFamily (index_family.h) and the argument whose
+// key it probes — a whole-value probe on a fully ground argument
+// position, or a first/last-value probe on an argument with a ground
+// prefix/suffix run.
 //
 // Two cost models choose among the candidates:
 //
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "src/base/status.h"
+#include "src/engine/index_family.h"
 #include "src/engine/stats.h"
 #include "src/syntax/ast.h"
 #include "src/term/universe.h"
@@ -45,28 +47,21 @@ struct PlanStep {
   Kind kind = Kind::kScan;
   /// Index of the literal in the rule body this step executes.
   size_t lit_idx = 0;
-  /// kScan only: argument position whose variables are all bound before
-  /// this step runs, so the argument evaluates to a ground path usable as
-  /// a whole-value index key. -1 when no position is fully ground.
-  int index_arg = -1;
-  /// kScan only, used when index_arg is -1: argument position with a
-  /// non-empty leading run of ground items. At runtime the prefix
-  /// evaluates to a ground path; if non-empty, its first value keys a
-  /// first-value index probe (a matching tuple must start with it). -1
-  /// when no argument has a ground prefix.
-  int prefix_arg = -1;
-  /// The ground leading items of args[prefix_arg], precomputed so the
-  /// executor evaluates them without rebuilding the expression.
-  PathExpr prefix_expr;
-  /// kScan only, used when index_arg and prefix_arg are both -1: argument
-  /// position with a non-empty trailing run of ground items (the
-  /// suffix-ground shape `$x ++ a`). At runtime the suffix evaluates to a
-  /// ground path; if non-empty, its last value keys a last-value index
-  /// probe (a matching tuple must end with it). -1 when no argument has a
-  /// ground suffix either (full relation scan).
-  int suffix_arg = -1;
-  /// The ground trailing items of args[suffix_arg].
-  PathExpr suffix_expr;
+  /// kScan only: the index family the step probes, or kNone for a full
+  /// relation scan.
+  IndexFamily family = IndexFamily::kNone;
+  /// The argument position whose key the step probes (unless kNone).
+  /// kWhole: every variable of the argument is bound before this step
+  /// runs, so it evaluates to a ground path, the key. kFirst/kLast: the
+  /// argument starts/ends with a non-empty run of ground items; at
+  /// runtime the run evaluates to a ground path whose first/last value
+  /// keys the probe (a matching tuple must start/end with it). A run that
+  /// evaluates to eps constrains nothing, and the step scans everything.
+  uint32_t key_arg = 0;
+  /// kFirst/kLast: the ground leading/trailing items of args[key_arg],
+  /// precomputed so the executor evaluates them without rebuilding the
+  /// expression. Empty otherwise.
+  PathExpr key_expr;
   /// kScan only: the planner's estimate of how many tuples this step
   /// enumerates per probe (mean bucket size of the chosen index family,
   /// or the relation size for a full scan). Negative when the plan was

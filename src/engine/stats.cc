@@ -2,18 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <span>
+#include <optional>
 #include <unordered_map>
-
-#include "src/term/value.h"
 
 namespace seqdl {
 
 namespace {
 
 /// Finalizes one family from a key -> bucket-size count map.
-template <typename Key, typename Hash>
-FamilyStats Finalize(const std::unordered_map<Key, size_t, Hash>& counts) {
+FamilyStats Finalize(const std::unordered_map<uint32_t, size_t>& counts) {
   FamilyStats f;
   f.buckets = counts.size();
   for (const auto& [key, n] : counts) {
@@ -22,6 +19,9 @@ FamilyStats Finalize(const std::unordered_map<Key, size_t, Hash>& counts) {
   }
   return f;
 }
+
+/// Each family's name in ToString rows.
+constexpr FamilyArray<const char*> kFamilyNames{{"whole", "first", "last"}};
 
 std::string FormatFamily(const char* name, const FamilyStats& f) {
   char buf[128];
@@ -41,19 +41,11 @@ const ColumnStats* StoreStats::Find(RelId rel, uint32_t col) const {
   return &it->second.columns[col];
 }
 
-double StoreStats::EstimateWhole(RelId rel, uint32_t col) const {
+double StoreStats::Estimate(RelId rel, uint32_t col,
+                            IndexFamily family) const {
   const ColumnStats* c = Find(rel, col);
-  return c == nullptr ? kUnknownWhole : c->whole.MeanBucket();
-}
-
-double StoreStats::EstimateFirst(RelId rel, uint32_t col) const {
-  const ColumnStats* c = Find(rel, col);
-  return c == nullptr ? kUnknownFirstLast : c->first.MeanBucket();
-}
-
-double StoreStats::EstimateLast(RelId rel, uint32_t col) const {
-  const ColumnStats* c = Find(rel, col);
-  return c == nullptr ? kUnknownFirstLast : c->last.MeanBucket();
+  if (c != nullptr) return (*c)[family].MeanBucket();
+  return family == IndexFamily::kWhole ? kUnknownWhole : kUnknownFirstLast;
 }
 
 double StoreStats::EstimateScan(RelId rel) const {
@@ -70,9 +62,9 @@ void StoreStats::MergeFrom(const StoreStats& other) {
       mine.columns.resize(theirs.columns.size());
     }
     for (size_t col = 0; col < theirs.columns.size(); ++col) {
-      mine.columns[col].whole.MergeFrom(theirs.columns[col].whole);
-      mine.columns[col].first.MergeFrom(theirs.columns[col].first);
-      mine.columns[col].last.MergeFrom(theirs.columns[col].last);
+      for (IndexFamily f : kIndexFamilies) {
+        mine.columns[col][f].MergeFrom(theirs.columns[col][f]);
+      }
     }
   }
 }
@@ -96,9 +88,9 @@ void StoreStats::DiscountFrom(const StoreStats& other) {
       // bucket counts only shrink when a whole key disappears, which we
       // cannot see from the aggregate — keeping them is the conservative
       // estimate (mean bucket sizes shrink, never inflate).
-      m.whole.entries = floor_sub(m.whole.entries, t.whole.entries);
-      m.first.entries = floor_sub(m.first.entries, t.first.entries);
-      m.last.entries = floor_sub(m.last.entries, t.last.entries);
+      for (IndexFamily f : kIndexFamilies) {
+        m[f].entries = floor_sub(m[f].entries, t[f].entries);
+      }
     }
   }
 }
@@ -110,9 +102,9 @@ std::string StoreStats::ToString(const Universe& u) const {
     for (size_t col = 0; col < rs.columns.size(); ++col) {
       const ColumnStats& c = rs.columns[col];
       std::string prefix = "  col " + std::to_string(col) + "  ";
-      out += prefix + FormatFamily("whole", c.whole) + "\n";
-      out += prefix + FormatFamily("first", c.first) + "\n";
-      out += prefix + FormatFamily("last", c.last) + "\n";
+      for (IndexFamily f : kIndexFamilies) {
+        out += prefix + FormatFamily(kFamilyNames[f], c[f]) + "\n";
+      }
     }
   }
   return out;
@@ -127,20 +119,18 @@ StoreStats ComputeInstanceStats(const Universe& u, const Instance& inst) {
     uint32_t arity = u.RelArity(rel);
     rs.columns.resize(arity);
     for (uint32_t col = 0; col < arity; ++col) {
-      std::unordered_map<PathId, size_t, std::hash<PathId>> whole;
-      std::unordered_map<Value, size_t, ValueHash> first, last;
+      FamilyArray<std::unordered_map<uint32_t, size_t>> counts;
       for (const Tuple& t : tuples) {
         if (col >= t.size()) continue;
-        ++whole[t[col]];
-        std::span<const Value> path = u.GetPath(t[col]);
-        if (!path.empty()) {
-          ++first[path.front()];
-          ++last[path.back()];
+        for (IndexFamily f : kIndexFamilies) {
+          if (std::optional<uint32_t> key = FamilyKey(u, f, t[col])) {
+            ++counts[f][*key];
+          }
         }
       }
-      rs.columns[col].whole = Finalize(whole);
-      rs.columns[col].first = Finalize(first);
-      rs.columns[col].last = Finalize(last);
+      for (IndexFamily f : kIndexFamilies) {
+        rs.columns[col][f] = Finalize(counts[f]);
+      }
     }
     stats.relations.emplace(rel, std::move(rs));
   }
@@ -168,10 +158,10 @@ void StoreStats::Scale(double factor) {
       continue;
     }
     for (ColumnStats& c : rs.columns) {
-      for (FamilyStats* f : {&c.whole, &c.first, &c.last}) {
-        f->buckets = scale(f->buckets);
-        f->entries = scale(f->entries);
-        f->max_bucket = scale(f->max_bucket);
+      for (FamilyStats& f : c.of) {
+        f.buckets = scale(f.buckets);
+        f.entries = scale(f.entries);
+        f.max_bucket = scale(f.max_bucket);
       }
     }
     ++it;

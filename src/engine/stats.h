@@ -2,9 +2,9 @@
 // shapes, the input of the selectivity-aware planner (plan.h).
 //
 // For every (relation, column) pair the engine maintains three hash index
-// families (whole-value, first-value, last-value — see index.h). The cost
-// of answering a scan step through one of them is the size of the probed
-// bucket, so the planner ranks candidate access paths by each family's
+// families (whole-value, first-value, last-value — see index_family.h).
+// The cost of answering a scan step through one of them is the size of the
+// probed bucket, so the planner ranks candidate access paths by each family's
 // *mean bucket size*: a near-constant column has one huge bucket (mean ≈
 // relation size, probing it is as bad as a full scan), a high-cardinality
 // key column has singleton buckets (mean ≈ 1). StoreStats carries those
@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "src/engine/index_family.h"
 #include "src/engine/instance.h"
 #include "src/term/universe.h"
 
@@ -60,11 +61,7 @@ struct FamilyStats {
 };
 
 /// All three index families of one column.
-struct ColumnStats {
-  FamilyStats whole;
-  FamilyStats first;
-  FamilyStats last;
-};
+using ColumnStats = FamilyArray<FamilyStats>;
 
 /// One relation: tuple count plus per-column family stats.
 struct RelationStats {
@@ -73,7 +70,7 @@ struct RelationStats {
 };
 
 /// Measured statistics for a whole store, keyed by relation. The planner's
-/// Estimate* accessors fall back to fixed priors for relations the stats
+/// Estimate accessors fall back to fixed priors for relations the stats
 /// never saw (typically IDB relations, whose contents only exist at run
 /// time): a whole-value probe is assumed near-selective, prefix/suffix
 /// probes somewhat less, and a full scan expensive — which reproduces the
@@ -86,12 +83,9 @@ struct StoreStats {
   static constexpr double kUnknownFirstLast = 8.0;
   static constexpr double kUnknownScan = 256.0;
 
-  /// Expected tuples enumerated by a whole-value probe of (rel, col).
-  double EstimateWhole(RelId rel, uint32_t col) const;
-  /// Expected tuples enumerated by a first-value probe of (rel, col).
-  double EstimateFirst(RelId rel, uint32_t col) const;
-  /// Expected tuples enumerated by a last-value probe of (rel, col).
-  double EstimateLast(RelId rel, uint32_t col) const;
+  /// Expected tuples enumerated by a `family` probe of (rel, col);
+  /// `family` is not kNone (EstimateScan prices the full scan).
+  double Estimate(RelId rel, uint32_t col, IndexFamily family) const;
   /// Expected tuples enumerated by a full scan of `rel`.
   double EstimateScan(RelId rel) const;
 

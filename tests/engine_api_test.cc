@@ -4,13 +4,19 @@
 // indexed instance store, and the Database/Session API (database.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
+#include <random>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/engine/database.h"
 #include "src/engine/engine.h"
 #include "src/engine/index.h"
+#include "src/engine/index_family.h"
 #include "src/engine/instance.h"
 #include "src/queries/queries.h"
 #include "src/syntax/parser.h"
@@ -464,20 +470,26 @@ TEST(IndexedInstanceTest, ProbeAgreesWithScan) {
   base.Add(r, {u.PathOfChars("b"), u.PathOfChars("z")});
   IndexedInstance store(u, base);
 
-  EXPECT_EQ(store.Probe(r, 0, u.PathOfChars("a")).size(), 2u);
-  EXPECT_EQ(store.Probe(r, 0, u.PathOfChars("b")).size(), 1u);
-  EXPECT_EQ(store.Probe(r, 0, u.PathOfChars("c")).size(), 0u);
-  EXPECT_EQ(store.Probe(r, 1, u.PathOfChars("z")).size(), 1u);
+  EXPECT_EQ(store.Probe(r, 0, IndexFamily::kWhole, u.PathOfChars("a")).size(),
+            2u);
+  EXPECT_EQ(store.Probe(r, 0, IndexFamily::kWhole, u.PathOfChars("b")).size(),
+            1u);
+  EXPECT_EQ(store.Probe(r, 0, IndexFamily::kWhole, u.PathOfChars("c")).size(),
+            0u);
+  EXPECT_EQ(store.Probe(r, 1, IndexFamily::kWhole, u.PathOfChars("z")).size(),
+            1u);
 
   // Incremental maintenance: new facts land in already-built indexes.
   EXPECT_TRUE(store.Add(r, {u.PathOfChars("a"), u.PathOfChars("w")}));
-  EXPECT_EQ(store.Probe(r, 0, u.PathOfChars("a")).size(), 3u);
+  EXPECT_EQ(store.Probe(r, 0, IndexFamily::kWhole, u.PathOfChars("a")).size(),
+            3u);
   // Duplicates are ignored.
   EXPECT_FALSE(store.Add(r, {u.PathOfChars("a"), u.PathOfChars("w")}));
-  EXPECT_EQ(store.Probe(r, 0, u.PathOfChars("a")).size(), 3u);
+  EXPECT_EQ(store.Probe(r, 0, IndexFamily::kWhole, u.PathOfChars("a")).size(),
+            3u);
 }
 
-TEST(IndexedInstanceTest, ProbeFirstBucketsByLeadingValue) {
+TEST(IndexedInstanceTest, FirstValueProbeBucketsByLeadingValue) {
   Universe u;
   RelId r = *u.InternRel("R", 1);
   Instance base;
@@ -490,15 +502,15 @@ TEST(IndexedInstanceTest, ProbeFirstBucketsByLeadingValue) {
   Value a = Value::Atom(u.InternAtom("a"));
   Value b = Value::Atom(u.InternAtom("b"));
   Value c = Value::Atom(u.InternAtom("c"));
-  EXPECT_EQ(store.ProbeFirst(r, 0, a).size(), 2u);
-  EXPECT_EQ(store.ProbeFirst(r, 0, b).size(), 1u);
-  EXPECT_EQ(store.ProbeFirst(r, 0, c).size(), 0u);
+  EXPECT_EQ(store.Probe(r, 0, IndexFamily::kFirst, a.bits()).size(), 2u);
+  EXPECT_EQ(store.Probe(r, 0, IndexFamily::kFirst, b.bits()).size(), 1u);
+  EXPECT_EQ(store.Probe(r, 0, IndexFamily::kFirst, c.bits()).size(), 0u);
 
   EXPECT_TRUE(store.Add(r, {u.PathOfChars("ad")}));
-  EXPECT_EQ(store.ProbeFirst(r, 0, a).size(), 3u);
+  EXPECT_EQ(store.Probe(r, 0, IndexFamily::kFirst, a.bits()).size(), 3u);
 }
 
-TEST(IndexedInstanceTest, ProbeLastBucketsByTrailingValue) {
+TEST(IndexedInstanceTest, LastValueProbeBucketsByTrailingValue) {
   Universe u;
   RelId r = *u.InternRel("R", 1);
   Instance base;
@@ -512,13 +524,14 @@ TEST(IndexedInstanceTest, ProbeLastBucketsByTrailingValue) {
   Value a = Value::Atom(u.InternAtom("a"));
   Value b = Value::Atom(u.InternAtom("b"));
   Value c = Value::Atom(u.InternAtom("c"));
-  EXPECT_EQ(store.ProbeLast(r, 0, b).size(), 3u);  // ab, cb, b
-  EXPECT_EQ(store.ProbeLast(r, 0, a).size(), 1u);  // ba
-  EXPECT_EQ(store.ProbeLast(r, 0, c).size(), 0u);
+  EXPECT_EQ(store.Probe(r, 0, IndexFamily::kLast, b.bits()).size(),
+            3u);  // ab, cb, b
+  EXPECT_EQ(store.Probe(r, 0, IndexFamily::kLast, a.bits()).size(), 1u);  // ba
+  EXPECT_EQ(store.Probe(r, 0, IndexFamily::kLast, c.bits()).size(), 0u);
 
   // Incremental maintenance mirrors the first-value index.
   EXPECT_TRUE(store.Add(r, {u.PathOfChars("db")}));
-  EXPECT_EQ(store.ProbeLast(r, 0, b).size(), 4u);
+  EXPECT_EQ(store.Probe(r, 0, IndexFamily::kLast, b.bits()).size(), 4u);
 }
 
 TEST(BaseStoreTest, ProbesAgreeAcrossAllThreeFamilies) {
@@ -532,15 +545,152 @@ TEST(BaseStoreTest, ProbesAgreeAcrossAllThreeFamilies) {
 
   Value a = Value::Atom(u.InternAtom("a"));
   Value b = Value::Atom(u.InternAtom("b"));
-  EXPECT_EQ(store.Probe(r, 0, u.PathOfChars("ab")).size(), 1u);
-  EXPECT_EQ(store.Probe(r, 1, u.PathOfChars("x")).size(), 2u);
-  EXPECT_EQ(store.ProbeFirst(r, 0, a).size(), 2u);  // ab, ac
-  EXPECT_EQ(store.ProbeLast(r, 0, b).size(), 2u);   // ab, cb
+  EXPECT_EQ(store.Probe(r, 0, IndexFamily::kWhole, u.PathOfChars("ab")).size(),
+            1u);
+  EXPECT_EQ(store.Probe(r, 1, IndexFamily::kWhole, u.PathOfChars("x")).size(),
+            2u);
+  EXPECT_EQ(store.Probe(r, 0, IndexFamily::kFirst, a.bits()).size(),
+            2u);  // ab, ac
+  EXPECT_EQ(store.Probe(r, 0, IndexFamily::kLast, b.bits()).size(),
+            2u);  // ab, cb
   // Absent relations and out-of-range columns return the empty bucket.
-  EXPECT_EQ(store.Probe(r + 1, 0, kEmptyPath).size(), 0u);
-  EXPECT_EQ(store.Probe(r, 7, kEmptyPath).size(), 0u);
+  EXPECT_EQ(store.Probe(r + 1, 0, IndexFamily::kWhole, kEmptyPath).size(), 0u);
+  EXPECT_EQ(store.Probe(r, 7, IndexFamily::kWhole, kEmptyPath).size(), 0u);
   // One slot per column built (all three families build together).
   EXPECT_EQ(store.NumIndexedColumns(), 2u);
+}
+
+// --- Index families -----------------------------------------------------------
+
+// Whether `t` belongs in the (col, family) bucket of `key`, read off the
+// path itself: the whole-value key is the PathId, the first-/last-value
+// key the bits of a non-empty path's first/last value.
+bool FiledUnder(const Universe& u, const Tuple& t, uint32_t col,
+                IndexFamily family, uint32_t key) {
+  if (col >= t.size()) return false;
+  std::span<const Value> path = u.GetPath(t[col]);
+  switch (family) {
+    case IndexFamily::kWhole:
+      return t[col] == key;
+    case IndexFamily::kFirst:
+      return !path.empty() && path.front().bits() == key;
+    case IndexFamily::kLast:
+      return !path.empty() && path.back().bits() == key;
+    case IndexFamily::kNone:
+      break;
+  }
+  return false;
+}
+
+// The keys a (col, family) probe of `tuples` should try: every key some
+// tuple files under, plus `absent`, which none does.
+std::set<uint32_t> ProbeKeys(const Universe& u, const TupleSet& tuples,
+                             uint32_t col, IndexFamily family,
+                             uint32_t absent) {
+  std::set<uint32_t> keys{absent};
+  for (const Tuple& t : tuples) {
+    std::span<const Value> path = u.GetPath(t[col]);
+    if (family == IndexFamily::kWhole) keys.insert(t[col]);
+    if (path.empty()) continue;
+    if (family == IndexFamily::kFirst) keys.insert(path.front().bits());
+    if (family == IndexFamily::kLast) keys.insert(path.back().bits());
+  }
+  return keys;
+}
+
+// A random path of 0-4 values over three atoms; a value is a packed path
+// of 0-2 atoms one time in three.
+PathId RandomPath(Universe& u, std::mt19937& rng) {
+  const Value atoms[] = {Value::Atom(u.InternAtom("a")),
+                         Value::Atom(u.InternAtom("b")),
+                         Value::Atom(u.InternAtom("c"))};
+  std::vector<Value> values(rng() % 5);
+  for (Value& v : values) {
+    if (rng() % 3 != 0) {
+      v = atoms[rng() % 3];
+      continue;
+    }
+    std::vector<Value> inner(rng() % 3);
+    for (Value& w : inner) w = atoms[rng() % 3];
+    v = Value::Packed(u.InternPath(inner));
+  }
+  return u.InternPath(values);
+}
+
+Tuple RandomTuple(Universe& u, std::mt19937& rng, uint32_t arity) {
+  Tuple t;
+  for (uint32_t i = 0; i < arity; ++i) t.push_back(RandomPath(u, rng));
+  return t;
+}
+
+// Every store answers each (col, family, key) probe with exactly the
+// tuples a linear filter keeps: IndexedInstance across interleaved adds
+// and removes (each family first built at a different point), BaseStore,
+// and DeltaIndexer at threshold 0.
+TEST(IndexFamilyTest, EveryStoreAnswersLikeAScan) {
+  for (uint32_t seed = 1; seed <= 30; ++seed) {
+    Universe u;
+    std::mt19937 rng(seed);
+    uint32_t arity = 1 + seed % 3;
+    RelId rel = *u.InternRel("R", arity);
+    Instance start;
+    size_t n = rng() % 25;
+    for (size_t i = 0; i < n; ++i) start.Add(rel, RandomTuple(u, rng, arity));
+    // No tuple holds atom z, so neither it nor the path `z` is a key.
+    Value z = Value::Atom(u.InternAtom("z"));
+    std::vector<Value> just_z{z};
+    const PathId z_path = u.InternPath(just_z);
+
+    auto check = [&](auto&& probe, const TupleSet& tuples, IndexFamily family,
+                     const char* store) {
+      for (uint32_t col = 0; col < arity; ++col) {
+        uint32_t absent = family == IndexFamily::kWhole ? z_path : z.bits();
+        for (uint32_t key : ProbeKeys(u, tuples, col, family, absent)) {
+          std::multiset<Tuple> got;
+          for (const Tuple* t : probe(col, key)) got.insert(*t);
+          std::multiset<Tuple> want;
+          for (const Tuple& t : tuples) {
+            if (FiledUnder(u, t, col, family, key)) want.insert(t);
+          }
+          EXPECT_EQ(got, want) << store << " seed " << seed << " col " << col
+                               << " family " << static_cast<int>(family)
+                               << " key " << key;
+        }
+      }
+    };
+
+    BaseStore base(u, start);
+    std::map<RelId, TupleSet> delta{{rel, start.Tuples(rel)}};
+    DeltaIndexer delta_idx(u, delta, /*threshold=*/0);
+    for (IndexFamily family : kIndexFamilies) {
+      check([&](uint32_t col, uint32_t key) -> const auto& {
+        return base.Probe(rel, col, family, key);
+      }, base.Tuples(rel), family, "BaseStore");
+      check([&](uint32_t col, uint32_t key) -> const auto& {
+        return *delta_idx.Probe(rel, col, family, key);
+      }, delta.at(rel), family, "DeltaIndexer");
+    }
+
+    // Round r probes the first r families, then adds and removes a few
+    // facts, so each family is first built after a different number of
+    // writes and is then probed again after more.
+    IndexedInstance store(u, start);
+    const size_t families = std::size(kIndexFamilies);
+    for (size_t round = 0; round <= families + 1; ++round) {
+      for (size_t f = 0; f < std::min(round, families); ++f) {
+        IndexFamily family = kIndexFamilies[f];
+        check([&](uint32_t col, uint32_t key) -> const auto& {
+          return store.Probe(rel, col, family, key);
+        }, store.Tuples(rel), family, "IndexedInstance");
+      }
+      for (int i = 0; i < 4; ++i) store.Add(rel, RandomTuple(u, rng, arity));
+      std::vector<Tuple> victims;
+      for (const Tuple& t : store.Tuples(rel)) {
+        if (rng() % 4 == 0) victims.push_back(t);
+      }
+      for (const Tuple& t : victims) EXPECT_TRUE(store.Remove(rel, t));
+    }
+  }
 }
 
 // --- Database/Session ---------------------------------------------------------
@@ -593,16 +743,6 @@ TEST(DatabaseTest, BaseIndexesBuildOncePerColumn) {
   // Re-running probes the already-built indexes; nothing new is built.
   ASSERT_TRUE(session.Run(*prog).ok());
   EXPECT_EQ(db->NumIndexedColumns(), after_first);
-}
-
-TEST(DatabaseTest, EagerIndexesBuildAtOpen) {
-  Universe u;
-  Instance in = MustInstance(u, "R(a ++ b). S(c, d).");
-  Database::OpenOptions opts;
-  opts.eager_indexes = true;
-  Result<Database> db = Database::Open(u, std::move(in), opts);
-  ASSERT_TRUE(db.ok());
-  EXPECT_EQ(db->NumIndexedColumns(), 3u);  // R/0, S/0, S/1
 }
 
 TEST(DatabaseTest, RunsDoNotMutateTheBase) {
@@ -809,22 +949,6 @@ TEST(EpochTest, AutoCompactionFoldsBySegmentCount) {
   EXPECT_EQ(db->NumFacts(), 3u);
 }
 
-TEST(EpochTest, AutoCompactionFoldsByTailRatio) {
-  Universe u;
-  Database::OpenOptions opts;
-  opts.auto_compact_tail_ratio = 0.4;
-  Result<Database> db =
-      Database::Open(u, MustInstance(u, "R(a). R(b). R(c). R(d)."), opts);
-  ASSERT_TRUE(db.ok());
-  // Tail 1/5 = 0.2 <= 0.4: stays stacked.
-  ASSERT_TRUE(db->Append(MustInstance(u, "R(e).")).ok());
-  EXPECT_EQ(db->NumSegments(), 2u);
-  // Tail 5/9 > 0.4: folds.
-  ASSERT_TRUE(db->Append(MustInstance(u, "R(f). R(g). R(h). R(i).")).ok());
-  EXPECT_EQ(db->NumSegments(), 1u);
-  EXPECT_EQ(db->NumFacts(), 9u);
-}
-
 /// `n` facts R(b0) ... R(b<n-1>): a base big enough that small writes
 /// stay below the tail-fold fraction.
 Instance BaseFacts(Universe& u, int n) {
@@ -840,7 +964,7 @@ TEST(EpochTest, TailFoldKeepsTheBaseSegment) {
   Result<Database> db = Database::Open(u, BaseFacts(u, 40), opts);
   ASSERT_TRUE(db.ok());
   const BaseStore* base = &db->base();
-  base->BuildAllIndexes();
+  base->Probe(*u.FindRel("R"), 0, IndexFamily::kWhole, kEmptyPath);
   size_t indexed = db->NumIndexedColumns();
   ASSERT_GT(indexed, 0u);
 

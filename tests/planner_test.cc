@@ -7,6 +7,7 @@
 
 #include "src/engine/database.h"
 #include "src/engine/engine.h"
+#include "src/engine/index_family.h"
 #include "src/engine/instance.h"
 #include "src/engine/plan.h"
 #include "src/engine/stats.h"
@@ -227,7 +228,8 @@ TEST(SelectivityPlannerTest, PicksMostSelectiveWholeKeyOnSkewedData) {
   Result<RulePlan> legacy = PlanRule(u, rule, /*reorder_scans=*/true);
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
   ASSERT_EQ(legacy->steps.size(), 2u);
-  EXPECT_EQ(legacy->steps[1].index_arg, 0);
+  EXPECT_EQ(legacy->steps[1].family, IndexFamily::kWhole);
+  EXPECT_EQ(legacy->steps[1].key_arg, 0u);
 
   // Selectivity-aware: measured mean bucket sizes (20.0 vs 1.0) flip the
   // key to the unique id column.
@@ -236,11 +238,12 @@ TEST(SelectivityPlannerTest, PicksMostSelectiveWholeKeyOnSkewedData) {
   Result<RulePlan> planned = PlanRule(u, rule, opts);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
   ASSERT_EQ(planned->steps.size(), 2u);
-  EXPECT_EQ(planned->steps[1].index_arg, 1);
+  EXPECT_EQ(planned->steps[1].family, IndexFamily::kWhole);
+  EXPECT_EQ(planned->steps[1].key_arg, 1u);
   EXPECT_TRUE(planned->steps[1].stats_chosen);
   EXPECT_DOUBLE_EQ(planned->steps[1].est_cost, 1.0);
   // The P scan stays a full scan, estimated at the relation size.
-  EXPECT_EQ(planned->steps[0].index_arg, -1);
+  EXPECT_EQ(planned->steps[0].family, IndexFamily::kNone);
   EXPECT_DOUBLE_EQ(planned->steps[0].est_cost, 20.0);
 }
 
@@ -264,7 +267,8 @@ TEST(SelectivityPlannerTest, PrefixProbeBeatsNearConstantWholeKey) {
   Result<RulePlan> legacy = PlanRule(u, rule, /*reorder_scans=*/true);
   ASSERT_TRUE(legacy.ok());
   ASSERT_EQ(legacy->steps.size(), 2u);
-  EXPECT_EQ(legacy->steps[1].index_arg, 0);
+  EXPECT_EQ(legacy->steps[1].family, IndexFamily::kWhole);
+  EXPECT_EQ(legacy->steps[1].key_arg, 0u);
 
   // Selectivity-aware: the first-value probe on column 1 (mean bucket
   // 1.0) beats the whole-value probe on column 0 (mean bucket 16.0).
@@ -273,8 +277,8 @@ TEST(SelectivityPlannerTest, PrefixProbeBeatsNearConstantWholeKey) {
   Result<RulePlan> planned = PlanRule(u, rule, opts);
   ASSERT_TRUE(planned.ok());
   ASSERT_EQ(planned->steps.size(), 2u);
-  EXPECT_EQ(planned->steps[1].index_arg, -1);
-  EXPECT_EQ(planned->steps[1].prefix_arg, 1);
+  EXPECT_EQ(planned->steps[1].family, IndexFamily::kFirst);
+  EXPECT_EQ(planned->steps[1].key_arg, 1u);
   EXPECT_TRUE(planned->steps[1].stats_chosen);
   EXPECT_DOUBLE_EQ(planned->steps[1].est_cost, 1.0);
 }
@@ -308,7 +312,8 @@ TEST(SelectivityPlannerTest, ReordersBodyAtomsByEstimatedCost) {
   EXPECT_EQ(planned->steps[0].lit_idx, 1u);
   EXPECT_DOUBLE_EQ(planned->steps[0].est_cost, 2.0);
   EXPECT_EQ(planned->steps[1].lit_idx, 0u);
-  EXPECT_EQ(planned->steps[1].index_arg, 0);
+  EXPECT_EQ(planned->steps[1].family, IndexFamily::kWhole);
+  EXPECT_EQ(planned->steps[1].key_arg, 0u);
 
   // Both plans derive the same facts (the harness checks this at scale;
   // pin it here for the fixture).
@@ -353,9 +358,8 @@ TEST(SelectivityPlannerTest, UnskewedDataPinsLegacyChoices) {
   ASSERT_EQ(planned->steps.size(), legacy->steps.size());
   for (size_t i = 0; i < planned->steps.size(); ++i) {
     EXPECT_EQ(planned->steps[i].lit_idx, legacy->steps[i].lit_idx) << i;
-    EXPECT_EQ(planned->steps[i].index_arg, legacy->steps[i].index_arg) << i;
-    EXPECT_EQ(planned->steps[i].prefix_arg, legacy->steps[i].prefix_arg) << i;
-    EXPECT_EQ(planned->steps[i].suffix_arg, legacy->steps[i].suffix_arg) << i;
+    EXPECT_EQ(planned->steps[i].family, legacy->steps[i].family) << i;
+    EXPECT_EQ(planned->steps[i].key_arg, legacy->steps[i].key_arg) << i;
   }
 }
 
@@ -390,6 +394,83 @@ TEST(SelectivityPlannerTest, ExplainPlanReportsChosenKeys) {
     found |= line.find("whole-value key col 1") != std::string::npos;
   }
   EXPECT_TRUE(found);
+}
+
+// Pins the exact explain text of each access path (whole-value key,
+// first-value key, last-value key, full scan), with and without
+// statistics, and the exact statistics rendering of a two-column
+// relation: operators and tests read both texts.
+TEST(PlannerTest, ExplainTextOfEveryAccessPath) {
+  Universe u;
+  Program p = MustParse(u,
+                        "S(@x) <- P(@x), R(@x, $y).\n"
+                        "F($r) <- P(@a), Q(@a ++ $r).\n"
+                        "L($r) <- P(@a), Q($r ++ @a).\n"
+                        "T(@x) <- P(@x).\n"
+                        "T(@y) <- T(@x), R(@x, @y).\n");
+  Instance in = MustInstance(u,
+                             "P(a).\n"
+                             "R(a, b). R(a, c). R(b, c).\n"
+                             "Q(a ++ b). Q(b ++ a ++ c). Q(c). Q(eps).\n");
+
+  Result<PreparedProgram> legacy = Engine::Compile(u, p);
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  EXPECT_EQ(legacy->ExplainPlan(),
+            "stratum 0\n"
+            "  rule 0: S(@x) <- P(@x), R(@x, $y).\n"
+            "    step 0: scan P: full scan\n"
+            "    step 1: scan R: whole-value key col 0\n"
+            "  rule 1: F($r) <- P(@a), Q(@a\u00b7$r).\n"
+            "    step 0: scan P: full scan\n"
+            "    step 1: scan Q: first-value key col 0 (prefix @a)\n"
+            "  rule 2: L($r) <- P(@a), Q($r\u00b7@a).\n"
+            "    step 0: scan P: full scan\n"
+            "    step 1: scan Q: last-value key col 0 (suffix @a)\n"
+            "  rule 3: T(@x) <- P(@x).\n"
+            "    step 0: scan P: full scan\n"
+            "  rule 4: T(@y) <- T(@x), R(@x, @y).\n"
+            "    step 0: scan T: full scan [delta]\n"
+            "    step 1: scan R: whole-value key col 0\n");
+
+  // With statistics: R's column 0 has buckets {a: 2, b: 1}, Q's column 0
+  // has first values {a, b, c} and last values {b, c, c} (eps files under
+  // neither), and T, derived, has no statistics.
+  Result<Database> db = Database::Open(u, in);
+  ASSERT_TRUE(db.ok());
+  Result<PreparedProgram> planned = db->Compile(p);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  EXPECT_EQ(
+      planned->ExplainPlan(),
+      "stratum 0\n"
+      "  rule 0: S(@x) <- P(@x), R(@x, $y).\n"
+      "    step 0: scan P: full scan, est 1.00 [stats]\n"
+      "    step 1: scan R: whole-value key col 0, est 1.50 [stats]\n"
+      "  rule 1: F($r) <- P(@a), Q(@a\u00b7$r).\n"
+      "    step 0: scan P: full scan, est 1.00 [stats]\n"
+      "    step 1: scan Q: first-value key col 0 (prefix @a), est 1.00 "
+      "[stats]\n"
+      "  rule 2: L($r) <- P(@a), Q($r\u00b7@a).\n"
+      "    step 0: scan P: full scan, est 1.00 [stats]\n"
+      "    step 1: scan Q: last-value key col 0 (suffix @a), est 1.50 "
+      "[stats]\n"
+      "  rule 3: T(@x) <- P(@x).\n"
+      "    step 0: scan P: full scan, est 1.00 [stats]\n"
+      "  rule 4: T(@y) <- T(@x), R(@x, @y).\n"
+      "    step 0: scan R: full scan, est 3.00 [stats]\n"
+      "    step 1: scan T: whole-value key col 0, est 1.00 [prior] [delta]\n");
+
+  // A two-column relation whose three families differ in shape; eps
+  // counts as a whole value only.
+  Instance e = MustInstance(
+      u, "E(a ++ b, x). E(a ++ c, x ++ y). E(b ++ c, eps). E(a, y ++ z).");
+  EXPECT_EQ(ComputeInstanceStats(u, e).ToString(u),
+            "E  tuples=4\n"
+            "  col 0  whole buckets=4 entries=4 mean=1.00 max=1\n"
+            "  col 0  first buckets=2 entries=4 mean=2.00 max=3\n"
+            "  col 0  last  buckets=3 entries=4 mean=1.33 max=2\n"
+            "  col 1  whole buckets=4 entries=4 mean=1.00 max=1\n"
+            "  col 1  first buckets=2 entries=3 mean=1.50 max=2\n"
+            "  col 1  last  buckets=3 entries=3 mean=1.00 max=1\n");
 }
 
 }  // namespace
