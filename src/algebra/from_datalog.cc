@@ -12,17 +12,6 @@ namespace seqdl {
 
 namespace {
 
-// Maximum packing nesting depth of an expression.
-size_t PackDepth(const PathExpr& e) {
-  size_t d = 0;
-  for (const ExprItem& it : e.items) {
-    if (it.kind == ExprItem::Kind::kPack) {
-      d = std::max(d, 1 + PackDepth(*it.pack));
-    }
-  }
-  return d;
-}
-
 class Translator {
  public:
   explicit Translator(Universe& u) : u_(u) {}
@@ -100,10 +89,10 @@ class Translator {
   PathExpr ToColumns(const PathExpr& e, const std::map<VarId, size_t>& pos,
                      size_t offset) {
     ExprSubst subst;
-    for (VarId v : VarSet(e)) {
+    ForEachVar(e, [&](VarId v) {
       auto it = pos.find(v);
       if (it != pos.end()) subst[v] = ColExpr(u_, it->second + offset);
-    }
+    });
     return SubstituteExpr(e, subst);
   }
 
@@ -189,8 +178,13 @@ class Translator {
     SEQDL_ASSIGN_OR_RETURN(AlgebraPtr r2, ExprFor(body.rel));
     size_t m = body.args.size();
 
+    // The deepest packing nesting of the body.
     size_t depth = 0;
-    for (const PathExpr& e : body.args) depth = std::max(depth, PackDepth(e));
+    for (const PathExpr& e : body.args) {
+      FoldExpr(e, [&depth](const ExprItem& it, size_t d) {
+        if (it.kind == ExprItem::Kind::kPack) depth = std::max(depth, d + 1);
+      });
+    }
 
     // U = substring closure of all columns, unpacked `depth` + 1 times.
     AlgebraPtr universe;

@@ -56,37 +56,22 @@ AdmissionVerdict AdmissionReport::Verdict(AdmissionPolicy policy) const {
 
 namespace {
 
-/// Variables limited *directly* by a positive body predicate (without
-/// the equation-propagation fixpoint of LimitedVars): these range over
-/// subpaths of facts that already exist, so they cannot be a source of
-/// growth.
-std::set<VarId> PredicateLimitedVars(const Rule& r) {
-  std::set<VarId> limited;
-  for (const Literal& l : r.body) {
-    if (!l.is_predicate() || l.negated) continue;
-    std::vector<VarId> vs;
-    CollectVars(l, &vs);
-    limited.insert(vs.begin(), vs.end());
-  }
-  return limited;
-}
-
 /// True iff the positive equation can assign some variable an image
 /// longer than (or nested deeper than) any existing path: one side is a
-/// multi-item or packed expression over known (predicate-limited)
-/// variables, and the other side receives it through a variable that is
-/// not predicate-limited. Decomposing equations (multi-item side made of
-/// *unknown* variables matched against a known path) only split existing
-/// paths and are not flagged.
+/// multi-item or packed expression over known variables, and the other
+/// side receives it through an unknown one. The known variables are
+/// `limited`, those of the positive body predicates (the equation
+/// schedule's start set): they range over subpaths of facts that already
+/// exist, so they cannot be a source of growth. Decomposing equations
+/// (multi-item side made of *unknown* variables matched against a known
+/// path) only split existing paths and are not flagged.
 bool IsExpandingEquation(const Literal& l, const std::set<VarId>& limited) {
   if (!l.is_equation() || l.negated) return false;
   auto expands = [&](const PathExpr& s, const PathExpr& t) {
     if (s.size() < 2 && !s.HasPacking()) return false;
-    if (VarSet(s).empty()) return false;  // fixed-length ground image
-    for (VarId v : VarSet(t)) {
-      if (!limited.count(v)) return true;  // t receives the longer image
-    }
-    return false;
+    if (s.IsGround()) return false;  // fixed-length ground image
+    // t receives the longer image through an unknown variable.
+    return !ForEachVar(t, [&](VarId v) { return limited.count(v) > 0; });
   };
   return expands(l.lhs, l.rhs) || expands(l.rhs, l.lhs);
 }
@@ -126,7 +111,7 @@ AdmissionReport AnalyzeAdmission(const Universe& u, const Program& p) {
     // SD301: a head argument concatenates around a variable, so each
     // round can derive a strictly longer path than it consumed.
     for (const PathExpr& arg : r->head.args) {
-      if (arg.size() >= 2 && !VarSet(arg).empty()) {
+      if (arg.size() >= 2 && !arg.IsGround()) {
         Diagnostic d = Diagnostic::Warning(
             "SD301", r->span,
             "recursive rule grows paths: head argument " +
@@ -152,7 +137,7 @@ AdmissionReport AnalyzeAdmission(const Universe& u, const Program& p) {
     }
     // SD303: an equation that manufactures a longer path and feeds it
     // back into the recursion.
-    std::set<VarId> limited = PredicateLimitedVars(*r);
+    std::set<VarId> limited = PredicateVars(*r);
     for (const Literal& l : r->body) {
       if (!IsExpandingEquation(l, limited)) continue;
       Diagnostic d = Diagnostic::Warning(

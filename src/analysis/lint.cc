@@ -17,27 +17,6 @@ std::string FormatVar(const Universe& u, VarId v) {
   return (u.VarKindOf(v) == VarKind::kAtomic ? "@" : "$") + u.VarName(v);
 }
 
-/// Raw occurrence counts of every variable (at any packing depth), unlike
-/// CollectVars which deduplicates.
-void CountVars(const PathExpr& e, std::map<VarId, int>* counts) {
-  for (const ExprItem& it : e.items) {
-    if (it.is_var()) {
-      ++(*counts)[it.var];
-    } else if (it.kind == ExprItem::Kind::kPack) {
-      CountVars(*it.pack, counts);
-    }
-  }
-}
-
-void CountVars(const Literal& l, std::map<VarId, int>* counts) {
-  if (l.is_predicate()) {
-    for (const PathExpr& a : l.pred.args) CountVars(a, counts);
-  } else {
-    CountVars(l.lhs, counts);
-    CountVars(l.rhs, counts);
-  }
-}
-
 /// True iff the equation literal can never hold under any substitution:
 /// a positive equation of two distinct ground expressions, or a negated
 /// equation whose sides are syntactically identical. Ground expressions
@@ -98,8 +77,7 @@ void LintSingletonVars(const Universe& u, const Program& p,
                        DiagnosticList* diags) {
   for (const Rule* r : p.AllRules()) {
     std::map<VarId, int> counts;
-    for (const PathExpr& a : r->head.args) CountVars(a, &counts);
-    for (const Literal& l : r->body) CountVars(l, &counts);
+    ForEachExpr(*r, [&counts](const PathExpr& e) { CountVars(e, &counts); });
     std::vector<VarId> order;
     CollectVars(*r, &order);
     for (VarId v : order) {

@@ -5,10 +5,7 @@
 namespace seqdl {
 
 bool PurityInfo::AllVarsPure(const PathExpr& e) const {
-  for (VarId v : VarSet(e)) {
-    if (!pure_vars.count(v)) return false;
-  }
-  return true;
+  return ForEachVar(e, [this](VarId v) { return IsPure(v); });
 }
 
 bool PurityInfo::RuleAllPure(const Rule& r) const {
@@ -42,9 +39,9 @@ PurityInfo AnalyzePurity(const Rule& r, const std::set<RelId>& flat_rels) {
       auto propagate = [&](const PathExpr& from, const PathExpr& to) {
         if (from.HasPacking()) return;
         if (!info.AllVarsPure(from)) return;
-        for (VarId v : VarSet(to)) {
+        ForEachVar(to, [&](VarId v) {
           changed |= info.pure_vars.insert(v).second;
-        }
+        });
       };
       propagate(l.lhs, l.rhs);
       propagate(l.rhs, l.lhs);

@@ -6,49 +6,62 @@
 
 namespace seqdl {
 
-std::set<VarId> LimitedVars(const Rule& r) {
-  std::set<VarId> limited;
-  // Base: variables of positive body predicates.
+std::set<VarId> PredicateVars(const Rule& r) {
+  std::set<VarId> vars;
+  auto collect = [&vars](const PathExpr& e) {
+    ForEachVar(e, [&vars](VarId v) { vars.insert(v); });
+  };
   for (const Literal& l : r.body) {
-    if (l.is_predicate() && !l.negated) {
-      std::vector<VarId> vars;
-      CollectVars(l, &vars);
-      limited.insert(vars.begin(), vars.end());
-    }
+    if (l.is_predicate() && !l.negated) ForEachExpr(l, collect);
   }
-  // Fixpoint over positive equations.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Literal& l : r.body) {
-      if (!l.is_equation() || l.negated) continue;
-      std::set<VarId> lhs = VarSet(l.lhs), rhs = VarSet(l.rhs);
-      auto all_limited = [&limited](const std::set<VarId>& side) {
-        for (VarId v : side) {
-          if (!limited.count(v)) return false;
-        }
-        return true;
-      };
-      if (all_limited(lhs)) {
-        for (VarId v : rhs) changed |= limited.insert(v).second;
-      }
-      if (all_limited(rhs)) {
-        for (VarId v : lhs) changed |= limited.insert(v).second;
-      }
-    }
-  }
-  return limited;
+  return vars;
 }
 
-bool IsSafeRule(const Rule& r) {
-  std::set<VarId> limited = LimitedVars(r);
+EquationSchedule ScheduleEquations(const Rule& r, std::set<VarId> bound) {
+  EquationSchedule s;
+  s.bound = std::move(bound);
+  std::vector<size_t> pending;
+  for (size_t i = 0; i < r.body.size(); ++i) {
+    if (r.body[i].is_equation() && !r.body[i].negated) pending.push_back(i);
+  }
+  auto all_bound = [&s](const PathExpr& e) {
+    return ForEachVar(e, [&s](VarId v) { return s.bound.count(v) > 0; });
+  };
+  auto bind = [&s](const PathExpr& e) {
+    ForEachVar(e, [&s](VarId v) { s.bound.insert(v); });
+  };
+  for (size_t k = 0; k < pending.size();) {
+    const Literal& l = r.body[pending[k]];
+    bool lhs_bound = all_bound(l.lhs);
+    if (!lhs_bound && !all_bound(l.rhs)) {
+      ++k;
+      continue;
+    }
+    s.steps.push_back({pending[k], lhs_bound});
+    bind(l.lhs);
+    bind(l.rhs);
+    pending.erase(pending.begin() + static_cast<ptrdiff_t>(k));
+    k = 0;
+  }
+  s.complete = pending.empty();
+  return s;
+}
+
+namespace {
+
+/// The variables of `r` that are not limited, in order of first
+/// occurrence.
+std::vector<VarId> UnlimitedVars(const Rule& r) {
+  std::set<VarId> limited = ScheduleEquations(r, PredicateVars(r)).bound;
   std::vector<VarId> all;
   CollectVars(r, &all);
-  for (VarId v : all) {
-    if (!limited.count(v)) return false;
-  }
-  return true;
+  std::erase_if(all, [&limited](VarId v) { return limited.count(v) > 0; });
+  return all;
 }
+
+}  // namespace
+
+bool IsSafeRule(const Rule& r) { return UnlimitedVars(r).empty(); }
 
 Status ValidateProgram(const Universe& u, const Program& p) {
   return ValidateProgram(u, p, nullptr);
@@ -80,13 +93,10 @@ Status ValidateProgram(const Universe& u, const Program& p,
                        DiagnosticList* diags) {
   Status first = Status::OK();
   for (const Rule* r : p.AllRules()) {
-    if (IsSafeRule(*r)) continue;
-    std::set<VarId> limited = LimitedVars(*r);
-    std::vector<VarId> all;
-    CollectVars(*r, &all);
+    std::vector<VarId> vars = UnlimitedVars(*r);
+    if (vars.empty()) continue;
     std::string unlimited;
-    for (VarId v : all) {
-      if (limited.count(v)) continue;
+    for (VarId v : vars) {
       if (!unlimited.empty()) unlimited += ", ";
       unlimited += FormatVar(u, v);
     }

@@ -7,10 +7,17 @@
 //      body are limited, then so are all variables of the other side.
 // A rule is safe iff all its variables are limited. A program is valid iff
 // all rules are safe and negation is stratified w.r.t. the declared strata.
+//
+// ScheduleEquations computes that closure once, as the order in which the
+// positive equations can be solved: the planner runs the equation steps in
+// this order, equation elimination peels equations off its end, and
+// validation reads the limited variables off its bound set.
 #ifndef SEQDL_ANALYSIS_SAFETY_H_
 #define SEQDL_ANALYSIS_SAFETY_H_
 
+#include <cstddef>
 #include <set>
+#include <vector>
 
 #include "src/analysis/diagnostics.h"
 #include "src/base/status.h"
@@ -19,8 +26,34 @@
 
 namespace seqdl {
 
-/// The limited variables of `r`.
-std::set<VarId> LimitedVars(const Rule& r);
+/// The variables of the positive body predicates of `r`: the ones bound
+/// before its equations. (The planner also binds the head's variables
+/// first under PlannerOptions::head_bound.)
+std::set<VarId> PredicateVars(const Rule& r);
+
+/// One positive equation of a rule, in schedule order.
+struct EquationStep {
+  /// The equation's index in the rule body.
+  size_t lit_idx = 0;
+  /// True iff every variable of the left side was bound before this step
+  /// (else the right side's were).
+  bool lhs_bound = false;
+};
+
+struct EquationSchedule {
+  std::vector<EquationStep> steps;
+  /// The variables bound after the steps.
+  std::set<VarId> bound;
+  /// True iff every positive equation of the rule has a step.
+  bool complete = false;
+};
+
+/// Starting from the variables in `bound`, repeatedly takes the first
+/// pending positive equation (in body order) with one side fully bound,
+/// binds both of its sides, and starts over, until none is left or none
+/// qualifies. From PredicateVars(r), the final bound set is the rule's
+/// limited variables.
+EquationSchedule ScheduleEquations(const Rule& r, std::set<VarId> bound);
 
 /// True iff all variables of `r` are limited.
 bool IsSafeRule(const Rule& r);

@@ -48,13 +48,7 @@ Result<PathId> EvalExpr(Universe& u, const PathExpr& e, const Valuation& v) {
 }
 
 bool AllVarsBound(const PathExpr& e, const Valuation& v) {
-  for (const ExprItem& it : e.items) {
-    if (it.is_var() && !v.IsBound(it.var)) return false;
-    if (it.kind == ExprItem::Kind::kPack && !AllVarsBound(*it.pack, v)) {
-      return false;
-    }
-  }
-  return true;
+  return ForEachVar(e, [&v](VarId x) { return v.IsBound(x); });
 }
 
 namespace {

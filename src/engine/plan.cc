@@ -3,38 +3,25 @@
 #include <set>
 #include <utility>
 
+#include "src/analysis/safety.h"
 #include "src/syntax/printer.h"
 
 namespace seqdl {
 
 namespace {
 
-bool ItemIsGround(const ExprItem& item, const std::set<VarId>& bound) {
-  switch (item.kind) {
-    case ExprItem::Kind::kConst:
-      return true;
-    case ExprItem::Kind::kAtomVar:
-    case ExprItem::Kind::kPathVar:
-      return bound.count(item.var) > 0;
-    case ExprItem::Kind::kPack: {
-      for (VarId v : VarSet(*item.pack)) {
-        if (!bound.count(v)) return false;
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
 /// The number of leading and of trailing ground items of `arg`; both are
 /// the item count when the whole argument is ground.
 std::pair<size_t, size_t> GroundRuns(const PathExpr& arg,
                                      const std::set<VarId>& bound) {
+  auto ground = [&bound](const ExprItem& item) {
+    return FoldItem(item, [&bound](const ExprItem& it, size_t) {
+      return !it.is_var() || bound.count(it.var) > 0;
+    });
+  };
   size_t n = arg.items.size(), leading = 0, trailing = 0;
-  while (leading < n && ItemIsGround(arg.items[leading], bound)) ++leading;
-  while (trailing < n && ItemIsGround(arg.items[n - 1 - trailing], bound)) {
-    ++trailing;
-  }
+  while (leading < n && ground(arg.items[leading])) ++leading;
+  while (trailing < n && ground(arg.items[n - 1 - trailing])) ++trailing;
   return {leading, trailing};
 }
 
@@ -126,10 +113,14 @@ Result<RulePlan> PlanRule(const Universe& u, const Rule& r,
   RulePlan plan;
   plan.rule = &r;
   std::set<VarId> bound;
+  auto bind = [&bound](const PathExpr& e) {
+    ForEachVar(e, [&bound](VarId v) { bound.insert(v); });
+  };
+  auto all_bound = [&bound](const PathExpr& e) {
+    return ForEachVar(e, [&bound](VarId v) { return bound.count(v) > 0; });
+  };
   if (opts.head_bound) {
-    std::vector<VarId> head_vars;
-    for (const PathExpr& e : r.head.args) CollectVars(e, &head_vars);
-    bound.insert(head_vars.begin(), head_vars.end());
+    for (const PathExpr& e : r.head.args) bind(e);
   }
 
   // Positive predicate scans. With reordering, greedily pick the cheapest
@@ -214,59 +205,35 @@ Result<RulePlan> PlanRule(const Universe& u, const Rule& r,
     step.kind = PlanStep::Kind::kScan;
     step.lit_idx = lit;
     plan.steps.push_back(std::move(step));
-    std::vector<VarId> vars;
-    CollectVars(r.body[lit], &vars);
-    bound.insert(vars.begin(), vars.end());
+    ForEachExpr(r.body[lit], bind);
   }
 
-  // Positive equations: schedule any whose one side is fully bound.
-  std::vector<size_t> pending;
-  for (size_t i = 0; i < r.body.size(); ++i) {
-    const Literal& l = r.body[i];
-    if (l.is_equation() && !l.negated) pending.push_back(i);
+  // Positive equations, in the safety schedule's order. The scans have
+  // bound every positive predicate's variables by now.
+  EquationSchedule eqs = ScheduleEquations(r, std::move(bound));
+  if (!eqs.complete) {
+    return Status::InvalidArgument("rule is not safe (equations cannot be "
+                                   "ordered): " +
+                                   FormatRule(u, r));
   }
-  while (!pending.empty()) {
-    bool progressed = false;
-    for (size_t k = 0; k < pending.size(); ++k) {
-      const Literal& l = r.body[pending[k]];
-      std::set<VarId> lhs = VarSet(l.lhs), rhs = VarSet(l.rhs);
-      auto all_bound = [&bound](const std::set<VarId>& vs) {
-        for (VarId v : vs) {
-          if (!bound.count(v)) return false;
-        }
-        return true;
-      };
-      if (all_bound(lhs) || all_bound(rhs)) {
-        PlanStep step;
-        step.kind = PlanStep::Kind::kEq;
-        step.lit_idx = pending[k];
-        plan.steps.push_back(std::move(step));
-        bound.insert(lhs.begin(), lhs.end());
-        bound.insert(rhs.begin(), rhs.end());
-        pending.erase(pending.begin() + static_cast<ptrdiff_t>(k));
-        progressed = true;
-        break;
-      }
-    }
-    if (!progressed) {
-      return Status::InvalidArgument("rule is not safe (equations cannot be "
-                                     "ordered): " +
-                                     FormatRule(u, r));
-    }
+  for (const EquationStep& eq : eqs.steps) {
+    PlanStep step;
+    step.kind = PlanStep::Kind::kEq;
+    step.lit_idx = eq.lit_idx;
+    plan.steps.push_back(std::move(step));
   }
+  bound = std::move(eqs.bound);
 
   // Negated literals last; all their variables must be bound.
   for (size_t i = 0; i < r.body.size(); ++i) {
     const Literal& l = r.body[i];
     if (!l.negated) continue;
-    std::vector<VarId> vars;
-    CollectVars(l, &vars);
-    for (VarId v : vars) {
-      if (!bound.count(v)) {
-        return Status::InvalidArgument(
-            "rule is not safe (negated literal with unbound variable): " +
-            FormatRule(u, r));
-      }
+    bool ground = true;
+    ForEachExpr(l, [&](const PathExpr& e) { ground = ground && all_bound(e); });
+    if (!ground) {
+      return Status::InvalidArgument(
+          "rule is not safe (negated literal with unbound variable): " +
+          FormatRule(u, r));
     }
     PlanStep step;
     step.kind =
@@ -276,10 +243,8 @@ Result<RulePlan> PlanRule(const Universe& u, const Rule& r,
   }
 
   // Head variables must be bound.
-  std::vector<VarId> head_vars;
-  for (const PathExpr& e : r.head.args) CollectVars(e, &head_vars);
-  for (VarId v : head_vars) {
-    if (!bound.count(v)) {
+  for (const PathExpr& e : r.head.args) {
+    if (!all_bound(e)) {
       return Status::InvalidArgument(
           "rule is not safe (head variable unbound): " + FormatRule(u, r));
     }

@@ -2,8 +2,9 @@
 //
 // A plan schedules the positive predicate scans first (optionally greedily
 // reordered so each scan joins on already-bound variables), then the
-// positive equations in a safety-respecting order, then the negated
-// literals (whose variables are all bound by that point). Planning also
+// positive equations in the order of the safety schedule
+// (ScheduleEquations, analysis/safety.h), then the negated literals (whose
+// variables are all bound by that point). Planning also
 // picks, per scan, the *access path* the executor uses instead of a full
 // relation scan: an IndexFamily (index_family.h) and the argument whose
 // key it probes — a whole-value probe on a fully ground argument

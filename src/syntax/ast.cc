@@ -49,11 +49,7 @@ bool operator==(const ExprItem& a, const ExprItem& b) {
 }
 
 bool PathExpr::IsGround() const {
-  for (const ExprItem& it : items) {
-    if (it.is_var()) return false;
-    if (it.kind == ExprItem::Kind::kPack && !it.pack->IsGround()) return false;
-  }
-  return true;
+  return ForEachVar(*this, [](VarId) { return false; });
 }
 
 bool PathExpr::HasPacking() const {
@@ -106,28 +102,16 @@ PathExpr ExprOfPath(const Universe& u, PathId p) {
   return out;
 }
 
-namespace {
-void CollectVarsInto(const PathExpr& e, std::vector<VarId>* out,
-                     std::set<VarId>* seen) {
-  for (const ExprItem& it : e.items) {
-    if (it.is_var()) {
-      if (seen->insert(it.var).second) out->push_back(it.var);
-    } else if (it.kind == ExprItem::Kind::kPack) {
-      CollectVarsInto(*it.pack, out, seen);
-    }
-  }
-}
-}  // namespace
-
 void CollectVars(const PathExpr& e, std::vector<VarId>* out) {
-  std::set<VarId> seen(out->begin(), out->end());
-  CollectVarsInto(e, out, &seen);
+  ForEachVar(e, [out](VarId v) {
+    if (std::find(out->begin(), out->end(), v) == out->end()) {
+      out->push_back(v);
+    }
+  });
 }
 
-std::set<VarId> VarSet(const PathExpr& e) {
-  std::vector<VarId> vars;
-  CollectVars(e, &vars);
-  return std::set<VarId>(vars.begin(), vars.end());
+void CountVars(const PathExpr& e, std::map<VarId, int>* counts) {
+  ForEachVar(e, [counts](VarId v) { ++(*counts)[v]; });
 }
 
 Result<PathId> EvalGroundExpr(Universe& u, const PathExpr& e) {
@@ -240,54 +224,33 @@ std::set<RelId> EdbRels(const Program& p) {
 }
 
 void CollectVars(const Literal& l, std::vector<VarId>* out) {
-  if (l.is_predicate()) {
-    for (const PathExpr& e : l.pred.args) CollectVars(e, out);
-  } else {
-    CollectVars(l.lhs, out);
-    CollectVars(l.rhs, out);
-  }
+  ForEachExpr(l, [out](const PathExpr& e) { CollectVars(e, out); });
 }
 
 void CollectVars(const Rule& r, std::vector<VarId>* out) {
-  for (const PathExpr& e : r.head.args) CollectVars(e, out);
-  for (const Literal& l : r.body) CollectVars(l, out);
+  ForEachExpr(r, [out](const PathExpr& e) { CollectVars(e, out); });
 }
 
 Literal SubstituteLiteral(const Literal& l, const ExprSubst& subst) {
   Literal out = l;
-  if (l.is_predicate()) {
-    for (PathExpr& e : out.pred.args) e = SubstituteExpr(e, subst);
-  } else {
-    out.lhs = SubstituteExpr(l.lhs, subst);
-    out.rhs = SubstituteExpr(l.rhs, subst);
-  }
+  ForEachExpr(out, [&subst](PathExpr& e) { e = SubstituteExpr(e, subst); });
   return out;
 }
 
 Rule SubstituteRule(const Rule& r, const ExprSubst& subst) {
-  Rule out;
+  Rule out;  // The source span stays unset: the rule is a new one.
   out.head = r.head;
-  for (PathExpr& e : out.head.args) e = SubstituteExpr(e, subst);
-  for (const Literal& l : r.body) {
-    out.body.push_back(SubstituteLiteral(l, subst));
-  }
+  out.body = r.body;
+  ForEachExpr(out, [&subst](PathExpr& e) { e = SubstituteExpr(e, subst); });
   return out;
 }
 
 bool RuleHasPacking(const Rule& r) {
-  for (const PathExpr& e : r.head.args) {
-    if (e.HasPacking()) return true;
-  }
-  for (const Literal& l : r.body) {
-    if (l.is_predicate()) {
-      for (const PathExpr& e : l.pred.args) {
-        if (e.HasPacking()) return true;
-      }
-    } else {
-      if (l.lhs.HasPacking() || l.rhs.HasPacking()) return true;
-    }
-  }
-  return false;
+  bool packing = false;
+  ForEachExpr(r, [&packing](const PathExpr& e) {
+    packing = packing || e.HasPacking();
+  });
+  return packing;
 }
 
 }  // namespace seqdl

@@ -6,13 +6,29 @@
 // expressions; an *equation* equates two path expressions. Literals are
 // possibly negated atoms; rules are head <- body; programs are sequences of
 // strata.
+//
+// Passes that only read an expression walk it with one fold: FoldExpr calls
+// a callable on every item at every packing depth, in text order, a packed
+// item before its inside, and stops when the callable returns false;
+// ForEachVar is the same fold over the variable occurrences. Passes over a
+// literal or a rule visit its expressions with ForEachExpr: the head's
+// arguments, then each body literal's arguments or its two sides. Both are
+// templates over the callable and allocate nothing. Walks that build,
+// compare or match expressions (SubstituteExpr, EvalGroundExpr, the
+// printer, unification, the matcher) treat a pack each in their own way
+// and recurse themselves.
 #ifndef SEQDL_SYNTAX_AST_H_
 #define SEQDL_SYNTAX_AST_H_
 
+#include <concepts>
+#include <cstddef>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/base/source_span.h"
@@ -87,11 +103,58 @@ PathExpr PackExpr(PathExpr inner);
 /// The ground expression denoting an interned path (packs become <...>).
 PathExpr ExprOfPath(const Universe& u, PathId p);
 
+namespace internal {
+/// Calls `fn(args...)`; true unless it returned false. A callable that
+/// returns nothing never stops a walk.
+template <typename Fn, typename... Args>
+bool Continues(Fn& fn, Args&&... args) {
+  if constexpr (std::is_void_v<std::invoke_result_t<Fn&, Args...>>) {
+    fn(std::forward<Args>(args)...);
+    return true;
+  } else {
+    return static_cast<bool>(fn(std::forward<Args>(args)...));
+  }
+}
+}  // namespace internal
+
+/// Calls `fn(item, depth)` on `item` and then, for a pack, on every item
+/// inside it at `depth + 1`, and so on down. Stops as soon as `fn` returns
+/// false, and returns false iff it stopped.
+template <typename Fn>
+bool FoldItem(const ExprItem& item, Fn&& fn, size_t depth = 0) {
+  if (!internal::Continues(fn, item, depth)) return false;
+  if (item.kind != ExprItem::Kind::kPack) return true;
+  for (const ExprItem& inner : item.pack->items) {
+    if (!FoldItem(inner, fn, depth + 1)) return false;
+  }
+  return true;
+}
+
+/// FoldItem over every item of `e`, in text order; `e`'s own items are at
+/// depth 0.
+template <typename Fn>
+bool FoldExpr(const PathExpr& e, Fn&& fn) {
+  for (const ExprItem& item : e.items) {
+    if (!FoldItem(item, fn)) return false;
+  }
+  return true;
+}
+
+/// Calls `fn(var)` on every variable occurrence of `e` (at any depth), in
+/// text order; stops and returns false as soon as `fn` returns false.
+template <typename Fn>
+bool ForEachVar(const PathExpr& e, Fn&& fn) {
+  return FoldExpr(e, [&fn](const ExprItem& item, size_t) {
+    return !item.is_var() || internal::Continues(fn, item.var);
+  });
+}
+
 /// Collects all variables of `e` (at any depth) into `out`, in order of
-/// first occurrence, without duplicates.
+/// first occurrence, without duplicates (nor repeats of what `out` holds).
 void CollectVars(const PathExpr& e, std::vector<VarId>* out);
-/// Convenience: set form.
-std::set<VarId> VarSet(const PathExpr& e);
+/// Adds the number of occurrences of each variable of `e` (at any depth)
+/// to `counts`.
+void CountVars(const PathExpr& e, std::map<VarId, int>* counts);
 
 /// Evaluates a ground expression to an interned path.
 Result<PathId> EvalGroundExpr(Universe& u, const PathExpr& e);
@@ -164,6 +227,29 @@ std::set<RelId> IdbRels(const Program& p);
 std::set<RelId> EdbRels(const Program& p);
 /// All relation names used by the program.
 std::set<RelId> AllRels(const Program& p);
+
+/// Calls `fn(e)` on every expression of a literal: a predicate's arguments
+/// in order, or an equation's left and then right side. `l` may be const
+/// (fn takes `const PathExpr&`) or not (fn may rewrite `PathExpr&`).
+template <typename L, typename Fn>
+  requires std::same_as<std::remove_const_t<L>, Literal>
+void ForEachExpr(L& l, Fn&& fn) {
+  if (l.is_predicate()) {
+    for (auto& e : l.pred.args) fn(e);
+  } else {
+    fn(l.lhs);
+    fn(l.rhs);
+  }
+}
+
+/// ForEachExpr over a rule: the head's arguments, then each body literal's
+/// expressions in body order.
+template <typename R, typename Fn>
+  requires std::same_as<std::remove_const_t<R>, Rule>
+void ForEachExpr(R& r, Fn&& fn) {
+  for (auto& e : r.head.args) fn(e);
+  for (auto& l : r.body) ForEachExpr(l, fn);
+}
 
 /// Variables occurring anywhere in the literal / rule.
 void CollectVars(const Literal& l, std::vector<VarId>* out);

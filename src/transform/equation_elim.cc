@@ -1,8 +1,6 @@
 #include "src/transform/equation_elim.h"
 
-#include <algorithm>
-#include <set>
-
+#include "src/analysis/safety.h"
 #include "src/syntax/printer.h"
 #include "src/transform/rewrite.h"
 
@@ -17,82 +15,28 @@ bool HasNegatedEquation(const Rule& r) {
   return false;
 }
 
-bool HasPositiveEquation(const Rule& r) {
-  for (const Literal& l : r.body) {
-    if (l.is_equation() && !l.negated) return true;
-  }
-  return false;
-}
-
-// Computes the safety schedule of the positive equations of `r`: the order
-// in which the engine would process them, with, for each, the side whose
-// variables are bound *before* the equation is processed (the "bound
-// side"). Returns false if the rule is unsafe.
-struct ScheduledEq {
-  size_t body_idx;
-  bool lhs_is_bound_side;
-};
-
-bool ScheduleEquations(const Rule& r, std::vector<ScheduledEq>* out) {
-  std::set<VarId> bound;
-  for (const Literal& l : r.body) {
-    if (l.is_predicate() && !l.negated) {
-      std::vector<VarId> vars;
-      CollectVars(l, &vars);
-      bound.insert(vars.begin(), vars.end());
-    }
-  }
-  std::vector<size_t> pending;
-  for (size_t i = 0; i < r.body.size(); ++i) {
-    if (r.body[i].is_equation() && !r.body[i].negated) pending.push_back(i);
-  }
-  auto all_bound = [&bound](const PathExpr& e) {
-    for (VarId v : VarSet(e)) {
-      if (!bound.count(v)) return false;
-    }
-    return true;
-  };
-  while (!pending.empty()) {
-    bool progressed = false;
-    for (size_t k = 0; k < pending.size(); ++k) {
-      const Literal& l = r.body[pending[k]];
-      bool lhs_ok = all_bound(l.lhs);
-      bool rhs_ok = all_bound(l.rhs);
-      if (lhs_ok || rhs_ok) {
-        out->push_back({pending[k], lhs_ok});
-        for (VarId v : VarSet(l.lhs)) bound.insert(v);
-        for (VarId v : VarSet(l.rhs)) bound.insert(v);
-        pending.erase(pending.begin() + static_cast<ptrdiff_t>(k));
-        progressed = true;
-        break;
-      }
-    }
-    if (!progressed) return false;
-  }
-  return true;
-}
-
 // Removes the positive equations of one rule, producing the rule itself (if
 // it has none) or an auxiliary chain (Example 4.4). Output rules belong to
 // the same stratum as `r`.
 Status EliminatePositiveFromRule(Universe& u, const Rule& r,
                                  std::vector<Rule>* out) {
-  if (!HasPositiveEquation(r)) {
-    out->push_back(r);
-    return Status::OK();
-  }
-  std::vector<ScheduledEq> schedule;
-  if (!ScheduleEquations(r, &schedule)) {
+  EquationSchedule schedule = ScheduleEquations(r, PredicateVars(r));
+  if (!schedule.complete) {
     return Status::InvalidArgument("unsafe rule in equation elimination: " +
                                    FormatRule(u, r));
   }
+  if (schedule.steps.empty()) {  // no positive equation
+    out->push_back(r);
+    return Status::OK();
+  }
   // Process the *last* scheduled equation: everything before it in the
   // schedule is self-contained, so the auxiliary rule (which receives the
-  // rest of the positive body) stays safe.
-  const ScheduledEq& last = schedule.back();
-  const Literal& eq = r.body[last.body_idx];
-  const PathExpr& bound_side = last.lhs_is_bound_side ? eq.lhs : eq.rhs;
-  const PathExpr& other_side = last.lhs_is_bound_side ? eq.rhs : eq.lhs;
+  // rest of the positive body) stays safe. Its bound side is the one whose
+  // variables were bound before it.
+  const EquationStep& last = schedule.steps.back();
+  const Literal& eq = r.body[last.lit_idx];
+  const PathExpr& bound_side = last.lhs_bound ? eq.lhs : eq.rhs;
+  const PathExpr& other_side = last.lhs_bound ? eq.rhs : eq.lhs;
 
   // Auxiliary body: all positive literals except the processed equation.
   // Negated literals stay in the main rule (their variables are bound there
@@ -101,7 +45,7 @@ Status EliminatePositiveFromRule(Universe& u, const Rule& r,
   std::vector<Literal> negs;
   for (size_t i = 0; i < r.body.size(); ++i) {
     const Literal& l = r.body[i];
-    if (i == last.body_idx) continue;
+    if (i == last.lit_idx) continue;
     if (l.negated) {
       negs.push_back(l);
     } else {

@@ -358,10 +358,9 @@ Result<int> NormalFormOf(const Universe& u, const Rule& r) {
           prefix &= e.items.size() == 1 && e.items[0].is_var() &&
                     e.items[0].var == bv[i];
         }
-        bool last_ok = true;
-        for (VarId v : VarSet(r.head.args.back())) {
-          last_ok &= bset.count(v) > 0;
-        }
+        bool last_ok = ForEachVar(r.head.args.back(), [&bset](VarId v) {
+          return bset.count(v) > 0;
+        });
         if (prefix && last_ok) return 2;
       }
       // Form 5: head = distinct path variables from the body.

@@ -25,7 +25,8 @@ bool PropagateOnce(Universe& u, Rule* r) {
       const PathExpr& expr_side = flip ? l.lhs : l.rhs;
       if (!var_side.IsSingleVar()) continue;
       VarId v = var_side.items[0].var;
-      if (VarSet(expr_side).count(v)) continue;  // occurs check
+      // Occurs check.
+      if (!ForEachVar(expr_side, [v](VarId w) { return w != v; })) continue;
       if (u.VarKindOf(v) == VarKind::kAtomic) {
         // An atomic variable can only absorb a single atomic item.
         if (expr_side.items.size() != 1) continue;
@@ -37,20 +38,9 @@ bool PropagateOnce(Universe& u, Rule* r) {
       }
       ExprSubst subst;
       subst[v] = expr_side;
-      Rule replaced;
-      replaced.head = r->head;
-      for (PathExpr& e : replaced.head.args) e = SubstituteExpr(e, subst);
-      for (size_t j = 0; j < r->body.size(); ++j) {
-        if (j == i) continue;
-        replaced.body.push_back(SubstituteLiteral(r->body[j], subst));
-      }
-      // Re-substitute the head (already done) and keep going.
-      replaced.head.args.clear();
-      replaced.head.rel = r->head.rel;
-      for (const PathExpr& e : r->head.args) {
-        replaced.head.args.push_back(SubstituteExpr(e, subst));
-      }
-      *r = std::move(replaced);
+      // Drop the equation and substitute the rest of the rule.
+      r->body.erase(r->body.begin() + static_cast<ptrdiff_t>(i));
+      *r = SubstituteRule(*r, subst);
       return true;
     }
   }

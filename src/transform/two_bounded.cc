@@ -37,27 +37,18 @@ std::pair<RelId, RelId> EncodedRels(Universe& u, RelId rel,
   return {r1, r2};
 }
 
-// Collects all path variables appearing in *predicates* of the rule.
+// Collects all path variables appearing in *predicates* of the rule (the
+// head first), in order of first occurrence.
 std::vector<VarId> PredicatePathVars(const Universe& u, const Rule& r) {
   std::vector<VarId> vars;
-  for (const PathExpr& e : r.head.args) CollectVars(e, &vars);
+  auto collect = [&vars](const PathExpr& e) { CollectVars(e, &vars); };
+  for (const PathExpr& e : r.head.args) collect(e);
   for (const Literal& l : r.body) {
-    if (l.is_predicate()) {
-      for (const PathExpr& e : l.pred.args) CollectVars(e, &vars);
-    }
+    if (l.is_predicate()) ForEachExpr(l, collect);
   }
-  std::vector<VarId> out;
-  for (VarId v : vars) {
-    if (u.VarKindOf(v) == VarKind::kPath) out.push_back(v);
-  }
-  return out;
-}
-
-bool HasPathVar(const Universe& u, const PathExpr& e) {
-  for (VarId v : VarSet(e)) {
-    if (u.VarKindOf(v) == VarKind::kPath) return true;
-  }
-  return false;
+  std::erase_if(vars,
+                [&u](VarId v) { return u.VarKindOf(v) != VarKind::kPath; });
+  return vars;
 }
 
 }  // namespace
@@ -145,6 +136,10 @@ Result<Program> SimulateTwoBounded(Universe& u, const Program& p,
     // some positive equation has a path-variable-free side.
     std::deque<Rule> eq_work(no_pred_pathvars.begin(), no_pred_pathvars.end());
     std::deque<Rule> no_pathvars;
+    auto has_path_var = [&u](const PathExpr& e) {
+      return !ForEachVar(
+          e, [&u](VarId v) { return u.VarKindOf(v) != VarKind::kPath; });
+    };
     while (!eq_work.empty()) {
       Rule r = std::move(eq_work.front());
       eq_work.pop_front();
@@ -155,7 +150,7 @@ Result<Program> SimulateTwoBounded(Universe& u, const Program& p,
       for (size_t i = 0; i < r.body.size(); ++i) {
         const Literal& l = r.body[i];
         if (!l.is_equation() || l.negated) continue;
-        bool lp = HasPathVar(u, l.lhs), rp = HasPathVar(u, l.rhs);
+        bool lp = has_path_var(l.lhs), rp = has_path_var(l.rhs);
         if (!lp && !rp) continue;
         if (!lp || !rp) {
           idx = i;
@@ -170,7 +165,7 @@ Result<Program> SimulateTwoBounded(Universe& u, const Program& p,
         bool any = false;
         for (const Literal& l : r.body) {
           if (l.is_equation()) {
-            any |= HasPathVar(u, l.lhs) || HasPathVar(u, l.rhs);
+            any |= has_path_var(l.lhs) || has_path_var(l.rhs);
           }
         }
         if (any) {

@@ -10,17 +10,6 @@ namespace seqdl {
 
 namespace {
 
-// Occurrence counting for the one-sided nonlinearity check.
-void CountVars(const PathExpr& e, std::map<VarId, int>* counts) {
-  for (const ExprItem& it : e.items) {
-    if (it.is_var()) {
-      ++(*counts)[it.var];
-    } else if (it.kind == ExprItem::Kind::kPack) {
-      CountVars(*it.pack, counts);
-    }
-  }
-}
-
 // Structural key of an equation, used for cycle detection in the rewrite
 // graph. Variables are not canonicalized: the pig-pug rules reuse variable
 // names, so a diverging rewrite reproduces a literally identical equation.

@@ -223,6 +223,28 @@ TEST(ValidateProgramTest, RejectsUnsafeRule) {
   EXPECT_FALSE(ValidateProgram(u, p).ok());
 }
 
+// An equation chain written in reverse dependency order limits $y and
+// then $z; the equation over $v and $u has no limited side, so SD010's
+// note lists those two in order of first occurrence in the rule (the
+// first rule interns $u before $v, so that is not VarId order).
+TEST(ValidateProgramTest, UnsafeRuleNotesEveryUnlimitedVariable) {
+  Universe u;
+  Program p = MustParse(
+      u, "P($u, $v) <- R($u ++ $v).\n"
+         "S($z) <- R($x), $z = $y ++ b, $v ++ a = $u ++ @w, $y = $x, "
+         "Q(@w).");
+  DiagnosticList diags;
+  Status s = ValidateProgram(u, p, &diags);
+  EXPECT_EQ(s.ToString(),
+            "InvalidArgument: unsafe rule: S($z) <- R($x), "
+            "$z = $y\u00b7b, $v\u00b7a = $u\u00b7@w, $y = $x, Q(@w).");
+  EXPECT_EQ(diags.RenderText(),
+            "2:1: error: unsafe rule: S($z) <- R($x), $z = $y\u00b7b, "
+            "$v\u00b7a = $u\u00b7@w, $y = $x, Q(@w). [SD010]\n"
+            "  note: variables not limited by a positive body literal: "
+            "$v, $u\n");
+}
+
 TEST(ValidateProgramTest, RejectsUseBeforeDefinition) {
   Universe u;
   Program p = MustParse(u, "S($x) <- T($x).\n---\nT($x) <- R($x).");

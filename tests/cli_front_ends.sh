@@ -7,7 +7,8 @@
 # out: its line carries a timing. `seqdl run` must print what `seqdl
 # query run` prints, in memory and over a seeded and a recovered data
 # directory. Malformed numeric flags must be usage errors (exit 2), not
-# silently wrapped or truncated values.
+# silently wrapped or truncated values, and so must a flag the subcommand
+# does not read: every subcommand gets one misspelled flag.
 #
 #   tests/cli_front_ends.sh <path to the seqdl binary>
 set -euo pipefail
@@ -137,6 +138,24 @@ expect_usage_error serve edb.sdl --threads=2x
 expect_usage_error query --connect=127.0.0.1:70000 epoch
 expect_usage_error coordinate --shards=127.0.0.1:1 --listen=70000
 expect_usage_error coordinate --shards=127.0.0.1:1 --io-timeout-ms=5s
+
+# A misspelled flag stops each subcommand before it reads a file, opens a
+# data directory, connects or binds a port.
+expect_usage_error run derive.sdl runedb.sdl --outptu=T
+expect_usage_error serve edb.sdl --datadir=typo --sync=always
+expect_usage_error serve edb.sdl --data-dir typo
+if [ -e typo ]; then
+  echo "FAIL: serve with a misspelled flag left a data directory behind"
+  failed=1
+fi
+expect_usage_error coordinate --shards=127.0.0.1:1 --listne=0
+expect_usage_error query --connect=127.0.0.1:1 --stat epoch
+expect_usage_error check reach.sdl --jsn
+expect_usage_error transform reach.sdl --elimnate=all
+expect_usage_error normalform reach.sdl --verbose
+expect_usage_error algebra reach.sdl R --verbose
+expect_usage_error hasse --dto
+expect_usage_error regex 'a*' --verbose
 
 if [ "$failed" -ne 0 ]; then exit 1; fi
 echo "front ends agree: $(wc -l < stdin.out) stdout lines, 2 error lines;" \

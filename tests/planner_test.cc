@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/engine/database.h"
 #include "src/engine/engine.h"
@@ -471,6 +473,74 @@ TEST(PlannerTest, ExplainTextOfEveryAccessPath) {
             "  col 1  whole buckets=4 entries=4 mean=1.00 max=1\n"
             "  col 1  first buckets=2 entries=3 mean=1.50 max=2\n"
             "  col 1  last  buckets=3 entries=3 mean=1.00 max=1\n");
+}
+
+// Pins the order of the equation steps: the planner binds the first
+// pending positive equation (in body order) with one side fully bound,
+// then starts over, and runs the negated literals last in body order.
+// `first_lit` reorders only the scans; `head_bound` seeds the head's
+// variables, so an equation whose side is the head can go first.
+TEST(PlannerTest, EquationStepsFollowTheSchedule) {
+  using K = PlanStep::Kind;
+  using Steps = std::vector<std::pair<K, size_t>>;
+  struct Case {
+    const char* rule;
+    int first_lit;
+    Steps plain, first, head_bound;
+  };
+  const Case cases[] = {
+      // A chain written in reverse dependency order: $y = $x ++ b binds
+      // $y, which then bounds the first equation's right side.
+      {"T($z) <- R($x), S($x), $z = $y ++ a, $y = $x ++ b.", 1,
+       {{K::kScan, 0}, {K::kScan, 1}, {K::kEq, 3}, {K::kEq, 2}},
+       {{K::kScan, 1}, {K::kScan, 0}, {K::kEq, 3}, {K::kEq, 2}},
+       {{K::kScan, 0}, {K::kScan, 1}, {K::kEq, 2}, {K::kEq, 3}}},
+      // Only the right side is bound.
+      {"T($y) <- R($x), $y ++ a = $x.", 0,
+       {{K::kScan, 0}, {K::kEq, 1}},
+       {{K::kScan, 0}, {K::kEq, 1}},
+       {{K::kScan, 0}, {K::kEq, 1}}},
+      // A negated equation and a negated predicate run after the positive
+      // equation that binds their variable, in body order.
+      {"T($x) <- !Q($y), R($x, $w), $x ++ $y != a, P($w), $y = $w ++ b.", 3,
+       {{K::kScan, 1}, {K::kScan, 3}, {K::kEq, 4}, {K::kNegPred, 0},
+        {K::kNegEq, 2}},
+       {{K::kScan, 3}, {K::kScan, 1}, {K::kEq, 4}, {K::kNegPred, 0},
+        {K::kNegEq, 2}},
+       {{K::kScan, 1}, {K::kScan, 3}, {K::kEq, 4}, {K::kNegPred, 0},
+        {K::kNegEq, 2}}},
+  };
+  auto steps_of = [](const Universe& u, const Rule& r,
+                     const PlannerOptions& opts) {
+    Result<RulePlan> plan = PlanRule(u, r, opts);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    Steps out;
+    if (!plan.ok()) return out;
+    for (const PlanStep& s : plan->steps) out.emplace_back(s.kind, s.lit_idx);
+    return out;
+  };
+  for (const Case& c : cases) {
+    Universe u;
+    Result<Rule> r = ParseRule(u, c.rule);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    PlannerOptions opts;
+    EXPECT_EQ(steps_of(u, *r, opts), c.plain) << c.rule;
+    opts.first_lit = c.first_lit;
+    EXPECT_EQ(steps_of(u, *r, opts), c.first) << c.rule << " first_lit";
+    opts.first_lit = -1;
+    opts.head_bound = true;
+    EXPECT_EQ(steps_of(u, *r, opts), c.head_bound) << c.rule << " head_bound";
+  }
+
+  // Planned without validation, an unsafe rule fails on its equations.
+  Universe u;
+  Result<Rule> unsafe = ParseRule(u, "T($x) <- R($x), $y = $z.");
+  ASSERT_TRUE(unsafe.ok());
+  Result<RulePlan> plan = PlanRule(u, *unsafe, PlannerOptions());
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().ToString(),
+            "InvalidArgument: rule is not safe (equations cannot be "
+            "ordered): T($x) <- R($x), $y = $z.");
 }
 
 }  // namespace

@@ -100,7 +100,9 @@
 //           shutdown                   drain and stop the server
 //
 //   Numeric flags of serve, coordinate and query are strict: a value
-//   with trailing bytes or out of range is a usage error (exit 2).
+//   with trailing bytes or out of range is a usage error (exit 2). So is
+//   a flag the subcommand does not read (a typo like --datadir=DIR, or
+//   --data-dir DIR without the '='), for every subcommand.
 //   HOST:PORT takes a dotted quad or "localhost" and a port from 1 to
 //   65535.
 //
@@ -141,6 +143,7 @@
 #include <cstdio>
 #include <deque>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <iterator>
 #include <limits>
@@ -246,6 +249,27 @@ std::vector<std::string> PositionalArgs(const std::vector<std::string>& args) {
   return out;
 }
 
+/// True iff every `--` argument is one of `flags`: a switch ("--stats")
+/// or a value prefix ("--sync="). Otherwise prints the first one that is
+/// not and returns false, and `command` exits 2 before it reads a file,
+/// opens a directory or binds a port.
+bool OnlyKnownFlags(const std::vector<std::string>& args, const char* command,
+                    std::initializer_list<std::string_view> flags) {
+  for (const std::string& a : args) {
+    if (a.rfind("--", 0) != 0) continue;
+    bool known = false;
+    for (std::string_view f : flags) {
+      known = known || (f.back() == '=' ? a.rfind(f, 0) == 0 : a == f);
+    }
+    if (!known) {
+      std::fprintf(stderr, "error: unknown flag '%s' for %s\n", a.c_str(),
+                   command);
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Parses `text`, the value of `what`, into *out. The whole text must be
 /// a number from `lo` to `hi`: trailing bytes ("64M") or a value out of
 /// range (a port of 70000) print a usage error and return false, and the
@@ -335,6 +359,12 @@ void PrintScanTable(const seqdl::EvalStats& stats) {
 // or recovering --data-dir), compile through it, run one snapshot, and
 // print the derived facts the way `serve` and `query` print them.
 int CmdRun(const std::vector<std::string>& args) {
+  if (!OnlyKnownFlags(args, "run",
+                      {"--data-dir=", "--sync=", "--output=", "--naive",
+                       "--no-index", "--stats", "--explain",
+                       "--legacy-planner"})) {
+    return 2;
+  }
   std::vector<std::string> pos = PositionalArgs(args);
   seqdl::Database::OpenOptions dbopts;
   if (!ApplyStorageFlags(args, &dbopts)) return 2;
@@ -740,6 +770,12 @@ int CmdServe(const std::vector<std::string>& args) {
       "[--listen=PORT] [--admission=off|budget|strict]\n"
       "(the instance is required without --data-dir, and when "
       "initializing a fresh data directory it seeds the EDB)\n";
+  if (!OnlyKnownFlags(args, "serve",
+                      {"--data-dir=", "--sync=", "--stats", "--threads=",
+                       "--recompile-drift=", "--auto-compact=",
+                       "--cache-bytes=", "--listen=", "--admission="})) {
+    return 2;
+  }
   std::vector<std::string> pos = PositionalArgs(args);
   std::string data_dir = FlagValue(args, "--data-dir=");
   if (pos.empty() && data_dir.empty()) {
@@ -885,6 +921,12 @@ int CmdCoordinate(const std::vector<std::string>& args) {
       "[--listen=PORT] [--threads=N] [--broadcast=REL[,REL...]] "
       "[--pin=REL=SHARD[,REL=SHARD...]] [--connect-timeout-ms=N] "
       "[--io-timeout-ms=N] [--cache-entries=N] [--no-forward-shutdown]\n";
+  if (!OnlyKnownFlags(args, "coordinate",
+                      {"--shards=", "--listen=", "--threads=", "--broadcast=",
+                       "--pin=", "--connect-timeout-ms=", "--io-timeout-ms=",
+                       "--cache-entries=", "--no-forward-shutdown"})) {
+    return 2;
+  }
   std::string shards_spec = FlagValue(args, "--shards=");
   if (shards_spec.empty()) {
     std::fprintf(stderr, "%s", usage);
@@ -967,6 +1009,7 @@ int CmdCoordinate(const std::vector<std::string>& args) {
 // Client for a `seqdl serve --listen` server or a `seqdl coordinate`
 // front end: sends one command's request and prints the reply.
 int CmdQuery(const std::vector<std::string>& args) {
+  if (!OnlyKnownFlags(args, "query", {"--connect=", "--stats"})) return 2;
   std::string endpoint = FlagValue(args, "--connect=");
   std::vector<std::string> words = PositionalArgs(args);
   if (endpoint.empty() || words.empty()) {
@@ -1007,6 +1050,10 @@ int CmdCheck(const std::vector<std::string>& args) {
     std::fprintf(stderr,
                  "usage: seqdl check <program> [--json] [--output=REL] "
                  "[--admission=off|budget|strict] [--werror]\n");
+    return 2;
+  }
+  if (!OnlyKnownFlags(args, "check",
+                      {"--json", "--output=", "--admission=", "--werror"})) {
     return 2;
   }
   const std::string& source = args[0];
@@ -1110,6 +1157,7 @@ int CmdTransform(const std::vector<std::string>& args) {
                          "--eliminate=packing|equations|arity|all\n");
     return 2;
   }
+  if (!OnlyKnownFlags(args, "transform", {"--eliminate="})) return 2;
   seqdl::Universe u;
   auto text = ReadFile(args[0]);
   if (!text.ok()) return ReportError(text.status());
@@ -1169,6 +1217,7 @@ int CmdNormalForm(const std::vector<std::string>& args) {
     std::fprintf(stderr, "usage: seqdl normalform <program>\n");
     return 2;
   }
+  if (!OnlyKnownFlags(args, "normalform", {})) return 2;
   seqdl::Universe u;
   auto text = ReadFile(args[0]);
   if (!text.ok()) return ReportError(text.status());
@@ -1197,6 +1246,7 @@ int CmdAlgebra(const std::vector<std::string>& args) {
     std::fprintf(stderr, "usage: seqdl algebra <program> <REL>\n");
     return 2;
   }
+  if (!OnlyKnownFlags(args, "algebra", {})) return 2;
   seqdl::Universe u;
   auto text = ReadFile(args[0]);
   if (!text.ok()) return ReportError(text.status());
@@ -1211,6 +1261,7 @@ int CmdAlgebra(const std::vector<std::string>& args) {
 }
 
 int CmdHasse(const std::vector<std::string>& args) {
+  if (!OnlyKnownFlags(args, "hasse", {"--dot"})) return 2;
   seqdl::HasseDiagram d = seqdl::BuildHasseDiagram();
   if (HasFlag(args, "--dot")) {
     std::printf("%s", seqdl::HasseToDot(d).c_str());
@@ -1225,6 +1276,7 @@ int CmdRegex(const std::vector<std::string>& args) {
     std::fprintf(stderr, "usage: seqdl regex <pattern>\n");
     return 2;
   }
+  if (!OnlyKnownFlags(args, "regex", {})) return 2;
   seqdl::Universe u;
   auto q = seqdl::RegexToDatalog(u, args[0]);
   if (!q.ok()) return ReportError(q.status());
