@@ -68,7 +68,8 @@ constexpr char kReach[] =
 std::string JoinEdb() {
   std::string out;
   for (int k = 0; k < 256; ++k) {
-    const std::string key = "k" + std::to_string(k);
+    std::string key = "k";
+    key += std::to_string(k);
     for (int i = 0; i < 6; ++i) {
       out += "E(" + key + ", a" + std::to_string(i) + ").\n";
       out += "F(" + key + ", b" + std::to_string(i) + ").\n";

@@ -119,7 +119,9 @@ bool MakeSkewedWorkload(Universe& u, size_t n, SkewedWorkload* w) {
   RelId r_rel = *u.FindRel("R");
   Value tag = Value::Atom(u.InternAtom("t"));
   for (size_t k = 0; k < n; ++k) {
-    Value id = Value::Atom(u.InternAtom("i" + std::to_string(k)));
+    std::string name = "i";
+    name += std::to_string(k);
+    Value id = Value::Atom(u.InternAtom(name));
     std::vector<Value> pair = {tag, id};
     w->input.Add(p_rel, {u.InternPath(pair)});
     w->input.Add(r_rel, {u.SingletonPath(tag), u.SingletonPath(id)});
@@ -333,7 +335,9 @@ struct DeltaWorkload {
     Graph g = RandomGraph(gw);
     RelId e = *u.FindRel("E");  // arity 2, declared by the program
     auto node = [&u](uint32_t n) {
-      return u.SingletonPath(Value::Atom(u.InternAtom("n" + std::to_string(n))));
+      std::string name = "n";
+      name += std::to_string(n);
+      return u.SingletonPath(Value::Atom(u.InternAtom(name)));
     };
     for (const auto& [from, to] : g.edges) {
       base.Add(e, {node(from), node(to)});

@@ -53,8 +53,9 @@ void BM_UnifySplits(benchmark::State& state) {
   Universe u;
   PathExpr lhs, rhs;
   for (size_t i = 0; i < k; ++i) {
-    lhs.items.push_back(ExprItem::PathVar(
-        u.InternVar(VarKind::kPath, "x" + std::to_string(i))));
+    std::string name = "x";
+    name += std::to_string(i);
+    lhs.items.push_back(ExprItem::PathVar(u.InternVar(VarKind::kPath, name)));
   }
   for (size_t i = 0; i < n; ++i) {
     rhs.items.push_back(ExprItem::Const(Value::Atom(u.InternAtom("a"))));
@@ -99,8 +100,9 @@ void BM_UnifyPackShapes(benchmark::State& state) {
   for (size_t d = 0; d < depth; ++d) {
     PathExpr inner = lhs;
     lhs = PathExpr();
-    lhs.items.push_back(ExprItem::PathVar(
-        u.InternVar(VarKind::kPath, "w" + std::to_string(d))));
+    std::string name = "w";
+    name += std::to_string(d);
+    lhs.items.push_back(ExprItem::PathVar(u.InternVar(VarKind::kPath, name)));
     lhs.items.push_back(ExprItem::Pack(inner));
   }
   PathExpr rhs = MustExpr(u, "$x");

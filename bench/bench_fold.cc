@@ -21,8 +21,10 @@ std::string ChainProgram(size_t levels) {
       "T0($x) <- R(a ++ $x).\n"
       "T0($x) <- R(b ++ $x).\n";
   for (size_t i = 1; i < levels; ++i) {
-    std::string prev = "T" + std::to_string(i - 1);
-    std::string cur = "T" + std::to_string(i);
+    std::string prev = "T";
+    prev += std::to_string(i - 1);
+    std::string cur = "T";
+    cur += std::to_string(i);
     text += cur + "($x) <- " + prev + "($x ++ a).\n";
     text += cur + "($x) <- " + prev + "($x ++ b).\n";
   }

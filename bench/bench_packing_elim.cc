@@ -19,8 +19,11 @@ namespace {
 std::string NestedPipelineProgram(size_t depth) {
   std::string text = "T0(<$x>) <- R($x).\n";
   for (size_t d = 1; d < depth; ++d) {
-    text += "T" + std::to_string(d) + "(<$x>) <- T" + std::to_string(d - 1) +
-            "($x).\n";
+    text += "T";
+    text += std::to_string(d);
+    text += "(<$x>) <- T";
+    text += std::to_string(d - 1);
+    text += "($x).\n";
   }
   std::string inner = "$x";
   for (size_t d = 0; d < depth; ++d) inner = "<" + inner + ">";
@@ -85,7 +88,9 @@ void BM_EliminateWithPurification(benchmark::State& state) {
   std::string text;
   for (size_t i = 0; i < eqs; ++i) {
     std::string xi = "$z" + std::to_string(i);
-    text += "T" + std::to_string(i) + "(<$y0> ++ $y0) <- R($y0).\n";
+    text += "T";
+    text += std::to_string(i);
+    text += "(<$y0> ++ $y0) <- R($y0).\n";
   }
   text += "S($y0) <- R($y0)";
   for (size_t i = 0; i < eqs; ++i) {

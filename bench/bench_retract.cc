@@ -48,9 +48,12 @@ struct RetractWorkload {
     constexpr size_t kChainLen = 32;
     RelId e = *u.FindRel("E");
     auto edge = [&](size_t from, size_t to) {
-      std::vector<Value> path = {
-          Value::Atom(u.InternAtom("n" + std::to_string(from))),
-          Value::Atom(u.InternAtom("n" + std::to_string(to)))};
+      std::string from_name = "n";
+      from_name += std::to_string(from);
+      std::string to_name = "n";
+      to_name += std::to_string(to);
+      std::vector<Value> path = {Value::Atom(u.InternAtom(from_name)),
+                                 Value::Atom(u.InternAtom(to_name))};
       return Tuple{u.InternPath(path)};
     };
     size_t chains = nodes / kChainLen;

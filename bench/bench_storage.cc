@@ -67,10 +67,12 @@ Instance MakeFacts(Universe& u, size_t facts) {
   RelId p = *u.InternRel("P", 1);
   size_t nodes = facts;
   for (size_t i = 0; i < facts; ++i) {
-    std::vector<Value> from = {
-        Value::Atom(u.InternAtom("n" + std::to_string(i)))};
-    std::vector<Value> to = {
-        Value::Atom(u.InternAtom("n" + std::to_string((i + 1) % nodes)))};
+    std::string from_name = "n";
+    from_name += std::to_string(i);
+    std::string to_name = "n";
+    to_name += std::to_string((i + 1) % nodes);
+    std::vector<Value> from = {Value::Atom(u.InternAtom(from_name))};
+    std::vector<Value> to = {Value::Atom(u.InternAtom(to_name))};
     if (i % 8 == 0) {
       std::vector<Value> path = {from[0], to[0]};
       out.Add(p, Tuple{u.InternPath(path)});
@@ -87,7 +89,10 @@ Instance MakeBatch(Universe& u, size_t round, size_t batch) {
   Instance out;
   RelId e = *u.InternRel("E", 2);
   for (size_t i = 0; i < batch; ++i) {
-    std::string stem = "b" + std::to_string(round) + "_" + std::to_string(i);
+    std::string stem = "b";
+    stem += std::to_string(round);
+    stem += '_';
+    stem += std::to_string(i);
     std::vector<Value> src = {Value::Atom(u.InternAtom(stem + "s"))};
     std::vector<Value> dst = {Value::Atom(u.InternAtom(stem + "t"))};
     out.Add(e, Tuple{u.InternPath(src), u.InternPath(dst)});

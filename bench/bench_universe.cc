@@ -20,9 +20,16 @@ namespace {
 
 constexpr size_t kAtoms = 1024;
 
+// The name of atom `a`: "a0", "a1", ...
+std::string AtomName(size_t a) {
+  std::string name = "a";
+  name += std::to_string(a);
+  return name;
+}
+
 // Interns kAtoms atoms into `u`: their ids are 0..kAtoms-1 in any Universe.
 void InternAtoms(Universe& u) {
-  for (size_t a = 0; a < kAtoms; ++a) u.InternAtom("a" + std::to_string(a));
+  for (size_t a = 0; a < kAtoms; ++a) u.InternAtom(AtomName(a));
 }
 
 // Writes path i of `len` values into `out`: its first two values spell i
@@ -130,7 +137,7 @@ void BM_InternAtomHit(benchmark::State& state) {
   Universe u;
   InternAtoms(u);
   std::vector<std::string> names;
-  for (size_t a = 0; a < kAtoms; ++a) names.push_back("a" + std::to_string(a));
+  for (size_t a = 0; a < kAtoms; ++a) names.push_back(AtomName(a));
   for (auto _ : state) {
     for (const std::string& name : names) {
       benchmark::DoNotOptimize(u.InternAtom(name));

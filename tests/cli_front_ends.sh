@@ -8,12 +8,16 @@
 # query run` prints, in memory and over a seeded and a recovered data
 # directory. Malformed numeric flags must be usage errors (exit 2), not
 # silently wrapped or truncated values, and so must a flag the subcommand
-# does not read: every subcommand gets one misspelled flag.
+# does not read: every subcommand gets one misspelled flag. Operands may
+# come before or after flags; a repeated flag or one operand too many is
+# a usage error; and every synopsis line `seqdl` prints is a line of
+# README.md.
 #
 #   tests/cli_front_ends.sh <path to the seqdl binary>
 set -euo pipefail
 
 SEQDL=$(realpath "${1:?usage: cli_front_ends.sh <seqdl binary>}")
+README=$(realpath "$(dirname "$0")/../README.md")
 WORK=$(mktemp -d)
 SERVER_PID=
 cleanup() {
@@ -156,6 +160,58 @@ expect_usage_error normalform reach.sdl --verbose
 expect_usage_error algebra reach.sdl R --verbose
 expect_usage_error hasse --dto
 expect_usage_error regex 'a*' --verbose
+
+# Operands may come before, between or after flags: a flag written first
+# prints the same bytes as the same flag written last.
+printf 'S($x) <- R($x ++ a), $x = b ++ $y.\n' > eq.sdl
+expect_same() {
+  local first=$1 last=$2 rc_first=0 rc_last=0
+  # shellcheck disable=SC2086
+  timeout 10 "$SEQDL" $first > first.out 2> /dev/null || rc_first=$?
+  # shellcheck disable=SC2086
+  timeout 10 "$SEQDL" $last > last.out 2> /dev/null || rc_last=$?
+  if [ "$rc_first" -ne 0 ] || [ "$rc_last" -ne 0 ] ||
+    [ ! -s first.out ] || ! cmp -s first.out last.out; then
+    echo "FAIL: 'seqdl $first' (exit $rc_first) does not print what" \
+      "'seqdl $last' (exit $rc_last) prints"
+    failed=1
+  fi
+}
+expect_same "check --json reach.sdl" "check reach.sdl --json"
+expect_same "transform --eliminate=all eq.sdl" \
+  "transform eq.sdl --eliminate=all"
+
+# A bad flag value, one operand too many and a repeated flag are usage
+# errors too, found before any file is read or any connection is made.
+expect_usage_error transform nosuch.sdl --eliminate=bogus
+expect_usage_error run derive.sdl runedb.sdl extra.sdl
+expect_usage_error hasse extra
+expect_usage_error run derive.sdl runedb.sdl --output=E --output=R
+expect_usage_error query --connect=127.0.0.1:1 epoch extra
+
+# The stdin loop checks a command's operands the same way: it answers
+# `epoch extra` with an error line, not with the epoch.
+printf 'epoch extra\n' | timeout 60 "$SEQDL" serve edb.sdl \
+  > extra.out 2> extra.err
+if [ -s extra.out ] || ! grep -q '^error: ' extra.err; then
+  echo "FAIL: stdin serve answered 'epoch extra' as 'epoch'"
+  cat extra.out extra.err
+  failed=1
+fi
+
+# Every synopsis line that `seqdl` prints without a subcommand is a line
+# of README.md's CLI block, so the two cannot drift apart.
+synopses=$({ "$SEQDL" 2>&1 || true; } | sed -n 's/^  \(seqdl .*\)$/\1/p')
+if [ -z "$synopses" ]; then
+  echo "FAIL: seqdl without a subcommand printed no synopsis lines"
+  failed=1
+fi
+while IFS= read -r synopsis; do
+  if [ -n "$synopsis" ] && ! grep -qxF "$synopsis" "$README"; then
+    echo "FAIL: README.md lacks the synopsis line '$synopsis'"
+    failed=1
+  fi
+done <<< "$synopses"
 
 if [ "$failed" -ne 0 ]; then exit 1; fi
 echo "front ends agree: $(wc -l < stdin.out) stdout lines, 2 error lines;" \

@@ -1,8 +1,19 @@
 // seqdl — command line front end for the Sequence Datalog library.
 //
-//   seqdl run <program.sdl> [<instance.sdl>] [--data-dir=DIR]
-//              [--sync=always|interval|never] [--output=REL] [--naive]
-//              [--no-index] [--stats] [--explain] [--legacy-planner]
+// Each subcommand declares its operands and flags once, in the table its
+// CommandLine::Parse call checks the arguments against. `seqdl` with no
+// subcommand prints every subcommand's synopsis from those tables;
+// README.md's CLI block holds the same lines.
+//
+// Parsing walks the arguments once: operands may come before, between or
+// after flags. An unknown flag (a typo, or a valued flag without its '='),
+// a value given to a switch, a repeated flag, a number with trailing bytes
+// or out of range, a word not in its list, or too few or too many operands
+// is a usage error (exit 2) before the subcommand reads a file, opens a
+// directory, connects or binds a port. HOST:PORT takes a dotted quad or
+// "localhost" and a port from 1 to 65535.
+//
+//   seqdl run
 //       Load the instance into a Database, run the program on it once
 //       and print the facts it derives (all of them, or just the --output
 //       relation) exactly as `serve` and `query` print them: facts the
@@ -18,10 +29,7 @@
 //       becomes optional), a fresh one is seeded from the instance, and
 //       the trailer adds the epoch and the storage generation.
 //
-//   seqdl serve [<instance.sdl>] [--data-dir=DIR]
-//               [--sync=always|interval|never] [--stats] [--threads=N]
-//               [--recompile-drift=X] [--auto-compact=N] [--cache-bytes=N]
-//               [--listen=PORT] [--admission=off|budget|strict]
+//   seqdl serve
 //       Load the instance into a versioned Database once, then serve it.
 //       With --data-dir the database is durable: commits are logged to a
 //       WAL before they publish (--sync picks the fsync policy), and a
@@ -60,10 +68,7 @@
 //       potentially non-terminating programs (SD301-SD303) are capped
 //       (budget) or refused (strict) — see docs/analysis.md.
 //
-//   seqdl coordinate --shards=HOST:PORT[,HOST:PORT...] [--listen=PORT]
-//               [--threads=N] [--broadcast=REL,...] [--pin=REL=SHARD,...]
-//               [--connect-timeout-ms=N] [--io-timeout-ms=N]
-//               [--cache-entries=N] [--no-forward-shutdown]
+//   seqdl coordinate
 //       Serve a cluster of `seqdl serve --listen` shard servers behind
 //       one endpoint speaking the same wire protocol (docs/cluster.md).
 //       Appends/retractions are hash-partitioned across the shards by
@@ -75,7 +80,7 @@
 //       relation's facts to one shard. A client's `shutdown` drains the
 //       shards too unless --no-forward-shutdown.
 //
-//   seqdl query --connect=HOST:PORT <command> [args] [--stats]
+//   seqdl query
 //       Blocking client for a `seqdl serve --listen` server or a `seqdl
 //       coordinate` front end. Commands:
 //           run <program.sdl> [REL]    ship the program text to the
@@ -99,15 +104,7 @@
 //                                      cache and view counters
 //           shutdown                   drain and stop the server
 //
-//   Numeric flags of serve, coordinate and query are strict: a value
-//   with trailing bytes or out of range is a usage error (exit 2). So is
-//   a flag the subcommand does not read (a typo like --datadir=DIR, or
-//   --data-dir DIR without the '='), for every subcommand.
-//   HOST:PORT takes a dotted quad or "localhost" and a port from 1 to
-//   65535.
-//
-//   seqdl check <program.sdl> [--json] [--output=REL]
-//               [--admission=off|budget|strict] [--werror]
+//   seqdl check
 //       The full program analyzer: parse and validation errors (SD0xx),
 //       the lint suite (SD1xx: duplicate rules/literals, singleton
 //       variables, never-fires, cross-product joins; --output=REL adds
@@ -120,38 +117,43 @@
 //       clean, 1 = errors, 2 = usage/IO, 4 = warnings only. See
 //       docs/analysis.md for the diagnostic catalog.
 //
-//   seqdl transform <program.sdl> --eliminate=packing|equations|arity|all
-//       Apply the paper's redundancy transformations and print the result.
+//   seqdl transform
+//       Apply the paper's redundancy transformations and print the result:
+//       one named by --eliminate, or (all, the default) each in turn whose
+//       feature the program has.
 //
-//   seqdl normalform <program.sdl>
+//   seqdl normalform
 //       Print the Lemma 7.2 normal form (nonrecursive, equation-free
 //       programs; equations are eliminated first if present).
 //
-//   seqdl algebra <program.sdl> <REL>
+//   seqdl algebra
 //       Print the Theorem 7.1 sequence relational algebra expression for
 //       an IDB relation of a nonrecursive program.
 //
-//   seqdl hasse [--dot]
-//       Print the Figure 1 Hasse diagram.
+//   seqdl hasse
+//       Print the Figure 1 Hasse diagram (--dot: as a Graphviz graph).
 //
-//   seqdl regex <pattern>
+//   seqdl regex
 //       Compile a regular expression to a Sequence Datalog matcher and
 //       print the program.
+#include <algorithm>
 #include <charconv>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <fstream>
-#include <initializer_list>
+#include <functional>
 #include <iostream>
 #include <iterator>
 #include <limits>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -225,83 +227,213 @@ seqdl::Result<std::string> ReadFile(const std::string& path) {
   return buffer.str();
 }
 
-bool HasFlag(const std::vector<std::string>& args, const std::string& flag) {
-  for (const std::string& a : args) {
-    if (a == flag) return true;
-  }
-  return false;
+/// The program in file `source`, parsed into `u`.
+seqdl::Result<seqdl::Program> LoadProgram(seqdl::Universe& u,
+                                          const std::string& source) {
+  SEQDL_ASSIGN_OR_RETURN(std::string text, ReadFile(source));
+  return seqdl::ParseProgram(u, text);
 }
 
-std::string FlagValue(const std::vector<std::string>& args,
-                      const std::string& prefix) {
-  for (const std::string& a : args) {
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  }
-  return "";
-}
-
-/// The positional (non `--flag`) arguments, in order.
-std::vector<std::string> PositionalArgs(const std::vector<std::string>& args) {
-  std::vector<std::string> out;
-  for (const std::string& a : args) {
-    if (a.rfind("--", 0) != 0) out.push_back(a);
-  }
-  return out;
-}
-
-/// True iff every `--` argument is one of `flags`: a switch ("--stats")
-/// or a value prefix ("--sync="). Otherwise prints the first one that is
-/// not and returns false, and `command` exits 2 before it reads a file,
-/// opens a directory or binds a port.
-bool OnlyKnownFlags(const std::vector<std::string>& args, const char* command,
-                    std::initializer_list<std::string_view> flags) {
-  for (const std::string& a : args) {
-    if (a.rfind("--", 0) != 0) continue;
-    bool known = false;
-    for (std::string_view f : flags) {
-      known = known || (f.back() == '=' ? a.rfind(f, 0) == 0 : a == f);
-    }
-    if (!known) {
-      std::fprintf(stderr, "error: unknown flag '%s' for %s\n", a.c_str(),
-                   command);
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Parses `text`, the value of `what`, into *out. The whole text must be
-/// a number from `lo` to `hi`: trailing bytes ("64M") or a value out of
-/// range (a port of 70000) print a usage error and return false, and the
-/// command then exits 2.
+/// Parses `text`, the value of `what`, into *out and returns "". The whole
+/// text must be a number from `lo` to `hi`: trailing bytes ("64M") or a
+/// value out of range (a port of 70000) leave *out as it is and return the
+/// usage error.
 template <typename T>
-bool ParseNumber(const std::string& what, const std::string& text, T lo, T hi,
-                 T* out) {
+std::string ParseNumber(std::string_view what, const std::string& text, T lo,
+                        T hi, T* out) {
   T v{};
   const char* end = text.data() + text.size();
   auto [ptr, ec] = std::from_chars(text.data(), end, v);
   // Written so that NaN fails the range test.
   if (ec == std::errc() && ptr == end && lo <= v && v <= hi) {
     *out = v;
-    return true;
+    return "";
   }
-  std::ostringstream range;
-  range << lo << " to " << hi;
-  std::fprintf(stderr, "error: bad %s value '%s': expected a number from %s\n",
-               what.c_str(), text.c_str(), range.str().c_str());
-  return false;
+  std::ostringstream error;
+  error << "bad " << what << " value '" << text << "': expected a number from "
+        << lo << " to " << hi;
+  return error.str();
 }
 
-/// ParseNumber on the value of flag `prefix` ("--threads="), which every
-/// numeric flag of `serve`, `coordinate` and `query` goes through. An
-/// absent flag leaves *out as it is.
+// --- One table per subcommand ----------------------------------------------
+
+/// One flag of a subcommand, `--name` (a switch) or `--name=VALUE`, and
+/// the variable it fills.
+struct Flag {
+  std::string_view name;
+  std::string value;  ///< "=VALUE" as the usage shows it; empty for a switch
+  /// Stores the flag's value and returns "", or returns why it is bad.
+  std::function<std::string(const std::string& text)> set;
+  bool required = false;
+
+  std::string Usage() const { return std::string(name) + value; }
+};
+
+/// A flag that takes no value and sets *on.
+Flag Switch(std::string_view name, bool* on) {
+  return {name, "", [on](const std::string&) {
+            *on = true;
+            return "";
+          }};
+}
+
+/// A flag whose value is any text, named `value` in the usage.
+Flag Text(std::string_view name, const char* value, std::string* out,
+          bool required = false) {
+  return {name, std::string("=") + value,
+          [out](const std::string& text) {
+            *out = text;
+            return "";
+          },
+          required};
+}
+
+/// A flag whose value is a number from `lo` to `hi` (ParseNumber's rules).
 template <typename T>
-bool NumericFlag(const std::vector<std::string>& args,
-                 const std::string& prefix, T lo, T hi, T* out) {
-  for (const std::string& a : args) {
-    if (a.rfind(prefix, 0) == 0) {
-      return ParseNumber(prefix.substr(0, prefix.size() - 1),
-                         a.substr(prefix.size()), lo, hi, out);
+Flag Number(std::string_view name, const char* value,
+            std::type_identity_t<T> lo, std::type_identity_t<T> hi, T* out) {
+  return {name, std::string("=") + value,
+          [name, lo, hi, out](const std::string& text) {
+            return ParseNumber(name, text, lo, hi, out);
+          }};
+}
+
+/// The words a flag takes, each with the value it stores.
+template <typename T>
+using Words = std::span<const std::pair<std::string_view, T>>;
+
+/// A flag whose value is one of `words`.
+template <typename T>
+Flag Word(std::string_view name, std::type_identity_t<Words<T>> words,
+          T* out) {
+  std::string list;
+  for (const auto& [word, value] : words) {
+    list += list.empty() ? "" : "|";
+    list += word;
+  }
+  return {name, "=" + list, [name, words, list, out](const std::string& text) {
+            for (const auto& [word, value] : words) {
+              if (text == word) {
+                *out = value;
+                return std::string();
+              }
+            }
+            std::ostringstream error;
+            error << "bad " << name << " value '" << text << "': expected "
+                  << list;
+            return error.str();
+          }};
+}
+
+constexpr std::pair<std::string_view, seqdl::storage::SyncMode> kSyncModes[] =
+    {{"always", seqdl::storage::SyncMode::kAlways},
+     {"interval", seqdl::storage::SyncMode::kInterval},
+     {"never", seqdl::storage::SyncMode::kNever}};
+
+constexpr std::pair<std::string_view, seqdl::AdmissionPolicy>
+    kAdmissionPolicies[] = {{"off", seqdl::AdmissionPolicy::kOff},
+                            {"budget", seqdl::AdmissionPolicy::kBudget},
+                            {"strict", seqdl::AdmissionPolicy::kStrict}};
+
+/// One operand of a subcommand and the string it fills, or (the last row
+/// only) the vector that takes every operand left.
+struct Operand {
+  std::string name;  ///< "<program>" if required, "[<instance>]" if not
+  std::string* out;
+  std::vector<std::string>* rest = nullptr;
+};
+
+/// The arguments of one subcommand, parsed in one pass against its table.
+/// A subcommand does nothing before its Parse call but declare what the
+/// table fills, so a line without arguments, which only builds the
+/// synopsis, runs nothing else.
+class CommandLine {
+ public:
+  CommandLine(std::string command, const std::vector<std::string>* args)
+      : command_(std::move(command)), args_(args) {}
+
+  /// Fills the variables of `operands` and `flags` from the arguments.
+  /// False after printing one error line and the usage, or at once for a
+  /// line without arguments: the subcommand then exits 2.
+  bool Parse(const std::vector<Operand>& operands,
+             const std::vector<Flag>& flags);
+
+  /// Prints "error: <message>" and the usage; returns 2, the exit code.
+  int Fail(const std::string& message) const {
+    std::fprintf(stderr, "error: %s\nusage: %s\n", message.c_str(),
+                 synopsis_.c_str());
+    return 2;
+  }
+
+  /// "seqdl run <program> [<instance>] [--data-dir=DIR] ...".
+  const std::string& synopsis() const { return synopsis_; }
+
+ private:
+  std::string command_;
+  const std::vector<std::string>* args_;  ///< null: build the synopsis only
+  std::string synopsis_;
+};
+
+bool CommandLine::Parse(const std::vector<Operand>& operands,
+                        const std::vector<Flag>& flags) {
+  // The synopsis: required flags, the operands, then the optional flags.
+  synopsis_ = "seqdl " + command_;
+  for (const Flag& f : flags) {
+    if (f.required) synopsis_ += ' ' + f.Usage();
+  }
+  for (const Operand& o : operands) synopsis_ += ' ' + o.name;
+  for (const Flag& f : flags) {
+    if (!f.required) synopsis_ += " [" + f.Usage() + ']';
+  }
+  if (args_ == nullptr) return false;
+
+  auto fail = [this](const std::string& message) {
+    Fail(message);
+    return false;
+  };
+  std::vector<std::string> words;
+  std::vector<bool> given(flags.size());
+  for (const std::string& arg : *args_) {
+    if (arg.rfind("--", 0) != 0) {
+      words.push_back(arg);
+      continue;
+    }
+    const size_t eq = std::min(arg.find('='), arg.size());
+    const std::string name = arg.substr(0, eq);
+    size_t i = 0;
+    while (i < flags.size() && flags[i].name != name) ++i;
+    if (i == flags.size()) {
+      return fail("unknown flag '" + arg + "' for " + command_);
+    }
+    if (flags[i].value.empty() != (eq == arg.size())) {
+      return fail(flags[i].value.empty()
+                      ? name + " takes no value"
+                      : name + " needs a value: " + flags[i].Usage());
+    }
+    if (given[i]) return fail(name + " is given twice");
+    given[i] = true;
+    std::string why = flags[i].set(arg.substr(std::min(eq + 1, arg.size())));
+    if (!why.empty()) return fail(why);
+  }
+  for (size_t i = 0; i < flags.size(); ++i) {
+    if (flags[i].required && !given[i]) {
+      return fail(flags[i].Usage() + " is required");
+    }
+  }
+  size_t required = 0;
+  for (const Operand& o : operands) required += o.name[0] == '<';
+  if (words.size() < required) {
+    return fail(operands[words.size()].name + " is required");
+  }
+  if (words.size() > operands.size() &&
+      (operands.empty() || operands.back().rest == nullptr)) {
+    return fail("unexpected operand '" + words[operands.size()] + "'");
+  }
+  for (size_t i = 0; i < operands.size() && i < words.size(); ++i) {
+    if (operands[i].rest != nullptr) {
+      operands[i].rest->assign(words.begin() + i, words.end());
+    } else {
+      *operands[i].out = words[i];
     }
   }
   return true;
@@ -309,31 +441,6 @@ bool NumericFlag(const std::vector<std::string>& args,
 
 /// A server's worker pool past this size only adds threads that wait.
 constexpr size_t kMaxThreads = 1024;
-
-/// Parses --sync= values (always | interval | never).
-seqdl::Result<seqdl::storage::SyncMode> ParseSyncMode(const std::string& v) {
-  if (v == "always") return seqdl::storage::SyncMode::kAlways;
-  if (v == "interval") return seqdl::storage::SyncMode::kInterval;
-  if (v == "never") return seqdl::storage::SyncMode::kNever;
-  return seqdl::Status::InvalidArgument(
-      "--sync= must be always, interval or never (got '" + v + "')");
-}
-
-/// Fills OpenOptions durability fields from --data-dir= / --sync=.
-/// Returns false (after printing the error) on a malformed flag.
-bool ApplyStorageFlags(const std::vector<std::string>& args,
-                       seqdl::Database::OpenOptions* dbopts) {
-  dbopts->data_dir = FlagValue(args, "--data-dir=");
-  if (std::string v = FlagValue(args, "--sync="); !v.empty()) {
-    auto mode = ParseSyncMode(v);
-    if (!mode.ok()) {
-      ReportError(mode.status());
-      return false;
-    }
-    dbopts->sync_mode = *mode;
-  }
-  return true;
-}
 
 // The per-index-family scan counters as one aligned table.
 void PrintScanTable(const seqdl::EvalStats& stats) {
@@ -355,86 +462,85 @@ void PrintScanTable(const seqdl::EvalStats& stats) {
   }
 }
 
+// The database of `run` and `serve`. A data directory being recovered is
+// not re-ingested: the EDB it holds is authoritative, and a given instance
+// is ignored with a note. Otherwise the instance, if given, seeds it.
+seqdl::Result<seqdl::Database> OpenDatabase(
+    seqdl::Universe& u, const std::string& instance_file,
+    const seqdl::Database::OpenOptions& dbopts, bool recovering) {
+  seqdl::Instance seed;
+  if (recovering && !instance_file.empty()) {
+    std::fprintf(stderr,
+                 "-- note: %s is already initialized; ignoring %s "
+                 "(the recovered EDB is authoritative)\n",
+                 dbopts.data_dir.c_str(), instance_file.c_str());
+  } else if (!instance_file.empty()) {
+    SEQDL_ASSIGN_OR_RETURN(std::string text, ReadFile(instance_file));
+    SEQDL_ASSIGN_OR_RETURN(seed, seqdl::ParseInstance(u, text));
+  }
+  return seqdl::Database::Open(u, std::move(seed), dbopts);
+}
+
 // `seqdl run`: open a Database over the instance (in memory, or seeding
 // or recovering --data-dir), compile through it, run one snapshot, and
 // print the derived facts the way `serve` and `query` print them.
-int CmdRun(const std::vector<std::string>& args) {
-  if (!OnlyKnownFlags(args, "run",
-                      {"--data-dir=", "--sync=", "--output=", "--naive",
-                       "--no-index", "--stats", "--explain",
-                       "--legacy-planner"})) {
+int CmdRun(CommandLine& line) {
+  std::string program_file, instance_file, output;
+  seqdl::Database::OpenOptions dbopts;
+  bool naive = false, no_index = false, stats_on = false, explain = false,
+       legacy_planner = false;
+  if (!line.Parse(
+          {{"<program>", &program_file}, {"[<instance>]", &instance_file}},
+          {Text("--data-dir", "DIR", &dbopts.data_dir),
+           Word("--sync", kSyncModes, &dbopts.sync_mode),
+           Text("--output", "REL", &output),
+           Switch("--naive", &naive),
+           Switch("--no-index", &no_index),
+           Switch("--stats", &stats_on),
+           Switch("--explain", &explain),
+           Switch("--legacy-planner", &legacy_planner)})) {
     return 2;
   }
-  std::vector<std::string> pos = PositionalArgs(args);
-  seqdl::Database::OpenOptions dbopts;
-  if (!ApplyStorageFlags(args, &dbopts)) return 2;
   const bool durable = !dbopts.data_dir.empty();
-  if (pos.empty() || (pos.size() < 2 && !durable)) {
-    std::fprintf(stderr,
-                 "usage: seqdl run <program> [<instance>] [--data-dir=DIR] "
-                 "[--sync=always|interval|never] [--output=REL] [--naive] "
-                 "[--no-index] [--stats] [--explain] [--legacy-planner]\n"
-                 "(the instance is required without --data-dir; with one, "
-                 "it seeds a fresh data directory)\n");
-    return 2;
+  const bool recovering =
+      durable && seqdl::Database::DataDirInitialized(dbopts.data_dir);
+  if (instance_file.empty() && !recovering) {
+    return line.Fail(
+        "<instance> is required without an initialized --data-dir");
   }
   seqdl::Universe u;
-  auto program_text = ReadFile(pos[0]);
+  auto program_text = ReadFile(program_file);
   if (!program_text.ok()) return ReportError(program_text.status());
   seqdl::DiagnosticList parse_diags;
   auto program = seqdl::ParseProgram(u, *program_text, &parse_diags);
   if (!program.ok()) {
     // The same structured rendering as `seqdl check`: file:line:col,
     // severity, stable SD code.
-    std::fprintf(stderr, "%s", parse_diags.RenderText(pos[0]).c_str());
+    std::fprintf(stderr, "%s", parse_diags.RenderText(program_file).c_str());
     return 1;
   }
 
-  // An initialized data directory is recovered without re-ingesting
-  // anything; otherwise the instance seeds the database.
-  seqdl::Instance seed;
-  if (durable && seqdl::Database::DataDirInitialized(dbopts.data_dir)) {
-    if (pos.size() > 1) {
-      std::fprintf(stderr,
-                   "-- note: %s is already initialized; ignoring %s "
-                   "(the recovered EDB is authoritative)\n",
-                   dbopts.data_dir.c_str(), pos[1].c_str());
-    }
-  } else {
-    if (pos.size() < 2) {
-      std::fprintf(stderr,
-                   "error: %s is not initialized; pass an instance file "
-                   "to seed it\n",
-                   dbopts.data_dir.c_str());
-      return 2;
-    }
-    auto instance_text = ReadFile(pos[1]);
-    if (!instance_text.ok()) return ReportError(instance_text.status());
-    auto instance = seqdl::ParseInstance(u, *instance_text);
-    if (!instance.ok()) return ReportError(instance.status(), pos[1]);
-    seed = std::move(*instance);
-  }
-  auto db = seqdl::Database::Open(u, std::move(seed), dbopts);
-  if (!db.ok()) return ReportError(db.status());
+  auto db = OpenDatabase(u, instance_file, dbopts, recovering);
+  if (!db.ok()) return ReportError(db.status(), instance_file);
 
   // The planner ranks access paths by the database's measured
   // statistics; --legacy-planner keeps the first-ground-argument
   // heuristic (results are identical either way — only cost changes).
-  auto prepared = HasFlag(args, "--legacy-planner")
+  auto prepared = legacy_planner
                       ? seqdl::Engine::Compile(u, std::move(*program))
                       : db->Compile(std::move(*program));
   if (!prepared.ok()) return ReportError(prepared.status());
-  if (HasFlag(args, "--explain")) {
+  if (explain) {
     std::fprintf(stderr, "%s", prepared->ExplainPlan().c_str());
   }
   seqdl::RunOptions opts;
-  opts.seminaive = !HasFlag(args, "--naive");
-  opts.use_index = !HasFlag(args, "--no-index");
+  opts.seminaive = !naive;
+  opts.use_index = !no_index;
   seqdl::EvalStats stats;
   seqdl::Session session = db->Snapshot();
   auto out = session.Run(*prepared, opts, &stats);
   if (!out.ok()) return ReportError(out.status());
-  auto rendered = seqdl::RenderOutput(u, *out, FlagValue(args, "--output="));
+  auto rendered = seqdl::RenderOutput(u, *out, output);
   if (!rendered.ok()) return ReportError(rendered.status());
   std::printf("%s", rendered->c_str());
 
@@ -450,7 +556,7 @@ int CmdRun(const std::vector<std::string>& args) {
                  static_cast<unsigned long long>(sinfo.on_disk_bytes));
   }
   std::fprintf(stderr, "\n");
-  if (HasFlag(args, "--stats")) {
+  if (stats_on) {
     PrintScanTable(stats);
     std::fprintf(stderr, "-- compile %.3f ms, run %.3f ms\n",
                  stats.compile_seconds * 1e3, stats.run_seconds * 1e3);
@@ -475,7 +581,9 @@ using U = unsigned long long;
 struct Command {
   const char* verb;
   seqdl::protocol::MsgType type;
-  const char* operands;  ///< "" when the request has no body
+  /// One word per operand, "<required>" or "[optional]"; "" when the
+  /// request has no body.
+  const char* operands;
 };
 
 constexpr Command kCommands[] = {
@@ -504,19 +612,22 @@ std::string CommandList() {
 }
 
 /// The command `words` (a verb, then its operands) names, or null after
-/// printing why not: an unknown verb, or a missing file operand.
+/// setting *error: an unknown verb, or too few or too many operands.
 const Command* FindCommand(const std::vector<std::string>& words,
-                           const char* usage_prefix) {
+                           std::string* error) {
   for (const Command& c : kCommands) {
     if (words[0] != c.verb) continue;
-    if (*c.operands != '\0' && words.size() < 2) {
-      std::fprintf(stderr, "usage: %s%s %s\n", usage_prefix, c.verb,
-                   c.operands);
+    std::istringstream names(c.operands);
+    size_t required = 0, most = 0;
+    for (std::string name; names >> name; ++most) required += name[0] == '<';
+    if (words.size() - 1 < required || words.size() - 1 > most) {
+      *error = words[0] + " takes ";
+      *error += most == 0 ? "no operands" : c.operands;
       return nullptr;
     }
     return &c;
   }
-  std::fprintf(stderr, "error: unknown command '%s'\n", words[0].c_str());
+  *error = "unknown command '" + words[0] + "'";
   return nullptr;
 }
 
@@ -762,96 +873,60 @@ class StdinLoop {
   std::vector<std::thread> workers_;  ///< last: joined before the rest dies
 };
 
-int CmdServe(const std::vector<std::string>& args) {
-  const char* usage =
-      "usage: seqdl serve [<instance>] [--data-dir=DIR] "
-      "[--sync=always|interval|never] [--stats] [--threads=N] "
-      "[--recompile-drift=X] [--auto-compact=N] [--cache-bytes=N] "
-      "[--listen=PORT] [--admission=off|budget|strict]\n"
-      "(the instance is required without --data-dir, and when "
-      "initializing a fresh data directory it seeds the EDB)\n";
-  if (!OnlyKnownFlags(args, "serve",
-                      {"--data-dir=", "--sync=", "--stats", "--threads=",
-                       "--recompile-drift=", "--auto-compact=",
-                       "--cache-bytes=", "--listen=", "--admission="})) {
-    return 2;
-  }
-  std::vector<std::string> pos = PositionalArgs(args);
-  std::string data_dir = FlagValue(args, "--data-dir=");
-  if (pos.empty() && data_dir.empty()) {
-    std::fprintf(stderr, "%s", usage);
-    return 2;
-  }
-  bool stats_on = HasFlag(args, "--stats");
-  // An empty --listen= fails NumericFlag below.
-  bool listen_mode = !FlagValue(args, "--listen=").empty();
-  uint16_t listen_port = 0;
-  size_t threads = listen_mode ? 4 : 1;
-  seqdl::ServiceOptions sopts;
+int CmdServe(CommandLine& line) {
+  std::string instance_file;
   seqdl::Database::OpenOptions dbopts;
   dbopts.auto_compact_segments = 8;
-  if (!NumericFlag<uint16_t>(args, "--listen=", 0, 65535, &listen_port) ||
-      !NumericFlag<size_t>(args, "--threads=", 1, kMaxThreads, &threads) ||
-      !NumericFlag(args, "--recompile-drift=", 0.0,
-                   std::numeric_limits<double>::infinity(),
-                   &sopts.recompile_drift) ||
-      !NumericFlag<size_t>(args, "--auto-compact=", 0, SIZE_MAX,
-                           &dbopts.auto_compact_segments) ||
-      // Byte budget for the maintained-view/result cache (rendered output
-      // plus materialized IDBs); LRU entries are evicted past it.
-      !NumericFlag<size_t>(args, "--cache-bytes=", 0, SIZE_MAX,
-                           &sopts.cache_bytes) ||
-      !ApplyStorageFlags(args, &dbopts)) {
+  seqdl::ServiceOptions sopts;
+  bool stats_on = false;
+  size_t threads = 0;  // unset: 4 with --listen, 1 without
+  int listen_port = -1;  // -1: answer stdin
+  if (!line.Parse(
+          {{"[<instance>]", &instance_file}},
+          {Text("--data-dir", "DIR", &dbopts.data_dir),
+           Word("--sync", kSyncModes, &dbopts.sync_mode),
+           Switch("--stats", &stats_on),
+           Number("--threads", "N", 1, kMaxThreads, &threads),
+           Number("--recompile-drift", "X", 0.0,
+                  std::numeric_limits<double>::infinity(),
+                  &sopts.recompile_drift),
+           Number("--auto-compact", "N", 0, SIZE_MAX,
+                  &dbopts.auto_compact_segments),
+           // Byte budget for the maintained-view/result cache (rendered
+           // output plus materialized IDBs); LRU entries are evicted past it.
+           Number("--cache-bytes", "N", 0, SIZE_MAX, &sopts.cache_bytes),
+           Number("--listen", "PORT", 0, 65535, &listen_port),
+           // Admission control for untrusted programs (docs/analysis.md):
+           // off runs everything (trusted clients, the default), budget
+           // caps runs of potentially non-terminating programs, strict
+           // refuses them.
+           Word("--admission", kAdmissionPolicies, &sopts.admission)})) {
     return 2;
   }
+  if (instance_file.empty() && dbopts.data_dir.empty()) {
+    return line.Fail("<instance> is required without --data-dir");
+  }
+  if (threads == 0) threads = listen_port >= 0 ? 4 : 1;
   seqdl::Universe u;
   // With --data-dir on an initialized directory the recovered EDB is
   // authoritative: a restart serves the pre-restart facts without
-  // re-ingesting any source file, and a supplied instance is ignored
-  // (with a note) rather than merged.
-  bool recovering =
-      !data_dir.empty() && seqdl::Database::DataDirInitialized(data_dir);
-  seqdl::Instance seed;
-  if (recovering) {
-    if (!pos.empty()) {
-      std::fprintf(stderr,
-                   "-- note: %s is already initialized; ignoring %s "
-                   "(the recovered EDB is authoritative)\n",
-                   data_dir.c_str(), pos[0].c_str());
-    }
-  } else if (!pos.empty()) {
-    auto instance_text = ReadFile(pos[0]);
-    if (!instance_text.ok()) return ReportError(instance_text.status());
-    auto instance = seqdl::ParseInstance(u, *instance_text);
-    if (!instance.ok()) return ReportError(instance.status(), pos[0]);
-    seed = std::move(*instance);
-  }
-  auto db = seqdl::Database::Open(u, std::move(seed), dbopts);
-  if (!db.ok()) return ReportError(db.status());
+  // re-ingesting any source file.
+  const bool recovering = !dbopts.data_dir.empty() &&
+                          seqdl::Database::DataDirInitialized(dbopts.data_dir);
+  auto db = OpenDatabase(u, instance_file, dbopts, recovering);
+  if (!db.ok()) return ReportError(db.status(), instance_file);
   size_t edb_facts = db->NumFacts();
-  const std::string source_desc = recovering || pos.empty()
-                                      ? data_dir
-                                      : pos[0];
+  const std::string source_desc =
+      recovering || instance_file.empty() ? dbopts.data_dir : instance_file;
 
   static std::mutex log_mu;
-  // Admission control for untrusted programs (docs/analysis.md): off
-  // runs everything (trusted clients, the default), budget caps runs of
-  // potentially non-terminating programs, strict refuses them.
-  if (std::string v = FlagValue(args, "--admission="); !v.empty()) {
-    auto policy = seqdl::ParseAdmissionPolicy(v);
-    if (!policy.ok()) {
-      ReportError(policy.status());
-      return 2;
-    }
-    sopts.admission = *policy;
-  }
   sopts.log = [](const std::string& msg) {
     std::lock_guard<std::mutex> lock(log_mu);
     std::fprintf(stderr, "-- %s\n", msg.c_str());
   };
   seqdl::DatabaseService service(u, std::move(*db), sopts);
 
-  if (listen_mode) {
+  if (listen_port >= 0) {
     if (stats_on) {
       std::fprintf(stderr,
                    "-- note: --stats has no effect with --listen; per-run "
@@ -859,7 +934,7 @@ int CmdServe(const std::vector<std::string>& args) {
                    "--stats)\n");
     }
     seqdl::ServerOptions server_opts;
-    server_opts.port = listen_port;
+    server_opts.port = static_cast<uint16_t>(listen_port);
     server_opts.threads = threads;
     auto server = seqdl::Server::Start(service, server_opts);
     if (!server.ok()) return ReportError(server.status());
@@ -892,15 +967,19 @@ int CmdServe(const std::vector<std::string>& args) {
                threads == 1 ? "" : "s", CommandList().c_str());
   seqdl::ServiceRequestHandler handler(service);
   StdinLoop loop(handler, stats_on, threads);
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    std::istringstream in(line);
+  std::string text;
+  while (std::getline(std::cin, text)) {
+    std::istringstream in(text);
     std::vector<std::string> words{std::istream_iterator<std::string>(in),
                                    std::istream_iterator<std::string>()};
     if (words.empty()) continue;
     if (words[0] == "quit" || words[0] == "exit") break;
-    const Command* c = FindCommand(words, "");
-    if (c == nullptr) continue;
+    std::string error;
+    const Command* c = FindCommand(words, &error);
+    if (c == nullptr) {
+      std::fprintf(stderr, "error: %s\n", error.c_str());
+      continue;
+    }
     seqdl::Result<std::string> frame = EncodeCommand(*c, words);
     if (!frame.ok()) {
       loop.Report(frame.status());
@@ -915,74 +994,54 @@ int CmdServe(const std::vector<std::string>& args) {
 // --listen` shard servers and exposes the standard wire protocol, so
 // `seqdl query --connect=` works against a cluster exactly as against a
 // single server. See docs/cluster.md.
-int CmdCoordinate(const std::vector<std::string>& args) {
-  const char* usage =
-      "usage: seqdl coordinate --shards=HOST:PORT[,HOST:PORT...] "
-      "[--listen=PORT] [--threads=N] [--broadcast=REL[,REL...]] "
-      "[--pin=REL=SHARD[,REL=SHARD...]] [--connect-timeout-ms=N] "
-      "[--io-timeout-ms=N] [--cache-entries=N] [--no-forward-shutdown]\n";
-  if (!OnlyKnownFlags(args, "coordinate",
-                      {"--shards=", "--listen=", "--threads=", "--broadcast=",
-                       "--pin=", "--connect-timeout-ms=", "--io-timeout-ms=",
-                       "--cache-entries=", "--no-forward-shutdown"})) {
-    return 2;
-  }
-  std::string shards_spec = FlagValue(args, "--shards=");
-  if (shards_spec.empty()) {
-    std::fprintf(stderr, "%s", usage);
+int CmdCoordinate(CommandLine& line) {
+  std::string shards_spec, broadcast, pins;
+  seqdl::CoordinatorOptions copts;
+  uint16_t listen_port = 0;
+  size_t threads = 4;
+  bool no_forward_shutdown = false;
+  if (!line.Parse(
+          {},
+          {Text("--shards", "HOST:PORT[,HOST:PORT...]", &shards_spec,
+                /*required=*/true),
+           Number("--listen", "PORT", 0, 65535, &listen_port),
+           Number("--threads", "N", 1, kMaxThreads, &threads),
+           Text("--broadcast", "REL[,REL...]", &broadcast),
+           Text("--pin", "REL=SHARD[,REL=SHARD...]", &pins),
+           Number("--connect-timeout-ms", "N", 0, UINT32_MAX,
+                  &copts.connect_timeout_ms),
+           Number("--io-timeout-ms", "N", 0, UINT32_MAX, &copts.io_timeout_ms),
+           Number("--cache-entries", "N", 0, SIZE_MAX,
+                  &copts.result_cache_entries),
+           Switch("--no-forward-shutdown", &no_forward_shutdown)})) {
     return 2;
   }
   auto shards = seqdl::ParseShardList(shards_spec);
-  if (!shards.ok()) {
-    ReportError(shards.status());
-    return 2;
-  }
+  if (!shards.ok()) return line.Fail(shards.status().ToString());
 
-  seqdl::CoordinatorOptions copts;
-  if (std::string v = FlagValue(args, "--broadcast="); !v.empty()) {
-    std::istringstream rels(v);
-    std::string rel;
-    while (std::getline(rels, rel, ',')) {
-      if (!rel.empty()) copts.partition.broadcast.insert(rel);
-    }
+  std::istringstream rels(broadcast);
+  for (std::string rel; std::getline(rels, rel, ',');) {
+    if (!rel.empty()) copts.partition.broadcast.insert(rel);
   }
-  if (std::string v = FlagValue(args, "--pin="); !v.empty()) {
-    std::istringstream pins(v);
-    std::string pin;
-    while (std::getline(pins, pin, ',')) {
-      size_t eq = pin.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == pin.size()) {
-        ReportError(seqdl::Status::InvalidArgument(
-            "bad --pin entry '" + pin + "': expected REL=SHARD"));
-        return 2;
-      }
-      uint32_t shard = 0;
-      if (!ParseNumber<uint32_t>("--pin shard", pin.substr(eq + 1), 0,
-                                 static_cast<uint32_t>(shards->size() - 1),
-                                 &shard)) {
-        return 2;
-      }
-      copts.partition.pinned[pin.substr(0, eq)] = shard;
+  std::istringstream pin_list(pins);
+  for (std::string pin; std::getline(pin_list, pin, ',');) {
+    size_t eq = pin.find('=');
+    if (eq == std::string::npos || eq == 0 || eq + 1 == pin.size()) {
+      return line.Fail("bad --pin entry '" + pin + "': expected REL=SHARD");
     }
-  }
-  uint16_t listen_port = 0;
-  size_t threads = 4;
-  if (!NumericFlag<uint32_t>(args, "--connect-timeout-ms=", 0, UINT32_MAX,
-                             &copts.connect_timeout_ms) ||
-      !NumericFlag<uint32_t>(args, "--io-timeout-ms=", 0, UINT32_MAX,
-                             &copts.io_timeout_ms) ||
-      !NumericFlag<size_t>(args, "--cache-entries=", 0, SIZE_MAX,
-                           &copts.result_cache_entries) ||
-      !NumericFlag<uint16_t>(args, "--listen=", 0, 65535, &listen_port) ||
-      !NumericFlag<size_t>(args, "--threads=", 1, kMaxThreads, &threads)) {
-    return 2;
+    uint32_t shard = 0;
+    std::string why = ParseNumber<uint32_t>(
+        "--pin shard", pin.substr(eq + 1), 0,
+        static_cast<uint32_t>(shards->size() - 1), &shard);
+    if (!why.empty()) return line.Fail(why);
+    copts.partition.pinned[pin.substr(0, eq)] = shard;
   }
 
   seqdl::Universe u;
   size_t num_shards = shards->size();
   seqdl::Coordinator coordinator(u, std::move(*shards), copts);
   seqdl::BackendHandler<seqdl::Coordinator> handler(
-      coordinator, !HasFlag(args, "--no-forward-shutdown"));
+      coordinator, !no_forward_shutdown);
   seqdl::ServerOptions server_opts;
   server_opts.port = listen_port;
   server_opts.threads = threads;
@@ -1008,35 +1067,32 @@ int CmdCoordinate(const std::vector<std::string>& args) {
 
 // Client for a `seqdl serve --listen` server or a `seqdl coordinate`
 // front end: sends one command's request and prints the reply.
-int CmdQuery(const std::vector<std::string>& args) {
-  if (!OnlyKnownFlags(args, "query", {"--connect=", "--stats"})) return 2;
-  std::string endpoint = FlagValue(args, "--connect=");
-  std::vector<std::string> words = PositionalArgs(args);
-  if (endpoint.empty() || words.empty()) {
-    std::fprintf(stderr,
-                 "usage: seqdl query --connect=HOST:PORT <%s> [--stats]\n",
-                 CommandList().c_str());
+int CmdQuery(CommandLine& line) {
+  std::string endpoint;
+  std::vector<std::string> words;  // a command: its verb, then its operands
+  bool stats_on = false;
+  if (!line.Parse({{"<" + CommandList() + ">", nullptr, &words}},
+                  {Text("--connect", "HOST:PORT", &endpoint, /*required=*/true),
+                   Switch("--stats", &stats_on)})) {
     return 2;
   }
   // The --shards= rules: a dotted quad or "localhost", a port from 1 to
   // 65535.
   auto addr = seqdl::ParseShardList(endpoint);
   if (!addr.ok() || addr->size() != 1) {
-    std::fprintf(stderr,
-                 "error: bad --connect value '%s': expected HOST:PORT with "
-                 "a port from 1 to 65535\n",
-                 endpoint.c_str());
-    return 2;
+    return line.Fail("bad --connect value '" + endpoint +
+                     "': expected HOST:PORT with a port from 1 to 65535");
   }
-  const Command* c = FindCommand(words, "seqdl query --connect=HOST:PORT ");
-  if (c == nullptr) return 2;
+  std::string error;
+  const Command* c = FindCommand(words, &error);
+  if (c == nullptr) return line.Fail(error);
   seqdl::Result<std::string> frame = EncodeCommand(*c, words);
   if (!frame.ok()) return ReportError(frame.status());
   auto client = seqdl::Client::Connect((*addr)[0].host, (*addr)[0].port);
   if (!client.ok()) return ReportError(client.status());
   auto reply = client->RoundTrip(*frame, c->type);
   if (!reply.ok()) return ReportError(reply.status(), SourceOf(words));
-  PrintReply(words, *reply, HasFlag(args, "--stats"));
+  PrintReply(words, *reply, stats_on);
   return 0;
 }
 
@@ -1045,27 +1101,15 @@ int CmdQuery(const std::vector<std::string>& args) {
 // compiler-style diagnostics or one JSON document (--json). Exit codes:
 // 0 clean, 1 errors (including strict-admission rejection), 2 usage/IO,
 // 4 warnings only.
-int CmdCheck(const std::vector<std::string>& args) {
-  if (args.empty() || args[0].rfind("--", 0) == 0) {
-    std::fprintf(stderr,
-                 "usage: seqdl check <program> [--json] [--output=REL] "
-                 "[--admission=off|budget|strict] [--werror]\n");
-    return 2;
-  }
-  if (!OnlyKnownFlags(args, "check",
-                      {"--json", "--output=", "--admission=", "--werror"})) {
-    return 2;
-  }
-  const std::string& source = args[0];
-  bool json = HasFlag(args, "--json");
+int CmdCheck(CommandLine& line) {
+  std::string source, output;
+  bool json = false, werror = false;
   seqdl::AdmissionPolicy policy = seqdl::AdmissionPolicy::kBudget;
-  if (std::string v = FlagValue(args, "--admission="); !v.empty()) {
-    auto parsed = seqdl::ParseAdmissionPolicy(v);
-    if (!parsed.ok()) {
-      ReportError(parsed.status());
-      return 2;
-    }
-    policy = *parsed;
+  if (!line.Parse({{"<program>", &source}},
+                  {Switch("--json", &json), Text("--output", "REL", &output),
+                   Word("--admission", kAdmissionPolicies, &policy),
+                   Switch("--werror", &werror)})) {
+    return 2;
   }
 
   seqdl::Universe u;
@@ -1082,12 +1126,11 @@ int CmdCheck(const std::vector<std::string>& args) {
   if (parsed) {
     seqdl::ValidateProgram(u, *program, &diags);
     seqdl::LintOptions lopts;
-    if (std::string v = FlagValue(args, "--output="); !v.empty()) {
-      auto rel = u.FindRel(v);
+    if (!output.empty()) {
+      auto rel = u.FindRel(output);
       if (!rel.ok()) {
-        ReportError(seqdl::Status::NotFound(
-            "--output=" + v + ": relation not used by the program"));
-        return 2;
+        return line.Fail("--output=" + output +
+                         ": relation not used by the program");
       }
       lopts.output = *rel;
     }
@@ -1098,7 +1141,7 @@ int CmdCheck(const std::vector<std::string>& args) {
     for (const seqdl::Diagnostic& d : admission.all()) diags.Add(d);
   }
 
-  if (HasFlag(args, "--werror")) {
+  if (werror) {
     seqdl::DiagnosticList hard;
     for (const seqdl::Diagnostic& d : diags.all()) {
       seqdl::Diagnostic c = d;
@@ -1151,60 +1194,49 @@ int CmdCheck(const std::vector<std::string>& args) {
   return 0;
 }
 
-int CmdTransform(const std::vector<std::string>& args) {
-  if (args.empty()) {
-    std::fprintf(stderr, "usage: seqdl transform <program> "
-                         "--eliminate=packing|equations|arity|all\n");
+/// One of the paper's redundancy transformations: `transform` applies the
+/// one --eliminate names, or by default each in table order whose feature
+/// the program has.
+struct Elimination {
+  std::string_view word;
+  seqdl::Feature feature;
+  seqdl::Result<seqdl::Program> (*apply)(seqdl::Universe&,
+                                         const seqdl::Program&);
+};
+
+constexpr Elimination kEliminations[] = {
+    {"packing", seqdl::Feature::kPacking,
+     [](seqdl::Universe& u, const seqdl::Program& p) {
+       return seqdl::EliminatePackingNonrecursive(u, p);
+     }},
+    {"equations", seqdl::Feature::kEquations, seqdl::EliminateEquations},
+    {"arity", seqdl::Feature::kArity, seqdl::EliminateArity},
+};
+
+int CmdTransform(CommandLine& line) {
+  // Each elimination by its word, and "all" (the default) as null.
+  std::vector<std::pair<std::string_view, const Elimination*>> words;
+  for (const Elimination& e : kEliminations) words.emplace_back(e.word, &e);
+  words.emplace_back("all", nullptr);
+  std::string source;
+  const Elimination* only = nullptr;
+  if (!line.Parse({{"<program>", &source}},
+                  {Word("--eliminate", words, &only)})) {
     return 2;
   }
-  if (!OnlyKnownFlags(args, "transform", {"--eliminate="})) return 2;
   seqdl::Universe u;
-  auto text = ReadFile(args[0]);
-  if (!text.ok()) return ReportError(text.status());
-  auto program = seqdl::ParseProgram(u, *text);
-  if (!program.ok()) return ReportError(program.status(), args[0]);
-  std::string what = FlagValue(args, "--eliminate=");
-  if (what.empty()) what = "all";
+  auto program = LoadProgram(u, source);
+  if (!program.ok()) return ReportError(program.status(), source);
 
-  seqdl::Program current = *program;
-  auto apply = [&](const std::string& name) -> seqdl::Status {
-    if (name == "packing") {
-      auto q = seqdl::EliminatePackingNonrecursive(u, current);
-      if (!q.ok()) return q.status();
-      current = std::move(*q);
-    } else if (name == "equations") {
-      auto q = seqdl::EliminateEquations(u, current);
-      if (!q.ok()) return q.status();
-      current = std::move(*q);
-    } else if (name == "arity") {
-      auto q = seqdl::EliminateArity(u, current);
-      if (!q.ok()) return q.status();
-      current = std::move(*q);
-    } else {
-      return seqdl::Status::InvalidArgument("unknown elimination " + name);
+  seqdl::Program current = std::move(*program);
+  for (const Elimination& e : kEliminations) {
+    if (only != nullptr ? only != &e
+                        : !seqdl::DetectFeatures(current).Contains(e.feature)) {
+      continue;
     }
-    return seqdl::Status::OK();
-  };
-
-  if (what == "all") {
-    seqdl::FeatureSet f = seqdl::DetectFeatures(current);
-    if (f.Contains(seqdl::Feature::kPacking)) {
-      seqdl::Status s = apply("packing");
-      if (!s.ok()) return ReportError(s);
-    }
-    f = seqdl::DetectFeatures(current);
-    if (f.Contains(seqdl::Feature::kEquations)) {
-      seqdl::Status s = apply("equations");
-      if (!s.ok()) return ReportError(s);
-    }
-    f = seqdl::DetectFeatures(current);
-    if (f.Contains(seqdl::Feature::kArity)) {
-      seqdl::Status s = apply("arity");
-      if (!s.ok()) return ReportError(s);
-    }
-  } else {
-    seqdl::Status s = apply(what);
-    if (!s.ok()) return ReportError(s);
+    auto q = e.apply(u, current);
+    if (!q.ok()) return ReportError(q.status());
+    current = std::move(*q);
   }
   std::printf("%s", seqdl::FormatProgram(u, current).c_str());
   std::fprintf(stderr, "-- %zu rules, features %s\n", current.NumRules(),
@@ -1212,25 +1244,14 @@ int CmdTransform(const std::vector<std::string>& args) {
   return 0;
 }
 
-int CmdNormalForm(const std::vector<std::string>& args) {
-  if (args.empty()) {
-    std::fprintf(stderr, "usage: seqdl normalform <program>\n");
-    return 2;
-  }
-  if (!OnlyKnownFlags(args, "normalform", {})) return 2;
+int CmdNormalForm(CommandLine& line) {
+  std::string source;
+  if (!line.Parse({{"<program>", &source}}, {})) return 2;
   seqdl::Universe u;
-  auto text = ReadFile(args[0]);
-  if (!text.ok()) return ReportError(text.status());
-  auto program = seqdl::ParseProgram(u, *text);
-  if (!program.ok()) return ReportError(program.status(), args[0]);
-  seqdl::Program staged = *program;
-  bool has_equations = false;
-  for (const seqdl::Rule* r : staged.AllRules()) {
-    for (const seqdl::Literal& l : r->body) {
-      has_equations |= l.is_equation();
-    }
-  }
-  if (has_equations) {
+  auto program = LoadProgram(u, source);
+  if (!program.ok()) return ReportError(program.status(), source);
+  seqdl::Program staged = std::move(*program);
+  if (seqdl::DetectFeatures(staged).Contains(seqdl::Feature::kEquations)) {
     auto q = seqdl::EliminateEquations(u, staged);
     if (!q.ok()) return ReportError(q.status());
     staged = std::move(*q);
@@ -1241,18 +1262,15 @@ int CmdNormalForm(const std::vector<std::string>& args) {
   return 0;
 }
 
-int CmdAlgebra(const std::vector<std::string>& args) {
-  if (args.size() < 2) {
-    std::fprintf(stderr, "usage: seqdl algebra <program> <REL>\n");
+int CmdAlgebra(CommandLine& line) {
+  std::string source, rel_name;
+  if (!line.Parse({{"<program>", &source}, {"<REL>", &rel_name}}, {})) {
     return 2;
   }
-  if (!OnlyKnownFlags(args, "algebra", {})) return 2;
   seqdl::Universe u;
-  auto text = ReadFile(args[0]);
-  if (!text.ok()) return ReportError(text.status());
-  auto program = seqdl::ParseProgram(u, *text);
-  if (!program.ok()) return ReportError(program.status(), args[0]);
-  auto rel = u.FindRel(args[1]);
+  auto program = LoadProgram(u, source);
+  if (!program.ok()) return ReportError(program.status(), source);
+  auto rel = u.FindRel(rel_name);
   if (!rel.ok()) return ReportError(rel.status());
   auto alg = seqdl::DatalogToAlgebra(u, *program, *rel);
   if (!alg.ok()) return ReportError(alg.status());
@@ -1260,10 +1278,11 @@ int CmdAlgebra(const std::vector<std::string>& args) {
   return 0;
 }
 
-int CmdHasse(const std::vector<std::string>& args) {
-  if (!OnlyKnownFlags(args, "hasse", {"--dot"})) return 2;
+int CmdHasse(CommandLine& line) {
+  bool dot = false;
+  if (!line.Parse({}, {Switch("--dot", &dot)})) return 2;
   seqdl::HasseDiagram d = seqdl::BuildHasseDiagram();
-  if (HasFlag(args, "--dot")) {
+  if (dot) {
     std::printf("%s", seqdl::HasseToDot(d).c_str());
   } else {
     std::printf("%s", seqdl::RenderHasse(d).c_str());
@@ -1271,14 +1290,11 @@ int CmdHasse(const std::vector<std::string>& args) {
   return 0;
 }
 
-int CmdRegex(const std::vector<std::string>& args) {
-  if (args.empty()) {
-    std::fprintf(stderr, "usage: seqdl regex <pattern>\n");
-    return 2;
-  }
-  if (!OnlyKnownFlags(args, "regex", {})) return 2;
+int CmdRegex(CommandLine& line) {
+  std::string pattern;
+  if (!line.Parse({{"<pattern>", &pattern}}, {})) return 2;
   seqdl::Universe u;
-  auto q = seqdl::RegexToDatalog(u, args[0]);
+  auto q = seqdl::RegexToDatalog(u, pattern);
   if (!q.ok()) return ReportError(q.status());
   std::printf("%% strings go into %s; matches appear in %s\n",
               u.RelName(q->input).c_str(), u.RelName(q->output).c_str());
@@ -1286,27 +1302,41 @@ int CmdRegex(const std::vector<std::string>& args) {
   return 0;
 }
 
+/// The subcommands, in the order `seqdl` lists their synopses.
+struct Subcommand {
+  const char* name;
+  int (*run)(CommandLine& line);
+};
+
+constexpr Subcommand kSubcommands[] = {
+    {"run", CmdRun},
+    {"serve", CmdServe},
+    {"coordinate", CmdCoordinate},
+    {"query", CmdQuery},
+    {"check", CmdCheck},
+    {"transform", CmdTransform},
+    {"normalform", CmdNormalForm},
+    {"algebra", CmdAlgebra},
+    {"hasse", CmdHasse},
+    {"regex", CmdRegex},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: seqdl <run|serve|coordinate|query|check|transform|"
-                 "normalform|algebra|hasse|regex> ...\n");
-    return 2;
+  for (const Subcommand& s : kSubcommands) {
+    if (argc > 1 && std::string_view(argv[1]) == s.name) {
+      const std::vector<std::string> args(argv + 2, argv + argc);
+      CommandLine line(s.name, &args);
+      return s.run(line);
+    }
   }
-  std::string cmd = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
-  if (cmd == "run") return CmdRun(args);
-  if (cmd == "serve") return CmdServe(args);
-  if (cmd == "coordinate") return CmdCoordinate(args);
-  if (cmd == "query") return CmdQuery(args);
-  if (cmd == "check") return CmdCheck(args);
-  if (cmd == "transform") return CmdTransform(args);
-  if (cmd == "normalform") return CmdNormalForm(args);
-  if (cmd == "algebra") return CmdAlgebra(args);
-  if (cmd == "hasse") return CmdHasse(args);
-  if (cmd == "regex") return CmdRegex(args);
-  std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
+  if (argc > 1) std::fprintf(stderr, "error: unknown command '%s'\n", argv[1]);
+  std::fprintf(stderr, "usage:\n");
+  for (const Subcommand& s : kSubcommands) {
+    CommandLine line(s.name, nullptr);
+    s.run(line);  // returns at its Parse call, having built the synopsis
+    std::fprintf(stderr, "  %s\n", line.synopsis().c_str());
+  }
   return 2;
 }
