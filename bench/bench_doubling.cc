@@ -42,7 +42,7 @@ void PrintRoundTrip() {
     }
     bool ok = out->Tuples(back) == out->Tuples(r);
     size_t dlen = 0;
-    for (const Tuple& t : out->Tuples(rd)) {
+    for (TupleRef t : out->Tuples(rd)) {
       dlen = std::max(dlen, u.PathLength(t[0]));
     }
     std::printf("%-8zu %-14zu %-18s\n", len, dlen, ok ? "yes" : "NO");

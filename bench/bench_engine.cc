@@ -249,7 +249,7 @@ struct IngestWorkload {
     batches.resize(num_batches);
     size_t i = 0;
     for (RelId rel : in->Relations()) {
-      for (const Tuple& t : in->Tuples(rel)) {
+      for (TupleRef t : in->Tuples(rel)) {
         batches[i++ % num_batches].Add(rel, t);
       }
     }
@@ -821,11 +821,11 @@ void BM_PatchRelation(benchmark::State& state) {
   RelId mark = *u.FindRel("Mark");
   Instance after = before;
   std::vector<Tuple> gone;
-  for (const Tuple& t : before.Tuples(mark)) {
+  for (TupleRef t : before.Tuples(mark)) {
     if (gone.size() == 4) break;
-    gone.push_back(t);
+    gone.emplace_back(t.begin(), t.end());
   }
-  for (const Tuple& t : gone) after.Remove(mark, t);
+  for (TupleRef t : gone) after.Remove(mark, t);
   AddMarks(u, rng, facts, 4, &after);
   std::string old_text = *RenderOutput(u, before, "Mark");
   size_t bytes = 0;

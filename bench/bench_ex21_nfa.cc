@@ -50,7 +50,7 @@ void PrintAgreementTable() {
       }
       RelId r = *u.FindRel("R");
       size_t accepted = 0, rejected = 0, agree = 0, total = 0;
-      for (const Tuple& t : out->Tuples(r)) {
+      for (TupleRef t : out->Tuples(r)) {
         std::vector<uint32_t> word;
         for (Value v : u.GetPath(t[0])) {
           word.push_back(
@@ -109,7 +109,7 @@ void BM_NfaDirect(benchmark::State& state) {
   Instance strings = MakeStrings(u, 10, len, 3);
   RelId r = *u.FindRel("R");
   std::vector<std::vector<uint32_t>> words;
-  for (const Tuple& t : strings.Tuples(r)) {
+  for (TupleRef t : strings.Tuples(r)) {
     std::vector<uint32_t> word;
     for (Value v : u.GetPath(t[0])) {
       word.push_back(static_cast<uint32_t>(u.AtomName(v.atom())[0] - 'a'));

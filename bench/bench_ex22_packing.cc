@@ -66,12 +66,12 @@ void PrintRewriteSummary() {
     // Count marked occurrences with the baseline for context.
     std::set<std::string> hay, needles;
     RelId r_rel = *u2.FindRel("R"), s_rel = *u2.FindRel("S");
-    for (const Tuple& t : in.Tuples(r_rel)) {
+    for (TupleRef t : in.Tuples(r_rel)) {
       std::string s;
       for (Value v : u2.GetPath(t[0])) s += u2.AtomName(v.atom());
       hay.insert(s);
     }
-    for (const Tuple& t : in.Tuples(s_rel)) {
+    for (TupleRef t : in.Tuples(s_rel)) {
       std::string s;
       for (Value v : u2.GetPath(t[0])) s += u2.AtomName(v.atom());
       needles.insert(s);

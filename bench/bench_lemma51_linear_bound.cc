@@ -15,7 +15,7 @@ namespace {
 
 size_t MaxOutputLength(Universe& u, const Instance& out, RelId rel) {
   size_t n = 0;
-  for (const Tuple& t : out.Tuples(rel)) {
+  for (TupleRef t : out.Tuples(rel)) {
     for (PathId p : t) n = std::max(n, u.PathLength(p));
   }
   return n;

@@ -62,7 +62,7 @@ int main() {
   std::printf("language: (a|b)*ab\n");
   std::printf("%-16s %-10s %-10s\n", "string", "datalog", "simulator");
   seqdl::RelId r = *u.FindRel("R");
-  for (const seqdl::Tuple& t : out->Tuples(r)) {
+  for (seqdl::TupleRef t : out->Tuples(r)) {
     std::vector<uint32_t> word;
     for (seqdl::Value v : u.GetPath(t[0])) {
       word.push_back(static_cast<uint32_t>(u.AtomName(v.atom())[0] - 'a'));

@@ -65,7 +65,7 @@ int main() {
 
   seqdl::RelId r = *u.FindRel("R");
   std::printf("%-55s %s\n", "event log", "compliant?");
-  for (const seqdl::Tuple& t : out->Tuples(r)) {
+  for (seqdl::TupleRef t : out->Tuples(r)) {
     std::printf("%-55s %s\n", u.FormatPath(t[0]).c_str(),
                 out->Contains(query->output, t) ? "yes" : "NO");
   }

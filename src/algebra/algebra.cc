@@ -128,7 +128,7 @@ Result<uint32_t> AlgebraArity(const Universe& u, const AlgebraExpr& e) {
 namespace {
 
 // Binds the column variables $1..$n to the components of `t`.
-Valuation BindColumns(Universe& u, const Tuple& t) {
+Valuation BindColumns(Universe& u, TupleRef t) {
   Valuation v;
   for (size_t i = 0; i < t.size(); ++i) {
     v.Bind(u.InternVar(VarKind::kPath, std::to_string(i + 1)), t[i]);
@@ -152,22 +152,22 @@ Result<EvaluatedRel> EvalAlgebra(Universe& u, const AlgebraExpr& e,
         if (t.size() != e.const_arity) {
           return Status::InvalidArgument("constant relation arity mismatch");
         }
-        out.tuples.insert(t);
+        out.tuples.Insert(t);
       }
       return out;
     case AlgebraExpr::Op::kSelect: {
       SEQDL_ASSIGN_OR_RETURN(EvaluatedRel child, EvalAlgebra(u, *e.left, input));
-      for (const Tuple& t : child.tuples) {
+      for (TupleRef t : child.tuples) {
         Valuation v = BindColumns(u, t);
         SEQDL_ASSIGN_OR_RETURN(PathId a, EvalExpr(u, e.alpha, v));
         SEQDL_ASSIGN_OR_RETURN(PathId b, EvalExpr(u, e.beta, v));
-        if (a == b) out.tuples.insert(t);
+        if (a == b) out.tuples.Insert(t);
       }
       return out;
     }
     case AlgebraExpr::Op::kProject: {
       SEQDL_ASSIGN_OR_RETURN(EvaluatedRel child, EvalAlgebra(u, *e.left, input));
-      for (const Tuple& t : child.tuples) {
+      for (TupleRef t : child.tuples) {
         Valuation v = BindColumns(u, t);
         Tuple nt;
         nt.reserve(e.projections.size());
@@ -175,7 +175,7 @@ Result<EvaluatedRel> EvalAlgebra(Universe& u, const AlgebraExpr& e,
           SEQDL_ASSIGN_OR_RETURN(PathId p, EvalExpr(u, pe, v));
           nt.push_back(p);
         }
-        out.tuples.insert(std::move(nt));
+        out.tuples.Insert(nt);
       }
       return out;
     }
@@ -183,25 +183,25 @@ Result<EvaluatedRel> EvalAlgebra(Universe& u, const AlgebraExpr& e,
       SEQDL_ASSIGN_OR_RETURN(EvaluatedRel l, EvalAlgebra(u, *e.left, input));
       SEQDL_ASSIGN_OR_RETURN(EvaluatedRel r, EvalAlgebra(u, *e.right, input));
       out.tuples = std::move(l.tuples);
-      out.tuples.insert(r.tuples.begin(), r.tuples.end());
+      for (TupleRef t : r.tuples) out.tuples.Insert(t);
       return out;
     }
     case AlgebraExpr::Op::kDiff: {
       SEQDL_ASSIGN_OR_RETURN(EvaluatedRel l, EvalAlgebra(u, *e.left, input));
       SEQDL_ASSIGN_OR_RETURN(EvaluatedRel r, EvalAlgebra(u, *e.right, input));
-      for (const Tuple& t : l.tuples) {
-        if (!r.tuples.count(t)) out.tuples.insert(t);
+      for (TupleRef t : l.tuples) {
+        if (!r.tuples.Contains(t)) out.tuples.Insert(t);
       }
       return out;
     }
     case AlgebraExpr::Op::kProduct: {
       SEQDL_ASSIGN_OR_RETURN(EvaluatedRel l, EvalAlgebra(u, *e.left, input));
       SEQDL_ASSIGN_OR_RETURN(EvaluatedRel r, EvalAlgebra(u, *e.right, input));
-      for (const Tuple& a : l.tuples) {
-        for (const Tuple& b : r.tuples) {
-          Tuple t = a;
+      for (TupleRef a : l.tuples) {
+        for (TupleRef b : r.tuples) {
+          Tuple t(a.begin(), a.end());
           t.insert(t.end(), b.begin(), b.end());
-          out.tuples.insert(std::move(t));
+          out.tuples.Insert(t);
         }
       }
       return out;
@@ -211,12 +211,12 @@ Result<EvaluatedRel> EvalAlgebra(Universe& u, const AlgebraExpr& e,
       if (e.column < 1 || e.column > child.arity) {
         return Status::InvalidArgument("UNPACK column out of range");
       }
-      for (const Tuple& t : child.tuples) {
+      for (TupleRef t : child.tuples) {
         std::span<const Value> p = u.GetPath(t[e.column - 1]);
         if (p.size() == 1 && p[0].is_packed()) {
-          Tuple nt = t;
+          Tuple nt(t.begin(), t.end());
           nt[e.column - 1] = p[0].packed_path();
-          out.tuples.insert(std::move(nt));
+          out.tuples.Insert(nt);
         }
       }
       return out;
@@ -226,11 +226,11 @@ Result<EvaluatedRel> EvalAlgebra(Universe& u, const AlgebraExpr& e,
       if (e.column < 1 || e.column > child.arity) {
         return Status::InvalidArgument("SUB column out of range");
       }
-      for (const Tuple& t : child.tuples) {
+      for (TupleRef t : child.tuples) {
         for (PathId s : u.AllSubPaths(t[e.column - 1])) {
-          Tuple nt = t;
+          Tuple nt(t.begin(), t.end());
           nt.push_back(s);
-          out.tuples.insert(std::move(nt));
+          out.tuples.Insert(nt);
         }
       }
       return out;

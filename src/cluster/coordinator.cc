@@ -374,7 +374,7 @@ Result<protocol::RunReply> Coordinator::RunResidual(
       SEQDL_ASSIGN_OR_RETURN(Instance part, ParseInstance(*u_, r.rendered));
       // Un-alias: the shards answered under the dump's alias heads.
       for (const auto& [alias, real] : aliases) {
-        for (const Tuple& t : part.Tuples(alias)) gathered.Add(real, t);
+        for (TupleRef t : part.Tuples(alias)) gathered.Add(real, t);
       }
     }
   }
@@ -420,7 +420,7 @@ Result<protocol::AppendReply> Coordinator::Append(
   Instance bcast;
   for (RelId rel : parsed->Relations()) {
     bool is_bcast = partitioner_.IsBroadcast(*u_, rel);
-    for (const Tuple& t : parsed->Tuples(rel)) {
+    for (TupleRef t : parsed->Tuples(rel)) {
       if (is_bcast) {
         bcast.Add(rel, t);
       } else {
@@ -497,7 +497,7 @@ Result<protocol::RetractReply> Coordinator::Retract(
   Instance bcast;
   for (RelId rel : parsed->Relations()) {
     bool is_bcast = partitioner_.IsBroadcast(*u_, rel);
-    for (const Tuple& t : parsed->Tuples(rel)) {
+    for (TupleRef t : parsed->Tuples(rel)) {
       if (is_bcast) {
         bcast.Add(rel, t);
       } else {

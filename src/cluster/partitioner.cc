@@ -16,7 +16,7 @@ uint64_t Partitioner::HashKey(std::string_view key) {
 }
 
 uint32_t Partitioner::ShardOf(const Universe& u, RelId rel,
-                              const Tuple& t) const {
+                              TupleRef t) const {
   const std::string& name = u.RelName(rel);
   if (opts_.broadcast.count(name) != 0) return 0;
   auto pin = opts_.pinned.find(name);
@@ -32,12 +32,12 @@ std::vector<Instance> Partitioner::Split(const Universe& u,
   std::vector<Instance> parts(num_shards_);
   for (RelId rel : in.Relations()) {
     if (IsBroadcast(u, rel)) {
-      for (const Tuple& t : in.Tuples(rel)) {
+      for (TupleRef t : in.Tuples(rel)) {
         for (Instance& part : parts) part.Add(rel, t);
       }
       continue;
     }
-    for (const Tuple& t : in.Tuples(rel)) {
+    for (TupleRef t : in.Tuples(rel)) {
       parts[ShardOf(u, rel, t)].Add(rel, t);
     }
   }

@@ -66,7 +66,7 @@ class Partitioner {
   /// relation has one, else HashKey of the rendered first value (the
   /// relation name when `t` is empty) modulo the shard count. For a
   /// broadcast relation this is the primary copy's shard (0).
-  uint32_t ShardOf(const Universe& u, RelId rel, const Tuple& t) const;
+  uint32_t ShardOf(const Universe& u, RelId rel, TupleRef t) const;
 
   /// Splits `in` into one Instance per shard: partitioned facts go to
   /// their owning shard, broadcast facts into every partition.

@@ -33,7 +33,7 @@ constexpr double kTailFoldFraction = 0.25;
 /// see the header comment).
 bool StackVisible(const std::vector<std::shared_ptr<const BaseStore>>& segs,
                   const std::vector<SegmentKind>& kinds, size_t end,
-                  RelId rel, const Tuple& t) {
+                  RelId rel, TupleRef t) {
   for (size_t i = end; i-- > 0;) {
     if (segs[i]->Contains(rel, t)) {
       return kinds[i] == SegmentKind::kFacts;
@@ -56,7 +56,7 @@ Instance MaterializeVisible(
       continue;
     }
     for (RelId rel : inst.Relations()) {
-      for (const Tuple& t : inst.Tuples(rel)) {
+      for (TupleRef t : inst.Tuples(rel)) {
         out.Remove(rel, t);
       }
     }
@@ -207,7 +207,7 @@ Result<uint64_t> Database::AppendTo(DbState& state, Instance delta,
   // occurrence above its tombstone.)
   Instance fresh;
   for (RelId rel : delta.Relations()) {
-    for (const Tuple& t : delta.Tuples(rel)) {
+    for (TupleRef t : delta.Tuples(rel)) {
       if (!StackVisible(cur->segments, cur->segment_kinds,
                         cur->segments.size(), rel, t)) {
         fresh.Add(rel, t);
@@ -273,7 +273,7 @@ Result<uint64_t> Database::RetractFrom(DbState& state, Instance victims,
   // disjoint from each other at equal visibility depth.
   Instance hits;
   for (RelId rel : victims.Relations()) {
-    for (const Tuple& t : victims.Tuples(rel)) {
+    for (TupleRef t : victims.Tuples(rel)) {
       if (StackVisible(cur->segments, cur->segment_kinds,
                        cur->segments.size(), rel, t)) {
         hits.Add(rel, t);
@@ -418,7 +418,7 @@ Result<bool> Database::CompactLocked(DbState& state, Fold fold) {
     for (size_t i = 1; i < end && small; ++i) {
       const Instance& inst = segs[i]->instance();
       for (RelId rel : inst.Relations()) {
-        for (const Tuple& t : inst.Tuples(rel)) {
+        for (TupleRef t : inst.Tuples(rel)) {
           bool visible = StackVisible(segs, kinds, end, rel, t);
           if (base.Contains(rel, t)) {
             if (!visible) dropped.Add(rel, t);

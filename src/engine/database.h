@@ -423,7 +423,7 @@ class Writer {
  public:
   /// Stages one fact. Returns true if it was new among the staged facts
   /// (duplicates against the database resolve at Commit).
-  bool Add(RelId rel, Tuple t) { return staged_.Add(rel, std::move(t)); }
+  bool Add(RelId rel, const Tuple& t) { return staged_.Add(rel, t); }
   /// Stages every fact of `facts`.
   void Stage(const Instance& facts) { staged_.UnionWith(facts); }
   void Stage(Instance&& facts) { staged_.UnionWith(std::move(facts)); }
@@ -431,8 +431,8 @@ class Writer {
   /// Stages one retraction. Returns true if it was new among the staged
   /// retractions. Retractions publish *after* the staged appends, so a
   /// fact both staged and retracted in the same batch ends up retracted.
-  bool Retract(RelId rel, Tuple t) {
-    return retract_staged_.Add(rel, std::move(t));
+  bool Retract(RelId rel, const Tuple& t) {
+    return retract_staged_.Add(rel, t);
   }
 
   size_t NumStaged() const { return staged_.NumFacts(); }

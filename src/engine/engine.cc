@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -145,7 +146,7 @@ class Executor {
     for (const BaseStore* seg : delta_span) {
       const Instance& inst = seg->instance();
       for (RelId rel : inst.Relations()) {
-        for (const Tuple& t : inst.Tuples(rel)) {
+        for (TupleRef t : inst.Tuples(rel)) {
           bool was = VisibleIn(base_span, base_kinds, rel, t);
           bool is = store_.ContainsBase(rel, t);
           if (was == is) continue;
@@ -155,9 +156,9 @@ class Executor {
             // no new consequences can follow — and re-enumerating its
             // firings would inflate the stored support past the true
             // derivation count, which DRed can never recover from.
-            if (!view.Contains(rel, t)) added[rel].insert(t);
+            if (!view.Contains(rel, t)) added[rel].Insert(t);
           } else {
-            removed[rel].insert(t);
+            removed[rel].Insert(t);
           }
         }
       }
@@ -229,7 +230,7 @@ class Executor {
         if (stats_) ++stats_->strata_delta_maintained;
         for (RelId rel : stratum_added.Relations()) {
           TupleSet& ts = added[rel];
-          for (const Tuple& t : stratum_added.Tuples(rel)) ts.insert(t);
+          for (TupleRef t : stratum_added.Tuples(rel)) ts.Insert(t);
         }
       } else {
         if (stats_) ++stats_->strata_recomputed;
@@ -242,14 +243,14 @@ class Executor {
         for (RelId rel : heads) {
           const TupleSet& fresh = stratum_added.Tuples(rel);
           const TupleSet& stored = view.Tuples(rel);
-          for (const Tuple& t : stored) {
-            if (fresh.count(t) != 0 || store_.ContainsBase(rel, t)) continue;
-            removed[rel].insert(t);
+          for (TupleRef t : stored) {
+            if (fresh.Contains(t) || store_.ContainsBase(rel, t)) continue;
+            removed[rel].Insert(t);
           }
-          for (const Tuple& t : fresh) {
-            if (stored.count(t) != 0) continue;
+          for (TupleRef t : fresh) {
+            if (stored.Contains(t)) continue;
             if (VisibleIn(base_span, base_kinds, rel, t)) continue;
-            added[rel].insert(t);
+            added[rel].Insert(t);
           }
         }
       }
@@ -372,7 +373,7 @@ class Executor {
   // segment (empty kinds = all facts).
   static bool VisibleIn(std::span<const BaseStore* const> segments,
                         std::span<const SegmentKind> kinds, RelId rel,
-                        const Tuple& t) {
+                        TupleRef t) {
     for (size_t i = segments.size(); i-- > 0;) {
       if (segments[i]->Contains(rel, t)) {
         return kinds.empty() || kinds[i] == SegmentKind::kFacts;
@@ -382,9 +383,9 @@ class Executor {
   }
 
   static bool InMap(const std::map<RelId, TupleSet>& m, RelId rel,
-                    const Tuple& t) {
+                    TupleRef t) {
     auto it = m.find(rel);
-    return it != m.end() && it->second.count(t) != 0;
+    return it != m.end() && it->second.Contains(t);
   }
 
   // Head relations that can reach themselves through positive body
@@ -489,8 +490,8 @@ class Executor {
           if (stored == 0 || cyclic.count(rel) != 0) stored = 1;
           if (cum < stored) continue;
           store_.RemoveOverlay(rel, t);
-          deleted[rel].insert(t);
-          next_dminus[rel].insert(t);
+          deleted[rel].Insert(t);
+          next_dminus[rel].Insert(t);
           if (stats_) ++stats_->dred_over_deleted;
         }
       }
@@ -508,13 +509,17 @@ class Executor {
     // derivation.
     std::vector<std::pair<RelId, Tuple>> candidates;
     for (const auto& [rel, ts] : deleted) {
-      for (const Tuple& t : ts) candidates.emplace_back(rel, t);
+      for (TupleRef t : ts) {
+        candidates.emplace_back(rel, Tuple(t.begin(), t.end()));
+      }
     }
     for (RelId rel : heads) {
       auto it = removed->find(rel);
       if (it == removed->end()) continue;
-      for (const Tuple& t : it->second) {
-        if (!InMap(deleted, rel, t)) candidates.emplace_back(rel, t);
+      for (TupleRef t : it->second) {
+        if (!InMap(deleted, rel, t)) {
+          candidates.emplace_back(rel, Tuple(t.begin(), t.end()));
+        }
       }
     }
     std::vector<bool> rescued(candidates.size(), false);
@@ -547,12 +552,12 @@ class Executor {
           // lost it, so downstream strata must not see a removal.
           auto it = removed->find(rel);
           if (it != removed->end()) {
-            it->second.erase(t);
+            it->second.Erase(t);
             if (it->second.empty()) removed->erase(it);
           }
         }
       } else if (was_deleted) {
-        (*removed)[rel].insert(t);
+        (*removed)[rel].Insert(t);
       }
     }
     return Status::OK();
@@ -567,7 +572,7 @@ class Executor {
   // running the cold plan's unbound step order (whose first scan is a
   // full sweep of the relation — per candidate).
   Result<bool> CheckDerivable(const CompiledStratum& stratum, RelId rel,
-                              const Tuple& t) {
+                              TupleRef t) {
     SEQDL_RETURN_IF_ERROR(PollCancel());
     for (const RulePlan& plan : stratum.check_plans) {
       if (plan.rule->head.rel != rel) continue;
@@ -638,7 +643,7 @@ class Executor {
       track_matched_ = true;
       count_delta_ = delta;
       count_delta_lit_ = plan.steps[delta_step].lit_idx;
-      matched_.assign(plan.rule->body.size(), nullptr);
+      matched_.assign(plan.rule->body.size(), std::nullopt);
     }
     ExecuteStep(plan, 0, v, delta_step, delta, delta_idx);
     track_matched_ = false;
@@ -664,8 +669,8 @@ class Executor {
       if (j == count_delta_lit_) continue;
       const Literal& l = body[j];
       if (!l.is_predicate() || l.negated) continue;
-      const Tuple* m = matched_[j];
-      if (m == nullptr) continue;
+      const std::optional<TupleRef>& m = matched_[j];
+      if (!m) continue;
       if (j < count_delta_lit_ && InMap(*count_delta_, l.pred.rel, *m)) {
         return true;
       }
@@ -676,7 +681,7 @@ class Executor {
 
   // A fact that died in an earlier deletion round: a ghost that is not
   // part of the current round's deletion set.
-  bool IsOldGhost(RelId rel, const Tuple& t) const {
+  bool IsOldGhost(RelId rel, TupleRef t) const {
     if (count_delta_ != nullptr && InMap(*count_delta_, rel, t)) return false;
     return (ghosts_removed_ != nullptr && InMap(*ghosts_removed_, rel, t)) ||
            (ghosts_deleted_ != nullptr && InMap(*ghosts_deleted_, rel, t));
@@ -697,25 +702,24 @@ class Executor {
     };
     // Enumerate one store tuple, recording it when the canonical-count
     // machinery needs to know which tuple each literal matched.
-    auto match_one = [&](const Tuple& t) {
-      if (track_matched_) matched_[step.lit_idx] = &t;
+    auto match_one = [&](TupleRef t) {
+      if (track_matched_) matched_[step.lit_idx] = t;
       return MatchArgs(u_, lit.pred.args, t, v, next);
     };
-    auto match_all = [&](const std::vector<const Tuple*>& bucket) {
-      for (const Tuple* t : bucket) {
-        if (!match_one(*t)) return false;
+    auto match_all = [&](const Bucket& bucket) {
+      for (TupleRef t : bucket) {
+        if (!match_one(t)) return false;
       }
       return true;
     };
     // Enumerate a fact segment's probe bucket, skipping tuples a newer
     // tombstone segment shadows (the common stack has no tombstones, so
     // the fast path is the plain bucket walk).
-    auto match_layer = [&](const SegmentLayer& layer,
-                           const std::vector<const Tuple*>& bucket) {
+    auto match_layer = [&](const SegmentLayer& layer, const Bucket& bucket) {
       if (layer.shadows.empty()) return match_all(bucket);
-      for (const Tuple* t : bucket) {
-        if (layer.Shadowed(lit.pred.rel, *t)) continue;
-        if (!match_one(*t)) return false;
+      for (TupleRef t : bucket) {
+        if (layer.Shadowed(lit.pred.rel, t)) continue;
+        if (!match_one(t)) return false;
       }
       return true;
     };
@@ -741,7 +745,7 @@ class Executor {
             // answer them.
             if (key.family == IndexFamily::kWhole &&
                 lit.pred.args.size() == 1) {
-              Tuple probe{key.key};
+              TupleRef probe(&key.key, 1);
               if (!store_.Contains(lit.pred.rel, probe)) return true;
               return match_one(probe);
             }
@@ -762,14 +766,14 @@ class Executor {
           }
           if (stats_) ++stats_->full_scans;
           for (const SegmentLayer& layer : store_.layers()) {
-            for (const Tuple& t : layer.store->Tuples(lit.pred.rel)) {
+            for (TupleRef t : layer.store->Tuples(lit.pred.rel)) {
               if (!layer.shadows.empty() && layer.Shadowed(lit.pred.rel, t)) {
                 continue;
               }
               if (!match_one(t)) return false;
             }
           }
-          for (const Tuple& t : store_.overlay().Tuples(lit.pred.rel)) {
+          for (TupleRef t : store_.overlay().Tuples(lit.pred.rel)) {
             if (!match_one(t)) return false;
           }
           return true;
@@ -898,18 +902,18 @@ class Executor {
     if (opts_.use_index && delta_idx != nullptr) {
       StepKey key;
       if (!EvalStepKey(step, lit, v, &key)) return false;
-      // nullptr = no key, or the delta is below the indexing threshold;
+      // nullopt = no key, or the delta is below the indexing threshold;
       // fall back to the linear scan.
-      const std::vector<const Tuple*>* bucket =
+      std::optional<Bucket> bucket =
           key.family == IndexFamily::kNone
-              ? nullptr
+              ? std::nullopt
               : delta_idx->Probe(lit.pred.rel, key.col, key.family, key.key);
-      if (bucket != nullptr) {
+      if (bucket) {
         if (stats_) ++stats_->delta_index_probes;
         return match_all(*bucket);
       }
     }
-    for (const Tuple& t : it->second) {
+    for (TupleRef t : it->second) {
       if (!match_one(t)) return false;
     }
     return true;
@@ -925,7 +929,7 @@ class Executor {
       if (ghosts == nullptr) continue;
       auto it = ghosts->find(lit.pred.rel);
       if (it == ghosts->end()) continue;
-      for (const Tuple& t : it->second) {
+      for (TupleRef t : it->second) {
         // Still visible (e.g. re-asserted by a newer segment): the store
         // walk already enumerated it.
         if (store_.Contains(lit.pred.rel, t)) continue;
@@ -979,7 +983,7 @@ class Executor {
     if (decrement_mode_) {
       // One dead derivation found: decrement its head's support, exactly
       // once per firing (SkipCount), and derive nothing.
-      if (!SkipCount(plan)) ++dec_round_[rel][std::move(t)];
+      if (!SkipCount(plan)) ++dec_round_[rel][t];
       return true;
     }
     // Count the derivation event before deduplication: support counts
@@ -992,7 +996,7 @@ class Executor {
       ++(*opts_.support)[rel][t];
     }
     if (store_.Contains(rel, t)) return true;
-    if (pending_[rel].insert(std::move(t)).second) {
+    if (pending_[rel].Insert(t).second) {
       ++derived_;
       if (stats_) {
         ++stats_->derived_facts;
@@ -1014,9 +1018,9 @@ class Executor {
   Status MergePending(std::map<RelId, TupleSet>* fresh) {
     fresh->clear();
     for (auto& [rel, tuples] : pending_) {
-      for (const Tuple& t : tuples) {
+      for (TupleRef t : tuples) {
         if (store_.Add(rel, t)) {
-          (*fresh)[rel].insert(t);
+          (*fresh)[rel].Insert(t);
           if (stratum_added_ != nullptr) stratum_added_->Add(rel, t);
         }
       }
@@ -1058,7 +1062,7 @@ class Executor {
   const std::map<RelId, TupleSet>* count_delta_ = nullptr;
   size_t count_delta_lit_ = kNoDeltaStep;
   /// Per body literal: the store tuple the literal currently matches.
-  std::vector<const Tuple*> matched_;
+  std::vector<std::optional<TupleRef>> matched_;
 };
 
 }  // namespace internal

@@ -72,13 +72,13 @@ class Executor;
 /// which makes the pair sound: counts can only reach zero at or before
 /// the true support does, and an early zero merely costs a re-derivation
 /// check, never a wrong deletion.
-using SupportCounts = std::map<RelId, std::unordered_map<Tuple, uint32_t, TupleHash>>;
+using SupportCounts = std::map<RelId, TupleCounts>;
 
 /// Stored-support lookup for RunDelta's deletion phase: returns the
 /// support count the view recorded for (rel, tuple), or 0 when unknown —
 /// the executor treats unknown as 1 (delete on first decrement and let
 /// re-derivation decide), the classic DRed behaviour.
-using SupportLookup = std::function<uint32_t(RelId, const Tuple&)>;
+using SupportLookup = std::function<uint32_t(RelId, TupleRef)>;
 
 /// Options fixed at compilation time.
 struct CompileOptions {

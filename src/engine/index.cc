@@ -1,40 +1,36 @@
 #include "src/engine/index.h"
 
+#include <algorithm>
 #include <cassert>
 #include <optional>
 #include <span>
 
 namespace seqdl {
 
-const std::vector<const Tuple*>& EmptyBucket() {
-  static const std::vector<const Tuple*> kEmpty;
-  return kEmpty;
-}
-
 namespace {
 
-const std::vector<const Tuple*>& FindBucket(const BucketMap& buckets,
-                                            uint32_t key) {
+std::span<const uint32_t> FindBucket(const BucketMap& buckets, uint32_t key) {
   auto it = buckets.find(key);
-  if (it == buckets.end()) return EmptyBucket();
+  if (it == buckets.end()) return {};
   return it->second;
 }
 
 /// The key `t` files under in the (col, family) index; nullopt when the
 /// tuple has no such column or the column no such key.
-std::optional<uint32_t> TupleKey(const Universe& u, const Tuple& t,
-                                 uint32_t col, IndexFamily family) {
+std::optional<uint32_t> TupleKey(const Universe& u, TupleRef t, uint32_t col,
+                                 IndexFamily family) {
   if (col >= t.size()) return std::nullopt;
   return FamilyKey(u, family, t[col]);
 }
 
-/// Builds the (col, family) index of `tuples` into `buckets`, in the
-/// tuple set's iteration order.
+/// Builds the (col, family) index of `tuples` into `buckets`, in row
+/// order.
 void FileAll(const Universe& u, const TupleSet& tuples, uint32_t col,
              IndexFamily family, BucketMap* buckets) {
-  for (const Tuple& t : tuples) {
-    if (std::optional<uint32_t> key = TupleKey(u, t, col, family)) {
-      (*buckets)[*key].push_back(&t);
+  for (uint32_t row = 0; row < tuples.size(); ++row) {
+    if (std::optional<uint32_t> key =
+            TupleKey(u, tuples.Row(row), col, family)) {
+      (*buckets)[*key].push_back(row);
     }
   }
 }
@@ -43,16 +39,17 @@ void FileAll(const Universe& u, const TupleSet& tuples, uint32_t col,
 
 // --- IndexedInstance ---------------------------------------------------------
 
-bool IndexedInstance::Add(RelId rel, Tuple t) {
-  auto [stored, is_new] = base_.Insert(rel, std::move(t));
+bool IndexedInstance::Add(RelId rel, TupleRef t) {
+  auto [row, is_new] = base_.Insert(rel, t);
   if (!is_new) return false;
+  TupleRef stored = base_.Tuples(rel).Row(row);
   // Update every built index of this relation.
   for (auto it = indexes_.lower_bound({rel, 0, IndexFamily::kWhole});
        it != indexes_.end() && std::get<0>(it->first) == rel; ++it) {
     auto [r, col, family] = it->first;
     if (std::optional<uint32_t> key =
-            TupleKey(*universe_, *stored, col, family)) {
-      it->second[*key].push_back(stored);
+            TupleKey(*universe_, stored, col, family)) {
+      it->second[*key].push_back(row);
     }
   }
   return true;
@@ -62,7 +59,7 @@ size_t IndexedInstance::BulkAdd(RelId rel, const TupleSet& tuples) {
   auto it = indexes_.lower_bound({rel, 0, IndexFamily::kWhole});
   if (it != indexes_.end() && std::get<0>(it->first) == rel) {
     size_t added = 0;
-    for (const Tuple& t : tuples) {
+    for (TupleRef t : tuples) {
       if (Add(rel, t)) ++added;
     }
     return added;
@@ -70,42 +67,42 @@ size_t IndexedInstance::BulkAdd(RelId rel, const TupleSet& tuples) {
   return base_.AddAll(rel, tuples);
 }
 
-bool IndexedInstance::Remove(RelId rel, const Tuple& t) {
+bool IndexedInstance::Remove(RelId rel, TupleRef t) {
   const TupleSet& tuples = base_.Tuples(rel);
-  auto stored_it = tuples.find(t);
-  if (stored_it == tuples.end()) return false;
-  // Bucket entries are pointers to the stored tuple; resolve the address
-  // before the instance erases it.
-  const Tuple* stored = &*stored_it;
+  const uint32_t row = tuples.Find(t);
+  if (row == TupleSet::kNoRow) return false;
+  // The instance swap-removes: the last row takes `row`'s number. Drop
+  // `row` from its buckets, then refile the last row under its new
+  // number, before the erase moves it.
+  const uint32_t last = static_cast<uint32_t>(tuples.size() - 1);
   for (auto it = indexes_.lower_bound({rel, 0, IndexFamily::kWhole});
        it != indexes_.end() && std::get<0>(it->first) == rel; ++it) {
     auto [r, col, family] = it->first;
-    std::optional<uint32_t> key = TupleKey(*universe_, *stored, col, family);
-    if (!key) continue;
-    auto b = it->second.find(*key);
-    if (b == it->second.end()) continue;
-    std::vector<const Tuple*>& bucket = b->second;
-    for (size_t i = 0; i < bucket.size(); ++i) {
-      if (bucket[i] == stored) {
-        bucket[i] = bucket.back();
-        bucket.pop_back();
-        break;
-      }
+    BucketMap& buckets = it->second;
+    if (std::optional<uint32_t> key =
+            TupleKey(*universe_, tuples.Row(row), col, family)) {
+      std::vector<uint32_t>& bucket = buckets.find(*key)->second;
+      *std::find(bucket.begin(), bucket.end(), row) = bucket.back();
+      bucket.pop_back();
+    }
+    if (row == last) continue;
+    if (std::optional<uint32_t> key =
+            TupleKey(*universe_, tuples.Row(last), col, family)) {
+      std::vector<uint32_t>& bucket = buckets.find(*key)->second;
+      *std::find(bucket.begin(), bucket.end(), last) = row;
     }
   }
-  return base_.Remove(rel, t);
+  return base_.Remove(rel, tuples.Row(row));
 }
 
-const std::vector<const Tuple*>& IndexedInstance::Probe(RelId rel,
-                                                        uint32_t col,
-                                                        IndexFamily family,
-                                                        uint32_t key) {
+Bucket IndexedInstance::Probe(RelId rel, uint32_t col, IndexFamily family,
+                              uint32_t key) {
   assert(universe_ != nullptr);
   auto [it, built_now] = indexes_.try_emplace({rel, col, family});
   if (built_now) {
     FileAll(*universe_, base_.Tuples(rel), col, family, &it->second);
   }
-  return FindBucket(it->second, key);
+  return Bucket(base_.Tuples(rel), FindBucket(it->second, key));
 }
 
 // --- BaseStore ---------------------------------------------------------------
@@ -121,27 +118,28 @@ BaseStore::BaseStore(const Universe& u, Instance edb)
   }
 }
 
-const std::vector<const Tuple*>& BaseStore::Probe(RelId rel, uint32_t col,
-                                                  IndexFamily family,
-                                                  uint32_t key) const {
+Bucket BaseStore::Probe(RelId rel, uint32_t col, IndexFamily family,
+                        uint32_t key) const {
   auto it = slots_.find(rel);
-  if (it == slots_.end() || col >= it->second.size()) return EmptyBucket();
+  if (it == slots_.end() || col >= it->second.size()) return Bucket();
   const ColSlot& slot = it->second[col];
   std::call_once(slot.once, [&] {
     // The slot table is logically mutable index state over the immutable
     // EDB; call_once makes the build exclusive and publishes the maps to
     // every later prober. All three families build in this one pass.
     ColSlot& s = const_cast<ColSlot&>(slot);
-    for (const Tuple& t : edb_.Tuples(rel)) {
+    const TupleSet& tuples = edb_.Tuples(rel);
+    for (uint32_t row = 0; row < tuples.size(); ++row) {
       for (IndexFamily f : kIndexFamilies) {
-        if (std::optional<uint32_t> k = TupleKey(*universe_, t, col, f)) {
-          s.buckets[f][*k].push_back(&t);
+        if (std::optional<uint32_t> k =
+                TupleKey(*universe_, tuples.Row(row), col, f)) {
+          s.buckets[f][*k].push_back(row);
         }
       }
     }
     s.built.store(true, std::memory_order_relaxed);
   });
-  return FindBucket(slot.buckets[family], key);
+  return Bucket(edb_.Tuples(rel), FindBucket(slot.buckets[family], key));
 }
 
 const StoreStats& BaseStore::Stats() const {
@@ -210,7 +208,7 @@ size_t LayeredStore::Adopt(RelId rel, const TupleSet& tuples,
   if (!may_overlap) return overlay_.BulkAdd(rel, tuples);
   // Visible membership restricted to the check span: the newest check
   // segment holding the fact decides, exactly like ContainsBase.
-  auto visible_in_check = [&](const Tuple& t) {
+  auto visible_in_check = [&](TupleRef t) {
     for (size_t i = check.size(); i-- > 0;) {
       if (check[i]->Contains(rel, t)) {
         return check_kinds.empty() || check_kinds[i] == SegmentKind::kFacts;
@@ -219,7 +217,7 @@ size_t LayeredStore::Adopt(RelId rel, const TupleSet& tuples,
     return false;
   };
   size_t added = 0;
-  for (const Tuple& t : tuples) {
+  for (TupleRef t : tuples) {
     if (!visible_in_check(t) && overlay_.Add(rel, t)) ++added;
   }
   return added;
@@ -227,18 +225,17 @@ size_t LayeredStore::Adopt(RelId rel, const TupleSet& tuples,
 
 // --- DeltaIndexer ------------------------------------------------------------
 
-const std::vector<const Tuple*>* DeltaIndexer::Probe(RelId rel, uint32_t col,
-                                                     IndexFamily family,
-                                                     uint32_t key) {
+std::optional<Bucket> DeltaIndexer::Probe(RelId rel, uint32_t col,
+                                          IndexFamily family, uint32_t key) {
   auto delta_it = delta_->find(rel);
   if (delta_it == delta_->end() || delta_it->second.size() < threshold_) {
-    return nullptr;
+    return std::nullopt;
   }
   auto [it, built_now] = built_.try_emplace({rel, col, family});
   if (built_now) {
     FileAll(*universe_, delta_it->second, col, family, &it->second);
   }
-  return &FindBucket(it->second, key);
+  return Bucket(delta_it->second, FindBucket(it->second, key));
 }
 
 }  // namespace seqdl

@@ -26,9 +26,11 @@
 //     delta set on first probe once it exceeds a size threshold (small
 //     deltas stay linear scans).
 //
-// Bucket entries are pointers into the underlying TupleSet, in insertion
-// order; unordered_set guarantees reference stability under insertion, so
-// derivation never invalidates them.
+// Bucket entries are 4-byte row numbers into the relation's TupleSet
+// (tuple_set.h), filed in row order; a probe hands them out as a Bucket,
+// which reads each row in place. Inserting appends a row, so derivation
+// never renumbers one; IndexedInstance::Remove swap-removes a row and
+// refiles the row that moved into its number.
 #ifndef SEQDL_ENGINE_INDEX_H_
 #define SEQDL_ENGINE_INDEX_H_
 
@@ -36,6 +38,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <tuple>
 #include <unordered_map>
@@ -49,12 +52,48 @@
 
 namespace seqdl {
 
-/// The shared empty bucket returned for missing keys.
-const std::vector<const Tuple*>& EmptyBucket();
+/// One (relation, column, family) index: FamilyKey -> the row numbers of
+/// the tuples filed under it.
+using BucketMap = std::unordered_map<uint32_t, std::vector<uint32_t>>;
 
-/// One (relation, column, family) index: FamilyKey -> the tuples filed
-/// under it.
-using BucketMap = std::unordered_map<uint32_t, std::vector<const Tuple*>>;
+/// The tuples a probe selected: row numbers into one relation's table,
+/// read in place as TupleRefs. Valid until the table or the index changes.
+class Bucket {
+ public:
+  /// Visits the selected rows in filing order.
+  class const_iterator {
+   public:
+    TupleRef operator*() const { return table_->Row(*row_); }
+    const_iterator& operator++() {
+      ++row_;
+      return *this;
+    }
+    friend bool operator==(const_iterator a, const_iterator b) {
+      return a.row_ == b.row_;
+    }
+
+   private:
+    friend class Bucket;
+    const_iterator(const TupleSet* table, const uint32_t* row)
+        : table_(table), row_(row) {}
+    const TupleSet* table_ = nullptr;
+    const uint32_t* row_ = nullptr;
+  };
+
+  /// The empty bucket.
+  Bucket() = default;
+  Bucket(const TupleSet& table, std::span<const uint32_t> rows)
+      : table_(&table), rows_(rows) {}
+
+  size_t size() const { return rows_.size(); }
+  bool empty() const { return rows_.empty(); }
+  const_iterator begin() const { return {table_, rows_.data()}; }
+  const_iterator end() const { return {table_, rows_.data() + rows_.size()}; }
+
+ private:
+  const TupleSet* table_ = nullptr;
+  std::span<const uint32_t> rows_;
+};
 
 class IndexedInstance {
  public:
@@ -71,7 +110,7 @@ class IndexedInstance {
 
   /// Adds a fact, updating any built indexes of its relation. Returns true
   /// if the fact was new.
-  bool Add(RelId rel, Tuple t);
+  bool Add(RelId rel, TupleRef t);
 
   /// Bulk counterpart of Add: inserts all of `tuples` with capacity
   /// reserved up front. While no index of `rel` has been built yet this
@@ -81,21 +120,19 @@ class IndexedInstance {
   /// new facts.
   size_t BulkAdd(RelId rel, const TupleSet& tuples);
 
-  bool Contains(RelId rel, const Tuple& t) const {
-    return base_.Contains(rel, t);
-  }
+  bool Contains(RelId rel, TupleRef t) const { return base_.Contains(rel, t); }
   const TupleSet& Tuples(RelId rel) const { return base_.Tuples(rel); }
 
   /// The tuples of `rel` whose `col`-th component files under `key` in
   /// `family`'s index (FamilyKey). Builds the (rel, col, family) index on
   /// first use.
-  const std::vector<const Tuple*>& Probe(RelId rel, uint32_t col,
-                                         IndexFamily family, uint32_t key);
+  Bucket Probe(RelId rel, uint32_t col, IndexFamily family, uint32_t key);
 
-  /// Removes a fact, dropping it from every built index of its relation.
-  /// Returns true if it was present. The DRed deletion path's overlay
-  /// surgery; O(bucket) per built index family.
-  bool Remove(RelId rel, const Tuple& t);
+  /// Removes a fact, dropping it from every built index of its relation
+  /// and refiling the row that takes its number. Returns true if it was
+  /// present. The DRed deletion path's overlay surgery; O(bucket) per
+  /// built index family.
+  bool Remove(RelId rel, TupleRef t);
 
  private:
   const Universe* universe_ = nullptr;
@@ -119,14 +156,11 @@ class BaseStore {
   /// for the throwaway store of PreparedProgram::Run, after evaluation.
   Instance&& TakeInstance() { return std::move(edb_); }
 
-  bool Contains(RelId rel, const Tuple& t) const {
-    return edb_.Contains(rel, t);
-  }
+  bool Contains(RelId rel, TupleRef t) const { return edb_.Contains(rel, t); }
   const TupleSet& Tuples(RelId rel) const { return edb_.Tuples(rel); }
 
-  const std::vector<const Tuple*>& Probe(RelId rel, uint32_t col,
-                                         IndexFamily family,
-                                         uint32_t key) const;
+  Bucket Probe(RelId rel, uint32_t col, IndexFamily family,
+               uint32_t key) const;
 
   /// Number of (relation, column) columns whose indexes have been built.
   size_t NumIndexedColumns() const;
@@ -171,7 +205,7 @@ struct SegmentLayer {
   const BaseStore* store = nullptr;
   std::span<const BaseStore* const> shadows;
 
-  bool Shadowed(RelId rel, const Tuple& t) const {
+  bool Shadowed(RelId rel, TupleRef t) const {
     for (const BaseStore* s : shadows) {
       if (s->Contains(rel, t)) return true;
     }
@@ -195,7 +229,7 @@ class LayeredStore {
   LayeredStore() = default;
   LayeredStore(LayeredStore&&) = default;
   LayeredStore& operator=(LayeredStore&&) = default;
-  // Non-copyable: overlay index buckets point into the overlay instance.
+  // Non-copyable: layers_ points into tombs_.
   LayeredStore(const LayeredStore&) = delete;
   LayeredStore& operator=(const LayeredStore&) = delete;
 
@@ -212,7 +246,7 @@ class LayeredStore {
   /// Visible membership in the base segments only (not the overlay): the
   /// newest segment holding the fact decides — a fact segment means
   /// present, a tombstone means retracted.
-  bool ContainsBase(RelId rel, const Tuple& t) const {
+  bool ContainsBase(RelId rel, TupleRef t) const {
     for (size_t i = segments_.size(); i-- > 0;) {
       if (segments_[i]->Contains(rel, t)) {
         return kinds_[i] == SegmentKind::kFacts;
@@ -222,9 +256,9 @@ class LayeredStore {
   }
 
   /// Adds a fact to the overlay unless some layer visibly holds it.
-  bool Add(RelId rel, Tuple t) {
+  bool Add(RelId rel, TupleRef t) {
     if (ContainsBase(rel, t)) return false;
-    return overlay_.Add(rel, std::move(t));
+    return overlay_.Add(rel, t);
   }
 
   /// Bulk-adopts `tuples` into the overlay for a relation known disjoint
@@ -241,14 +275,14 @@ class LayeredStore {
                std::span<const BaseStore* const> check,
                std::span<const SegmentKind> check_kinds = {});
 
-  bool Contains(RelId rel, const Tuple& t) const {
+  bool Contains(RelId rel, TupleRef t) const {
     if (ContainsBase(rel, t)) return true;
     return overlay_.Contains(rel, t);
   }
 
   /// Removes a fact from the overlay (DRed over-deletion). Base segments
   /// are immutable — only overlay facts can be removed.
-  bool RemoveOverlay(RelId rel, const Tuple& t) {
+  bool RemoveOverlay(RelId rel, TupleRef t) {
     return overlay_.Remove(rel, t);
   }
 
@@ -269,7 +303,7 @@ class LayeredStore {
 /// (which are immutable for the duration of the round) and builds a
 /// per-(relation, column, family) index on first probe — but only when the
 /// delta set holds at least `threshold` tuples; below that, Probe returns
-/// nullptr and the caller scans the delta linearly. Single-threaded, like
+/// nullopt and the caller scans the delta linearly. Single-threaded, like
 /// the run that owns it.
 class DeltaIndexer {
  public:
@@ -277,9 +311,9 @@ class DeltaIndexer {
                size_t threshold)
       : universe_(&u), delta_(&delta), threshold_(threshold) {}
 
-  /// nullptr = delta below threshold; scan linearly.
-  const std::vector<const Tuple*>* Probe(RelId rel, uint32_t col,
-                                         IndexFamily family, uint32_t key);
+  /// nullopt = delta below threshold; scan linearly.
+  std::optional<Bucket> Probe(RelId rel, uint32_t col, IndexFamily family,
+                              uint32_t key);
 
  private:
   const Universe* universe_;

@@ -14,7 +14,7 @@ namespace {
 // before: AppendPaths holds the atom table's lock across a fact, and
 // RelText takes another lock. The one line writer of every rendering.
 void AppendFactLine(const Universe& u, std::string_view rel_text,
-                    const Tuple& t, std::string* out) {
+                    TupleRef t, std::string* out) {
   out->append(rel_text);
   if (!t.empty()) {
     out->push_back('(');
@@ -32,7 +32,7 @@ class SortedLines {
  public:
   explicit SortedLines(size_t facts = 0) { lines_.reserve(facts); }
 
-  void Add(const Universe& u, std::string_view rel_text, const Tuple& t) {
+  void Add(const Universe& u, std::string_view rel_text, TupleRef t) {
     size_t start = buf_.size();
     AppendFactLine(u, rel_text, t, &buf_);
     lines_.emplace_back(start, buf_.size() - start);
@@ -70,43 +70,37 @@ const TupleSet& EmptyTupleSet() {
   return kEmpty;
 }
 
-bool Instance::Add(RelId rel, Tuple t) {
-  return relations_[rel].insert(std::move(t)).second;
-}
-
-std::pair<const Tuple*, bool> Instance::Insert(RelId rel, Tuple t) {
-  auto [it, is_new] = relations_[rel].insert(std::move(t));
-  return {&*it, is_new};
+std::pair<uint32_t, bool> Instance::Insert(RelId rel, TupleRef t) {
+  return relations_[rel].Insert(t);
 }
 
 size_t Instance::AddAll(RelId rel, const TupleSet& set) {
   if (set.empty()) return 0;
   TupleSet& dst = relations_[rel];
   if (dst.empty()) {
-    // Bulk-install into an empty relation: copy the whole set (bucket
-    // structure and cached hashes included) instead of rehashing and
-    // re-probing tuple by tuple — the adopt path of delta refreshes
-    // installs entire stored views this way.
+    // Bulk-install into an empty relation: copy the whole table (rows and
+    // slots) instead of rehashing and re-probing tuple by tuple — the
+    // adopt path of delta refreshes installs entire stored views this way.
     dst = set;
     return set.size();
   }
-  dst.reserve(dst.size() + set.size());
+  dst.Reserve(dst.size() + set.size());
   size_t added = 0;
-  for (const Tuple& t : set) {
-    if (dst.insert(t).second) ++added;
+  for (TupleRef t : set) {
+    if (dst.Insert(t).second) ++added;
   }
   return added;
 }
 
-bool Instance::Contains(RelId rel, const Tuple& t) const {
+bool Instance::Contains(RelId rel, TupleRef t) const {
   auto it = relations_.find(rel);
-  return it != relations_.end() && it->second.count(t) > 0;
+  return it != relations_.end() && it->second.Contains(t);
 }
 
-bool Instance::Remove(RelId rel, const Tuple& t) {
+bool Instance::Remove(RelId rel, TupleRef t) {
   auto it = relations_.find(rel);
   if (it == relations_.end()) return false;
-  if (it->second.erase(t) == 0) return false;
+  if (it->second.Erase(t) == TupleSet::kNoRow) return false;
   if (it->second.empty()) relations_.erase(it);
   return true;
 }
@@ -133,9 +127,7 @@ size_t Instance::NumFacts() const {
 size_t Instance::UnionWith(const Instance& other) {
   size_t added = 0;
   for (const auto& [rel, tuples] : other.relations_) {
-    for (const Tuple& t : tuples) {
-      if (relations_[rel].insert(t).second) ++added;
-    }
+    added += AddAll(rel, tuples);
   }
   return added;
 }
@@ -148,9 +140,7 @@ size_t Instance::UnionWith(Instance&& other) {
       added += tuples.size();
       dst = std::move(tuples);
     } else {
-      size_t before = dst.size();
-      dst.merge(tuples);  // splices nodes; duplicates stay behind
-      added += dst.size() - before;
+      added += AddAll(rel, tuples);
     }
   }
   other.relations_.clear();
@@ -168,7 +158,7 @@ Instance Instance::Project(const std::vector<RelId>& rels) const {
 
 bool Instance::IsFlat(const Universe& u) const {
   for (const auto& [_, tuples] : relations_) {
-    for (const Tuple& t : tuples) {
+    for (TupleRef t : tuples) {
       for (PathId p : t) {
         if (!u.IsFlatPath(p)) return false;
       }
@@ -192,7 +182,7 @@ std::string Instance::ToString(const Universe& u,
   }
   SortedLines lines(facts);
   for (const auto& [text, tuples] : picked) {
-    for (const Tuple& t : *tuples) lines.Add(u, text, t);
+    for (TupleRef t : *tuples) lines.Add(u, text, t);
   }
   lines.Sort();
   std::string out;
@@ -237,16 +227,16 @@ Result<std::string> PatchOutput(const Universe& u, std::string_view old_text,
     SortedLines& large_only = grew ? added : gone;
     SortedLines& small_only = grew ? gone : added;
     size_t common = 0;
-    for (const Tuple& t : large) {
-      if (small.count(t) != 0) {
+    for (TupleRef t : large) {
+      if (small.Contains(t)) {
         ++common;
       } else {
         large_only.Add(u, text, t);
       }
     }
     if (common == small.size()) continue;
-    for (const Tuple& t : small) {
-      if (large.count(t) == 0) small_only.Add(u, text, t);
+    for (TupleRef t : small) {
+      if (!large.Contains(t)) small_only.Add(u, text, t);
     }
   }
   gone.Sort();
@@ -286,8 +276,8 @@ Result<std::string> PatchOutput(const Universe& u, std::string_view old_text,
 Result<Instance> ParseInstance(Universe& u, std::string_view source) {
   Instance inst;
   SEQDL_RETURN_IF_ERROR(
-      ParseFacts(u, source, [&inst](RelId rel, std::span<const PathId> t) {
-        inst.Add(rel, Tuple(t.begin(), t.end()));
+      ParseFacts(u, source, [&inst](RelId rel, TupleRef t) {
+        inst.Add(rel, t);
       }));
   return inst;
 }

@@ -1,36 +1,23 @@
 // Instances: finite relations over paths (paper §2.1/§2.3). An instance is
-// a set of facts R(p1, ..., pn); tuples hold interned PathIds.
+// a set of facts R(p1, ..., pn); tuples hold interned PathIds, one flat
+// TupleSet (tuple_set.h) per relation.
 #ifndef SEQDL_ENGINE_INSTANCE_H_
 #define SEQDL_ENGINE_INSTANCE_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "src/base/status.h"
+#include "src/engine/tuple_set.h"
 #include "src/term/universe.h"
 
 namespace seqdl {
-
-/// A tuple of interned paths. Arity-0 relations hold the empty tuple.
-using Tuple = std::vector<PathId>;
-
-struct TupleHash {
-  size_t operator()(const Tuple& t) const {
-    size_t h = 0x51ed270b;
-    for (PathId p : t) {
-      h ^= p + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-};
-
-using TupleSet = std::unordered_set<Tuple, TupleHash>;
 
 /// The shared empty tuple set returned for absent relations (never
 /// allocated per call; also used by the engine's indexed store).
@@ -41,20 +28,27 @@ class Instance {
  public:
   /// Adds a fact; returns true if it was new. The tuple size must equal the
   /// relation's arity (checked by assert).
-  bool Add(RelId rel, Tuple t);
-  /// Adds a fact; returns the stored tuple (stable address — TupleSet
-  /// never invalidates references on insert) and whether it was new.
-  std::pair<const Tuple*, bool> Insert(RelId rel, Tuple t);
+  bool Add(RelId rel, TupleRef t) { return Insert(rel, t).second; }
+  bool Add(RelId rel, std::initializer_list<PathId> t) {
+    return Add(rel, TupleRef(t.begin(), t.size()));
+  }
+  /// Adds a fact; returns its row number in Tuples(rel) and whether it
+  /// was new. Row numbers change only when a fact of `rel` is removed.
+  std::pair<uint32_t, bool> Insert(RelId rel, TupleRef t);
   /// Bulk counterpart of Add: inserts every tuple of `set` with capacity
   /// reserved up front (one hash per tuple, no per-call map lookup).
   /// Returns the number of new facts.
   size_t AddAll(RelId rel, const TupleSet& set);
-  bool Contains(RelId rel, const Tuple& t) const;
+  bool Contains(RelId rel, TupleRef t) const;
+  bool Contains(RelId rel, std::initializer_list<PathId> t) const {
+    return Contains(rel, TupleRef(t.begin(), t.size()));
+  }
 
-  /// Removes a fact; returns true if it was present. A relation whose
-  /// last tuple is removed disappears entirely (so operator== keeps
+  /// Removes a fact; returns true if it was present. The relation's last
+  /// row takes the removed row's number (TupleSet::Erase). A relation
+  /// whose last tuple is removed disappears entirely (so operator== keeps
   /// treating "no tuples" and "no relation" as the same instance).
-  bool Remove(RelId rel, const Tuple& t);
+  bool Remove(RelId rel, TupleRef t);
 
   /// The tuples of `rel` (the shared EmptyTupleSet() if absent).
   const TupleSet& Tuples(RelId rel) const;
@@ -66,8 +60,8 @@ class Instance {
 
   /// Inserts all facts of `other`; returns number of new facts.
   size_t UnionWith(const Instance& other);
-  /// As above, but moves tuples out of `other` (node splicing, no tuple
-  /// copies); `other` is left empty.
+  /// As above, but takes over `other`'s tables where this instance has no
+  /// tuples of the relation; `other` is left empty.
   size_t UnionWith(Instance&& other);
 
   /// Restriction of this instance to the given relations.

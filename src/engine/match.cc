@@ -264,7 +264,7 @@ bool MatchExpr(Universe& u, const PathExpr& e, PathId p, Valuation& base,
 }
 
 bool MatchArgs(Universe& u, const std::vector<PathExpr>& args,
-               const std::vector<PathId>& tuple, Valuation& base,
+               std::span<const PathId> tuple, Valuation& base,
                const std::function<bool(Valuation&)>& cb) {
   assert(args.size() == tuple.size());
   return Matcher(u, args, tuple, base, cb).Run();

@@ -12,6 +12,7 @@
 #define SEQDL_ENGINE_MATCH_H_
 
 #include <functional>
+#include <span>
 #include <unordered_map>
 
 #include "src/base/status.h"
@@ -55,7 +56,7 @@ bool MatchExpr(Universe& u, const PathExpr& e, PathId p, Valuation& base,
 /// matching. A match is complete, and interned, only once every argument
 /// has matched.
 bool MatchArgs(Universe& u, const std::vector<PathExpr>& args,
-               const std::vector<PathId>& tuple, Valuation& base,
+               std::span<const PathId> tuple, Valuation& base,
                const std::function<bool(Valuation&)>& cb);
 
 }  // namespace seqdl

@@ -120,7 +120,7 @@ StoreStats ComputeInstanceStats(const Universe& u, const Instance& inst) {
     rs.columns.resize(arity);
     for (uint32_t col = 0; col < arity; ++col) {
       FamilyArray<std::unordered_map<uint32_t, size_t>> counts;
-      for (const Tuple& t : tuples) {
+      for (TupleRef t : tuples) {
         if (col >= t.size()) continue;
         for (IndexFamily f : kIndexFamilies) {
           if (std::optional<uint32_t> key = FamilyKey(u, f, t[col])) {

@@ -97,8 +97,8 @@ struct ServiceOptions {
   /// leaves hits valid.
   size_t result_cache_entries = 4096;
   /// Byte budget for the cache, summed over entries: each is charged its
-  /// program text, its rendered output bytes and its materialized-IDB
-  /// bytes (ViewSnapshot::ApproxBytes). When the total runs past it,
+  /// program text, its rendered output bytes and the bytes of its view's
+  /// tables (ViewSnapshot::ApproxBytes). When the total runs past it,
   /// least-recently-used entries are evicted (their views too) until it
   /// fits — the hottest entry always survives. 0 = unbounded.
   size_t cache_bytes = 64u << 20;

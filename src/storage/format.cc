@@ -10,6 +10,8 @@
 #include <array>
 #include <cerrno>
 #include <cstring>
+#include <numeric>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -140,22 +142,29 @@ class BlockEncoder {
     PutVarint(&rel_buf, rels.size());
     for (RelId rel : rels) {
       const TupleSet& tuples = inst.Tuples(rel);
-      std::vector<std::vector<uint64_t>> encoded;
-      encoded.reserve(tuples.size());
-      for (const Tuple& t : tuples) {
-        std::vector<uint64_t> row;
-        row.reserve(t.size());
+      const size_t arity = u_.RelArity(rel);
+      // The rows' path-table indexes, flat like the table's own rows,
+      // written in sorted row order.
+      std::vector<uint64_t> encoded;
+      encoded.reserve(tuples.size() * arity);
+      for (TupleRef t : tuples) {
         for (PathId p : t) {
-          row.push_back(p == kEmptyPath ? 0 : EnsurePath(p));
+          encoded.push_back(p == kEmptyPath ? 0 : EnsurePath(p));
         }
-        encoded.push_back(std::move(row));
       }
-      std::sort(encoded.begin(), encoded.end());
+      auto row = [&](size_t i) {
+        return std::span<const uint64_t>(encoded.data() + i * arity, arity);
+      };
+      std::vector<size_t> order(tuples.size());
+      std::iota(order.begin(), order.end(), size_t{0});
+      std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return std::ranges::lexicographical_compare(row(a), row(b));
+      });
       PutLenBytes(&rel_buf, u_.RelName(rel));
-      PutVarint(&rel_buf, u_.RelArity(rel));
-      PutVarint(&rel_buf, encoded.size());
-      for (const std::vector<uint64_t>& row : encoded) {
-        for (uint64_t idx : row) PutVarint(&rel_buf, idx);
+      PutVarint(&rel_buf, arity);
+      PutVarint(&rel_buf, order.size());
+      for (size_t i : order) {
+        for (uint64_t idx : row(i)) PutVarint(&rel_buf, idx);
       }
     }
 
@@ -266,9 +275,10 @@ Result<Instance> DecodeInstanceBlock(Universe& u, ByteReader& r,
     if (arity > 0 && tuple_count > r.remaining()) {
       return StorageError(sd_code, "tuple table larger than the block");
     }
+    Tuple tuple;
+    tuple.reserve(arity);
     for (uint64_t t = 0; t < tuple_count; ++t) {
-      Tuple tuple;
-      tuple.reserve(arity);
+      tuple.clear();
       for (uint64_t c = 0; c < arity; ++c) {
         SEQDL_ASSIGN_OR_RETURN(uint64_t idx, r.Varint());
         if (idx >= paths.size()) {
@@ -276,7 +286,7 @@ Result<Instance> DecodeInstanceBlock(Universe& u, ByteReader& r,
         }
         tuple.push_back(paths[idx]);
       }
-      out.Add(*rel, std::move(tuple));
+      out.Add(*rel, tuple);
     }
   }
   return out;

@@ -11,7 +11,7 @@ namespace seqdl {
 
 Status CheckTwoBounded(const Universe& u, const Instance& i) {
   for (RelId rel : i.Relations()) {
-    for (const Tuple& t : i.Tuples(rel)) {
+    for (TupleRef t : i.Tuples(rel)) {
       for (PathId p : t) {
         size_t len = u.PathLength(p);
         if (len < 1 || len > 2 || !u.IsFlatPath(p)) {
@@ -63,7 +63,7 @@ Result<Instance> EncodeTwoBounded(Universe& u, const Instance& i,
           "EncodeTwoBounded: relation " + u.RelName(rel) + " is not unary");
     }
     auto [r1, r2] = EncodedRels(u, rel, enc);
-    for (const Tuple& t : i.Tuples(rel)) {
+    for (TupleRef t : i.Tuples(rel)) {
       std::span<const Value> p = u.GetPath(t[0]);
       if (p.size() == 1) {
         out.Add(r1, {t[0]});

@@ -10,21 +10,11 @@ namespace seqdl {
 
 namespace {
 
-/// Rough per-fact heap cost beyond the PathId payload: the TupleSet node,
-/// hash bucket slot, and vector header. An estimate feeding cache
-/// accounting, never semantics.
-constexpr size_t kPerFactOverhead = 48;
-
-size_t ApproxInstanceBytes(const Instance& idb) {
+/// Heap bytes of a view's tables (ViewSnapshot::ApproxBytes).
+size_t TableBytes(const Instance& idb, const SharedSupport& support) {
   size_t bytes = 0;
-  for (RelId rel : idb.Relations()) {
-    const TupleSet& ts = idb.Tuples(rel);
-    if (ts.empty()) continue;
-    // Every tuple of a relation has the declared arity, so one sample
-    // prices them all — the estimate stays O(#relations) per refresh.
-    bytes +=
-        ts.size() * (ts.begin()->size() * sizeof(PathId) + kPerFactOverhead);
-  }
+  for (RelId rel : idb.Relations()) bytes += idb.Tuples(rel).Bytes();
+  for (const auto& [rel, counts] : support) bytes += counts->Bytes();
   return bytes;
 }
 
@@ -36,13 +26,10 @@ SharedSupport PruneSupport(SupportCounts&& counts, const Instance& idb) {
   for (auto& [rel, m] : counts) {
     const TupleSet& have = idb.Tuples(rel);
     if (have.empty()) continue;
-    auto dst =
-        std::make_shared<std::unordered_map<Tuple, uint32_t, TupleHash>>();
-    dst->reserve(have.size());
-    for (auto& [t, n] : m) {
-      if (have.count(t) != 0) dst->emplace(t, n);
+    m.EraseUnless([&](TupleRef t) { return have.Contains(t); });
+    if (!m.empty()) {
+      out.emplace(rel, std::make_shared<const TupleCounts>(std::move(m)));
     }
-    if (!dst->empty()) out.emplace(rel, std::move(dst));
   }
   return out;
 }
@@ -52,9 +39,9 @@ SharedSupport PruneSupport(SupportCounts&& counts, const Instance& idb) {
 /// the DRed deletion phase's decrements; recomputed strata start over
 /// from the fresh events alone. Restricted to the new view's tuples
 /// either way. A maintained relation the delta pass neither fired into
-/// nor decremented shares the previous snapshot's map outright — no new
+/// nor decremented shares the previous snapshot's table outright — no new
 /// tuples means no new counts, and an unchanged tuple count rules out
-/// EDB promotion, so the carried map is exactly right as is.
+/// EDB promotion, so the carried table is exactly right as is.
 SharedSupport CombineSupport(const Instance& idb, const SupportCounts& fresh,
                              const SupportCounts& decrements,
                              const SharedSupport& old,
@@ -69,7 +56,7 @@ SharedSupport CombineSupport(const Instance& idb, const SupportCounts& fresh,
     const bool has_dec = dit != decrements.end() && !dit->second.empty();
     const auto oit = old.find(rel);
     const bool carry = recomputed_rels.count(rel) == 0;
-    const auto* old_map =
+    const TupleCounts* old_map =
         (carry && oit != old.end()) ? oit->second.get() : nullptr;
     // Every new tuple comes from a rule firing the delta pass counted, so
     // no fresh events = no additions; equal sizes then rule out the only
@@ -80,21 +67,20 @@ SharedSupport CombineSupport(const Instance& idb, const SupportCounts& fresh,
       continue;
     }
     if (old_map != nullptr) {
-      // Carried counts with changes: copy the old map wholesale and
-      // patch it, rather than re-probing three hash tables per view
-      // tuple. Merging the fresh events (restricted to view tuples —
-      // DeriveHead also counts firings onto EDB facts) covers every
-      // addition, so afterwards the copy's keys are a superset of the
-      // view's; a size mismatch means EDB promotion or DRed deletion
-      // dropped tuples, and exactly the stale keys are erased.
-      auto dst = std::make_shared<
-          std::unordered_map<Tuple, uint32_t, TupleHash>>(*old_map);
+      // Carried counts with changes: copy the old table wholesale and
+      // patch it, rather than re-probing three tables per view tuple.
+      // Merging the fresh events (restricted to view tuples — DeriveHead
+      // also counts firings onto EDB facts) covers every addition, so
+      // afterwards the copy's tuples are a superset of the view's; a size
+      // mismatch means EDB promotion or DRed deletion dropped tuples, and
+      // exactly the stale ones are erased.
+      auto dst = std::make_shared<TupleCounts>(*old_map);
       if (has_fresh) {
         for (const auto& [t, n] : fit->second) {
-          if (have.count(t) == 0) continue;
-          uint64_t m = static_cast<uint64_t>((*dst)[t]) + n;
-          (*dst)[t] =
-              m > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(m);
+          if (!have.Contains(t)) continue;
+          uint32_t& count = (*dst)[t];
+          uint64_t m = static_cast<uint64_t>(count) + n;
+          count = m > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(m);
         }
       }
       if (has_dec) {
@@ -105,33 +91,26 @@ SharedSupport CombineSupport(const Instance& idb, const SupportCounts& fresh,
         // check on a later retraction — never a wrong deletion). Tuples
         // the deletion actually removed are erased below, not here.
         for (const auto& [t, n] : dit->second) {
-          auto i = dst->find(t);
-          if (i == dst->end()) continue;
-          i->second = i->second > n ? i->second - n : 1;
+          uint32_t* count = dst->Find(t);
+          if (count == nullptr) continue;
+          *count = *count > n ? *count - n : 1;
         }
       }
       if (dst->size() != have.size()) {
-        std::erase_if(*dst, [&](const auto& entry) {
-          return have.count(entry.first) == 0;
-        });
+        dst->EraseUnless([&](TupleRef t) { return have.Contains(t); });
       }
       out.emplace(rel, std::move(dst));
       continue;
     }
-    auto dst =
-        std::make_shared<std::unordered_map<Tuple, uint32_t, TupleHash>>();
-    dst->reserve(have.size());
-    for (const Tuple& t : have) {
-      uint64_t n = 0;
-      if (has_fresh) {
-        auto i = fit->second.find(t);
-        if (i != fit->second.end()) n += i->second;
-      }
+    auto dst = std::make_shared<TupleCounts>();
+    dst->Reserve(have.size());
+    for (TupleRef t : have) {
+      uint64_t n = has_fresh ? fit->second.Get(t) : 0;
       // Every view tuple has at least one derivation by construction;
       // clamp so the invariant survives saturation and carried gaps.
       if (n == 0) n = 1;
       if (n > UINT32_MAX) n = UINT32_MAX;
-      dst->emplace(t, static_cast<uint32_t>(n));
+      (*dst)[t] = static_cast<uint32_t>(n);
     }
     out.emplace(rel, std::move(dst));
   }
@@ -222,11 +201,9 @@ Result<std::shared_ptr<const ViewSnapshot>> ViewManager::Refresh(
     // (unknown) makes the executor fall back to delete-on-first-decrement.
     const SharedSupport& old_support = old->support_;
     SupportLookup lookup = [&old_support](RelId rel,
-                                          const Tuple& t) -> uint32_t {
+                                          TupleRef t) -> uint32_t {
       auto it = old_support.find(rel);
-      if (it == old_support.end()) return 0;
-      auto jt = it->second->find(t);
-      return jt == it->second->end() ? 0 : jt->second;
+      return it == old_support.end() ? 0 : it->second->Get(t);
     };
     SEQDL_ASSIGN_OR_RETURN(
         PreparedProgram::DeltaRun run,
@@ -243,7 +220,7 @@ Result<std::shared_ptr<const ViewSnapshot>> ViewManager::Refresh(
     snap->support_ = CombineSupport(snap->idb_, fresh, run.decrements,
                                     old->support_, recomputed_rels);
   }
-  snap->bytes_ = ApproxInstanceBytes(snap->idb_);
+  snap->bytes_ = TableBytes(snap->idb_, snap->support_);
 
   // Record what the view now holds (cold or refreshed — either way the
   // materialized IDB is the current derived shape), so drift-triggered

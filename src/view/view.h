@@ -77,7 +77,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "src/base/status.h"
 #include "src/engine/database.h"
@@ -88,12 +87,10 @@ namespace seqdl {
 
 /// Per-relation support counts of one view, shared between snapshots:
 /// a delta refresh that neither recomputed a relation nor derived new
-/// facts for it reuses the previous snapshot's map wholesale instead of
+/// facts for it reuses the previous snapshot's table wholesale instead of
 /// rebuilding O(|view|) entries (both snapshots are immutable, so
 /// sharing is safe).
-using SharedSupport =
-    std::map<RelId, std::shared_ptr<const std::unordered_map<
-                        Tuple, uint32_t, TupleHash>>>;
+using SharedSupport = std::map<RelId, std::shared_ptr<const TupleCounts>>;
 
 /// One immutable materialized view: the complete derived IDB of a program
 /// at one epoch, plus per-tuple support counts.
@@ -109,7 +106,9 @@ class ViewSnapshot {
   /// Derivation-event counts per derived tuple (see file comment).
   /// Covers every tuple of idb() with a count >= 1.
   const SharedSupport& support() const { return support_; }
-  /// Approximate heap bytes of the materialized IDB — the currency of
+  /// Heap bytes of the view's tables: the rows and slots of every IDB
+  /// relation and the rows, slots and counts of every support table (a
+  /// table shared with another snapshot counts in both) — the currency of
   /// the server cache's byte accounting (service.h).
   size_t ApproxBytes() const { return bytes_; }
 

@@ -7,21 +7,10 @@
 #include "src/engine/instance.h"
 #include "src/syntax/parser.h"
 #include "src/term/universe.h"
+#include "tests/test_support.h"
 
 namespace seqdl {
 namespace {
-
-Program MustParse(Universe& u, const std::string& text) {
-  Result<Program> p = ParseProgram(u, text);
-  EXPECT_TRUE(p.ok()) << p.status().ToString() << "\n" << text;
-  return std::move(p).value();
-}
-
-Instance MustInstance(Universe& u, const std::string& text) {
-  Result<Instance> i = ParseInstance(u, text);
-  EXPECT_TRUE(i.ok()) << i.status().ToString();
-  return std::move(i).value();
-}
 
 // --- Operator semantics --------------------------------------------------------
 
@@ -66,7 +55,7 @@ TEST(AlgebraOpsTest, ProjectBuildsExpressions) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->arity, 2u);
   ASSERT_EQ(out->tuples.size(), 1u);
-  const Tuple& t = *out->tuples.begin();
+  TupleRef t = *out->tuples.begin();
   EXPECT_EQ(u.FormatPath(t[0]), "b·a");
   EXPECT_EQ(u.FormatPath(t[1]), "<a>");
 }
@@ -103,8 +92,8 @@ TEST(AlgebraOpsTest, UnpackKeepsOnlyPackedSingletons) {
   ASSERT_TRUE(out.ok());
   // <a·b> -> a·b and <> -> eps qualify; the others do not.
   EXPECT_EQ(out->tuples.size(), 2u);
-  EXPECT_TRUE(out->tuples.count({u.PathOfChars("ab")}));
-  EXPECT_TRUE(out->tuples.count({kEmptyPath}));
+  EXPECT_TRUE(out->tuples.Contains(Tuple{u.PathOfChars("ab")}));
+  EXPECT_TRUE(out->tuples.Contains(Tuple{kEmptyPath}));
 }
 
 TEST(AlgebraOpsTest, SubAppendsAllSubstrings) {

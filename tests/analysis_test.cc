@@ -11,15 +11,10 @@
 #include "src/syntax/parser.h"
 #include "src/syntax/printer.h"
 #include "src/term/universe.h"
+#include "tests/test_support.h"
 
 namespace seqdl {
 namespace {
-
-Program MustParse(Universe& u, const std::string& text) {
-  Result<Program> p = ParseProgram(u, text);
-  EXPECT_TRUE(p.ok()) << p.status().ToString() << "\n" << text;
-  return std::move(p).value();
-}
 
 // --- Feature detection (paper §3) -------------------------------------------
 

@@ -40,6 +40,7 @@
 #include "src/server/service.h"
 #include "src/syntax/parser.h"
 #include "src/term/universe.h"
+#include "tests/test_support.h"
 
 namespace seqdl {
 namespace {
@@ -71,7 +72,7 @@ TEST(PartitionerTest, RoutingIsKeyedByFirstValueAcrossRelations) {
   // keyed on the partition column shard-local.
   std::map<std::string, std::set<uint32_t>> shards_by_key;
   for (RelId rel : in->Relations()) {
-    for (const Tuple& t : in->Tuples(rel)) {
+    for (TupleRef t : in->Tuples(rel)) {
       ASSERT_FALSE(t.empty());
       shards_by_key[u.FormatPath(t[0])].insert(p.ShardOf(u, rel, t));
     }
@@ -83,7 +84,7 @@ TEST(PartitionerTest, RoutingIsKeyedByFirstValueAcrossRelations) {
   // A second partitioner with the same shard count routes identically.
   Partitioner q(4);
   for (RelId rel : in->Relations()) {
-    for (const Tuple& t : in->Tuples(rel)) {
+    for (TupleRef t : in->Tuples(rel)) {
       EXPECT_EQ(p.ShardOf(u, rel, t), q.ShardOf(u, rel, t));
     }
   }
@@ -100,7 +101,7 @@ TEST(PartitionerTest, PinnedRelationRoutesToItsShard) {
   Partitioner p(4, opts);
   Result<RelId> dim = u.FindRel("dim");
   ASSERT_TRUE(dim.ok());
-  for (const Tuple& t : in->Tuples(*dim)) {
+  for (TupleRef t : in->Tuples(*dim)) {
     EXPECT_EQ(p.ShardOf(u, *dim, t), 2u);
   }
 
@@ -108,7 +109,7 @@ TEST(PartitionerTest, PinnedRelationRoutesToItsShard) {
   PartitionerOptions wrap;
   wrap.pinned["dim"] = 7;
   Partitioner w(4, wrap);
-  for (const Tuple& t : in->Tuples(*dim)) {
+  for (TupleRef t : in->Tuples(*dim)) {
     EXPECT_EQ(w.ShardOf(u, *dim, t), 3u);
   }
 }
@@ -126,7 +127,7 @@ TEST(PartitionerTest, BroadcastReplicatesIntoEveryPartition) {
   ASSERT_TRUE(dim.ok());
   EXPECT_TRUE(p.IsBroadcast(u, *dim));
   // ShardOf reports the primary copy (0) so appends are counted once.
-  for (const Tuple& t : in->Tuples(*dim)) {
+  for (TupleRef t : in->Tuples(*dim)) {
     EXPECT_EQ(p.ShardOf(u, *dim, t), 0u);
   }
 
@@ -212,12 +213,6 @@ TEST(ClusterTest, ParseShardListRejectsMalformedSpecs) {
 }
 
 // --- Shard-locality analysis --------------------------------------------------
-
-Program MustParse(Universe& u, const std::string& text) {
-  Result<Program> p = ParseProgram(u, text);
-  EXPECT_TRUE(p.ok()) << p.status().ToString();
-  return p.ok() ? std::move(*p) : Program{};
-}
 
 TEST(LocalityTest, KeyedJoinIsTransparent) {
   Universe u;

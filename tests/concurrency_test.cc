@@ -23,6 +23,7 @@
 #include "src/syntax/parser.h"
 #include "src/term/universe.h"
 #include "src/workload/generators.h"
+#include "tests/test_support.h"
 
 namespace seqdl {
 namespace {
@@ -50,7 +51,7 @@ TEST(UniverseConcurrencyTest, InterningStressAgreesAcrossThreads) {
   constexpr size_t kAtoms = 12;
   std::vector<Value> atoms;
   for (size_t i = 0; i < kAtoms; ++i) {
-    atoms.push_back(Value::Atom(u.InternAtom("a" + std::to_string(i))));
+    atoms.push_back(Value::Atom(u.InternAtom(Numbered("a", i))));
   }
 
   constexpr size_t kItersPerThread = 4000;
@@ -136,7 +137,7 @@ TEST(UniverseConcurrencyTest, AtomVarRelInterningStress) {
       for (int i = 0; i < 200; ++i) {
         ids[t].push_back(u.InternAtom("atom" + std::to_string(i % 50)));
         ids[t].push_back(
-            u.InternVar(VarKind::kPath, "v" + std::to_string(i % 20)));
+            u.InternVar(VarKind::kPath, Numbered("v", i % 20)));
         Result<RelId> r = u.InternRel("Rel" + std::to_string(i % 10), 2);
         ids[t].push_back(r.ok() ? *r : static_cast<uint32_t>(-1));
       }
@@ -219,7 +220,7 @@ TEST(UniverseConcurrencyTest, InternRacesTableGrowthAndChunkRollover) {
   constexpr size_t kAtoms = 16;
   std::vector<Value> atoms;
   for (size_t i = 0; i < kAtoms; ++i) {
-    atoms.push_back(Value::Atom(u.InternAtom("a" + std::to_string(i))));
+    atoms.push_back(Value::Atom(u.InternAtom(Numbered("a", i))));
   }
   constexpr size_t kPaths = 6000;
   auto contents = [&atoms](size_t i) {
@@ -702,7 +703,7 @@ TEST(EpochConcurrencyTest, StatsAndCompileRaceIngest) {
   std::vector<std::thread> threads;
   threads.emplace_back([&] {
     for (size_t i = 0; i < 16; ++i) {
-      Value x = Value::Atom(u.InternAtom("x" + std::to_string(i)));
+      Value x = Value::Atom(u.InternAtom(Numbered("x", i)));
       std::vector<Value> loop = {x, x};
       Instance batch;
       batch.Add(r, {u.InternPath(loop)});
@@ -736,7 +737,7 @@ TEST(EpochConcurrencyTest, StatsAndCompileRaceIngest) {
         // (edb() materializes a copy: keep it alive past the loop.)
         Instance edb = snap.edb();
         size_t loops = 0;
-        for (const Tuple& tup : edb.Tuples(r)) {
+        for (TupleRef tup : edb.Tuples(r)) {
           std::span<const Value> path = u.GetPath(tup[0]);
           if (path.size() == 2 && path[0] == path[1]) ++loops;
         }

@@ -42,6 +42,7 @@
 #include "src/syntax/printer.h"
 #include "src/term/universe.h"
 #include "src/view/view.h"
+#include "tests/test_support.h"
 
 namespace seqdl {
 namespace {
@@ -91,12 +92,12 @@ class CaseGenerator {
     std::vector<RelId> edb, idb;
     size_t num_edb = 2 + Pick(2);  // 2-3
     for (size_t i = 0; i < num_edb; ++i) {
-      edb.push_back(*u_.InternRel("E" + std::to_string(i),
+      edb.push_back(*u_.InternRel(Numbered("E", i),
                                   static_cast<uint32_t>(1 + Pick(2))));
     }
     size_t num_idb = 1 + Pick(2);  // 1-2
     for (size_t i = 0; i < num_idb; ++i) {
-      idb.push_back(*u_.InternRel("I" + std::to_string(i),
+      idb.push_back(*u_.InternRel(Numbered("I", i),
                                   static_cast<uint32_t>(1 + Pick(2))));
     }
     edb_rels_ = edb;
@@ -182,10 +183,10 @@ class CaseGenerator {
   }
 
   VarId PathVar(size_t i) {
-    return u_.InternVar(VarKind::kPath, "p" + std::to_string(i));
+    return u_.InternVar(VarKind::kPath, Numbered("p", i));
   }
   VarId AtomVar(size_t i) {
-    return u_.InternVar(VarKind::kAtomic, "a" + std::to_string(i));
+    return u_.InternVar(VarKind::kAtomic, Numbered("a", i));
   }
 
   ExprItem RandomItem(const std::vector<AtomId>& atoms) {
@@ -437,7 +438,7 @@ TEST(DifferentialTest, IncrementalIngestMatchesColdOpenPerEpoch) {
     {
       size_t i = 0;
       for (RelId rel : c.input.Relations()) {
-        for (const Tuple& t : c.input.Tuples(rel)) {
+        for (TupleRef t : c.input.Tuples(rel)) {
           batches[i++ % batches.size()].Add(rel, t);
         }
       }
@@ -541,7 +542,7 @@ TEST(DifferentialTest, MaintainedViewMatchesColdFixpointPerEpoch) {
     {
       size_t i = 0;
       for (RelId rel : c.input.Relations()) {
-        for (const Tuple& t : c.input.Tuples(rel)) {
+        for (TupleRef t : c.input.Tuples(rel)) {
           batches[i++ % batches.size()].Add(rel, t);
         }
       }
@@ -592,7 +593,7 @@ TEST(DifferentialTest, MaintainedViewMatchesColdFixpointPerEpoch) {
       ASSERT_NE(v, nullptr);
       size_t taken = 0;
       for (RelId rel : v->idb().Relations()) {
-        for (const Tuple& t : v->idb().Tuples(rel)) {
+        for (TupleRef t : v->idb().Tuples(rel)) {
           if (taken < 2) {
             promote.Add(rel, t);
             ++taken;
@@ -641,7 +642,7 @@ TEST(DifferentialTest, MaintainedViewMatchesColdFixpointPerEpoch) {
 Instance SelectVictims(std::mt19937& sched, const Instance& from) {
   Instance victims;
   for (RelId rel : from.Relations()) {
-    for (const Tuple& t : from.Tuples(rel)) {
+    for (TupleRef t : from.Tuples(rel)) {
       if (sched() % 3 == 0) victims.Add(rel, t);
     }
   }
@@ -759,7 +760,7 @@ Instance PickOne(std::mt19937& sched, const Instance& from) {
   if (n == 0) return one;
   size_t k = sched() % n;
   for (RelId rel : from.Relations()) {
-    for (const Tuple& t : from.Tuples(rel)) {
+    for (TupleRef t : from.Tuples(rel)) {
       if (k-- == 0) {
         one.Add(rel, t);
         return one;
@@ -838,7 +839,7 @@ TEST(DifferentialTest, RetractionAutoCompactViewMatchesColdFixpointPerEpoch) {
       if (reappend) {
         ASSERT_TRUE(live->Append(batch).ok());
         for (RelId rel : batch.Relations()) {
-          for (const Tuple& t : batch.Tuples(rel)) retracted.Remove(rel, t);
+          for (TupleRef t : batch.Tuples(rel)) retracted.Remove(rel, t);
         }
       } else {
         ASSERT_TRUE(live->Retract(batch).ok());
@@ -895,7 +896,7 @@ TEST(DifferentialTest, CachedAnswersMatchColdFixpointPerEpoch) {
     // About a third of the EDB is held back for later appends.
     Instance initial, held, retracted;
     for (RelId rel : c.input.Relations()) {
-      for (const Tuple& t : c.input.Tuples(rel)) {
+      for (TupleRef t : c.input.Tuples(rel)) {
         (sched() % 3 == 0 ? held : initial).Add(rel, t);
       }
     }
@@ -972,7 +973,7 @@ TEST(DifferentialTest, CachedAnswersMatchColdFixpointPerEpoch) {
       } else {
         ASSERT_TRUE(service.Append({facts, ""}).ok());
         for (RelId rel : batch.Relations()) {
-          for (const Tuple& t : batch.Tuples(rel)) from.Remove(rel, t);
+          for (TupleRef t : batch.Tuples(rel)) from.Remove(rel, t);
         }
         ++(kind == 0 ? appends : reassertions);
       }
@@ -1017,7 +1018,7 @@ TEST(DifferentialTest, LoopbackServerMatchesInProcess) {
     {
       size_t i = 0;
       for (RelId rel : c.input.Relations()) {
-        for (const Tuple& t : c.input.Tuples(rel)) {
+        for (TupleRef t : c.input.Tuples(rel)) {
           batches[i++ % batches.size()].Add(rel, t);
         }
       }

@@ -16,21 +16,10 @@
 #include "src/term/universe.h"
 #include "src/workload/baselines.h"
 #include "src/workload/generators.h"
+#include "tests/test_support.h"
 
 namespace seqdl {
 namespace {
-
-Program MustParse(Universe& u, const std::string& text) {
-  Result<Program> p = ParseProgram(u, text);
-  EXPECT_TRUE(p.ok()) << p.status().ToString() << "\n" << text;
-  return std::move(p).value();
-}
-
-Instance MustInstance(Universe& u, const std::string& text) {
-  Result<Instance> i = ParseInstance(u, text);
-  EXPECT_TRUE(i.ok()) << i.status().ToString() << "\n" << text;
-  return std::move(i).value();
-}
 
 PathExpr MustExpr(Universe& u, const std::string& text) {
   Result<PathExpr> e = ParsePathExpr(u, text);
@@ -121,7 +110,7 @@ std::string ReferencePath(const Universe& u, PathId p) {
 std::string ReferenceRender(const Universe& u, const Instance& inst) {
   std::vector<std::string> lines;
   for (RelId rel : inst.Relations()) {
-    for (const Tuple& t : inst.Tuples(rel)) {
+    for (TupleRef t : inst.Tuples(rel)) {
       std::string line = u.RelName(rel);
       if (!t.empty()) {
         line += "(";
@@ -231,7 +220,7 @@ TEST(InstanceTest, RenderMatchesReferenceRenderer) {
     for (RelId rel : c.rels) {
       EXPECT_EQ(c.inst.ToString(u, {&rel, 1}),
                 ReferenceRender(u, c.inst.Project({rel})));
-      for (const Tuple& t : c.inst.Tuples(rel)) {
+      for (TupleRef t : c.inst.Tuples(rel)) {
         for (PathId p : t) EXPECT_EQ(u.FormatPath(p), ReferencePath(u, p));
       }
     }
@@ -324,7 +313,7 @@ TEST(InstanceTest, RenderPatchMatchesRender) {
     Instance after;
     for (RelId rel : c.rels) {
       if (gen.Below(6) != 0) {
-        for (const Tuple& t : before.Tuples(rel)) {
+        for (TupleRef t : before.Tuples(rel)) {
           if (gen.Below(4) != 0) after.Add(rel, t);
         }
       }
@@ -351,11 +340,11 @@ TEST(InstanceTest, RenderPatchMatchesRender) {
       vanished += !was.empty() && is.empty();
       size_t gone = 0, added = 0;
       Instance changed;
-      for (const Tuple& t : was) {
-        if (is.count(t) == 0) gone += changed.Add(rel, t);
+      for (TupleRef t : was) {
+        if (!is.Contains(t)) gone += changed.Add(rel, t);
       }
-      for (const Tuple& t : is) {
-        if (was.count(t) == 0) added += changed.Add(rel, t);
+      for (TupleRef t : is) {
+        if (!was.Contains(t)) added += changed.Add(rel, t);
       }
       both_ways += gone > 0 && added > 0;
       diff += changed.ToString(u);
@@ -1123,7 +1112,7 @@ TEST(EvalDifferentialTest, NfaAcceptanceMatchesSimulator) {
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     RelId a_rel = *u.FindRel("A");
     RelId r_rel = *u.FindRel("R");
-    for (const Tuple& t : out->Tuples(r_rel)) {
+    for (TupleRef t : out->Tuples(r_rel)) {
       std::vector<uint32_t> word;
       bool skip = false;
       for (Value v : u.GetPath(t[0])) {
@@ -1181,7 +1170,7 @@ TEST(EvalDifferentialTest, MarkedPairsMatchBaseline) {
   ASSERT_TRUE(out.ok());
   RelId s = *u.FindRel("S");
   RelId r = *u.FindRel("R");
-  for (const Tuple& t : out->Tuples(r)) {
+  for (TupleRef t : out->Tuples(r)) {
     std::string str;
     for (Value v : u.GetPath(t[0])) str += u.AtomName(v.atom());
     EXPECT_EQ(out->Contains(s, t), IsMarkedPair(str)) << str;
@@ -1209,7 +1198,7 @@ TEST(EvalDifferentialTest, ProcessMiningMatchesBaseline) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   RelId good = *u.FindRel("Good");
   RelId r = *u.FindRel("R");
-  for (const Tuple& t : out->Tuples(r)) {
+  for (TupleRef t : out->Tuples(r)) {
     std::vector<std::string> events;
     for (Value v : u.GetPath(t[0])) events.push_back(u.AtomName(v.atom()));
     EXPECT_EQ(out->Contains(good, t), EveryCoFollowedByRp(events))
@@ -1237,7 +1226,7 @@ TEST(EvalTest, DoubleThenUndoubleIsIdentity) {
   RelId back = *u2.FindRel("Back");
   RelId r = *u2.FindRel("R");
   EXPECT_EQ(out->Tuples(back).size(), out->Tuples(r).size());
-  for (const Tuple& t : out->Tuples(r)) {
+  for (TupleRef t : out->Tuples(r)) {
     EXPECT_TRUE(out->Contains(back, t)) << u2.FormatPath(t[0]);
   }
   // And the doubled relation contains the doubled paths.

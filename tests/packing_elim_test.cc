@@ -8,21 +8,10 @@
 #include "src/term/universe.h"
 #include "src/transform/packing_elim.h"
 #include "src/workload/generators.h"
+#include "tests/test_support.h"
 
 namespace seqdl {
 namespace {
-
-Program MustParse(Universe& u, const std::string& text) {
-  Result<Program> p = ParseProgram(u, text);
-  EXPECT_TRUE(p.ok()) << p.status().ToString() << "\n" << text;
-  return std::move(p).value();
-}
-
-Instance MustInstance(Universe& u, const std::string& text) {
-  Result<Instance> i = ParseInstance(u, text);
-  EXPECT_TRUE(i.ok()) << i.status().ToString();
-  return std::move(i).value();
-}
 
 // Keeps only the flat facts of an instance. The paper's query semantics is
 // over flat outputs; a packing-free program can by definition only produce
@@ -30,7 +19,7 @@ Instance MustInstance(Universe& u, const std::string& text) {
 Instance FlatFacts(Universe& u, const Instance& i) {
   Instance out;
   for (RelId rel : i.Relations()) {
-    for (const Tuple& t : i.Tuples(rel)) {
+    for (TupleRef t : i.Tuples(rel)) {
       bool flat = true;
       for (PathId p : t) flat &= u.IsFlatPath(p);
       if (flat) out.Add(rel, t);

@@ -18,21 +18,10 @@
 #include "src/term/universe.h"
 #include "src/transform/boolean_queries.h"
 #include "src/workload/generators.h"
+#include "tests/test_support.h"
 
 namespace seqdl {
 namespace {
-
-Program MustParse(Universe& u, const std::string& text) {
-  Result<Program> p = ParseProgram(u, text);
-  EXPECT_TRUE(p.ok()) << p.status().ToString() << "\n" << text;
-  return std::move(p).value();
-}
-
-Instance MustInstance(Universe& u, const std::string& text) {
-  Result<Instance> i = ParseInstance(u, text);
-  EXPECT_TRUE(i.ok()) << i.status().ToString();
-  return std::move(i).value();
-}
 
 // --- §5.1.1: recursion is redundant for boolean queries without I -------------
 
@@ -150,8 +139,8 @@ TEST(PlannerTest, ReorderingReducesFirings) {
   RelId r = *u.InternRel("R", 1), q = *u.InternRel("Q", 1),
         t = *u.InternRel("T", 1);
   for (int i = 0; i < 12; ++i) {
-    std::string ri = "r" + std::to_string(i);
-    std::string qi = "q" + std::to_string(i);
+    std::string ri = Numbered("r", i);
+    std::string qi = Numbered("q", i);
     in.Add(r, {u.PathOfWords(ri + " b0")});
     in.Add(q, {u.PathOfWords(qi + " c0")});
   }
@@ -211,7 +200,7 @@ TEST(PlannerTest, NaiveReorderCombinationsAllAgree) {
 Instance SkewedInstance(Universe& u, size_t n) {
   std::string text;
   for (size_t k = 0; k < n; ++k) {
-    std::string id = "i" + std::to_string(k);
+    std::string id = Numbered("i", k);
     text += "P(t ++ " + id + ").\n";
     text += "R(t, " + id + ").\n";
   }
@@ -257,7 +246,7 @@ TEST(SelectivityPlannerTest, PrefixProbeBeatsNearConstantWholeKey) {
   Program p = MustParse(u, "S($r) <- P(@a), R(t0, @a ++ $r).\n");
   std::string text;
   for (size_t k = 0; k < 16; ++k) {
-    std::string a = "x" + std::to_string(k);
+    std::string a = Numbered("x", k);
     text += "P(" + a + ").\n";
     text += "R(t0, " + a + " ++ y ++ z).\n";
   }
@@ -343,7 +332,7 @@ TEST(SelectivityPlannerTest, UnskewedDataPinsLegacyChoices) {
   // breaks plan stability for the common unskewed case.
   std::string text;
   for (size_t k = 0; k < 12; ++k) {
-    std::string t = "t" + std::to_string(k), i = "i" + std::to_string(k);
+    std::string t = Numbered("t", k), i = Numbered("i", k);
     text += "P(" + t + " ++ " + i + ").\n";
     text += "R(" + t + ", " + i + ").\n";
   }

@@ -21,15 +21,10 @@
 #include "src/unify/unify.h"
 #include "src/workload/baselines.h"
 #include "src/workload/generators.h"
+#include "tests/test_support.h"
 
 namespace seqdl {
 namespace {
-
-Program MustParse(Universe& u, const std::string& text) {
-  Result<Program> p = ParseProgram(u, text);
-  EXPECT_TRUE(p.ok()) << p.status().ToString() << "\n" << text;
-  return std::move(p).value();
-}
 
 // --- Unification completeness against ground enumeration -----------------------
 
@@ -326,7 +321,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PipelineSeedTest,
 size_t MaxPathLength(const Universe& u, const Instance& i) {
   size_t n = 0;
   for (RelId rel : i.Relations()) {
-    for (const Tuple& t : i.Tuples(rel)) {
+    for (TupleRef t : i.Tuples(rel)) {
       for (PathId p : t) n = std::max(n, u.PathLength(p));
     }
   }

@@ -6,15 +6,10 @@
 #include "src/engine/instance.h"
 #include "src/queries/queries.h"
 #include "src/term/universe.h"
+#include "tests/test_support.h"
 
 namespace seqdl {
 namespace {
-
-Instance MustInstance(Universe& u, const std::string& text) {
-  Result<Instance> i = ParseInstance(u, text);
-  EXPECT_TRUE(i.ok()) << i.status().ToString();
-  return std::move(i).value();
-}
 
 TEST(CorpusTest, AllEntriesParseAndValidate) {
   for (const PaperQuery& q : PaperCorpus()) {

@@ -107,7 +107,7 @@ TEST(RegexToDatalogTest, MatcherAgreesWithNfaOnRandomStrings) {
     ASSERT_TRUE(prog.ok()) << prog.status().ToString();
     Result<Instance> out = prog->Run(in);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
-    for (const Tuple& t : in.Tuples(q->input)) {
+    for (TupleRef t : in.Tuples(q->input)) {
       std::vector<uint32_t> word;
       bool in_alphabet = true;
       for (Value v : u.GetPath(t[0])) {

@@ -20,21 +20,10 @@
 #include "src/syntax/parser.h"
 #include "src/term/universe.h"
 #include "src/view/view.h"
+#include "tests/test_support.h"
 
 namespace seqdl {
 namespace {
-
-Program MustParse(Universe& u, const std::string& text) {
-  Result<Program> p = ParseProgram(u, text);
-  EXPECT_TRUE(p.ok()) << p.status().ToString() << "\n" << text;
-  return std::move(p).value();
-}
-
-Instance MustInstance(Universe& u, const std::string& text) {
-  Result<Instance> i = ParseInstance(u, text);
-  EXPECT_TRUE(i.ok()) << i.status().ToString();
-  return std::move(i).value();
-}
 
 PreparedProgram MustCompile(Universe& u, const std::string& text) {
   Result<PreparedProgram> prog = Engine::Compile(u, MustParse(u, text));
@@ -263,10 +252,8 @@ TEST(RetractTest, OverDecrementedTupleSurvivesViaRederivation) {
   // a later retraction can still decrement it toward deletion.
   auto it = (*v)->support().find(r);
   ASSERT_NE(it, (*v)->support().end());
-  for (const Tuple& t : (*v)->idb().Tuples(r)) {
-    auto ct = it->second->find(t);
-    ASSERT_NE(ct, it->second->end());
-    EXPECT_GE(ct->second, 1u);
+  for (TupleRef t : (*v)->idb().Tuples(r)) {
+    EXPECT_GE(it->second->Get(t), 1u);
   }
 }
 

@@ -19,6 +19,7 @@
 #include "src/transform/normal_form.h"
 #include "src/transform/packing_elim.h"
 #include "src/unify/unify.h"
+#include "tests/test_support.h"
 
 namespace seqdl {
 namespace {
@@ -292,7 +293,7 @@ TEST(UnifierRobustnessTest, ClosureVariableCapIsEnforced) {
   PathExpr lhs, rhs;
   for (int i = 0; i < 25; ++i) {
     lhs.items.push_back(ExprItem::PathVar(
-        u.InternVar(VarKind::kPath, "v" + std::to_string(i))));
+        u.InternVar(VarKind::kPath, Numbered("v", i))));
   }
   rhs = ConstExpr(Value::Atom(u.InternAtom("a")));
   Result<UnifyResult> res = UnifyExprs(u, lhs, rhs);
@@ -318,7 +319,7 @@ TEST(StratifierRobustnessTest, DeepNegationChain) {
   Universe u;
   std::string text = "P0($x) <- R($x).\n";
   for (int i = 1; i <= 6; ++i) {
-    text += "P" + std::to_string(i) + "($x) <- R($x), !P" +
+    text += Numbered("P", i) + "($x) <- R($x), !P" +
             std::to_string(i - 1) + "($x).\n";
   }
   Result<Program> flat = ParseProgram(u, text);
@@ -337,7 +338,7 @@ TEST(StratifierRobustnessTest, DeepNegationChain) {
   Result<Instance> out = prog->Run(*in);
   ASSERT_TRUE(out.ok());
   for (int i = 0; i <= 6; ++i) {
-    RelId rel = *u.FindRel("P" + std::to_string(i));
+    RelId rel = *u.FindRel(Numbered("P", i));
     EXPECT_EQ(out->Contains(rel, {u.PathOfChars("a")}), i % 2 == 0) << i;
   }
 }

@@ -30,6 +30,7 @@
 #include "src/server/service.h"
 #include "src/syntax/parser.h"
 #include "src/term/universe.h"
+#include "tests/test_support.h"
 
 namespace seqdl {
 namespace {
@@ -1104,7 +1105,7 @@ TEST(ServiceCacheTest, ProgramsShareTheResultCap) {
   size_t sent = 0;
   auto run_fresh = [&](size_t n) {
     for (size_t i = 0; i < n; ++i, ++sent) {
-      std::string program = "H" + std::to_string(sent) + "($x, c" +
+      std::string program = Numbered("H", sent) + "($x, c" +
                             std::to_string(sent) + ") <- E($x, $y).";
       Result<protocol::RunReply> run = service.Run(ReqFor(program.c_str()));
       ASSERT_TRUE(run.ok()) << run.status().ToString();
@@ -1185,7 +1186,7 @@ TEST(ServiceCacheConcurrencyTest, EvictionRacesRunsAndWrites) {
   constexpr size_t kWrites = 12;
   std::vector<std::string> programs;
   for (size_t i = 0; i < kPrograms; ++i) {
-    std::string h = (i % 2 == 0 ? "H" : "R") + std::to_string(i);
+    std::string h = Numbered(i % 2 == 0 ? "H" : "R", i);
     programs.push_back(
         i % 2 == 0 ? h + "($x, c" + std::to_string(i) + ") <- E($x, $y)."
                    : h + "($x, $y) <- E($x, $y).\n" + h + "($x, $z) <- " +

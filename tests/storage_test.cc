@@ -37,15 +37,10 @@
 #include "src/storage/wal.h"
 #include "src/syntax/parser.h"
 #include "src/term/universe.h"
+#include "tests/test_support.h"
 
 namespace seqdl {
 namespace {
-
-Instance MustInstance(Universe& u, const std::string& text) {
-  Result<Instance> r = ParseInstance(u, text);
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  return std::move(r).value();
-}
 
 /// Root for scratch directories. CI points TEST_TMPDIR at a real
 /// filesystem so rename/fsync semantics are exercised for real.
@@ -656,7 +651,7 @@ struct CrashOp {
 /// paths (effective and no-op commits) get exercised.
 std::vector<CrashOp> MakeCrashOps(uint64_t seed, size_t n) {
   std::mt19937_64 rng(seed * 0x9e3779b97f4a7c15ull + 1);
-  auto atom = [&] { return "a" + std::to_string(rng() % 12); };
+  auto atom = [&] { return Numbered("a", rng() % 12); };
   std::vector<CrashOp> ops;
   ops.reserve(n);
   for (size_t i = 0; i < n; ++i) {

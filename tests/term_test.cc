@@ -8,6 +8,7 @@
 
 #include "src/term/universe.h"
 #include "src/term/value.h"
+#include "tests/test_support.h"
 
 namespace seqdl {
 namespace {
@@ -176,9 +177,9 @@ TEST(UniverseTest, PathOfWords) {
 std::vector<Value> NumberedPath(Universe& u, size_t i) {
   std::vector<Value> values;
   for (size_t k = 0, n = i; k <= i % 7; ++k, n /= 3) {
-    values.push_back(Value::Atom(u.InternAtom("d" + std::to_string(n % 3))));
+    values.push_back(Value::Atom(u.InternAtom(Numbered("d", n % 3))));
   }
-  values.push_back(Value::Atom(u.InternAtom("n" + std::to_string(i))));
+  values.push_back(Value::Atom(u.InternAtom(Numbered("n", i))));
   return values;
 }
 
@@ -189,7 +190,7 @@ TEST(UniverseTest, PathLongerThanAChunk) {
   PathId before = u.PathOfChars("ab");
   std::vector<Value> values;
   for (size_t i = 0; i < 10000; ++i) {
-    values.push_back(Value::Atom(u.InternAtom("v" + std::to_string(i % 97))));
+    values.push_back(Value::Atom(u.InternAtom(Numbered("v", i % 97))));
   }
   PathId p = u.InternPath(values);
   PathId after = u.PathOfChars("cd");

@@ -14,21 +14,10 @@
 #include "src/transform/rewrite.h"
 #include "src/transform/simplify.h"
 #include "src/workload/generators.h"
+#include "tests/test_support.h"
 
 namespace seqdl {
 namespace {
-
-Program MustParse(Universe& u, const std::string& text) {
-  Result<Program> p = ParseProgram(u, text);
-  EXPECT_TRUE(p.ok()) << p.status().ToString() << "\n" << text;
-  return std::move(p).value();
-}
-
-Instance MustInstance(Universe& u, const std::string& text) {
-  Result<Instance> i = ParseInstance(u, text);
-  EXPECT_TRUE(i.ok()) << i.status().ToString();
-  return std::move(i).value();
-}
 
 // Asserts that two programs compute the same facts for `rel` on `input`.
 void ExpectSameOutput(Universe& u, const Program& p1, const Program& p2,

@@ -17,21 +17,10 @@
 #include "src/syntax/parser.h"
 #include "src/term/universe.h"
 #include "src/view/view.h"
+#include "tests/test_support.h"
 
 namespace seqdl {
 namespace {
-
-Program MustParse(Universe& u, const std::string& text) {
-  Result<Program> p = ParseProgram(u, text);
-  EXPECT_TRUE(p.ok()) << p.status().ToString() << "\n" << text;
-  return std::move(p).value();
-}
-
-Instance MustInstance(Universe& u, const std::string& text) {
-  Result<Instance> i = ParseInstance(u, text);
-  EXPECT_TRUE(i.ok()) << i.status().ToString();
-  return std::move(i).value();
-}
 
 PreparedProgram MustCompile(Universe& u, const std::string& text) {
   Result<PreparedProgram> prog = Engine::Compile(u, MustParse(u, text));
@@ -198,15 +187,12 @@ TEST(ViewTest, SupportCountsCoverEveryViewTuple) {
   const SharedSupport& support = (*v)->support();
   auto rel_it = support.find(r);
   ASSERT_NE(rel_it, support.end());
-  for (const Tuple& t : (*v)->idb().Tuples(r)) {
-    auto it = rel_it->second->find(t);
-    ASSERT_NE(it, rel_it->second->end());
-    EXPECT_GE(it->second, 1u);
+  for (TupleRef t : (*v)->idb().Tuples(r)) {
+    EXPECT_GE(rel_it->second->Get(t), 1u);
   }
   // The diamond apex: two derivation events for R(a, d).
-  auto apex = rel_it->second->find({u.PathOfChars("a"), u.PathOfChars("d")});
-  ASSERT_NE(apex, rel_it->second->end());
-  EXPECT_EQ(apex->second, 2u);
+  const Tuple apex{u.PathOfChars("a"), u.PathOfChars("d")};
+  EXPECT_EQ(rel_it->second->Get(apex), 2u);
 
   // Delta refreshes keep the invariant: counts carry forward for
   // maintained strata plus fresh derivation events.
@@ -215,15 +201,11 @@ TEST(ViewTest, SupportCountsCoverEveryViewTuple) {
   ASSERT_TRUE(v.ok());
   rel_it = (*v)->support().find(r);
   ASSERT_NE(rel_it, (*v)->support().end());
-  for (const Tuple& t : (*v)->idb().Tuples(r)) {
-    auto it = rel_it->second->find(t);
-    ASSERT_NE(it, rel_it->second->end());
-    EXPECT_GE(it->second, 1u);
+  for (TupleRef t : (*v)->idb().Tuples(r)) {
+    EXPECT_GE(rel_it->second->Get(t), 1u);
   }
   // The carried diamond count survives the refresh untouched.
-  apex = rel_it->second->find({u.PathOfChars("a"), u.PathOfChars("d")});
-  ASSERT_NE(apex, rel_it->second->end());
-  EXPECT_EQ(apex->second, 2u);
+  EXPECT_EQ(rel_it->second->Get(apex), 2u);
 
   // A refresh that derives nothing new for R shares the stored map
   // instead of rebuilding it (copy-on-write across snapshots).
@@ -234,6 +216,40 @@ TEST(ViewTest, SupportCountsCoverEveryViewTuple) {
   rel_it = (*v)->support().find(r);
   ASSERT_NE(rel_it, (*v)->support().end());
   EXPECT_EQ(rel_it->second.get(), before.get());
+}
+
+/// The bytes a snapshot's tables hold: every IDB relation's rows and
+/// slots, and every support table's rows, slots and counts.
+size_t TableBytes(const ViewSnapshot& v) {
+  size_t bytes = 0;
+  for (RelId rel : v.idb().Relations()) bytes += v.idb().Tuples(rel).Bytes();
+  for (const auto& [rel, counts] : v.support()) bytes += counts->Bytes();
+  return bytes;
+}
+
+// The server cache's byte budget counts what a view stores: after a
+// cold run, a delta refresh and a DRed refresh alike.
+TEST(ViewTest, AccountedBytesAreTheTablesBytes) {
+  Universe u;
+  Result<Database> db =
+      Database::Open(u, MustInstance(u, "E(a, b). E(b, c). E(c, d)."));
+  ASSERT_TRUE(db.ok());
+  PreparedProgram prog = MustCompile(u, kReach);
+  auto v = db->views().Refresh("reach", prog);
+  ASSERT_TRUE(v.ok());
+  EXPECT_GT(TableBytes(**v), 0u);
+  EXPECT_EQ((*v)->ApproxBytes(), TableBytes(**v));
+
+  ASSERT_TRUE(db->Append(MustInstance(u, "E(d, e). E(e, f).")).ok());
+  v = db->views().Refresh("reach", prog);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ((*v)->ApproxBytes(), TableBytes(**v));
+
+  ASSERT_TRUE(db->Retract(MustInstance(u, "E(b, c).")).ok());
+  v = db->views().Refresh("reach", prog);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(db->views().counters().dred_refreshes, 1u);
+  EXPECT_EQ((*v)->ApproxBytes(), TableBytes(**v));
 }
 
 /// Support counts must match a cold run's exactly — an overcount keeps a
@@ -272,7 +288,7 @@ TEST(ViewTest, AutoFoldUnderLaggingViewKeepsSupportExact) {
   EXPECT_EQ((*v)->idb().ToString(u), (*want)->idb().ToString(u));
   ExpectSameSupport((*v)->support(), (*want)->support());
   RelId p = *u.FindRel("P");
-  EXPECT_EQ((*v)->support().at(p)->at({u.PathOfChars("a")}), 2u);
+  EXPECT_EQ((*v)->support().at(p)->Get(Tuple{u.PathOfChars("a")}), 2u);
 }
 
 TEST(ViewTest, InvalidateForcesColdRun) {
