@@ -27,31 +27,13 @@ namespace {
 /// amortized cost stays at most 5 facts folded per changed fact.
 constexpr double kTailFoldFraction = 0.25;
 
-/// True iff (rel, t) is *visible* in the bottom `end` segments of the
-/// stack: the newest segment holding it decides — a fact segment means
-/// present, a tombstone means retracted (the per-fact flip invariant,
-/// see the header comment).
-bool StackVisible(const std::vector<std::shared_ptr<const BaseStore>>& segs,
-                  const std::vector<SegmentKind>& kinds, size_t end,
-                  RelId rel, TupleRef t) {
-  for (size_t i = end; i-- > 0;) {
-    if (segs[i]->Contains(rel, t)) {
-      return kinds[i] == SegmentKind::kFacts;
-    }
-  }
-  return false;
-}
-
-/// Materializes the visible facts of the bottom `end` segments of a
-/// stack: fact segments union in, tombstone segments remove (forward
-/// walk — a later fact re-appends).
-Instance MaterializeVisible(
-    const std::vector<std::shared_ptr<const BaseStore>>& segs,
-    const std::vector<SegmentKind>& kinds, size_t end) {
+/// Materializes the visible facts of a stack: fact segments union in,
+/// tombstone segments remove (forward walk — a later fact re-appends).
+Instance MaterializeVisible(std::span<const Segment> stack) {
   Instance out;
-  for (size_t i = 0; i < end; ++i) {
-    const Instance& inst = segs[i]->instance();
-    if (kinds[i] == SegmentKind::kFacts) {
+  for (const Segment& seg : stack) {
+    const Instance& inst = seg.store->instance();
+    if (seg.kind == SegmentKind::kFacts) {
       out.UnionWith(inst);
       continue;
     }
@@ -99,20 +81,15 @@ Result<Database> Database::Open(Universe& u, Instance edb,
     auto set = std::make_shared<SegmentSet>();
     set->epoch = engine->recovered_epoch();
     set->shrink_floor = engine->recovered_shrink_floor();
-    for (storage::SealedSegment& sealed : engine->sealed()) {
-      size_t facts = sealed.facts.NumFacts();
-      auto segment =
-          std::make_shared<BaseStore>(u, std::move(sealed.facts));
-      set->segments.push_back(std::move(segment));
-      set->segment_epochs.push_back(sealed.stamp);
-      set->segment_kinds.push_back(sealed.kind);
-      if (sealed.kind == SegmentKind::kFacts) {
+    set->segments = std::move(engine->sealed());
+    for (const Segment& seg : set->segments) {
+      size_t facts = seg.store->instance().NumFacts();
+      if (seg.kind == SegmentKind::kFacts) {
         set->total_facts += facts;
       } else {
         set->total_facts -= facts;
       }
     }
-    engine->sealed().clear();
     state->current = std::move(set);
     state->views.reset(new ViewManager(*state));
     state->storage = std::move(engine);
@@ -146,13 +123,12 @@ Result<Database> Database::Open(Universe& u, Instance edb,
   }
 
   // Fresh open (in-memory, or initializing a new data directory).
-  auto segment = std::make_shared<BaseStore>(u, std::move(edb));
   auto set = std::make_shared<SegmentSet>();
   set->epoch = 0;
-  set->total_facts = segment->instance().NumFacts();
-  set->segments.push_back(std::move(segment));
-  set->segment_epochs.push_back(0);
-  set->segment_kinds.push_back(SegmentKind::kFacts);
+  set->total_facts = edb.NumFacts();
+  set->segments.push_back(
+      {std::make_shared<IndexedStore>(u, std::move(edb)), 0,
+       SegmentKind::kFacts});
   state->current = std::move(set);
   state->views.reset(new ViewManager(*state));
   if (engine != nullptr) {
@@ -187,8 +163,6 @@ Session Database::Snapshot() const {
   return Session(*state_->universe, state_->Current(), &state_->accum);
 }
 
-Writer Database::MakeWriter() { return Writer(state_.get()); }
-
 Result<uint64_t> Database::AppendTo(DbState& state, Instance delta,
                                     size_t* appended) {
   if (appended != nullptr) *appended = 0;
@@ -208,10 +182,7 @@ Result<uint64_t> Database::AppendTo(DbState& state, Instance delta,
   Instance fresh;
   for (RelId rel : delta.Relations()) {
     for (TupleRef t : delta.Tuples(rel)) {
-      if (!StackVisible(cur->segments, cur->segment_kinds,
-                        cur->segments.size(), rel, t)) {
-        fresh.Add(rel, t);
-      }
+      if (!Visible(cur->segments, rel, t)) fresh.Add(rel, t);
     }
   }
   if (fresh.Empty()) return cur->epoch;  // nothing new: the epoch holds
@@ -227,17 +198,13 @@ Result<uint64_t> Database::AppendTo(DbState& state, Instance delta,
 
   size_t fresh_facts = fresh.NumFacts();
   if (appended != nullptr) *appended = fresh_facts;
-  auto segment =
-      std::make_shared<BaseStore>(*state.universe, std::move(fresh));
 
   auto next = std::make_shared<SegmentSet>();
   next->epoch = cur->epoch + 1;
   next->segments = cur->segments;
-  next->segments.push_back(std::move(segment));
-  next->segment_epochs = cur->segment_epochs;
-  next->segment_epochs.push_back(next->epoch);
-  next->segment_kinds = cur->segment_kinds;
-  next->segment_kinds.push_back(SegmentKind::kFacts);
+  next->segments.push_back(
+      {std::make_shared<IndexedStore>(*state.universe, std::move(fresh)),
+       next->epoch, SegmentKind::kFacts});
   next->shrink_floor = cur->shrink_floor;
   next->total_facts = cur->total_facts + fresh_facts;
   uint64_t epoch = next->epoch;
@@ -274,10 +241,7 @@ Result<uint64_t> Database::RetractFrom(DbState& state, Instance victims,
   Instance hits;
   for (RelId rel : victims.Relations()) {
     for (TupleRef t : victims.Tuples(rel)) {
-      if (StackVisible(cur->segments, cur->segment_kinds,
-                       cur->segments.size(), rel, t)) {
-        hits.Add(rel, t);
-      }
+      if (Visible(cur->segments, rel, t)) hits.Add(rel, t);
     }
   }
   if (hits.Empty()) return cur->epoch;  // nothing visible: epoch holds
@@ -290,17 +254,13 @@ Result<uint64_t> Database::RetractFrom(DbState& state, Instance victims,
 
   size_t hit_facts = hits.NumFacts();
   if (retracted != nullptr) *retracted = hit_facts;
-  auto segment =
-      std::make_shared<BaseStore>(*state.universe, std::move(hits));
 
   auto next = std::make_shared<SegmentSet>();
   next->epoch = cur->epoch + 1;
   next->segments = cur->segments;
-  next->segments.push_back(std::move(segment));
-  next->segment_epochs = cur->segment_epochs;
-  next->segment_epochs.push_back(next->epoch);
-  next->segment_kinds = cur->segment_kinds;
-  next->segment_kinds.push_back(SegmentKind::kTombstones);
+  next->segments.push_back(
+      {std::make_shared<IndexedStore>(*state.universe, std::move(hits)),
+       next->epoch, SegmentKind::kTombstones});
   next->shrink_floor = cur->shrink_floor;
   next->total_facts = cur->total_facts - hit_facts;
   uint64_t epoch = next->epoch;
@@ -345,23 +305,13 @@ void Database::AfterCommitLocked(DbState& state) {
 Status Database::CheckpointLocked(DbState& state, const SegmentSet& set,
                                   size_t keep) {
   if (state.storage == nullptr) return Status::OK();
-  std::vector<storage::CheckpointSegment> stack;
-  stack.reserve(set.segments.size());
-  for (size_t i = 0; i < set.segments.size(); ++i) {
-    storage::CheckpointSegment seg;
-    seg.facts = &set.segments[i]->instance();
-    seg.kind = set.segment_kinds[i];
-    seg.stamp = set.segment_epochs[i];
-    stack.push_back(seg);
-  }
   return state.storage->Checkpoint(*state.universe, set.epoch,
-                                   set.shrink_floor, stack, keep);
+                                   set.shrink_floor, set.segments, keep);
 }
 
 Result<bool> Database::CompactLocked(DbState& state, Fold fold) {
   std::shared_ptr<const SegmentSet> cur = state.Current();
-  const std::vector<std::shared_ptr<const BaseStore>>& segs = cur->segments;
-  const std::vector<SegmentKind>& kinds = cur->segment_kinds;
+  const std::vector<Segment>& segs = cur->segments;
   const size_t n = segs.size();
   if (n <= 1) return false;
   const size_t limit = state.opts.auto_compact_segments;
@@ -376,11 +326,12 @@ Result<bool> Database::CompactLocked(DbState& state, Fold fold) {
   if (fold == Fold::kTiered) {
     if (std::optional<uint64_t> oldest = state.views->OldestEpoch()) {
       size_t seen = 0;
-      while (seen < n && cur->segment_epochs[seen] <= *oldest) ++seen;
+      while (seen < n && segs[seen].stamp <= *oldest) ++seen;
       if (1 + (n - seen) <= limit) end = seen;
     }
   }
-  const uint64_t stamp = cur->segment_epochs[end - 1];  // newest folded
+  const std::span<const Segment> folded(segs.data(), end);
+  const uint64_t stamp = folded.back().stamp;  // newest folded
 
   auto next = std::make_shared<SegmentSet>();
   next->epoch = cur->epoch;  // same facts, same epoch: semantics unchanged
@@ -390,14 +341,10 @@ Result<bool> Database::CompactLocked(DbState& state, Fold fold) {
   // delta-evaluating it would count the seen facts' support twice. Raise
   // the floor so Refresh runs such views cold.
   next->shrink_floor = std::max(cur->shrink_floor, stamp);
-  auto push = [&next](std::shared_ptr<const BaseStore> seg, uint64_t at,
-                      SegmentKind kind) {
-    next->segments.push_back(std::move(seg));
-    next->segment_epochs.push_back(at);
-    next->segment_kinds.push_back(kind);
-  };
-  auto build = [&state](Instance facts) {
-    return std::make_shared<BaseStore>(*state.universe, std::move(facts));
+  auto push_new = [&](Instance facts, SegmentKind kind) {
+    next->segments.push_back(
+        {std::make_shared<IndexedStore>(*state.universe, std::move(facts)),
+         stamp, kind});
   };
 
   // Tail fold: diff the folded tail against the base (segment 0, always
@@ -409,17 +356,17 @@ Result<bool> Database::CompactLocked(DbState& state, Fold fold) {
   // the limit; otherwise the range merges into a new base.
   size_t keep = 0;
   if (fold == Fold::kTiered) {
-    const BaseStore& base = *segs[0];
+    const IndexedStore& base = *segs[0].store;
     const double max_net =
         kTailFoldFraction * static_cast<double>(base.instance().NumFacts());
     Instance dropped, added;
     bool small = true;
     // Stops diffing once the net tail is too big (checked per segment).
     for (size_t i = 1; i < end && small; ++i) {
-      const Instance& inst = segs[i]->instance();
+      const Instance& inst = segs[i].store->instance();
       for (RelId rel : inst.Relations()) {
         for (TupleRef t : inst.Tuples(rel)) {
-          bool visible = StackVisible(segs, kinds, end, rel, t);
+          bool visible = Visible(folded, rel, t);
           if (base.Contains(rel, t)) {
             if (!visible) dropped.Add(rel, t);
           } else if (visible) {
@@ -430,28 +377,24 @@ Result<bool> Database::CompactLocked(DbState& state, Fold fold) {
       small = static_cast<double>(dropped.NumFacts() + added.NumFacts()) <
               max_net;
     }
-    size_t folded = 1 + (dropped.Empty() ? 0 : 1) + (added.Empty() ? 0 : 1);
-    if (small && folded + (n - end) <= limit) {
+    size_t written = 1 + (dropped.Empty() ? 0 : 1) + (added.Empty() ? 0 : 1);
+    if (small && written + (n - end) <= limit) {
       keep = 1;
-      push(segs[0], cur->segment_epochs[0], SegmentKind::kFacts);
+      next->segments.push_back(segs[0]);
       if (!dropped.Empty()) {
-        push(build(std::move(dropped)), stamp, SegmentKind::kTombstones);
+        push_new(std::move(dropped), SegmentKind::kTombstones);
       }
-      if (!added.Empty()) {
-        push(build(std::move(added)), stamp, SegmentKind::kFacts);
-      }
+      if (!added.Empty()) push_new(std::move(added), SegmentKind::kFacts);
     }
   }
   if (keep == 0) {
     // Full fold: apply the range in order, copying (not moving) the
     // segment instances — open sessions still pin them. Tombstones apply
     // and vanish; the merged segment holds exactly the visible facts.
-    push(build(MaterializeVisible(segs, kinds, end)), stamp,
-         SegmentKind::kFacts);
+    push_new(MaterializeVisible(folded), SegmentKind::kFacts);
   }
-  for (size_t i = end; i < n; ++i) {
-    push(segs[i], cur->segment_epochs[i], kinds[i]);
-  }
+  next->segments.insert(next->segments.end(), segs.begin() + end,
+                        segs.end());
 
   // Copy-forward-then-swap: in durable mode the folded stack seals to
   // disk and the new manifest generation publishes *first* (a tail fold
@@ -508,8 +451,8 @@ size_t Database::NumFacts() const { return state_->Current()->total_facts; }
 size_t Database::NumTombstones() const {
   std::shared_ptr<const SegmentSet> cur = state_->Current();
   size_t n = 0;
-  for (SegmentKind k : cur->segment_kinds) {
-    if (k == SegmentKind::kTombstones) ++n;
+  for (const Segment& seg : cur->segments) {
+    if (seg.kind == SegmentKind::kTombstones) ++n;
   }
   return n;
 }
@@ -517,7 +460,7 @@ size_t Database::NumTombstones() const {
 StoreStats Database::Stats() const {
   std::shared_ptr<const SegmentSet> cur = state_->Current();
   StoreStats stats;
-  // Per-segment measurements are call_once-cached inside each BaseStore.
+  // Each segment's store measures itself once (IndexedStore::Stats).
   // Fact segments sum (visible enumeration yields each fact once modulo
   // the documented shared-key bucket overcount); tombstone segments
   // *discount* — each tombstoned fact was measured exactly once in an
@@ -525,11 +468,11 @@ StoreStats Database::Stats() const {
   // StatsDrift instead of leaving cached plans ranked off stale, larger
   // relations.
   StoreStats discount;
-  for (size_t i = 0; i < cur->segments.size(); ++i) {
-    if (cur->segment_kinds[i] == SegmentKind::kFacts) {
-      stats.MergeFrom(cur->segments[i]->Stats());
+  for (const Segment& seg : cur->segments) {
+    if (seg.kind == SegmentKind::kFacts) {
+      stats.MergeFrom(seg.store->Stats());
     } else {
-      discount.MergeFrom(cur->segments[i]->Stats());
+      discount.MergeFrom(seg.store->Stats());
     }
   }
   stats.DiscountFrom(discount);
@@ -557,21 +500,17 @@ storage::StorageInfo Database::storage_info() const {
 }
 
 Instance Database::edb() const {
-  std::shared_ptr<const SegmentSet> cur = state_->Current();
-  return MaterializeVisible(cur->segments, cur->segment_kinds,
-                            cur->segments.size());
+  return MaterializeVisible(state_->Current()->segments);
 }
 
-const BaseStore& Database::base() const {
-  return *state_->Current()->segments.front();
+const IndexedStore& Database::base() const {
+  return *state_->Current()->segments.front().store;
 }
 
-size_t Database::NumIndexedColumns() const {
+size_t Database::NumIndexedFamilies() const {
   std::shared_ptr<const SegmentSet> cur = state_->Current();
   size_t n = 0;
-  for (const auto& seg : cur->segments) {
-    n += seg->NumIndexedColumns();
-  }
+  for (const Segment& seg : cur->segments) n += seg.store->NumIndexedFamilies();
   return n;
 }
 
@@ -583,9 +522,6 @@ Result<Instance> Session::Run(const PreparedProgram& prog,
         "program was compiled against a different Universe than the "
         "database was opened with");
   }
-  std::vector<const BaseStore*> segments;
-  segments.reserve(pinned_->segments.size());
-  for (const auto& seg : pinned_->segments) segments.push_back(seg.get());
   // RunOnStack fills EvalStats::derived_stats when asked; route it
   // through a local EvalStats if the caller did not pass one, so the
   // measurement still reaches the database's accumulator.
@@ -593,8 +529,7 @@ Result<Instance> Session::Run(const PreparedProgram& prog,
   EvalStats* sink =
       stats != nullptr ? stats
                        : (opts.collect_derived_stats ? &local : nullptr);
-  Result<Instance> out =
-      prog.RunOnStack(segments, pinned_->segment_kinds, opts, sink);
+  Result<Instance> out = prog.RunOnStack(pinned_->segments, opts, sink);
   if (out.ok() && accum_ != nullptr) {
     // A full recomputation happened: apply any epoch decays deferred by
     // appends, then record what this run actually derived.
@@ -606,21 +541,6 @@ Result<Instance> Session::Run(const PreparedProgram& prog,
   return out;
 }
 
-Instance Session::edb() const {
-  return MaterializeVisible(pinned_->segments, pinned_->segment_kinds,
-                            pinned_->segments.size());
-}
-
-Result<uint64_t> Writer::Commit() {
-  Instance batch = std::move(staged_);
-  staged_ = Instance{};
-  Instance victims = std::move(retract_staged_);
-  retract_staged_ = Instance{};
-  SEQDL_ASSIGN_OR_RETURN(uint64_t epoch,
-                         Database::AppendTo(*state_, std::move(batch),
-                                            nullptr));
-  if (victims.Empty()) return epoch;
-  return Database::RetractFrom(*state_, std::move(victims), nullptr);
-}
+Instance Session::edb() const { return MaterializeVisible(pinned_->segments); }
 
 }  // namespace seqdl

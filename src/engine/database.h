@@ -2,10 +2,10 @@
 //
 // The EDB is an append-log of immutable *segments*, one per committed
 // ingest batch. The segment list is published atomically under an
-// *epoch* counter (MVCC): Database::Append (or a batching Writer's
-// Commit) never mutates existing segments — it builds a new BaseStore
-// over the freshly ingested facts, dedupes them against the current
-// stack, and publishes segments+1 at epoch+1. Snapshot() pins the
+// *epoch* counter (MVCC): Database::Append never mutates existing
+// segments — it dedupes the freshly ingested facts against the current
+// stack, builds a new IndexedStore (index.h) over what is left, and
+// publishes segments+1 at epoch+1. Snapshot() pins the
 // segment list of the current epoch by shared ownership, so a session
 // opened at epoch k keeps reading exactly epoch k's facts —
 // byte-identical results before, during, and after any number of later
@@ -20,9 +20,10 @@
 //   SEQDL_ASSIGN_OR_RETURN(Instance before, at_k.Run(prog));   // epoch k
 //   SEQDL_ASSIGN_OR_RETURN(Instance after, at_k1.Run(prog));   // epoch k+1
 //
-// Per-segment whole/first/last-value indexes and StoreStats build exactly
-// once via the BaseStore call_once machinery and are merged lazily at
-// query/Stats() time. Compact() folds the stack into one merged segment
+// Each segment's store builds the (relation, column, family) index a
+// probe asks for on first use, exactly once, and measures its StoreStats
+// once; runs probe every segment and Stats() merges the measurements.
+// Compact() folds the stack into one merged segment
 // (same facts, same epoch — compaction is invisible to semantics); open
 // sessions keep their pinned segments alive via shared_ptr, so compaction
 // under open sessions is a semantic no-op for them and the retired
@@ -36,7 +37,7 @@
 // Retract() publishes the inverse of Append as the same kind of immutable
 // segment: a *tombstone* segment whose tuples shadow matching facts in
 // every older segment — a fact is visible iff the newest segment holding
-// it is a fact segment (SegmentKind, index.h). Commits maintain a *flip
+// it is a fact segment (Visible, index.h). Commits maintain a *flip
 // invariant*: Append only publishes facts not currently visible, Retract
 // only tombstones facts that are, so each fact's occurrences in stack
 // order alternate fact/tombstone/fact/… and visibility is decided by the
@@ -47,7 +48,7 @@
 // folded stamp: views older than that never saw every folded segment and
 // can no longer be delta-maintained.
 //
-// Thread-safety contract: one writer at a time (Append/Commit/Compact
+// Thread-safety contract: one writer at a time (Append/Retract/Compact
 // serialize on an internal writer mutex), any number of concurrent
 // readers; the published segment list is swapped under a mutex and pinned
 // by shared_ptr, all per-run mutable state is private to the run, and the
@@ -80,11 +81,10 @@ namespace seqdl {
 
 class Session;
 class ViewManager;
-class Writer;
 
 /// A long-lived, versioned EDB: an epoch-stamped stack of immutable
-/// BaseStore segments shared by every session. Move-only; must outlive
-/// all sessions and writers opened from it.
+/// segments shared by every session. Move-only; must outlive all
+/// sessions opened from it.
 class Database {
  public:
   struct OpenOptions {
@@ -148,7 +148,7 @@ class Database {
 
   /// An epoch-pinned view of the database: the returned session reads
   /// exactly the facts committed as of now, forever, regardless of later
-  /// Append/Commit/Compact calls. Any number may be open at once, from
+  /// Append/Retract/Compact calls. Any number may be open at once, from
   /// any threads.
   Session Snapshot() const;
 
@@ -169,10 +169,6 @@ class Database {
   /// actually retracted. Serializes with other writers; never blocks
   /// readers — sessions pinned at older epochs keep seeing the facts.
   Result<uint64_t> Retract(Instance victims, size_t* retracted = nullptr);
-
-  /// A batching ingest handle: stage facts with Add/Stage (and
-  /// retractions with Retract), publish them with Commit.
-  Writer MakeWriter();
 
   /// Folds all current segments into one merged *fact* segment, applying
   /// tombstones as it goes: the merged stack holds exactly the visible
@@ -197,8 +193,8 @@ class Database {
   /// callable directly.
   Result<bool> MaybeCompact();
 
-  /// Retires the database from ingest: every later Append or
-  /// Writer::Commit fails with kFailedPrecondition, and Compact becomes a
+  /// Retires the database from ingest: every later Append or Retract
+  /// fails with kFailedPrecondition, and Compact becomes a
   /// no-op. Reads are unaffected — Snapshot() and open sessions keep
   /// serving the final epoch. Idempotent. A draining server closes its
   /// database so late appends cannot land after the final epoch was
@@ -206,7 +202,7 @@ class Database {
   void Close();
   bool closed() const;
 
-  /// The current epoch: 0 after Open, +1 per published Append/Commit.
+  /// The current epoch: 0 after Open, +1 per published Append/Retract.
   uint64_t epoch() const;
   /// Number of segments in the current stack (1 after Open or Compact).
   size_t NumSegments() const;
@@ -220,8 +216,9 @@ class Database {
   size_t NumTombstones() const;
 
   /// Measured per-(relation, column, index-family) statistics of the
-  /// current epoch: every live segment's call_once-cached measurement
-  /// merged with everything sessions derived in runs that set
+  /// current epoch: every live segment's measurement (taken once per
+  /// segment, IndexedStore::Stats) merged with everything sessions
+  /// derived in runs that set
   /// RunOptions::collect_derived_stats. Derived-run measurements age out
   /// as epochs bump (StatsAccumulator::Age), so estimates can shrink
   /// after compaction instead of pinning the all-time max. Feed the
@@ -256,35 +253,26 @@ class Database {
   /// The first (oldest / post-compaction merged) segment of the current
   /// stack, for tests and tools. The reference is stable only while no
   /// concurrent writer compacts; single-threaded callers only.
-  const BaseStore& base() const;
-  /// Number of (relation, column) columns whose indexes exist so far,
-  /// summed over the current stack's segments.
-  size_t NumIndexedColumns() const;
+  const IndexedStore& base() const;
+  /// Number of (relation, column, family) indexes built so far, summed
+  /// over the current stack's segments.
+  size_t NumIndexedFamilies() const;
 
  private:
   friend class Session;
   friend class ViewManager;
-  friend class Writer;
 
   /// One published version: an immutable, atomically swapped value.
   /// Sessions pin it (and thereby every segment) by shared ownership.
   struct SegmentSet {
     uint64_t epoch = 0;
-    std::vector<std::shared_ptr<const BaseStore>> segments;
-    /// Parallel to `segments`, non-decreasing: the epoch each segment
-    /// was published at (0 for the Open segment; a fold stamps the
-    /// segments it writes with the newest folded stamp, and a tail fold
-    /// keeps the base's stamp). How ViewManager tells the delta segments
-    /// apart from the base a view of epoch e already covers: everything
-    /// stamped > e is new. A folded segment mixes facts the view has
-    /// seen with facts it has not, so delta-evaluating it would count
-    /// support twice; `shrink_floor` sends such views to a cold run.
-    std::vector<uint64_t> segment_epochs;
-    /// Parallel to `segments`: what each segment's tuples mean — facts
-    /// add, tombstones retract (shadowing all older segments). Filled by
-    /// every constructor of a SegmentSet; append-only stacks are all
-    /// kFacts.
-    std::vector<SegmentKind> segment_kinds;
+    /// Bottom of the stack first. A segment's stamp is how ViewManager
+    /// tells the delta segments apart from the base a view of epoch e
+    /// already covers: everything stamped > e is new. A folded segment
+    /// mixes facts the view has seen with facts it has not, so
+    /// delta-evaluating it would count support twice; `shrink_floor`
+    /// sends such views to a cold run.
+    std::vector<Segment> segments;
     /// Delta-maintenance horizon: a view pinned at an epoch <
     /// shrink_floor cannot be delta-maintained, because a fold merged
     /// segments the view has not seen with ones it has (and may have
@@ -297,7 +285,7 @@ class Database {
   };
 
   /// Heap-stable shared state: the Database object may move while
-  /// sessions and writers hold pointers into this.
+  /// sessions hold pointers into this.
   struct DbState {
     // Out of line: the unique_ptr<ViewManager> member must only require
     // the complete ViewManager type inside database.cc.
@@ -310,7 +298,7 @@ class Database {
     /// builds or runs).
     mutable std::mutex mu;
     std::shared_ptr<const SegmentSet> current;
-    /// Serializes Append/Commit/Compact (single-writer).
+    /// Serializes Append/Retract/Compact (single-writer).
     std::mutex writer_mu;
     /// Set by Close(): writers fail, readers continue.
     std::atomic<bool> closed{false};
@@ -341,11 +329,11 @@ class Database {
   explicit Database(std::unique_ptr<DbState> state)
       : state_(std::move(state)) {}
 
-  /// The append path shared by Database::Append and Writer::Commit.
-  /// `appended` (may be null) receives the post-dedupe fact count.
+  /// The append path of Database::Append and of WAL replay. `appended`
+  /// (may be null) receives the post-dedupe fact count.
   static Result<uint64_t> AppendTo(DbState& state, Instance delta,
                                    size_t* appended);
-  /// The retract path shared by Database::Retract and Writer::Commit.
+  /// The retract path of Database::Retract and of WAL replay.
   /// `retracted` (may be null) receives the number of visible facts
   /// actually tombstoned.
   static Result<uint64_t> RetractFrom(DbState& state, Instance victims,
@@ -375,7 +363,7 @@ class Database {
 /// An epoch-pinned snapshot handle over a Database. Copyable and cheap;
 /// safe to use from one thread at a time (open one per thread —
 /// Snapshot() is free). All runs see exactly the facts of the pinned
-/// epoch and write only private overlays; concurrent Append/Commit/
+/// epoch and write only private overlays; concurrent Append/Retract/
 /// Compact on the Database never changes what this session reads. Pins
 /// its segments by shared ownership, so moving the Database — or
 /// compacting it — does not invalidate open sessions.
@@ -411,46 +399,6 @@ class Session {
   std::shared_ptr<const Database::SegmentSet> pinned_;
   /// The owning Database's derived-stats accumulator (heap-stable).
   StatsAccumulator* accum_;
-};
-
-/// A batching ingest handle: stage any number of facts (and
-/// retractions), then publish them with Commit() — staged appends as one
-/// fact segment, staged retractions as one tombstone segment right after
-/// (up to two epoch bumps). One writer per thread; Commit serializes
-/// against other writers and against Append/Retract/Compact on the
-/// Database. The Writer must not outlive its Database.
-class Writer {
- public:
-  /// Stages one fact. Returns true if it was new among the staged facts
-  /// (duplicates against the database resolve at Commit).
-  bool Add(RelId rel, const Tuple& t) { return staged_.Add(rel, t); }
-  /// Stages every fact of `facts`.
-  void Stage(const Instance& facts) { staged_.UnionWith(facts); }
-  void Stage(Instance&& facts) { staged_.UnionWith(std::move(facts)); }
-
-  /// Stages one retraction. Returns true if it was new among the staged
-  /// retractions. Retractions publish *after* the staged appends, so a
-  /// fact both staged and retracted in the same batch ends up retracted.
-  bool Retract(RelId rel, const Tuple& t) {
-    return retract_staged_.Add(rel, t);
-  }
-
-  size_t NumStaged() const { return staged_.NumFacts(); }
-  size_t NumStagedRetractions() const { return retract_staged_.NumFacts(); }
-
-  /// Publishes the staged facts as one new segment, then the staged
-  /// retractions as one tombstone segment, and clears both staging
-  /// areas. Returns the epoch everything is visible at (the current
-  /// epoch unchanged when nothing staged had any effect).
-  Result<uint64_t> Commit();
-
- private:
-  friend class Database;
-  explicit Writer(Database::DbState* state) : state_(state) {}
-
-  Database::DbState* state_;
-  Instance staged_;
-  Instance retract_staged_;
 };
 
 }  // namespace seqdl

@@ -1,6 +1,5 @@
 #include "src/engine/engine.h"
 
-#include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -96,7 +95,7 @@ namespace internal {
 // One run of a prepared program. Owns all mutable evaluation state (the
 // private IDB overlay, pending facts, deltas), so a (const)
 // PreparedProgram can execute any number of runs — concurrently, when
-// they share an immutable BaseStore: the base is only ever read, and the
+// they share a segment stack: its stores are only ever read, and the
 // Universe interns with synchronization.
 class Executor {
  public:
@@ -104,14 +103,13 @@ class Executor {
            EvalStats* stats)
       : u_(u), prog_(prog), opts_(opts), stats_(stats) {}
 
-  // Evaluates over the (shared, never mutated) base segments; returns the
+  // Evaluates over the (shared, never mutated) segment stack; returns the
   // derived IDB overlay only. Segments are scanned in stack order (oldest
-  // epoch first), which preserves the single-base enumeration order
-  // bit-for-bit when there is one segment. `kinds` (empty = all facts)
-  // makes tombstoned facts invisible throughout.
-  Result<Instance> Run(std::span<const BaseStore* const> segments,
-                       std::span<const SegmentKind> kinds) {
-    store_ = LayeredStore(u_, segments, kinds);
+  // epoch first), which preserves the single-segment enumeration order
+  // bit-for-bit when there is one segment. Tombstoned facts are invisible
+  // throughout.
+  Result<Instance> Run(std::span<const Segment> stack) {
+    store_ = LayeredStore(u_, stack);
     for (const auto& stratum : StrataOf(prog_)) {
       if (stats_) stats_->per_stratum.emplace_back();
       SEQDL_RETURN_IF_ERROR(EvalStratum(stratum));
@@ -125,29 +123,24 @@ class Executor {
   // exactly the strata reading a changed relation through negation (see
   // PreparedProgram::RunDelta's contract).
   Result<PreparedProgram::DeltaRun> RunDelta(
-      std::span<const BaseStore* const> segments,
-      std::span<const SegmentKind> kinds, size_t base_prefix,
+      std::span<const Segment> stack, size_t base_prefix,
       const Instance& view, const SupportLookup& stored_support) {
-    store_ = LayeredStore(u_, segments, kinds);
-    std::span<const BaseStore* const> base_span = segments.first(base_prefix);
-    std::span<const BaseStore* const> delta_span =
-        segments.subspan(base_prefix);
-    std::span<const SegmentKind> base_kinds =
-        kinds.empty() ? kinds : kinds.first(base_prefix);
-    std::span<const SegmentKind> delta_kinds =
-        kinds.empty() ? kinds : kinds.subspan(base_prefix);
+    store_ = LayeredStore(u_, stack);
+    std::span<const Segment> base_span = stack.first(base_prefix);
+    std::span<const Segment> delta_span = stack.subspan(base_prefix);
 
     // Net effect of the delta suffix, fact by fact: visibility before
     // (base prefix only) vs after (full stack) — a fact appended then
     // retracted inside the window, or the reverse, nets out entirely.
     // `added` and `removed` then cascade down the strata, growing by
     // what each stratum derives or deletes.
-    std::map<RelId, TupleSet> added, removed;
-    for (const BaseStore* seg : delta_span) {
-      const Instance& inst = seg->instance();
+    IndexedStore added(u_, Instance{});
+    Instance removed;
+    for (const Segment& seg : delta_span) {
+      const Instance& inst = seg.store->instance();
       for (RelId rel : inst.Relations()) {
         for (TupleRef t : inst.Tuples(rel)) {
-          bool was = VisibleIn(base_span, base_kinds, rel, t);
+          bool was = Visible(base_span, rel, t);
           bool is = store_.ContainsBase(rel, t);
           if (was == is) continue;
           if (is) {
@@ -156,20 +149,16 @@ class Executor {
             // no new consequences can follow — and re-enumerating its
             // firings would inflate the stored support past the true
             // derivation count, which DRed can never recover from.
-            if (!view.Contains(rel, t)) added[rel].Insert(t);
+            if (!view.Contains(rel, t)) added.Add(rel, t);
           } else {
-            removed[rel].Insert(t);
+            removed.Add(rel, t);
           }
         }
       }
     }
     if (stats_) {
-      for (const auto& [rel, ts] : added) {
-        stats_->delta_seed_facts += ts.size();
-      }
-      for (const auto& [rel, ts] : removed) {
-        stats_->delta_seed_facts += ts.size();
-      }
+      stats_->delta_seed_facts +=
+          added.instance().NumFacts() + removed.NumFacts();
     }
 
     PreparedProgram::DeltaRun out;
@@ -187,7 +176,8 @@ class Executor {
       for (const Rule& r : strata[s].rules) {
         for (const Literal& l : r.body) {
           if (!l.is_predicate() || !l.negated) continue;
-          if (added.count(l.pred.rel) != 0 || removed.count(l.pred.rel) != 0) {
+          if (!added.Tuples(l.pred.rel).empty() ||
+              !removed.Tuples(l.pred.rel).empty()) {
             recompute = true;
           }
         }
@@ -212,10 +202,10 @@ class Executor {
         // would leave them, and promoted-then-retracted ones stay view
         // state (visible membership, not raw membership).
         for (RelId rel : heads) {
-          store_.Adopt(rel, view.Tuples(rel), delta_span, delta_kinds);
+          store_.Adopt(rel, view.Tuples(rel), delta_span);
         }
         st = Status::OK();
-        if (!removed.empty()) {
+        if (!removed.Empty()) {
           st = DeleteAndRederive(compiled, heads, &removed, stored_support,
                                  &out.decrements);
         }
@@ -229,8 +219,7 @@ class Executor {
       if (!recompute) {
         if (stats_) ++stats_->strata_delta_maintained;
         for (RelId rel : stratum_added.Relations()) {
-          TupleSet& ts = added[rel];
-          for (TupleRef t : stratum_added.Tuples(rel)) ts.Insert(t);
+          added.BulkAdd(rel, stratum_added.Tuples(rel));
         }
       } else {
         if (stats_) ++stats_->strata_recomputed;
@@ -245,12 +234,12 @@ class Executor {
           const TupleSet& stored = view.Tuples(rel);
           for (TupleRef t : stored) {
             if (fresh.Contains(t) || store_.ContainsBase(rel, t)) continue;
-            removed[rel].Insert(t);
+            removed.Add(rel, t);
           }
           for (TupleRef t : fresh) {
             if (stored.Contains(t)) continue;
-            if (VisibleIn(base_span, base_kinds, rel, t)) continue;
-            added[rel].Insert(t);
+            if (Visible(base_span, rel, t)) continue;
+            added.Add(rel, t);
           }
         }
       }
@@ -275,28 +264,27 @@ class Executor {
     if (!opts_.seminaive) return EvalStratumNaive(stratum);
 
     // Round 0: all rules, full scans.
-    std::map<RelId, TupleSet> delta;
+    IndexedStore delta(u_, Instance{});
     pending_.clear();
     for (const RulePlan& plan : stratum.plans) {
-      SEQDL_RETURN_IF_ERROR(ApplyRule(plan, kNoDeltaStep, nullptr, nullptr));
+      SEQDL_RETURN_IF_ERROR(ApplyRule(plan, kNoDeltaStep, nullptr));
     }
-    SEQDL_RETURN_IF_ERROR(MergePending(&delta));
+    MergePending(&delta);
 
     // Delta rounds: re-run each rule once per recursive scan occurrence,
     // with that occurrence restricted to the previous round's delta. The
-    // round's deltas are immutable while the round runs, so one
-    // DeltaIndexer per round can index the large ones (see index.h).
-    while (!delta.empty()) {
+    // round's delta is immutable while the round runs; ScanDelta probes
+    // it once it is large enough (see RunOptions::delta_index_threshold).
+    while (!delta.instance().Empty()) {
       SEQDL_RETURN_IF_ERROR(BumpRound());
       pending_.clear();
-      DeltaIndexer delta_idx(u_, delta, opts_.delta_index_threshold);
       for (const RulePlan& plan : stratum.plans) {
         for (size_t step_idx : plan.recursive_scan_steps) {
-          SEQDL_RETURN_IF_ERROR(ApplyRule(plan, step_idx, &delta, &delta_idx));
+          SEQDL_RETURN_IF_ERROR(ApplyRule(plan, step_idx, &delta));
         }
       }
-      std::map<RelId, TupleSet> new_delta;
-      SEQDL_RETURN_IF_ERROR(MergePending(&new_delta));
+      IndexedStore new_delta(u_, Instance{});
+      MergePending(&new_delta);
       delta = std::move(new_delta);
     }
     return Status::OK();
@@ -313,37 +301,36 @@ class Executor {
   // and each such use is enumerated by the application restricting that
   // occurrence.
   Status EvalStratumDelta(const CompiledStratum& stratum,
-                          const std::map<RelId, TupleSet>& changed) {
-    std::map<RelId, TupleSet> delta;
+                          const IndexedStore& changed) {
+    IndexedStore delta(u_, Instance{});
     pending_.clear();
     SEQDL_RETURN_IF_ERROR(BumpRound());
-    DeltaIndexer changed_idx(u_, changed, opts_.delta_index_threshold);
     for (size_t r = 0; r < stratum.plans.size(); ++r) {
       const RulePlan& plan = stratum.plans[r];
       for (size_t i = 0; i < plan.steps.size(); ++i) {
         const PlanStep& st = plan.steps[i];
         if (st.kind != PlanStep::Kind::kScan) continue;
-        if (changed.count(plan.rule->body[st.lit_idx].pred.rel) == 0) continue;
-        SEQDL_RETURN_IF_ERROR(ApplyRestricted(stratum, r, st.lit_idx, i,
-                                              &changed, &changed_idx));
+        if (changed.Tuples(plan.rule->body[st.lit_idx].pred.rel).empty()) {
+          continue;
+        }
+        SEQDL_RETURN_IF_ERROR(
+            ApplyRestricted(stratum, r, st.lit_idx, i, &changed));
       }
     }
-    SEQDL_RETURN_IF_ERROR(MergePending(&delta));
+    MergePending(&delta);
 
-    while (!delta.empty()) {
+    while (!delta.instance().Empty()) {
       SEQDL_RETURN_IF_ERROR(BumpRound());
       pending_.clear();
-      DeltaIndexer delta_idx(u_, delta, opts_.delta_index_threshold);
       for (size_t r = 0; r < stratum.plans.size(); ++r) {
         const RulePlan& plan = stratum.plans[r];
         for (size_t step_idx : plan.recursive_scan_steps) {
-          SEQDL_RETURN_IF_ERROR(
-              ApplyRestricted(stratum, r, plan.steps[step_idx].lit_idx,
-                              step_idx, &delta, &delta_idx));
+          SEQDL_RETURN_IF_ERROR(ApplyRestricted(
+              stratum, r, plan.steps[step_idx].lit_idx, step_idx, &delta));
         }
       }
-      std::map<RelId, TupleSet> new_delta;
-      SEQDL_RETURN_IF_ERROR(MergePending(&new_delta));
+      IndexedStore new_delta(u_, Instance{});
+      MergePending(&new_delta);
       delta = std::move(new_delta);
     }
     return Status::OK();
@@ -357,35 +344,14 @@ class Executor {
   // used when no variant exists.
   Status ApplyRestricted(const CompiledStratum& stratum, size_t r,
                          size_t lit_idx, size_t fallback_step,
-                         const std::map<RelId, TupleSet>* delta,
-                         DeltaIndexer* delta_idx) {
+                         const IndexedStore* delta) {
     if (r < stratum.delta_plans.size()) {
       auto it = stratum.delta_plans[r].find(lit_idx);
       if (it != stratum.delta_plans[r].end()) {
-        return ApplyRule(it->second, 0, delta, delta_idx);
+        return ApplyRule(it->second, 0, delta);
       }
     }
-    return ApplyRule(stratum.plans[r], fallback_step, delta, delta_idx);
-  }
-
-  // Visibility of `t` in a (segments, kinds) stack prefix: the newest
-  // occurrence wins, and it is visible iff that occurrence is a fact
-  // segment (empty kinds = all facts).
-  static bool VisibleIn(std::span<const BaseStore* const> segments,
-                        std::span<const SegmentKind> kinds, RelId rel,
-                        TupleRef t) {
-    for (size_t i = segments.size(); i-- > 0;) {
-      if (segments[i]->Contains(rel, t)) {
-        return kinds.empty() || kinds[i] == SegmentKind::kFacts;
-      }
-    }
-    return false;
-  }
-
-  static bool InMap(const std::map<RelId, TupleSet>& m, RelId rel,
-                    TupleRef t) {
-    auto it = m.find(rel);
-    return it != m.end() && it->second.Contains(t);
+    return ApplyRule(stratum.plans[r], fallback_step, delta);
   }
 
   // Head relations that can reach themselves through positive body
@@ -434,8 +400,7 @@ class Executor {
   // reported through `decrements` for the caller to fold into the
   // stored counts.
   Status DeleteAndRederive(const CompiledStratum& stratum,
-                           const std::set<RelId>& heads,
-                           std::map<RelId, TupleSet>* removed,
+                           const std::set<RelId>& heads, Instance* removed,
                            const SupportLookup& stored_support,
                            SupportCounts* decrements) {
     // --- Deletion: cascade support decrements until no tuple dies. ---
@@ -444,27 +409,26 @@ class Executor {
     // as *ghosts* at non-restricted scan positions, so a derivation
     // joining several dead facts is still found from each one's
     // restricted pass (SkipCount then attributes it to exactly one).
-    std::map<RelId, TupleSet> dminus = *removed;
-    std::map<RelId, TupleSet> deleted;  // this stratum's deletions
+    IndexedStore dminus(u_, *removed);
+    Instance deleted;  // this stratum's deletions
     const std::set<RelId> cyclic = CyclicHeads(stratum, heads);
     ghosts_removed_ = removed;
     ghosts_deleted_ = &deleted;
     Status st = Status::OK();
-    while (st.ok() && !dminus.empty()) {
+    while (st.ok() && !dminus.instance().Empty()) {
       st = BumpRound();
       if (!st.ok()) break;
       dec_round_.clear();
       decrement_mode_ = true;
-      DeltaIndexer didx(u_, dminus, opts_.delta_index_threshold);
       for (size_t r = 0; r < stratum.plans.size() && st.ok(); ++r) {
         const RulePlan& plan = stratum.plans[r];
         for (size_t i = 0; i < plan.steps.size() && st.ok(); ++i) {
           const PlanStep& step = plan.steps[i];
           if (step.kind != PlanStep::Kind::kScan) continue;
-          if (dminus.count(plan.rule->body[step.lit_idx].pred.rel) == 0) {
+          if (dminus.Tuples(plan.rule->body[step.lit_idx].pred.rel).empty()) {
             continue;
           }
-          st = ApplyRestricted(stratum, r, step.lit_idx, i, &dminus, &didx);
+          st = ApplyRestricted(stratum, r, step.lit_idx, i, &dminus);
         }
       }
       decrement_mode_ = false;
@@ -479,7 +443,7 @@ class Executor {
       // relation in `cyclic`: both fall back to classic over-deleting
       // DRed, because a cyclic stored count can be propped up entirely
       // by firings that die with the tuple itself.
-      std::map<RelId, TupleSet> next_dminus;
+      IndexedStore next_dminus(u_, Instance{});
       for (const auto& [rel, tuples] : dec_round_) {
         for (const auto& [t, n] : tuples) {
           uint32_t& cum = (*decrements)[rel][t];
@@ -490,8 +454,8 @@ class Executor {
           if (stored == 0 || cyclic.count(rel) != 0) stored = 1;
           if (cum < stored) continue;
           store_.RemoveOverlay(rel, t);
-          deleted[rel].Insert(t);
-          next_dminus[rel].Insert(t);
+          deleted.Add(rel, t);
+          next_dminus.Add(rel, t);
           if (stats_) ++stats_->dred_over_deleted;
         }
       }
@@ -508,16 +472,14 @@ class Executor {
     // derivable, and retracting its EDB occurrence must not lose the
     // derivation.
     std::vector<std::pair<RelId, Tuple>> candidates;
-    for (const auto& [rel, ts] : deleted) {
-      for (TupleRef t : ts) {
+    for (RelId rel : deleted.Relations()) {
+      for (TupleRef t : deleted.Tuples(rel)) {
         candidates.emplace_back(rel, Tuple(t.begin(), t.end()));
       }
     }
     for (RelId rel : heads) {
-      auto it = removed->find(rel);
-      if (it == removed->end()) continue;
-      for (TupleRef t : it->second) {
-        if (!InMap(deleted, rel, t)) {
+      for (TupleRef t : removed->Tuples(rel)) {
+        if (!deleted.Contains(rel, t)) {
           candidates.emplace_back(rel, Tuple(t.begin(), t.end()));
         }
       }
@@ -545,19 +507,13 @@ class Executor {
     }
     for (size_t c = 0; c < candidates.size(); ++c) {
       const auto& [rel, t] = candidates[c];
-      bool was_deleted = InMap(deleted, rel, t);
+      bool was_deleted = deleted.Contains(rel, t);
       if (rescued[c]) {
-        if (!was_deleted) {
-          // A retracted EDB fact that re-derives: the relation never
-          // lost it, so downstream strata must not see a removal.
-          auto it = removed->find(rel);
-          if (it != removed->end()) {
-            it->second.Erase(t);
-            if (it->second.empty()) removed->erase(it);
-          }
-        }
+        // A retracted EDB fact that re-derives: the relation never lost
+        // it, so downstream strata must not see a removal.
+        if (!was_deleted) removed->Remove(rel, t);
       } else if (was_deleted) {
-        (*removed)[rel].Insert(t);
+        removed->Add(rel, t);
       }
     }
     return Status::OK();
@@ -581,7 +537,7 @@ class Executor {
       status_ = Status::OK();
       Valuation v;
       MatchArgs(u_, plan.rule->head.args, t, v, [&](Valuation& v2) {
-        return ExecuteStep(plan, 0, v2, kNoDeltaStep, nullptr, nullptr);
+        return ExecuteStep(plan, 0, v2, kNoDeltaStep, nullptr);
       });
       check_mode_ = false;
       SEQDL_RETURN_IF_ERROR(status_);
@@ -595,11 +551,9 @@ class Executor {
       SEQDL_RETURN_IF_ERROR(BumpRound());
       pending_.clear();
       for (const RulePlan& plan : stratum.plans) {
-        SEQDL_RETURN_IF_ERROR(ApplyRule(plan, kNoDeltaStep, nullptr, nullptr));
+        SEQDL_RETURN_IF_ERROR(ApplyRule(plan, kNoDeltaStep, nullptr));
       }
-      std::map<RelId, TupleSet> new_facts;
-      SEQDL_RETURN_IF_ERROR(MergePending(&new_facts));
-      if (new_facts.empty()) return Status::OK();
+      if (MergePending(nullptr) == 0) return Status::OK();
     }
   }
 
@@ -627,10 +581,9 @@ class Executor {
 
   // Runs one rule; derived facts go to pending_. If `delta_step` is not
   // kNoDeltaStep, that scan step enumerates `*delta` instead of the store
-  // (probing `*delta_idx` when the delta is large enough to be indexed).
+  // (probing it when it is large enough, see ScanDelta).
   Status ApplyRule(const RulePlan& plan, size_t delta_step,
-                   const std::map<RelId, TupleSet>* delta,
-                   DeltaIndexer* delta_idx) {
+                   const IndexedStore* delta) {
     Valuation v;
     status_ = Status::OK();
     // Once-per-firing attribution (SkipCount) needs the tuple each body
@@ -645,7 +598,7 @@ class Executor {
       count_delta_lit_ = plan.steps[delta_step].lit_idx;
       matched_.assign(plan.rule->body.size(), std::nullopt);
     }
-    ExecuteStep(plan, 0, v, delta_step, delta, delta_idx);
+    ExecuteStep(plan, 0, v, delta_step, delta);
     track_matched_ = false;
     count_delta_ = nullptr;
     count_delta_lit_ = kNoDeltaStep;
@@ -671,7 +624,7 @@ class Executor {
       if (!l.is_predicate() || l.negated) continue;
       const std::optional<TupleRef>& m = matched_[j];
       if (!m) continue;
-      if (j < count_delta_lit_ && InMap(*count_delta_, l.pred.rel, *m)) {
+      if (j < count_delta_lit_ && count_delta_->Contains(l.pred.rel, *m)) {
         return true;
       }
       if (decrement_mode_ && IsOldGhost(l.pred.rel, *m)) return true;
@@ -682,23 +635,23 @@ class Executor {
   // A fact that died in an earlier deletion round: a ghost that is not
   // part of the current round's deletion set.
   bool IsOldGhost(RelId rel, TupleRef t) const {
-    if (count_delta_ != nullptr && InMap(*count_delta_, rel, t)) return false;
-    return (ghosts_removed_ != nullptr && InMap(*ghosts_removed_, rel, t)) ||
-           (ghosts_deleted_ != nullptr && InMap(*ghosts_deleted_, rel, t));
+    if (count_delta_ != nullptr && count_delta_->Contains(rel, t)) {
+      return false;
+    }
+    return (ghosts_removed_ != nullptr && ghosts_removed_->Contains(rel, t)) ||
+           (ghosts_deleted_ != nullptr && ghosts_deleted_->Contains(rel, t));
   }
 
   // Returns false to abort enumeration (on error).
   bool ExecuteStep(const RulePlan& plan, size_t step_idx, Valuation& v,
-                   size_t delta_step, const std::map<RelId, TupleSet>* delta,
-                   DeltaIndexer* delta_idx) {
+                   size_t delta_step, const IndexedStore* delta) {
     if (!status_.ok()) return false;
     if (step_idx == plan.steps.size()) return DeriveHead(plan, v);
 
     const PlanStep& step = plan.steps[step_idx];
     const Literal& lit = plan.rule->body[step.lit_idx];
     auto next = [&](Valuation& v2) {
-      return ExecuteStep(plan, step_idx + 1, v2, delta_step, delta,
-                         delta_idx);
+      return ExecuteStep(plan, step_idx + 1, v2, delta_step, delta);
     };
     // Enumerate one store tuple, recording it when the canonical-count
     // machinery needs to know which tuple each literal matched.
@@ -727,8 +680,7 @@ class Executor {
     switch (step.kind) {
       case PlanStep::Kind::kScan: {
         if (step_idx == delta_step) {
-          return ScanDelta(step, lit, v, delta, delta_idx, match_all,
-                           match_one);
+          return ScanDelta(step, lit, v, *delta, match_all, match_one);
         }
         bool ok = [&] {
           StepKey key;
@@ -887,33 +839,27 @@ class Executor {
   }
 
   // A scan step restricted to the current round's delta. Small deltas are
-  // scanned linearly; once a delta reaches RunOptions::delta_index_threshold
-  // tuples, the per-round DeltaIndexer answers keyed steps with a bucket
-  // probe instead (same key logic as the main store, via EvalStepKey).
+  // scanned linearly; once a delta holds RunOptions::delta_index_threshold
+  // tuples, keyed steps probe it instead (same key logic as the main
+  // store, via EvalStepKey).
   template <typename MatchAll, typename MatchOne>
   bool ScanDelta(const PlanStep& step, const Literal& lit, Valuation& v,
-                 const std::map<RelId, TupleSet>* delta,
-                 DeltaIndexer* delta_idx, MatchAll&& match_all,
+                 const IndexedStore& delta, MatchAll&& match_all,
                  MatchOne&& match_one) {
-    assert(delta != nullptr);
     if (stats_) ++stats_->delta_scans;
-    auto it = delta->find(lit.pred.rel);
-    if (it == delta->end()) return true;
-    if (opts_.use_index && delta_idx != nullptr) {
+    const TupleSet& tuples = delta.Tuples(lit.pred.rel);
+    if (tuples.empty()) return true;
+    if (opts_.use_index) {
       StepKey key;
       if (!EvalStepKey(step, lit, v, &key)) return false;
-      // nullopt = no key, or the delta is below the indexing threshold;
-      // fall back to the linear scan.
-      std::optional<Bucket> bucket =
-          key.family == IndexFamily::kNone
-              ? std::nullopt
-              : delta_idx->Probe(lit.pred.rel, key.col, key.family, key.key);
-      if (bucket) {
+      if (key.family != IndexFamily::kNone &&
+          tuples.size() >= opts_.delta_index_threshold) {
         if (stats_) ++stats_->delta_index_probes;
-        return match_all(*bucket);
+        return match_all(
+            delta.Probe(lit.pred.rel, key.col, key.family, key.key));
       }
     }
-    for (TupleRef t : it->second) {
+    for (TupleRef t : tuples) {
       if (!match_one(t)) return false;
     }
     return true;
@@ -924,12 +870,9 @@ class Executor {
   // sets are small next to the store.
   template <typename MatchOne>
   bool ScanGhosts(const Literal& lit, MatchOne&& match_one) {
-    for (const std::map<RelId, TupleSet>* ghosts :
-         {ghosts_removed_, ghosts_deleted_}) {
+    for (const Instance* ghosts : {ghosts_removed_, ghosts_deleted_}) {
       if (ghosts == nullptr) continue;
-      auto it = ghosts->find(lit.pred.rel);
-      if (it == ghosts->end()) continue;
-      for (TupleRef t : it->second) {
+      for (TupleRef t : ghosts->Tuples(lit.pred.rel)) {
         // Still visible (e.g. re-asserted by a newer segment): the store
         // walk already enumerated it.
         if (store_.Contains(lit.pred.rel, t)) continue;
@@ -1014,19 +957,20 @@ class Executor {
   }
 
   // Moves pending facts into the store; facts that were genuinely new
-  // are reported in `*fresh`.
-  Status MergePending(std::map<RelId, TupleSet>* fresh) {
-    fresh->clear();
+  // are also added to `*fresh` (when non-null). Returns their number.
+  size_t MergePending(IndexedStore* fresh) {
+    size_t merged = 0;
     for (auto& [rel, tuples] : pending_) {
       for (TupleRef t : tuples) {
         if (store_.Add(rel, t)) {
-          (*fresh)[rel].Insert(t);
+          ++merged;
+          if (fresh != nullptr) fresh->Add(rel, t);
           if (stratum_added_ != nullptr) stratum_added_->Add(rel, t);
         }
       }
     }
     pending_.clear();
-    return Status::OK();
+    return merged;
   }
 
   Universe& u_;
@@ -1053,13 +997,13 @@ class Executor {
   SupportCounts dec_round_;
   /// Dead facts enumerable as ghosts during deletion passes: the
   /// accumulated removal cascade and this stratum's deletions so far.
-  const std::map<RelId, TupleSet>* ghosts_removed_ = nullptr;
-  const std::map<RelId, TupleSet>* ghosts_deleted_ = nullptr;
+  const Instance* ghosts_removed_ = nullptr;
+  const Instance* ghosts_deleted_ = nullptr;
 
   // --- Canonical firing attribution (see SkipCount) ---
   bool track_matched_ = false;
   /// The restricted pass's delta and restricted body literal index.
-  const std::map<RelId, TupleSet>* count_delta_ = nullptr;
+  const IndexedStore* count_delta_ = nullptr;
   size_t count_delta_lit_ = kNoDeltaStep;
   /// Per body literal: the store tuple the literal currently matches.
   std::vector<std::optional<TupleRef>> matched_;
@@ -1148,10 +1092,9 @@ std::string PreparedProgram::ExplainPlan() const {
   return out;
 }
 
-Result<Instance> PreparedProgram::RunOnStack(
-    std::span<const BaseStore* const> segments,
-    std::span<const SegmentKind> kinds, const RunOptions& opts,
-    EvalStats* stats) const {
+Result<Instance> PreparedProgram::RunOnStack(std::span<const Segment> stack,
+                                             const RunOptions& opts,
+                                             EvalStats* stats) const {
   auto start = std::chrono::steady_clock::now();
   if (stats) {
     *stats = EvalStats{};
@@ -1159,7 +1102,7 @@ Result<Instance> PreparedProgram::RunOnStack(
     stats->plan_decisions = plan_decisions_;
   }
   internal::Executor exec(*universe_, *this, opts, stats);
-  Result<Instance> out = exec.Run(segments, kinds);
+  Result<Instance> out = exec.Run(stack);
   if (stats && opts.collect_derived_stats && out.ok()) {
     stats->derived_stats = ComputeInstanceStats(*universe_, *out);
   }
@@ -1168,10 +1111,9 @@ Result<Instance> PreparedProgram::RunOnStack(
 }
 
 Result<PreparedProgram::DeltaRun> PreparedProgram::RunDelta(
-    std::span<const BaseStore* const> segments,
-    std::span<const SegmentKind> kinds, size_t base_prefix,
-    const Instance& view, const SupportLookup& stored_support,
-    const RunOptions& opts, EvalStats* stats) const {
+    std::span<const Segment> stack, size_t base_prefix, const Instance& view,
+    const SupportLookup& stored_support, const RunOptions& opts,
+    EvalStats* stats) const {
   auto start = std::chrono::steady_clock::now();
   if (stats) {
     *stats = EvalStats{};
@@ -1180,7 +1122,7 @@ Result<PreparedProgram::DeltaRun> PreparedProgram::RunDelta(
   }
   internal::Executor exec(*universe_, *this, opts, stats);
   Result<DeltaRun> out =
-      exec.RunDelta(segments, kinds, base_prefix, view, stored_support);
+      exec.RunDelta(stack, base_prefix, view, stored_support);
   if (stats && opts.collect_derived_stats && out.ok()) {
     stats->derived_stats = ComputeInstanceStats(*universe_, out->idb);
   }
@@ -1192,13 +1134,12 @@ Result<Instance> PreparedProgram::Run(const Instance& input,
                                       const RunOptions& opts,
                                       EvalStats* stats) const {
   // Input plus derived facts over the layered engine: wrap the input in a
-  // throwaway base, run, and union the derived overlay back into the
-  // input copy the base holds.
-  BaseStore base(*universe_, input);
-  const BaseStore* segment = &base;
-  SEQDL_ASSIGN_OR_RETURN(Instance derived,
-                         RunOnStack({&segment, 1}, {}, opts, stats));
-  Instance out = base.TakeInstance();
+  // throwaway one-segment stack, run, and union the derived overlay back
+  // into the input copy the segment holds.
+  auto input_store = std::make_shared<IndexedStore>(*universe_, input);
+  const Segment stack[] = {{input_store}};
+  SEQDL_ASSIGN_OR_RETURN(Instance derived, RunOnStack(stack, opts, stats));
+  Instance out = input_store->TakeInstance();
   out.UnionWith(std::move(derived));
   return out;
 }

@@ -18,13 +18,15 @@
 // kResourceExhausted when they are exceeded; a cancellation callback in
 // RunOptions can stop a run early with kCancelled.
 //
-// Execution runs on a layered store (index.h): an immutable, possibly
-// shared BaseStore of input facts underneath, a private IDB overlay on
-// top. Run(input) builds a throwaway base per call; the Database/Session
-// API (database.h) shares one pre-indexed base across any number of
-// concurrent runs. These are the two ways to run a program: Run on an
-// instance, Session::Run on a database snapshot. To keep one relation
-// of the answer, Project it ("out->Project({rel})").
+// Execution runs on a layered store (index.h): a stack of immutable,
+// possibly shared segments of input facts underneath, a private IDB
+// overlay on top, and each semi-naive round's delta beside them, all of
+// them IndexedStores. Run(input) wraps the input in a throwaway
+// one-segment stack per call; the Database/Session API (database.h)
+// shares one indexed stack across any number of concurrent runs. These
+// are the two ways to run a program: Run on an instance, Session::Run on
+// a database snapshot. To keep one relation of the answer, Project it
+// ("out->Project({rel})").
 #ifndef SEQDL_ENGINE_ENGINE_H_
 #define SEQDL_ENGINE_ENGINE_H_
 
@@ -46,8 +48,7 @@
 
 namespace seqdl {
 
-class BaseStore;
-enum class SegmentKind : uint8_t;
+struct Segment;
 class Session;
 class ViewManager;
 
@@ -85,7 +86,7 @@ struct CompileOptions {
   /// Greedily reorder positive body scans so each joins on already-bound
   /// variables where possible; false = scan in body order.
   bool reorder_scans = true;
-  /// Measured store statistics (Database::Stats(), BaseStore::Stats(), or
+  /// Measured store statistics (Database::Stats(), IndexedStore::Stats(), or
   /// ComputeInstanceStats) ranking candidate access paths and the scan
   /// order by expected bucket size — see plan.h. nullptr = the legacy
   /// first-ground-argument heuristic. Only read during the Compile call;
@@ -237,9 +238,8 @@ class PreparedProgram {
   /// Incremental maintenance: given the stored derived IDB `view` of an
   /// earlier epoch and the segment stack that changed since, computes the
   /// derived IDB of the current epoch by semi-naive delta evaluation of
-  /// the net changes instead of a full fixpoint. `segments` (with
-  /// `kinds`, parallel; empty = all fact segments) is the complete
-  /// current stack; the first `base_prefix` members are the ones `view`
+  /// the net changes instead of a full fixpoint. `stack` is the complete
+  /// current stack; its first `base_prefix` segments are the ones `view`
   /// was computed over (segments publish in stamp order, so a view's
   /// covered base is always a prefix); `view` must be exactly the IDB a
   /// full run over that prefix derives, and `stored_support` (may be
@@ -266,8 +266,7 @@ class PreparedProgram {
   /// Appended EDB facts that duplicate stored view facts are dropped from
   /// the new view (derived overlays never shadow visible base facts),
   /// matching what a cold run would produce.
-  Result<DeltaRun> RunDelta(std::span<const BaseStore* const> segments,
-                            std::span<const SegmentKind> kinds,
+  Result<DeltaRun> RunDelta(std::span<const Segment> stack,
                             size_t base_prefix, const Instance& view,
                             const SupportLookup& stored_support,
                             const RunOptions& opts = {},
@@ -309,16 +308,13 @@ class PreparedProgram {
     std::vector<RulePlan> check_plans;
   };
 
-  /// Evaluates over a stack of base segments (shared, never mutated —
-  /// the epoch-pinned EDB of a Session) and returns only the derived IDB
-  /// overlay. `kinds` marks each segment as facts or tombstones (parallel
-  /// to `segments`; empty = all facts): tombstoned facts are invisible —
-  /// enumeration and membership respect the newest-occurrence rule (see
-  /// LayeredStore in index.h). The engine of Session::Run and of Run
-  /// above (which wraps `input` in a throwaway single-segment base and
-  /// unions the result back).
-  Result<Instance> RunOnStack(std::span<const BaseStore* const> segments,
-                              std::span<const SegmentKind> kinds,
+  /// Evaluates over a segment stack (shared, never mutated — the
+  /// epoch-pinned EDB of a Session) and returns only the derived IDB
+  /// overlay. Tombstoned facts are invisible: enumeration and membership
+  /// follow the newest-occurrence rule (Visible in index.h). The engine
+  /// of Session::Run and of Run above (which wraps `input` in a throwaway
+  /// one-segment stack and unions the result back).
+  Result<Instance> RunOnStack(std::span<const Segment> stack,
                               const RunOptions& opts, EvalStats* stats) const;
 
   PreparedProgram(Universe& u, std::unique_ptr<const Program> p)

@@ -1,7 +1,6 @@
 #include "src/engine/index.h"
 
 #include <algorithm>
-#include <cassert>
 #include <optional>
 #include <span>
 
@@ -15,21 +14,13 @@ std::span<const uint32_t> FindBucket(const BucketMap& buckets, uint32_t key) {
   return it->second;
 }
 
-/// The key `t` files under in the (col, family) index; nullopt when the
-/// tuple has no such column or the column no such key.
-std::optional<uint32_t> TupleKey(const Universe& u, TupleRef t, uint32_t col,
-                                 IndexFamily family) {
-  if (col >= t.size()) return std::nullopt;
-  return FamilyKey(u, family, t[col]);
-}
-
 /// Builds the (col, family) index of `tuples` into `buckets`, in row
 /// order.
 void FileAll(const Universe& u, const TupleSet& tuples, uint32_t col,
              IndexFamily family, BucketMap* buckets) {
   for (uint32_t row = 0; row < tuples.size(); ++row) {
     if (std::optional<uint32_t> key =
-            TupleKey(u, tuples.Row(row), col, family)) {
+            FamilyKey(u, family, tuples.Row(row)[col])) {
       (*buckets)[*key].push_back(row);
     }
   }
@@ -37,205 +28,154 @@ void FileAll(const Universe& u, const TupleSet& tuples, uint32_t col,
 
 }  // namespace
 
-// --- IndexedInstance ---------------------------------------------------------
+// --- IndexedStore ------------------------------------------------------------
 
-bool IndexedInstance::Add(RelId rel, TupleRef t) {
-  auto [row, is_new] = base_.Insert(rel, t);
+IndexedStore::IndexedStore(const Universe& u, Instance facts)
+    : universe_(&u),
+      facts_(std::move(facts)),
+      measured_(std::make_unique<Measured>()) {
+  for (RelId rel : facts_.Relations()) {
+    IndexesOf(rel, facts_.Tuples(rel).arity());
+  }
+}
+
+IndexedStore::RelIndexes& IndexedStore::IndexesOf(RelId rel,
+                                                  uint32_t arity) {
+  return indexes_.try_emplace(rel, arity).first->second;
+}
+
+Bucket IndexedStore::Probe(RelId rel, uint32_t col, IndexFamily family,
+                           uint32_t key) const {
+  auto it = indexes_.find(rel);
+  if (it == indexes_.end() || col >= it->second.size()) return Bucket();
+  const Index& index = it->second[col][family];
+  if (!index.built.load(std::memory_order_acquire)) {
+    std::call_once(index.once, [&] {
+      FileAll(*universe_, facts_.Tuples(rel), col, family, &index.buckets);
+      index.built.store(true, std::memory_order_release);
+    });
+  }
+  return Bucket(facts_.Tuples(rel), FindBucket(index.buckets, key));
+}
+
+bool IndexedStore::Add(RelId rel, TupleRef t) {
+  auto [row, is_new] = facts_.Insert(rel, t);
   if (!is_new) return false;
-  TupleRef stored = base_.Tuples(rel).Row(row);
-  // Update every built index of this relation.
-  for (auto it = indexes_.lower_bound({rel, 0, IndexFamily::kWhole});
-       it != indexes_.end() && std::get<0>(it->first) == rel; ++it) {
-    auto [r, col, family] = it->first;
-    if (std::optional<uint32_t> key =
-            TupleKey(*universe_, stored, col, family)) {
-      it->second[*key].push_back(row);
+  RelIndexes& indexes = IndexesOf(rel, static_cast<uint32_t>(t.size()));
+  for (uint32_t col = 0; col < indexes.size(); ++col) {
+    for (IndexFamily family : kIndexFamilies) {
+      Index& index = indexes[col][family];
+      if (!index.built.load(std::memory_order_relaxed)) continue;
+      if (std::optional<uint32_t> key =
+              FamilyKey(*universe_, family, t[col])) {
+        index.buckets[*key].push_back(row);
+      }
     }
   }
   return true;
 }
 
-size_t IndexedInstance::BulkAdd(RelId rel, const TupleSet& tuples) {
-  auto it = indexes_.lower_bound({rel, 0, IndexFamily::kWhole});
-  if (it != indexes_.end() && std::get<0>(it->first) == rel) {
-    size_t added = 0;
-    for (TupleRef t : tuples) {
-      if (Add(rel, t)) ++added;
-    }
-    return added;
+size_t IndexedStore::BulkAdd(RelId rel, const TupleSet& tuples) {
+  if (tuples.empty()) return 0;
+  if (NumBuilt(IndexesOf(rel, tuples.arity())) == 0) {
+    return facts_.AddAll(rel, tuples);
   }
-  return base_.AddAll(rel, tuples);
+  size_t added = 0;
+  for (TupleRef t : tuples) {
+    if (Add(rel, t)) ++added;
+  }
+  return added;
 }
 
-bool IndexedInstance::Remove(RelId rel, TupleRef t) {
-  const TupleSet& tuples = base_.Tuples(rel);
+bool IndexedStore::Remove(RelId rel, TupleRef t) {
+  const TupleSet& tuples = facts_.Tuples(rel);
   const uint32_t row = tuples.Find(t);
   if (row == TupleSet::kNoRow) return false;
   // The instance swap-removes: the last row takes `row`'s number. Drop
   // `row` from its buckets, then refile the last row under its new
   // number, before the erase moves it.
   const uint32_t last = static_cast<uint32_t>(tuples.size() - 1);
-  for (auto it = indexes_.lower_bound({rel, 0, IndexFamily::kWhole});
-       it != indexes_.end() && std::get<0>(it->first) == rel; ++it) {
-    auto [r, col, family] = it->first;
-    BucketMap& buckets = it->second;
-    if (std::optional<uint32_t> key =
-            TupleKey(*universe_, tuples.Row(row), col, family)) {
-      std::vector<uint32_t>& bucket = buckets.find(*key)->second;
-      *std::find(bucket.begin(), bucket.end(), row) = bucket.back();
-      bucket.pop_back();
-    }
-    if (row == last) continue;
-    if (std::optional<uint32_t> key =
-            TupleKey(*universe_, tuples.Row(last), col, family)) {
-      std::vector<uint32_t>& bucket = buckets.find(*key)->second;
-      *std::find(bucket.begin(), bucket.end(), last) = row;
-    }
-  }
-  return base_.Remove(rel, tuples.Row(row));
-}
-
-Bucket IndexedInstance::Probe(RelId rel, uint32_t col, IndexFamily family,
-                              uint32_t key) {
-  assert(universe_ != nullptr);
-  auto [it, built_now] = indexes_.try_emplace({rel, col, family});
-  if (built_now) {
-    FileAll(*universe_, base_.Tuples(rel), col, family, &it->second);
-  }
-  return Bucket(base_.Tuples(rel), FindBucket(it->second, key));
-}
-
-// --- BaseStore ---------------------------------------------------------------
-
-BaseStore::BaseStore(const Universe& u, Instance edb)
-    : universe_(&u), edb_(std::move(edb)) {
-  // Fix the slot table now: one slot per (relation, column) of the EDB.
-  // ColSlot is immovable (once_flag), so each vector is sized once here
-  // and never resized.
-  for (RelId rel : edb_.Relations()) {
-    slots_.emplace(std::piecewise_construct, std::forward_as_tuple(rel),
-                   std::forward_as_tuple(u.RelArity(rel)));
-  }
-}
-
-Bucket BaseStore::Probe(RelId rel, uint32_t col, IndexFamily family,
-                        uint32_t key) const {
-  auto it = slots_.find(rel);
-  if (it == slots_.end() || col >= it->second.size()) return Bucket();
-  const ColSlot& slot = it->second[col];
-  std::call_once(slot.once, [&] {
-    // The slot table is logically mutable index state over the immutable
-    // EDB; call_once makes the build exclusive and publishes the maps to
-    // every later prober. All three families build in this one pass.
-    ColSlot& s = const_cast<ColSlot&>(slot);
-    const TupleSet& tuples = edb_.Tuples(rel);
-    for (uint32_t row = 0; row < tuples.size(); ++row) {
-      for (IndexFamily f : kIndexFamilies) {
-        if (std::optional<uint32_t> k =
-                TupleKey(*universe_, tuples.Row(row), col, f)) {
-          s.buckets[f][*k].push_back(row);
-        }
+  RelIndexes& indexes = indexes_.find(rel)->second;
+  for (uint32_t col = 0; col < indexes.size(); ++col) {
+    for (IndexFamily family : kIndexFamilies) {
+      Index& index = indexes[col][family];
+      if (!index.built.load(std::memory_order_relaxed)) continue;
+      if (std::optional<uint32_t> key =
+              FamilyKey(*universe_, family, tuples.Row(row)[col])) {
+        std::vector<uint32_t>& bucket = index.buckets.find(*key)->second;
+        *std::find(bucket.begin(), bucket.end(), row) = bucket.back();
+        bucket.pop_back();
+      }
+      if (row == last) continue;
+      if (std::optional<uint32_t> key =
+              FamilyKey(*universe_, family, tuples.Row(last)[col])) {
+        std::vector<uint32_t>& bucket = index.buckets.find(*key)->second;
+        *std::find(bucket.begin(), bucket.end(), last) = row;
       }
     }
-    s.built.store(true, std::memory_order_relaxed);
-  });
-  return Bucket(edb_.Tuples(rel), FindBucket(slot.buckets[family], key));
+  }
+  return facts_.Remove(rel, tuples.Row(row));
 }
 
-const StoreStats& BaseStore::Stats() const {
-  std::call_once(stats_once_, [&] {
-    stats_ = ComputeInstanceStats(*universe_, edb_);
-  });
-  return stats_;
-}
-
-size_t BaseStore::NumIndexedColumns() const {
+size_t IndexedStore::NumBuilt(const RelIndexes& indexes) {
   size_t n = 0;
-  for (const auto& [rel, cols] : slots_) {
-    for (const ColSlot& slot : cols) {
-      if (slot.built.load(std::memory_order_relaxed)) ++n;
+  for (const FamilyArray<Index>& column : indexes) {
+    for (const Index& index : column.of) {
+      if (index.built.load(std::memory_order_relaxed)) ++n;
     }
   }
   return n;
 }
 
+size_t IndexedStore::NumIndexedFamilies() const {
+  size_t n = 0;
+  for (const auto& [rel, indexes] : indexes_) n += NumBuilt(indexes);
+  return n;
+}
+
+const StoreStats& IndexedStore::Stats() const {
+  std::call_once(measured_->once, [&] {
+    measured_->stats = ComputeInstanceStats(*universe_, facts_);
+  });
+  return measured_->stats;
+}
+
 // --- LayeredStore ------------------------------------------------------------
 
-LayeredStore::LayeredStore(const Universe& u,
-                           std::span<const BaseStore* const> segments,
-                           std::span<const SegmentKind> kinds)
-    : segments_(segments.begin(), segments.end()),
-      kinds_(kinds.begin(), kinds.end()),
-      overlay_(u, Instance{}) {
-  assert(kinds_.empty() || kinds_.size() == segments_.size());
-  if (kinds_.empty()) kinds_.assign(segments_.size(), SegmentKind::kFacts);
-  size_t num_tombs = 0;
-  for (SegmentKind k : kinds_) {
-    if (k == SegmentKind::kTombstones) ++num_tombs;
+LayeredStore::LayeredStore(const Universe& u, std::span<const Segment> stack)
+    : stack_(stack), overlay_(u, Instance{}) {
+  for (const Segment& seg : stack_) {
+    if (seg.kind == SegmentKind::kTombstones) {
+      tombs_.push_back(seg.store.get());
+    }
   }
-  tombs_.reserve(num_tombs);
-  for (size_t i = 0; i < segments_.size(); ++i) {
-    if (kinds_[i] == SegmentKind::kTombstones) tombs_.push_back(segments_[i]);
-  }
-  // A fact layer's shadows are the tombstone segments *after* it in stack
+  // A fact layer's shadows are the tombstone stores *after* it in stack
   // order: the suffix of tombs_ past the tombstones already seen. tombs_
   // is fully built above, so these spans never dangle.
-  layers_.reserve(segments_.size() - num_tombs);
+  layers_.reserve(stack_.size() - tombs_.size());
   size_t tombs_seen = 0;
-  for (size_t i = 0; i < segments_.size(); ++i) {
-    if (kinds_[i] == SegmentKind::kTombstones) {
+  for (const Segment& seg : stack_) {
+    if (seg.kind == SegmentKind::kTombstones) {
       ++tombs_seen;
       continue;
     }
-    layers_.push_back(SegmentLayer{
-        segments_[i],
-        std::span<const BaseStore* const>(tombs_.data() + tombs_seen,
-                                          tombs_.size() - tombs_seen)});
+    std::span<const IndexedStore* const> shadows(tombs_);
+    layers_.push_back({seg.store.get(), shadows.subspan(tombs_seen)});
   }
 }
 
 size_t LayeredStore::Adopt(RelId rel, const TupleSet& tuples,
-                           std::span<const BaseStore* const> check,
-                           std::span<const SegmentKind> check_kinds) {
-  assert(check_kinds.empty() || check_kinds.size() == check.size());
-  bool may_overlap = false;
-  for (const BaseStore* seg : check) {
-    if (!seg->Tuples(rel).empty()) {
-      may_overlap = true;
-      break;
-    }
-  }
+                           std::span<const Segment> check) {
+  bool may_overlap =
+      std::any_of(check.begin(), check.end(), [&](const Segment& seg) {
+        return !seg.store->Tuples(rel).empty();
+      });
   if (!may_overlap) return overlay_.BulkAdd(rel, tuples);
-  // Visible membership restricted to the check span: the newest check
-  // segment holding the fact decides, exactly like ContainsBase.
-  auto visible_in_check = [&](TupleRef t) {
-    for (size_t i = check.size(); i-- > 0;) {
-      if (check[i]->Contains(rel, t)) {
-        return check_kinds.empty() || check_kinds[i] == SegmentKind::kFacts;
-      }
-    }
-    return false;
-  };
   size_t added = 0;
   for (TupleRef t : tuples) {
-    if (!visible_in_check(t) && overlay_.Add(rel, t)) ++added;
+    if (!Visible(check, rel, t) && overlay_.Add(rel, t)) ++added;
   }
   return added;
-}
-
-// --- DeltaIndexer ------------------------------------------------------------
-
-std::optional<Bucket> DeltaIndexer::Probe(RelId rel, uint32_t col,
-                                          IndexFamily family, uint32_t key) {
-  auto delta_it = delta_->find(rel);
-  if (delta_it == delta_->end() || delta_it->second.size() < threshold_) {
-    return std::nullopt;
-  }
-  auto [it, built_now] = built_.try_emplace({rel, col, family});
-  if (built_now) {
-    FileAll(*universe_, delta_it->second, col, family, &it->second);
-  }
-  return Bucket(delta_it->second, FindBucket(it->second, key));
 }
 
 }  // namespace seqdl

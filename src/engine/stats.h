@@ -8,7 +8,7 @@
 // *mean bucket size*: a near-constant column has one huge bucket (mean ≈
 // relation size, probing it is as bad as a full scan), a high-cardinality
 // key column has singleton buckets (mean ≈ 1). StoreStats carries those
-// measurements; BaseStore::Stats() computes them over a fixed EDB,
+// measurements; IndexedStore::Stats() computes them over a fixed EDB,
 // ComputeInstanceStats over any instance (e.g. the derived IDB of a
 // finished run), and Database::Stats() merges both so long-lived serving
 // processes re-plan from what actually accumulated.

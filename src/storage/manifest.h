@@ -38,7 +38,7 @@ struct ManifestSegment {
   std::string file;
   SegmentKind kind = SegmentKind::kFacts;
   /// The epoch stamp the in-memory stack records for this segment
-  /// (SegmentSet::segment_epochs) — drives delta maintenance on reopen.
+  /// (Segment::stamp) — drives delta maintenance on reopen.
   uint64_t stamp = 0;
   uint64_t facts = 0;
   /// File size, so DbInfo can report on-disk bytes without stat calls.

@@ -60,11 +60,9 @@ Status StorageEngine::RecoverFrom(Universe& u, Manifest m) {
                           SegPath(seg.file) +
                               ": fact count disagrees with the manifest");
     }
-    SealedSegment out;
-    out.facts = std::move(loaded.facts);
-    out.kind = loaded.kind;
-    out.stamp = seg.stamp;
-    sealed_.push_back(std::move(out));
+    sealed_.push_back(
+        {std::make_shared<IndexedStore>(u, std::move(loaded.facts)), seg.stamp,
+         loaded.kind});
   }
   recovered_ = true;
   recovered_epoch_ = m.epoch;
@@ -132,7 +130,7 @@ bool StorageEngine::WantsCheckpoint() const {
 
 Status StorageEngine::Checkpoint(const Universe& u, uint64_t epoch,
                                  uint64_t shrink_floor,
-                                 const std::vector<CheckpointSegment>& stack,
+                                 std::span<const Segment> stack,
                                  size_t keep) {
   // A stack shorter than the reused prefix can only come from a fold
   // the caller did not describe; rewrite it all.
@@ -159,8 +157,9 @@ Status StorageEngine::Checkpoint(const Universe& u, uint64_t epoch,
   };
   for (size_t i = reuse; i < stack.size(); ++i) {
     std::string file = SegFileName(next.next_file_id++);
+    const Instance& facts = stack[i].store->instance();
     Result<uint64_t> size =
-        WriteSegmentFile(SegPath(file), u, *stack[i].facts, stack[i].kind);
+        WriteSegmentFile(SegPath(file), u, facts, stack[i].kind);
     if (!size.ok()) {
       discard_fresh();
       return size.status();
@@ -170,7 +169,7 @@ Status StorageEngine::Checkpoint(const Universe& u, uint64_t epoch,
     seg.file = std::move(file);
     seg.kind = stack[i].kind;
     seg.stamp = stack[i].stamp;
-    seg.facts = stack[i].facts->NumFacts();
+    seg.facts = facts.NumFacts();
     seg.bytes = *size;
     next.segments.push_back(std::move(seg));
   }

@@ -28,6 +28,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,31 +59,18 @@ struct StorageInfo {
   uint64_t sealed_segments = 0;
 };
 
-/// One recovered segment, bottom-of-stack first.
-struct SealedSegment {
-  Instance facts;
-  SegmentKind kind = SegmentKind::kFacts;
-  uint64_t stamp = 0;
-};
-
 /// Checkpoint's `keep` when the whole sealed prefix is unchanged (a
 /// checkpoint that only seals the segments committed since).
 inline constexpr size_t kKeepAllSealed = SIZE_MAX;
-
-/// One in-memory segment as handed to Checkpoint.
-struct CheckpointSegment {
-  const Instance* facts = nullptr;
-  SegmentKind kind = SegmentKind::kFacts;
-  uint64_t stamp = 0;
-};
 
 class StorageEngine {
  public:
   /// Opens `opts.dir`, creating it if needed. If the directory holds a
   /// CURRENT pointer, loads the manifest and decodes every sealed
-  /// segment into `sealed()` (re-interning through `u`); otherwise the
-  /// engine is fresh and the caller must run an initial Checkpoint
-  /// before committing. Crash-window orphan files are deleted.
+  /// segment into a Segment of `sealed()` (re-interning through `u`,
+  /// bottom of the stack first); otherwise the engine is fresh and the
+  /// caller must run an initial Checkpoint before committing.
+  /// Crash-window orphan files are deleted.
   static Result<std::unique_ptr<StorageEngine>> Open(Universe& u,
                                                      StorageOptions opts);
 
@@ -93,7 +81,7 @@ class StorageEngine {
   uint64_t recovered_shrink_floor() const { return recovered_shrink_floor_; }
 
   /// Recovered segments; the caller moves these into its stack.
-  std::vector<SealedSegment>& sealed() { return sealed_; }
+  std::vector<Segment>& sealed() { return sealed_; }
 
   /// Replays the WAL tail past the checkpoint through `apply`, then
   /// opens the log for appending. Must be called exactly once on a
@@ -119,7 +107,7 @@ class StorageEngine {
   /// is unchanged), a full fold 0. On error nothing is published:
   /// CURRENT still names the old generation.
   Status Checkpoint(const Universe& u, uint64_t epoch, uint64_t shrink_floor,
-                    const std::vector<CheckpointSegment>& stack, size_t keep);
+                    std::span<const Segment> stack, size_t keep);
 
   /// Thread-safe snapshot of the durability counters.
   StorageInfo info() const;
@@ -140,7 +128,7 @@ class StorageEngine {
   bool recovered_ = false;
   uint64_t recovered_epoch_ = 0;
   uint64_t recovered_shrink_floor_ = 0;
-  std::vector<SealedSegment> sealed_;
+  std::vector<Segment> sealed_;
 
   /// Live file set (mirrors the current manifest).
   Manifest manifest_;

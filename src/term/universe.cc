@@ -260,16 +260,6 @@ bool Universe::IsFlatPath(PathId p) const {
   return true;
 }
 
-void Universe::CollectAtoms(PathId p, std::unordered_set<AtomId>* out) const {
-  for (Value v : GetPath(p)) {
-    if (v.is_atom()) {
-      out->insert(v.atom());
-    } else {
-      CollectAtoms(v.packed_path(), out);
-    }
-  }
-}
-
 std::vector<PathId> Universe::AllSubPaths(PathId p) {
   std::span<const Value> a = GetPath(p);
   std::vector<PathId> out;

@@ -39,7 +39,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/base/status.h"
@@ -114,9 +113,6 @@ class Universe {
 
   /// True iff the path contains no packed value at any nesting depth.
   bool IsFlatPath(PathId p) const;
-
-  /// Inserts every atom occurring in `p` (at any depth) into `out`.
-  void CollectAtoms(PathId p, std::unordered_set<AtomId>* out) const;
 
   /// All contiguous subpaths of p, including the empty path and p itself.
   std::vector<PathId> AllSubPaths(PathId p);

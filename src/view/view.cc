@@ -154,15 +154,13 @@ Result<std::shared_ptr<const ViewSnapshot>> ViewManager::Refresh(
   // non-decreasing, so the covered base is always a prefix); the suffix
   // is the delta. With no stored view everything is base and a cold run
   // materializes.
-  std::vector<const BaseStore*> all;
-  all.reserve(cur->segments.size());
   size_t base_prefix = 0;
   bool shrink_delta = false;
   for (size_t i = 0; i < cur->segments.size(); ++i) {
-    all.push_back(cur->segments[i].get());
-    if (old != nullptr && cur->segment_epochs[i] <= old->epoch_) {
+    const Segment& seg = cur->segments[i];
+    if (old != nullptr && seg.stamp <= old->epoch_) {
       base_prefix = i + 1;
-    } else if (cur->segment_kinds[i] == SegmentKind::kTombstones) {
+    } else if (seg.kind == SegmentKind::kTombstones) {
       shrink_delta = true;
     }
   }
@@ -184,11 +182,10 @@ Result<std::shared_ptr<const ViewSnapshot>> ViewManager::Refresh(
     SupportCounts support;
     RunOptions o = opts;
     o.support = &support;
-    // Cold runs must see the stack the way a Session would: tombstone
-    // segments hide retracted facts, so pass the kinds alongside the
-    // segments (empty kinds would treat everything as facts).
-    SEQDL_ASSIGN_OR_RETURN(
-        snap->idb_, prog.RunOnStack(all, cur->segment_kinds, o, sink));
+    // Cold runs see the stack the way a Session does: tombstone segments
+    // hide retracted facts.
+    SEQDL_ASSIGN_OR_RETURN(snap->idb_,
+                           prog.RunOnStack(cur->segments, o, sink));
     // A full recomputation happened: apply the epoch decays deferred by
     // appends (same contract as Session::Run).
     state_->accum.AgeOnRecompute(StatsAccumulator::kEpochDecay);
@@ -207,8 +204,8 @@ Result<std::shared_ptr<const ViewSnapshot>> ViewManager::Refresh(
     };
     SEQDL_ASSIGN_OR_RETURN(
         PreparedProgram::DeltaRun run,
-        prog.RunDelta(all, cur->segment_kinds, base_prefix, old->idb_, lookup,
-                      o, sink));
+        prog.RunDelta(cur->segments, base_prefix, old->idb_, lookup, o,
+                      sink));
     std::set<RelId> recomputed_rels;
     for (size_t s : run.recomputed_strata) {
       for (const Rule& r : prog.program().strata[s].rules) {

@@ -7,7 +7,7 @@
 // keeps at most one current snapshot per view key and keeps it fresh
 // *incrementally*: when Refresh finds the database epoch has moved past a
 // stored snapshot, it partitions the current segment stack by publish
-// stamp (SegmentSet::segment_epochs) into the base prefix the snapshot
+// stamp (Segment::stamp) into the base prefix the snapshot
 // already covers and the segments published since, and runs
 // PreparedProgram::RunDelta — semi-naive delta evaluation of the net
 // additions plus counting DRed (delete/re-derive) for the net

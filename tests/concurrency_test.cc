@@ -18,6 +18,7 @@
 
 #include "src/engine/database.h"
 #include "src/engine/engine.h"
+#include "src/engine/index.h"
 #include "src/engine/instance.h"
 #include "src/queries/queries.h"
 #include "src/syntax/parser.h"
@@ -300,6 +301,86 @@ TEST(UniverseConcurrencyTest, InternRacesTableGrowthAndChunkRollover) {
   for (const auto& [values, id] : by_contents) distinct.insert(id);
   EXPECT_EQ(distinct.size(), by_contents.size());
   EXPECT_EQ(u.num_paths(), by_contents.size() + 1);  // + the empty path
+}
+
+// --- Index builds ------------------------------------------------------------
+
+// kThreads threads race to first-probe the same unbuilt (relation, column,
+// family) index of one shared store, then probe every other family in a
+// thread-specific order, so first builds of different families race too.
+// Each index builds once, and every thread gets exactly the rows a scan
+// keeps.
+TEST(IndexConcurrencyTest, FirstProbesRace) {
+  Universe u;
+  RelId rel = *u.InternRel("R", 2);
+  constexpr size_t kKeys = 16;
+  std::vector<Value> atoms;
+  for (size_t i = 0; i < kKeys; ++i) {
+    atoms.push_back(Value::Atom(u.InternAtom(Numbered("k", i))));
+  }
+  Instance facts;
+  Rng rng{7};
+  for (size_t i = 0; i < 4000; ++i) {
+    std::vector<Value> pair = {atoms[rng.Next() % kKeys],
+                               atoms[rng.Next() % kKeys]};
+    std::vector<Value> one = {atoms[rng.Next() % kKeys]};
+    facts.Add(rel, {u.InternPath(pair), u.InternPath(one)});
+  }
+  const IndexedStore store(u, std::move(facts));
+  const TupleSet& tuples = store.Tuples(rel);
+
+  // Every (column, family), probed by the key of the first row.
+  struct Probe {
+    uint32_t col;
+    IndexFamily family;
+    uint32_t key;
+  };
+  std::vector<Probe> probes;
+  for (uint32_t col = 0; col < 2; ++col) {
+    for (IndexFamily family : kIndexFamilies) {
+      probes.push_back(
+          {col, family, *FamilyKey(u, family, tuples.Row(0)[col])});
+    }
+  }
+  auto sorted_rows = [](auto&& rows) {
+    std::vector<Tuple> out;
+    for (TupleRef t : rows) out.emplace_back(t.begin(), t.end());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+
+  std::vector<std::vector<std::vector<Tuple>>> got(
+      kThreads, std::vector<std::vector<Tuple>>(probes.size()));
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (size_t i = 0; i < probes.size(); ++i) {
+        size_t k = i == 0 ? 0 : 1 + (i - 1 + t) % (probes.size() - 1);
+        const Probe& p = probes[k];
+        got[t][k] = sorted_rows(store.Probe(rel, p.col, p.family, p.key));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(store.NumIndexedFamilies(), probes.size());
+  for (size_t k = 0; k < probes.size(); ++k) {
+    const Probe& p = probes[k];
+    std::vector<Tuple> want;
+    for (TupleRef t : tuples) {
+      if (FamilyKey(u, p.family, t[p.col]) == p.key) {
+        want.emplace_back(t.begin(), t.end());
+      }
+    }
+    std::sort(want.begin(), want.end());
+    ASSERT_FALSE(want.empty());
+    for (size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(got[t][k], want) << "thread " << t << " probe " << k;
+    }
+  }
 }
 
 // --- Database/Session --------------------------------------------------------
@@ -630,13 +711,11 @@ TEST(EpochConcurrencyTest, WriterRacesSnapshotReaders) {
   std::vector<std::string> errors(kThreads - 1);
 
   std::vector<std::thread> threads;
-  // Writer: commit the remaining batches through a batching Writer,
-  // compacting halfway to race segment retirement against the readers.
+  // Writer: append the remaining batches one commit each, compacting
+  // halfway to race segment retirement against the readers.
   threads.emplace_back([&] {
-    Writer w = db->MakeWriter();
     for (size_t i = 1; i < batches.size(); ++i) {
-      w.Stage(batches[i]);
-      if (!w.Commit().ok()) return;
+      if (!db->Append(batches[i]).ok()) return;
       if (i == batches.size() / 2) db->Compact();
     }
   });

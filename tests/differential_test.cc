@@ -830,7 +830,7 @@ TEST(DifferentialTest, RetractionAutoCompactViewMatchesColdFixpointPerEpoch) {
     for (int w = 0; w < kWrites && !budget_hit; ++w) {
       // Pin the stack so a new base cannot reuse the old one's address.
       Session before = live->Snapshot();
-      const BaseStore* base = &live->base();
+      const IndexedStore* base = &live->base();
       Instance visible = live->edb();
       bool reappend = !retracted.Empty() &&
                       (visible.Empty() || sched() % 3 == 0);

@@ -448,16 +448,16 @@ TEST(EngineTest, BudgetsEnforcedPerRun) {
   EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
 }
 
-// --- IndexedInstance ----------------------------------------------------------
+// --- IndexedStore -------------------------------------------------------------
 
-TEST(IndexedInstanceTest, ProbeAgreesWithScan) {
+TEST(IndexedStoreTest, ProbeAgreesWithScan) {
   Universe u;
   RelId r = *u.InternRel("R", 2);
   Instance base;
   base.Add(r, {u.PathOfChars("a"), u.PathOfChars("x")});
   base.Add(r, {u.PathOfChars("a"), u.PathOfChars("y")});
   base.Add(r, {u.PathOfChars("b"), u.PathOfChars("z")});
-  IndexedInstance store(u, base);
+  IndexedStore store(u, base);
 
   EXPECT_EQ(store.Probe(r, 0, IndexFamily::kWhole, u.PathOfChars("a")).size(),
             2u);
@@ -478,7 +478,7 @@ TEST(IndexedInstanceTest, ProbeAgreesWithScan) {
             3u);
 }
 
-TEST(IndexedInstanceTest, FirstValueProbeBucketsByLeadingValue) {
+TEST(IndexedStoreTest, FirstValueProbeBucketsByLeadingValue) {
   Universe u;
   RelId r = *u.InternRel("R", 1);
   Instance base;
@@ -486,7 +486,7 @@ TEST(IndexedInstanceTest, FirstValueProbeBucketsByLeadingValue) {
   base.Add(r, {u.PathOfChars("ac")});
   base.Add(r, {u.PathOfChars("ba")});
   base.Add(r, {kEmptyPath});  // empty path: in no first-value bucket
-  IndexedInstance store(u, base);
+  IndexedStore store(u, base);
 
   Value a = Value::Atom(u.InternAtom("a"));
   Value b = Value::Atom(u.InternAtom("b"));
@@ -499,7 +499,7 @@ TEST(IndexedInstanceTest, FirstValueProbeBucketsByLeadingValue) {
   EXPECT_EQ(store.Probe(r, 0, IndexFamily::kFirst, a.bits()).size(), 3u);
 }
 
-TEST(IndexedInstanceTest, LastValueProbeBucketsByTrailingValue) {
+TEST(IndexedStoreTest, LastValueProbeBucketsByTrailingValue) {
   Universe u;
   RelId r = *u.InternRel("R", 1);
   Instance base;
@@ -508,7 +508,7 @@ TEST(IndexedInstanceTest, LastValueProbeBucketsByTrailingValue) {
   base.Add(r, {u.PathOfChars("ba")});
   base.Add(r, {u.PathOfChars("b")});
   base.Add(r, {kEmptyPath});  // empty path: in no last-value bucket
-  IndexedInstance store(u, base);
+  IndexedStore store(u, base);
 
   Value a = Value::Atom(u.InternAtom("a"));
   Value b = Value::Atom(u.InternAtom("b"));
@@ -523,14 +523,14 @@ TEST(IndexedInstanceTest, LastValueProbeBucketsByTrailingValue) {
   EXPECT_EQ(store.Probe(r, 0, IndexFamily::kLast, b.bits()).size(), 4u);
 }
 
-TEST(BaseStoreTest, ProbesAgreeAcrossAllThreeFamilies) {
+TEST(IndexedStoreTest, ProbesAgreeAcrossAllThreeFamilies) {
   Universe u;
   RelId r = *u.InternRel("R", 2);
   Instance base;
   base.Add(r, {u.PathOfChars("ab"), u.PathOfChars("x")});
   base.Add(r, {u.PathOfChars("ac"), u.PathOfChars("y")});
   base.Add(r, {u.PathOfChars("cb"), u.PathOfChars("x")});
-  BaseStore store(u, std::move(base));
+  const IndexedStore store(u, std::move(base));
 
   Value a = Value::Atom(u.InternAtom("a"));
   Value b = Value::Atom(u.InternAtom("b"));
@@ -545,8 +545,9 @@ TEST(BaseStoreTest, ProbesAgreeAcrossAllThreeFamilies) {
   // Absent relations and out-of-range columns return the empty bucket.
   EXPECT_EQ(store.Probe(r + 1, 0, IndexFamily::kWhole, kEmptyPath).size(), 0u);
   EXPECT_EQ(store.Probe(r, 7, IndexFamily::kWhole, kEmptyPath).size(), 0u);
-  // One slot per column built (all three families build together).
-  EXPECT_EQ(store.NumIndexedColumns(), 2u);
+  // A probe builds only the family it asks for: the four probes above
+  // built four (column, family) indexes.
+  EXPECT_EQ(store.NumIndexedFamilies(), 4u);
 }
 
 // --- Index families -----------------------------------------------------------
@@ -612,13 +613,14 @@ Tuple RandomTuple(Universe& u, std::mt19937& rng, uint32_t arity) {
   return t;
 }
 
-// Every store answers each (col, family, key) probe with exactly the
-// tuples a linear filter keeps: IndexedInstance across interleaved adds
-// and removes (each family first built at a different point), and
-// BaseStore and DeltaIndexer (at threshold 0) over a table that has had
-// rows removed. A removal swap-removes: the last row takes the removed
-// row's number, so each round removes the first row, then the row that
-// took its number, besides random ones.
+// An IndexedStore answers each (col, family, key) probe with exactly the
+// tuples a linear filter keeps, in each shape the engine uses: built over
+// a table that has had rows removed and probed read-only (a published
+// segment), filled fact by fact before its first probe (a round's delta),
+// and across interleaved adds and removes with each family first built at
+// a different point (a run's overlay). A removal swap-removes: the last
+// row takes the removed row's number, so each round removes the first
+// row, then the row that took its number, besides random ones.
 TEST(IndexFamilyTest, EveryStoreAnswersLikeAScan) {
   for (uint32_t seed = 1; seed <= 30; ++seed) {
     Universe u;
@@ -656,29 +658,29 @@ TEST(IndexFamilyTest, EveryStoreAnswersLikeAScan) {
       }
     };
 
-    BaseStore base(u, start);
-    std::map<RelId, TupleSet> delta{{rel, start.Tuples(rel)}};
-    DeltaIndexer delta_idx(u, delta, /*threshold=*/0);
+    const IndexedStore segment(u, start);
+    IndexedStore delta(u, Instance{});
+    for (TupleRef t : start.Tuples(rel)) delta.Add(rel, t);
     for (IndexFamily family : kIndexFamilies) {
       check([&](uint32_t col, uint32_t key) {
-        return base.Probe(rel, col, family, key);
-      }, base.Tuples(rel), family, "BaseStore");
+        return segment.Probe(rel, col, family, key);
+      }, segment.Tuples(rel), family, "segment");
       check([&](uint32_t col, uint32_t key) {
-        return *delta_idx.Probe(rel, col, family, key);
-      }, delta.at(rel), family, "DeltaIndexer");
+        return delta.Probe(rel, col, family, key);
+      }, delta.Tuples(rel), family, "delta");
     }
 
     // Round r probes the first r families, then adds and removes a few
     // facts, so each family is first built after a different number of
     // writes and is then probed again after more.
-    IndexedInstance store(u, start);
+    IndexedStore store(u, start);
     const size_t families = std::size(kIndexFamilies);
     for (size_t round = 0; round <= families + 1; ++round) {
       for (size_t f = 0; f < std::min(round, families); ++f) {
         IndexFamily family = kIndexFamilies[f];
         check([&](uint32_t col, uint32_t key) {
           return store.Probe(rel, col, family, key);
-        }, store.Tuples(rel), family, "IndexedInstance");
+        }, store.Tuples(rel), family, "overlay");
       }
       for (int i = 0; i < 4; ++i) store.Add(rel, RandomTuple(u, rng, arity));
       // In row order: the first row (the last one moves into its number),
@@ -726,7 +728,7 @@ TEST(DatabaseTest, SessionRunReturnsDerivedOnly) {
   EXPECT_EQ(full->Project({reach}), derived->Project({reach}));
 }
 
-TEST(DatabaseTest, BaseIndexesBuildOncePerColumn) {
+TEST(DatabaseTest, BaseIndexesBuildOncePerFamily) {
   Universe u;
   Program p = MustParse(u,
                         "Reach($x, $y) <- R($x ++ $y).\n"
@@ -736,15 +738,15 @@ TEST(DatabaseTest, BaseIndexesBuildOncePerColumn) {
   Instance in = MustInstance(u, "R(a ++ b). R(b ++ c). R(c ++ d).");
   Result<Database> db = Database::Open(u, std::move(in));
   ASSERT_TRUE(db.ok());
-  EXPECT_EQ(db->NumIndexedColumns(), 0u);  // lazy: nothing probed yet
+  EXPECT_EQ(db->NumIndexedFamilies(), 0u);  // lazy: nothing probed yet
 
   Session session = db->Snapshot();
   ASSERT_TRUE(session.Run(*prog).ok());
-  size_t after_first = db->NumIndexedColumns();
+  size_t after_first = db->NumIndexedFamilies();
   EXPECT_GT(after_first, 0u);
   // Re-running probes the already-built indexes; nothing new is built.
   ASSERT_TRUE(session.Run(*prog).ok());
-  EXPECT_EQ(db->NumIndexedColumns(), after_first);
+  EXPECT_EQ(db->NumIndexedFamilies(), after_first);
 }
 
 TEST(DatabaseTest, RunsDoNotMutateTheBase) {
@@ -764,7 +766,7 @@ TEST(DatabaseTest, RunsDoNotMutateTheBase) {
   EXPECT_EQ(db->edb().NumFacts(), 2u);  // base untouched
 }
 
-// --- Versioned Database: epochs, Writer, Compact ------------------------------
+// --- Versioned Database: epochs, Compact --------------------------------------
 
 TEST(EpochTest, AppendPublishesSegmentsAndBumpsEpoch) {
   Universe u;
@@ -810,46 +812,18 @@ TEST(EpochTest, AppendDedupesAgainstTheCurrentStack) {
   EXPECT_EQ(derived->NumFacts(), 3u);
 }
 
-TEST(EpochTest, WriterBatchesIntoOneCommit) {
-  Universe u;
-  Result<Database> db = Database::Open(u, MustInstance(u, "R(a)."));
-  ASSERT_TRUE(db.ok());
-  Writer w = db->MakeWriter();
-  RelId r = *u.FindRel("R");
-  EXPECT_TRUE(w.Add(r, {u.PathOfChars("b")}));
-  EXPECT_FALSE(w.Add(r, {u.PathOfChars("b")}));  // staged duplicate
-  w.Stage(MustInstance(u, "R(c). R(d)."));
-  EXPECT_EQ(w.NumStaged(), 3u);
-  Result<uint64_t> epoch = w.Commit();
-  ASSERT_TRUE(epoch.ok());
-  EXPECT_EQ(*epoch, 1u);
-  EXPECT_EQ(db->NumSegments(), 2u);  // one batch = one segment
-  EXPECT_EQ(db->NumFacts(), 4u);
-  EXPECT_EQ(w.NumStaged(), 0u);  // staging area cleared by Commit
-  // An empty commit publishes nothing.
-  Result<uint64_t> again = w.Commit();
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(*again, 1u);
-  EXPECT_EQ(db->NumSegments(), 2u);
-}
-
-// --- Writer / Compact error paths ---------------------------------------------
+// --- Commit / Compact error paths ---------------------------------------------
 
 TEST(EpochTest, CommitOnClosedDatabaseFails) {
   Universe u;
   Result<Database> db = Database::Open(u, MustInstance(u, "R(a)."));
   ASSERT_TRUE(db.ok());
-  Writer w = db->MakeWriter();
-  w.Stage(MustInstance(u, "R(b)."));
   EXPECT_FALSE(db->closed());
   db->Close();
   EXPECT_TRUE(db->closed());
 
-  // Writers fail fast; the staged facts never publish.
-  Result<uint64_t> commit = w.Commit();
-  ASSERT_FALSE(commit.ok());
-  EXPECT_EQ(commit.status().code(), StatusCode::kFailedPrecondition);
-  Result<uint64_t> append = db->Append(MustInstance(u, "R(c)."));
+  // Appends fail fast; their facts never publish.
+  Result<uint64_t> append = db->Append(MustInstance(u, "R(b). R(c)."));
   ASSERT_FALSE(append.ok());
   EXPECT_EQ(append.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(db->epoch(), 0u);
@@ -872,24 +846,24 @@ TEST(EpochTest, DoubleCommitPublishesNothingTwice) {
   Universe u;
   Result<Database> db = Database::Open(u, MustInstance(u, "R(a)."));
   ASSERT_TRUE(db.ok());
-  Writer w = db->MakeWriter();
-  w.Stage(MustInstance(u, "R(b)."));
-  Result<uint64_t> first = w.Commit();
+  Result<uint64_t> first = db->Append(MustInstance(u, "R(b)."));
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(*first, 1u);
-  // The staging area was consumed: an immediate second Commit is an
-  // empty batch — no new segment, no epoch bump, not an error.
-  Result<uint64_t> second = w.Commit();
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(*second, 1u);
+  // An empty batch publishes nothing: no new segment, no epoch bump, not
+  // an error.
+  size_t appended = 7;
+  Result<uint64_t> empty = db->Append(Instance{}, &appended);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(*empty, 1u);
+  EXPECT_EQ(appended, 0u);
   EXPECT_EQ(db->NumSegments(), 2u);
   EXPECT_EQ(db->NumFacts(), 2u);
-  // And a commit whose every staged fact is already present publishes
-  // nothing either.
-  w.Stage(MustInstance(u, "R(a). R(b)."));
-  Result<uint64_t> dup = w.Commit();
+  // And a batch whose every fact is already present publishes nothing
+  // either.
+  Result<uint64_t> dup = db->Append(MustInstance(u, "R(a). R(b)."), &appended);
   ASSERT_TRUE(dup.ok());
   EXPECT_EQ(*dup, 1u);
+  EXPECT_EQ(appended, 0u);
   EXPECT_EQ(db->NumSegments(), 2u);
 }
 
@@ -965,9 +939,9 @@ TEST(EpochTest, TailFoldKeepsTheBaseSegment) {
   opts.auto_compact_segments = 4;
   Result<Database> db = Database::Open(u, BaseFacts(u, 40), opts);
   ASSERT_TRUE(db.ok());
-  const BaseStore* base = &db->base();
+  const IndexedStore* base = &db->base();
   base->Probe(*u.FindRel("R"), 0, IndexFamily::kWhole, kEmptyPath);
-  size_t indexed = db->NumIndexedColumns();
+  size_t indexed = db->NumIndexedFamilies();
   ASSERT_GT(indexed, 0u);
 
   ASSERT_TRUE(db->Append(MustInstance(u, "R(n1).")).ok());
@@ -978,7 +952,7 @@ TEST(EpochTest, TailFoldKeepsTheBaseSegment) {
   // and one fact segment (R(n2), R(n3)); R(n1) came and went. The base
   // keeps its object, its indexes and its statistics.
   EXPECT_EQ(&db->base(), base);
-  EXPECT_GE(db->NumIndexedColumns(), indexed);
+  EXPECT_GE(db->NumIndexedFamilies(), indexed);
   EXPECT_EQ(db->NumSegments(), 3u);
   EXPECT_EQ(db->NumTombstones(), 1u);
   EXPECT_EQ(db->epoch(), 4u);
@@ -1003,7 +977,7 @@ TEST(EpochTest, TailReachingTheFractionFoldsFully) {
   // second 7.
   Result<Database> db = Database::Open(u, BaseFacts(u, 28), opts);
   ASSERT_TRUE(db.ok());
-  const BaseStore* base = &db->base();
+  const IndexedStore* base = &db->base();
   // Pins the first base so a new one cannot reuse its address.
   Session pin = db->Snapshot();
   for (int i = 1; i <= 4; ++i) {
@@ -1034,7 +1008,7 @@ TEST(EpochTest, AutoFoldLeavesTheUnseenSegmentToTheView) {
   ASSERT_TRUE(db->views().Refresh("s", *prog).ok());
   // Refresh after every write, like the server's eager refresh: each
   // fold then happens while the view is one epoch behind.
-  const BaseStore* base = &db->base();
+  const IndexedStore* base = &db->base();
   for (int i = 1; i <= 4; ++i) {
     std::string fact = "R(n" + std::to_string(i) + ").";
     ASSERT_TRUE(db->Append(MustInstance(u, fact)).ok());

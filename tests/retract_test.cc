@@ -1,4 +1,4 @@
-// Tests for retraction (database.h Retract / Writer::Retract): tombstone
+// Tests for retraction (database.h Retract): tombstone
 // segments shadowing older facts, snapshot isolation across a shrink
 // epoch, the append/retract flip invariant, compaction folding
 // tombstones away, shrink-aware statistics (a retraction must register
@@ -142,29 +142,6 @@ TEST(RetractTest, CompactFoldsTombstonesAway) {
   EXPECT_EQ(db->NumSegments(), 1u);
   EXPECT_EQ(db->NumFacts(), 2u);
   EXPECT_EQ(db->edb().ToString(u), edb);
-}
-
-TEST(RetractTest, WriterCommitsAppendsBeforeRetractions) {
-  Universe u;
-  Result<Database> db = Database::Open(u, MustInstance(u, "E(a, b)."));
-  ASSERT_TRUE(db.ok());
-
-  Writer w = db->MakeWriter();
-  w.Stage(MustInstance(u, "E(b, c). E(c, d)."));
-  RelId e = *u.FindRel("E");
-  w.Retract(e, {u.PathOfChars("a"), u.PathOfChars("b")});
-  w.Retract(e, {u.PathOfChars("c"), u.PathOfChars("d")});
-  EXPECT_EQ(w.NumStaged(), 2u);
-  EXPECT_EQ(w.NumStagedRetractions(), 2u);
-
-  // Appends publish first, tombstones second: a fact both staged and
-  // retracted in one batch ends up retracted.
-  Result<uint64_t> epoch = w.Commit();
-  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
-  EXPECT_EQ(db->NumFacts(), 1u);
-  EXPECT_EQ(db->edb().ToString(u), MustInstance(u, "E(b, c).").ToString(u));
-  EXPECT_EQ(w.NumStaged(), 0u);
-  EXPECT_EQ(w.NumStagedRetractions(), 0u);
 }
 
 TEST(RetractTest, RetractOnClosedDatabaseFails) {

@@ -92,18 +92,6 @@ TEST(UniverseTest, IsFlatPath) {
   EXPECT_FALSE(u.IsFlatPath(packed));
 }
 
-TEST(UniverseTest, CollectAtomsDescendsIntoPacks) {
-  Universe u;
-  PathId inner = u.PathOfChars("ab");
-  PathId p = u.Append(u.PathOfChars("c"), Value::Packed(inner));
-  std::unordered_set<AtomId> atoms;
-  u.CollectAtoms(p, &atoms);
-  EXPECT_EQ(atoms.size(), 3u);
-  EXPECT_TRUE(atoms.count(u.InternAtom("a")));
-  EXPECT_TRUE(atoms.count(u.InternAtom("b")));
-  EXPECT_TRUE(atoms.count(u.InternAtom("c")));
-}
-
 TEST(UniverseTest, AllSubPathsOfAbc) {
   Universe u;
   std::vector<PathId> subs = u.AllSubPaths(u.PathOfChars("abc"));
