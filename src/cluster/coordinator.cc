@@ -44,7 +44,6 @@ void Accumulate(protocol::WireEvalStats* into,
   into->suffix_probes += s.suffix_probes;
   into->full_scans += s.full_scans;
   into->delta_scans += s.delta_scans;
-  into->delta_index_probes += s.delta_index_probes;
   into->compile_seconds = std::max(into->compile_seconds, s.compile_seconds);
   into->run_seconds = std::max(into->run_seconds, s.run_seconds);
 }
@@ -389,14 +388,7 @@ Result<protocol::RunReply> Coordinator::RunResidual(
   Session session = db.Snapshot();
   RunOptions ropts = opts_.residual_run;
   ropts.collect_derived_stats = req.collect_derived_stats;
-  if (cancel) {
-    if (ropts.cancel) {
-      std::function<bool()> base = ropts.cancel;
-      ropts.cancel = [base, cancel] { return base() || cancel(); };
-    } else {
-      ropts.cancel = cancel;
-    }
-  }
+  AddCancel(&ropts, cancel);
   EvalStats stats;
   SEQDL_ASSIGN_OR_RETURN(Instance derived, session.Run(prepared, ropts,
                                                        &stats));

@@ -99,9 +99,11 @@ Result<Database> Database::Open(Universe& u, Instance edb,
     Result<storage::WalReplay> replay = state->storage->ReplayTail(
         u, [raw](storage::WalRecordType type, Instance batch) -> Status {
           Result<uint64_t> applied =
-              type == storage::WalRecordType::kAppend
-                  ? AppendTo(*raw, std::move(batch), nullptr)
-                  : RetractFrom(*raw, std::move(batch), nullptr);
+              Commit(*raw,
+                     type == storage::WalRecordType::kAppend
+                         ? SegmentKind::kFacts
+                         : SegmentKind::kTombstones,
+                     std::move(batch), nullptr);
           return applied.ok() ? Status::OK() : applied.status();
         });
     state->replaying = false;
@@ -163,29 +165,33 @@ Session Database::Snapshot() const {
   return Session(*state_->universe, state_->Current(), &state_->accum);
 }
 
-Result<uint64_t> Database::AppendTo(DbState& state, Instance delta,
-                                    size_t* appended) {
-  if (appended != nullptr) *appended = 0;
+Result<uint64_t> Database::Commit(DbState& state, SegmentKind kind,
+                                  Instance batch, size_t* committed) {
+  if (committed != nullptr) *committed = 0;
+  const bool facts = kind == SegmentKind::kFacts;
   std::lock_guard<std::mutex> writer(state.writer_mu);
   if (state.closed.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition(
-        "database is closed: no further appends or commits");
+        facts ? "database is closed: no further appends"
+              : "database is closed: no further retractions");
   }
   std::shared_ptr<const SegmentSet> cur = state.Current();
 
-  // Dedupe against what is currently *visible*, which keeps the per-fact
-  // flip invariant: a fact's occurrences in stack order alternate
-  // fact/tombstone/…, so visibility is decided by the newest occurrence
-  // and visible enumeration across segments yields each fact exactly
-  // once. (Re-appending a retracted fact is legal and publishes a fresh
-  // occurrence above its tombstone.)
-  Instance fresh;
-  for (RelId rel : delta.Relations()) {
-    for (TupleRef t : delta.Tuples(rel)) {
-      if (!Visible(cur->segments, rel, t)) fresh.Add(rel, t);
+  // Keep only the facts whose visibility the commit flips: an append
+  // drops what is already visible, a retraction what is not. That keeps
+  // the per-fact flip invariant: a fact's occurrences in stack order
+  // alternate fact/tombstone/…, so visibility is decided by the newest
+  // occurrence, visible enumeration across segments yields each fact
+  // exactly once, and tombstone segments stay pairwise disjoint at equal
+  // visibility depth. (Re-appending a retracted fact is legal and
+  // publishes a fresh occurrence above its tombstone.)
+  Instance flips;
+  for (RelId rel : batch.Relations()) {
+    for (TupleRef t : batch.Tuples(rel)) {
+      if (Visible(cur->segments, rel, t) != facts) flips.Add(rel, t);
     }
   }
-  if (fresh.Empty()) return cur->epoch;  // nothing new: the epoch holds
+  if (flips.Empty()) return cur->epoch;  // nothing changes: the epoch holds
 
   // Durability point: the effective (post-dedupe) batch hits the WAL
   // before anything publishes. On error nothing is published — the
@@ -193,27 +199,31 @@ Result<uint64_t> Database::AppendTo(DbState& state, Instance delta,
   // (the record being replayed is already on disk).
   if (state.storage != nullptr && !state.replaying) {
     SEQDL_RETURN_IF_ERROR(state.storage->LogCommit(
-        storage::WalRecordType::kAppend, *state.universe, fresh));
+        facts ? storage::WalRecordType::kAppend
+              : storage::WalRecordType::kRetract,
+        *state.universe, flips));
   }
 
-  size_t fresh_facts = fresh.NumFacts();
-  if (appended != nullptr) *appended = fresh_facts;
+  size_t flipped = flips.NumFacts();
+  if (committed != nullptr) *committed = flipped;
 
   auto next = std::make_shared<SegmentSet>();
   next->epoch = cur->epoch + 1;
   next->segments = cur->segments;
   next->segments.push_back(
-      {std::make_shared<IndexedStore>(*state.universe, std::move(fresh)),
-       next->epoch, SegmentKind::kFacts});
+      {std::make_shared<IndexedStore>(*state.universe, std::move(flips)),
+       next->epoch, kind});
   next->shrink_floor = cur->shrink_floor;
-  next->total_facts = cur->total_facts + fresh_facts;
+  next->total_facts =
+      facts ? cur->total_facts + flipped : cur->total_facts - flipped;
   uint64_t epoch = next->epoch;
   state.Publish(std::move(next));
 
-  // The data moved: note the epoch so the accumulated derived-run
-  // measurements decay once something actually re-derives (deferred —
-  // see StatsAccumulator::NoteEpoch; a maintained view serving across
-  // appends is not fresh evidence that the derived shape drifted).
+  // The data moved, grown or shrunk: note the epoch so the accumulated
+  // derived-run measurements decay once something actually re-derives
+  // (deferred — see StatsAccumulator::NoteEpoch; a maintained view
+  // serving across commits is not fresh evidence that the derived shape
+  // drifted, and Stats() discounts tombstones directly).
   state.accum.NoteEpoch();
 
   AfterCommitLocked(state);
@@ -221,63 +231,12 @@ Result<uint64_t> Database::AppendTo(DbState& state, Instance delta,
 }
 
 Result<uint64_t> Database::Append(Instance delta, size_t* appended) {
-  return AppendTo(*state_, std::move(delta), appended);
-}
-
-Result<uint64_t> Database::RetractFrom(DbState& state, Instance victims,
-                                       size_t* retracted) {
-  if (retracted != nullptr) *retracted = 0;
-  std::lock_guard<std::mutex> writer(state.writer_mu);
-  if (state.closed.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition(
-        "database is closed: no further retractions");
-  }
-  std::shared_ptr<const SegmentSet> cur = state.Current();
-
-  // Restrict to facts currently visible — the flip invariant's other
-  // half: a tombstone is only ever published above a visible fact, so
-  // occurrences keep alternating and tombstone segments stay pairwise
-  // disjoint from each other at equal visibility depth.
-  Instance hits;
-  for (RelId rel : victims.Relations()) {
-    for (TupleRef t : victims.Tuples(rel)) {
-      if (Visible(cur->segments, rel, t)) hits.Add(rel, t);
-    }
-  }
-  if (hits.Empty()) return cur->epoch;  // nothing visible: epoch holds
-
-  // Durability point, as in AppendTo.
-  if (state.storage != nullptr && !state.replaying) {
-    SEQDL_RETURN_IF_ERROR(state.storage->LogCommit(
-        storage::WalRecordType::kRetract, *state.universe, hits));
-  }
-
-  size_t hit_facts = hits.NumFacts();
-  if (retracted != nullptr) *retracted = hit_facts;
-
-  auto next = std::make_shared<SegmentSet>();
-  next->epoch = cur->epoch + 1;
-  next->segments = cur->segments;
-  next->segments.push_back(
-      {std::make_shared<IndexedStore>(*state.universe, std::move(hits)),
-       next->epoch, SegmentKind::kTombstones});
-  next->shrink_floor = cur->shrink_floor;
-  next->total_facts = cur->total_facts - hit_facts;
-  uint64_t epoch = next->epoch;
-  state.Publish(std::move(next));
-
-  // A shrink is drift evidence exactly like an append: note the epoch so
-  // cached plans recompile off smaller estimates once something
-  // re-derives (satellite of the shrink-blindness fix — Stats() also
-  // discounts tombstones directly).
-  state.accum.NoteEpoch();
-
-  AfterCommitLocked(state);
-  return epoch;
+  return Commit(*state_, SegmentKind::kFacts, std::move(delta), appended);
 }
 
 Result<uint64_t> Database::Retract(Instance victims, size_t* retracted) {
-  return RetractFrom(*state_, std::move(victims), retracted);
+  return Commit(*state_, SegmentKind::kTombstones, std::move(victims),
+                retracted);
 }
 
 Database::Fold Database::PolicyWantsCompaction(const DbState& state,

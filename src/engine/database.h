@@ -329,15 +329,12 @@ class Database {
   explicit Database(std::unique_ptr<DbState> state)
       : state_(std::move(state)) {}
 
-  /// The append path of Database::Append and of WAL replay. `appended`
-  /// (may be null) receives the post-dedupe fact count.
-  static Result<uint64_t> AppendTo(DbState& state, Instance delta,
-                                   size_t* appended);
-  /// The retract path of Database::Retract and of WAL replay.
-  /// `retracted` (may be null) receives the number of visible facts
-  /// actually tombstoned.
-  static Result<uint64_t> RetractFrom(DbState& state, Instance victims,
-                                      size_t* retracted);
+  /// The one commit path of Append (kFacts), Retract (kTombstones) and
+  /// WAL replay: publishes the facts of `batch` whose visibility the
+  /// commit flips as one segment of `kind` at the next epoch. `committed`
+  /// (may be null) receives how many facts that was.
+  static Result<uint64_t> Commit(DbState& state, SegmentKind kind,
+                                 Instance batch, size_t* committed);
   /// Which fold a stack needs: none, the tiered fold of the
   /// segment-count trigger, or the full fold of Compact().
   enum class Fold { kNone, kTiered, kFull };

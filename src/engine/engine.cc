@@ -22,9 +22,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Sentinel for "no scan step is restricted to the delta this pass".
-constexpr size_t kNoDeltaStep = static_cast<size_t>(-1);
-
 /// How many rule firings pass between cancellation polls.
 constexpr size_t kCancelPollInterval = 256;
 
@@ -134,7 +131,7 @@ class Executor {
     // retracted inside the window, or the reverse, nets out entirely.
     // `added` and `removed` then cascade down the strata, growing by
     // what each stratum derives or deletes.
-    IndexedStore added(u_, Instance{});
+    Instance added;
     Instance removed;
     for (const Segment& seg : delta_span) {
       const Instance& inst = seg.store->instance();
@@ -157,8 +154,7 @@ class Executor {
       }
     }
     if (stats_) {
-      stats_->delta_seed_facts +=
-          added.instance().NumFacts() + removed.NumFacts();
+      stats_->delta_seed_facts += added.NumFacts() + removed.NumFacts();
     }
 
     PreparedProgram::DeltaRun out;
@@ -218,9 +214,7 @@ class Executor {
 
       if (!recompute) {
         if (stats_) ++stats_->strata_delta_maintained;
-        for (RelId rel : stratum_added.Relations()) {
-          added.BulkAdd(rel, stratum_added.Tuples(rel));
-        }
+        added.UnionWith(std::move(stratum_added));
       } else {
         if (stats_) ++stats_->strata_recomputed;
         out.recomputed_strata.push_back(s);
@@ -262,96 +256,55 @@ class Executor {
 
   Status EvalStratum(const CompiledStratum& stratum) {
     if (!opts_.seminaive) return EvalStratumNaive(stratum);
-
-    // Round 0: all rules, full scans.
-    IndexedStore delta(u_, Instance{});
-    pending_.clear();
+    // Round 0: every rule over the full store.
     for (const RulePlan& plan : stratum.plans) {
-      SEQDL_RETURN_IF_ERROR(ApplyRule(plan, kNoDeltaStep, nullptr));
+      SEQDL_RETURN_IF_ERROR(ApplyRule(plan, nullptr));
     }
-    MergePending(&delta);
-
-    // Delta rounds: re-run each rule once per recursive scan occurrence,
-    // with that occurrence restricted to the previous round's delta. The
-    // round's delta is immutable while the round runs; ScanDelta probes
-    // it once it is large enough (see RunOptions::delta_index_threshold).
-    while (!delta.instance().Empty()) {
-      SEQDL_RETURN_IF_ERROR(BumpRound());
-      pending_.clear();
-      for (const RulePlan& plan : stratum.plans) {
-        for (size_t step_idx : plan.recursive_scan_steps) {
-          SEQDL_RETURN_IF_ERROR(ApplyRule(plan, step_idx, &delta));
-        }
-      }
-      IndexedStore new_delta(u_, Instance{});
-      MergePending(&new_delta);
-      delta = std::move(new_delta);
-    }
-    return Status::OK();
+    return CloseFixpoint(stratum);
   }
 
   // One maintenance pass for a stratum whose stored facts were adopted:
-  // each rule re-runs once per scan step over a changed relation, with
-  // that step restricted to the changed set (the appended EDB facts plus
-  // everything earlier strata added — the other steps see the full
-  // store, which already includes both the new segments and the adopted
-  // view). The standard recursive delta rounds then close the fixpoint
-  // over whatever the pass derived. Exactly the semi-naive argument:
-  // every new derivation must use at least one changed fact somewhere,
-  // and each such use is enumerated by the application restricting that
-  // occurrence.
+  // the restricted passes over the changed set (the appended EDB facts
+  // plus everything earlier strata added — the unrestricted steps see the
+  // full store, which already includes both the new segments and the
+  // adopted view), then the semi-naive rounds over whatever it derived.
   Status EvalStratumDelta(const CompiledStratum& stratum,
-                          const IndexedStore& changed) {
-    IndexedStore delta(u_, Instance{});
-    pending_.clear();
+                          const Instance& changed) {
     SEQDL_RETURN_IF_ERROR(BumpRound());
-    for (size_t r = 0; r < stratum.plans.size(); ++r) {
-      const RulePlan& plan = stratum.plans[r];
-      for (size_t i = 0; i < plan.steps.size(); ++i) {
-        const PlanStep& st = plan.steps[i];
-        if (st.kind != PlanStep::Kind::kScan) continue;
-        if (changed.Tuples(plan.rule->body[st.lit_idx].pred.rel).empty()) {
-          continue;
-        }
-        SEQDL_RETURN_IF_ERROR(
-            ApplyRestricted(stratum, r, st.lit_idx, i, &changed));
-      }
-    }
-    MergePending(&delta);
+    SEQDL_RETURN_IF_ERROR(ApplyRestricted(stratum, changed));
+    return CloseFixpoint(stratum);
+  }
 
-    while (!delta.instance().Empty()) {
+  // The semi-naive rounds: each merges what the previous one derived and
+  // runs the restricted passes over those new facts, until a round
+  // derives nothing.
+  Status CloseFixpoint(const CompiledStratum& stratum) {
+    for (Instance delta = MergePending(); !delta.Empty();
+         delta = MergePending()) {
       SEQDL_RETURN_IF_ERROR(BumpRound());
-      pending_.clear();
-      for (size_t r = 0; r < stratum.plans.size(); ++r) {
-        const RulePlan& plan = stratum.plans[r];
-        for (size_t step_idx : plan.recursive_scan_steps) {
-          SEQDL_RETURN_IF_ERROR(ApplyRestricted(
-              stratum, r, plan.steps[step_idx].lit_idx, step_idx, &delta));
-        }
-      }
-      IndexedStore new_delta(u_, Instance{});
-      MergePending(&new_delta);
-      delta = std::move(new_delta);
+      SEQDL_RETURN_IF_ERROR(ApplyRestricted(stratum, delta));
     }
     return Status::OK();
   }
 
-  // Applies rule `r` with the scan of body literal `lit_idx` restricted
-  // to `*delta`, through the delta-first plan variant when the compiler
-  // built one (so the restricted scan is the outermost loop and the
-  // application costs O(|delta|) probes, not an outer full scan).
-  // `fallback_step` is the restricted literal's step in the base plan,
-  // used when no variant exists.
-  Status ApplyRestricted(const CompiledStratum& stratum, size_t r,
-                         size_t lit_idx, size_t fallback_step,
-                         const IndexedStore* delta) {
-    if (r < stratum.delta_plans.size()) {
-      auto it = stratum.delta_plans[r].find(lit_idx);
-      if (it != stratum.delta_plans[r].end()) {
-        return ApplyRule(it->second, 0, delta);
+  // The one restricted pass, shared by cold rounds, maintenance and DRed
+  // deletion: each rule runs once per positive body literal whose
+  // relation has facts in `delta`, through its delta-first variant for
+  // that literal, whose step 0 enumerates those facts while every later
+  // step sees the full store. Exactly the semi-naive argument: every
+  // derivation that uses a fact of `delta` is enumerated by the pass
+  // restricting the literal that matched it. The restricted scan being
+  // the outermost loop, a pass costs O(|delta|) probes, not an outer full
+  // scan, and the delta is only ever enumerated, never probed.
+  Status ApplyRestricted(const CompiledStratum& stratum,
+                         const Instance& delta) {
+    for (const std::map<size_t, RulePlan>& variants : stratum.delta_plans) {
+      for (const auto& [lit_idx, plan] : variants) {
+        if (delta.Tuples(plan.rule->body[lit_idx].pred.rel).empty()) continue;
+        SEQDL_RETURN_IF_ERROR(ApplyRule(plan, &delta));
       }
     }
-    return ApplyRule(stratum.plans[r], fallback_step, delta);
+    return Status::OK();
   }
 
   // Head relations that can reach themselves through positive body
@@ -409,28 +362,18 @@ class Executor {
     // as *ghosts* at non-restricted scan positions, so a derivation
     // joining several dead facts is still found from each one's
     // restricted pass (SkipCount then attributes it to exactly one).
-    IndexedStore dminus(u_, *removed);
+    Instance dminus = *removed;
     Instance deleted;  // this stratum's deletions
     const std::set<RelId> cyclic = CyclicHeads(stratum, heads);
     ghosts_removed_ = removed;
     ghosts_deleted_ = &deleted;
     Status st = Status::OK();
-    while (st.ok() && !dminus.instance().Empty()) {
+    while (st.ok() && !dminus.Empty()) {
       st = BumpRound();
       if (!st.ok()) break;
       dec_round_.clear();
       decrement_mode_ = true;
-      for (size_t r = 0; r < stratum.plans.size() && st.ok(); ++r) {
-        const RulePlan& plan = stratum.plans[r];
-        for (size_t i = 0; i < plan.steps.size() && st.ok(); ++i) {
-          const PlanStep& step = plan.steps[i];
-          if (step.kind != PlanStep::Kind::kScan) continue;
-          if (dminus.Tuples(plan.rule->body[step.lit_idx].pred.rel).empty()) {
-            continue;
-          }
-          st = ApplyRestricted(stratum, r, step.lit_idx, i, &dminus);
-        }
-      }
+      st = ApplyRestricted(stratum, dminus);
       decrement_mode_ = false;
       if (!st.ok()) break;
 
@@ -443,7 +386,7 @@ class Executor {
       // relation in `cyclic`: both fall back to classic over-deleting
       // DRed, because a cyclic stored count can be propped up entirely
       // by firings that die with the tuple itself.
-      IndexedStore next_dminus(u_, Instance{});
+      Instance next_dminus;
       for (const auto& [rel, tuples] : dec_round_) {
         for (const auto& [t, n] : tuples) {
           uint32_t& cum = (*decrements)[rel][t];
@@ -537,7 +480,7 @@ class Executor {
       status_ = Status::OK();
       Valuation v;
       MatchArgs(u_, plan.rule->head.args, t, v, [&](Valuation& v2) {
-        return ExecuteStep(plan, 0, v2, kNoDeltaStep, nullptr);
+        return ExecuteStep(plan, 0, v2);
       });
       check_mode_ = false;
       SEQDL_RETURN_IF_ERROR(status_);
@@ -549,11 +492,10 @@ class Executor {
   Status EvalStratumNaive(const CompiledStratum& stratum) {
     while (true) {
       SEQDL_RETURN_IF_ERROR(BumpRound());
-      pending_.clear();
       for (const RulePlan& plan : stratum.plans) {
-        SEQDL_RETURN_IF_ERROR(ApplyRule(plan, kNoDeltaStep, nullptr));
+        SEQDL_RETURN_IF_ERROR(ApplyRule(plan, nullptr));
       }
-      if (MergePending(nullptr) == 0) return Status::OK();
+      if (MergePending().Empty()) return Status::OK();
     }
   }
 
@@ -579,29 +521,23 @@ class Executor {
     return Status::OK();
   }
 
-  // Runs one rule; derived facts go to pending_. If `delta_step` is not
-  // kNoDeltaStep, that scan step enumerates `*delta` instead of the store
-  // (probing it when it is large enough, see ScanDelta).
-  Status ApplyRule(const RulePlan& plan, size_t delta_step,
-                   const IndexedStore* delta) {
+  // Runs one rule; derived facts go to pending_. With a `delta`, `plan`
+  // is a delta-first variant and its step 0 enumerates `*delta` instead
+  // of the store (ApplyRestricted).
+  Status ApplyRule(const RulePlan& plan, const Instance* delta) {
     Valuation v;
     status_ = Status::OK();
+    delta_ = delta;
     // Once-per-firing attribution (SkipCount) needs the tuple each body
     // literal matched; track them whenever a restricted pass is counting
     // — support increments under semi-naive, or deletion decrements.
-    bool counting = delta != nullptr && delta_step != kNoDeltaStep &&
-                    (decrement_mode_ ||
-                     (opts_.support != nullptr && opts_.seminaive));
-    if (counting) {
-      track_matched_ = true;
-      count_delta_ = delta;
-      count_delta_lit_ = plan.steps[delta_step].lit_idx;
-      matched_.assign(plan.rule->body.size(), std::nullopt);
-    }
-    ExecuteStep(plan, 0, v, delta_step, delta);
+    track_matched_ = delta != nullptr &&
+                     (decrement_mode_ ||
+                      (opts_.support != nullptr && opts_.seminaive));
+    if (track_matched_) matched_.assign(plan.rule->body.size(), std::nullopt);
+    ExecuteStep(plan, 0, v);
     track_matched_ = false;
-    count_delta_ = nullptr;
-    count_delta_lit_ = kNoDeltaStep;
+    delta_ = nullptr;
     return status_;
   }
 
@@ -616,17 +552,16 @@ class Executor {
   // the firing was already decremented when that fact died (its other
   // atoms were all store-visible or ghosts then too).
   bool SkipCount(const RulePlan& plan) {
-    if (count_delta_ == nullptr) return false;
+    if (!track_matched_) return false;
+    const size_t restricted = plan.steps[0].lit_idx;
     const std::vector<Literal>& body = plan.rule->body;
     for (size_t j = 0; j < body.size() && j < matched_.size(); ++j) {
-      if (j == count_delta_lit_) continue;
+      if (j == restricted) continue;
       const Literal& l = body[j];
       if (!l.is_predicate() || l.negated) continue;
       const std::optional<TupleRef>& m = matched_[j];
       if (!m) continue;
-      if (j < count_delta_lit_ && count_delta_->Contains(l.pred.rel, *m)) {
-        return true;
-      }
+      if (j < restricted && delta_->Contains(l.pred.rel, *m)) return true;
       if (decrement_mode_ && IsOldGhost(l.pred.rel, *m)) return true;
     }
     return false;
@@ -635,23 +570,20 @@ class Executor {
   // A fact that died in an earlier deletion round: a ghost that is not
   // part of the current round's deletion set.
   bool IsOldGhost(RelId rel, TupleRef t) const {
-    if (count_delta_ != nullptr && count_delta_->Contains(rel, t)) {
-      return false;
-    }
+    if (delta_ != nullptr && delta_->Contains(rel, t)) return false;
     return (ghosts_removed_ != nullptr && ghosts_removed_->Contains(rel, t)) ||
            (ghosts_deleted_ != nullptr && ghosts_deleted_->Contains(rel, t));
   }
 
   // Returns false to abort enumeration (on error).
-  bool ExecuteStep(const RulePlan& plan, size_t step_idx, Valuation& v,
-                   size_t delta_step, const IndexedStore* delta) {
+  bool ExecuteStep(const RulePlan& plan, size_t step_idx, Valuation& v) {
     if (!status_.ok()) return false;
     if (step_idx == plan.steps.size()) return DeriveHead(plan, v);
 
     const PlanStep& step = plan.steps[step_idx];
     const Literal& lit = plan.rule->body[step.lit_idx];
     auto next = [&](Valuation& v2) {
-      return ExecuteStep(plan, step_idx + 1, v2, delta_step, delta);
+      return ExecuteStep(plan, step_idx + 1, v2);
     };
     // Enumerate one store tuple, recording it when the canonical-count
     // machinery needs to know which tuple each literal matched.
@@ -659,18 +591,18 @@ class Executor {
       if (track_matched_) matched_[step.lit_idx] = t;
       return MatchArgs(u_, lit.pred.args, t, v, next);
     };
-    auto match_all = [&](const Bucket& bucket) {
-      for (TupleRef t : bucket) {
+    auto match_all = [&](const auto& tuples) {
+      for (TupleRef t : tuples) {
         if (!match_one(t)) return false;
       }
       return true;
     };
-    // Enumerate a fact segment's probe bucket, skipping tuples a newer
-    // tombstone segment shadows (the common stack has no tombstones, so
-    // the fast path is the plain bucket walk).
-    auto match_layer = [&](const SegmentLayer& layer, const Bucket& bucket) {
-      if (layer.shadows.empty()) return match_all(bucket);
-      for (TupleRef t : bucket) {
+    // Enumerate a fact segment's relation or probe bucket, skipping tuples
+    // a newer tombstone segment shadows (the common stack has no
+    // tombstones, so the fast path is the plain walk).
+    auto match_layer = [&](const SegmentLayer& layer, const auto& tuples) {
+      if (layer.shadows.empty()) return match_all(tuples);
+      for (TupleRef t : tuples) {
         if (layer.Shadowed(lit.pred.rel, t)) continue;
         if (!match_one(t)) return false;
       }
@@ -679,8 +611,11 @@ class Executor {
 
     switch (step.kind) {
       case PlanStep::Kind::kScan: {
-        if (step_idx == delta_step) {
-          return ScanDelta(step, lit, v, *delta, match_all, match_one);
+        if (step_idx == 0 && delta_ != nullptr) {
+          // A restricted pass's outermost scan: nothing is bound yet, so
+          // the delta is enumerated; MatchArgs filters each fact.
+          if (stats_) ++stats_->delta_scans;
+          return match_all(delta_->Tuples(lit.pred.rel));
         }
         bool ok = [&] {
           StepKey key;
@@ -718,17 +653,11 @@ class Executor {
           }
           if (stats_) ++stats_->full_scans;
           for (const SegmentLayer& layer : store_.layers()) {
-            for (TupleRef t : layer.store->Tuples(lit.pred.rel)) {
-              if (!layer.shadows.empty() && layer.Shadowed(lit.pred.rel, t)) {
-                continue;
-              }
-              if (!match_one(t)) return false;
+            if (!match_layer(layer, layer.store->Tuples(lit.pred.rel))) {
+              return false;
             }
           }
-          for (TupleRef t : store_.overlay().Tuples(lit.pred.rel)) {
-            if (!match_one(t)) return false;
-          }
-          return true;
+          return match_all(store_.overlay().Tuples(lit.pred.rel));
         }();
         if (!ok) return false;
         // Deletion passes additionally enumerate the dead facts
@@ -784,9 +713,7 @@ class Executor {
     return true;
   }
 
-  // The evaluated index key of a scan step under the current valuation —
-  // the single probe-selection logic shared by the store path
-  // (ExecuteStep) and the delta path (ScanDelta).
+  // The evaluated index key of a scan step under the current valuation.
   struct StepKey {
     IndexFamily family = IndexFamily::kNone;
     uint32_t col = 0;
@@ -834,33 +761,6 @@ class Executor {
       // A path with this end value files under its bits() (FamilyKey).
       *key = {step.family, step.key_arg, end.bits()};
       return true;
-    }
-    return true;
-  }
-
-  // A scan step restricted to the current round's delta. Small deltas are
-  // scanned linearly; once a delta holds RunOptions::delta_index_threshold
-  // tuples, keyed steps probe it instead (same key logic as the main
-  // store, via EvalStepKey).
-  template <typename MatchAll, typename MatchOne>
-  bool ScanDelta(const PlanStep& step, const Literal& lit, Valuation& v,
-                 const IndexedStore& delta, MatchAll&& match_all,
-                 MatchOne&& match_one) {
-    if (stats_) ++stats_->delta_scans;
-    const TupleSet& tuples = delta.Tuples(lit.pred.rel);
-    if (tuples.empty()) return true;
-    if (opts_.use_index) {
-      StepKey key;
-      if (!EvalStepKey(step, lit, v, &key)) return false;
-      if (key.family != IndexFamily::kNone &&
-          tuples.size() >= opts_.delta_index_threshold) {
-        if (stats_) ++stats_->delta_index_probes;
-        return match_all(
-            delta.Probe(lit.pred.rel, key.col, key.family, key.key));
-      }
-    }
-    for (TupleRef t : tuples) {
-      if (!match_one(t)) return false;
     }
     return true;
   }
@@ -939,7 +839,7 @@ class Executor {
       ++(*opts_.support)[rel][t];
     }
     if (store_.Contains(rel, t)) return true;
-    if (pending_[rel].Insert(t).second) {
+    if (pending_.Add(rel, t)) {
       ++derived_;
       if (stats_) {
         ++stats_->derived_facts;
@@ -956,21 +856,18 @@ class Executor {
     return true;
   }
 
-  // Moves pending facts into the store; facts that were genuinely new
-  // are also added to `*fresh` (when non-null). Returns their number.
-  size_t MergePending(IndexedStore* fresh) {
-    size_t merged = 0;
-    for (auto& [rel, tuples] : pending_) {
-      for (TupleRef t : tuples) {
-        if (store_.Add(rel, t)) {
-          ++merged;
-          if (fresh != nullptr) fresh->Add(rel, t);
-          if (stratum_added_ != nullptr) stratum_added_->Add(rel, t);
-        }
+  // Moves the round's pending facts into the store and returns them, the
+  // next round's delta. Every pending fact is new: DeriveHead queues only
+  // facts the store lacks, and the store does not change during a round.
+  Instance MergePending() {
+    Instance fresh = std::exchange(pending_, Instance());
+    for (RelId rel : fresh.Relations()) {
+      for (TupleRef t : fresh.Tuples(rel)) {
+        store_.Add(rel, t);
+        if (stratum_added_ != nullptr) stratum_added_->Add(rel, t);
       }
     }
-    pending_.clear();
-    return merged;
+    return fresh;
   }
 
   Universe& u_;
@@ -981,7 +878,8 @@ class Executor {
   /// When non-null (RunDelta), MergePending also records every accepted
   /// fact here — the per-stratum additions the maintenance cascade diffs.
   Instance* stratum_added_ = nullptr;
-  std::map<RelId, TupleSet> pending_;
+  /// The facts the current round derived, merged at its end.
+  Instance pending_;
   Status status_;
   size_t rounds_ = 0;
   size_t derived_ = 0;
@@ -1000,11 +898,11 @@ class Executor {
   const Instance* ghosts_removed_ = nullptr;
   const Instance* ghosts_deleted_ = nullptr;
 
+  /// The running restricted pass's delta (ApplyRule); null otherwise.
+  const Instance* delta_ = nullptr;
+
   // --- Canonical firing attribution (see SkipCount) ---
   bool track_matched_ = false;
-  /// The restricted pass's delta and restricted body literal index.
-  const IndexedStore* count_delta_ = nullptr;
-  size_t count_delta_lit_ = kNoDeltaStep;
   /// Per body literal: the store tuple the literal currently matches.
   std::vector<std::optional<TupleRef>> matched_;
 };
@@ -1034,8 +932,8 @@ Result<PreparedProgram> Engine::Compile(Universe& u, Program p,
         }
       }
       compiled.plans.push_back(std::move(plan));
-      // Delta-first variants for incremental maintenance: one plan per
-      // positive literal with that scan forced outermost, so a delta
+      // Delta-first variants, which every restricted pass runs: one plan
+      // per positive literal with that scan forced outermost, so a delta
       // restricted to it never hides behind a full outer scan.
       std::map<size_t, RulePlan> variants;
       for (size_t i = 0; i < r.body.size(); ++i) {

@@ -19,14 +19,15 @@
 // RunOptions can stop a run early with kCancelled.
 //
 // Execution runs on a layered store (index.h): a stack of immutable,
-// possibly shared segments of input facts underneath, a private IDB
-// overlay on top, and each semi-naive round's delta beside them, all of
-// them IndexedStores. Run(input) wraps the input in a throwaway
-// one-segment stack per call; the Database/Session API (database.h)
-// shares one indexed stack across any number of concurrent runs. These
-// are the two ways to run a program: Run on an instance, Session::Run on
-// a database snapshot. To keep one relation of the answer, Project it
-// ("out->Project({rel})").
+// possibly shared segments of input facts underneath and a private IDB
+// overlay on top, both IndexedStores. Each semi-naive round's delta is a
+// plain Instance: every round runs delta-first plan variants, whose
+// outermost scan enumerates the delta, so nothing ever probes it.
+// Run(input) wraps the input in a throwaway one-segment stack per call;
+// the Database/Session API (database.h) shares one indexed stack across
+// any number of concurrent runs. These are the two ways to run a
+// program: Run on an instance, Session::Run on a database snapshot. To
+// keep one relation of the answer, Project it ("out->Project({rel})").
 #ifndef SEQDL_ENGINE_ENGINE_H_
 #define SEQDL_ENGINE_ENGINE_H_
 
@@ -37,6 +38,7 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/base/status.h"
@@ -108,10 +110,6 @@ struct RunOptions {
   /// Probe per-(relation, column) hash indexes for scans whose key
   /// position is ground; false = always full scans (ablation).
   bool use_index = true;
-  /// Semi-naive delta sets with at least this many tuples are indexed on
-  /// first keyed probe instead of scanned linearly (see
-  /// EvalStats::delta_index_probes). 0 = always index; SIZE_MAX = never.
-  size_t delta_index_threshold = 32;
   /// Cancellation/budget callback, polled at every fixpoint round and
   /// periodically between rule firings. Return true to cancel the run;
   /// Run then fails with kCancelled. Leave empty for no callback.
@@ -133,6 +131,18 @@ struct RunOptions {
   /// the upkeep.
   SupportCounts* support = nullptr;
 };
+
+/// Adds `cancel` to `opts->cancel`: the run then stops when either
+/// callback asks it to. An empty `cancel` leaves `opts` unchanged.
+inline void AddCancel(RunOptions* opts, std::function<bool()> cancel) {
+  if (!cancel) return;
+  if (opts->cancel) {
+    cancel = [first = std::move(opts->cancel), second = std::move(cancel)] {
+      return first() || second();
+    };
+  }
+  opts->cancel = std::move(cancel);
+}
 
 /// Per-stratum execution counters.
 struct StratumStats {
@@ -158,12 +168,10 @@ struct EvalStats {
   /// Scans that fell back to a full relation scan (no ground key position,
   /// an empty ground prefix/suffix, or use_index = false).
   size_t full_scans = 0;
-  /// Scans over per-round delta sets (semi-naive iteration).
+  /// Restricted passes' scans of a delta set (the round's new facts, a
+  /// maintenance pass's changed facts or a deletion round's dead ones),
+  /// one per pass.
   size_t delta_scans = 0;
-  /// Delta scans answered through a per-round delta index (the delta held
-  /// at least RunOptions::delta_index_threshold tuples and the step had a
-  /// ground key). Subset of delta_scans.
-  size_t delta_index_probes = 0;
   /// Net changed facts of the delta segments (additions plus retractions)
   /// that seeded a RunDelta's first delta pass (0 on full runs).
   size_t delta_seed_facts = 0;
@@ -294,10 +302,11 @@ class PreparedProgram {
     std::vector<RulePlan> plans;
     /// Delta-first variants, parallel to `plans`: per rule, one plan per
     /// positive body literal with that literal's scan scheduled as step 0
-    /// (PlannerOptions::first_lit), keyed by literal index. RunDelta's
-    /// maintenance passes execute the variant whose forced scan is the
-    /// changed one, so restricting it to the changed set makes the whole
-    /// rule application O(|changed|) probes instead of an outer full scan.
+    /// (PlannerOptions::first_lit), keyed by literal index. Every
+    /// restricted pass — a cold or maintenance semi-naive round, the
+    /// maintenance pass over the changed facts, a DRed deletion round —
+    /// runs the variant whose step 0 is the restricted literal, so the
+    /// application costs O(|delta|) probes instead of an outer full scan.
     std::vector<std::map<size_t, RulePlan>> delta_plans;
     /// Head-bound variants, parallel to `plans`: each rule planned as if
     /// its head variables were already bound (PlannerOptions::head_bound).

@@ -7,12 +7,13 @@
 // the relation; FamilyKey decides which bucket a stored tuple files under.
 //
 // One store type holds every set of facts the engine probes: the
-// database's published segments, a run's private overlay of derived
-// facts, and each semi-naive round's delta. An IndexedStore owns an
-// Instance and builds the (relation, column, family) index a probe asks
-// for on first use, exactly once, then keeps every built index current
-// through Add, BulkAdd and Remove. A published segment is never mutated,
-// so any number of threads may probe it; overlays and deltas belong to
+// database's published segments and a run's private overlay of derived
+// facts. (A semi-naive round's delta is a plain Instance: a restricted
+// pass only enumerates it, as its outermost scan.) An IndexedStore owns
+// an Instance and builds the (relation, column, family) index a probe
+// asks for on first use, exactly once, then keeps every built index
+// current through Add, BulkAdd and Remove. A published segment is never
+// mutated, so any number of threads may probe it; an overlay belongs to
 // one run.
 //
 // A database's EDB is a stack of Segment records (database.h): a store,

@@ -80,7 +80,9 @@ struct RulePlan {
   const Rule* rule = nullptr;
   std::vector<PlanStep> steps;
   /// Indices into `steps` of scans over same-stratum IDB relations,
-  /// filled in by the compiler (PlanRule leaves it empty).
+  /// filled in by the compiler (PlanRule leaves it empty): the literals
+  /// semi-naive rounds restrict to their deltas, through the rule's
+  /// delta-first variants. ExplainPlan tags them [delta].
   std::vector<size_t> recursive_scan_steps;
 };
 
@@ -94,10 +96,11 @@ struct PlannerOptions {
   /// bound variables). Only read during the PlanRule call.
   const StoreStats* stats = nullptr;
   /// When >= 0, the scan of this body literal is scheduled first (the
-  /// remaining scans are ordered as usual). Delta evaluation compiles one
-  /// such variant per positive literal: restricting a scan to a small
-  /// changed set only pays off when that scan is the outermost loop —
-  /// anywhere deeper, the steps before it still enumerate the full store.
+  /// remaining scans are ordered as usual). The compiler plans one such
+  /// variant per positive literal, and every semi-naive restriction runs
+  /// them: restricting a scan to a small changed set only pays off when
+  /// that scan is the outermost loop — anywhere deeper, the steps before
+  /// it still enumerate the full store.
   int first_lit = -1;
   /// Plan as if the head's variables were already bound when the body
   /// starts. Re-derivation checks (DRed) match a candidate tuple against

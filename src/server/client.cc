@@ -16,32 +16,6 @@ namespace seqdl {
 
 using protocol::MsgType;
 
-namespace {
-
-/// WriteFrame with deadline awareness: with an SO_SNDTIMEO armed, a
-/// stalled peer surfaces from send(2) as EAGAIN, which is a deadline —
-/// not a malformed-stream — failure.
-Status SendFrame(int fd, std::string_view frame, bool has_deadline) {
-  size_t off = 0;
-  while (off < frame.size()) {
-    ssize_t n = ::send(fd, frame.data() + off, frame.size() - off,
-                       MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (has_deadline && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        return Status::DeadlineExceeded(
-            "deadline exceeded sending a request frame");
-      }
-      return Status::InvalidArgument(std::string("send failed: ") +
-                                     std::strerror(errno));
-    }
-    off += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<Client> Client::Connect(const std::string& host, uint16_t port,
                                size_t max_frame_bytes) {
   ClientOptions options;
@@ -155,7 +129,7 @@ Result<protocol::Reply> Client::RoundTrip(const std::string& frame,
     reader_ = std::make_unique<protocol::FrameReader>(fd_, max_frame_bytes_);
   }
   const bool has_deadline = io_timeout_ms_ > 0;
-  SEQDL_RETURN_IF_ERROR(SendFrame(fd_, frame, has_deadline));
+  SEQDL_RETURN_IF_ERROR(protocol::WriteFrame(fd_, frame));
   bool timed_out = false;
   SEQDL_ASSIGN_OR_RETURN(std::string payload,
                          reader_->Next(has_deadline ? &timed_out : nullptr));

@@ -118,7 +118,6 @@ void PutEvalStats(std::string* out, const WireEvalStats& s) {
   PutU64(out, s.suffix_probes);
   PutU64(out, s.full_scans);
   PutU64(out, s.delta_scans);
-  PutU64(out, s.delta_index_probes);
   PutF64(out, s.compile_seconds);
   PutF64(out, s.run_seconds);
 }
@@ -132,7 +131,6 @@ Status ReadEvalStats(PayloadReader* r, WireEvalStats* s) {
   SEQDL_ASSIGN_OR_RETURN(s->suffix_probes, r->U64());
   SEQDL_ASSIGN_OR_RETURN(s->full_scans, r->U64());
   SEQDL_ASSIGN_OR_RETURN(s->delta_scans, r->U64());
-  SEQDL_ASSIGN_OR_RETURN(s->delta_index_probes, r->U64());
   SEQDL_ASSIGN_OR_RETURN(s->compile_seconds, r->F64());
   SEQDL_ASSIGN_OR_RETURN(s->run_seconds, r->F64());
   return Status::OK();
@@ -188,7 +186,6 @@ WireEvalStats ToWire(const EvalStats& s) {
   w.suffix_probes = s.suffix_probes;
   w.full_scans = s.full_scans;
   w.delta_scans = s.delta_scans;
-  w.delta_index_probes = s.delta_index_probes;
   w.compile_seconds = s.compile_seconds;
   w.run_seconds = s.run_seconds;
   return w;
@@ -515,6 +512,11 @@ Status WriteFrame(int fd, std::string_view frame) {
                        MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
+      // Only a socket with an SO_SNDTIMEO armed returns EAGAIN here: a
+      // stalled peer, which is a deadline failure, not a broken stream.
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        return Status::DeadlineExceeded("deadline exceeded sending a frame");
+      }
       return Status::InvalidArgument(std::string("send failed: ") +
                                      std::strerror(errno));
     }

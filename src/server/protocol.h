@@ -91,7 +91,7 @@ enum class MsgType : uint8_t {
 /// Version of the frame/message encoding described above. Bumped on any
 /// incompatible change; exchanged via kHello so mismatched peers fail
 /// with a structured error instead of misdecoding each other's frames.
-constexpr uint32_t kWireVersion = 1;
+constexpr uint32_t kWireVersion = 2;
 
 /// "compile" / "run" / ... for logs and errors.
 const char* MsgTypeToString(MsgType type);
@@ -166,7 +166,6 @@ struct WireEvalStats {
   uint64_t suffix_probes = 0;
   uint64_t full_scans = 0;
   uint64_t delta_scans = 0;
-  uint64_t delta_index_probes = 0;
   double compile_seconds = 0;
   double run_seconds = 0;
 };
@@ -327,7 +326,9 @@ Result<Reply> DecodeReply(std::string_view payload);
 
 /// Writes `frame` (already length-prefixed by an encoder) to `fd`,
 /// looping over short writes. Uses MSG_NOSIGNAL — a peer that vanished
-/// mid-write yields a Status, never SIGPIPE.
+/// mid-write yields a Status, never SIGPIPE. On a socket with an
+/// SO_SNDTIMEO armed, a peer that stops reading for that long yields
+/// kDeadlineExceeded.
 Status WriteFrame(int fd, std::string_view frame);
 
 /// Buffered frame reader over a connected socket: each recv pulls

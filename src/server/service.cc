@@ -118,14 +118,7 @@ Result<protocol::RunReply> DatabaseService::Run(
   RunOptions ropts = opts_.run_options;
   SEQDL_RETURN_IF_ERROR(ApplyAdmission(c.admission, &ropts));
   ropts.collect_derived_stats = req.collect_derived_stats;
-  if (cancel) {
-    if (ropts.cancel) {
-      std::function<bool()> base = ropts.cancel;
-      ropts.cancel = [base, cancel] { return base() || cancel(); };
-    } else {
-      ropts.cancel = cancel;
-    }
-  }
+  AddCancel(&ropts, cancel);
 
   protocol::RunReply reply;
   std::shared_ptr<const ViewSnapshot> view;

@@ -154,7 +154,7 @@ class CaseGenerator {
       std::vector<RelId> idb2;
       size_t num_idb2 = 1 + Pick(2);  // 1-2
       for (size_t i = 0; i < num_idb2; ++i) {
-        idb2.push_back(*u_.InternRel("J" + std::to_string(i),
+        idb2.push_back(*u_.InternRel(Numbered("J", i),
                                      static_cast<uint32_t>(1 + Pick(2))));
       }
       std::vector<RelId> positive = edb;

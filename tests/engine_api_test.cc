@@ -265,105 +265,51 @@ TEST(EngineTest, PrefixAndSuffixProbeKeysInternNoPaths) {
   }
 }
 
-TEST(EngineTest, DeltaIndexProbesFireAboveThreshold) {
-  Universe u;
-  Result<ParsedQuery> q = ParsePaperQuery(u, "reach_ab");
-  ASSERT_TRUE(q.ok());
-  GraphWorkload gw;
-  gw.nodes = 24;
-  gw.edges = 48;
-  gw.seed = 9;
-  Result<Instance> in = GraphToInstance(u, RandomGraph(gw), "R");
-  ASSERT_TRUE(in.ok());
-  Result<PreparedProgram> prog = Engine::Compile(u, q->program);
-  ASSERT_TRUE(prog.ok());
+TEST(EngineTest, RecursiveRoundsScanOnlyTheirDelta) {
+  // Chain closure over n0 -> n1 -> ... -> n<edges>, planned without
+  // statistics, so the recursive rule's cold plan scans E first. Every
+  // delta round restricts T through its delta-first variant instead:
+  // one scan of the round's new T facts, each keying a last-value probe
+  // into E, and no full scan of E. Only round 0 scans fully (once per
+  // rule); round k derives the paths of length k + 1, so the chain takes
+  // one delta round per edge, the last deriving nothing.
+  for (size_t edges : {size_t{8}, size_t{16}}) {
+    SCOPED_TRACE(edges);
+    Universe u;
+    Program p = MustParse(u,
+                          "T(@x ++ @y) <- E(@x ++ @y).\n"
+                          "T(@x ++ @z) <- E(@x ++ @y), T(@y ++ @z).\n");
+    std::string text;
+    for (size_t i = 0; i < edges; ++i) {
+      text += "E(";
+      text += Numbered("n", i);
+      text += " ++ ";
+      text += Numbered("n", i + 1);
+      text += ").\n";
+    }
+    Instance in = MustInstance(u, text);
+    Result<PreparedProgram> prog = Engine::Compile(u, std::move(p));
+    ASSERT_TRUE(prog.ok()) << prog.status().ToString();
 
-  RunOptions always;
-  always.delta_index_threshold = 0;  // index every delta
-  EvalStats always_stats;
-  Result<Instance> indexed = prog->Run(*in, always, &always_stats);
-  ASSERT_TRUE(indexed.ok());
-  EXPECT_GT(always_stats.delta_index_probes, 0u);
-  EXPECT_LE(always_stats.delta_index_probes, always_stats.delta_scans);
+    EvalStats stats;
+    Result<Instance> out = prog->Run(in, {}, &stats);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(stats.full_scans, 2u);
+    EXPECT_EQ(stats.rounds, edges);
+    EXPECT_EQ(stats.delta_scans, stats.rounds);
+    EXPECT_EQ(out->Tuples(*u.FindRel("T")).size(), edges * (edges + 1) / 2);
 
-  RunOptions never;
-  never.delta_index_threshold = static_cast<size_t>(-1);
-  EvalStats never_stats;
-  Result<Instance> linear = prog->Run(*in, never, &never_stats);
-  ASSERT_TRUE(linear.ok());
-  EXPECT_EQ(never_stats.delta_index_probes, 0u);
-
-  // Indexed and linear delta scans derive the same facts, and the default
-  // threshold agrees too.
-  EXPECT_EQ(*indexed, *linear);
-  Result<Instance> default_run = prog->Run(*in);
-  ASSERT_TRUE(default_run.ok());
-  EXPECT_EQ(*indexed, *default_run);
-}
-
-TEST(EngineTest, DeltaIndexThresholdBoundaries) {
-  // A chain a0 -> a1 -> ... -> a8 and backward transitive closure: the
-  // recursive T scan runs keyed (first-value on the bound middle node),
-  // and the first delta round holds exactly `edges` tuples — so the
-  // indexed-or-linear decision at RunOptions::delta_index_threshold is
-  // observable precisely at the boundary.
-  constexpr size_t kEdges = 8;
-  Universe u;
-  Program p = MustParse(u,
-                        "T(@x ++ @y) <- E(@x ++ @y).\n"
-                        "T(@x ++ @z) <- E(@x ++ @y), T(@y ++ @z).\n");
-  std::string text;
-  for (size_t i = 0; i < kEdges; ++i) {
-    text += "E(n" + std::to_string(i) + " ++ n" + std::to_string(i + 1) +
-            ").\n";
+    RunOptions naive;
+    naive.seminaive = false;
+    Result<Instance> naive_out = prog->Run(in, naive);
+    ASSERT_TRUE(naive_out.ok()) << naive_out.status().ToString();
+    EXPECT_EQ(*out, *naive_out);
+    RunOptions no_index;
+    no_index.use_index = false;
+    Result<Instance> scanned = prog->Run(in, no_index);
+    ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+    EXPECT_EQ(*out, *scanned);
   }
-  Instance in = MustInstance(u, text);
-  Result<PreparedProgram> prog = Engine::Compile(u, std::move(p));
-  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
-
-  auto run_with_threshold = [&](size_t threshold, EvalStats* stats) {
-    RunOptions opts;
-    opts.delta_index_threshold = threshold;
-    Result<Instance> out = prog->Run(in, opts, stats);
-    EXPECT_TRUE(out.ok()) << out.status().ToString();
-    return std::move(out).value();
-  };
-
-  // 0 = every non-empty delta is indexed; every keyed delta scan probes.
-  EvalStats zero;
-  Instance out_zero = run_with_threshold(0, &zero);
-  EXPECT_GT(zero.delta_index_probes, 0u);
-  EXPECT_EQ(zero.delta_index_probes, zero.delta_scans);
-
-  // Exactly at the threshold: the first delta round holds kEdges tuples,
-  // and a delta of exactly threshold size is indexed (size < threshold is
-  // the linear-scan condition). Later rounds shrink below and scan
-  // linearly, so exactly that one round probes — once per E tuple.
-  EvalStats at;
-  Instance out_at = run_with_threshold(kEdges, &at);
-  EXPECT_EQ(at.delta_index_probes, kEdges);
-
-  // One above: no delta ever reaches the threshold; all scans linear.
-  EvalStats above;
-  Instance out_above = run_with_threshold(kEdges + 1, &above);
-  EXPECT_EQ(above.delta_index_probes, 0u);
-  EXPECT_GT(above.delta_scans, 0u);
-
-  // Huge: never index (the documented SIZE_MAX escape hatch).
-  EvalStats huge;
-  Instance out_huge = run_with_threshold(static_cast<size_t>(-1), &huge);
-  EXPECT_EQ(huge.delta_index_probes, 0u);
-
-  // Results are byte-identical at every boundary, and match the
-  // no-index-at-all ablation.
-  EXPECT_EQ(out_zero, out_at);
-  EXPECT_EQ(out_zero, out_above);
-  EXPECT_EQ(out_zero, out_huge);
-  RunOptions no_index;
-  no_index.use_index = false;
-  Result<Instance> scanned = prog->Run(in, no_index);
-  ASSERT_TRUE(scanned.ok());
-  EXPECT_EQ(out_zero, *scanned);
 }
 
 TEST(EngineTest, IndexProbesFireOnJoinWorkload) {
@@ -822,10 +768,18 @@ TEST(EpochTest, CommitOnClosedDatabaseFails) {
   db->Close();
   EXPECT_TRUE(db->closed());
 
-  // Appends fail fast; their facts never publish.
+  // Appends and retractions fail fast, naming the verb that failed; their
+  // facts never publish.
   Result<uint64_t> append = db->Append(MustInstance(u, "R(b). R(c)."));
   ASSERT_FALSE(append.ok());
   EXPECT_EQ(append.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(append.status().message(),
+            "database is closed: no further appends");
+  Result<uint64_t> retract = db->Retract(MustInstance(u, "R(a)."));
+  ASSERT_FALSE(retract.ok());
+  EXPECT_EQ(retract.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(retract.status().message(),
+            "database is closed: no further retractions");
   EXPECT_EQ(db->epoch(), 0u);
   EXPECT_EQ(db->NumFacts(), 1u);
 

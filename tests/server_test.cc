@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -322,6 +323,23 @@ TEST(ProtocolTest, UnknownRequestTypeIsRejected) {
   Result<protocol::Request> decoded = protocol::DecodeRequest(payload);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ProtocolTest, WriteToStalledPeerExceedsSendDeadline) {
+  // A peer that stops reading fills the socket buffers. With an
+  // SO_SNDTIMEO armed (a client with io_timeout_ms arms one), the write
+  // gives up as a deadline, not as a broken stream.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  struct timeval timeout = {0, 100 * 1000};
+  ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  std::string frame(size_t{8} << 20, 'x');
+  Status wrote = protocol::WriteFrame(fds[0], frame);
+  EXPECT_EQ(wrote.code(), StatusCode::kDeadlineExceeded) << wrote.ToString();
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 TEST(ProtocolTest, AnnotateParseErrorFormatsFileLineColumn) {

@@ -454,7 +454,6 @@ void PrintScanTable(const seqdl::EvalStats& stats) {
       {"last-value probes", stats.suffix_probes},
       {"full scans", stats.full_scans},
       {"delta scans", stats.delta_scans},
-      {"delta-indexed", stats.delta_index_probes},
   };
   std::fprintf(stderr, "-- %-20s %12s\n", "scan family", "count");
   for (const Row& row : rows) {
@@ -686,10 +685,9 @@ void PrintReply(const std::vector<std::string>& words,
       if (stats) {
         std::fprintf(stderr,
                      "-- scans: %llu index, %llu prefix, %llu suffix, "
-                     "%llu full, %llu delta (%llu delta-indexed)\n",
+                     "%llu full, %llu delta\n",
                      U(s.index_probes), U(s.prefix_probes),
-                     U(s.suffix_probes), U(s.full_scans), U(s.delta_scans),
-                     U(s.delta_index_probes));
+                     U(s.suffix_probes), U(s.full_scans), U(s.delta_scans));
       }
       break;
     }
