@@ -1,7 +1,10 @@
 // Durability costs, measured: WAL commit throughput under each fsync
-// policy, cold recovery (`Database::Open(dir)`) versus parsing and
-// re-ingesting the same facts, and query latency on a recovered
-// database versus a never-persisted one. Prints comparison tables and
+// policy, the same with automatic folds over a large base (the trade of
+// folding in memory: cheap commits, a WAL that grows until its
+// threshold), the time Open(dir) takes to replay that WAL, cold
+// recovery (`Database::Open(dir)`) versus parsing and re-ingesting the
+// same facts, and query latency on a recovered database versus a
+// never-persisted one. Prints comparison tables and
 // then runs the google-benchmark timers; `--json` instead emits one
 // machine-readable document (for the nightly difftest workflow's
 // regression record) and skips the benchmark harness.
@@ -9,11 +12,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/engine/database.h"
@@ -132,6 +138,114 @@ WalPolicyResult MeasureWalPolicy(storage::SyncMode mode, const char* name,
   return {name, commits, ms, commits / (ms / 1000.0)};
 }
 
+/// The churn of a serving workload: the live facts are a window of
+/// kChurnLive batches of 5 (MakeBatch rounds). Commit i appends the
+/// batch after the window (even i) or retracts its oldest batch (odd i),
+/// so every commit is effective and the live fact count stays at
+/// kChurnBase, while the net change above the base grows until the fold
+/// merges a new base, as in perfbench's durable_ingest.
+constexpr size_t kChurnBatch = 5;
+constexpr size_t kChurnLive = 2'400;
+constexpr size_t kChurnBase = kChurnLive * kChurnBatch;
+
+Instance ChurnBase(Universe& u) {
+  Instance out;
+  for (size_t r = 0; r < kChurnLive; ++r) {
+    out.UnionWith(MakeBatch(u, r, kChurnBatch));
+  }
+  return out;
+}
+
+Result<uint64_t> ChurnCommit(Universe& u, Database& db, size_t i) {
+  if (i % 2 == 0) {
+    return db.Append(MakeBatch(u, kChurnLive + i / 2, kChurnBatch));
+  }
+  return db.Retract(MakeBatch(u, i / 2, kChurnBatch));
+}
+
+/// `seqdl serve --data-dir`'s default fold limit.
+constexpr size_t kServeAutoCompact = 8;
+
+Database::OpenOptions ChurnOptions(const std::string& dir,
+                                   storage::SyncMode mode) {
+  Database::OpenOptions opts;
+  opts.data_dir = dir;
+  opts.sync_mode = mode;
+  opts.auto_compact_segments = kServeAutoCompact;
+  return opts;
+}
+
+struct FoldingResult {
+  const char* policy;
+  size_t commits;
+  double ms;
+  double commits_per_sec;
+  uint64_t checkpoints;  ///< manifest generations the commits published
+};
+
+/// Commit throughput with automatic folds: the churn above under
+/// auto_compact_segments = kServeAutoCompact.
+FoldingResult MeasureFoldingCommits(storage::SyncMode mode, const char* name,
+                                    size_t commits) {
+  std::string dir = MakeTempDir("fold");
+  Universe u;
+  Result<Database> db =
+      Database::Open(u, ChurnBase(u), ChurnOptions(dir, mode));
+  if (!db.ok()) std::abort();
+  const uint64_t gen0 = db->storage_info().manifest_generation;
+  auto start = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < commits; ++i) {
+    if (!ChurnCommit(u, *db, i).ok()) std::abort();
+  }
+  double ms = MsSince(start);
+  uint64_t checkpoints = db->storage_info().manifest_generation - gen0;
+  db->Close();
+  RemoveTree(dir);
+  return {name, commits, ms, commits / (ms / 1000.0), checkpoints};
+}
+
+struct ReplayResult {
+  size_t records;
+  uint64_t wal_bytes;
+  double open_ms;
+  double us_per_record;  ///< open time above the no-record open
+  double mb_per_sec;     ///< WAL bytes replayed per second, likewise
+};
+
+/// Open(dir) over a data directory whose WAL holds `records` churn
+/// commits past its seeding checkpoint (written under kNever with the
+/// fold limit on and no WAL threshold, and never closed, so nothing
+/// seals them). `base_ms` is the open time with no record, subtracted
+/// before the per-record rates.
+ReplayResult MeasureReplay(size_t records, double base_ms) {
+  std::string dir = MakeTempDir("replay");
+  Database::OpenOptions opts = ChurnOptions(dir, storage::SyncMode::kNever);
+  opts.checkpoint_wal_bytes = UINT64_MAX;
+  ReplayResult r{};
+  r.records = records;
+  {
+    Universe u;
+    Result<Database> db = Database::Open(u, ChurnBase(u), opts);
+    if (!db.ok()) std::abort();
+    for (size_t i = 0; i < records; ++i) {
+      if (!ChurnCommit(u, *db, i).ok()) std::abort();
+    }
+    r.wal_bytes = db->storage_info().wal_bytes;
+  }
+  Universe u;
+  auto start = std::chrono::steady_clock::now();
+  Result<Database> db = Database::Open(u, opts);
+  if (!db.ok() || db->epoch() != records) std::abort();
+  r.open_ms = MsSince(start);
+  double replay_s = std::max(r.open_ms - base_ms, 1e-6) / 1000.0;
+  if (records > 0) {
+    r.us_per_record = replay_s * 1e6 / static_cast<double>(records);
+    r.mb_per_sec = static_cast<double>(r.wal_bytes) / 1e6 / replay_s;
+  }
+  RemoveTree(dir);
+  return r;
+}
+
 struct RecoveryResult {
   size_t facts;
   double cold_open_ms;
@@ -199,6 +313,7 @@ RecoveryResult MeasureRecovery(size_t facts) {
 
 constexpr size_t kWalCommits = 200;
 constexpr size_t kWalBatch = 8;
+constexpr size_t kFoldingCommits = 400;
 
 void PrintTables(bool json) {
   std::vector<WalPolicyResult> wal;
@@ -208,6 +323,16 @@ void PrintTables(bool json) {
                                  kWalCommits, kWalBatch));
   wal.push_back(MeasureWalPolicy(storage::SyncMode::kNever, "never",
                                  kWalCommits, kWalBatch));
+  std::vector<FoldingResult> folding;
+  folding.push_back(MeasureFoldingCommits(storage::SyncMode::kAlways,
+                                          "always", kFoldingCommits));
+  folding.push_back(MeasureFoldingCommits(storage::SyncMode::kNever, "never",
+                                          kFoldingCommits));
+  std::vector<ReplayResult> replay;
+  replay.push_back(MeasureReplay(0, 0.0));
+  for (size_t records : {1'000, 10'000, 100'000}) {
+    replay.push_back(MeasureReplay(records, replay[0].open_ms));
+  }
   std::vector<RecoveryResult> rec;
   rec.push_back(MeasureRecovery(10'000));
   rec.push_back(MeasureRecovery(50'000));
@@ -220,6 +345,27 @@ void PrintTables(bool json) {
           "\"commits_per_sec\": %.1f}%s\n",
           wal[i].policy, wal[i].commits, wal[i].ms, wal[i].commits_per_sec,
           i + 1 < wal.size() ? "," : "");
+    }
+    std::printf("  ],\n  \"folding_commits\": [\n");
+    for (size_t i = 0; i < folding.size(); ++i) {
+      std::printf(
+          "    {\"policy\": \"%s\", \"auto_compact\": %zu, "
+          "\"commits\": %zu, \"ms\": %.3f, \"commits_per_sec\": %.1f, "
+          "\"checkpoints\": %llu}%s\n",
+          folding[i].policy, kServeAutoCompact, folding[i].commits,
+          folding[i].ms, folding[i].commits_per_sec,
+          static_cast<unsigned long long>(folding[i].checkpoints),
+          i + 1 < folding.size() ? "," : "");
+    }
+    std::printf("  ],\n  \"replay\": [\n");
+    for (size_t i = 0; i < replay.size(); ++i) {
+      std::printf(
+          "    {\"records\": %zu, \"wal_bytes\": %llu, \"open_ms\": %.3f, "
+          "\"us_per_record\": %.2f, \"mb_per_sec\": %.2f}%s\n",
+          replay[i].records,
+          static_cast<unsigned long long>(replay[i].wal_bytes),
+          replay[i].open_ms, replay[i].us_per_record, replay[i].mb_per_sec,
+          i + 1 < replay.size() ? "," : "");
     }
     std::printf("  ],\n  \"recovery\": [\n");
     for (size_t i = 0; i < rec.size(); ++i) {
@@ -243,6 +389,26 @@ void PrintTables(bool json) {
   for (const WalPolicyResult& w : wal) {
     std::printf("%-10s %-9zu %-10.2f %.0f\n", w.policy, w.commits, w.ms,
                 w.commits_per_sec);
+  }
+  std::printf(
+      "\n=== Commit throughput, auto_compact_segments = %zu, %zu-fact base "
+      "===\n",
+      kServeAutoCompact, kChurnBase);
+  std::printf("%-10s %-9s %-10s %-10s %s\n", "policy", "commits",
+              "total(ms)", "commits/s", "checkpoints");
+  for (const FoldingResult& f : folding) {
+    std::printf("%-10s %-9zu %-10.2f %-10.0f %llu\n", f.policy, f.commits,
+                f.ms, f.commits_per_sec,
+                static_cast<unsigned long long>(f.checkpoints));
+  }
+  std::printf("\n=== Open(dir) replaying a WAL tail (%zu-fact base) ===\n",
+              kChurnBase);
+  std::printf("%-9s %-10s %-10s %-12s %s\n", "records", "wal(KB)",
+              "open(ms)", "us/record", "MB/s");
+  for (const ReplayResult& x : replay) {
+    std::printf("%-9zu %-10llu %-10.2f %-12.2f %.2f\n", x.records,
+                static_cast<unsigned long long>(x.wal_bytes / 1024),
+                x.open_ms, x.us_per_record, x.mb_per_sec);
   }
   std::printf("\n=== Cold Open(dir) vs parse-and-re-ingest ===\n");
   std::printf("%-9s %-10s %-12s %-9s %-13s %-11s %s\n", "facts", "open(ms)",

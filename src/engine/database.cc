@@ -73,11 +73,13 @@ Result<Database> Database::Open(Universe& u, Instance edb,
   state->opts = opts;
 
   if (engine != nullptr && engine->recovered()) {
-    // Rebuild the published stack exactly as the manifest describes it,
-    // bottom-of-stack first, then replay the WAL tail through the
-    // normal commit path (re-deduping is deterministic on the effective
-    // batches the log holds, so the stack converges to the crash-time
-    // structure).
+    // Rebuild the stack the manifest describes, bottom-of-stack first,
+    // then replay the WAL tail through the normal commit path. Each
+    // record is an effective batch, so re-deduping flips exactly the
+    // facts it flipped before, and the stack lands on the crash-time
+    // visible facts and epoch. The automatic fold runs as records replay
+    // (folds are not logged), so the shape and shrink_floor may differ
+    // from the crash-time stack's.
     auto set = std::make_shared<SegmentSet>();
     set->epoch = engine->recovered_epoch();
     set->shrink_floor = engine->recovered_shrink_floor();
@@ -109,19 +111,14 @@ Result<Database> Database::Open(Universe& u, Instance edb,
     state->replaying = false;
     if (!replay.ok()) return replay.status();
 
-    Database db(std::move(state));
-    // Housekeeping deferred while replaying: fold the stack if policy
-    // wants it, and seal a replayed tail that already outgrew the log
-    // threshold. Best effort — the database is consistent either way.
-    (void)db.MaybeCompact();
     {
-      std::lock_guard<std::mutex> writer(db.state_->writer_mu);
-      if (db.state_->storage->WantsCheckpoint()) {
-        (void)CheckpointLocked(*db.state_, *db.state_->Current(),
-                               storage::kKeepAllSealed);
-      }
+      // Seal a replayed log that already outgrew its threshold, and fold
+      // a recovered stack deeper than the limit even when no record
+      // replayed.
+      std::lock_guard<std::mutex> writer(state->writer_mu);
+      AfterCommitLocked(*state);
     }
-    return db;
+    return Database(std::move(state));
   }
 
   // Fresh open (in-memory, or initializing a new data directory).
@@ -137,8 +134,7 @@ Result<Database> Database::Open(Universe& u, Instance edb,
     state->storage = std::move(engine);
     // Initial checkpoint: seal the seed segment and create the WAL so
     // the first commit has a log to land in. Publishes generation 1.
-    SEQDL_RETURN_IF_ERROR(
-        CheckpointLocked(*state, *state->current, /*keep=*/0));
+    SEQDL_RETURN_IF_ERROR(CheckpointLocked(*state, *state->current));
   }
   return Database(std::move(state));
 }
@@ -239,40 +235,29 @@ Result<uint64_t> Database::Retract(Instance victims, size_t* retracted) {
                 retracted);
 }
 
-Database::Fold Database::PolicyWantsCompaction(const DbState& state,
-                                               const SegmentSet& set) {
-  size_t limit = state.opts.auto_compact_segments;
-  if (limit == 0 || set.segments.size() <= limit) return Fold::kNone;
-  return Fold::kTiered;
-}
-
 void Database::AfterCommitLocked(DbState& state) {
-  // Post-publish housekeeping, deferred during replay (a checkpoint
-  // would rotate the WAL out from under the records still replaying).
-  // Failures are swallowed: the commit is already durable and
-  // published, the stack just stays deep until a caller-visible
-  // Compact() surfaces the error.
-  if (state.replaying) return;
-  Fold fold = PolicyWantsCompaction(state, *state.Current());
-  if (fold != Fold::kNone) {
-    (void)CompactLocked(state, fold);
-  } else if (state.storage != nullptr && state.storage->WantsCheckpoint()) {
-    (void)CheckpointLocked(state, *state.Current(), storage::kKeepAllSealed);
+  CompactLocked(state);
+  // A failed checkpoint is swallowed: the commit is already durable and
+  // published, and the WAL just keeps growing until a later checkpoint
+  // (or a caller-visible Compact()) succeeds.
+  if (!state.replaying && state.storage != nullptr &&
+      state.storage->WantsCheckpoint()) {
+    (void)CheckpointLocked(state, *state.Current());
   }
 }
 
-Status Database::CheckpointLocked(DbState& state, const SegmentSet& set,
-                                  size_t keep) {
+Status Database::CheckpointLocked(DbState& state, const SegmentSet& set) {
   if (state.storage == nullptr) return Status::OK();
   return state.storage->Checkpoint(*state.universe, set.epoch,
-                                   set.shrink_floor, set.segments, keep);
+                                   set.shrink_floor, set.segments);
 }
 
-Result<bool> Database::CompactLocked(DbState& state, Fold fold) {
+std::shared_ptr<const Database::SegmentSet> Database::FoldLocked(
+    const DbState& state, Fold fold) {
   std::shared_ptr<const SegmentSet> cur = state.Current();
   const std::vector<Segment>& segs = cur->segments;
   const size_t n = segs.size();
-  if (n <= 1) return false;
+  if (n <= 1) return nullptr;
   const size_t limit = state.opts.auto_compact_segments;
 
   // The fold covers the bottom segments [0, end). A tiered fold stops
@@ -313,7 +298,7 @@ Result<bool> Database::CompactLocked(DbState& state, Fold fold) {
   // kept with its indexes, statistics and sealed file. Taken only while
   // that net tail is small next to the base and the result fits under
   // the limit; otherwise the range merges into a new base.
-  size_t keep = 0;
+  bool tail_fold = false;
   if (fold == Fold::kTiered) {
     const IndexedStore& base = *segs[0].store;
     const double max_net =
@@ -338,7 +323,7 @@ Result<bool> Database::CompactLocked(DbState& state, Fold fold) {
     }
     size_t written = 1 + (dropped.Empty() ? 0 : 1) + (added.Empty() ? 0 : 1);
     if (small && written + (n - end) <= limit) {
-      keep = 1;
+      tail_fold = true;
       next->segments.push_back(segs[0]);
       if (!dropped.Empty()) {
         push_new(std::move(dropped), SegmentKind::kTombstones);
@@ -346,7 +331,7 @@ Result<bool> Database::CompactLocked(DbState& state, Fold fold) {
       if (!added.Empty()) push_new(std::move(added), SegmentKind::kFacts);
     }
   }
-  if (keep == 0) {
+  if (!tail_fold) {
     // Full fold: apply the range in order, copying (not moving) the
     // segment instances — open sessions still pin them. Tombstones apply
     // and vanish; the merged segment holds exactly the visible facts.
@@ -354,43 +339,42 @@ Result<bool> Database::CompactLocked(DbState& state, Fold fold) {
   }
   next->segments.insert(next->segments.end(), segs.begin() + end,
                         segs.end());
+  return next;
+}
 
-  // Copy-forward-then-swap: in durable mode the folded stack seals to
-  // disk and the new manifest generation publishes *first* (a tail fold
-  // reuses the base's file). A failure — or a crash anywhere inside —
-  // leaves CURRENT naming the old generation and the in-memory stack
-  // untouched; open sessions keep their pins either way (segments are
-  // shared_ptr-owned in memory, not read through the deleted files).
-  SEQDL_RETURN_IF_ERROR(CheckpointLocked(state, *next, keep));
-  state.Publish(std::move(next));
-  return true;
+void Database::CompactLocked(DbState& state) {
+  const size_t limit = state.opts.auto_compact_segments;
+  if (limit == 0 || state.Current()->segments.size() <= limit) return;
+  state.Publish(FoldLocked(state, Fold::kTiered));
 }
 
 Result<bool> Database::Compact() {
   std::lock_guard<std::mutex> writer(state_->writer_mu);
   if (state_->closed.load(std::memory_order_relaxed)) return false;
-  return CompactLocked(*state_, Fold::kFull);
-}
-
-Result<bool> Database::MaybeCompact() {
-  std::lock_guard<std::mutex> writer(state_->writer_mu);
-  if (state_->closed.load(std::memory_order_relaxed)) return false;
-  Fold fold = PolicyWantsCompaction(*state_, *state_->Current());
-  if (fold == Fold::kNone) return false;
-  return CompactLocked(*state_, fold);
+  std::shared_ptr<const SegmentSet> next = FoldLocked(*state_, Fold::kFull);
+  // Copy-forward-then-swap: in durable mode the folded stack seals to
+  // disk and the new manifest generation publishes *first*. A failure —
+  // or a crash anywhere inside — leaves CURRENT naming the old
+  // generation and the in-memory stack untouched; open sessions keep
+  // their pins either way (segments are shared_ptr-owned in memory, not
+  // read through the deleted files). A stack with nothing to fold seals
+  // as it is, unless the disk holds it already.
+  SEQDL_RETURN_IF_ERROR(
+      CheckpointLocked(*state_, next != nullptr ? *next : *state_->Current()));
+  if (next == nullptr) return false;
+  state_->Publish(std::move(next));
+  return true;
 }
 
 void Database::Close() {
   // Take the writer mutex so Close() serializes behind any in-flight
   // append: after Close() returns, the published epoch is final.
   std::lock_guard<std::mutex> writer(state_->writer_mu);
-  if (!state_->closed.load(std::memory_order_relaxed) &&
-      state_->storage != nullptr &&
-      state_->storage->info().wal_bytes > 0) {
-    // Seal the WAL tail so the next Open skips replay. Best effort —
-    // on failure the WAL itself still recovers everything.
-    (void)CheckpointLocked(*state_, *state_->Current(),
-                           storage::kKeepAllSealed);
+  if (!state_->closed.load(std::memory_order_relaxed)) {
+    // Seal the stack so the next Open replays nothing (a no-op when the
+    // disk holds it already). Best effort — on failure the WAL itself
+    // still recovers everything.
+    (void)CheckpointLocked(*state_, *state_->Current());
   }
   state_->closed.store(true, std::memory_order_relaxed);
 }

@@ -33,6 +33,7 @@
 // tiered: while the segments above the base stay small next to it, it
 // folds only them (into one tombstone and one fact segment) and keeps
 // the base segment — indexes, statistics and sealed file — as it is.
+// It runs in memory only; the next checkpoint seals the folded stack.
 //
 // Retract() publishes the inverse of Append as the same kind of immutable
 // segment: a *tombstone* segment whose tuples shadow matching facts in
@@ -101,11 +102,13 @@ class Database {
     size_t auto_compact_segments = 0;
     /// Durability. Empty (the default) keeps the database purely in
     /// memory. Non-empty names a data directory (created if absent):
-    /// commits write a CRC-framed WAL record *before* they publish,
-    /// segments seal to immutable on-disk files at checkpoints, and
-    /// Open on an initialized directory recovers to exactly the last
-    /// committed epoch (sealed segments + WAL tail replay). See
-    /// docs/storage.md.
+    /// commits write a CRC-framed WAL record *before* they publish, and
+    /// the stack seals to immutable on-disk files at checkpoints:
+    /// seeding, the WAL threshold below, Close() and Compact(), never an
+    /// automatic fold. Open on an initialized directory recovers the
+    /// last committed epoch's visible facts (sealed segments + WAL tail
+    /// replay, folding as it goes); the segment shape and shrink_floor
+    /// may differ from the crash-time stack's. See docs/storage.md.
     std::string data_dir;
     /// When a commit's WAL write reaches stable media (storage/wal.h):
     /// kAlways fsyncs per commit, kInterval at most once per
@@ -113,7 +116,9 @@ class Database {
     storage::SyncMode sync_mode = storage::SyncMode::kAlways;
     uint32_t sync_interval_ms = 100;
     /// Seal the stack and rotate the WAL once the log outgrows this.
-    uint64_t checkpoint_wal_bytes = 64ull << 20;
+    /// Automatic folds do not checkpoint, so this bounds the log Open
+    /// replays (docs/storage.md measures the replay rate).
+    uint64_t checkpoint_wal_bytes = 4ull << 20;
   };
 
   /// Takes ownership of `edb` and publishes it as the epoch-0 segment.
@@ -184,14 +189,10 @@ class Database {
   /// manifest generation publishes *before* the in-memory swap
   /// (copy-forward-then-swap): on error nothing changes, in memory or
   /// on disk, and the Status carries an SD4xx diagnostic code
-  /// (DiagnosticFromStatus renders it). Serializes with other writers.
+  /// (DiagnosticFromStatus renders it). A stack with nothing to fold
+  /// still seals when the WAL holds records, so afterwards the disk
+  /// holds exactly the stack. Serializes with other writers.
   Result<bool> Compact();
-
-  /// Runs the tiered fold described at OpenOptions::auto_compact_segments
-  /// iff the stack holds more segments than that limit. Append and
-  /// Retract apply the same policy after every publish; it is also
-  /// callable directly.
-  Result<bool> MaybeCompact();
 
   /// Retires the database from ingest: every later Append or Retract
   /// fails with kFailedPrecondition, and Compact becomes a
@@ -310,10 +311,11 @@ class Database {
     /// under writer_mu; storage->info() is internally synchronized.
     std::unique_ptr<storage::StorageEngine> storage;
     /// True while Open replays the WAL tail through the normal commit
-    /// path: suppresses WAL logging (the records are already on disk),
-    /// auto-compaction and checkpoints (rotating the WAL mid-replay
-    /// would drop the records not yet replayed). Only touched during
-    /// single-threaded Open.
+    /// path: suppresses WAL logging (the records are already on disk)
+    /// and the WAL-threshold checkpoint (rotating the WAL mid-replay
+    /// would drop the records not yet replayed). The automatic fold
+    /// still runs, so the replayed stack stays shallow and replay time
+    /// linear in the log. Only touched during single-threaded Open.
     bool replaying = false;
 
     std::shared_ptr<const SegmentSet> Current() const {
@@ -335,24 +337,29 @@ class Database {
   /// (may be null) receives how many facts that was.
   static Result<uint64_t> Commit(DbState& state, SegmentKind kind,
                                  Instance batch, size_t* committed);
-  /// Which fold a stack needs: none, the tiered fold of the
-  /// segment-count trigger, or the full fold of Compact().
-  enum class Fold { kNone, kTiered, kFull };
-  /// Compact step with writer_mu already held. In durable mode seals
-  /// the folded stack before the in-memory swap.
-  static Result<bool> CompactLocked(DbState& state, Fold fold);
-  static Fold PolicyWantsCompaction(const DbState& state,
-                                    const SegmentSet& set);
-  /// Runs the fold the policy asks for after a commit, else seals the
-  /// stack if the WAL outgrew its threshold. Best effort; writer_mu
-  /// must be held.
+  /// The tiered fold of the segment-count trigger, or the full fold of
+  /// Compact().
+  enum class Fold { kTiered, kFull };
+  /// The stack `fold` makes of the current one: the same visible facts
+  /// at the same epoch, shrink_floor raised to the newest folded stamp.
+  /// Null when the stack has one segment or none. writer_mu must be held.
+  static std::shared_ptr<const SegmentSet> FoldLocked(const DbState& state,
+                                                      Fold fold);
+  /// The automatic fold: publishes the tiered fold of the stack iff it
+  /// holds more segments than auto_compact_segments. Calls no storage
+  /// function: every commit it folds is already durable in the WAL, and
+  /// the next checkpoint seals the folded stack. writer_mu must be held.
+  static void CompactLocked(DbState& state);
+  /// Runs the automatic fold after a commit, then seals the stack if the
+  /// WAL outgrew its threshold (not while replaying). Open runs it once
+  /// more after replay. Best effort; writer_mu must be held.
   static void AfterCommitLocked(DbState& state);
   /// Seals the *given* (about-to-publish or current) stack under a new
-  /// manifest generation, reusing the files of its bottom `keep`
-  /// segments (StorageEngine::Checkpoint); writer_mu must be held.
-  /// No-op in memory-only mode.
-  static Status CheckpointLocked(DbState& state, const SegmentSet& set,
-                                 size_t keep);
+  /// manifest generation (StorageEngine::Checkpoint: segments already
+  /// sealed keep their files). Runs at seeding, at the WAL threshold, at
+  /// Close() and at Compact() only. writer_mu must be held. No-op in
+  /// memory-only mode.
+  static Status CheckpointLocked(DbState& state, const SegmentSet& set);
 
   std::unique_ptr<DbState> state_;
 };

@@ -150,8 +150,8 @@ struct DbInfo {
   /// Sealed segment files + manifest on disk (excludes the WAL).
   uint64_t on_disk_bytes = 0;
   uint64_t wal_bytes = 0;
-  /// Manifest generation (bumps at every checkpoint/compaction); 0 for
-  /// an in-memory database.
+  /// Manifest generation (bumps at every checkpoint; an automatic fold
+  /// writes none); 0 for an in-memory database.
   uint64_t manifest_generation = 0;
 };
 

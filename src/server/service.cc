@@ -314,6 +314,9 @@ void DatabaseService::RefreshCachedViews() {
       }
     }
   }
+  if (work.empty()) return;
+  // One measurement of the stack serves every entry's drift check.
+  const StoreStats now = db_.Stats();
   for (Work& w : work) {
     // Freed with this iteration, after the lock below is released.
     Replaced before = std::move(w.before);
@@ -321,7 +324,7 @@ void DatabaseService::RefreshCachedViews() {
     // query is a plain hit. A recompile logs the name the program was
     // last compiled under.
     Result<Prepared> prepared =
-        Revalidate(w.key, w.compiled->source_name, w.compiled);
+        Revalidate(w.key, w.compiled->source_name, w.compiled, &now);
     if (!prepared.ok()) continue;
     const CompiledProgram& c = *prepared->compiled;
     RunOptions ropts = opts_.run_options;
@@ -416,18 +419,19 @@ Result<DatabaseService::Prepared> DatabaseService::Prepare(
       cached = it->second.compiled;
     }
   }
-  return Revalidate(program_text, source_name, std::move(cached));
+  return Revalidate(program_text, source_name, std::move(cached), nullptr);
 }
 
 Result<DatabaseService::Prepared> DatabaseService::Revalidate(
     const std::string& program_text, const std::string& source_name,
-    std::shared_ptr<const CompiledProgram> cached) {
+    std::shared_ptr<const CompiledProgram> cached, const StoreStats* now) {
   double drift = 0.0;
   if (cached != nullptr) {
     if (cached->epoch == db_.epoch()) return Prepared{cached, true};
     // Outside the lock: Stats() measures every segment.
     drift = StatsDrift(cached->stats,
-                       ReadStats(cached->prog.program(), db_.Stats()));
+                       ReadStats(cached->prog.program(),
+                                 now != nullptr ? *now : db_.Stats()));
     if (drift < opts_.recompile_drift) return Prepared{cached, true};
   }
   Result<std::shared_ptr<const CompiledProgram>> fresh =

@@ -242,10 +242,13 @@ class DatabaseService {
   Result<Prepared> Prepare(const std::string& program_text,
                            const std::string& source_name);
   /// `cached` (may be null) unless the statistics its bodies read drifted
-  /// past recompile_drift; otherwise a fresh compile, cached.
+  /// past recompile_drift; otherwise a fresh compile, cached. The drift
+  /// is measured against `now` when given (a Stats() the caller took for
+  /// several programs at once), else against a fresh Stats().
   Result<Prepared> Revalidate(const std::string& program_text,
                               const std::string& source_name,
-                              std::shared_ptr<const CompiledProgram> cached);
+                              std::shared_ptr<const CompiledProgram> cached,
+                              const StoreStats* now);
 
   /// Parse, analyze and compile against a fresh statistics snapshot.
   Result<std::shared_ptr<const CompiledProgram>> CompileFresh(
@@ -259,11 +262,12 @@ class DatabaseService {
                         RunOptions* ropts) const;
 
   /// After a write (Append or Retract), revalidates the plan of every
-  /// entry with a view, advances the view to the current epoch under the
-  /// program's admission policy (Refresh picks delta vs DRed vs
-  /// recompute) and patches the entry's renderings from the old view to
-  /// the new one. A failed refresh leaves the entry stale and a failed
-  /// patch drops its rendering: the next Run recovers either.
+  /// entry with a view against one Stats() of the stack, advances the
+  /// view to the current epoch under the program's admission policy
+  /// (Refresh picks delta vs DRed vs recompute) and patches the entry's
+  /// renderings from the old view to the new one. A failed refresh
+  /// leaves the entry stale and a failed patch drops its rendering: the
+  /// next Run recovers either.
   void RefreshCachedViews();
 
   /// Moves `it`'s entry to the LRU front. Caller holds mu_.

@@ -1,6 +1,5 @@
 #include "src/storage/storage.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <set>
@@ -63,6 +62,7 @@ Status StorageEngine::RecoverFrom(Universe& u, Manifest m) {
     sealed_.push_back(
         {std::make_shared<IndexedStore>(u, std::move(loaded.facts)), seg.stamp,
          loaded.kind});
+    files_.emplace(sealed_.back().store, sealed_.size() - 1);
   }
   recovered_ = true;
   recovered_epoch_ = m.epoch;
@@ -130,32 +130,28 @@ bool StorageEngine::WantsCheckpoint() const {
 
 Status StorageEngine::Checkpoint(const Universe& u, uint64_t epoch,
                                  uint64_t shrink_floor,
-                                 std::span<const Segment> stack,
-                                 size_t keep) {
-  // A stack shorter than the reused prefix can only come from a fold
-  // the caller did not describe; rewrite it all.
-  size_t reuse = std::min(keep, manifest_.segments.size());
-  if (reuse > stack.size()) reuse = 0;
-
+                                 std::span<const Segment> stack) {
   Manifest next;
   next.generation = manifest_.generation + 1;
   next.epoch = epoch;
   next.shrink_floor = shrink_floor;
   next.next_file_id = manifest_.next_file_id;
   next.wal_file = WalFileName(next.generation);
-  next.segments.assign(manifest_.segments.begin(),
-                       manifest_.segments.begin() +
-                           static_cast<ptrdiff_t>(reuse));
 
-  // 1. Seal the segments above the reused prefix. Failure here leaves
-  //    only unreferenced files behind (swept at the next Open).
+  // 1. Seal the segments that have no file yet. Failure here leaves only
+  //    unreferenced files behind (swept at the next Open).
   std::vector<std::string> fresh_files;
   auto discard_fresh = [&]() {
     for (const std::string& f : fresh_files) {
       (void)RemoveFile(SegPath(f));  // best effort
     }
   };
-  for (size_t i = reuse; i < stack.size(); ++i) {
+  for (size_t i = 0; i < stack.size(); ++i) {
+    auto sealed = files_.find(stack[i].store);
+    if (sealed != files_.end()) {
+      next.segments.push_back(manifest_.segments[sealed->second]);
+      continue;
+    }
     std::string file = SegFileName(next.next_file_id++);
     const Instance& facts = stack[i].store->instance();
     Result<uint64_t> size =
@@ -172,6 +168,13 @@ Status StorageEngine::Checkpoint(const Universe& u, uint64_t epoch,
     seg.facts = facts.NumFacts();
     seg.bytes = *size;
     next.segments.push_back(std::move(seg));
+  }
+  // The manifest names this very stack and no commit came since: the
+  // new generation would name the same files, epoch and floor.
+  if (fresh_files.empty() &&
+      next.segments.size() == manifest_.segments.size() &&
+      (!wal_.has_value() || wal_->bytes() == 0)) {
+    return Status::OK();
   }
 
   // 2. Write the new manifest and create its (empty) WAL before the
@@ -204,6 +207,10 @@ Status StorageEngine::Checkpoint(const Universe& u, uint64_t epoch,
           if (kept.count(seg.file) == 0) (void)RemoveFile(SegPath(seg.file));
         }
         manifest_ = std::move(next);
+        files_.clear();
+        for (size_t i = 0; i < stack.size(); ++i) {
+          files_.emplace(stack[i].store, i);
+        }
         wal_.emplace(std::move(w).value());
         RefreshInfo();
         return Status::OK();

@@ -10,10 +10,12 @@
 //               under a new manifest generation.
 //
 // Invariant maintained across all four: the sealed files plus the WAL
-// records always reconstruct the published in-memory stack exactly —
-// segment files mirror a bottom prefix of the stack 1:1, and each WAL
-// record is one effective (post-dedupe) commit above that prefix. The
-// commit point of a checkpoint is the atomic rename of CURRENT; a
+// records reconstruct the published in-memory stack's visible facts and
+// epoch. Each segment file holds one segment some checkpoint sealed, and
+// each WAL record is one effective (post-dedupe) commit since the last
+// checkpoint. Folds are not logged, so between checkpoints the stack's
+// shape may differ from the files' (a fold replaced sealed segments).
+// The commit point of a checkpoint is the atomic rename of CURRENT; a
 // crash on either side of it recovers a consistent generation, and
 // files the crash orphaned are swept at the next Open.
 //
@@ -25,6 +27,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -47,7 +50,7 @@ struct StorageOptions {
   SyncMode sync_mode = SyncMode::kAlways;
   uint32_t sync_interval_ms = 100;
   /// Checkpoint (seal + WAL rotation) once the log grows past this.
-  uint64_t checkpoint_wal_bytes = 64ull << 20;
+  uint64_t checkpoint_wal_bytes = 4ull << 20;
 };
 
 /// Point-in-time durability counters for DbInfo / kStats replies.
@@ -58,10 +61,6 @@ struct StorageInfo {
   uint64_t wal_bytes = 0;
   uint64_t sealed_segments = 0;
 };
-
-/// Checkpoint's `keep` when the whole sealed prefix is unchanged (a
-/// checkpoint that only seals the segments committed since).
-inline constexpr size_t kKeepAllSealed = SIZE_MAX;
 
 class StorageEngine {
  public:
@@ -98,16 +97,15 @@ class StorageEngine {
   /// True once the WAL has outgrown the checkpoint threshold.
   bool WantsCheckpoint() const;
 
-  /// Seals the given stack under a new manifest generation and rotates
-  /// the WAL. The bottom `keep` segments of `stack` (capped at the
-  /// sealed prefix) are the ones the current manifest already names:
-  /// their files are reused, every segment above is written anew, and
-  /// files the new manifest no longer names are deleted. A WAL-threshold
-  /// or Close checkpoint passes kKeepAllSealed, a tail fold 1 (the base
-  /// is unchanged), a full fold 0. On error nothing is published:
-  /// CURRENT still names the old generation.
+  /// Seals `stack` under a new manifest generation and rotates the WAL.
+  /// A segment whose store this engine sealed or recovered keeps its
+  /// file; every other segment is written anew, and files the new
+  /// manifest no longer names are deleted once CURRENT has flipped. A
+  /// stack the manifest already names, over an empty WAL, is sealed
+  /// already: nothing is written. On error nothing is published: CURRENT
+  /// still names the old generation.
   Status Checkpoint(const Universe& u, uint64_t epoch, uint64_t shrink_floor,
-                    std::span<const Segment> stack, size_t keep);
+                    std::span<const Segment> stack);
 
   /// Thread-safe snapshot of the durability counters.
   StorageInfo info() const;
@@ -132,6 +130,12 @@ class StorageEngine {
 
   /// Live file set (mirrors the current manifest).
   Manifest manifest_;
+  /// The manifest segment (an index into manifest_.segments) holding each
+  /// store this engine sealed or recovered. Keyed by the store's identity
+  /// without owning it: a folded-away store is freed, and a new store,
+  /// even one at a freed store's address, never matches an old file.
+  std::map<std::weak_ptr<const IndexedStore>, size_t, std::owner_less<>>
+      files_;
   std::optional<WalWriter> wal_;
 
   mutable std::mutex info_mu_;

@@ -16,10 +16,12 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/engine/database.h"
@@ -1190,6 +1192,52 @@ TEST(ServiceCacheTest, RecompileFollowsOnlyReadRelations) {
   ASSERT_EQ(logged.size(), 1u);
   EXPECT_EQ(logged[0].rfind("recompiled reach.sdl (stats drift ", 0), 0u)
       << logged[0];
+}
+
+// A write's eager refresh revalidates every cached program against one
+// measurement of the stack, and each program still compares only the
+// relations its bodies read against it.
+TEST(ServiceCacheTest, OneWriteRevalidatesEveryCachedProgram) {
+  Universe u;
+  Result<Instance> edb =
+      ParseInstance(u, "E(a, b). E(b, c). E(c, d). E(d, e). F(a).");
+  ASSERT_TRUE(edb.ok());
+  Result<Database> db = Database::Open(u, std::move(*edb));
+  ASSERT_TRUE(db.ok());
+  ServiceOptions sopts;
+  std::vector<std::string> logged;
+  sopts.log = [&logged](const std::string& line) { logged.push_back(line); };
+  DatabaseService service(u, std::move(*db), sopts);
+  const std::vector<std::pair<const char*, const char*>> programs = {
+      {kProgA, "a.sdl"},
+      {kProgB, "b.sdl"},
+      {kProgC, "c.sdl"},
+      {"G($x) <- F($x).", "g.sdl"}};
+  for (const auto& [text, name] : programs) {
+    protocol::RunRequest req = ReqFor(text);
+    req.source_name = name;
+    ASSERT_TRUE(service.Run(req).ok());
+  }
+
+  // E grows from 4 facts to 6: drift 2/6 >= the default 0.25 for the
+  // three programs that read E; F is unchanged.
+  protocol::AppendRequest append;
+  append.facts = "E(e, f). E(f, g).";
+  ASSERT_TRUE(service.Append(append).ok());
+  std::vector<std::string> recompiled;
+  for (const std::string& line : logged) {
+    recompiled.push_back(line.substr(0, line.find(" (")));
+  }
+  std::sort(recompiled.begin(), recompiled.end());
+  EXPECT_EQ(recompiled,
+            (std::vector<std::string>{"recompiled a.sdl", "recompiled b.sdl",
+                                      "recompiled c.sdl"}));
+  for (const auto& [text, name] : programs) {
+    Result<protocol::RunReply> run = service.Run(ReqFor(text));
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_TRUE(run->result_cached) << name;
+    EXPECT_EQ(run->epoch, 1u);
+  }
 }
 
 // --- Serving cache under contention (TSan *Concurrency* filter) --------------

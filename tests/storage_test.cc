@@ -458,6 +458,34 @@ TEST(StorageDatabaseTest, DurableCompactSurvivesReopen) {
   EXPECT_EQ(db->edb().ToString(u2), rendered);
 }
 
+// Compact() leaves the disk holding the stack even with nothing to fold:
+// a one-segment stack the WAL holds records for seals, and once sealed a
+// second Compact() writes nothing.
+TEST(StorageDatabaseTest, CompactSealsAStackWithNothingToFold) {
+  ScratchDir dir("compactone");
+  Database::OpenOptions opts = DurableOpts(dir.path);
+  opts.auto_compact_segments = 1;  // every commit folds to one segment
+  Universe u;
+  Result<Database> db = Database::Open(u, MustInstance(u, "E(a, b)."), opts);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE(db->Append(MustInstance(u, "E(b, c).")).ok());
+  ASSERT_EQ(db->NumSegments(), 1u);
+  const uint64_t generation = db->storage_info().manifest_generation;
+  ASSERT_GT(db->storage_info().wal_bytes, 0u);
+
+  Result<bool> folded = db->Compact();
+  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+  EXPECT_FALSE(*folded);
+  storage::StorageInfo info = db->storage_info();
+  EXPECT_EQ(info.manifest_generation, generation + 1);
+  EXPECT_EQ(info.wal_bytes, 0u);
+  EXPECT_EQ(info.sealed_segments, 1u);
+
+  folded = db->Compact();
+  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+  EXPECT_EQ(db->storage_info().manifest_generation, generation + 1);
+}
+
 /// The data directory's file names, sorted.
 std::vector<std::string> DataFiles(const std::string& dir) {
   Result<std::vector<std::string>> names = storage::ListDir(dir);
@@ -475,20 +503,93 @@ std::vector<std::string> SegmentFiles(const std::string& dir) {
   return segs;
 }
 
+/// `n` seed facts E(b0, c) .. E(b<n-1>, c).
+std::string SeedFacts(int n) {
+  std::string seed;
+  for (int i = 0; i < n; ++i) seed += "E(" + Numbered("b", i) + ", c). ";
+  return seed;
+}
+
+/// The WAL records of the data directory's (single) log.
+uint64_t WalRecords(const std::string& dir) {
+  Universe u;
+  uint64_t records = 0;
+  for (const std::string& name : DataFiles(dir)) {
+    if (name.rfind("wal-", 0) != 0) continue;
+    Result<storage::WalReplay> replay = storage::ReplayWal(
+        dir + "/" + name, u,
+        [](storage::WalRecordType, Instance) { return Status::OK(); });
+    EXPECT_TRUE(replay.ok()) << replay.status().ToString();
+    if (replay.ok()) records += replay->records;
+  }
+  return records;
+}
+
+// An automatic fold is a read-amplification policy, not a durability
+// step: every commit it folds is already in the WAL, so it writes no
+// file. Recovery replays the log and folds as it goes; Close() seals.
+TEST(StorageDatabaseTest, AutomaticFoldsWriteNoFiles) {
+  ScratchDir dir("nofiles");
+  Database::OpenOptions opts = DurableOpts(dir.path);
+  constexpr size_t kLimit = 4;
+  opts.auto_compact_segments = kLimit;
+  std::string rendered;
+  uint64_t epoch = 0;
+  {
+    Universe u;
+    Result<Database> db =
+        Database::Open(u, MustInstance(u, SeedFacts(40)), opts);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    const uint64_t generation = db->storage_info().manifest_generation;
+    const std::vector<std::string> sealed = SegmentFiles(dir.path);
+    for (int i = 0; i < 40; ++i) {
+      // Every commit is effective: fresh appends and live retractions.
+      std::string fact = "E(" + Numbered(i % 2 == 0 ? "n" : "b", i) + ", c).";
+      Result<uint64_t> committed =
+          i % 2 == 0 ? db->Append(MustInstance(u, fact))
+                     : db->Retract(MustInstance(u, fact));
+      ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+      ASSERT_LE(db->NumSegments(), kLimit);
+    }
+    EXPECT_EQ(db->epoch(), 40u);
+    EXPECT_EQ(db->storage_info().manifest_generation, generation);
+    EXPECT_EQ(SegmentFiles(dir.path), sealed);
+    EXPECT_EQ(WalRecords(dir.path), 40u);
+    rendered = db->edb().ToString(u);
+    epoch = db->epoch();
+    // No Close(): the 40 commits exist only as WAL records.
+  }
+  Universe u;
+  Result<Database> db = Database::Open(u, opts);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(db->edb().ToString(u), rendered);
+  EXPECT_EQ(db->epoch(), epoch);
+  // Without folds the replay would stack 41 segments.
+  EXPECT_LE(db->NumSegments(), kLimit + 1);
+  const uint64_t generation = db->storage_info().manifest_generation;
+  db->Close();
+  storage::StorageInfo info = db->storage_info();
+  EXPECT_EQ(info.manifest_generation, generation + 1);
+  EXPECT_EQ(info.sealed_segments, db->NumSegments());
+  EXPECT_EQ(info.wal_bytes, 0u);
+}
+
+// A checkpoint reuses the file of every segment whose store it sealed
+// before. Automatic folds themselves write nothing (above), so here a
+// WAL threshold of one byte checkpoints after every commit, the tail
+// fold's included.
 TEST(StorageDatabaseTest, TailFoldReusesTheBaseFile) {
   ScratchDir dir("tailfold");
   Database::OpenOptions opts = DurableOpts(dir.path);
   opts.auto_compact_segments = 4;
-  std::string seed;
-  for (int i = 0; i < 40; ++i) {
-    seed += "E(b" + std::to_string(i) + ", c). ";
-  }
+  opts.checkpoint_wal_bytes = 1;
   std::string rendered;
   size_t segments = 0, tombstones = 0;
   std::string base_file;
   {
     Universe u;
-    Result<Database> db = Database::Open(u, MustInstance(u, seed), opts);
+    Result<Database> db =
+        Database::Open(u, MustInstance(u, SeedFacts(40)), opts);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     std::vector<std::string> sealed = SegmentFiles(dir.path);
     ASSERT_EQ(sealed.size(), 1u);
@@ -497,8 +598,8 @@ TEST(StorageDatabaseTest, TailFoldReusesTheBaseFile) {
     ASSERT_TRUE(db->Retract(MustInstance(u, "E(b0, c).")).ok());
     ASSERT_TRUE(db->Append(MustInstance(u, "E(n2, c).")).ok());
     ASSERT_TRUE(db->Append(MustInstance(u, "E(n3, c).")).ok());
-    // Five segments: the tail folds into [base, tombstones, facts],
-    // sealed under a checkpoint that keeps the base's file.
+    // Five segments: the tail folds into [base, tombstones, facts], and
+    // the commit's checkpoint keeps the base's file.
     ASSERT_EQ(db->NumSegments(), 3u);
     ASSERT_EQ(db->NumTombstones(), 1u);
     std::vector<std::string> files = DataFiles(dir.path);
@@ -507,13 +608,13 @@ TEST(StorageDatabaseTest, TailFoldReusesTheBaseFile) {
     EXPECT_EQ(sealed[0], base_file);
     // No orphans: CURRENT, one manifest, one WAL and the three segments.
     EXPECT_EQ(files.size(), 6u) << ::testing::PrintToString(files);
-    // One more commit stays in the WAL (4 segments: at the limit).
     ASSERT_TRUE(db->Append(MustInstance(u, "E(n4, c).")).ok());
     rendered = db->edb().ToString(u);
     segments = db->NumSegments();
     tombstones = db->NumTombstones();
     EXPECT_EQ(segments, 4u);
-    // No Close(): the last commit exists only as a WAL record.
+    EXPECT_EQ(DataFiles(dir.path).size(), 7u);
+    // No Close(): recovery reads the stack the last checkpoint sealed.
   }
   for (int pass = 0; pass < 2; ++pass) {
     SCOPED_TRACE(pass == 0 ? "reopen after a crash" : "reopen after Close");
@@ -706,8 +807,10 @@ bool ApplyCrashOp(Universe& u, Database& db, const CrashOp& op) {
 
 /// Even seeds open child and oracle with the same non-empty seed EDB —
 /// E facts over the script's atom pool, so retractions hit base facts —
-/// and a small segment limit: most automatic folds are then tail folds,
-/// so kills can land inside checkpoints that keep the base's file. Odd
+/// and a small segment limit: most automatic folds are then tail folds.
+/// Those write no file, so kills inside checkpoints that reuse the
+/// base's file come from the seeds whose small WAL threshold checkpoints
+/// after tail folds (seed % 3 == 0) and from scripted Compact() ops. Odd
 /// seeds start empty and fold only when the script compacts.
 std::string CrashSeedText(uint64_t seed) {
   std::string text;
