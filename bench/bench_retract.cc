@@ -1,9 +1,10 @@
 // Retraction maintenance: a reachability view kept current through
 // tombstone epochs by counting DRed (delete/re-derive) versus re-running
-// the full fixpoint after every retraction. Prints a comparison table
-// (with a byte-identity check against the cold run — the differential
-// harness's invariant, verified here on the bench workload too), then
-// benchmarks one retract/re-append maintenance cycle both ways.
+// the full fixpoint after every retraction, and a stratified-negation
+// view (keyed process mining) kept current through log churn. Prints a
+// comparison table per workload (with a byte-identity check against the
+// cold run — the differential harness's invariant, verified here on the
+// bench workloads too), then benchmarks one maintenance cycle of each.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -16,6 +17,7 @@
 #include "src/syntax/parser.h"
 #include "src/term/universe.h"
 #include "src/view/view.h"
+#include "src/workload/generators.h"
 
 namespace seqdl {
 namespace {
@@ -193,11 +195,134 @@ void BM_RetractFullRecompute(benchmark::State& state) {
 }
 BENCHMARK(BM_RetractFullRecompute)->Arg(256)->Arg(1024);
 
+// Keyed process mining, as the durable_ingest benchmark serves it: a log
+// is good when every co in it is eventually followed by an rp. Bad
+// negates HasRp and Good negates Bad, so a log's arrival or departure
+// changes a negated input of two strata.
+constexpr const char* kKeyedCompliance =
+    "HasRp($k, $v) <- Log($k, $u ++ co ++ $v), $v = $s ++ rp ++ $t.\n---\n"
+    "Bad($k) <- Log($k, $x), $x = $u ++ co ++ $v, !HasRp($k, $v).\n---\n"
+    "Good($k) <- Log($k, $x), !Bad($k).\n";
+
+struct NegationWorkload {
+  Result<Program> program;
+  /// The standing logs, one Log(key, events) fact each.
+  Instance base;
+  /// Logs that come and go: cycle r appends churn[r % size] and then
+  /// retracts it, so every cycle starts from the same facts.
+  std::vector<Instance> churn;
+
+  NegationWorkload(Universe& u, size_t logs, size_t churned)
+      : program(ParseProgram(u, kKeyedCompliance)) {
+    if (!program.ok()) return;
+    EventLogWorkload w;
+    w.count = logs + churned;
+    w.rel = "Trace";
+    Result<Instance> traces = RandomEventLogs(u, w);
+    if (!traces.ok()) return;
+    RelId log = *u.FindRel("Log");
+    size_t n = 0;
+    for (TupleRef t : traces->Tuples(*u.FindRel("Trace"))) {
+      char key[16];
+      std::snprintf(key, sizeof(key), "c%07zu", n);
+      Tuple fact = {u.InternPath(std::vector<Value>{
+                        Value::Atom(u.InternAtom(key))}),
+                    t[0]};
+      if (n++ < logs) {
+        base.Add(log, fact);
+      } else {
+        churn.emplace_back().Add(log, fact);
+      }
+    }
+  }
+};
+
+void PrintNegationMaintenance() {
+  std::printf("=== Negation: keyed compliance view refresh vs cold run ===\n");
+  std::printf("%-8s %-9s %-12s %-12s %-10s %s\n", "logs", "writes",
+              "cold(ms)", "refresh(ms)", "speedup", "identical");
+  constexpr size_t kLogs = 200, kCycles = 16;
+  Universe u;
+  NegationWorkload w(u, kLogs, kCycles);
+  if (!w.program.ok() || w.churn.size() != kCycles) std::abort();
+  Result<PreparedProgram> prog = Engine::Compile(u, *w.program);
+  if (!prog.ok()) std::abort();
+  Result<Database> db = Database::Open(u, w.base);
+  if (!db.ok() || !db->views().Refresh("bench", *prog).ok()) std::abort();
+
+  double refresh_ms = 0, cold_ms = 0;
+  bool identical = true;
+  auto refresh_and_compare = [&] {
+    auto t0 = std::chrono::steady_clock::now();
+    auto view = db->views().Refresh("bench", *prog);
+    auto t1 = std::chrono::steady_clock::now();
+    Result<Instance> cold = db->Snapshot().Run(*prog);
+    auto t2 = std::chrono::steady_clock::now();
+    if (!view.ok() || !cold.ok()) std::abort();
+    refresh_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
+    cold_ms += std::chrono::duration<double, std::milli>(t2 - t1).count();
+    identical &= (*view)->idb().ToString(u) == cold->ToString(u);
+  };
+  for (const Instance& log : w.churn) {
+    if (!db->Append(log).ok()) std::abort();
+    refresh_and_compare();
+    if (!db->Retract(log).ok()) std::abort();
+    refresh_and_compare();
+  }
+  char speedup[32];
+  std::snprintf(speedup, sizeof(speedup), "%.1fx", cold_ms / refresh_ms);
+  std::printf("%-8zu %-9zu %-12.3f %-12.3f %-10s %s\n", kLogs, 2 * kCycles,
+              cold_ms, refresh_ms, speedup,
+              identical ? "yes" : "NO — MISMATCH");
+  std::printf("\n");
+}
+
+// One iteration = one log's arrival and departure: append it and
+// refresh the view, then retract it and refresh again. The fold that
+// keeps the segment stack short runs untimed.
+void BM_NegationViewRefresh(benchmark::State& state) {
+  Universe u;
+  NegationWorkload w(u, static_cast<size_t>(state.range(0)), /*churned=*/8);
+  if (!w.program.ok() || w.churn.empty()) {
+    state.SkipWithError("workload setup failed");
+    return;
+  }
+  Result<PreparedProgram> prog = Engine::Compile(u, *w.program);
+  if (!prog.ok()) {
+    state.SkipWithError(prog.status().ToString().c_str());
+    return;
+  }
+  Result<Database> db = Database::Open(u, w.base);
+  if (!db.ok() || !db->views().Refresh("bench", *prog).ok()) {
+    state.SkipWithError("cold materialization failed");
+    return;
+  }
+  size_t cycle = 0;
+  for (auto _ : state) {
+    const Instance& log = w.churn[cycle++ % w.churn.size()];
+    bool ok = db->Append(log).ok();
+    auto arrived = db->views().Refresh("bench", *prog);
+    ok = ok && arrived.ok() && db->Retract(log).ok();
+    auto left = db->views().Refresh("bench", *prog);
+    benchmark::DoNotOptimize(arrived);
+    benchmark::DoNotOptimize(left);
+    if (!ok || !left.ok()) {
+      state.SkipWithError("maintenance cycle failed");
+      break;
+    }
+    state.PauseTiming();
+    db->Compact();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_NegationViewRefresh)->Arg(200);
+
 }  // namespace
 }  // namespace seqdl
 
 int main(int argc, char** argv) {
   seqdl::PrintRetractMaintenance();
+  seqdl::PrintNegationMaintenance();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -115,10 +115,10 @@ class Executor {
   }
 
   // Incremental maintenance over the full current segment stack: adopts
-  // the stored view where sound, delta-evaluates the net additions, runs
-  // DRed deletion + re-derivation for the net retractions, and recomputes
-  // exactly the strata reading a changed relation through negation (see
-  // PreparedProgram::RunDelta's contract).
+  // the stored view, runs DRed deletion + re-derivation for the net
+  // retractions and for the facts negated relations gained, then
+  // delta-evaluates the net additions and the facts negated relations
+  // lost (see PreparedProgram::RunDelta's contract).
   Result<PreparedProgram::DeltaRun> RunDelta(
       std::span<const Segment> stack, size_t base_prefix,
       const Instance& view, const SupportLookup& stored_support) {
@@ -163,78 +163,53 @@ class Executor {
       const CompiledStratum& compiled = StrataOf(prog_)[s];
       if (stats_) stats_->per_stratum.emplace_back();
 
-      // Only a changed *negated* input forces a wholesale recompute (a
-      // gained fact can invalidate stored tuples, a lost one can enable
-      // new ones, and delta passes express neither). A shrunk positive
-      // input no longer does — the DRed deletion phase handles it in
-      // place; additions take the classic delta pass.
-      bool recompute = false;
-      for (const Rule& r : strata[s].rules) {
-        for (const Literal& l : r.body) {
-          if (!l.is_predicate() || !l.negated) continue;
-          if (!added.Tuples(l.pred.rel).empty() ||
-              !removed.Tuples(l.pred.rel).empty()) {
-            recompute = true;
-          }
-        }
+      // A negated relation lives in an earlier stratum or the EDB, so its
+      // change is final here: what it gained kills the firings that used
+      // its absence (deletion seeds), what it lost enables new ones
+      // (insertion seeds).
+      size_t gained = 0;
+      for (RelId rel : compiled.negated_rels) {
+        gained += added.Tuples(rel).size();
+        if (stats_) stats_->negated_lost_seeds += removed.Tuples(rel).size();
       }
+      if (stats_) stats_->negated_gained_seeds += gained;
 
       std::set<RelId> heads;
       for (const Rule& r : strata[s].rules) heads.insert(r.head.rel);
 
+      // Adopt the stored facts wholesale, then delete, re-derive, and
+      // delta-evaluate. The view holds no fact of the segments it was
+      // computed over (a view never contains EDB-visible facts, and a
+      // folded segment keeps its newest publish stamp, so every
+      // non-delta segment predates the view), which lets Adopt dedupe
+      // against the delta segments only — view facts the suffix promoted
+      // to EDB drop out of the overlay exactly as a cold run would leave
+      // them, and promoted-then-retracted ones stay view state (visible
+      // membership, not raw membership).
+      for (RelId rel : heads) {
+        store_.Adopt(rel, view.Tuples(rel), delta_span);
+      }
       // Everything this stratum's evaluation accepts into the overlay,
-      // recorded by MergePending for the cascade bookkeeping below.
+      // recorded by MergePending for the cascade below.
       Instance stratum_added;
       stratum_added_ = &stratum_added;
-      Status st;
-      if (!recompute) {
-        // Adopt the stored facts wholesale, then delete, re-derive, and
-        // delta-evaluate. The view holds no fact of the segments it was
-        // computed over (a view never contains EDB-visible facts, and a
-        // folded segment keeps its newest publish stamp, so every
-        // non-delta segment predates the view), which lets Adopt dedupe
-        // against the delta segments only — view facts the suffix
-        // promoted to EDB drop out of the overlay exactly as a cold run
-        // would leave them, and promoted-then-retracted ones stay view
-        // state (visible membership, not raw membership).
-        for (RelId rel : heads) {
-          store_.Adopt(rel, view.Tuples(rel), delta_span);
-        }
-        st = Status::OK();
-        if (!removed.Empty()) {
-          st = DeleteAndRederive(compiled, heads, &removed, stored_support,
-                                 &out.decrements);
-        }
-        if (st.ok()) st = EvalStratumDelta(compiled, added);
-      } else {
-        st = EvalStratum(compiled);
+      Status st = Status::OK();
+      if (!removed.Empty() || gained > 0) {
+        st = DeleteAndRederive(compiled, heads, added, &removed,
+                               stored_support, &out.decrements);
       }
+      if (st.ok()) st = EvalStratumDelta(compiled, added, removed);
       stratum_added_ = nullptr;
       SEQDL_RETURN_IF_ERROR(st);
+      if (stats_) ++stats_->strata_delta_maintained;
 
-      if (!recompute) {
-        if (stats_) ++stats_->strata_delta_maintained;
-        added.UnionWith(std::move(stratum_added));
-      } else {
-        if (stats_) ++stats_->strata_recomputed;
-        out.recomputed_strata.push_back(s);
-        // Diff the fresh result against the stored facts; additions and
-        // retractions join their respective cascades. A stored fact that
-        // is EDB-visible in the new stack merely moved layers; a fresh
-        // fact that was EDB-visible at the view's epoch (its occurrence
-        // since retracted, but still derivable) never left the relation.
-        for (RelId rel : heads) {
-          const TupleSet& fresh = stratum_added.Tuples(rel);
-          const TupleSet& stored = view.Tuples(rel);
-          for (TupleRef t : stored) {
-            if (fresh.Contains(t) || store_.ContainsBase(rel, t)) continue;
-            removed.Add(rel, t);
-          }
-          for (TupleRef t : fresh) {
-            if (stored.Contains(t)) continue;
-            if (Visible(base_span, rel, t)) continue;
-            added.Add(rel, t);
-          }
+      // A tuple the deletion phase removed and the insertion pass derived
+      // again never left its relation: it leaves the removals instead of
+      // joining the additions, so later strata seed only facts whose
+      // membership really changed.
+      for (RelId rel : stratum_added.Relations()) {
+        for (TupleRef t : stratum_added.Tuples(rel)) {
+          if (!removed.Remove(rel, t)) added.Add(rel, t);
         }
       }
     }
@@ -264,14 +239,16 @@ class Executor {
   }
 
   // One maintenance pass for a stratum whose stored facts were adopted:
-  // the restricted passes over the changed set (the appended EDB facts
-  // plus everything earlier strata added — the unrestricted steps see the
-  // full store, which already includes both the new segments and the
-  // adopted view), then the semi-naive rounds over whatever it derived.
+  // the restricted passes over the changed sets — positive literals over
+  // `added` (the appended EDB facts plus everything earlier strata
+  // added), negated ones over `removed` (what their relations lost) —
+  // where the unrestricted steps see the full new store, which already
+  // includes both the new segments and the adopted view; then the
+  // semi-naive rounds over whatever it derived.
   Status EvalStratumDelta(const CompiledStratum& stratum,
-                          const Instance& changed) {
+                          const Instance& added, const Instance& removed) {
     SEQDL_RETURN_IF_ERROR(BumpRound());
-    SEQDL_RETURN_IF_ERROR(ApplyRestricted(stratum, changed));
+    SEQDL_RETURN_IF_ERROR(ApplyRestricted(stratum, added, &removed));
     return CloseFixpoint(stratum);
   }
 
@@ -288,20 +265,24 @@ class Executor {
   }
 
   // The one restricted pass, shared by cold rounds, maintenance and DRed
-  // deletion: each rule runs once per positive body literal whose
-  // relation has facts in `delta`, through its delta-first variant for
-  // that literal, whose step 0 enumerates those facts while every later
-  // step sees the full store. Exactly the semi-naive argument: every
-  // derivation that uses a fact of `delta` is enumerated by the pass
+  // deletion: each rule runs once per body literal whose relation has
+  // facts in its restriction — `delta` for a positive literal,
+  // `neg_delta` (if any) for a negated one — through its delta-first
+  // variant for that literal, whose step 0 enumerates those facts while
+  // every later step sees the full store. Exactly the semi-naive
+  // argument: every derivation that uses a fact of `delta` (or the
+  // absence of a fact of `neg_delta`) is enumerated by the pass
   // restricting the literal that matched it. The restricted scan being
   // the outermost loop, a pass costs O(|delta|) probes, not an outer full
   // scan, and the delta is only ever enumerated, never probed.
-  Status ApplyRestricted(const CompiledStratum& stratum,
-                         const Instance& delta) {
+  Status ApplyRestricted(const CompiledStratum& stratum, const Instance& delta,
+                         const Instance* neg_delta = nullptr) {
     for (const std::map<size_t, RulePlan>& variants : stratum.delta_plans) {
       for (const auto& [lit_idx, plan] : variants) {
-        if (delta.Tuples(plan.rule->body[lit_idx].pred.rel).empty()) continue;
-        SEQDL_RETURN_IF_ERROR(ApplyRule(plan, &delta));
+        const Literal& lit = plan.rule->body[lit_idx];
+        const Instance* from = lit.negated ? neg_delta : &delta;
+        if (from == nullptr || from->Tuples(lit.pred.rel).empty()) continue;
+        SEQDL_RETURN_IF_ERROR(ApplyRule(plan, &delta, neg_delta));
       }
     }
     return Status::OK();
@@ -349,32 +330,43 @@ class Executor {
   // `removed` is the accumulated retraction cascade (EDB facts the delta
   // suffix retracted plus everything upstream strata deleted); tuples
   // this stratum deletes for good join it, and retracted facts this
-  // stratum re-derives leave it. Cumulative support decrements are
-  // reported through `decrements` for the caller to fold into the
-  // stored counts.
+  // stratum re-derives leave it. `added` is the addition cascade: the
+  // facts negated relations gained seed the deletion phase, and no added
+  // fact takes part in a derivation it enumerates. Cumulative support
+  // decrements are reported through `decrements` for the caller to fold
+  // into the stored counts.
   Status DeleteAndRederive(const CompiledStratum& stratum,
-                           const std::set<RelId>& heads, Instance* removed,
+                           const std::set<RelId>& heads, const Instance& added,
+                           Instance* removed,
                            const SupportLookup& stored_support,
                            SupportCounts* decrements) {
     // --- Deletion: cascade support decrements until no tuple dies. ---
-    // Round 0 processes everything removed so far; later rounds process
-    // the tuples the previous round deleted. Dead facts stay enumerable
-    // as *ghosts* at non-restricted scan positions, so a derivation
-    // joining several dead facts is still found from each one's
-    // restricted pass (SkipCount then attributes it to exactly one).
+    // Round 0 processes everything removed so far through the positive
+    // literals and everything negated relations gained through the
+    // negated ones; later rounds process the tuples the previous round
+    // deleted. Every pass enumerates derivations as they stood before
+    // the refresh: dead facts stay enumerable as *ghosts* at
+    // non-restricted scan positions, added facts are skipped there, and
+    // negated literals read each relation's old contents. So a dead
+    // derivation is found from each of its restricted passes (SkipCount
+    // then attributes it to exactly one), and no derivation the refresh
+    // created is decremented.
     Instance dminus = *removed;
     Instance deleted;  // this stratum's deletions
     const std::set<RelId> cyclic = CyclicHeads(stratum, heads);
     ghosts_removed_ = removed;
     ghosts_deleted_ = &deleted;
+    gained_ = &added;
+    const Instance* gains = &added;  // round 0 only
     Status st = Status::OK();
-    while (st.ok() && !dminus.Empty()) {
+    while (st.ok() && (!dminus.Empty() || gains != nullptr)) {
       st = BumpRound();
       if (!st.ok()) break;
       dec_round_.clear();
       decrement_mode_ = true;
-      st = ApplyRestricted(stratum, dminus);
+      st = ApplyRestricted(stratum, dminus, gains);
       decrement_mode_ = false;
+      gains = nullptr;
       if (!st.ok()) break;
 
       // Apply the round's decrements, deferred so a removal never
@@ -406,6 +398,7 @@ class Executor {
     }
     ghosts_removed_ = nullptr;
     ghosts_deleted_ = nullptr;
+    gained_ = nullptr;
     SEQDL_RETURN_IF_ERROR(st);
 
     // --- Re-derivation: rescue what still has a proof, to a fixpoint
@@ -522,12 +515,15 @@ class Executor {
   }
 
   // Runs one rule; derived facts go to pending_. With a `delta`, `plan`
-  // is a delta-first variant and its step 0 enumerates `*delta` instead
-  // of the store (ApplyRestricted).
-  Status ApplyRule(const RulePlan& plan, const Instance* delta) {
+  // is a delta-first variant and its step 0 enumerates the restriction
+  // of its first literal, `*delta` or `*neg_delta`, instead of the store
+  // (ApplyRestricted).
+  Status ApplyRule(const RulePlan& plan, const Instance* delta,
+                   const Instance* neg_delta = nullptr) {
     Valuation v;
     status_ = Status::OK();
     delta_ = delta;
+    neg_delta_ = neg_delta;
     // Once-per-firing attribution (SkipCount) needs the tuple each body
     // literal matched; track them whenever a restricted pass is counting
     // — support increments under semi-naive, or deletion decrements.
@@ -538,6 +534,7 @@ class Executor {
     ExecuteStep(plan, 0, v);
     track_matched_ = false;
     delta_ = nullptr;
+    neg_delta_ = nullptr;
     return status_;
   }
 
@@ -545,34 +542,50 @@ class Executor {
   // different restricted pass — the canonical attribution that keeps
   // support counts at exactly one increment (and the deletion phase at
   // exactly one decrement) per firing. A pass restricted to body literal
-  // i skips the firing when an earlier literal j < i matched a tuple of
-  // the current delta: the pass restricted to j enumerates the same
-  // firing and counts it there. Deletion passes additionally skip when
-  // any other literal matched a fact that died in an *earlier* round —
-  // the firing was already decremented when that fact died (its other
-  // atoms were all store-visible or ghosts then too).
+  // i skips the firing when an earlier literal j < i, positive or
+  // negated, matched a tuple of its own restriction: the pass restricted
+  // to j enumerates the same firing and counts it there. Deletion passes
+  // additionally skip when any other literal matched a fact that changed
+  // in an *earlier* round — the firing was already decremented then (its
+  // other atoms were all store-visible or ghosts then too).
   bool SkipCount(const RulePlan& plan) {
     if (!track_matched_) return false;
     const size_t restricted = plan.steps[0].lit_idx;
     const std::vector<Literal>& body = plan.rule->body;
-    for (size_t j = 0; j < body.size() && j < matched_.size(); ++j) {
+    for (size_t j = 0; j < body.size(); ++j) {
       if (j == restricted) continue;
       const Literal& l = body[j];
-      if (!l.is_predicate() || l.negated) continue;
+      if (!l.is_predicate()) continue;
       const std::optional<TupleRef>& m = matched_[j];
       if (!m) continue;
-      if (j < restricted && delta_->Contains(l.pred.rel, *m)) return true;
-      if (decrement_mode_ && IsOldGhost(l.pred.rel, *m)) return true;
+      const Instance* restriction = l.negated ? neg_delta_ : delta_;
+      if (restriction != nullptr && restriction->Contains(l.pred.rel, *m)) {
+        if (j < restricted) return true;
+      } else if (decrement_mode_ && ChangedEarlier(l, *m)) {
+        return true;
+      }
     }
     return false;
   }
 
-  // A fact that died in an earlier deletion round: a ghost that is not
-  // part of the current round's deletion set.
-  bool IsOldGhost(RelId rel, TupleRef t) const {
-    if (delta_ != nullptr && delta_->Contains(rel, t)) return false;
-    return (ghosts_removed_ != nullptr && ghosts_removed_->Contains(rel, t)) ||
-           (ghosts_deleted_ != nullptr && ghosts_deleted_->Contains(rel, t));
+  // In a deletion round, a fact outside the round's restriction that
+  // already changed: a ghost of a positive literal (removed before the
+  // round, or deleted in an earlier one), or a fact a negated relation
+  // gained (round 0 restricted every negated literal to those).
+  bool ChangedEarlier(const Literal& l, TupleRef t) const {
+    if (l.negated) return gained_->Contains(l.pred.rel, t);
+    return ghosts_removed_->Contains(l.pred.rel, t) ||
+           ghosts_deleted_->Contains(l.pred.rel, t);
+  }
+
+  // Whether the negated literal's tuple is in its relation. Deletion
+  // passes enumerate derivations as they stood before the refresh, so
+  // they read the relation's old contents: the new ones minus what it
+  // gained, plus what it lost.
+  bool NegatedHolds(RelId rel, TupleRef t) const {
+    if (!decrement_mode_) return store_.Contains(rel, t);
+    if (store_.Contains(rel, t)) return !gained_->Contains(rel, t);
+    return ghosts_removed_->Contains(rel, t);
   }
 
   // Returns false to abort enumeration (on error).
@@ -585,9 +598,15 @@ class Executor {
     auto next = [&](Valuation& v2) {
       return ExecuteStep(plan, step_idx + 1, v2);
     };
-    // Enumerate one store tuple, recording it when the canonical-count
-    // machinery needs to know which tuple each literal matched.
+    // Enumerate one tuple, recording it when the canonical-count
+    // machinery needs to know which tuple each literal matched. Deletion
+    // passes enumerate derivations as they stood before the refresh, so
+    // past their restricted step 0 they skip the facts it added.
     auto match_one = [&](TupleRef t) {
+      if (decrement_mode_ && step_idx > 0 &&
+          gained_->Contains(lit.pred.rel, t)) {
+        return true;
+      }
       if (track_matched_) matched_[step.lit_idx] = t;
       return MatchArgs(u_, lit.pred.args, t, v, next);
     };
@@ -613,9 +632,12 @@ class Executor {
       case PlanStep::Kind::kScan: {
         if (step_idx == 0 && delta_ != nullptr) {
           // A restricted pass's outermost scan: nothing is bound yet, so
-          // the delta is enumerated; MatchArgs filters each fact.
+          // the literal's restriction is enumerated; MatchArgs filters
+          // each fact. A negated literal scanned here is the change of
+          // its relation, and its check is left out of the plan.
           if (stats_) ++stats_->delta_scans;
-          return match_all(delta_->Tuples(lit.pred.rel));
+          const Instance* from = lit.negated ? neg_delta_ : delta_;
+          return match_all(from->Tuples(lit.pred.rel));
         }
         bool ok = [&] {
           StepKey key;
@@ -700,7 +722,8 @@ class Executor {
         // The negated relation is complete here (stratified negation): it is
         // either EDB or defined in an earlier stratum, so the store holds
         // all of its facts.
-        if (store_.Contains(lit.pred.rel, t)) return true;
+        if (NegatedHolds(lit.pred.rel, t)) return true;
+        if (track_matched_) matched_[step.lit_idx] = TupleRef(t);
         return next(v);
       }
       case PlanStep::Kind::kNegEq: {
@@ -876,7 +899,8 @@ class Executor {
   EvalStats* stats_;
   LayeredStore store_;
   /// When non-null (RunDelta), MergePending also records every accepted
-  /// fact here — the per-stratum additions the maintenance cascade diffs.
+  /// fact here — the per-stratum additions the maintenance cascade
+  /// carries to later strata.
   Instance* stratum_added_ = nullptr;
   /// The facts the current round derived, merged at its end.
   Instance pending_;
@@ -897,9 +921,16 @@ class Executor {
   /// accumulated removal cascade and this stratum's deletions so far.
   const Instance* ghosts_removed_ = nullptr;
   const Instance* ghosts_deleted_ = nullptr;
+  /// The addition cascade during the deletion phase: facts that were
+  /// not there before the refresh, which deletion passes skip (and
+  /// NegatedHolds reads out of a negated relation's old contents).
+  const Instance* gained_ = nullptr;
 
-  /// The running restricted pass's delta (ApplyRule); null otherwise.
+  /// The running restricted pass's restrictions (ApplyRule): `delta_`
+  /// for positive literals, `neg_delta_` (may be null) for negated ones.
+  /// Both null outside a restricted pass.
   const Instance* delta_ = nullptr;
+  const Instance* neg_delta_ = nullptr;
 
   // --- Canonical firing attribution (see SkipCount) ---
   bool track_matched_ = false;
@@ -933,12 +964,13 @@ Result<PreparedProgram> Engine::Compile(Universe& u, Program p,
       }
       compiled.plans.push_back(std::move(plan));
       // Delta-first variants, which every restricted pass runs: one plan
-      // per positive literal with that scan forced outermost, so a delta
+      // per predicate literal with that scan forced outermost, so a delta
       // restricted to it never hides behind a full outer scan.
       std::map<size_t, RulePlan> variants;
       for (size_t i = 0; i < r.body.size(); ++i) {
         const Literal& l = r.body[i];
-        if (!l.is_predicate() || l.negated) continue;
+        if (!l.is_predicate()) continue;
+        if (l.negated) compiled.negated_rels.insert(l.pred.rel);
         PlannerOptions vpopts = popts;
         vpopts.first_lit = static_cast<int>(i);
         SEQDL_ASSIGN_OR_RETURN(RulePlan variant, PlanRule(u, r, vpopts));

@@ -36,6 +36,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -175,15 +176,19 @@ struct EvalStats {
   /// Net changed facts of the delta segments (additions plus retractions)
   /// that seeded a RunDelta's first delta pass (0 on full runs).
   size_t delta_seed_facts = 0;
-  /// Strata a RunDelta maintained incrementally (delta passes over the
-  /// stored view, plus DRed deletion on shrink epochs) vs recomputed
-  /// wholesale (negation over a changed input). Both 0 on full runs.
+  /// Strata a RunDelta maintained over the stored view (all of them; 0
+  /// on full runs).
   size_t strata_delta_maintained = 0;
-  size_t strata_recomputed = 0;
-  /// DRed deletion-phase counters (0 on full runs and growth-only
-  /// deltas): support decrements applied, stored tuples whose support hit
-  /// zero and were provisionally deleted, and how many of those the
-  /// re-derivation pass rescued.
+  /// Facts a negated relation gained, which seeded a RunDelta's deletion
+  /// phase, and facts it lost, which seeded the insertion pass; counted
+  /// once per stratum negating the relation (0 on full runs).
+  size_t negated_gained_seeds = 0;
+  size_t negated_lost_seeds = 0;
+  /// DRed deletion-phase counters (0 on full runs, and on deltas that
+  /// remove nothing and add nothing to a negated relation): support
+  /// decrements applied, stored tuples whose support hit zero and were
+  /// provisionally deleted, and how many of those the re-derivation pass
+  /// rescued.
   size_t dred_decrements = 0;
   size_t dred_over_deleted = 0;
   size_t dred_re_derived = 0;
@@ -226,20 +231,15 @@ class PreparedProgram {
                        EvalStats* stats = nullptr) const;
 
   /// Result of RunDelta: the complete derived IDB at the post-update
-  /// epoch, which strata could not be maintained incrementally, and the
-  /// DRed deletion bookkeeping the view subsystem folds into its stored
-  /// support counts.
+  /// epoch and the DRed deletion bookkeeping the view subsystem folds
+  /// into its stored support counts.
   struct DeltaRun {
     Instance idb;
-    /// Indices (program order) of strata RunDelta recomputed wholesale —
-    /// a negated body relation changed (gained or lost facts). Everything
-    /// else was maintained by delta passes over the stored view; positive
-    /// shrinks are handled in place by DRed deletion, not by recompute.
-    std::vector<size_t> recomputed_strata;
     /// Support decrements the deletion phase applied, per stored tuple
-    /// (empty on growth-only deltas). The view subsystem combines these
-    /// with the carried-over counts: new = old + fresh - decrements,
-    /// saturating, floored at 1 for tuples present in `idb`.
+    /// (empty when the delta removes nothing and adds nothing to a
+    /// negated relation). The view subsystem combines these with the
+    /// carried-over counts: new = old + fresh - decrements, saturating,
+    /// floored at 1 for tuples present in `idb`.
     SupportCounts decrements;
   };
 
@@ -256,24 +256,28 @@ class PreparedProgram {
   /// harness enforces this at every epoch, across compaction).
   ///
   /// The suffix's net effect is computed fact by fact (a fact appended
-  /// then retracted inside the window nets out): additions seed delta
-  /// passes, retractions seed DRed deletion. Per stratum, in order: when
-  /// no negated body relation changed, the stratum is *maintained* — its
-  /// stored view facts are adopted wholesale, then three phases run. The
-  /// deletion phase decrements the stored support of every derivation
-  /// consuming a retracted fact (retracted facts stay enumerable as
-  /// ghosts so joins between dead facts are still counted), provisionally
+  /// then retracted inside the window nets out) into two disjoint change
+  /// sets, additions and removals, which grow down the strata by what
+  /// each stratum derives or deletes. Per stratum, in order, the stored
+  /// view facts are adopted wholesale, then three phases run. A negated
+  /// literal `!N` is one more restricted literal: N lives in an earlier
+  /// stratum or the EDB, so its change is final by then. The deletion
+  /// phase decrements the stored support of every derivation consuming
+  /// a removed fact or the absence of a fact N gained, provisionally
   /// deletes tuples whose support reaches zero, and cascades until no
-  /// deletion set remains. The re-derivation phase then rescues deleted
+  /// deletion set remains. It enumerates derivations as they stood
+  /// before the refresh: removed facts stay enumerable as ghosts, and
+  /// negated literals read the old N (the new N minus what it gained,
+  /// plus what it lost). The re-derivation phase then rescues deleted
   /// tuples (and retracted EDB facts of this stratum's head relations)
   /// that still have a proof, to a fixpoint. The insertion phase is the
-  /// classic delta pass over the additions. A stratum reading a changed
-  /// relation through negation is instead *recomputed* from scratch
-  /// against the already-updated lower strata, and its diff against the
-  /// stored facts joins the change sets cascading into later strata.
-  /// Appended EDB facts that duplicate stored view facts are dropped from
-  /// the new view (derived overlays never shadow visible base facts),
-  /// matching what a cold run would produce.
+  /// delta pass over the additions and the facts N lost, against the new
+  /// store. Each dying derivation is decremented once and each new one
+  /// counted once, however many of its literals changed. A tuple deleted
+  /// and derived again in one stratum leaves both change sets. Appended
+  /// EDB facts that duplicate stored view facts are dropped from the new
+  /// view (derived overlays never shadow visible base facts), matching
+  /// what a cold run would produce.
   Result<DeltaRun> RunDelta(std::span<const Segment> stack,
                             size_t base_prefix, const Instance& view,
                             const SupportLookup& stored_support,
@@ -301,13 +305,16 @@ class PreparedProgram {
   struct CompiledStratum {
     std::vector<RulePlan> plans;
     /// Delta-first variants, parallel to `plans`: per rule, one plan per
-    /// positive body literal with that literal's scan scheduled as step 0
-    /// (PlannerOptions::first_lit), keyed by literal index. Every
+    /// predicate body literal with that literal's scan scheduled as step
+    /// 0 (PlannerOptions::first_lit), keyed by literal index; a negated
+    /// literal's step 0 enumerates its relation's change. Every
     /// restricted pass — a cold or maintenance semi-naive round, the
     /// maintenance pass over the changed facts, a DRed deletion round —
     /// runs the variant whose step 0 is the restricted literal, so the
     /// application costs O(|delta|) probes instead of an outer full scan.
     std::vector<std::map<size_t, RulePlan>> delta_plans;
+    /// The relations this stratum's rules negate.
+    std::set<RelId> negated_rels;
     /// Head-bound variants, parallel to `plans`: each rule planned as if
     /// its head variables were already bound (PlannerOptions::head_bound).
     /// DRed's re-derivation check matches the candidate tuple against the

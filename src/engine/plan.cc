@@ -132,7 +132,11 @@ Result<RulePlan> PlanRule(const Universe& u, const Rule& r,
   std::vector<size_t> scans;
   for (size_t i = 0; i < r.body.size(); ++i) {
     const Literal& l = r.body[i];
-    if (l.is_predicate() && !l.negated) scans.push_back(i);
+    // A negated literal is scanned only when forced first: the restricted
+    // pass then enumerates its relation's change, the scan binds its
+    // variables for the rest of the body, and it needs no check step.
+    bool forced = static_cast<int>(i) == opts.first_lit;
+    if (l.is_predicate() && (!l.negated || forced)) scans.push_back(i);
   }
   bool forced_pending = opts.first_lit >= 0;
   while (!scans.empty()) {
@@ -153,7 +157,7 @@ Result<RulePlan> PlanRule(const Universe& u, const Rule& r,
       }
       if (!found) {
         return Status::InvalidArgument(
-            "first_lit does not name a positive predicate literal: " +
+            "first_lit does not name a predicate literal: " +
             FormatRule(u, r));
       }
     } else if (opts.reorder_scans && scans.size() > 1) {
@@ -227,7 +231,7 @@ Result<RulePlan> PlanRule(const Universe& u, const Rule& r,
   // Negated literals last; all their variables must be bound.
   for (size_t i = 0; i < r.body.size(); ++i) {
     const Literal& l = r.body[i];
-    if (!l.negated) continue;
+    if (!l.negated || static_cast<int>(i) == opts.first_lit) continue;
     bool ground = true;
     ForEachExpr(l, [&](const PathExpr& e) { ground = ground && all_bound(e); });
     if (!ground) {

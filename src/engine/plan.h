@@ -97,10 +97,12 @@ struct PlannerOptions {
   const StoreStats* stats = nullptr;
   /// When >= 0, the scan of this body literal is scheduled first (the
   /// remaining scans are ordered as usual). The compiler plans one such
-  /// variant per positive literal, and every semi-naive restriction runs
+  /// variant per predicate literal, and every semi-naive restriction runs
   /// them: restricting a scan to a small changed set only pays off when
   /// that scan is the outermost loop — anywhere deeper, the steps before
-  /// it still enumerate the full store.
+  /// it still enumerate the full store. A negated literal named here
+  /// becomes a kScan step 0 (the executor enumerates its relation's
+  /// change) and gets no check step.
   int first_lit = -1;
   /// Plan as if the head's variables were already bound when the body
   /// starts. Re-derivation checks (DRed) match a candidate tuple against

@@ -259,6 +259,7 @@ struct StatsReply {
   uint64_t view_cold_runs = 0;
   uint64_t view_delta_refreshes = 0;
   uint64_t view_dred_refreshes = 0;
+  /// Always 0 (ViewManager::Counters::strata_recomputed).
   uint64_t view_strata_recomputed = 0;
 };
 

@@ -278,10 +278,10 @@ Result<protocol::RetractReply> DatabaseService::Retract(
                          db_.Retract(std::move(*victims), &retracted));
 
   // Same eager refresh as Append: the ViewManager sees the tombstone in
-  // the delta window and runs DRed / stratum recompute — a shrink epoch
-  // is never "maintained" by the append-only delta path, and the cache
-  // epoch gate means any entry we fail to refresh here simply misses on
-  // the next Run (kBudget-clamped programs included).
+  // the delta window and runs DRed — a shrink epoch is never
+  // "maintained" by the insertion pass alone, and the cache epoch gate
+  // means any entry we fail to refresh here simply misses on the next
+  // Run (kBudget-clamped programs included).
   if (retracted > 0 && opts_.result_cache_entries > 0 &&
       opts_.maintain_views && opts_.refresh_on_append) {
     RefreshCachedViews();

@@ -12,9 +12,9 @@
 //     ranked the plan. Once they drift past recompile_drift (StatsDrift),
 //     a write's eager refresh or the next request recompiles it;
 //   * the maintained view (view/view.h), which a write refreshes instead
-//     of dropping: delta evaluation of appended facts (RunDelta), DRed or
-//     a stratum recompute for retracted ones, so re-serving after ingest
-//     costs O(delta) instead of a full fixpoint;
+//     of dropping: delta evaluation of appended facts (RunDelta) and DRed
+//     for retracted ones, negated inputs included, so re-serving after
+//     ingest costs O(delta) instead of a full fixpoint;
 //   * the renderings produced from the view, one per output relation,
 //     which the write patches along with the view (PatchOutput renders
 //     only the lines of the facts that left or arrived), so the next run
@@ -167,9 +167,9 @@ class DatabaseService {
   /// Parses the request's facts and retracts the visible matches by
   /// publishing a tombstone segment (Database::Retract). Cached views go
   /// through the same eager refresh as Append — the ViewManager sees the
-  /// tombstone epoch and takes the DRed delete/re-derive path (or a
-  /// wholesale stratum recompute), never the append-only delta path, so
-  /// a shrink epoch can never be served from a monotone-refresh result.
+  /// tombstone epoch and runs the DRed delete/re-derive phases, never the
+  /// insertion pass alone, so a shrink epoch can never be served from a
+  /// monotone-refresh result.
   Result<protocol::RetractReply> Retract(const protocol::RetractRequest& req);
 
   /// Current epoch / segment / fact counts.
@@ -264,10 +264,10 @@ class DatabaseService {
   /// After a write (Append or Retract), revalidates the plan of every
   /// entry with a view against one Stats() of the stack, advances the
   /// view to the current epoch under the program's admission policy
-  /// (Refresh picks delta vs DRed vs recompute) and patches the entry's
-  /// renderings from the old view to the new one. A failed refresh
-  /// leaves the entry stale and a failed patch drops its rendering: the
-  /// next Run recovers either.
+  /// (Refresh picks cold vs delta, with DRed when facts die) and patches
+  /// the entry's renderings from the old view to the new one. A failed
+  /// refresh leaves the entry stale and a failed patch drops its
+  /// rendering: the next Run recovers either.
   void RefreshCachedViews();
 
   /// Moves `it`'s entry to the LRU front. Caller holds mu_.

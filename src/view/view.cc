@@ -1,10 +1,7 @@
 #include "src/view/view.h"
 
-#include <set>
 #include <utility>
 #include <vector>
-
-#include "src/syntax/ast.h"
 
 namespace seqdl {
 
@@ -34,18 +31,16 @@ SharedSupport PruneSupport(SupportCounts&& counts, const Instance& idb) {
   return out;
 }
 
-/// Merges carried-over and fresh counts for a delta refresh: maintained
-/// strata keep their stored counts plus any new derivation events minus
-/// the DRed deletion phase's decrements; recomputed strata start over
-/// from the fresh events alone. Restricted to the new view's tuples
-/// either way. A maintained relation the delta pass neither fired into
-/// nor decremented shares the previous snapshot's table outright — no new
-/// tuples means no new counts, and an unchanged tuple count rules out
-/// EDB promotion, so the carried table is exactly right as is.
+/// Merges carried-over and fresh counts for a delta refresh: every
+/// relation keeps its stored counts plus any new derivation events minus
+/// the DRed deletion phase's decrements, restricted to the new view's
+/// tuples. A relation the delta pass neither fired into nor decremented
+/// shares the previous snapshot's table outright — no new tuples means
+/// no new counts, and an unchanged tuple count rules out EDB promotion,
+/// so the carried table is exactly right as is.
 SharedSupport CombineSupport(const Instance& idb, const SupportCounts& fresh,
                              const SupportCounts& decrements,
-                             const SharedSupport& old,
-                             const std::set<RelId>& recomputed_rels) {
+                             const SharedSupport& old) {
   SharedSupport out;
   for (RelId rel : idb.Relations()) {
     const TupleSet& have = idb.Tuples(rel);
@@ -55,9 +50,7 @@ SharedSupport CombineSupport(const Instance& idb, const SupportCounts& fresh,
     const auto dit = decrements.find(rel);
     const bool has_dec = dit != decrements.end() && !dit->second.empty();
     const auto oit = old.find(rel);
-    const bool carry = recomputed_rels.count(rel) == 0;
-    const TupleCounts* old_map =
-        (carry && oit != old.end()) ? oit->second.get() : nullptr;
+    const TupleCounts* old_map = oit != old.end() ? oit->second.get() : nullptr;
     // Every new tuple comes from a rule firing the delta pass counted, so
     // no fresh events = no additions; equal sizes then rule out the only
     // other change (adopted facts dropped by EDB promotion). Share.
@@ -168,7 +161,6 @@ Result<std::shared_ptr<const ViewSnapshot>> ViewManager::Refresh(
   auto snap = std::make_shared<ViewSnapshot>();
   snap->epoch_ = cur->epoch;
   snap->segments_ = cur->segments.size();
-  size_t recomputed_strata = 0;
 
   // Route derived-stats measurement through a local sink when the caller
   // did not pass one, so it still reaches the database's accumulator
@@ -206,16 +198,9 @@ Result<std::shared_ptr<const ViewSnapshot>> ViewManager::Refresh(
         PreparedProgram::DeltaRun run,
         prog.RunDelta(cur->segments, base_prefix, old->idb_, lookup, o,
                       sink));
-    std::set<RelId> recomputed_rels;
-    for (size_t s : run.recomputed_strata) {
-      for (const Rule& r : prog.program().strata[s].rules) {
-        recomputed_rels.insert(r.head.rel);
-      }
-    }
-    recomputed_strata = run.recomputed_strata.size();
     snap->idb_ = std::move(run.idb);
-    snap->support_ = CombineSupport(snap->idb_, fresh, run.decrements,
-                                    old->support_, recomputed_rels);
+    snap->support_ =
+        CombineSupport(snap->idb_, fresh, run.decrements, old->support_);
   }
   snap->bytes_ = TableBytes(snap->idb_, snap->support_);
 
@@ -232,7 +217,6 @@ Result<std::shared_ptr<const ViewSnapshot>> ViewManager::Refresh(
   } else {
     ++counters_.delta_refreshes;
     if (shrink_delta) ++counters_.dred_refreshes;
-    counters_.strata_recomputed += recomputed_strata;
   }
   // Publish unless a racing refresh already installed a newer epoch.
   auto& slot = views_[key];

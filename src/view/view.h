@@ -12,11 +12,12 @@
 // PreparedProgram::RunDelta — semi-naive delta evaluation of the net
 // additions plus counting DRed (delete/re-derive) for the net
 // retractions, against the stored IDB — instead of re-running the full
-// fixpoint. Strata the delta pass cannot maintain soundly (negation over
-// a changed input) are recomputed wholesale; everything else is adopted
-// and patched in place, shrink epochs included. A snapshot pinned below
-// SegmentSet::shrink_floor (a fold covered segments it never saw) falls
-// back to a cold materialization. The refreshed snapshot is
+// fixpoint. Every stratum is adopted and patched in place, shrink epochs
+// and negation included: a fact a negated relation gained seeds the
+// deletion phase, and a fact it lost seeds the insertion pass. A
+// snapshot pinned below SegmentSet::shrink_floor (a fold covered
+// segments it never saw) falls back to a cold materialization. The
+// refreshed snapshot is
 // byte-identical to a cold fixpoint at the new epoch
 // (tests/differential_test.cc enforces this at every epoch, across
 // retraction and compaction).
@@ -55,13 +56,14 @@
 // firings that die with the tuple itself, so the executor deletes those
 // on the first decrement (classic over-deleting DRed, see
 // CyclicHeads in engine.cc) and lets re-derivation rescue survivors.
-// Maintained strata carry their counts forward plus fresh events minus
-// the deletion phase's decrements (saturating, floored at one for
-// surviving tuples — a high-fan-in tuple can never wrap past zero and
-// be wrongly dropped); recomputed strata get fresh counts. The counts
-// are a lower bound on the true derivation count, which errs in the
-// safe direction (an undercount triggers a spurious re-derivation
-// check, never a wrong deletion).
+// Every stratum carries its counts forward plus fresh events minus the
+// deletion phase's decrements (saturating, floored at one for surviving
+// tuples — a high-fan-in tuple can never wrap past zero and be wrongly
+// dropped). A derivation counts and dies once, whichever of its
+// positive or negated literals changed. The counts are a lower bound on
+// the true derivation count, which errs in the safe direction (an
+// undercount triggers a spurious re-derivation check, never a wrong
+// deletion).
 //
 // Thread-safety: all ViewManager methods may be called from any thread.
 // The map mutex guards lookups and publishes only — evaluation runs
@@ -86,7 +88,7 @@
 namespace seqdl {
 
 /// Per-relation support counts of one view, shared between snapshots:
-/// a delta refresh that neither recomputed a relation nor derived new
+/// a delta refresh that neither decremented a relation nor derived new
 /// facts for it reuses the previous snapshot's table wholesale instead of
 /// rebuilding O(|view|) entries (both snapshots are immutable, so
 /// sharing is safe).
@@ -135,10 +137,13 @@ class ViewManager {
     /// since).
     uint64_t delta_refreshes = 0;
     /// The subset of delta_refreshes whose window contained a tombstone
-    /// segment — the DRed deletion/re-derivation machinery ran.
+    /// segment — the DRed deletion/re-derivation machinery ran. (It
+    /// also runs when a negated relation gains facts; those refreshes
+    /// count here only with a tombstone in the window.)
     uint64_t dred_refreshes = 0;
-    /// Strata recomputed wholesale inside those delta refreshes (0 when
-    /// every stratum was maintainable).
+    /// Always 0: a delta refresh maintains every stratum in place,
+    /// negation included. Kept, with the wire field that reports it,
+    /// while the repo benchmark still reads it (ROADMAP item 9).
     uint64_t strata_recomputed = 0;
   };
 

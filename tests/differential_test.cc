@@ -79,11 +79,14 @@ class CaseGenerator {
   /// Some rule negates a stratum-1 IDB relation (subset of
   /// multi_stratum() cases).
   bool negates_idb() const { return negates_idb_; }
+  /// Some negated literal has a two-item concatenation as an argument.
+  bool compound_negation() const { return compound_negation_; }
 
   RandomCase Generate() {
     packing_ = Pick(2) == 0;
     multi_stratum_ = Pick(2) == 0;
     negates_idb_ = false;
+    compound_negation_ = false;
     // Symbol pools.
     std::vector<AtomId> atoms;
     for (char c : {'a', 'b', 'c', 'd'}) {
@@ -265,19 +268,25 @@ class CaseGenerator {
 
     // Optional negated literal (over bound variables / constants only)
     // from the stratification-safe pool: EDB in stratum 1, EDB plus
-    // stratum-1 IDB in stratum 2.
+    // stratum-1 IDB in stratum 2. An argument is a lone item or, one
+    // time in four, a two-item concatenation, so a restricted pass over
+    // the relation's change has splits to enumerate.
     if (!bound.empty() && Pick(4) == 0) {
       RelId rel = neg_pool[Pick(neg_pool.size())];
       if (!IsEdb(rel)) negates_idb_ = true;
+      auto item = [&]() {
+        if (Pick(2) == 0) return VarExpr(u_, bound[Pick(bound.size())]);
+        return ConstExpr(Value::Atom(atoms[Pick(atoms.size())]));
+      };
       Predicate pred;
       pred.rel = rel;
       for (uint32_t col = 0; col < u_.RelArity(rel); ++col) {
-        if (Pick(2) == 0) {
-          pred.args.push_back(VarExpr(u_, bound[Pick(bound.size())]));
-        } else {
-          pred.args.push_back(
-              ConstExpr(Value::Atom(atoms[Pick(atoms.size())])));
+        PathExpr arg = item();
+        if (Pick(4) == 0) {
+          arg = ConcatExpr(arg, item());
+          compound_negation_ = true;
         }
+        pred.args.push_back(std::move(arg));
       }
       r.body.push_back(Literal::Pred(std::move(pred), /*negated=*/true));
     }
@@ -307,6 +316,8 @@ class CaseGenerator {
   bool multi_stratum_ = false;
   /// Some stratum-2 rule negates a stratum-1 IDB relation.
   bool negates_idb_ = false;
+  /// Some negated literal has a concatenated argument.
+  bool compound_negation_ = false;
   std::vector<RelId> edb_rels_;
 };
 
@@ -322,6 +333,7 @@ TEST(DifferentialTest, AllExecutionModesAgreeOnRandomPrograms) {
   size_t iterations = Iterations();
   size_t compared = 0, skipped = 0, packed_cases = 0;
   size_t multi_stratum_cases = 0, idb_negation_cases = 0;
+  size_t compound_negation_cases = 0;
   for (uint64_t seed = 1; seed <= iterations; ++seed) {
     Universe u;
     CaseGenerator gen(u, seed);
@@ -329,6 +341,7 @@ TEST(DifferentialTest, AllExecutionModesAgreeOnRandomPrograms) {
     if (gen.packing()) ++packed_cases;
     if (gen.multi_stratum()) ++multi_stratum_cases;
     if (gen.negates_idb()) ++idb_negation_cases;
+    if (gen.compound_negation()) ++compound_negation_cases;
     SCOPED_TRACE("seed " + std::to_string(seed) + "\n" +
                  FormatProgram(u, c.program) + c.input.ToString(u));
 
@@ -409,6 +422,9 @@ TEST(DifferentialTest, AllExecutionModesAgreeOnRandomPrograms) {
   EXPECT_GE(idb_negation_cases * 40, iterations)
       << idb_negation_cases << " of " << iterations
       << " seeds negated a stratum-1 IDB relation";
+  EXPECT_GE(compound_negation_cases * 40, iterations)
+      << compound_negation_cases << " of " << iterations
+      << " seeds concatenated a negated literal's argument";
 }
 
 // The ingest differential: facts arriving through Append must be
@@ -511,20 +527,37 @@ TEST(DifferentialTest, IncrementalIngestMatchesColdOpenPerEpoch) {
       << " skipped)";
 }
 
+/// Refreshes whose negated inputs changed, per direction: counted from
+/// the EvalStats of each Refresh.
+struct NegationSeeds {
+  uint64_t gained = 0;
+  uint64_t lost = 0;
+
+  void Count(const EvalStats& stats) {
+    if (stats.negated_gained_seeds > 0) ++gained;
+    if (stats.negated_lost_seeds > 0) ++lost;
+  }
+  void Add(const NegationSeeds& other) {
+    gained += other.gained;
+    lost += other.lost;
+  }
+};
+
 // The incremental-maintenance differential: a materialized view kept
 // current across a random append schedule by semi-naive delta evaluation
 // (ViewManager::Refresh → PreparedProgram::RunDelta) must be
 // byte-identical to a cold fixpoint over exactly the same facts at every
 // epoch. The schedule stresses the hard cases on purpose: appends landing
-// in relations some rule negates (forcing stratum recomputation and
+// in relations some rule negates (seeding the deletion phase and
 // retraction cascades), appends that promote previously *derived* facts
-// to EDB (the view must drop them, like a cold run does), and a
+// to EDB (the view must drop them, like a cold run does), a
 // mid-sequence Compact() that folds the segment stack underneath the
-// stored snapshot's publish stamps.
+// stored snapshot's publish stamps, and a final retraction of one batch.
 TEST(DifferentialTest, MaintainedViewMatchesColdFixpointPerEpoch) {
   size_t iterations = Iterations();
   size_t compared = 0, skipped = 0;
-  uint64_t delta_refreshes = 0, strata_recomputed = 0;
+  uint64_t delta_refreshes = 0;
+  NegationSeeds negation;
   for (uint64_t seed = 1; seed <= iterations; ++seed) {
     Universe u;
     RandomCase c = CaseGenerator(u, seed).Generate();
@@ -552,6 +585,7 @@ TEST(DifferentialTest, MaintainedViewMatchesColdFixpointPerEpoch) {
     ASSERT_TRUE(live.ok()) << live.status().ToString();
     Instance accumulated = batches[0];
     bool budget_hit = false;
+    NegationSeeds seed_negation;
 
     // One epoch's comparison: the maintained view against a cold fixpoint
     // on the accumulated facts. Budget exhaustion on either side skips
@@ -567,13 +601,15 @@ TEST(DifferentialTest, MaintainedViewMatchesColdFixpointPerEpoch) {
         budget_hit = true;
         return;
       }
-      auto view = live->views().Refresh("view", *prog, ropts);
+      EvalStats stats;
+      auto view = live->views().Refresh("view", *prog, ropts, &stats);
       if (!view.ok()) {
         ASSERT_EQ(view.status().code(), StatusCode::kResourceExhausted)
             << phase << ": " << view.status().ToString();
         budget_hit = true;
         return;
       }
+      seed_negation.Count(stats);
       EXPECT_EQ((*view)->epoch(), live->epoch()) << phase;
       EXPECT_EQ(want->ToString(u), (*view)->idb().ToString(u)) << phase;
     };
@@ -616,6 +652,17 @@ TEST(DifferentialTest, MaintainedViewMatchesColdFixpointPerEpoch) {
       check("post-compaction");
     }
     if (!budget_hit) append_and_check(batches[2], "epoch 3 (post-compact delta)");
+    if (!budget_hit) {
+      // Undo one batch. Appends alone make a negated input lose facts
+      // only through a lower stratum's loss, which generated cases
+      // almost never draw; a retraction makes every negated EDB relation
+      // among the victims lose facts, which seeds the insertion pass.
+      ASSERT_TRUE(live->Retract(batches[1]).ok());
+      for (RelId rel : batches[1].Relations()) {
+        for (TupleRef t : batches[1].Tuples(rel)) accumulated.Remove(rel, t);
+      }
+      check("epoch 4 (batch 1 retracted)");
+    }
     if (budget_hit) {
       ++skipped;
       continue;
@@ -623,17 +670,20 @@ TEST(DifferentialTest, MaintainedViewMatchesColdFixpointPerEpoch) {
 
     ViewManager::Counters counters = live->views().counters();
     delta_refreshes += counters.delta_refreshes;
-    strata_recomputed += counters.strata_recomputed;
+    EXPECT_EQ(counters.strata_recomputed, 0u);
+    negation.Add(seed_negation);
     ++compared;
   }
   EXPECT_GE(compared * 5, iterations * 4)
       << compared << " of " << iterations << " seeds compared (" << skipped
       << " skipped)";
-  // The suite must actually exercise both maintenance paths: incremental
-  // delta refreshes, and wholesale stratum recomputation (negation over
-  // changed inputs / shrunk positive inputs).
+  // The suite must actually exercise incremental delta refreshes, and
+  // negation maintained in both directions: refreshes whose negated
+  // input gained facts (deletion seeds) and lost facts (insertion
+  // seeds).
   EXPECT_GT(delta_refreshes, 0u);
-  EXPECT_GT(strata_recomputed, 0u);
+  EXPECT_GT(negation.gained, 0u);
+  EXPECT_GT(negation.lost, 0u);
 }
 
 /// Draws a random ~third of `from`'s facts with a schedule RNG that is
@@ -651,16 +701,18 @@ Instance SelectVictims(std::mt19937& sched, const Instance& from) {
 
 // The retraction differential: a materialized view maintained across a
 // random schedule of retractions interleaved with appends — tombstone
-// epochs driving counting DRed (delete/re-derive) or wholesale stratum
-// recomputation — must stay byte-identical to a cold fixpoint over
-// exactly the visible facts at every epoch. The schedule also re-appends
-// some retracted facts (the visibility flip in both directions) and
-// compacts mid-sequence, after which the stack must hold no tombstones
-// at all.
+// epochs driving counting DRed (delete/re-derive), negated inputs that
+// gain or lose facts included — must stay byte-identical to a cold
+// fixpoint over exactly the visible facts at every epoch. The schedule
+// also re-appends some retracted facts (the visibility flip in both
+// directions), compacts mid-sequence, after which the stack must hold no
+// tombstones at all, and ends with a retraction and an append published
+// back to back under one refresh.
 TEST(DifferentialTest, RetractionMaintainedViewMatchesColdFixpointPerEpoch) {
   size_t iterations = Iterations();
   size_t compared = 0, skipped = 0;
-  uint64_t dred_refreshes = 0, strata_recomputed = 0;
+  uint64_t dred_refreshes = 0;
+  NegationSeeds negation;
   for (uint64_t seed = 1; seed <= iterations; ++seed) {
     Universe u;
     RandomCase c = CaseGenerator(u, seed).Generate();
@@ -677,6 +729,7 @@ TEST(DifferentialTest, RetractionMaintainedViewMatchesColdFixpointPerEpoch) {
     Result<Database> live = Database::Open(u, c.input);
     ASSERT_TRUE(live.ok()) << live.status().ToString();
     bool budget_hit = false;
+    NegationSeeds seed_negation;
 
     // One epoch's comparison: the maintained view against a cold fixpoint
     // on the currently *visible* facts (live->edb() materializes the
@@ -691,13 +744,15 @@ TEST(DifferentialTest, RetractionMaintainedViewMatchesColdFixpointPerEpoch) {
         budget_hit = true;
         return;
       }
-      auto view = live->views().Refresh("view", *prog, ropts);
+      EvalStats stats;
+      auto view = live->views().Refresh("view", *prog, ropts, &stats);
       if (!view.ok()) {
         ASSERT_EQ(view.status().code(), StatusCode::kResourceExhausted)
             << phase << ": " << view.status().ToString();
         budget_hit = true;
         return;
       }
+      seed_negation.Count(stats);
       EXPECT_EQ((*view)->epoch(), live->epoch()) << phase;
       EXPECT_EQ(want->ToString(u), (*view)->idb().ToString(u)) << phase;
     };
@@ -733,6 +788,22 @@ TEST(DifferentialTest, RetractionMaintainedViewMatchesColdFixpointPerEpoch) {
       ASSERT_TRUE(live->Retract(SelectVictims(sched, live->edb())).ok());
       check("shrink epoch on folded stack");
     }
+    if (!budget_hit) {
+      // Two writes in one refresh window: retract visible facts, then
+      // re-append facts retracted earlier. A derivation can lose a
+      // positive fact and gain a negated one at once, and must still be
+      // decremented (or counted) exactly once.
+      Instance visible = live->edb();
+      Instance gone;
+      for (RelId rel : c.input.Relations()) {
+        for (TupleRef t : c.input.Tuples(rel)) {
+          if (!visible.Contains(rel, t)) gone.Add(rel, t);
+        }
+      }
+      ASSERT_TRUE(live->Retract(SelectVictims(sched, visible)).ok());
+      ASSERT_TRUE(live->Append(SelectVictims(sched, gone)).ok());
+      check("retraction and append under one refresh");
+    }
     if (budget_hit) {
       ++skipped;
       continue;
@@ -740,17 +811,19 @@ TEST(DifferentialTest, RetractionMaintainedViewMatchesColdFixpointPerEpoch) {
 
     ViewManager::Counters counters = live->views().counters();
     dred_refreshes += counters.dred_refreshes;
-    strata_recomputed += counters.strata_recomputed;
+    EXPECT_EQ(counters.strata_recomputed, 0u);
+    negation.Add(seed_negation);
     ++compared;
   }
   EXPECT_GE(compared * 5, iterations * 4)
       << compared << " of " << iterations << " seeds compared (" << skipped
       << " skipped)";
-  // The suite must actually exercise both shrink paths: DRed
-  // delete/re-derive on maintained strata, and wholesale recomputation
-  // of strata reading a changed negated input.
+  // The suite must actually exercise DRed delete/re-derive, and negation
+  // maintained in both directions: refreshes whose negated input gained
+  // facts (deletion seeds) and lost facts (insertion seeds).
   EXPECT_GT(dred_refreshes, 0u);
-  EXPECT_GT(strata_recomputed, 0u);
+  EXPECT_GT(negation.gained, 0u);
+  EXPECT_GT(negation.lost, 0u);
 }
 
 /// One fact of `from`, chosen by `sched` (empty when `from` is).

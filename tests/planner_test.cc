@@ -467,7 +467,8 @@ TEST(PlannerTest, ExplainTextOfEveryAccessPath) {
 // Pins the order of the equation steps: the planner binds the first
 // pending positive equation (in body order) with one side fully bound,
 // then starts over, and runs the negated literals last in body order.
-// `first_lit` reorders only the scans; `head_bound` seeds the head's
+// `first_lit` reorders only the scans, or, naming a negated literal,
+// scans it first and drops its check; `head_bound` seeds the head's
 // variables, so an equation whose side is the head can go first.
 TEST(PlannerTest, EquationStepsFollowTheSchedule) {
   using K = PlanStep::Kind;
@@ -495,6 +496,15 @@ TEST(PlannerTest, EquationStepsFollowTheSchedule) {
        {{K::kScan, 1}, {K::kScan, 3}, {K::kEq, 4}, {K::kNegPred, 0},
         {K::kNegEq, 2}},
        {{K::kScan, 3}, {K::kScan, 1}, {K::kEq, 4}, {K::kNegPred, 0},
+        {K::kNegEq, 2}},
+       {{K::kScan, 1}, {K::kScan, 3}, {K::kEq, 4}, {K::kNegPred, 0},
+        {K::kNegEq, 2}}},
+      // A negated first literal is scanned first (a restricted pass
+      // enumerates its relation's change, binding $y) and not checked.
+      {"T($x) <- !Q($y), R($x, $w), $x ++ $y != a, P($w), $y = $w ++ b.", 0,
+       {{K::kScan, 1}, {K::kScan, 3}, {K::kEq, 4}, {K::kNegPred, 0},
+        {K::kNegEq, 2}},
+       {{K::kScan, 0}, {K::kScan, 1}, {K::kScan, 3}, {K::kEq, 4},
         {K::kNegEq, 2}},
        {{K::kScan, 1}, {K::kScan, 3}, {K::kEq, 4}, {K::kNegPred, 0},
         {K::kNegEq, 2}}},

@@ -200,6 +200,128 @@ TEST(RetractTest, CountGatedSurvivalSkipsRederivation) {
   EXPECT_EQ(db->views().counters().dred_refreshes, 1u);
 }
 
+// One refresh sees a firing lose its positive fact A(a) and gain the
+// negated fact N(a): both restricted passes of the deletion phase find
+// it, and exactly one may decrement it. P(a) keeps its B(a) derivation,
+// so its count of 2 drops to 1 and it is never even provisionally
+// deleted; decrementing the dying firing twice would zero it. Both body
+// orders, so either literal can come first in the attribution.
+TEST(RetractTest, PositiveLossAndNegatedGainDecrementOnce) {
+  for (const char* rule : {"P($x) <- A($x), !N($x).\n",
+                           "P($x) <- !N($x), A($x).\n"}) {
+    SCOPED_TRACE(rule);
+    Universe u;
+    Result<Database> db = Database::Open(u, MustInstance(u, "A(a). B(a)."));
+    ASSERT_TRUE(db.ok());
+    std::string text = rule;
+    text += "P($x) <- B($x).\n";
+    PreparedProgram prog = MustCompile(u, text);
+    ASSERT_TRUE(db->views().Refresh("p", prog).ok());
+
+    ASSERT_TRUE(db->Retract(MustInstance(u, "A(a).")).ok());
+    ASSERT_TRUE(db->Append(MustInstance(u, "N(a).")).ok());
+    EvalStats stats;
+    auto v = db->views().Refresh("p", prog, {}, &stats);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    EXPECT_EQ((*v)->idb().ToString(u), ColdRendered(u, *db, prog));
+    EXPECT_EQ(stats.dred_decrements, 1u);
+    EXPECT_EQ(stats.dred_over_deleted, 0u);
+    EXPECT_EQ(stats.negated_gained_seeds, 1u);
+    RelId p = *u.FindRel("P");
+    EXPECT_EQ((*v)->support().at(p)->Get(Tuple{u.PathOfChars("a")}), 1u);
+  }
+}
+
+// One refresh sees a firing gain its positive fact A(b) and lose the
+// negated fact N(b): both restricted passes of the insertion pass find
+// it, and exactly one may count it. A firing counted twice would keep
+// P(b) alive through the retraction of A(b).
+TEST(RetractTest, PositiveGainAndNegatedLossCountOnce) {
+  for (const char* rule :
+       {"P($x) <- A($x), !N($x).\n", "P($x) <- !N($x), A($x).\n"}) {
+    SCOPED_TRACE(rule);
+    Universe u;
+    Result<Database> db = Database::Open(u, MustInstance(u, "N(b)."));
+    ASSERT_TRUE(db.ok());
+    PreparedProgram prog = MustCompile(u, rule);
+    ASSERT_TRUE(db->views().Refresh("p", prog).ok());
+    RelId p = *u.FindRel("P");
+    const Tuple b{u.PathOfChars("b")};
+
+    ASSERT_TRUE(db->Append(MustInstance(u, "A(b).")).ok());
+    ASSERT_TRUE(db->Retract(MustInstance(u, "N(b).")).ok());
+    EvalStats stats;
+    auto v = db->views().Refresh("p", prog, {}, &stats);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    EXPECT_EQ((*v)->idb().ToString(u), ColdRendered(u, *db, prog));
+    EXPECT_EQ(stats.negated_lost_seeds, 1u);
+    EXPECT_EQ((*v)->support().at(p)->Get(b), 1u);
+
+    ASSERT_TRUE(db->Retract(MustInstance(u, "A(b).")).ok());
+    v = db->views().Refresh("p", prog);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    EXPECT_FALSE((*v)->idb().Contains(p, b));
+    EXPECT_EQ((*v)->idb().ToString(u), ColdRendered(u, *db, prog));
+  }
+}
+
+// A later deletion round must not decrement a firing again through a
+// negated fact that round 0 already accounted for. Round 0 kills Q(a)'s
+// firing through P(a) through the gained N(a) (P(a) is still alive
+// then); round 1 finds it again from the deleted P(a) and skips it.
+// Q(a) keeps its B(a) derivation and is never provisionally deleted.
+TEST(RetractTest, LaterDeletionRoundSkipsFiringsOfGainedNegatedFacts) {
+  Universe u;
+  Result<Database> db = Database::Open(u, MustInstance(u, "A(a). B(a)."));
+  ASSERT_TRUE(db.ok());
+  PreparedProgram prog = MustCompile(u,
+                                     "P($x) <- A($x).\n"
+                                     "Q($x) <- P($x), !N($x).\n"
+                                     "Q($x) <- B($x).\n");
+  ASSERT_TRUE(db->views().Refresh("pq", prog).ok());
+
+  ASSERT_TRUE(db->Retract(MustInstance(u, "A(a).")).ok());
+  ASSERT_TRUE(db->Append(MustInstance(u, "N(a).")).ok());
+  EvalStats stats;
+  auto v = db->views().Refresh("pq", prog, {}, &stats);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ((*v)->idb().ToString(u), ColdRendered(u, *db, prog));
+  EXPECT_EQ(stats.dred_over_deleted, 1u);  // P(a) only
+  EXPECT_EQ(stats.dred_re_derived, 0u);
+  RelId q = *u.FindRel("Q");
+  EXPECT_EQ((*v)->support().at(q)->Get(Tuple{u.PathOfChars("a")}), 1u);
+}
+
+// A recursive stratum can delete a tuple and derive it again through a
+// new fact in the same refresh: retracting A(a) kills T(a) and T(c),
+// and the appended A(d) brings T(c) back through T(d). T(c) never left
+// T, so it must seed neither direction of the negated literal above it:
+// as a lost fact it would derive P(c), although T(c) holds.
+TEST(RetractTest, TupleDeletedAndDerivedAgainIsNoNegatedChange) {
+  Universe u;
+  Result<Database> db = Database::Open(
+      u, MustInstance(u, "A(a). E(a, c). E(d, c). R(a). R(c). R(d)."));
+  ASSERT_TRUE(db.ok());
+  PreparedProgram prog = MustCompile(u,
+                                     "T($x) <- A($x).\n"
+                                     "T($x) <- T($y), E($y, $x).\n"
+                                     "---\n"
+                                     "P($x) <- R($x), !T($x).\n");
+  ASSERT_TRUE(db->views().Refresh("tp", prog).ok());
+
+  ASSERT_TRUE(db->Retract(MustInstance(u, "A(a).")).ok());
+  ASSERT_TRUE(db->Append(MustInstance(u, "A(d).")).ok());
+  EvalStats stats;
+  auto v = db->views().Refresh("tp", prog, {}, &stats);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ((*v)->idb().ToString(u), ColdRendered(u, *db, prog));
+  RelId p = *u.FindRel("P");
+  EXPECT_FALSE((*v)->idb().Contains(p, {u.PathOfChars("c")}));
+  // T gained d and lost a; c is in neither set.
+  EXPECT_EQ(stats.negated_gained_seeds, 1u);
+  EXPECT_EQ(stats.negated_lost_seeds, 1u);
+}
+
 TEST(RetractTest, OverDecrementedTupleSurvivesViaRederivation) {
   Universe u;
   // A cycle a -> b -> c -> a plus the chord a -> c: R(a, c) is reachable
