@@ -1,10 +1,12 @@
 // Durability costs, measured: WAL commit throughput under each fsync
 // policy, the same with automatic folds over a large base (the trade of
 // folding in memory: cheap commits, a WAL that grows until its
-// threshold), the time Open(dir) takes to replay that WAL, cold
-// recovery (`Database::Open(dir)`) versus parsing and re-ingesting the
-// same facts, and query latency on a recovered database versus a
-// never-persisted one. Prints comparison tables and
+// threshold), a server's write with three cached views, by one writer
+// and by four, in memory and durable (whose refresh runs beside the WAL
+// sync while one write is in flight), the time Open(dir) takes to replay
+// that WAL, cold recovery (`Database::Open(dir)`) versus parsing and
+// re-ingesting the same facts, and query latency on a recovered
+// database versus a never-persisted one. Prints comparison tables and
 // then runs the google-benchmark timers; `--json` instead emits one
 // machine-readable document (for the nightly difftest workflow's
 // regression record) and skips the benchmark harness.
@@ -19,11 +21,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/engine/database.h"
 #include "src/engine/instance.h"
+#include "src/server/service.h"
 #include "src/storage/format.h"
 #include "src/storage/storage.h"
 #include "src/storage/wal.h"
@@ -204,6 +208,126 @@ FoldingResult MeasureFoldingCommits(storage::SyncMode mode, const char* name,
   return {name, commits, ms, commits / (ms / 1000.0), checkpoints};
 }
 
+/// perfbench durable_ingest's standing programs (packing, stratified
+/// negation, recursion) and the outputs it reads.
+constexpr const char* kStandingPrograms[] = {
+    "Mark($k, $u ++ <a ++ c ++ g> ++ $v) <- Read($k, $u ++ a ++ c ++ g ++ "
+    "$v).\nMarked($k) <- Mark($k, $p).\n",
+    "HasRp($k, $v) <- Log($k, $u ++ co ++ $v), $v = $s ++ rp ++ $t.\n---\n"
+    "Bad($k) <- Log($k, $x), $x = $u ++ co ++ $v, !HasRp($k, $v).\n---\n"
+    "Good($k) <- Log($k, $x), !Bad($k).\n",
+    "Reach(@x ++ @y) <- Link(@x ++ @y).\n"
+    "Reach(@x ++ @z) <- Reach(@x ++ @y), Link(@y ++ @z).\n"
+    "Cyclic(@x) <- Reach(@x ++ @x).\n",
+};
+constexpr std::pair<int, const char*> kStandingOutputs[] = {
+    {0, "Mark"}, {0, "Marked"}, {1, "Good"}, {1, "Bad"}, {2, "Reach"}};
+
+/// Batch i of the service churn: one read of 24-39 bases, one log of
+/// 6-13 events and one edge. Edge i lies in cluster i % 32 of four
+/// nodes, so any kServiceLive consecutive batches hold distinct edges
+/// and close each cluster into a 4-cycle.
+std::string ServiceBatch(size_t i) {
+  uint64_t x = i * 0x9E3779B97F4A7C15ull + 1;
+  auto next = [&x](size_t n) {
+    x ^= x >> 29;
+    x *= 0xBF58476D1CE4E5B9ull;
+    x ^= x >> 32;
+    return static_cast<size_t>(x % n);
+  };
+  const char* const bases[] = {"a", "c", "g", "t"};
+  const char* const events[] = {"co", "rp", "x", "y"};
+  std::string read, log;
+  for (size_t n = 24 + next(16); n > 0; --n) {
+    read += bases[next(4)];
+    if (n > 1) read += " ++ ";
+  }
+  for (size_t n = 6 + next(8); n > 0; --n) {
+    log += events[next(4)];
+    if (n > 1) log += " ++ ";
+  }
+  size_t base = (i % 32) * 4, step = i / 32;
+  std::string out = "Read(r" + std::to_string(i) + ", " + read + ").\n";
+  out += "Log(c" + std::to_string(i) + ", " + log + ").\n";
+  out += "Link(n" + std::to_string(base + step % 4) + " ++ n" +
+         std::to_string(base + (step + 1) % 4) + ").\n";
+  return out;
+}
+
+constexpr size_t kServiceLive = 128;
+constexpr size_t kServiceArchive = 2'000;
+constexpr size_t kServiceWrites = 2000;
+
+/// Concurrent writers in the service-write table: a durable commit
+/// overlaps its fsync with its refresh only while it is the only commit
+/// in flight, so more writers must not make writes slower.
+constexpr size_t kServiceWriters = 4;
+
+struct ServiceWriteResult {
+  const char* policy;
+  size_t writers;
+  size_t writes;
+  double us_per_write;  ///< wall time over all writers' writes
+};
+
+/// DatabaseService writes with the standing programs cached, in memory
+/// (`name` "memory") or over a data directory under `mode`, both with
+/// auto_compact_segments = kServeAutoCompact: write i appends batch
+/// kServiceLive + i / 2 (even i) or retracts batch i / 2 (odd i), and
+/// each refreshes the three views and patches the five cached
+/// renderings. `writers` threads share the writes (writer w makes
+/// writes w, w + writers, ...); one writer runs on the calling thread.
+ServiceWriteResult MeasureServiceWrites(storage::SyncMode mode,
+                                        const char* name, size_t writers) {
+  const bool memory = std::strcmp(name, "memory") == 0;
+  const std::string dir = memory ? "" : MakeTempDir("service");
+  Universe u;
+  std::string edb;
+  for (size_t i = 0; i < kServiceLive; ++i) edb += ServiceBatch(i);
+  for (size_t i = 0; i < kServiceArchive; ++i) {
+    edb += "Archive(a" + std::to_string(i) + ", b" + std::to_string(i) +
+           ").\n";
+  }
+  Result<Instance> seed = ParseInstance(u, edb);
+  if (!seed.ok()) std::abort();
+  Result<Database> db =
+      Database::Open(u, std::move(*seed), ChurnOptions(dir, mode));
+  if (!db.ok()) std::abort();
+  double ms = 0;
+  {
+    DatabaseService service(u, std::move(*db));
+    for (const auto& [program, output] : kStandingOutputs) {
+      protocol::RunRequest req;
+      req.program = kStandingPrograms[program];
+      req.output_rel = output;
+      if (!service.Run(req).ok()) std::abort();
+    }
+    std::vector<std::string> batches;
+    for (size_t i = 0; i < kServiceWrites; ++i) {
+      batches.push_back(
+          ServiceBatch(i % 2 == 0 ? kServiceLive + i / 2 : i / 2));
+    }
+    auto write = [&](size_t w) {
+      for (size_t i = w; i < kServiceWrites; i += writers) {
+        bool ok = i % 2 == 0 ? service.Append({batches[i], ""}).ok()
+                             : service.Retract({batches[i], ""}).ok();
+        if (!ok) std::abort();
+      }
+    };
+    auto start = std::chrono::steady_clock::now();
+    if (writers == 1) {
+      write(0);
+    } else {
+      std::vector<std::thread> threads;
+      for (size_t w = 0; w < writers; ++w) threads.emplace_back(write, w);
+      for (std::thread& t : threads) t.join();
+    }
+    ms = MsSince(start);
+  }
+  if (!memory) RemoveTree(dir);
+  return {name, writers, kServiceWrites, ms * 1000.0 / kServiceWrites};
+}
+
 struct ReplayResult {
   size_t records;
   uint64_t wal_bytes;
@@ -328,6 +452,22 @@ void PrintTables(bool json) {
                                           "always", kFoldingCommits));
   folding.push_back(MeasureFoldingCommits(storage::SyncMode::kNever, "never",
                                           kFoldingCommits));
+  // One writer before several, and `memory` and `never` before
+  // `always`: those never start the WAL sync thread, and once a thread
+  // has run, glibc and libstdc++ leave their single-thread fast paths
+  // for the rest of the process.
+  std::vector<ServiceWriteResult> service;
+  for (size_t writers : {size_t{1}, kServiceWriters}) {
+    service.push_back(
+        MeasureServiceWrites(storage::SyncMode::kNever, "memory", writers));
+    service.push_back(
+        MeasureServiceWrites(storage::SyncMode::kNever, "never", writers));
+    service.push_back(
+        MeasureServiceWrites(storage::SyncMode::kAlways, "always", writers));
+  }
+  // The part of the fsync one writer's write does not hide behind its
+  // refresh.
+  const double unhidden_us = service[2].us_per_write - service[1].us_per_write;
   std::vector<ReplayResult> replay;
   replay.push_back(MeasureReplay(0, 0.0));
   for (size_t records : {1'000, 10'000, 100'000}) {
@@ -357,7 +497,17 @@ void PrintTables(bool json) {
           static_cast<unsigned long long>(folding[i].checkpoints),
           i + 1 < folding.size() ? "," : "");
     }
-    std::printf("  ],\n  \"replay\": [\n");
+    std::printf("  ],\n  \"service_writes\": [\n");
+    for (size_t i = 0; i < service.size(); ++i) {
+      std::printf(
+          "    {\"policy\": \"%s\", \"writers\": %zu, \"writes\": %zu, "
+          "\"us_per_write\": %.2f}%s\n",
+          service[i].policy, service[i].writers, service[i].writes,
+          service[i].us_per_write, i + 1 < service.size() ? "," : "");
+    }
+    std::printf("  ],\n  \"service_write_fsync_unhidden_us\": %.2f,\n",
+                unhidden_us);
+    std::printf("  \"replay\": [\n");
     for (size_t i = 0; i < replay.size(); ++i) {
       std::printf(
           "    {\"records\": %zu, \"wal_bytes\": %llu, \"open_ms\": %.3f, "
@@ -401,6 +551,17 @@ void PrintTables(bool json) {
                 f.ms, f.commits_per_sec,
                 static_cast<unsigned long long>(f.checkpoints));
   }
+  std::printf(
+      "\n=== Durable service writes, three cached views (durable_ingest's "
+      "programs) ===\n");
+  std::printf("%-10s %-8s %-9s %s\n", "policy", "writers", "writes",
+              "us/write");
+  for (const ServiceWriteResult& w : service) {
+    std::printf("%-10s %-8zu %-9zu %.1f\n", w.policy, w.writers, w.writes,
+                w.us_per_write);
+  }
+  std::printf("fsync not hidden by the refresh (one writer): %.1f us/write\n",
+              unhidden_us);
   std::printf("\n=== Open(dir) replaying a WAL tail (%zu-fact base) ===\n",
               kChurnBase);
   std::printf("%-9s %-10s %-10s %-12s %s\n", "records", "wal(KB)",

@@ -1,6 +1,7 @@
 #include "src/engine/database.h"
 
 #include <algorithm>
+#include <exception>
 #include <optional>
 #include <utility>
 
@@ -105,17 +106,18 @@ Result<Database> Database::Open(Universe& u, Instance edb,
                      type == storage::WalRecordType::kAppend
                          ? SegmentKind::kFacts
                          : SegmentKind::kTombstones,
-                     std::move(batch), nullptr);
+                     std::move(batch), nullptr, {});
           return applied.ok() ? Status::OK() : applied.status();
         });
     state->replaying = false;
     if (!replay.ok()) return replay.status();
 
     {
-      // Seal a replayed log that already outgrew its threshold, and fold
-      // a recovered stack deeper than the limit even when no record
-      // replayed.
+      // Fold a recovered stack deeper than the limit even when no record
+      // replayed, and seal a replayed log that already outgrew its
+      // threshold.
       std::lock_guard<std::mutex> writer(state->writer_mu);
+      state->Publish(AutoFoldLocked(*state, state->Current()));
       AfterCommitLocked(*state);
     }
     return Database(std::move(state));
@@ -162,10 +164,16 @@ Session Database::Snapshot() const {
 }
 
 Result<uint64_t> Database::Commit(DbState& state, SegmentKind kind,
-                                  Instance batch, size_t* committed) {
+                                  Instance batch, size_t* committed,
+                                  const CommitWork& work) {
   if (committed != nullptr) *committed = 0;
   const bool facts = kind == SegmentKind::kFacts;
-  std::lock_guard<std::mutex> writer(state.writer_mu);
+  struct InFlight {
+    std::atomic<int>& n;
+    explicit InFlight(std::atomic<int>& count) : n(count) { ++n; }
+    ~InFlight() { --n; }
+  } in_flight(state.commits_in_flight);
+  std::unique_lock<std::mutex> writer(state.writer_mu);
   if (state.closed.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition(
         facts ? "database is closed: no further appends"
@@ -189,30 +197,53 @@ Result<uint64_t> Database::Commit(DbState& state, SegmentKind kind,
   }
   if (flips.Empty()) return cur->epoch;  // nothing changes: the epoch holds
 
+  const size_t flipped = flips.NumFacts();
+  auto added = std::make_shared<const IndexedStore>(*state.universe,
+                                                    std::move(flips));
+  auto grown = std::make_shared<SegmentSet>();
+  grown->epoch = cur->epoch + 1;
+  grown->segments = cur->segments;
+  grown->segments.push_back({added, grown->epoch, kind});
+  grown->shrink_floor = cur->shrink_floor;
+  grown->total_facts =
+      facts ? cur->total_facts + flipped : cur->total_facts - flipped;
+  // The automatic fold is staged with the commit: readers never see the
+  // unfolded stack, and the work below evaluates the one they will see.
+  std::shared_ptr<const SegmentSet> next =
+      AutoFoldLocked(state, std::move(grown));
+
   // Durability point: the effective (post-dedupe) batch hits the WAL
   // before anything publishes. On error nothing is published — the
-  // commit never happened, in memory or on disk. Replay skips this
-  // (the record being replayed is already on disk).
+  // commit never happened, in memory or on disk. Replay skips the log
+  // (the record being replayed is already on disk). The caller's work
+  // runs beside the sync when one is owed (LogCommit runs `beside` only
+  // then), unless another commit is in flight, which would then wait for
+  // the lock past the sync; otherwise it runs once the lock is released.
+  // An exception from work beside the sync waits until the commit has
+  // published, so memory never parts from the log.
+  const Session staged(*state.universe, next, &state.accum);
+  bool ran = false;
+  std::exception_ptr thrown;
+  std::function<void()> beside;
+  if (work && state.commits_in_flight.load() == 1) {
+    beside = [&] {
+      ran = true;
+      try {
+        work(staged);
+      } catch (...) {
+        thrown = std::current_exception();
+      }
+    };
+  }
   if (state.storage != nullptr && !state.replaying) {
     SEQDL_RETURN_IF_ERROR(state.storage->LogCommit(
         facts ? storage::WalRecordType::kAppend
               : storage::WalRecordType::kRetract,
-        *state.universe, flips));
+        *state.universe, added->instance(), beside));
   }
 
-  size_t flipped = flips.NumFacts();
   if (committed != nullptr) *committed = flipped;
-
-  auto next = std::make_shared<SegmentSet>();
-  next->epoch = cur->epoch + 1;
-  next->segments = cur->segments;
-  next->segments.push_back(
-      {std::make_shared<IndexedStore>(*state.universe, std::move(flips)),
-       next->epoch, kind});
-  next->shrink_floor = cur->shrink_floor;
-  next->total_facts =
-      facts ? cur->total_facts + flipped : cur->total_facts - flipped;
-  uint64_t epoch = next->epoch;
+  const uint64_t epoch = next->epoch;
   state.Publish(std::move(next));
 
   // The data moved, grown or shrunk: note the epoch so the accumulated
@@ -223,20 +254,25 @@ Result<uint64_t> Database::Commit(DbState& state, SegmentKind kind,
   state.accum.NoteEpoch();
 
   AfterCommitLocked(state);
+  writer.unlock();
+  if (thrown) std::rethrow_exception(thrown);
+  if (work && !ran) work(staged);
   return epoch;
 }
 
-Result<uint64_t> Database::Append(Instance delta, size_t* appended) {
-  return Commit(*state_, SegmentKind::kFacts, std::move(delta), appended);
+Result<uint64_t> Database::Append(Instance delta, size_t* appended,
+                                  const CommitWork& work) {
+  return Commit(*state_, SegmentKind::kFacts, std::move(delta), appended,
+                work);
 }
 
-Result<uint64_t> Database::Retract(Instance victims, size_t* retracted) {
+Result<uint64_t> Database::Retract(Instance victims, size_t* retracted,
+                                   const CommitWork& work) {
   return Commit(*state_, SegmentKind::kTombstones, std::move(victims),
-                retracted);
+                retracted, work);
 }
 
 void Database::AfterCommitLocked(DbState& state) {
-  CompactLocked(state);
   // A failed checkpoint is swallowed: the commit is already durable and
   // published, and the WAL just keeps growing until a later checkpoint
   // (or a caller-visible Compact()) succeeds.
@@ -253,9 +289,8 @@ Status Database::CheckpointLocked(DbState& state, const SegmentSet& set) {
 }
 
 std::shared_ptr<const Database::SegmentSet> Database::FoldLocked(
-    const DbState& state, Fold fold) {
-  std::shared_ptr<const SegmentSet> cur = state.Current();
-  const std::vector<Segment>& segs = cur->segments;
+    const DbState& state, const SegmentSet& cur, Fold fold) {
+  const std::vector<Segment>& segs = cur.segments;
   const size_t n = segs.size();
   if (n <= 1) return nullptr;
   const size_t limit = state.opts.auto_compact_segments;
@@ -278,13 +313,13 @@ std::shared_ptr<const Database::SegmentSet> Database::FoldLocked(
   const uint64_t stamp = folded.back().stamp;  // newest folded
 
   auto next = std::make_shared<SegmentSet>();
-  next->epoch = cur->epoch;  // same facts, same epoch: semantics unchanged
-  next->total_facts = cur->total_facts;
+  next->epoch = cur.epoch;  // same facts, same epoch: semantics unchanged
+  next->total_facts = cur.total_facts;
   // A folded segment mixes facts a view older than `stamp` has seen with
   // facts it has not, and tombstones it never observed are gone:
   // delta-evaluating it would count the seen facts' support twice. Raise
   // the floor so Refresh runs such views cold.
-  next->shrink_floor = std::max(cur->shrink_floor, stamp);
+  next->shrink_floor = std::max(cur.shrink_floor, stamp);
   auto push_new = [&](Instance facts, SegmentKind kind) {
     next->segments.push_back(
         {std::make_shared<IndexedStore>(*state.universe, std::move(facts)),
@@ -342,16 +377,19 @@ std::shared_ptr<const Database::SegmentSet> Database::FoldLocked(
   return next;
 }
 
-void Database::CompactLocked(DbState& state) {
+std::shared_ptr<const Database::SegmentSet> Database::AutoFoldLocked(
+    const DbState& state, std::shared_ptr<const SegmentSet> set) {
   const size_t limit = state.opts.auto_compact_segments;
-  if (limit == 0 || state.Current()->segments.size() <= limit) return;
-  state.Publish(FoldLocked(state, Fold::kTiered));
+  if (limit == 0 || set->segments.size() <= limit) return set;
+  return FoldLocked(state, *set, Fold::kTiered);
 }
 
 Result<bool> Database::Compact() {
   std::lock_guard<std::mutex> writer(state_->writer_mu);
   if (state_->closed.load(std::memory_order_relaxed)) return false;
-  std::shared_ptr<const SegmentSet> next = FoldLocked(*state_, Fold::kFull);
+  std::shared_ptr<const SegmentSet> cur = state_->Current();
+  std::shared_ptr<const SegmentSet> next =
+      FoldLocked(*state_, *cur, Fold::kFull);
   // Copy-forward-then-swap: in durable mode the folded stack seals to
   // disk and the new manifest generation publishes *first*. A failure —
   // or a crash anywhere inside — leaves CURRENT naming the old
@@ -360,7 +398,7 @@ Result<bool> Database::Compact() {
   // read through the deleted files). A stack with nothing to fold seals
   // as it is, unless the disk holds it already.
   SEQDL_RETURN_IF_ERROR(
-      CheckpointLocked(*state_, next != nullptr ? *next : *state_->Current()));
+      CheckpointLocked(*state_, next != nullptr ? *next : *cur));
   if (next == nullptr) return false;
   state_->Publish(std::move(next));
   return true;
@@ -400,28 +438,7 @@ size_t Database::NumTombstones() const {
   return n;
 }
 
-StoreStats Database::Stats() const {
-  std::shared_ptr<const SegmentSet> cur = state_->Current();
-  StoreStats stats;
-  // Each segment's store measures itself once (IndexedStore::Stats).
-  // Fact segments sum (visible enumeration yields each fact once modulo
-  // the documented shared-key bucket overcount); tombstone segments
-  // *discount* — each tombstoned fact was measured exactly once in an
-  // older fact segment, so subtracting makes a shrink visible to
-  // StatsDrift instead of leaving cached plans ranked off stale, larger
-  // relations.
-  StoreStats discount;
-  for (const Segment& seg : cur->segments) {
-    if (seg.kind == SegmentKind::kFacts) {
-      stats.MergeFrom(seg.store->Stats());
-    } else {
-      discount.MergeFrom(seg.store->Stats());
-    }
-  }
-  stats.DiscountFrom(discount);
-  stats.MergeFrom(state_->accum.Snapshot());
-  return stats;
-}
+StoreStats Database::Stats() const { return Snapshot().Stats(); }
 
 Result<PreparedProgram> Database::Compile(Program p,
                                           const CompileOptions& opts) const {
@@ -485,5 +502,27 @@ Result<Instance> Session::Run(const PreparedProgram& prog,
 }
 
 Instance Session::edb() const { return MaterializeVisible(pinned_->segments); }
+
+StoreStats Session::Stats() const {
+  StoreStats stats;
+  // Each segment's store measures itself once (IndexedStore::Stats).
+  // Fact segments sum (visible enumeration yields each fact once modulo
+  // the documented shared-key bucket overcount); tombstone segments
+  // *discount* — each tombstoned fact was measured exactly once in an
+  // older fact segment, so subtracting makes a shrink visible to
+  // StatsDrift instead of leaving cached plans ranked off stale, larger
+  // relations.
+  StoreStats discount;
+  for (const Segment& seg : pinned_->segments) {
+    if (seg.kind == SegmentKind::kFacts) {
+      stats.MergeFrom(seg.store->Stats());
+    } else {
+      discount.MergeFrom(seg.store->Stats());
+    }
+  }
+  stats.DiscountFrom(discount);
+  stats.MergeFrom(accum_->Snapshot());
+  return stats;
+}
 
 }  // namespace seqdl

@@ -65,6 +65,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -157,6 +158,11 @@ class Database {
   /// any threads.
   Session Snapshot() const;
 
+  /// Work a commit runs against a session pinned at its new stack (the
+  /// epoch Append or Retract returns), beside the WAL sync or after
+  /// publishing (Append).
+  using CommitWork = std::function<void(const Session& staged)>;
+
   /// Publishes `delta` as a new immutable segment and bumps the epoch.
   /// Facts already present in the current stack are dropped (segments
   /// stay pairwise disjoint); if nothing remains, no segment is published
@@ -164,7 +170,25 @@ class Database {
   /// at, and (optionally) how many facts were actually new — measured
   /// under the writer lock, so it is exact even with concurrent writers.
   /// Serializes with other writers; never blocks readers.
-  Result<uint64_t> Append(Instance delta, size_t* appended = nullptr);
+  ///
+  /// `work` (may be empty) runs once per commit that changes something.
+  /// When the commit owes a WAL sync and no other commit is in flight
+  /// (waiting for the writer lock or running its own work), it runs
+  /// before the stack publishes, under the writer
+  /// lock, while the sync is in flight on the storage engine's helper
+  /// thread (StorageEngine::LogCommit): the fsync hides behind it, and
+  /// nothing it computes can be shown before the commit is durable.
+  /// Otherwise (in memory, a sync mode that owes no sync, or concurrent
+  /// writers) it runs after the stack published, outside the writer
+  /// lock, so the other writers' commits need not wait for it. It does
+  /// not run when nothing changes or the WAL write fails; when it ran
+  /// beside a sync that then fails, its results are the caller's to
+  /// discard. An exception it
+  /// throws propagates once the commit has published; a commit that
+  /// fails returns its Status instead. It must not write to this
+  /// database.
+  Result<uint64_t> Append(Instance delta, size_t* appended = nullptr,
+                          const CommitWork& work = {});
 
   /// Publishes a *tombstone* segment retracting `victims` and bumps the
   /// epoch. Facts not currently visible are dropped (retracting an absent
@@ -173,7 +197,9 @@ class Database {
   /// the retraction is visible at, and (optionally) how many facts were
   /// actually retracted. Serializes with other writers; never blocks
   /// readers — sessions pinned at older epochs keep seeing the facts.
-  Result<uint64_t> Retract(Instance victims, size_t* retracted = nullptr);
+  /// `work` runs as for Append.
+  Result<uint64_t> Retract(Instance victims, size_t* retracted = nullptr,
+                           const CommitWork& work = {});
 
   /// Folds all current segments into one merged *fact* segment, applying
   /// tombstones as it goes: the merged stack holds exactly the visible
@@ -301,6 +327,10 @@ class Database {
     std::shared_ptr<const SegmentSet> current;
     /// Serializes Append/Retract/Compact (single-writer).
     std::mutex writer_mu;
+    /// Commits between entering Commit and returning from it, their
+    /// work included: a commit runs its work beside its WAL sync only
+    /// while it is the only one (Append).
+    std::atomic<int> commits_in_flight{0};
     /// Set by Close(): writers fail, readers continue.
     std::atomic<bool> closed{false};
     StatsAccumulator accum;
@@ -333,26 +363,31 @@ class Database {
 
   /// The one commit path of Append (kFacts), Retract (kTombstones) and
   /// WAL replay: publishes the facts of `batch` whose visibility the
-  /// commit flips as one segment of `kind` at the next epoch. `committed`
-  /// (may be null) receives how many facts that was.
+  /// commit flips as one segment of `kind` at the next epoch, once they
+  /// are in the WAL, and runs `work` as Append says. `committed` (may be
+  /// null) receives how many facts that was.
   static Result<uint64_t> Commit(DbState& state, SegmentKind kind,
-                                 Instance batch, size_t* committed);
+                                 Instance batch, size_t* committed,
+                                 const CommitWork& work);
   /// The tiered fold of the segment-count trigger, or the full fold of
   /// Compact().
   enum class Fold { kTiered, kFull };
-  /// The stack `fold` makes of the current one: the same visible facts
-  /// at the same epoch, shrink_floor raised to the newest folded stamp.
-  /// Null when the stack has one segment or none. writer_mu must be held.
+  /// The stack `fold` makes of `cur`: the same visible facts at the same
+  /// epoch, shrink_floor raised to the newest folded stamp. Null when
+  /// `cur` has one segment or none. writer_mu must be held.
   static std::shared_ptr<const SegmentSet> FoldLocked(const DbState& state,
+                                                      const SegmentSet& cur,
                                                       Fold fold);
-  /// The automatic fold: publishes the tiered fold of the stack iff it
-  /// holds more segments than auto_compact_segments. Calls no storage
-  /// function: every commit it folds is already durable in the WAL, and
-  /// the next checkpoint seals the folded stack. writer_mu must be held.
-  static void CompactLocked(DbState& state);
-  /// Runs the automatic fold after a commit, then seals the stack if the
-  /// WAL outgrew its threshold (not while replaying). Open runs it once
-  /// more after replay. Best effort; writer_mu must be held.
+  /// The automatic fold: the tiered fold of `set` iff it holds more
+  /// segments than auto_compact_segments, else `set`. A commit stages it
+  /// with its new segment. Calls no storage function: every commit it
+  /// folds is durable in the WAL once the commit publishes, and the next
+  /// checkpoint seals the folded stack. writer_mu must be held.
+  static std::shared_ptr<const SegmentSet> AutoFoldLocked(
+      const DbState& state, std::shared_ptr<const SegmentSet> set);
+  /// Seals the stack after a commit if the WAL outgrew its threshold
+  /// (not while replaying). Open runs it once more after replay. Best
+  /// effort; writer_mu must be held.
   static void AfterCommitLocked(DbState& state);
   /// Seals the *given* (about-to-publish or current) stack under a new
   /// manifest generation (StorageEngine::Checkpoint: segments already
@@ -392,9 +427,14 @@ class Session {
   /// Materializes the visible facts of the pinned stack (a copy):
   /// fact segments union in, tombstone segments remove.
   Instance edb() const;
+  /// Database::Stats() of the pinned stack: every segment's measurement
+  /// (tombstone segments discount) merged with the derived-run
+  /// measurements accumulated so far.
+  StoreStats Stats() const;
 
  private:
   friend class Database;
+  friend class ViewManager;
   Session(Universe& u, std::shared_ptr<const Database::SegmentSet> pinned,
           StatsAccumulator* accum)
       : universe_(&u), pinned_(std::move(pinned)), accum_(accum) {}

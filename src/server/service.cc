@@ -153,6 +153,9 @@ Result<protocol::RunReply> DatabaseService::Run(
   std::lock_guard<std::mutex> lock(mu_);
   // Re-inserts the entry if it was evicted while this run evaluated.
   Entry& e = TouchOrInsertLocked(req.program, prepared.compiled);
+  // A write may have installed a newer epoch meanwhile: never move an
+  // entry back.
+  if (e.epoch > reply.epoch) return reply;
   if (e.epoch != reply.epoch || e.view != view) {
     replaced = SetViewLocked(req.program, e, view, reply.epoch,
                              reply.segments, reply.stats, {});
@@ -249,21 +252,9 @@ Result<protocol::AppendReply> DatabaseService::Append(
     // the client sees where in *its* file the malformed fact sits.
     return protocol::AnnotateParseError(req.source_name, delta.status());
   }
-  size_t appended = 0;
-  SEQDL_ASSIGN_OR_RETURN(uint64_t epoch,
-                         db_.Append(std::move(*delta), &appended));
-
-  // Eagerly delta-refresh every cached view to the new epoch and patch
-  // its renderings, so the next query per program is a cache hit.
-  if (appended > 0 && opts_.result_cache_entries > 0 && opts_.maintain_views &&
-      opts_.refresh_on_append) {
-    RefreshCachedViews();
-  }
-
   protocol::AppendReply reply;
-  reply.appended = appended;  // exact: counted under the writer lock
-  reply.db = Info();
-  reply.db.epoch = epoch;
+  SEQDL_ASSIGN_OR_RETURN(reply.db, Write(SegmentKind::kFacts,
+                                         std::move(*delta), &reply.appended));
   return reply;
 }
 
@@ -273,72 +264,101 @@ Result<protocol::RetractReply> DatabaseService::Retract(
   if (!victims.ok()) {
     return protocol::AnnotateParseError(req.source_name, victims.status());
   }
-  size_t retracted = 0;
-  SEQDL_ASSIGN_OR_RETURN(uint64_t epoch,
-                         db_.Retract(std::move(*victims), &retracted));
-
-  // Same eager refresh as Append: the ViewManager sees the tombstone in
-  // the delta window and runs DRed — a shrink epoch is never
-  // "maintained" by the insertion pass alone, and the cache epoch gate
-  // means any entry we fail to refresh here simply misses on the next
-  // Run (kBudget-clamped programs included).
-  if (retracted > 0 && opts_.result_cache_entries > 0 &&
-      opts_.maintain_views && opts_.refresh_on_append) {
-    RefreshCachedViews();
-  }
-
   protocol::RetractReply reply;
-  reply.retracted = retracted;  // exact: counted under the writer lock
-  reply.db = Info();
-  reply.db.epoch = epoch;
+  SEQDL_ASSIGN_OR_RETURN(
+      reply.db,
+      Write(SegmentKind::kTombstones, std::move(*victims), &reply.retracted));
   return reply;
 }
 
-void DatabaseService::RefreshCachedViews() {
-  // A refresh failure (e.g. budget exhausted mid-delta) leaves that entry
-  // stale, which the next Run recovers from — never an error for the
-  // write that triggered the refresh.
-  struct Work {
-    std::string key;
-    std::shared_ptr<const CompiledProgram> compiled;
-    Replaced before;  ///< the entry's view and its renderings of it
-  };
-  std::vector<Work> work;
+Result<protocol::DbInfo> DatabaseService::Write(SegmentKind kind,
+                                                Instance batch,
+                                                uint64_t* written) {
+  // The eager refresh evaluates every cached view at the commit's stack
+  // as the commit's work (beside its WAL sync when one is owed and no
+  // other write queues, else after publishing); only once the stack has
+  // published are the renderings patched and views, plans and renderings
+  // installed, so nothing is visible before it is durable. A retraction
+  // puts a tombstone in the refresh window, and the ViewManager runs
+  // DRed — a shrink epoch is never maintained by the insertion pass
+  // alone. An entry the refresh leaves out (kBudget-clamped programs
+  // included) misses on its next Run, which recovers it.
+  std::vector<Refreshed> refreshed;
+  Database::CommitWork work;
+  if (opts_.result_cache_entries > 0 && opts_.maintain_views &&
+      opts_.refresh_on_append) {
+    work = [this, &refreshed](const Session& staged) {
+      refreshed = EvaluateCachedViews(staged);
+    };
+  }
+  size_t n = 0;  // exact: counted under the writer lock
+  Result<uint64_t> epoch =
+      kind == SegmentKind::kFacts
+          ? db_.Append(std::move(batch), &n, work)
+          : db_.Retract(std::move(batch), &n, work);
+  if (!epoch.ok()) return epoch.status();
+  InstallCachedViews(std::move(refreshed));
+  *written = n;
+  protocol::DbInfo info = Info();
+  info.epoch = *epoch;
+  return info;
+}
+
+std::vector<DatabaseService::Refreshed> DatabaseService::EvaluateCachedViews(
+    const Session& staged) {
+  std::vector<Refreshed> out;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    work.reserve(entries_.size());
+    out.reserve(entries_.size());
     for (const auto& [key, e] : entries_) {
-      // An entry made only by Compile has no view to keep current.
-      if (e.view != nullptr) {
-        work.push_back({key, e.compiled, {e.view, e.rendered}});
+      // An entry made only by Compile has no view to keep current, and
+      // one a run or a later write took to this epoch needs nothing.
+      if (e.view != nullptr && e.epoch < staged.epoch()) {
+        out.push_back({key, e.compiled, {e.view, e.rendered}, nullptr, {}});
       }
     }
   }
-  if (work.empty()) return;
-  // One measurement of the stack serves every entry's drift check.
-  const StoreStats now = db_.Stats();
-  for (Work& w : work) {
-    // Freed with this iteration, after the lock below is released.
-    Replaced before = std::move(w.before);
+  if (out.empty()) return out;
+  // One measurement of the staged stack serves every entry's drift check.
+  const Measured now{staged.epoch(), staged.Stats()};
+  for (Refreshed& r : out) {
+    // Work that runs after publishing races later writes: a view they
+    // stored past this epoch would make Evaluate run cold for a view
+    // that InstallCachedViews then drops.
+    std::shared_ptr<const ViewSnapshot> stored = db_.views().Lookup(r.key);
+    if (stored != nullptr && stored->epoch() > staged.epoch()) continue;
     // Revalidate the plan here rather than at the next query, so that
     // query is a plain hit. A recompile logs the name the program was
     // last compiled under.
     Result<Prepared> prepared =
-        Revalidate(w.key, w.compiled->source_name, w.compiled, &now);
+        Revalidate(r.key, r.compiled->source_name, r.compiled, &now);
     if (!prepared.ok()) continue;
-    const CompiledProgram& c = *prepared->compiled;
+    r.compiled = prepared->compiled;
+    const CompiledProgram& c = *r.compiled;
     RunOptions ropts = opts_.run_options;
     if (!ApplyAdmission(c.admission, &ropts).ok()) continue;
     EvalStats stats;
     Result<std::shared_ptr<const ViewSnapshot>> view =
-        db_.views().Refresh(w.key, c.prog, ropts, &stats);
+        db_.views().Evaluate(r.key, c.prog, staged, ropts, &stats);
     if (!view.ok()) continue;
+    r.view = *std::move(view);
+    r.stats = protocol::ToWire(stats);
+  }
+  std::erase_if(out, [](const Refreshed& r) { return r.view == nullptr; });
+  return out;
+}
+
+void DatabaseService::InstallCachedViews(std::vector<Refreshed> refreshed) {
+  for (Refreshed& r : refreshed) {
+    // Freed with this iteration, after the lock below is released.
+    Replaced before = std::move(r.before);
+    std::shared_ptr<const ViewSnapshot> view = std::move(r.view);
     // Carry each rendering over to the refreshed view. A patch that fails
     // drops its rendering; the next Run of that output renders it.
     Renderings patched;
     for (const auto& [rel, text] : before.rendered) {
       Result<std::string> next =
-          PatchOutput(*u_, *text, before.view->idb(), (*view)->idb(), rel);
+          PatchOutput(*u_, *text, before.view->idb(), view->idb(), rel);
       if (next.ok()) {
         patched.emplace(rel, std::make_shared<const std::string>(
                                  *std::move(next)));
@@ -346,18 +366,16 @@ void DatabaseService::RefreshCachedViews() {
     }
     Replaced replaced;  // destroyed after the lock is released
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(w.key);
-    if (it == entries_.end()) {
-      // Evicted while we refreshed: drop the view Refresh just stored.
-      db_.views().Invalidate(w.key);
-      continue;
-    }
-    // A run may have got there first.
-    if (it->second.epoch >= (*view)->epoch()) continue;
-    replaced = SetViewLocked(w.key, it->second, *view, (*view)->epoch(),
-                             (*view)->segments(), protocol::ToWire(stats),
-                             std::move(patched));
-    EvictLocked(w.key);
+    auto it = entries_.find(r.key);
+    // Evicted meanwhile (the view was stored nowhere), or a run got
+    // there first.
+    if (it == entries_.end() || it->second.epoch >= view->epoch()) continue;
+    db_.views().Install(r.key, view);
+    // The replaced plan is freed with `refreshed`, after the lock.
+    it->second.compiled.swap(r.compiled);
+    replaced = SetViewLocked(r.key, it->second, view, view->epoch(),
+                             view->segments(), r.stats, std::move(patched));
+    EvictLocked(r.key);
   }
 }
 
@@ -424,18 +442,20 @@ Result<DatabaseService::Prepared> DatabaseService::Prepare(
 
 Result<DatabaseService::Prepared> DatabaseService::Revalidate(
     const std::string& program_text, const std::string& source_name,
-    std::shared_ptr<const CompiledProgram> cached, const StoreStats* now) {
+    std::shared_ptr<const CompiledProgram> cached, const Measured* now) {
   double drift = 0.0;
   if (cached != nullptr) {
-    if (cached->epoch == db_.epoch()) return Prepared{cached, true};
+    if (cached->epoch == (now != nullptr ? now->epoch : db_.epoch())) {
+      return Prepared{cached, true};
+    }
     // Outside the lock: Stats() measures every segment.
     drift = StatsDrift(cached->stats,
                        ReadStats(cached->prog.program(),
-                                 now != nullptr ? *now : db_.Stats()));
+                                 now != nullptr ? now->stats : db_.Stats()));
     if (drift < opts_.recompile_drift) return Prepared{cached, true};
   }
   Result<std::shared_ptr<const CompiledProgram>> fresh =
-      CompileFresh(program_text, source_name);
+      CompileFresh(program_text, source_name, now);
   if (!fresh.ok()) {
     // A program that compiled before the statistics drifted is still
     // valid — keep serving the stale plan rather than failing the
@@ -452,7 +472,9 @@ Result<DatabaseService::Prepared> DatabaseService::Revalidate(
                   static_cast<unsigned long long>(cached->epoch));
     opts_.log(buf);
   }
-  if (opts_.result_cache_entries > 0) {
+  // A write's stack may not be published yet: its plan is installed
+  // with the view (InstallCachedViews).
+  if (opts_.result_cache_entries > 0 && now == nullptr) {
     // Last writer wins when two threads race on one text.
     std::lock_guard<std::mutex> lock(mu_);
     TouchOrInsertLocked(program_text, *fresh).compiled = *fresh;
@@ -463,7 +485,8 @@ Result<DatabaseService::Prepared> DatabaseService::Revalidate(
 
 Result<std::shared_ptr<const DatabaseService::CompiledProgram>>
 DatabaseService::CompileFresh(const std::string& program_text,
-                              const std::string& source_name) const {
+                              const std::string& source_name,
+                              const Measured* at) const {
   Result<Program> program = ParseProgram(*u_, program_text);
   if (!program.ok()) {
     return protocol::AnnotateParseError(source_name, program.status());
@@ -471,8 +494,8 @@ DatabaseService::CompileFresh(const std::string& program_text,
   // Read the epoch before the stats snapshot: if an append lands between
   // the two reads, the entry is stamped older than its statistics and the
   // next Prepare re-runs the drift check (the safe direction).
-  uint64_t epoch = db_.epoch();
-  StoreStats stats = db_.Stats();
+  const uint64_t epoch = at != nullptr ? at->epoch : db_.epoch();
+  StoreStats stats = at != nullptr ? at->stats : db_.Stats();
   // Classify and lint before the program is consumed by the compiler:
   // the admission report drives Run's policy enforcement, the lints ride
   // along in compile replies.

@@ -24,17 +24,32 @@
 // past either, the least recently used go, compiled record and view
 // together. Hit/miss/evict counters travel in Stats() replies.
 //
+// The write path (Append, Retract): the commit's work (Database::
+// CommitWork) takes one Stats() of the commit's stack, revalidates every
+// cached plan against it and evaluates every cached view at that stack
+// (ViewManager::Evaluate). The database runs it beside the WAL sync when
+// one is owed and no other write waits for the writer lock, else after
+// publishing, outside the lock, so concurrent writers' refreshes overlap
+// each other's commits. After the stack publishes, each entry's
+// renderings are patched and its view, plan and renderings installed,
+// one entry at a time: nothing is visible before it is durable, a failed
+// commit installs nothing, and each replaced view and rendering is freed
+// before the next entry allocates, so the first read after a write does
+// not inherit a burst of freed blocks.
+//
 // Thread-safety: all methods may be called concurrently from any number
 // of threads. Run pins an epoch snapshot per call (Database::Snapshot or
 // an immutable ViewSnapshot); writes serialize on the database's writer
 // mutex. One mutex guards the cache, for lookups, inserts and evictions
-// only: parse, compile, the drift check's Database::Stats(), evaluation,
+// only: parse, compile, the drift check's Stats(), evaluation,
 // rendering and patching run outside it, so a slow compile or refresh
-// never stalls a cache hit. Renderings are shared and immutable: a hit
-// takes a reference under the mutex and copies the bytes after it, and
-// a write installs patched ones the same way. A run holds its compiled
-// record by shared_ptr, so an eviction never pulls the plan out from
-// under it.
+// never stalls a cache hit. Lock order: the database's writer mutex (a
+// write's evaluation beside its sync runs under it), then the cache
+// mutex, then the ViewManager's map mutex. Renderings are shared and
+// immutable: a hit takes a reference under the mutex and copies the
+// bytes after it, and a write installs patched ones the same way. A run
+// holds its compiled record by shared_ptr, so an eviction never pulls
+// the plan out from under it. An entry never moves to an older epoch.
 #ifndef SEQDL_SERVER_SERVICE_H_
 #define SEQDL_SERVER_SERVICE_H_
 
@@ -47,6 +62,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/analysis/admission.h"
 #include "src/base/status.h"
@@ -158,9 +174,10 @@ class DatabaseService {
   Result<protocol::RunReply> Run(const protocol::RunRequest& req,
                                  const std::function<bool()>& cancel = {});
 
-  /// Parses the request's facts and publishes them as a new segment,
-  /// then (with maintain_views + refresh_on_append) delta-refreshes every
-  /// cached view to the new epoch and patches its renderings, so
+  /// Parses the request's facts and publishes them as a new segment.
+  /// With maintain_views + refresh_on_append, the commit delta-refreshes
+  /// every cached view to the new epoch (beside its WAL sync when it can)
+  /// and, once published, patches its renderings (see the file comment), so
   /// re-serving stays O(delta) and the next run is a cache hit.
   Result<protocol::AppendReply> Append(const protocol::AppendRequest& req);
 
@@ -238,21 +255,30 @@ class DatabaseService {
     bool cache_hit = false;  ///< served from the cache: no parse, no plan
   };
 
+  /// One measurement of a stack: its epoch and Stats().
+  struct Measured {
+    uint64_t epoch = 0;
+    StoreStats stats;
+  };
+
   /// The cached record of `program_text`, through Revalidate.
   Result<Prepared> Prepare(const std::string& program_text,
                            const std::string& source_name);
   /// `cached` (may be null) unless the statistics its bodies read drifted
-  /// past recompile_drift; otherwise a fresh compile, cached. The drift
-  /// is measured against `now` when given (a Stats() the caller took for
-  /// several programs at once), else against a fresh Stats().
+  /// past recompile_drift; otherwise a fresh compile, cached. Measured
+  /// against `now` when given (a write's staged stack, measured once for
+  /// every program; the fresh plan is then left for the write to install
+  /// with the view), else against the current epoch and a fresh Stats().
   Result<Prepared> Revalidate(const std::string& program_text,
                               const std::string& source_name,
                               std::shared_ptr<const CompiledProgram> cached,
-                              const StoreStats* now);
+                              const Measured* now);
 
-  /// Parse, analyze and compile against a fresh statistics snapshot.
+  /// Parse, analyze and compile against `at` when given, else against
+  /// the current epoch and a fresh statistics snapshot.
   Result<std::shared_ptr<const CompiledProgram>> CompileFresh(
-      const std::string& program_text, const std::string& source_name) const;
+      const std::string& program_text, const std::string& source_name,
+      const Measured* at) const;
 
   /// Enforces the service's admission policy on one prepared run:
   /// returns kFailedPrecondition for a generative program under kStrict,
@@ -261,14 +287,28 @@ class DatabaseService {
   Status ApplyAdmission(const AdmissionReport& admission,
                         RunOptions* ropts) const;
 
-  /// After a write (Append or Retract), revalidates the plan of every
-  /// entry with a view against one Stats() of the stack, advances the
-  /// view to the current epoch under the program's admission policy
-  /// (Refresh picks cold vs delta, with DRed when facts die) and patches
-  /// the entry's renderings from the old view to the new one. A failed
-  /// refresh leaves the entry stale and a failed patch drops its
-  /// rendering: the next Run recovers either.
-  void RefreshCachedViews();
+  /// Append (kFacts) or Retract (kTombstones) of `batch` with the eager
+  /// refresh (file comment): the DbInfo at the epoch the write published,
+  /// and in `written` how many facts it changed.
+  Result<protocol::DbInfo> Write(SegmentKind kind, Instance batch,
+                                 uint64_t* written);
+
+  /// An entry's view as a write evaluated it at its staged stack, to
+  /// install once that stack publishes.
+  struct Refreshed;
+  /// The write's commit work: revalidates the plan of every entry with a
+  /// view against one Stats() of `staged` and evaluates the view at it
+  /// under the program's admission policy (ViewManager::Evaluate picks
+  /// cold vs delta, with DRed when facts die). Stores nothing. Entries
+  /// already at `staged`'s epoch or past it are left out, and so is one
+  /// whose revalidation or evaluation fails, which stays at its epoch:
+  /// the next Run recovers it.
+  std::vector<Refreshed> EvaluateCachedViews(const Session& staged);
+  /// After the write published: patches each entry's renderings from its
+  /// old view to the refreshed one (a failed patch drops that rendering,
+  /// which the next Run renders) and installs the view, in the
+  /// ViewManager too, its plan and the renderings, one entry at a time.
+  void InstallCachedViews(std::vector<Refreshed> refreshed);
 
   /// Moves `it`'s entry to the LRU front. Caller holds mu_.
   void TouchLocked(std::unordered_map<std::string, Entry>::iterator it);
@@ -295,6 +335,14 @@ class DatabaseService {
   /// Evicts LRU entries until entry and byte caps hold, never touching
   /// `keep`. Caller holds mu_.
   void EvictLocked(const std::string& keep);
+
+  struct Refreshed {
+    std::string key;
+    std::shared_ptr<const CompiledProgram> compiled;  ///< revalidated
+    Replaced before;  ///< the entry's view and its renderings of it
+    std::shared_ptr<const ViewSnapshot> view;  ///< at the staged epoch
+    protocol::WireEvalStats stats;
+  };
 
   Universe* u_;
   Database db_;

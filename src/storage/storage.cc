@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <set>
+#include <system_error>
 #include <utility>
 
 #include "src/storage/format.h"
@@ -112,16 +113,70 @@ Result<WalReplay> StorageEngine::ReplayTail(
 }
 
 Status StorageEngine::LogCommit(WalRecordType type, const Universe& u,
-                                const Instance& batch) {
+                                const Instance& batch,
+                                const std::function<void()>& beside) {
   if (!wal_.has_value()) {
     return Status::Internal(
         "storage: LogCommit before the WAL was opened (missing initial "
         "checkpoint or ReplayTail)");
   }
-  SEQDL_RETURN_IF_ERROR(wal_->Append(type, u, batch));
+  SEQDL_RETURN_IF_ERROR(wal_failed_);
+  const bool sync = wal_->SyncDue();
+  if (sync && beside && !sync_thread_.joinable()) {
+    try {
+      sync_thread_ = std::thread([this] { SyncLoop(); });
+    } catch (const std::system_error& e) {
+      return Status::ResourceExhausted(
+          std::string("storage: cannot start the WAL sync thread: ") +
+          e.what());
+    }
+  }
+  const uint64_t start = wal_->bytes();
+  Status st = wal_->Write(type, u, batch);
+  if (st.ok() && sync) st = beside ? SyncBeside(beside) : wal_->Sync();
+  if (!st.ok()) {
+    wal_->CutBack(start);
+    wal_failed_ = st;
+  }
   std::lock_guard<std::mutex> lock(info_mu_);
   info_.wal_bytes = wal_->bytes();
-  return Status::OK();
+  return st;
+}
+
+Status StorageEngine::SyncBeside(const std::function<void()>& beside) {
+  {
+    std::lock_guard<std::mutex> lock(sync_mu_);
+    sync_posted_ = true;
+  }
+  sync_cv_.notify_all();
+  beside();
+  std::unique_lock<std::mutex> lock(sync_mu_);
+  sync_cv_.wait(lock, [this] { return !sync_posted_; });
+  return sync_result_;
+}
+
+void StorageEngine::SyncLoop() {
+  std::unique_lock<std::mutex> lock(sync_mu_);
+  while (true) {
+    sync_cv_.wait(lock, [this] { return sync_posted_ || sync_stop_; });
+    if (!sync_posted_) return;
+    lock.unlock();
+    Status st = wal_->Sync();
+    lock.lock();
+    sync_result_ = std::move(st);
+    sync_posted_ = false;
+    sync_cv_.notify_all();
+  }
+}
+
+StorageEngine::~StorageEngine() {
+  if (!sync_thread_.joinable()) return;
+  {
+    std::lock_guard<std::mutex> lock(sync_mu_);
+    sync_stop_ = true;
+  }
+  sync_cv_.notify_all();
+  sync_thread_.join();
 }
 
 bool StorageEngine::WantsCheckpoint() const {

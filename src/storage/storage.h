@@ -21,10 +21,14 @@
 //
 // Thread safety: mutation (LogCommit/Checkpoint) is serialized by the
 // caller under the Database writer mutex. info() is safe from any
-// thread (server stats workers race the writer).
+// thread (server stats workers race the writer). One helper thread per
+// engine, started by the first commit that has work to overlap with its
+// WAL sync and joined when the engine is destroyed, runs those syncs
+// (LogCommit); the committing thread waits for each before it returns.
 #ifndef SEQDL_STORAGE_STORAGE_H_
 #define SEQDL_STORAGE_STORAGE_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -33,6 +37,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/base/status.h"
@@ -90,9 +95,21 @@ class StorageEngine {
       const std::function<Status(WalRecordType, Instance)>& apply);
 
   /// Appends one effective commit batch to the WAL under the caller's
-  /// writer lock. On OK under SyncMode::kAlways the batch is durable.
+  /// writer lock and syncs it as the sync mode says. When a sync is owed
+  /// and there is `beside` work (may be empty; must not throw), the
+  /// helper thread runs the sync while `beside` runs on the calling
+  /// thread, and LogCommit waits for both; otherwise the sync, if owed,
+  /// runs inline and `beside` does not run at all. On OK under
+  /// SyncMode::kAlways the batch is durable. `beside` does not run when
+  /// the write fails, nor when the helper thread cannot start
+  /// (kResourceExhausted, nothing written).
+  /// A failed write or sync cuts the record back out of the log (best
+  /// effort) and is final: every later LogCommit returns that first
+  /// error until the directory is reopened, since after a failed fsync
+  /// the kernel may already have dropped the dirty pages.
   Status LogCommit(WalRecordType type, const Universe& u,
-                   const Instance& batch);
+                   const Instance& batch,
+                   const std::function<void()>& beside = {});
 
   /// True once the WAL has outgrown the checkpoint threshold.
   bool WantsCheckpoint() const;
@@ -112,8 +129,19 @@ class StorageEngine {
 
   const std::string& dir() const { return opts_.dir; }
 
+  /// Joins the helper thread.
+  ~StorageEngine();
+  StorageEngine(const StorageEngine&) = delete;
+  StorageEngine& operator=(const StorageEngine&) = delete;
+
  private:
   explicit StorageEngine(StorageOptions opts) : opts_(std::move(opts)) {}
+
+  /// Posts the WAL sync to the helper thread, runs `beside` and returns
+  /// the sync's result once both are done.
+  Status SyncBeside(const std::function<void()>& beside);
+  /// The helper thread's loop: one posted sync at a time until stopped.
+  void SyncLoop();
 
   Status RecoverFrom(Universe& u, Manifest m);
   Status SweepOrphans() const;
@@ -137,9 +165,24 @@ class StorageEngine {
   std::map<std::weak_ptr<const IndexedStore>, size_t, std::owner_less<>>
       files_;
   std::optional<WalWriter> wal_;
+  /// The first failed WAL write or sync; LogCommit returns it from then
+  /// on.
+  Status wal_failed_;
 
   mutable std::mutex info_mu_;
   StorageInfo info_;
+
+  /// Guards the handoff between a committing thread and the helper:
+  /// the committer sets `sync_posted_` and waits until the helper has
+  /// cleared it and stored `sync_result_`. The helper touches wal_ only
+  /// in between, while the committer holds the writer lock.
+  std::mutex sync_mu_;
+  std::condition_variable sync_cv_;
+  bool sync_posted_ = false;
+  bool sync_stop_ = false;
+  Status sync_result_;
+  /// Declared last: it uses the members above.
+  std::thread sync_thread_;
 };
 
 }  // namespace storage

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -96,6 +97,15 @@ WalWriter::~WalWriter() {
 
 Status WalWriter::Append(WalRecordType type, const Universe& u,
                          const Instance& batch) {
+  const uint64_t start = written_;
+  Status st = Write(type, u, batch);
+  if (st.ok() && SyncDue()) st = Sync();
+  if (!st.ok()) CutBack(start);
+  return st;
+}
+
+Status WalWriter::Write(WalRecordType type, const Universe& u,
+                        const Instance& batch) {
   std::string payload;
   PutU8(&payload, static_cast<uint8_t>(type));
   EncodeInstanceBlock(u, batch, &payload);
@@ -108,21 +118,19 @@ Status WalWriter::Append(WalRecordType type, const Universe& u,
 
   SEQDL_RETURN_IF_ERROR(WriteAll(fd_, frame, path_));
   written_ += frame.size();
+  return Status::OK();
+}
 
+bool WalWriter::SyncDue() const {
   switch (mode_) {
     case SyncMode::kAlways:
-      return Sync();
-    case SyncMode::kInterval: {
-      uint64_t now = NowMs();
-      if (now - last_sync_ms_ >= sync_interval_ms_) {
-        return Sync();
-      }
-      return Status::OK();
-    }
+      return true;
+    case SyncMode::kInterval:
+      return NowMs() - last_sync_ms_ >= sync_interval_ms_;
     case SyncMode::kNever:
-      return Status::OK();
+      return false;
   }
-  return Status::OK();
+  return false;
 }
 
 Status WalWriter::Sync() {
@@ -138,6 +146,12 @@ Status WalWriter::Sync() {
   synced_ = written_;
   last_sync_ms_ = NowMs();
   return Status::OK();
+}
+
+void WalWriter::CutBack(uint64_t bytes) {
+  if (::ftruncate(fd_, static_cast<off_t>(bytes)) != 0) return;
+  written_ = bytes;
+  synced_ = std::min(synced_, bytes);
 }
 
 Result<WalReplay> ReplayWal(

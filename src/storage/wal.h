@@ -17,7 +17,11 @@
 // the process died — everything before it is kept, the file is
 // truncated there, and replay succeeds. A record whose CRC validates
 // but whose payload does not decode is real corruption and fails with
-// [SD402].
+// [SD402]. Since replay stops at the first torn frame, a record whose
+// write or sync failed is cut back out of the file (CutBack) before
+// anything else is written: a torn frame left in place would hide every
+// later record from replay, and a whole record left unsynced would be
+// made durable by the next commit's sync although its commit failed.
 #ifndef SEQDL_STORAGE_WAL_H_
 #define SEQDL_STORAGE_WAL_H_
 
@@ -64,12 +68,27 @@ class WalWriter {
   ~WalWriter();
 
   /// Writes one record and applies the sync policy. On return with OK
-  /// under kAlways, the record is on stable media.
+  /// under kAlways, the record is on stable media. A failed write or
+  /// sync cuts the record back out of the file.
   Status Append(WalRecordType type, const Universe& u, const Instance& batch);
+
+  /// Writes one record and leaves syncing it to the caller (SyncDue,
+  /// Sync). The caller cuts a failed record back out (CutBack).
+  Status Write(WalRecordType type, const Universe& u, const Instance& batch);
+
+  /// True when the sync policy owes an fdatasync after a write: always
+  /// under kAlways, once `sync_interval_ms` has passed since the last
+  /// sync under kInterval, never under kNever.
+  bool SyncDue() const;
 
   /// Forces an fdatasync of everything written so far (used at
   /// checkpoint boundaries regardless of policy).
   Status Sync();
+
+  /// Cuts the file back to its first `bytes` bytes, dropping the records
+  /// written after them. Best effort: a failed truncation changes
+  /// nothing.
+  void CutBack(uint64_t bytes);
 
   /// Bytes written to this log so far (including recovered bytes when
   /// the file pre-existed). Drives the checkpoint threshold.

@@ -115,24 +115,51 @@ SharedSupport CombineSupport(const Instance& idb, const SupportCounts& fresh,
 Result<std::shared_ptr<const ViewSnapshot>> ViewManager::Refresh(
     const std::string& key, const PreparedProgram& prog,
     const RunOptions& opts, EvalStats* stats) {
+  // Pin the segment set first: an append racing past after this read
+  // makes the refreshed view one epoch stale, never wrong — the next
+  // Refresh advances it. A write that published and stored its views
+  // between the pin and the lookup leaves a stored view newer than the
+  // pin: pin again, which covers it, since views are stored at
+  // published epochs only.
+  Session at(*state_->universe, state_->Current(), &state_->accum);
+  std::shared_ptr<const ViewSnapshot> stored = Lookup(key);
+  if (stored != nullptr && stored->epoch_ > at.epoch()) {
+    at.pinned_ = state_->Current();
+  }
+  SEQDL_ASSIGN_OR_RETURN(std::shared_ptr<const ViewSnapshot> view,
+                         Advance(stored, at, prog, opts, stats));
+  if (view != stored) Install(key, view);
+  return view;
+}
+
+Result<std::shared_ptr<const ViewSnapshot>> ViewManager::Evaluate(
+    const std::string& key, const PreparedProgram& prog, const Session& at,
+    const RunOptions& opts, EvalStats* stats) {
+  std::shared_ptr<const ViewSnapshot> stored = Lookup(key);
+  if (stored != nullptr && stored->epoch_ > at.epoch()) stored = nullptr;
+  return Advance(std::move(stored), at, prog, opts, stats);
+}
+
+void ViewManager::Install(const std::string& key,
+                          std::shared_ptr<const ViewSnapshot> view) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto& slot = views_[key];
+  if (slot == nullptr || slot->epoch_ <= view->epoch_) slot = std::move(view);
+}
+
+Result<std::shared_ptr<const ViewSnapshot>> ViewManager::Advance(
+    std::shared_ptr<const ViewSnapshot> old, const Session& at,
+    const PreparedProgram& prog, const RunOptions& opts, EvalStats* stats) {
   if (&prog.universe() != state_->universe) {
     return Status::InvalidArgument(
         "program was compiled against a different Universe than the "
         "database was opened with");
   }
-  // Pin the segment set first: an append racing past after this read
-  // makes the refreshed view one epoch stale, never wrong — the next
-  // Refresh advances it.
-  std::shared_ptr<const Database::SegmentSet> cur = state_->Current();
-  std::shared_ptr<const ViewSnapshot> old;
-  {
+  const Database::SegmentSet* cur = at.pinned_.get();
+  if (old != nullptr && old->epoch_ == cur->epoch) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = views_.find(key);
-    if (it != views_.end()) old = it->second;
-    if (old != nullptr && old->epoch_ == cur->epoch) {
-      ++counters_.hits;
-      return old;
-    }
+    ++counters_.hits;
+    return old;
   }
 
   // A view pinned below the shrink floor cannot be delta-advanced: a
@@ -218,9 +245,6 @@ Result<std::shared_ptr<const ViewSnapshot>> ViewManager::Refresh(
     ++counters_.delta_refreshes;
     if (shrink_delta) ++counters_.dred_refreshes;
   }
-  // Publish unless a racing refresh already installed a newer epoch.
-  auto& slot = views_[key];
-  if (slot == nullptr || slot->epoch_ <= snap->epoch_) slot = snap;
   return std::shared_ptr<const ViewSnapshot>(snap);
 }
 

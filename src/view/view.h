@@ -65,10 +65,21 @@
 // undercount triggers a spurious re-derivation check, never a wrong
 // deletion).
 //
+// A writer that must not show a view before its commit is durable
+// evaluates it with Evaluate at the commit's staged stack (a Session the
+// commit hands its work, Database::CommitWork) and stores it with
+// Install once the stack has published; the server's write path does
+// (service.h). Refresh is the two in one, at the published stack.
+//
 // Thread-safety: all ViewManager methods may be called from any thread.
 // The map mutex guards lookups and publishes only — evaluation runs
 // outside it, so a slow refresh never blocks hits on other keys. Two
-// racing refreshes of one key both evaluate and the newer epoch wins.
+// racing refreshes of one key both evaluate and the newer epoch wins. A
+// stored view is never advanced backwards: a view stored at a newer
+// epoch than the stack being evaluated re-pins (Refresh) or runs cold
+// (Evaluate). The map mutex is the innermost lock: the compacting writer
+// (OldestEpoch) and the server cache (Install, Invalidate) take it while
+// holding their own.
 #ifndef SEQDL_VIEW_VIEW_H_
 #define SEQDL_VIEW_VIEW_H_
 
@@ -162,6 +173,21 @@ class ViewManager {
       const std::string& key, const PreparedProgram& prog,
       const RunOptions& opts = {}, EvalStats* stats = nullptr);
 
+  /// The view of `key` at `at`'s stack, evaluated as Refresh would but
+  /// stored nowhere (Install stores it): the stored snapshot when it is
+  /// at `at`'s epoch, a delta refresh of it when it is older, and a cold
+  /// run when none is stored or the stored one is newer than `at` (a
+  /// view is never run backwards). `at` may be a commit's staged,
+  /// not yet published stack.
+  Result<std::shared_ptr<const ViewSnapshot>> Evaluate(
+      const std::string& key, const PreparedProgram& prog, const Session& at,
+      const RunOptions& opts = {}, EvalStats* stats = nullptr);
+
+  /// Stores `view` as `key`'s snapshot unless a newer one is stored.
+  /// `view` must be at a published epoch.
+  void Install(const std::string& key,
+               std::shared_ptr<const ViewSnapshot> view);
+
   /// The stored snapshot for `key` (possibly stale), or null.
   std::shared_ptr<const ViewSnapshot> Lookup(const std::string& key) const;
 
@@ -183,6 +209,12 @@ class ViewManager {
  private:
   friend class Database;
   explicit ViewManager(Database::DbState& state) : state_(&state) {}
+
+  /// The view at `at`'s stack from `old` (null, or at most `at`'s epoch):
+  /// `old` itself at that epoch, else delta or cold as Refresh decides.
+  Result<std::shared_ptr<const ViewSnapshot>> Advance(
+      std::shared_ptr<const ViewSnapshot> old, const Session& at,
+      const PreparedProgram& prog, const RunOptions& opts, EvalStats* stats);
 
   Database::DbState* state_;
   mutable std::mutex mu_;

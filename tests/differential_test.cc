@@ -27,6 +27,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -38,6 +39,7 @@
 #include "src/server/client.h"
 #include "src/server/server.h"
 #include "src/server/service.h"
+#include "src/storage/wal.h"
 #include "src/syntax/ast.h"
 #include "src/syntax/printer.h"
 #include "src/term/universe.h"
@@ -543,6 +545,37 @@ struct NegationSeeds {
   }
 };
 
+/// Head relations of the strata none of whose rules reads a head of its
+/// own stratum positively. A maintained view's support counts of these
+/// are exact, so they must equal a cold run's.
+std::set<RelId> NonRecursiveHeads(const Program& p) {
+  std::set<RelId> out;
+  for (const Stratum& s : p.strata) {
+    std::set<RelId> heads;
+    for (const Rule& r : s.rules) heads.insert(r.head.rel);
+    bool recursive = false;
+    for (const Rule& r : s.rules) {
+      for (const Literal& l : r.body) {
+        if (l.is_predicate() && !l.negated && heads.count(l.pred.rel) > 0) {
+          recursive = true;
+        }
+      }
+    }
+    if (!recursive) out.insert(heads.begin(), heads.end());
+  }
+  return out;
+}
+
+/// Expects `view`'s support counts of the `exact` relations to equal a
+/// cold materialization's over `cold`.
+void ExpectColdSupport(const Database& cold, const PreparedProgram& prog,
+                       const RunOptions& ropts, const ViewSnapshot& view,
+                       const std::set<RelId>& exact) {
+  auto want = cold.views().Refresh("cold", prog, ropts);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ExpectSameSupport(view.support(), (*want)->support(), &exact);
+}
+
 // The incremental-maintenance differential: a materialized view kept
 // current across a random append schedule by semi-naive delta evaluation
 // (ViewManager::Refresh → PreparedProgram::RunDelta) must be
@@ -584,6 +617,7 @@ TEST(DifferentialTest, MaintainedViewMatchesColdFixpointPerEpoch) {
     Result<Database> live = Database::Open(u, batches[0]);
     ASSERT_TRUE(live.ok()) << live.status().ToString();
     Instance accumulated = batches[0];
+    const std::set<RelId> exact = NonRecursiveHeads(c.program);
     bool budget_hit = false;
     NegationSeeds seed_negation;
 
@@ -612,6 +646,8 @@ TEST(DifferentialTest, MaintainedViewMatchesColdFixpointPerEpoch) {
       seed_negation.Count(stats);
       EXPECT_EQ((*view)->epoch(), live->epoch()) << phase;
       EXPECT_EQ(want->ToString(u), (*view)->idb().ToString(u)) << phase;
+      SCOPED_TRACE(phase);
+      ExpectColdSupport(*cold, *prog, ropts, **view, exact);
     };
 
     check("epoch 0 (cold)");
@@ -730,6 +766,7 @@ TEST(DifferentialTest, RetractionMaintainedViewMatchesColdFixpointPerEpoch) {
     ASSERT_TRUE(live.ok()) << live.status().ToString();
     bool budget_hit = false;
     NegationSeeds seed_negation;
+    const std::set<RelId> exact = NonRecursiveHeads(c.program);
 
     // One epoch's comparison: the maintained view against a cold fixpoint
     // on the currently *visible* facts (live->edb() materializes the
@@ -755,6 +792,8 @@ TEST(DifferentialTest, RetractionMaintainedViewMatchesColdFixpointPerEpoch) {
       seed_negation.Count(stats);
       EXPECT_EQ((*view)->epoch(), live->epoch()) << phase;
       EXPECT_EQ(want->ToString(u), (*view)->idb().ToString(u)) << phase;
+      SCOPED_TRACE(phase);
+      ExpectColdSupport(*cold, *prog, ropts, **view, exact);
     };
 
     check("epoch 0 (cold)");
@@ -875,6 +914,7 @@ TEST(DifferentialTest, RetractionAutoCompactViewMatchesColdFixpointPerEpoch) {
     Result<Database> live = Database::Open(u, c.input, opts);
     ASSERT_TRUE(live.ok()) << live.status().ToString();
     bool budget_hit = false;
+    const std::set<RelId> exact = NonRecursiveHeads(c.program);
 
     auto check = [&](const std::string& phase) {
       Result<Database> cold = Database::Open(u, live->edb());
@@ -895,6 +935,8 @@ TEST(DifferentialTest, RetractionAutoCompactViewMatchesColdFixpointPerEpoch) {
       }
       EXPECT_EQ((*view)->epoch(), live->epoch()) << phase;
       EXPECT_EQ(want->ToString(u), (*view)->idb().ToString(u)) << phase;
+      SCOPED_TRACE(phase);
+      ExpectColdSupport(*cold, *prog, ropts, **view, exact);
     };
 
     check("epoch 0 (cold)");
@@ -947,8 +989,9 @@ TEST(DifferentialTest, RetractionAutoCompactViewMatchesColdFixpointPerEpoch) {
 
 // The cached-answer differential: a DatabaseService with the default
 // cache (views refreshed and renderings patched by every write) over a
-// database with automatic compaction plays a seeded schedule of appends
-// of held-back facts, retractions and re-assertions. After every write
+// database with automatic compaction, durable with sync=always for one
+// seed in ten, plays a seeded schedule of appends of held-back facts,
+// retractions and re-assertions. After every write
 // it answers "" and each derived relation. Every reply must be
 // byte-identical to a cold fixpoint at its epoch, and the replies after
 // a write must be cache hits, patched by that write, well above a floor.
@@ -957,7 +1000,7 @@ TEST(DifferentialTest, CachedAnswersMatchColdFixpointPerEpoch) {
   size_t iterations = Iterations();
   size_t compared = 0, skipped = 0;
   uint64_t replies = 0, patched = 0, appends = 0, retractions = 0,
-           reassertions = 0;
+           reassertions = 0, durable = 0;
   for (uint64_t seed = 1; seed <= iterations; ++seed) {
     Universe u;
     RandomCase c = CaseGenerator(u, seed).Generate();
@@ -980,6 +1023,16 @@ TEST(DifferentialTest, CachedAnswersMatchColdFixpointPerEpoch) {
     ASSERT_TRUE(prog.ok()) << prog.status().ToString();
     Database::OpenOptions opts;
     opts.auto_compact_segments = 3 + seed % 2;
+    // One seed in ten runs over a data directory with sync=always: each
+    // write then evaluates the views beside its WAL sync and patches the
+    // renderings after its stack publishes.
+    std::optional<ScratchDir> dir;
+    if (seed % 10 == 1) {
+      dir.emplace("cached_answers");
+      opts.data_dir = dir->path;
+      opts.sync_mode = storage::SyncMode::kAlways;
+      ++durable;
+    }
     Result<Database> db = Database::Open(u, initial, opts);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     ServiceOptions sopts;
@@ -1064,6 +1117,7 @@ TEST(DifferentialTest, CachedAnswersMatchColdFixpointPerEpoch) {
   EXPECT_GT(appends, 0u);
   EXPECT_GT(retractions, 0u);
   EXPECT_GT(reassertions, 0u);
+  EXPECT_GT(durable, 0u);
   // A write patches every cached rendering, so a reply after it misses
   // only where a refresh ran out of budget.
   EXPECT_GE(patched * 10, replies * 9)

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,6 +32,7 @@
 #include "src/server/protocol.h"
 #include "src/server/server.h"
 #include "src/server/service.h"
+#include "src/storage/wal.h"
 #include "src/syntax/parser.h"
 #include "src/term/universe.h"
 #include "tests/test_support.h"
@@ -1364,6 +1366,155 @@ TEST(ServiceCacheConcurrencyTest, EvictionRacesRunsAndWrites) {
   EXPECT_EQ(service.NumCachedPrograms(), c.entries);
   EXPECT_GT(c.evictions, 0u);
   EXPECT_LE(service.db().views().NumViews(), 16u);
+}
+
+// The durable write path under contention: a service over a data
+// directory (sync=always, a fold on every second segment) with
+// durable_ingest's three programs cached, one writer alternating
+// appends and retractions, each of which evaluates the cached views
+// beside its WAL sync on the storage engine's helper thread and installs
+// them after it publishes, and readers running every output meanwhile.
+// Every reply must be the cold answer at the epoch it reports.
+TEST(ServiceCacheConcurrencyTest, DurableWritesRaceCachedRuns) {
+  constexpr size_t kThreads = 8;
+  constexpr size_t kWrites = 16;
+  const char* const kPrograms[] = {
+      "Mark($k, $u ++ <a ++ c ++ g> ++ $v) <- Read($k, $u ++ a ++ c ++ g ++ "
+      "$v).\nMarked($k) <- Mark($k, $p).\n",
+      "HasRp($k, $v) <- Log($k, $u ++ co ++ $v), $v = $s ++ rp ++ $t.\n---\n"
+      "Bad($k) <- Log($k, $x), $x = $u ++ co ++ $v, !HasRp($k, $v).\n---\n"
+      "Good($k) <- Log($k, $x), !Bad($k).\n",
+      "Reach(@x ++ @y) <- Link(@x ++ @y).\n"
+      "Reach(@x ++ @z) <- Reach(@x ++ @y), Link(@y ++ @z).\n"
+      "Cyclic(@x) <- Reach(@x ++ @x).\n",
+  };
+  const std::pair<int, const char*> kOutputs[] = {
+      {0, "Mark"}, {0, "Marked"}, {1, "Good"},
+      {1, "Bad"},  {2, "Reach"},  {2, "Cyclic"}};
+  // Even writes append the next read, log and edge, odd ones retract the
+  // oldest live ones: every write moves the epoch by one. Four live
+  // edges close a cycle.
+  const char* const kReads[] = {"a ++ c ++ g", "t ++ a ++ c ++ g ++ a",
+                                "g ++ t", "c ++ a ++ c ++ g ++ t"};
+  const char* const kLogs[] = {"co ++ x ++ rp", "co ++ y", "rp ++ co",
+                               "co ++ rp ++ co"};
+  auto batch = [&](size_t i) {
+    std::string k = std::to_string(i);
+    std::string out = "Read(r" + k + ", " + kReads[i % 4] + ").\n";
+    out += "Log(c" + k + ", " + kLogs[i % 4] + ").\n";
+    out += "Link(n" + std::to_string(i % 4) + " ++ n" +
+           std::to_string((i + 1) % 4) + ").\n";
+    return out;
+  };
+  std::vector<size_t> live = {0, 1, 2};
+  std::vector<std::pair<bool, std::string>> writes;  // (append?, facts)
+  std::vector<std::vector<size_t>> edbs = {live};
+  for (size_t w = 0, next = live.size(); w < kWrites; ++w) {
+    if (w % 2 == 0) {
+      live.push_back(next);
+      writes.emplace_back(true, batch(next++));
+    } else {
+      writes.emplace_back(false, batch(live.front()));
+      live.erase(live.begin());
+    }
+    edbs.push_back(live);
+  }
+  auto edb_text = [&](const std::vector<size_t>& facts) {
+    std::string out;
+    for (size_t i : facts) out += batch(i);
+    return out;
+  };
+  // expected[epoch][output]: a cold Session::Run in its own Universe.
+  std::vector<std::vector<std::string>> expected;
+  {
+    Universe ref;
+    std::vector<PreparedProgram> progs;
+    for (const char* text : kPrograms) {
+      Result<PreparedProgram> prog = Engine::Compile(ref, MustParse(ref, text));
+      ASSERT_TRUE(prog.ok()) << prog.status().ToString();
+      progs.push_back(std::move(prog).value());
+    }
+    for (const std::vector<size_t>& facts : edbs) {
+      Result<Database> db =
+          Database::Open(ref, MustInstance(ref, edb_text(facts)));
+      ASSERT_TRUE(db.ok());
+      expected.emplace_back();
+      for (const auto& [p, out] : kOutputs) {
+        Result<Instance> derived = db->Snapshot().Run(progs[p]);
+        ASSERT_TRUE(derived.ok()) << derived.status().ToString();
+        Result<std::string> text = RenderOutput(ref, *derived, out);
+        ASSERT_TRUE(text.ok()) << text.status().ToString();
+        expected.back().push_back(*text);
+      }
+    }
+  }
+
+  ScratchDir dir("durable_race");
+  Universe u;
+  Database::OpenOptions opts;
+  opts.data_dir = dir.path;
+  opts.sync_mode = storage::SyncMode::kAlways;
+  opts.auto_compact_segments = 2;
+  Result<Database> db =
+      Database::Open(u, MustInstance(u, edb_text(edbs[0])), opts);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  DatabaseService service(u, std::move(*db));
+  auto request = [&](size_t i) {
+    protocol::RunRequest req;
+    req.program = kPrograms[kOutputs[i].first];
+    req.output_rel = kOutputs[i].second;
+    return req;
+  };
+  for (size_t i = 0; i < std::size(kOutputs); ++i) {
+    Result<protocol::RunReply> run = service.Run(request(i));
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_EQ(run->rendered, expected[0][i]);
+  }
+
+  std::atomic<bool> done{false};
+  std::vector<std::string> failures(kThreads);
+  std::vector<std::thread> readers;
+  readers.reserve(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      for (size_t k = t; !done.load() || k < t + std::size(kOutputs); ++k) {
+        size_t i = k % std::size(kOutputs);
+        Result<protocol::RunReply> run = service.Run(request(i));
+        if (!run.ok()) {
+          failures[t] = run.status().ToString();
+          return;
+        }
+        if (run->epoch >= expected.size() ||
+            run->rendered != expected[run->epoch][i]) {
+          failures[t] = std::string(kOutputs[i].second) + " at epoch " +
+                        std::to_string(run->epoch) + " rendered:\n" +
+                        run->rendered;
+          return;
+        }
+      }
+    });
+  }
+  std::string write_failure;
+  for (const auto& [is_append, facts] : writes) {
+    Status st = is_append ? service.Append({facts, ""}).status()
+                          : service.Retract({facts, ""}).status();
+    if (!st.ok()) {
+      write_failure = st.ToString();
+      break;
+    }
+  }
+  done.store(true);
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(write_failure, "");
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], "") << "reader thread " << t;
+  }
+  EXPECT_EQ(service.db().epoch(), kWrites);
+  for (size_t i = 0; i < std::size(kOutputs); ++i) {
+    Result<protocol::RunReply> run = service.Run(request(i));
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run->rendered, expected[kWrites][i]) << kOutputs[i].second;
+  }
 }
 
 }  // namespace

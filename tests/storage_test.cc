@@ -12,18 +12,22 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,54 +35,18 @@
 #include "gtest/gtest.h"
 #include "src/engine/database.h"
 #include "src/engine/instance.h"
+#include "src/server/service.h"
 #include "src/storage/format.h"
 #include "src/storage/manifest.h"
 #include "src/storage/storage.h"
 #include "src/storage/wal.h"
 #include "src/syntax/parser.h"
 #include "src/term/universe.h"
+#include "src/view/view.h"
 #include "tests/test_support.h"
 
 namespace seqdl {
 namespace {
-
-/// Root for scratch directories. CI points TEST_TMPDIR at a real
-/// filesystem so rename/fsync semantics are exercised for real.
-std::string TestTempRoot() {
-  const char* env = std::getenv("TEST_TMPDIR");
-  if (env == nullptr || *env == '\0') env = std::getenv("TMPDIR");
-  if (env == nullptr || *env == '\0') env = "/tmp";
-  return env;
-}
-
-std::string MakeTempDir(const std::string& tag) {
-  std::string tmpl = TestTempRoot() + "/seqdl_" + tag + "_XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  char* got = ::mkdtemp(buf.data());
-  EXPECT_NE(got, nullptr) << std::strerror(errno);
-  return got == nullptr ? std::string() : std::string(got);
-}
-
-/// Removes every regular file in `dir`, then the directory itself.
-/// The storage layer never creates subdirectories.
-void RemoveTree(const std::string& dir) {
-  if (dir.empty()) return;
-  Result<std::vector<std::string>> names = storage::ListDir(dir);
-  if (names.ok()) {
-    for (const std::string& name : *names) {
-      (void)::unlink((dir + "/" + name).c_str());
-    }
-  }
-  (void)::rmdir(dir.c_str());
-}
-
-/// RAII scratch directory so failures don't leak tmp dirs across runs.
-struct ScratchDir {
-  explicit ScratchDir(const std::string& tag) : path(MakeTempDir(tag)) {}
-  ~ScratchDir() { RemoveTree(path); }
-  std::string path;
-};
 
 uint64_t Iterations() {
   const char* env = std::getenv("SEQDL_DIFFTEST_ITERS");
@@ -704,6 +672,335 @@ TEST(StorageDatabaseTest, WalThresholdTriggersCheckpoint) {
   Result<Database> back = Database::Open(u2, DurableOpts(dir.path));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->NumFacts(), 2u);
+}
+
+// --- Failed WAL writes and syncs -------------------------------------------
+
+/// The data directory's log (a live engine writes exactly one).
+std::string WalPath(const std::string& dir) {
+  for (const std::string& name : DataFiles(dir)) {
+    if (name.rfind("wal-", 0) == 0) return dir + "/" + name;
+  }
+  ADD_FAILURE() << "no WAL in " << dir;
+  return dir + "/wal-missing";
+}
+
+/// While alive, caps this process's file size `slack` bytes past the end
+/// of `wal` with SIGXFSZ ignored: the next record written past the cap
+/// is cut short and its write then fails with EFBIG.
+class FileSizeCap {
+ public:
+  FileSizeCap(const std::string& wal, off_t slack) {
+    struct stat st = {};
+    ok_ = ::stat(wal.c_str(), &st) == 0 &&
+          ::getrlimit(RLIMIT_FSIZE, &old_) == 0;
+    if (!ok_) return;
+    old_handler_ = ::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit cap = old_;
+    cap.rlim_cur = static_cast<rlim_t>(st.st_size + slack);
+    ok_ = ::setrlimit(RLIMIT_FSIZE, &cap) == 0;
+  }
+  ~FileSizeCap() {
+    if (old_handler_ == SIG_ERR) return;
+    ::setrlimit(RLIMIT_FSIZE, &old_);
+    ::signal(SIGXFSZ, old_handler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  struct rlimit old_ = {};
+  sighandler_t old_handler_ = SIG_ERR;
+  bool ok_ = false;
+};
+
+/// While alive, the descriptor this process holds on `wal` is the write
+/// end of a pipe: records written after land in the pipe, and fdatasync
+/// fails with EINVAL.
+class PipeOverWal {
+ public:
+  explicit PipeOverWal(const std::string& wal) {
+    struct stat want = {};
+    Result<std::vector<std::string>> fds = storage::ListDir("/proc/self/fd");
+    if (::stat(wal.c_str(), &want) != 0 || !fds.ok()) return;
+    for (const std::string& name : *fds) {
+      int fd = std::atoi(name.c_str());
+      struct stat st = {};
+      if (::fstat(fd, &st) != 0 || st.st_dev != want.st_dev ||
+          st.st_ino != want.st_ino) {
+        continue;
+      }
+      int p[2];
+      if (::pipe(p) != 0) return;
+      ::dup2(p[1], fd);
+      ::close(p[1]);
+      read_end_ = p[0];
+      return;
+    }
+  }
+  ~PipeOverWal() {
+    if (read_end_ >= 0) ::close(read_end_);
+  }
+  PipeOverWal(const PipeOverWal&) = delete;
+  PipeOverWal& operator=(const PipeOverWal&) = delete;
+  bool ok() const { return read_end_ >= 0; }
+
+ private:
+  int read_end_ = -1;
+};
+
+// A record whose write failed must leave no torn frame, and the log
+// must refuse every later commit: replay stops at the first torn frame,
+// so a commit acknowledged behind one would be lost.
+TEST(StorageDatabaseTest, FailedWalWriteRefusesLaterCommits) {
+  ScratchDir dir("walwrite");
+  std::string rendered;
+  {
+    Universe u;
+    Result<Database> db = Database::Open(u, MustInstance(u, "E(a, b)."),
+                                         DurableOpts(dir.path));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE(db->Append(MustInstance(u, "E(b, c).")).ok());
+    rendered = db->edb().ToString(u);
+    Instance b = MustInstance(u, "E(c, d). E(d, e). E(e, f).");
+    Instance c = MustInstance(u, "E(x, y).");
+    Result<uint64_t> failed = Status::Internal("unset");
+    {
+      FileSizeCap cap(WalPath(dir.path), 10);
+      ASSERT_TRUE(cap.ok()) << std::strerror(errno);
+      failed = db->Append(std::move(b));
+    }
+    ASSERT_FALSE(failed.ok());
+    EXPECT_NE(failed.status().message().find("SD401"), std::string::npos)
+        << failed.status().ToString();
+    EXPECT_EQ(db->epoch(), 1u);
+    Result<uint64_t> later = db->Append(std::move(c));
+    ASSERT_FALSE(later.ok()) << "committed epoch " << *later;
+    EXPECT_EQ(later.status().ToString(), failed.status().ToString());
+    EXPECT_EQ(db->epoch(), 1u);
+    // No Close(): recovery replays the log as the failure left it.
+  }
+  Universe u2;
+  Result<Database> db = Database::Open(u2, DurableOpts(dir.path));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(db->epoch(), 1u);
+  EXPECT_EQ(db->edb().ToString(u2), rendered);
+}
+
+// The same for a failed sync, run on the helper thread beside a
+// commit's work: the work ran on the staged stack, nothing published,
+// and the log refuses every later commit.
+TEST(StorageDatabaseTest, FailedWalSyncRefusesLaterCommits) {
+  ScratchDir dir("walsync");
+  std::string rendered;
+  {
+    Universe u;
+    Result<Database> db = Database::Open(u, MustInstance(u, "E(a, b)."),
+                                         DurableOpts(dir.path));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE(db->Append(MustInstance(u, "E(b, c).")).ok());
+    rendered = db->edb().ToString(u);
+    PipeOverWal pipe(WalPath(dir.path));
+    ASSERT_TRUE(pipe.ok());
+    uint64_t staged_epoch = 0;
+    Result<uint64_t> failed = db->Append(
+        MustInstance(u, "E(c, d)."), nullptr,
+        [&](const Session& staged) { staged_epoch = staged.epoch(); });
+    ASSERT_FALSE(failed.ok());
+    EXPECT_NE(failed.status().message().find("fdatasync"), std::string::npos)
+        << failed.status().ToString();
+    EXPECT_EQ(staged_epoch, 2u);
+    EXPECT_EQ(db->epoch(), 1u);
+    bool ran = false;
+    Result<uint64_t> later =
+        db->Append(MustInstance(u, "E(x, y)."), nullptr,
+                   [&](const Session&) { ran = true; });
+    ASSERT_FALSE(later.ok()) << "committed epoch " << *later;
+    EXPECT_EQ(later.status().ToString(), failed.status().ToString());
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(db->epoch(), 1u);
+  }
+  Universe u2;
+  Result<Database> db = Database::Open(u2, DurableOpts(dir.path));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(db->epoch(), 1u);
+  EXPECT_EQ(db->edb().ToString(u2), rendered);
+}
+
+// Through the server's write path: a write whose WAL write or sync
+// fails installs no view, rendering or plan, in the ViewManager or the
+// serving cache, and the cached entry keeps serving the old epoch.
+TEST(StorageDatabaseTest, FailedWalWriteOrSyncInstallsNoCachedView) {
+  protocol::RunRequest req;
+  req.program =
+      "R($x, $y) <- E($x, $y).\n"
+      "R($x, $z) <- R($x, $y), E($y, $z).\n";
+  req.output_rel = "R";
+  for (bool sync : {false, true}) {
+    SCOPED_TRACE(sync ? "failed sync" : "failed write");
+    ScratchDir dir("walview");
+    Universe u;
+    Result<Database> db = Database::Open(u, MustInstance(u, "E(a, b)."),
+                                         DurableOpts(dir.path));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    DatabaseService service(u, std::move(*db));
+    ASSERT_TRUE(service.Run(req).ok());
+    ASSERT_TRUE(service.Append({"E(b, c).", ""}).ok());
+    Result<protocol::RunReply> before = service.Run(req);
+    ASSERT_TRUE(before.ok()) << before.status().ToString();
+    EXPECT_TRUE(before->result_cached);
+    EXPECT_EQ(before->epoch, 1u);
+
+    Result<protocol::AppendReply> failed = Status::Internal("unset");
+    if (sync) {
+      PipeOverWal pipe(WalPath(dir.path));
+      ASSERT_TRUE(pipe.ok());
+      failed = service.Append({"E(c, d).", ""});
+    } else {
+      FileSizeCap cap(WalPath(dir.path), 10);
+      ASSERT_TRUE(cap.ok()) << std::strerror(errno);
+      failed = service.Append({"E(c, d). E(d, e).", ""});
+    }
+    EXPECT_FALSE(failed.ok());
+    EXPECT_EQ(service.db().epoch(), 1u);
+    std::shared_ptr<const ViewSnapshot> stored =
+        service.db().views().Lookup(req.program);
+    ASSERT_NE(stored, nullptr);
+    EXPECT_EQ(stored->epoch(), 1u);
+    Result<protocol::RunReply> after = service.Run(req);
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    EXPECT_TRUE(after->result_cached);
+    EXPECT_EQ(after->epoch, 1u);
+    EXPECT_EQ(after->rendered, before->rendered);
+    // Nor a plan: the failed sync's drift check recompiled against the
+    // staged stack, and the cached plan is still the one of epoch 1.
+    Result<protocol::CompileReply> plan = service.Compile({req.program, ""});
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_TRUE(plan->cache_hit);
+    EXPECT_FALSE(service.Append({"E(x, y).", ""}).ok());
+    EXPECT_EQ(service.db().epoch(), 1u);
+  }
+}
+
+// Work that throws does not stop its commit: the record is logged and
+// synced beside it, the stack publishes, and only then does the
+// exception propagate; the next commit logs and syncs its own record.
+TEST(StorageDatabaseTest, ThrowingCommitWorkStillPublishes) {
+  ScratchDir dir("throwwork");
+  std::string rendered;
+  {
+    Universe u;
+    Result<Database> db = Database::Open(u, MustInstance(u, "E(a, b)."),
+                                         DurableOpts(dir.path));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_THROW(db->Append(MustInstance(u, "E(b, c)."), nullptr,
+                            [](const Session&) {
+                              throw std::runtime_error("work");
+                            }),
+                 std::runtime_error);
+    EXPECT_EQ(db->epoch(), 1u);
+    Result<uint64_t> next = db->Append(MustInstance(u, "E(c, d)."), nullptr,
+                                       [](const Session&) {});
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    EXPECT_EQ(*next, 2u);
+    rendered = db->edb().ToString(u);
+    // No Close(): recovery replays both records.
+  }
+  Universe u2;
+  Result<Database> db = Database::Open(u2, DurableOpts(dir.path));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(db->epoch(), 2u);
+  EXPECT_EQ(db->edb().ToString(u2), rendered);
+}
+
+// A commit's work runs beside its WAL sync, before the stack publishes,
+// only when a sync is owed; in memory and under kNever it runs once the
+// stack has published. Either way it sees the commit's own stack, and an
+// exception it throws propagates after the commit published.
+TEST(StorageDatabaseTest, CommitWorkRunsBesideTheSyncOnlyWhenOneIsOwed) {
+  for (const char* mode : {"memory", "never", "always"}) {
+    SCOPED_TRACE(mode);
+    ScratchDir dir("worktime");
+    Database::OpenOptions opts;
+    if (std::string(mode) != "memory") {
+      opts = DurableOpts(dir.path);
+      if (std::string(mode) == "never") {
+        opts.sync_mode = storage::SyncMode::kNever;
+      }
+    }
+    Universe u;
+    Result<Database> db = Database::Open(u, MustInstance(u, "E(a, b)."), opts);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    const uint64_t published_before = std::string(mode) == "always" ? 1 : 0;
+    uint64_t staged = 0, published = 0;
+    auto work = [&](const Session& s) {
+      staged = s.epoch();
+      published = db->epoch();
+    };
+    ASSERT_TRUE(db->Append(MustInstance(u, "E(b, c)."), nullptr, work).ok());
+    EXPECT_EQ(staged, 1u);
+    EXPECT_EQ(published, 1u - published_before);
+    ASSERT_TRUE(db->Retract(MustInstance(u, "E(a, b)."), nullptr, work).ok());
+    EXPECT_EQ(staged, 2u);
+    EXPECT_EQ(published, 2u - published_before);
+    EXPECT_THROW(db->Append(MustInstance(u, "E(c, d)."), nullptr,
+                            [](const Session&) {
+                              throw std::runtime_error("work");
+                            }),
+                 std::runtime_error);
+    EXPECT_EQ(db->epoch(), 3u);
+  }
+}
+
+// Concurrent writers do not wait for each other's work: a commit that
+// finds another commit in flight runs its work after publishing, outside
+// the writer lock, although its sync is owed. Here the first commit is
+// alone, so its work runs beside its sync, under the lock, and lets two
+// more writers queue behind it; the one of those that takes the lock
+// first finds the other in flight.
+TEST(StorageConcurrencyTest, CommitWorkWaitsForNoOtherCommit) {
+  ScratchDir dir("inflight");
+  {
+    Universe u;
+    Result<Database> db = Database::Open(u, MustInstance(u, "E(a, b)."),
+                                         DurableOpts(dir.path));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    Instance batches[] = {MustInstance(u, "E(b, c)."),
+                          MustInstance(u, "E(c, d).")};
+    std::atomic<int> ready{0}, committed{0}, after_publish{0};
+    std::vector<std::thread> writers;
+    bool first_beside = false;
+    Result<uint64_t> first = db->Append(
+        MustInstance(u, "E(x, y)."), nullptr, [&](const Session& staged) {
+          first_beside = db->epoch() < staged.epoch();
+          for (Instance& batch : batches) {
+            writers.emplace_back([&] {
+              ++ready;
+              Result<uint64_t> epoch = db->Append(
+                  std::move(batch), nullptr, [&](const Session& s) {
+                    if (db->epoch() >= s.epoch()) ++after_publish;
+                  });
+              if (epoch.ok()) ++committed;
+            });
+          }
+          // Both writers are about to enter their commits, which wait for
+          // this one's lock.
+          while (ready.load() < 2) std::this_thread::yield();
+          std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        });
+    for (std::thread& t : writers) t.join();
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_TRUE(first_beside);
+    EXPECT_EQ(committed.load(), 2);
+    EXPECT_GE(after_publish.load(), 1);
+    EXPECT_EQ(db->epoch(), 3u);
+    // No Close(): every commit synced its own record.
+  }
+  Universe u2;
+  Result<Database> db = Database::Open(u2, DurableOpts(dir.path));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(db->epoch(), 3u);
 }
 
 TEST(StorageDatabaseTest, QueriesRunAfterRecovery) {

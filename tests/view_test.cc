@@ -7,8 +7,10 @@
 // schedules — lives in tests/differential_test.cc.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -256,17 +258,6 @@ TEST(ViewTest, AccountedBytesAreTheTablesBytes) {
   EXPECT_EQ((*v)->ApproxBytes(), TableBytes(**v));
 }
 
-/// Support counts must match a cold run's exactly — an overcount keeps a
-/// dead tuple alive through a later retraction.
-void ExpectSameSupport(const SharedSupport& got, const SharedSupport& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (const auto& [rel, counts] : want) {
-    auto it = got.find(rel);
-    ASSERT_NE(it, got.end());
-    EXPECT_EQ(*it->second, *counts);
-  }
-}
-
 TEST(ViewTest, AutoFoldUnderLaggingViewKeepsSupportExact) {
   Universe u;
   Database::OpenOptions opts;
@@ -357,6 +348,122 @@ TEST(ViewTest, KeyedComplianceMaintainedThroughLogChurn) {
   ViewManager::Counters c = db->views().counters();
   EXPECT_EQ(c.cold_runs, 1u);
   EXPECT_EQ(c.strata_recomputed, 0u);
+}
+
+// A durable commit's work evaluates the view at the staged stack beside
+// the WAL sync, before the stack publishes, and stores nothing: the
+// stack still reads the old epoch, the manager still holds the old view,
+// and Install stores the new one.
+TEST(ViewTest, CommitWorkEvaluatesTheStagedStackAndStoresNothing) {
+  ScratchDir dir("stagedwork");
+  Universe u;
+  Database::OpenOptions opts;
+  opts.data_dir = dir.path;
+  opts.sync_mode = storage::SyncMode::kAlways;
+  Result<Database> db = Database::Open(u, MustInstance(u, "E(a, b)."), opts);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  PreparedProgram prog = MustCompile(u, kReach);
+  ASSERT_TRUE(db->views().Refresh("reach", prog).ok());
+
+  std::shared_ptr<const ViewSnapshot> staged_view;
+  uint64_t published_during = 99;
+  Result<uint64_t> epoch = db->Append(
+      MustInstance(u, "E(b, c)."), nullptr, [&](const Session& staged) {
+        published_during = db->epoch();
+        auto v = db->views().Evaluate("reach", prog, staged);
+        ASSERT_TRUE(v.ok()) << v.status().ToString();
+        staged_view = *v;
+      });
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+  EXPECT_EQ(*epoch, 1u);
+  EXPECT_EQ(published_during, 0u);
+  ASSERT_NE(staged_view, nullptr);
+  EXPECT_EQ(staged_view->epoch(), 1u);
+  EXPECT_EQ(staged_view->idb().ToString(u), ColdRendered(u, *db, prog));
+  EXPECT_EQ(db->views().Lookup("reach")->epoch(), 0u);
+  EXPECT_EQ(db->views().counters().delta_refreshes, 1u);
+
+  db->views().Install("reach", staged_view);
+  EXPECT_EQ(db->views().Lookup("reach"), staged_view);
+  // An older view never replaces a newer one.
+  ASSERT_TRUE(db->Append(MustInstance(u, "E(c, d).")).ok());
+  auto v2 = db->views().Refresh("reach", prog);
+  ASSERT_TRUE(v2.ok());
+  db->views().Install("reach", staged_view);
+  EXPECT_EQ(db->views().Lookup("reach"), *v2);
+}
+
+// A view stored at a newer epoch than the stack being evaluated is never
+// run backwards: evaluating at an older pinned session runs cold and
+// answers exactly that session's epoch.
+TEST(ViewTest, EvaluateAtAnOlderPinnedStackRunsCold) {
+  Universe u;
+  Result<Database> db = Database::Open(u, MustInstance(u, "E(a, b)."));
+  ASSERT_TRUE(db.ok());
+  PreparedProgram prog = MustCompile(u, kReach);
+  ASSERT_TRUE(db->views().Refresh("reach", prog).ok());
+  Session pinned = db->Snapshot();
+  ASSERT_TRUE(db->Append(MustInstance(u, "E(b, c). E(c, d).")).ok());
+  ASSERT_TRUE(db->views().Refresh("reach", prog).ok());
+  ASSERT_EQ(db->views().Lookup("reach")->epoch(), 1u);
+
+  auto v = db->views().Evaluate("reach", prog, pinned);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ((*v)->epoch(), 0u);
+  Result<Instance> cold = pinned.Run(prog);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ((*v)->idb().ToString(u), cold->ToString(u));
+  EXPECT_EQ(db->views().counters().cold_runs, 2u);
+  EXPECT_EQ(db->views().Lookup("reach")->epoch(), 1u);
+}
+
+// Readers refresh while a writer appends and refreshes: a refresh that
+// pinned a stack just before a write published and stored its view must
+// not run that newer view backwards. Every snapshot of P holds exactly
+// the epoch's facts, one more per append.
+TEST(ViewConcurrencyTest, RefreshNeverRunsAStoredViewBackwards) {
+  constexpr size_t kReaders = 6;
+  constexpr size_t kWrites = 300;
+  Universe u;
+  Result<Database> db = Database::Open(u, MustInstance(u, "R(a0)."));
+  ASSERT_TRUE(db.ok());
+  PreparedProgram prog = MustCompile(u, "P($x) <- R($x).");
+  ASSERT_TRUE(db->views().Refresh("p", prog).ok());
+  std::atomic<bool> done{false};
+  std::vector<std::string> failures(kReaders);
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      while (!done.load()) {
+        auto v = db->views().Refresh("p", prog);
+        if (!v.ok()) {
+          failures[t] = v.status().ToString();
+          return;
+        }
+        if ((*v)->idb().NumFacts() != (*v)->epoch() + 1) {
+          failures[t] = "epoch " + std::to_string((*v)->epoch()) +
+                        " holds " + std::to_string((*v)->idb().NumFacts()) +
+                        " facts";
+          return;
+        }
+      }
+    });
+  }
+  for (size_t i = 1; i <= kWrites; ++i) {
+    std::string fact = "R(";
+    fact += Numbered("a", i);
+    fact += ").";
+    if (!db->Append(MustInstance(u, fact)).ok() ||
+        !db->views().Refresh("p", prog).ok()) {
+      ADD_FAILURE() << "write " << i;
+      break;
+    }
+  }
+  done.store(true);
+  for (std::thread& r : readers) r.join();
+  for (size_t t = 0; t < kReaders; ++t) {
+    EXPECT_EQ(failures[t], "") << "reader " << t;
+  }
 }
 
 TEST(ViewTest, InvalidateForcesColdRun) {
