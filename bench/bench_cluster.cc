@@ -156,7 +156,6 @@ void RunCoordinator(benchmark::State& state, BenchCluster* c,
                     const char* program) {
   protocol::RunRequest req;
   req.program = program;
-  req.collect_derived_stats = false;
   for (auto _ : state) {
     Result<protocol::RunReply> run = c->coord->Run(req);
     if (!run.ok()) {
@@ -203,8 +202,7 @@ void BM_ShardSliceJoin(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    Result<protocol::RunReply> run =
-        client->Run(kKeyedJoin, "", "", false);
+    Result<protocol::RunReply> run = client->Run(kKeyedJoin);
     if (!run.ok()) {
       state.SkipWithError(run.status().ToString().c_str());
       return;
@@ -239,8 +237,7 @@ void BM_SingleNodeJoin(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    Result<protocol::RunReply> run =
-        client->Run(kKeyedJoin, "", "", /*collect_derived_stats=*/false);
+    Result<protocol::RunReply> run = client->Run(kKeyedJoin);
     if (!run.ok()) {
       state.SkipWithError(run.status().ToString().c_str());
       return;

@@ -139,10 +139,7 @@ void BM_SmallQueryRoundTrip(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    // collect_derived_stats off: the hot query path, no measurement
-    // pass, no accumulator contention.
-    Result<protocol::RunReply> run =
-        client->Run(kPointQuery, "", "", /*collect_derived_stats=*/false);
+    Result<protocol::RunReply> run = client->Run(kPointQuery);
     if (!run.ok()) {
       state.SkipWithError(run.status().ToString().c_str());
       return;
@@ -186,8 +183,7 @@ void BM_SmallQueryUncached(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    Result<protocol::RunReply> run =
-        client->Run(kPointQuery, "", "", /*collect_derived_stats=*/false);
+    Result<protocol::RunReply> run = client->Run(kPointQuery);
     if (!run.ok()) {
       state.SkipWithError(run.status().ToString().c_str());
       return;
@@ -202,7 +198,6 @@ void BM_RunVsInProcess(benchmark::State& state) {
   BenchServer* bs = BenchServer::Get();
   protocol::RunRequest req;
   req.program = kPointQuery;
-  req.collect_derived_stats = false;
   for (auto _ : state) {
     Result<protocol::RunReply> run = bs->service->Run(req);
     if (!run.ok()) {
@@ -305,7 +300,7 @@ void RunDeltaAppendServer(benchmark::State& state, bool maintained) {
   }
   // Warm-up: compile the program and materialize the view (or build the
   // indexes) before the timed loop.
-  if (!client->Run(kReachQuery, "", "", false).ok()) {
+  if (!client->Run(kReachQuery).ok()) {
     state.SkipWithError("warm-up run failed");
     return;
   }
@@ -317,8 +312,7 @@ void RunDeltaAppendServer(benchmark::State& state, bool maintained) {
       state.SkipWithError(append.status().ToString().c_str());
       return;
     }
-    Result<protocol::RunReply> run =
-        client->Run(kReachQuery, "", "", /*collect_derived_stats=*/false);
+    Result<protocol::RunReply> run = client->Run(kReachQuery);
     if (!run.ok()) {
       state.SkipWithError(run.status().ToString().c_str());
       return;
@@ -373,15 +367,13 @@ void BM_CachedQueryUnderGenerativeLoad(benchmark::State& state) {
     if (adversary) {
       // Must come back kResourceExhausted quickly — budget enforcement
       // is the whole point. A success here means the policy is off.
-      Result<protocol::RunReply> run =
-          client->Run(kGenerativeQuery, "", "", false);
+      Result<protocol::RunReply> run = client->Run(kGenerativeQuery);
       if (run.ok()) {
         state.SkipWithError("generative run unexpectedly succeeded");
         return;
       }
     } else {
-      Result<protocol::RunReply> run =
-          client->Run(kPointQuery, "", "", /*collect_derived_stats=*/false);
+      Result<protocol::RunReply> run = client->Run(kPointQuery);
       if (!run.ok()) {
         state.SkipWithError(run.status().ToString().c_str());
         return;

@@ -319,8 +319,7 @@ Result<protocol::RunReply> Coordinator::RunTransparent(
     const protocol::RunRequest& req, std::vector<uint64_t>* pinned_epochs) {
   std::vector<Result<protocol::RunReply>> results =
       Scatter<protocol::RunReply>([&req](Client& c, size_t) {
-        return c.Run(req.program, req.output_rel, req.source_name,
-                     req.collect_derived_stats);
+        return c.Run(req.program, req.output_rel, req.source_name);
       });
   SEQDL_RETURN_IF_ERROR(FirstError(results));
 
@@ -360,8 +359,7 @@ Result<protocol::RunReply> Coordinator::RunResidual(
     std::vector<Result<protocol::RunReply>> results =
         Scatter<protocol::RunReply>([&dump_text](Client& c, size_t) {
           return c.Run(dump_text, /*output_rel=*/"",
-                       /*source_name=*/"<edb-gather>",
-                       /*collect_derived_stats=*/false);
+                       /*source_name=*/"<edb-gather>");
         });
     SEQDL_RETURN_IF_ERROR(FirstError(results));
     for (size_t i = 0; i < results.size(); ++i) {
@@ -387,7 +385,6 @@ Result<protocol::RunReply> Coordinator::RunResidual(
                          Database::Open(*u_, std::move(gathered)));
   Session session = db.Snapshot();
   RunOptions ropts = opts_.residual_run;
-  ropts.collect_derived_stats = req.collect_derived_stats;
   AddCancel(&ropts, cancel);
   EvalStats stats;
   SEQDL_ASSIGN_OR_RETURN(Instance derived, session.Run(prepared, ropts,

@@ -160,7 +160,7 @@ bool Database::DataDirInitialized(const std::string& dir) {
 }
 
 Session Database::Snapshot() const {
-  return Session(*state_->universe, state_->Current(), &state_->accum);
+  return Session(*state_->universe, state_->Current());
 }
 
 Result<uint64_t> Database::Commit(DbState& state, SegmentKind kind,
@@ -221,7 +221,7 @@ Result<uint64_t> Database::Commit(DbState& state, SegmentKind kind,
   // the lock past the sync; otherwise it runs once the lock is released.
   // An exception from work beside the sync waits until the commit has
   // published, so memory never parts from the log.
-  const Session staged(*state.universe, next, &state.accum);
+  const Session staged(*state.universe, next);
   bool ran = false;
   std::exception_ptr thrown;
   std::function<void()> beside;
@@ -245,14 +245,6 @@ Result<uint64_t> Database::Commit(DbState& state, SegmentKind kind,
   if (committed != nullptr) *committed = flipped;
   const uint64_t epoch = next->epoch;
   state.Publish(std::move(next));
-
-  // The data moved, grown or shrunk: note the epoch so the accumulated
-  // derived-run measurements decay once something actually re-derives
-  // (deferred — see StatsAccumulator::NoteEpoch; a maintained view
-  // serving across commits is not fresh evidence that the derived shape
-  // drifted, and Stats() discounts tombstones directly).
-  state.accum.NoteEpoch();
-
   AfterCommitLocked(state);
   writer.unlock();
   if (thrown) std::rethrow_exception(thrown);
@@ -482,23 +474,7 @@ Result<Instance> Session::Run(const PreparedProgram& prog,
         "program was compiled against a different Universe than the "
         "database was opened with");
   }
-  // RunOnStack fills EvalStats::derived_stats when asked; route it
-  // through a local EvalStats if the caller did not pass one, so the
-  // measurement still reaches the database's accumulator.
-  EvalStats local;
-  EvalStats* sink =
-      stats != nullptr ? stats
-                       : (opts.collect_derived_stats ? &local : nullptr);
-  Result<Instance> out = prog.RunOnStack(pinned_->segments, opts, sink);
-  if (out.ok() && accum_ != nullptr) {
-    // A full recomputation happened: apply any epoch decays deferred by
-    // appends, then record what this run actually derived.
-    accum_->AgeOnRecompute(StatsAccumulator::kEpochDecay);
-    if (opts.collect_derived_stats && sink != nullptr) {
-      accum_->Record(sink->derived_stats);
-    }
-  }
-  return out;
+  return prog.RunOnStack(pinned_->segments, opts, stats);
 }
 
 Instance Session::edb() const { return MaterializeVisible(pinned_->segments); }
@@ -521,7 +497,6 @@ StoreStats Session::Stats() const {
     }
   }
   stats.DiscountFrom(discount);
-  stats.MergeFrom(accum_->Snapshot());
   return stats;
 }
 

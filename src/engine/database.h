@@ -243,15 +243,10 @@ class Database {
   size_t NumTombstones() const;
 
   /// Measured per-(relation, column, index-family) statistics of the
-  /// current epoch: every live segment's measurement (taken once per
-  /// segment, IndexedStore::Stats) merged with everything sessions
-  /// derived in runs that set
-  /// RunOptions::collect_derived_stats. Derived-run measurements age out
-  /// as epochs bump (StatsAccumulator::Age), so estimates can shrink
-  /// after compaction instead of pinning the all-time max. Feed the
-  /// snapshot into CompileOptions::stats — or just call Compile() below —
-  /// so the planner ranks access paths by measured selectivity.
-  /// Thread-safe.
+  /// current epoch: Snapshot().Stats(), which depends on the segment
+  /// stack alone. Feed the snapshot into CompileOptions::stats — or just
+  /// call Compile() below — so the planner ranks access paths by
+  /// measured selectivity. Thread-safe.
   StoreStats Stats() const;
 
   /// Compiles `p` against this database's Universe with Stats() as the
@@ -333,7 +328,6 @@ class Database {
     std::atomic<int> commits_in_flight{0};
     /// Set by Close(): writers fail, readers continue.
     std::atomic<bool> closed{false};
-    StatsAccumulator accum;
     /// The materialized-view subsystem (view/view.h); constructed at
     /// Open so views() can hand out a stable reference.
     std::unique_ptr<ViewManager> views;
@@ -410,9 +404,6 @@ class Session {
  public:
   /// Runs `prog` over the pinned epoch's EDB; returns only the derived
   /// IDB facts. `prog` must be compiled against the database's Universe.
-  /// With RunOptions::collect_derived_stats set, the run's derived facts
-  /// are measured into EvalStats::derived_stats and folded into the
-  /// Database's Stats(), so later compiles plan from observed workloads.
   Result<Instance> Run(const PreparedProgram& prog, const RunOptions& opts = {},
                        EvalStats* stats = nullptr) const;
 
@@ -427,22 +418,20 @@ class Session {
   /// Materializes the visible facts of the pinned stack (a copy):
   /// fact segments union in, tombstone segments remove.
   Instance edb() const;
-  /// Database::Stats() of the pinned stack: every segment's measurement
-  /// (tombstone segments discount) merged with the derived-run
-  /// measurements accumulated so far.
+  /// Statistics of the pinned stack: every fact segment's measurement
+  /// (taken once per segment, IndexedStore::Stats) summed, minus every
+  /// tombstone segment's. A relation no segment holds stays unmeasured,
+  /// so the planner prices it with StoreStats' priors.
   StoreStats Stats() const;
 
  private:
   friend class Database;
   friend class ViewManager;
-  Session(Universe& u, std::shared_ptr<const Database::SegmentSet> pinned,
-          StatsAccumulator* accum)
-      : universe_(&u), pinned_(std::move(pinned)), accum_(accum) {}
+  Session(Universe& u, std::shared_ptr<const Database::SegmentSet> pinned)
+      : universe_(&u), pinned_(std::move(pinned)) {}
 
   Universe* universe_;
   std::shared_ptr<const Database::SegmentSet> pinned_;
-  /// The owning Database's derived-stats accumulator (heap-stable).
-  StatsAccumulator* accum_;
 };
 
 }  // namespace seqdl

@@ -1033,9 +1033,6 @@ Result<Instance> PreparedProgram::RunOnStack(std::span<const Segment> stack,
   }
   internal::Executor exec(*universe_, *this, opts, stats);
   Result<Instance> out = exec.Run(stack);
-  if (stats && opts.collect_derived_stats && out.ok()) {
-    stats->derived_stats = ComputeInstanceStats(*universe_, *out);
-  }
   if (stats) stats->run_seconds = SecondsSince(start);
   return out;
 }
@@ -1053,9 +1050,6 @@ Result<PreparedProgram::DeltaRun> PreparedProgram::RunDelta(
   internal::Executor exec(*universe_, *this, opts, stats);
   Result<DeltaRun> out =
       exec.RunDelta(stack, base_prefix, view, stored_support);
-  if (stats && opts.collect_derived_stats && out.ok()) {
-    stats->derived_stats = ComputeInstanceStats(*universe_, out->idb);
-  }
   if (stats) stats->run_seconds = SecondsSince(start);
   return out;
 }

@@ -115,11 +115,7 @@ struct RunOptions {
   /// periodically between rule firings. Return true to cancel the run;
   /// Run then fails with kCancelled. Leave empty for no callback.
   std::function<bool()> cancel;
-  /// Measure the run's derived facts into EvalStats::derived_stats (one
-  /// O(derived) pass after the fixpoint). Session::Run additionally feeds
-  /// the measurement back into its Database's statistics accumulator, so
-  /// later Database::Stats()-driven compiles see what runs actually
-  /// derived. Off by default to keep the hot path free of the pass.
+  /// Ignored; perfbench/src/node.cc:105 still sets it (ROADMAP item 9).
   bool collect_derived_stats = false;
   /// When non-null, every rule firing increments (*support)[rel][tuple]
   /// for the head tuple it produced — the counting-based support the
@@ -203,10 +199,6 @@ struct EvalStats {
   /// [stats]"), recorded at compile time and copied into every run's
   /// stats. Empty when the run was given no stats out-param.
   std::vector<std::string> plan_decisions;
-  /// Bucket statistics of the facts this run derived, measured after the
-  /// fixpoint when RunOptions::collect_derived_stats is set (empty
-  /// otherwise).
-  StoreStats derived_stats;
 };
 
 /// A validated, planned program bound to a Universe. Move-only (plans

@@ -137,37 +137,6 @@ StoreStats ComputeInstanceStats(const Universe& u, const Instance& inst) {
   return stats;
 }
 
-void StoreStats::ObserveMax(const StoreStats& other) {
-  for (const auto& [rel, theirs] : other.relations) {
-    auto [it, inserted] = relations.try_emplace(rel, theirs);
-    if (!inserted && theirs.tuples > it->second.tuples) {
-      it->second = theirs;
-    }
-  }
-}
-
-void StoreStats::Scale(double factor) {
-  auto scale = [factor](size_t n) {
-    return static_cast<size_t>(static_cast<double>(n) * factor);
-  };
-  for (auto it = relations.begin(); it != relations.end();) {
-    RelationStats& rs = it->second;
-    rs.tuples = scale(rs.tuples);
-    if (rs.tuples == 0) {
-      it = relations.erase(it);
-      continue;
-    }
-    for (ColumnStats& c : rs.columns) {
-      for (FamilyStats& f : c.of) {
-        f.buckets = scale(f.buckets);
-        f.entries = scale(f.entries);
-        f.max_bucket = scale(f.max_bucket);
-      }
-    }
-    ++it;
-  }
-}
-
 double StatsDrift(const StoreStats& before, const StoreStats& after) {
   double drift = 0.0;
   auto relative = [](size_t a, size_t b) {
@@ -187,33 +156,6 @@ double StatsDrift(const StoreStats& before, const StoreStats& after) {
     }
   }
   return drift;
-}
-
-void StatsAccumulator::Record(const StoreStats& s) {
-  std::lock_guard<std::mutex> lock(mu_);
-  total_.ObserveMax(s);
-}
-
-StoreStats StatsAccumulator::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_;
-}
-
-void StatsAccumulator::Age(double factor) {
-  std::lock_guard<std::mutex> lock(mu_);
-  total_.Scale(factor);
-}
-
-void StatsAccumulator::NoteEpoch() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++pending_epochs_;
-}
-
-void StatsAccumulator::AgeOnRecompute(double factor) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (; pending_epochs_ > 0; --pending_epochs_) {
-    total_.Scale(factor);
-  }
 }
 
 }  // namespace seqdl

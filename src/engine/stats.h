@@ -8,10 +8,11 @@
 // *mean bucket size*: a near-constant column has one huge bucket (mean ≈
 // relation size, probing it is as bad as a full scan), a high-cardinality
 // key column has singleton buckets (mean ≈ 1). StoreStats carries those
-// measurements; IndexedStore::Stats() computes them over a fixed EDB,
-// ComputeInstanceStats over any instance (e.g. the derived IDB of a
-// finished run), and Database::Stats() merges both so long-lived serving
-// processes re-plan from what actually accumulated.
+// measurements; ComputeInstanceStats measures any instance,
+// IndexedStore::Stats() measures a store once, and Database::Stats()
+// merges the measurements of a segment stack. Only stored facts are
+// measured: a relation that no segment holds (an IDB relation, say)
+// keeps the planner's priors.
 //
 // Statistics are estimates feeding a cost model, never semantics: every
 // access path the planner can pick enumerates a sound overapproximation
@@ -23,7 +24,6 @@
 
 #include <cstddef>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -96,8 +96,8 @@ struct StoreStats {
 
   /// Folds `other` into this by summing (see FamilyStats::MergeFrom for
   /// the bucket overcount caveat). Used by Database::Stats() to combine
-  /// base-EDB measurements with the accumulated derived-fact measurements
-  /// — disjoint fact sets, so summing is the right estimate.
+  /// the fact segments' measurements — disjoint fact sets, so summing is
+  /// the right estimate.
   void MergeFrom(const StoreStats& other);
 
   /// Subtracts `other`'s counters from this, flooring at zero (relations
@@ -108,18 +108,6 @@ struct StoreStats {
   /// retraction epoch would be invisible to StatsDrift and cached plans
   /// would keep ranking access paths off stale, larger buckets.
   void DiscountFrom(const StoreStats& other);
-
-  /// Folds `other` into this by keeping, per relation, whichever
-  /// measurement saw more tuples. Used by StatsAccumulator: repeated runs
-  /// of the same program re-derive the same facts, so summing them would
-  /// inflate estimates without bound — "the largest instance observed so
-  /// far" is bounded by reality and exact for the repeated-query loop.
-  void ObserveMax(const StoreStats& other);
-
-  /// Scales every counter by `factor` (rounding down; relations that
-  /// decay to zero tuples are dropped). The decay step of
-  /// StatsAccumulator::Age.
-  void Scale(double factor);
 
   /// Deterministic multi-line rendering, one row per (relation, column,
   /// family): "R  col 0  whole  buckets=12 entries=30 mean=2.5 max=4".
@@ -133,49 +121,6 @@ struct StoreStats {
 /// each of the three index families would have. Pure computation over an
 /// instance the caller keeps alive; never builds or touches real indexes.
 StoreStats ComputeInstanceStats(const Universe& u, const Instance& inst);
-
-/// Thread-safe accumulator of per-run derived-fact statistics. Database
-/// owns one; Session::Run records each run's derived stats into it (when
-/// RunOptions::collect_derived_stats is set), and Database::Stats() merges
-/// a snapshot into the base-EDB measurements. Recording keeps the largest
-/// observed measurement per relation (ObserveMax), so repeating a query
-/// forever cannot inflate its estimates — and aging decays that maximum
-/// as epochs bump, so the accumulator also *forgets*: after the workload
-/// drifts (or compaction shrinks the base), a few epochs of smaller
-/// observations win over a stale all-time peak and estimates can come
-/// back down.
-///
-/// Aging is *deferred*: Append notes the epoch bump (NoteEpoch), but the
-/// decay only applies once a run actually recomputes the derived facts
-/// (AgeOnRecompute — called from Session::Run and ViewManager cold
-/// materializations). A maintained view answering queries across many
-/// appends therefore never decays the measurements on its own — there is
-/// no fresh evidence of drift until something re-derives — so cached
-/// plans stop recompiling on StatsDrift that never happened.
-class StatsAccumulator {
- public:
-  /// The decay applied per noted epoch bump.
-  static constexpr double kEpochDecay = 0.5;
-
-  void Record(const StoreStats& s);
-  StoreStats Snapshot() const;
-  /// Multiplies every recorded counter by `factor` in (0, 1] immediately.
-  void Age(double factor);
-
-  /// Notes one committed epoch bump; the matching decay is deferred until
-  /// the next AgeOnRecompute.
-  void NoteEpoch();
-  /// Applies `factor` once per epoch noted since the last recompute
-  /// (no-op when none are pending). Called by runs that re-derive from
-  /// the current EDB — the moment decayed estimates can actually be
-  /// replaced by fresh observations.
-  void AgeOnRecompute(double factor);
-
- private:
-  mutable std::mutex mu_;
-  StoreStats total_;
-  size_t pending_epochs_ = 0;
-};
 
 /// Relative drift between two measurements: the largest per-relation
 /// relative change in tuple count over the union of their relations

@@ -163,13 +163,11 @@ Result<protocol::CompileReply> Client::Compile(
 
 Result<protocol::RunReply> Client::Run(const std::string& program,
                                        const std::string& output_rel,
-                                       const std::string& source_name,
-                                       bool collect_derived_stats) {
+                                       const std::string& source_name) {
   protocol::RunRequest req;
   req.program = program;
   req.source_name = source_name;
   req.output_rel = output_rel;
-  req.collect_derived_stats = collect_derived_stats;
   SEQDL_ASSIGN_OR_RETURN(
       protocol::Reply reply,
       RoundTrip(protocol::EncodeRunRequest(req), MsgType::kRun));

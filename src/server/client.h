@@ -74,8 +74,7 @@ class Client {
   /// when nonempty).
   Result<protocol::RunReply> Run(const std::string& program,
                                  const std::string& output_rel = "",
-                                 const std::string& source_name = "",
-                                 bool collect_derived_stats = true);
+                                 const std::string& source_name = "");
 
   /// Ingest `facts` (instance syntax) as a new epoch.
   Result<protocol::AppendReply> Append(const std::string& facts,

@@ -27,7 +27,7 @@
 //   type        body
 //   kCompile    program:string  source_name:string
 //   kRun        program:string  source_name:string  output_rel:string
-//               flags:u8 (bit 0: collect derived stats server-side)
+//               flags:u8 (read and ignored)
 //   kAppend     facts:string  source_name:string
 //   kRetract    facts:string  source_name:string
 //   kEpoch      (empty)
@@ -112,8 +112,7 @@ struct RunRequest {
   std::string source_name;
   /// Project the derived facts onto this relation; empty = all derived.
   std::string output_rel;
-  /// Measure the run's derived facts into the server database's
-  /// statistics accumulator so later compiles plan from the workload.
+  /// Ignored; perfbench/src/node.cc:105 still reads it (ROADMAP item 9).
   bool collect_derived_stats = true;
 };
 

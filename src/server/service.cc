@@ -117,7 +117,6 @@ Result<protocol::RunReply> DatabaseService::Run(
   const CompiledProgram& c = *prepared.compiled;
   RunOptions ropts = opts_.run_options;
   SEQDL_RETURN_IF_ERROR(ApplyAdmission(c.admission, &ropts));
-  ropts.collect_derived_stats = req.collect_derived_stats;
   AddCancel(&ropts, cancel);
 
   protocol::RunReply reply;

@@ -105,27 +105,55 @@ class BlockEncoder {
   }
 
   /// Local path-table index of `p`; 0 is the implicit empty path.
+  /// Registers every packed sub-path not yet in the table before the
+  /// path that references it (topological order), children in value
+  /// order, and atoms in the order the walk meets them. The walk keeps
+  /// its own stack, one frame per pack level, so nesting depth is not
+  /// bounded by the thread's stack.
   uint64_t EnsurePath(PathId p) {
     auto it = path_idx_.find(p);
     if (it != path_idx_.end()) return it->second;
-    std::string encoded;
-    std::span<const Value> values = u_.GetPath(p);
-    PutVarint(&encoded, values.size());
-    for (Value v : values) {
-      if (v.is_atom()) {
-        PutVarint(&encoded, EnsureAtom(v.atom()) << 1);
-      } else {
-        // Recurse first so the referenced path lands earlier in the
-        // table (topological order; depth = packing nesting).
-        uint64_t sub = EnsurePath(v.packed_path());
-        PutVarint(&encoded, (sub << 1) | 1);
+    struct Frame {
+      PathId path;
+      std::span<const Value> values;
+      size_t next = 0;  // the first value not yet encoded
+      std::string encoded;
+    };
+    auto begin_frame = [this](PathId q) {
+      Frame f{q, u_.GetPath(q), 0, {}};
+      PutVarint(&f.encoded, f.values.size());
+      return f;
+    };
+    std::vector<Frame> stack;
+    stack.push_back(begin_frame(p));
+    while (true) {
+      Frame& f = stack.back();
+      if (f.next < f.values.size()) {
+        Value v = f.values[f.next];
+        if (v.is_atom()) {
+          PutVarint(&f.encoded, EnsureAtom(v.atom()) << 1);
+        } else if (auto sub = path_idx_.find(v.packed_path());
+                   sub != path_idx_.end()) {
+          PutVarint(&f.encoded, (sub->second << 1) | 1);
+        } else {
+          // Descend; the reference is written once the sub-path has its
+          // index (`f` dangles after the push).
+          stack.push_back(begin_frame(v.packed_path()));
+          continue;
+        }
+        ++f.next;
+        continue;
       }
+      uint64_t idx = 1 + path_count_;  // 0 is the empty path
+      path_idx_.emplace(f.path, idx);
+      ++path_count_;
+      paths_buf_.append(f.encoded);
+      stack.pop_back();
+      if (stack.empty()) return idx;
+      Frame& parent = stack.back();
+      PutVarint(&parent.encoded, (idx << 1) | 1);
+      ++parent.next;
     }
-    uint64_t idx = 1 + path_count_;  // 0 is the empty path
-    path_idx_.emplace(p, idx);
-    ++path_count_;
-    paths_buf_.append(encoded);
-    return idx;
   }
 
   void Finish(const Instance& inst, std::string* out) {

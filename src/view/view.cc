@@ -121,7 +121,7 @@ Result<std::shared_ptr<const ViewSnapshot>> ViewManager::Refresh(
   // between the pin and the lookup leaves a stored view newer than the
   // pin: pin again, which covers it, since views are stored at
   // published epochs only.
-  Session at(*state_->universe, state_->Current(), &state_->accum);
+  Session at(*state_->universe, state_->Current());
   std::shared_ptr<const ViewSnapshot> stored = Lookup(key);
   if (stored != nullptr && stored->epoch_ > at.epoch()) {
     at.pinned_ = state_->Current();
@@ -189,14 +189,6 @@ Result<std::shared_ptr<const ViewSnapshot>> ViewManager::Advance(
   snap->epoch_ = cur->epoch;
   snap->segments_ = cur->segments.size();
 
-  // Route derived-stats measurement through a local sink when the caller
-  // did not pass one, so it still reaches the database's accumulator
-  // (same plumbing as Session::Run).
-  EvalStats local;
-  EvalStats* sink =
-      stats != nullptr ? stats
-                       : (opts.collect_derived_stats ? &local : nullptr);
-
   if (old == nullptr) {
     SupportCounts support;
     RunOptions o = opts;
@@ -204,10 +196,7 @@ Result<std::shared_ptr<const ViewSnapshot>> ViewManager::Advance(
     // Cold runs see the stack the way a Session does: tombstone segments
     // hide retracted facts.
     SEQDL_ASSIGN_OR_RETURN(snap->idb_,
-                           prog.RunOnStack(cur->segments, o, sink));
-    // A full recomputation happened: apply the epoch decays deferred by
-    // appends (same contract as Session::Run).
-    state_->accum.AgeOnRecompute(StatsAccumulator::kEpochDecay);
+                           prog.RunOnStack(cur->segments, o, stats));
     snap->support_ = PruneSupport(std::move(support), snap->idb_);
   } else {
     SupportCounts fresh;
@@ -224,19 +213,12 @@ Result<std::shared_ptr<const ViewSnapshot>> ViewManager::Advance(
     SEQDL_ASSIGN_OR_RETURN(
         PreparedProgram::DeltaRun run,
         prog.RunDelta(cur->segments, base_prefix, old->idb_, lookup, o,
-                      sink));
+                      stats));
     snap->idb_ = std::move(run.idb);
     snap->support_ =
         CombineSupport(snap->idb_, fresh, run.decrements, old->support_);
   }
   snap->bytes_ = TableBytes(snap->idb_, snap->support_);
-
-  // Record what the view now holds (cold or refreshed — either way the
-  // materialized IDB is the current derived shape), so drift-triggered
-  // recompilation keeps working in view-serving mode.
-  if (opts.collect_derived_stats && sink != nullptr) {
-    state_->accum.Record(sink->derived_stats);
-  }
 
   std::lock_guard<std::mutex> lock(mu_);
   if (old == nullptr) {

@@ -161,14 +161,12 @@ class ViewManager {
   /// The current snapshot for `key`, materializing or delta-refreshing
   /// as needed: a stored snapshot at the current epoch is returned as
   /// is; a stale one is advanced by RunDelta over the segments appended
-  /// since; a missing one is cold-materialized (a full fixpoint, which
-  /// also applies the deferred statistics decay — see
-  /// StatsAccumulator::AgeOnRecompute). `key` is the caller's identity
-  /// for the view (the server uses the program text); `prog` must be
-  /// compiled against the database's Universe and must be the same
-  /// program for every call with the same key — the manager stores
-  /// results, not programs. On evaluation failure the stored snapshot
-  /// (still correct at its own epoch) is left in place.
+  /// since; a missing one is cold-materialized (a full fixpoint). `key`
+  /// is the caller's identity for the view (the server uses the program
+  /// text); `prog` must be compiled against the database's Universe and
+  /// must be the same program for every call with the same key — the
+  /// manager stores results, not programs. On evaluation failure the
+  /// stored snapshot (still correct at its own epoch) is left in place.
   Result<std::shared_ptr<const ViewSnapshot>> Refresh(
       const std::string& key, const PreparedProgram& prog,
       const RunOptions& opts = {}, EvalStats* stats = nullptr);

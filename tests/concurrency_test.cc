@@ -439,11 +439,9 @@ TEST(DatabaseConcurrencyTest, ParallelSessionRunsMatchSequential) {
 }
 
 TEST(DatabaseConcurrencyTest, ConcurrentStatsCollectionAndReads) {
-  // Threads race stats-collecting runs (each records derived-fact
-  // measurements into the Database's accumulator) against Database::Stats()
-  // readers (which merge the call_once-cached base measurement with an
-  // accumulator snapshot) and stats-driven compiles. Everything must stay
-  // data-race free and every run byte-identical.
+  // Threads race runs against Database::Stats() readers (which take the
+  // call_once-cached base measurement) and stats-driven compiles.
+  // Everything must stay data-race free and every run byte-identical.
   Universe u;
   Result<ParsedQuery> q = ParsePaperQuery(u, "reach_ab");
   ASSERT_TRUE(q.ok());
@@ -468,19 +466,17 @@ TEST(DatabaseConcurrencyTest, ConcurrentStatsCollectionAndReads) {
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       Session session = db->Snapshot();
-      RunOptions opts;
-      opts.collect_derived_stats = true;
       for (size_t r = 0; r < kRunsPerThread; ++r) {
-        // Interleave accumulator writes (the run), snapshot reads, and a
-        // stats-driven compile + run.
+        // Interleave a run, snapshot reads, and a stats-driven compile +
+        // run.
         EvalStats stats;
-        Result<Instance> out = session.Run(*prog, opts, &stats);
+        Result<Instance> out = session.Run(*prog, {}, &stats);
         if (!out.ok()) {
           errors[t] = out.status().ToString();
           return;
         }
         if (out->ToString(u) != reference_text) {
-          errors[t] = "stats-collecting run differed";
+          errors[t] = "run differed";
           return;
         }
         StoreStats snapshot = db->Stats();
@@ -509,10 +505,8 @@ TEST(DatabaseConcurrencyTest, ConcurrentStatsCollectionAndReads) {
   for (size_t t = 0; t < kThreads; ++t) {
     EXPECT_TRUE(errors[t].empty()) << "thread " << t << ": " << errors[t];
   }
-  // After the joins, the accumulator holds every collecting run's derived
-  // relation (reach_ab's IDB), merged into the base EDB measurements.
-  StoreStats final_stats = db->Stats();
-  EXPECT_GT(final_stats.NumRelations(), db->base().Stats().NumRelations());
+  // Runs leave no trace in the statistics: they are the one segment's.
+  EXPECT_EQ(db->Stats().ToString(u), db->base().Stats().ToString(u));
 }
 
 TEST(DatabaseConcurrencyTest, ColdDatabaseRacesIndexBuild) {
@@ -804,9 +798,7 @@ TEST(EpochConcurrencyTest, StatsAndCompileRaceIngest) {
           return;
         }
         Session snap = db->Snapshot();
-        RunOptions opts;
-        opts.collect_derived_stats = true;
-        Result<Instance> out = snap.Run(*planned, opts);
+        Result<Instance> out = snap.Run(*planned);
         if (!out.ok()) {
           errors[t] = out.status().ToString();
           return;

@@ -25,12 +25,14 @@
 // environment variable scales it (the CI SEQDL_DIFFTEST job runs 10x).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <optional>
 #include <random>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/engine/database.h"
@@ -735,28 +737,181 @@ Instance SelectVictims(std::mt19937& sched, const Instance& from) {
   return victims;
 }
 
+/// `p` with every negated literal moved to the front of its rule's body.
+/// The generator puts it last, and once-per-firing attribution ranks a
+/// firing's restricted passes by body position, so the other order
+/// needs cases of its own.
+Program NegatedLiteralsFirst(Program p) {
+  for (Stratum& s : p.strata) {
+    for (Rule& r : s.rules) {
+      std::stable_partition(r.body.begin(), r.body.end(),
+                            [](const Literal& l) { return l.negated; });
+    }
+  }
+  return p;
+}
+
+/// A stored firing: a visible EDB fact one of its positive literals
+/// matched, and the fact whose arrival in its negated relation kills it.
+struct Firing {
+  Instance positive;
+  Instance negated;
+};
+
+/// The firings of `p` over `at`'s facts whose rule has a negated
+/// literal, found by running `p` plus one more stratum that copies each
+/// such rule once per positive literal, with a head listing the negated
+/// literal's arguments and then the positive literal's. Empty when that
+/// run exceeds `ropts`' budgets.
+std::vector<Firing> NegatedFirings(Universe& u, const Program& p,
+                                   const Session& at,
+                                   const RunOptions& ropts) {
+  struct Copy {
+    RelId head, negated, positive;
+  };
+  std::vector<Copy> copies;
+  Program probe = p;
+  Stratum last;
+  for (const Stratum& s : p.strata) {
+    for (const Rule& r : s.rules) {
+      auto neg = std::find_if(r.body.begin(), r.body.end(),
+                              [](const Literal& l) { return l.negated; });
+      if (neg == r.body.end()) continue;
+      for (const Literal& l : r.body) {
+        if (!l.is_predicate() || l.negated) continue;
+        Rule copy = r;
+        copy.head.args = neg->pred.args;
+        copy.head.args.insert(copy.head.args.end(), l.pred.args.begin(),
+                              l.pred.args.end());
+        copy.head.rel =
+            *u.InternRel(Numbered("Fired", copies.size()),
+                         static_cast<uint32_t>(copy.head.args.size()));
+        copies.push_back({copy.head.rel, neg->pred.rel, l.pred.rel});
+        last.rules.push_back(std::move(copy));
+      }
+    }
+  }
+  std::vector<Firing> out;
+  if (copies.empty()) return out;
+  probe.strata.push_back(std::move(last));
+  Result<PreparedProgram> prog = Engine::Compile(u, std::move(probe));
+  EXPECT_TRUE(prog.ok()) << prog.status().ToString();
+  if (!prog.ok()) return out;
+  Result<Instance> derived = at.Run(*prog, ropts);
+  if (!derived.ok()) return out;
+  const Instance edb = at.edb();
+  for (const Copy& c : copies) {
+    const size_t split = u.RelArity(c.negated);
+    for (TupleRef t : derived->Tuples(c.head)) {
+      Tuple positive(t.begin() + split, t.end());
+      if (!edb.Contains(c.positive, positive)) continue;
+      Firing f;
+      f.positive.Add(c.positive, positive);
+      f.negated.Add(c.negated, Tuple(t.begin(), t.begin() + split));
+      out.push_back(std::move(f));
+    }
+  }
+  return out;
+}
+
+/// Relations that a stratum after their own reads, positively or negated.
+std::set<RelId> ReadByLaterStrata(const Program& p) {
+  std::set<RelId> out;
+  for (size_t s = 0; s < p.strata.size(); ++s) {
+    for (size_t later = s + 1; later < p.strata.size(); ++later) {
+      for (const Rule& r : p.strata[later].rules) {
+        for (const Literal& l : r.body) {
+          if (!l.is_predicate()) continue;
+          for (const Rule& def : p.strata[s].rules) {
+            if (def.head.rel == l.pred.rel) out.insert(l.pred.rel);
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// One visible fact to retract and one fact of `candidates` to append
+/// such that the retraction alone removes a derived tuple of a relation
+/// in `watched` and the two writes together leave it derived: brute
+/// force over cold runs on the small instance. Nullopt when no pair
+/// does, or a run exceeds `ropts`' budgets.
+std::optional<std::pair<Instance, Instance>> FindRederivation(
+    Universe& u, const PreparedProgram& prog, const RunOptions& ropts,
+    const Instance& visible, const Instance& candidates,
+    const std::set<RelId>& watched) {
+  auto derive = [&](const Instance& edb) -> std::optional<Instance> {
+    Result<Database> db = Database::Open(u, edb);
+    if (!db.ok()) return std::nullopt;
+    Result<Instance> out = db->Snapshot().Run(prog, ropts);
+    if (!out.ok()) return std::nullopt;
+    return std::move(*out);
+  };
+  std::optional<Instance> before = derive(visible);
+  if (!before) return std::nullopt;
+  for (RelId rel : visible.Relations()) {
+    for (TupleRef r : visible.Tuples(rel)) {
+      Instance without = visible;
+      without.Remove(rel, r);
+      std::optional<Instance> shrunk = derive(without);
+      if (!shrunk) return std::nullopt;
+      Instance lost;
+      for (RelId w : watched) {
+        for (TupleRef t : before->Tuples(w)) {
+          if (!shrunk->Contains(w, t)) lost.Add(w, t);
+        }
+      }
+      if (lost.Empty()) continue;
+      for (RelId crel : candidates.Relations()) {
+        for (TupleRef a : candidates.Tuples(crel)) {
+          Instance with = without;
+          with.Add(crel, a);
+          std::optional<Instance> after = derive(with);
+          if (!after) return std::nullopt;
+          for (RelId w : lost.Relations()) {
+            for (TupleRef t : lost.Tuples(w)) {
+              if (!after->Contains(w, t)) continue;
+              std::pair<Instance, Instance> found;
+              found.first.Add(rel, r);
+              found.second.Add(crel, a);
+              return found;
+            }
+          }
+        }
+      }
+    }
+  }
+  return std::nullopt;
+}
+
 // The retraction differential: a materialized view maintained across a
 // random schedule of retractions interleaved with appends — tombstone
 // epochs driving counting DRed (delete/re-derive), negated inputs that
 // gain or lose facts included — must stay byte-identical to a cold
 // fixpoint over exactly the visible facts at every epoch. The schedule
 // also re-appends some retracted facts (the visibility flip in both
-// directions), compacts mid-sequence, after which the stack must hold no
-// tombstones at all, and ends with a retraction and an append published
-// back to back under one refresh.
+// directions) and compacts mid-sequence, after which the stack must hold
+// no tombstones at all. Some windows publish two writes back to back
+// under one refresh: first a firing that loses a positive fact and gains
+// its negated one, then the reverse; at the end a random retraction and
+// append, then a tuple deleted and derived again. Rules keep their
+// negated literals first here (the other differentials keep them last).
 TEST(DifferentialTest, RetractionMaintainedViewMatchesColdFixpointPerEpoch) {
   size_t iterations = Iterations();
   size_t compared = 0, skipped = 0;
   uint64_t dred_refreshes = 0;
+  size_t firing_windows = 0, rederive_windows = 0;
   NegationSeeds negation;
   for (uint64_t seed = 1; seed <= iterations; ++seed) {
     Universe u;
     RandomCase c = CaseGenerator(u, seed).Generate();
+    const Program program = NegatedLiteralsFirst(c.program);
     SCOPED_TRACE("seed " + std::to_string(seed) + "\n" +
-                 FormatProgram(u, c.program) + c.input.ToString(u));
+                 FormatProgram(u, program) + c.input.ToString(u));
     std::mt19937 sched(seed * 7919 + 13);
 
-    Result<PreparedProgram> prog = Engine::Compile(u, c.program);
+    Result<PreparedProgram> prog = Engine::Compile(u, program);
     ASSERT_TRUE(prog.ok()) << prog.status().ToString();
     RunOptions ropts;
     ropts.max_facts = kMaxFacts;
@@ -766,7 +921,17 @@ TEST(DifferentialTest, RetractionMaintainedViewMatchesColdFixpointPerEpoch) {
     ASSERT_TRUE(live.ok()) << live.status().ToString();
     bool budget_hit = false;
     NegationSeeds seed_negation;
-    const std::set<RelId> exact = NonRecursiveHeads(c.program);
+    const std::set<RelId> exact = NonRecursiveHeads(program);
+    // The case's facts the stack no longer shows.
+    auto retracted_facts = [&c](const Instance& visible) {
+      Instance gone;
+      for (RelId rel : c.input.Relations()) {
+        for (TupleRef t : c.input.Tuples(rel)) {
+          if (!visible.Contains(rel, t)) gone.Add(rel, t);
+        }
+      }
+      return gone;
+    };
 
     // One epoch's comparison: the maintained view against a cold fixpoint
     // on the currently *visible* facts (live->edb() materializes the
@@ -797,6 +962,28 @@ TEST(DifferentialTest, RetractionMaintainedViewMatchesColdFixpointPerEpoch) {
     };
 
     check("epoch 0 (cold)");
+    // One stored firing both restricted passes of a refresh enumerate:
+    // it loses a positive fact and gains its negated fact, so it must be
+    // decremented exactly once; then the reverse, so it must be counted
+    // exactly once. The two windows leave the visible facts as they
+    // were, and the firing is chosen without `sched`, so the schedule
+    // below is the same with or without them.
+    std::vector<Firing> firings;
+    if (!budget_hit) {
+      firings = NegatedFirings(u, program, live->Snapshot(), ropts);
+    }
+    if (!firings.empty()) {
+      const Firing& f = firings[seed % firings.size()];
+      ASSERT_TRUE(live->Retract(f.positive).ok());
+      ASSERT_TRUE(live->Append(f.negated).ok());
+      check("positive fact lost, negated fact gained");
+      if (!budget_hit) {
+        ASSERT_TRUE(live->Append(f.positive).ok());
+        ASSERT_TRUE(live->Retract(f.negated).ok());
+        check("positive fact gained, negated fact lost");
+        ++firing_windows;
+      }
+    }
     if (budget_hit) {
       ++skipped;
       continue;
@@ -833,15 +1020,26 @@ TEST(DifferentialTest, RetractionMaintainedViewMatchesColdFixpointPerEpoch) {
       // positive fact and gain a negated one at once, and must still be
       // decremented (or counted) exactly once.
       Instance visible = live->edb();
-      Instance gone;
-      for (RelId rel : c.input.Relations()) {
-        for (TupleRef t : c.input.Tuples(rel)) {
-          if (!visible.Contains(rel, t)) gone.Add(rel, t);
-        }
-      }
+      Instance gone = retracted_facts(visible);
       ASSERT_TRUE(live->Retract(SelectVictims(sched, visible)).ok());
       ASSERT_TRUE(live->Append(SelectVictims(sched, gone)).ok());
       check("retraction and append under one refresh");
+    }
+    if (!budget_hit) {
+      // A tuple of a relation a later stratum reads, deleted by a
+      // retraction and derived again through an appended fact in the
+      // same window: it never left its relation, so the later stratum
+      // must see no change.
+      Instance visible = live->edb();
+      std::optional<std::pair<Instance, Instance>> w =
+          FindRederivation(u, *prog, ropts, visible, retracted_facts(visible),
+                           ReadByLaterStrata(program));
+      if (w) {
+        ASSERT_TRUE(live->Retract(w->first).ok());
+        ASSERT_TRUE(live->Append(w->second).ok());
+        check("tuple deleted and derived again");
+        ++rederive_windows;
+      }
     }
     if (budget_hit) {
       ++skipped;
@@ -863,6 +1061,12 @@ TEST(DifferentialTest, RetractionMaintainedViewMatchesColdFixpointPerEpoch) {
   EXPECT_GT(dred_refreshes, 0u);
   EXPECT_GT(negation.gained, 0u);
   EXPECT_GT(negation.lost, 0u);
+  // And the two-write windows must find their facts: a firing that
+  // flips both literals, and a tuple deleted and derived again.
+  EXPECT_GE(firing_windows * 40, iterations)
+      << firing_windows << " of " << iterations
+      << " seeds ran the firing windows";
+  EXPECT_GT(rederive_windows, 0u);
 }
 
 /// One fact of `from`, chosen by `sched` (empty when `from` is).

@@ -1032,59 +1032,7 @@ TEST(EpochTest, StatsAreEpochAware) {
   EXPECT_EQ(db->Stats().EstimateScan(r), 4.0);
 }
 
-// --- Stats aging + drift -------------------------------------------------------
-
-TEST(StatsAgingTest, AccumulatorForgetsUnderEpochDecay) {
-  Universe u;
-  RelId s = *u.InternRel("S", 1);
-  Instance big;
-  for (int i = 0; i < 16; ++i) {
-    big.Add(s, {u.SingletonPath(Value::Atom(u.InternAtom(Numbered("v", i))))});
-  }
-  StatsAccumulator accum;
-  accum.Record(ComputeInstanceStats(u, big));
-  EXPECT_EQ(accum.Snapshot().EstimateScan(s), 16.0);
-  // Pre-aging, ObserveMax pins the all-time peak: a smaller observation
-  // cannot shrink the estimate...
-  Instance small;
-  small.Add(s, {u.PathOfChars("a")});
-  accum.Record(ComputeInstanceStats(u, small));
-  EXPECT_EQ(accum.Snapshot().EstimateScan(s), 16.0);
-  // ...but epoch aging decays the peak until fresh observations win.
-  for (int i = 0; i < 4; ++i) accum.Age(StatsAccumulator::kEpochDecay);
-  EXPECT_EQ(accum.Snapshot().EstimateScan(s), 1.0);
-  accum.Record(ComputeInstanceStats(u, small));
-  EXPECT_EQ(accum.Snapshot().EstimateScan(s), 1.0);
-  // Full decay drops the relation entirely.
-  for (int i = 0; i < 8; ++i) accum.Age(StatsAccumulator::kEpochDecay);
-  EXPECT_FALSE(accum.Snapshot().Knows(s));
-}
-
-TEST(StatsAgingTest, DatabaseDefersEpochDecayUntilRecompute) {
-  Universe u;
-  Program p = MustParse(u, "S($x) <- R($x).");
-  Result<PreparedProgram> prog = Engine::Compile(u, std::move(p));
-  ASSERT_TRUE(prog.ok());
-  Result<Database> db =
-      Database::Open(u, MustInstance(u, "R(a). R(b). R(c). R(d)."));
-  ASSERT_TRUE(db.ok());
-  RelId s = *u.FindRel("S");
-  RunOptions opts;
-  opts.collect_derived_stats = true;
-  ASSERT_TRUE(db->Snapshot().Run(*prog, opts).ok());
-  EXPECT_EQ(db->Stats().EstimateScan(s), 4.0);
-  // Appends note epoch bumps but do not decay the remembered derived
-  // measurements by themselves: until something re-derives there is no
-  // fresh evidence the derived shape drifted (a maintained view serving
-  // across appends must not erode its own planning statistics).
-  ASSERT_TRUE(db->Append(MustInstance(u, "T(x).")).ok());
-  ASSERT_TRUE(db->Append(MustInstance(u, "T(y).")).ok());
-  EXPECT_EQ(db->Stats().EstimateScan(s), 4.0);
-  // The next full run applies both deferred halvings: 4 * 0.5^2 = 1.
-  // (No collect_derived_stats, so nothing is recorded back on top.)
-  ASSERT_TRUE(db->Snapshot().Run(*prog).ok());
-  EXPECT_EQ(db->Stats().EstimateScan(s), 1.0);
-}
+// --- Stats drift -------------------------------------------------------------
 
 TEST(StatsDriftTest, MeasuresRelativeTupleChange) {
   Universe u;

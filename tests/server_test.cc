@@ -1020,6 +1020,37 @@ TEST(ServiceCacheTest, FreshProgramsDoNotGrowTheUniverse) {
   EXPECT_EQ(u.num_paths(), paths);
 }
 
+// Statistics measure the stored facts only: a program's derived
+// relations belong to that program, so running programs leaves no
+// statistics row behind, whatever their head names.
+TEST(ServiceCacheTest, StatsKeepNoRowsForProgramsThatRan) {
+  Universe u;
+  Result<Instance> edb = ParseInstance(u, "E(a, b). E(b, c).");
+  ASSERT_TRUE(edb.ok());
+  Result<Database> db = Database::Open(u, std::move(*edb));
+  ASSERT_TRUE(db.ok());
+  ServiceOptions sopts;
+  sopts.result_cache_entries = 4;
+  DatabaseService service(u, std::move(*db), sopts);
+  auto rows = [&service] {
+    std::string rendered = service.Stats().rendered;
+    return rendered.substr(0, rendered.find("universe  "));
+  };
+  const Session pinned = service.db().Snapshot();
+  const std::string rows_before = rows();
+  const std::string pinned_before = pinned.Stats().ToString(u);
+  ASSERT_NE(rows_before.find("E  tuples=2"), std::string::npos);
+
+  for (size_t i = 0; i < 20; ++i) {
+    std::string program = Numbered("H", i) + "($x) <- E($x, $y).";
+    Result<protocol::RunReply> run = service.Run(ReqFor(program.c_str()));
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+  }
+  EXPECT_EQ(rows(), rows_before);
+  EXPECT_EQ(pinned.Stats().ToString(u), pinned_before);
+  EXPECT_EQ(service.db().Snapshot().Stats().ToString(u), pinned_before);
+}
+
 TEST(ServiceCacheTest, RetractRefreshesViewsThroughDRed) {
   Universe u;
   Result<Instance> edb = ParseInstance(u, "E(a, b). E(b, c).");

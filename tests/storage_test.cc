@@ -1036,6 +1036,43 @@ TEST(StorageDatabaseTest, QueriesRunAfterRecovery) {
   EXPECT_EQ(out->ToString(u2), want);
 }
 
+// The block codec walks packs without recursion, so a value nested far
+// deeper than the text syntax allows (the API can build one) survives a
+// WAL record, its replay, a checkpoint and the segment's decode.
+TEST(StorageDatabaseTest, DeepPackedValueSurvivesWalAndCheckpoint) {
+  constexpr int kDepth = 100'000;
+  // The atom a packed kDepth times: <<…<a>…>>.
+  auto deep = [](Universe& u) {
+    PathId p = u.PathOfChars("a");
+    for (int i = 0; i < kDepth; ++i) p = u.SingletonPath(Value::Packed(p));
+    return p;
+  };
+  ScratchDir dir("deep");
+  {
+    Universe u;
+    Result<Database> db =
+        Database::Open(u, MustInstance(u, "E(a)."), DurableOpts(dir.path));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    Instance batch;
+    batch.Add(*u.InternRel("D", 1), {deep(u)});
+    ASSERT_TRUE(db->Append(std::move(batch)).ok());
+    // No Close(): the fact exists only as a WAL record.
+  }
+  {
+    Universe u;
+    Result<Database> db = Database::Open(u, DurableOpts(dir.path));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_TRUE(db->edb().Contains(*u.FindRel("D"), {deep(u)}));
+    db->Close();  // checkpoints the replayed stack into a segment file
+  }
+  Universe u;
+  Result<Database> db = Database::Open(u, DurableOpts(dir.path));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(db->storage_info().wal_bytes, 0u);
+  EXPECT_EQ(db->NumFacts(), 2u);
+  EXPECT_TRUE(db->edb().Contains(*u.FindRel("D"), {deep(u)}));
+}
+
 // --- Crash-recovery differential --------------------------------------------
 
 struct CrashOp {

@@ -738,8 +738,8 @@ void PrintReply(const std::vector<std::string>& words,
       break;
     case MsgType::kStats: {
       const seqdl::protocol::StatsReply& st = reply.stats;
-      // The planner's view: live-segment measurements merged with the
-      // derived-fact statistics of earlier runs, plus the cache traffic.
+      // The planner's view: the live segments' measurements, plus the
+      // cache traffic.
       std::printf("%s", st.rendered.c_str());
       std::printf("cache: %llu hits, %llu misses, %llu evictions; "
                   "%llu entries, %llu bytes\n",
