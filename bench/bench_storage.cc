@@ -1,16 +1,15 @@
 // Durability costs, measured: WAL commit throughput under each fsync
-// policy (the median of five timings, like the next table), the same
-// with automatic folds over a large base (the trade of folding in
-// memory: cheap commits, a WAL that grows until its threshold), a
-// server's write with three cached views, by one writer and by four,
-// in memory and durable (whose refresh runs beside the WAL sync while
-// one write is in flight), the time Open(dir) takes to replay that WAL,
-// cold recovery (`Database::Open(dir)`) versus parsing and re-ingesting
-// the same facts, and query latency on a recovered database versus a
-// never-persisted one. Prints comparison tables and then runs the
-// google-benchmark timers; `--json` instead emits one machine-readable
-// document (for the nightly difftest workflow's regression record) and
-// skips the benchmark harness.
+// policy, the same with automatic folds over a large base (the trade of
+// folding in memory: cheap commits, a WAL that grows until its
+// threshold), a server's write with three cached views, by one writer
+// and by four, in memory and durable (whose refresh runs beside the WAL
+// sync while one write is in flight), the time Open(dir) takes to replay
+// that WAL, cold recovery (`Database::Open(dir)`) versus parsing and
+// re-ingesting the same facts, and query latency on a recovered
+// database versus a never-persisted one. Prints comparison tables and
+// then runs the google-benchmark timers; `--json` instead emits one
+// machine-readable document (for the nightly difftest workflow's
+// regression record) and skips the benchmark harness.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -439,39 +438,20 @@ RecoveryResult MeasureRecovery(size_t facts) {
 constexpr size_t kWalCommits = 200;
 constexpr size_t kWalBatch = 8;
 constexpr size_t kFoldingCommits = 400;
-/// Each commit row is timed this often per run and reports the median:
-/// one timing takes a few ms, and single timings of one build fall
-/// about 40% apart from run to run.
-constexpr size_t kCommitRepeats = 5;
-
-/// The one of kCommitRepeats results of `measure` with the median
-/// commits_per_sec.
-template <typename Measure>
-auto MedianOfRepeats(const Measure& measure) {
-  std::vector<decltype(measure())> runs;
-  for (size_t i = 0; i < kCommitRepeats; ++i) runs.push_back(measure());
-  std::sort(runs.begin(), runs.end(), [](const auto& a, const auto& b) {
-    return a.commits_per_sec < b.commits_per_sec;
-  });
-  return runs[kCommitRepeats / 2];
-}
 
 void PrintTables(bool json) {
   std::vector<WalPolicyResult> wal;
-  for (auto [mode, name] : {std::pair{storage::SyncMode::kAlways, "always"},
-                            {storage::SyncMode::kInterval, "interval"},
-                            {storage::SyncMode::kNever, "never"}}) {
-    wal.push_back(MedianOfRepeats([mode, name] {
-      return MeasureWalPolicy(mode, name, kWalCommits, kWalBatch);
-    }));
-  }
+  wal.push_back(MeasureWalPolicy(storage::SyncMode::kAlways, "always",
+                                 kWalCommits, kWalBatch));
+  wal.push_back(MeasureWalPolicy(storage::SyncMode::kInterval, "interval",
+                                 kWalCommits, kWalBatch));
+  wal.push_back(MeasureWalPolicy(storage::SyncMode::kNever, "never",
+                                 kWalCommits, kWalBatch));
   std::vector<FoldingResult> folding;
-  for (auto [mode, name] : {std::pair{storage::SyncMode::kAlways, "always"},
-                            {storage::SyncMode::kNever, "never"}}) {
-    folding.push_back(MedianOfRepeats([mode, name] {
-      return MeasureFoldingCommits(mode, name, kFoldingCommits);
-    }));
-  }
+  folding.push_back(MeasureFoldingCommits(storage::SyncMode::kAlways,
+                                          "always", kFoldingCommits));
+  folding.push_back(MeasureFoldingCommits(storage::SyncMode::kNever, "never",
+                                          kFoldingCommits));
   // One writer before several, and `memory` and `never` before
   // `always`: those never start the WAL sync thread, and once a thread
   // has run, glibc and libstdc++ leave their single-thread fast paths
@@ -553,9 +533,7 @@ void PrintTables(bool json) {
     return;
   }
 
-  std::printf(
-      "=== WAL commit throughput by fsync policy, median of %zu ===\n",
-      kCommitRepeats);
+  std::printf("=== WAL commit throughput by fsync policy ===\n");
   std::printf("%-10s %-9s %-10s %s\n", "policy", "commits", "total(ms)",
               "commits/s");
   for (const WalPolicyResult& w : wal) {
@@ -563,9 +541,9 @@ void PrintTables(bool json) {
                 w.commits_per_sec);
   }
   std::printf(
-      "\n=== Commit throughput, auto_compact_segments = %zu, %zu-fact base, "
-      "median of %zu ===\n",
-      kServeAutoCompact, kChurnBase, kCommitRepeats);
+      "\n=== Commit throughput, auto_compact_segments = %zu, %zu-fact base "
+      "===\n",
+      kServeAutoCompact, kChurnBase);
   std::printf("%-10s %-9s %-10s %-10s %s\n", "policy", "commits",
               "total(ms)", "commits/s", "checkpoints");
   for (const FoldingResult& f : folding) {

@@ -113,21 +113,21 @@ class BlockEncoder {
   uint64_t EnsurePath(PathId p) {
     auto it = path_idx_.find(p);
     if (it != path_idx_.end()) return it->second;
-    struct Frame {
-      PathId path;
-      std::span<const Value> values;
-      size_t next = 0;  // the first value not yet encoded
-      std::string encoded;
-    };
-    auto begin_frame = [this](PathId q) {
-      Frame f{q, u_.GetPath(q), 0, {}};
+    size_t depth = 0;
+    // Opens a frame for `q` on top, reusing the one (and its buffer) an
+    // earlier walk left at that depth.
+    auto descend = [&](PathId q) {
+      if (depth == stack_.size()) stack_.emplace_back();
+      Frame& f = stack_[depth++];
+      f.path = q;
+      f.values = u_.GetPath(q);
+      f.next = 0;
+      f.encoded.clear();
       PutVarint(&f.encoded, f.values.size());
-      return f;
     };
-    std::vector<Frame> stack;
-    stack.push_back(begin_frame(p));
+    descend(p);
     while (true) {
-      Frame& f = stack.back();
+      Frame& f = stack_[depth - 1];
       if (f.next < f.values.size()) {
         Value v = f.values[f.next];
         if (v.is_atom()) {
@@ -137,8 +137,8 @@ class BlockEncoder {
           PutVarint(&f.encoded, (sub->second << 1) | 1);
         } else {
           // Descend; the reference is written once the sub-path has its
-          // index (`f` dangles after the push).
-          stack.push_back(begin_frame(v.packed_path()));
+          // index (`f` dangles if the stack grows).
+          descend(v.packed_path());
           continue;
         }
         ++f.next;
@@ -148,9 +148,8 @@ class BlockEncoder {
       path_idx_.emplace(f.path, idx);
       ++path_count_;
       paths_buf_.append(f.encoded);
-      stack.pop_back();
-      if (stack.empty()) return idx;
-      Frame& parent = stack.back();
+      if (--depth == 0) return idx;
+      Frame& parent = stack_[depth - 1];
       PutVarint(&parent.encoded, (idx << 1) | 1);
       ++parent.next;
     }
@@ -205,6 +204,14 @@ class BlockEncoder {
   }
 
  private:
+  /// One pack level of EnsurePath's walk.
+  struct Frame {
+    PathId path;
+    std::span<const Value> values;
+    size_t next = 0;  // the first value not yet encoded
+    std::string encoded;
+  };
+
   const Universe& u_;
   std::unordered_map<AtomId, uint64_t> atom_idx_;
   std::unordered_map<PathId, uint64_t> path_idx_;
@@ -212,6 +219,7 @@ class BlockEncoder {
   std::vector<uint64_t> atom_lens_;
   std::string paths_buf_;
   uint64_t path_count_ = 0;
+  std::vector<Frame> stack_;  // EnsurePath's frames, kept between walks
 };
 
 }  // namespace
